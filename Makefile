@@ -50,9 +50,10 @@ bench:
 # Fast alloc-regression gate: the in-tree half of the scale benchmark's
 # allocs_per_quantum check. Runs without -race (race instrumentation
 # allocates on the hot path) and fails the moment a steady-state quantum
-# of the indexed loop heap-allocates at all.
+# of the indexed loop heap-allocates at all, on FaultSys or over real
+# processes sampled through RealSys.
 alloc-gate:
-	$(GO) test -run TestSteadyStateZeroAllocs -count=1 ./internal/osproc/
+	$(GO) test -run 'TestSteadyStateZeroAllocs|TestRealSamplingZeroAllocs' -count=1 ./internal/osproc/
 
 # Timeline smoke: retained-history closed-loop gates. A synthetic
 # duty-cycled workload aliases a deliberately mismatched audit window;

@@ -174,12 +174,13 @@ func TestPrefetchCoversDueTasks(t *testing.T) {
 	}
 }
 
-// TestFanOutCoversAllItems pins the pool helper itself.
+// TestFanOutCoversAllItems pins the pool itself.
 func TestFanOutCoversAllItems(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		for _, n := range []int{0, 1, 7, 100} {
 			hits := make([]int32, n)
-			fanOut(workers, n, func(i int) { hits[i]++ })
+			var p pool
+			p.run(workers, n, func(i int) { hits[i]++ })
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("workers=%d n=%d: item %d visited %d times", workers, n, i, h)

@@ -27,6 +27,15 @@ func newFaultRunner(t *testing.T, fs *FaultSys, cfg Config, tasks []Task) *Runne
 	return r
 }
 
+// requireNoHandles fails the test if any read handle is still open: a
+// released runner must have forgotten every PID it ever read.
+func requireNoHandles(t *testing.T, fs *FaultSys) {
+	t.Helper()
+	if open := fs.OpenHandles(); len(open) != 0 {
+		t.Errorf("read handles left open after Release: %v", open)
+	}
+}
+
 // stepQuantum emulates one ticker firing: the quantum elapses (running
 // processes consume CPU), then the control loop runs.
 func stepQuantum(fs *FaultSys, r *Runner) bool {
@@ -95,6 +104,7 @@ func TestVanishMidRun(t *testing.T) {
 		t.Error("vanished PID not counted")
 	}
 	r.Release()
+	requireNoHandles(t, fs)
 }
 
 // TestZombieDropped: a process that becomes a zombie is treated as gone.
@@ -187,6 +197,11 @@ func TestUnsignalablePIDDropped(t *testing.T) {
 	if h.SignalFailures != int64(maxBadPIDStrikes) {
 		t.Errorf("SignalFailures = %d, want %d", h.SignalFailures, maxBadPIDStrikes)
 	}
+	if got := fs.OpenHandles(); len(got) != 0 {
+		t.Errorf("dropped PID's read handle still open: %v", got)
+	}
+	r.Release()
+	requireNoHandles(t, fs)
 }
 
 // TestEPERMDegradesGracefully is the loop-level version: one task's PID
@@ -227,6 +242,7 @@ func TestEPERMDegradesGracefully(t *testing.T) {
 		t.Error("OnError never surfaced the degradation")
 	}
 	r.Release()
+	requireNoHandles(t, fs)
 	// PID 10 itself may stay frozen — by construction it cannot be
 	// signalled at all — but the healthy task must not.
 	if fs.IsStopped(20) {
@@ -272,6 +288,7 @@ func TestPIDReuseNotCharged(t *testing.T) {
 		t.Error("recycled PID still has a baseline entry")
 	}
 	r.Release()
+	requireNoHandles(t, fs)
 }
 
 // TestOverrunCompensation: the loop stalls for several quanta (slow

@@ -86,6 +86,9 @@ type FaultSys struct {
 
 	procs  map[int]*FaultProc
 	faults map[faultKey][]FaultKind
+	// handles models RealSys's descriptor table: a read of a live PID
+	// opens its handle, ESRCH closes it, and Forget releases it.
+	handles map[int]bool
 
 	// SlowDelay is how far FaultSlow advances the clock (default 0:
 	// set it before scheduling FaultSlow).
@@ -135,9 +138,10 @@ func (f *FaultSys) SignalSyscalls() int64 {
 // starts at an arbitrary fixed epoch.
 func NewFaultSys() *FaultSys {
 	return &FaultSys{
-		base:   time.Unix(1_000_000_000, 0),
-		procs:  make(map[int]*FaultProc),
-		faults: make(map[faultKey][]FaultKind),
+		base:    time.Unix(1_000_000_000, 0),
+		procs:   make(map[int]*FaultProc),
+		faults:  make(map[faultKey][]FaultKind),
+		handles: make(map[int]bool),
 	}
 }
 
@@ -339,6 +343,7 @@ func (f *FaultSys) ReadStat(pid int) (Stat, error) {
 		switch kind {
 		case FaultESRCH:
 			f.logf("read %d: ESRCH", pid)
+			delete(f.handles, pid)
 			return Stat{}, syscall.ESRCH
 		case FaultEPERM:
 			f.logf("read %d: EPERM", pid)
@@ -348,6 +353,7 @@ func (f *FaultSys) ReadStat(pid int) (Stat, error) {
 			return Stat{}, syscall.EINTR
 		case FaultZombie:
 			f.logf("read %d: zombie", pid)
+			f.handles[pid] = true
 			return Stat{PID: pid, Comm: "fake", State: 'Z'}, nil
 		case FaultSlow:
 			f.logf("read %d: slow %v", pid, f.SlowDelay)
@@ -357,16 +363,38 @@ func (f *FaultSys) ReadStat(pid int) (Stat, error) {
 	p, ok := f.procs[pid]
 	if !ok {
 		f.logf("read %d: gone", pid)
+		delete(f.handles, pid)
 		return Stat{}, syscall.ESRCH
 	}
 	if !f.Quiet {
 		f.logf("read %d", pid)
 	}
+	f.handles[pid] = true
 	state := p.State
 	if p.stopped {
 		state = 'T'
 	}
 	return Stat{PID: pid, Comm: "fake", State: state, CPU: p.CPU, Start: p.Start}, nil
+}
+
+// Forget implements Sys: it releases pid's read handle.
+func (f *FaultSys) Forget(pid int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	delete(f.handles, pid)
+}
+
+// OpenHandles returns, in ascending order, the PIDs whose read handle is
+// open: read at least once and neither forgotten nor found gone since.
+func (f *FaultSys) OpenHandles() []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([]int, 0, len(f.handles))
+	for pid := range f.handles {
+		out = append(out, pid)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // Stop implements Sys.

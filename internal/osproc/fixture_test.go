@@ -10,13 +10,19 @@ import (
 )
 
 // withFakeProc points the package at a synthetic procfs tree for the
-// duration of a test.
+// duration of a test. The stat descriptor table is flushed on the way in
+// and out, so no fixture descriptor outlives the tree, and no real one is
+// read as a fixture.
 func withFakeProc(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	old := procRoot
+	flushStatFDs()
 	procRoot = dir
-	t.Cleanup(func() { procRoot = old })
+	t.Cleanup(func() {
+		flushStatFDs()
+		procRoot = old
+	})
 	return dir
 }
 
@@ -121,11 +127,14 @@ func TestRunnerReaderOverFixture(t *testing.T) {
 		t.Error("all-sleeping group not reported blocked")
 	}
 
-	// One process becomes a zombie; the other vanishes: task is dead.
+	// One process becomes a zombie; the other vanishes: task is dead. A
+	// descriptor held on a deleted fixture file still reads, unlike a
+	// procfs one, so the vanished PID is forgotten along with its file.
 	writeStat(t, root, 101, stat(101, 7, "Z"))
 	if err := os.RemoveAll(filepath.Join(root, "102")); err != nil {
 		t.Fatal(err)
 	}
+	RealSys{}.Forget(102)
 	if _, ok := r.read(1); ok {
 		t.Error("task with only zombie/vanished members should be dead")
 	}

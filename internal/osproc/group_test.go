@@ -110,6 +110,7 @@ func TestGroupPartialESRCHLeavesNoSurvivorFrozen(t *testing.T) {
 		t.Errorf("badSig strikes outstanding: %v", r.badSig)
 	}
 	r.Release()
+	requireNoHandles(t, fs)
 }
 
 // TestGroupEPERMFallsBackPerPIDStrikesOnce: when the whole group call
@@ -155,6 +156,7 @@ func TestGroupEPERMFallsBackPerPIDStrikesOnce(t *testing.T) {
 		}
 	}
 	r.Release()
+	requireNoHandles(t, fs)
 }
 
 // TestGroupTransientRetriesWithinQuantum: an EINTR against the group

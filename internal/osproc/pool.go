@@ -16,10 +16,20 @@ import (
 // per-(pid, call) FIFOs, so per-PID results are interleaving-independent
 // (the -race merge-determinism tests hold both paths to this).
 
-// fanOut runs fn(0..n-1) over at most `workers` goroutines and waits for
+// pool runs fn(0..n-1) over at most `workers` goroutines and waits for
 // all of them. With one worker (or one item) it degrades to a plain loop
-// on the calling goroutine.
-func fanOut(workers, n int, fn func(int)) {
+// on the calling goroutine. A batch allocates nothing: its state lives in
+// the pool, the worker body is bound once, and fn is a func value the
+// caller also binds once (the Runner's prefetchAt and deliverAt).
+type pool struct {
+	fn   func(int)
+	n    int64
+	next atomic.Int64
+	wg   sync.WaitGroup
+	work func() // p.drain, bound on first use
+}
+
+func (p *pool) run(workers, n int, fn func(int)) {
 	if workers > n {
 		workers = n
 	}
@@ -29,22 +39,29 @@ func fanOut(workers, n int, fn func(int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
+	if p.work == nil {
+		p.work = p.drain
 	}
-	wg.Wait()
+	p.fn, p.n = fn, int64(n)
+	p.next.Store(0)
+	p.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go p.work()
+	}
+	p.wg.Wait()
+	p.fn = nil
+}
+
+// drain is one worker: it claims items by atomic index until none remain.
+func (p *pool) drain() {
+	defer p.wg.Done()
+	for {
+		i := p.next.Add(1) - 1
+		if i >= p.n {
+			return
+		}
+		p.fn(int(i))
+	}
 }
 
 // workers returns the effective sampler-pool width: Config.Samplers,
@@ -87,20 +104,23 @@ func (r *Runner) prefetch() {
 	if cap(r.prefetchRes) < len(pids) {
 		r.prefetchRes = make([]statResult, len(pids))
 	}
-	results := r.prefetchRes[:len(pids)]
-	fanOut(w, len(pids), func(i int) {
-		st, err := r.readStat(pids[i])
-		results[i] = statResult{st: st, err: err}
-	})
+	r.prefetchRes = r.prefetchRes[:len(pids)]
+	r.pool.run(w, len(pids), r.prefetchOne)
 	if r.statScratch == nil {
 		r.statScratch = make(map[int]statResult, len(pids))
 	} else {
 		clear(r.statScratch)
 	}
 	for i, pid := range pids {
-		r.statScratch[pid] = results[i]
+		r.statScratch[pid] = r.prefetchRes[i]
 	}
 	r.statCache = r.statScratch
+}
+
+// prefetchAt is one prefetch item: the stat read of prefetchPIDs[i].
+func (r *Runner) prefetchAt(i int) {
+	st, err := r.readStat(r.prefetchPIDs[i])
+	r.prefetchRes[i] = statResult{st: st, err: err}
 }
 
 // cachedStat returns the prefetched stat for pid, falling back to a

@@ -18,12 +18,17 @@
 package osproc
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // ClockTick is the /proc accounting granularity (USER_HZ is 100 on all
@@ -111,11 +116,133 @@ func parseStat(pid int, raw string) (Stat, error) {
 	return st, nil
 }
 
+// errBadStat reports a stat line parseStatBytes cannot parse. It is a
+// sentinel so the sampling path allocates nothing, even on failure.
+var errBadStat = errors.New("osproc: malformed /proc stat line")
+
+// parseStatBytes is parseStat over a raw buffer without building strings:
+// it fills State, PPID, CPU and Start (Comm stays empty) and also returns
+// num_threads (field 20; 0 when absent or unparsable). It accepts and
+// rejects exactly the inputs parseStat does (FuzzParseStatBytes holds the
+// two to that), including splitting fields on Unicode white space as
+// strings.Fields does.
+func parseStatBytes(pid int, raw []byte) (st Stat, threads int, err error) {
+	close := bytes.LastIndexByte(raw, ')')
+	open := bytes.IndexByte(raw, '(')
+	if close < 0 || open < 0 || close < open {
+		return Stat{}, 0, errBadStat
+	}
+	st.PID = pid
+	var ut, stt uint64
+	i, n := close+1, 0
+	for ; n < 20; n++ {
+		var f []byte
+		if f, i = nextField(raw, i); len(f) == 0 {
+			break
+		}
+		// f is field n+3 of proc(5); fields are numbered from 1.
+		ok := true
+		switch n {
+		case 0:
+			st.State = f[0]
+		case 1:
+			st.PPID, ok = atoiBytes(f)
+		case 11:
+			ut, ok = parseUintBytes(f)
+		case 12:
+			stt, ok = parseUintBytes(f)
+		case 17:
+			threads, _ = atoiBytes(f)
+		case 19:
+			st.Start, ok = parseUintBytes(f)
+		}
+		if !ok {
+			return Stat{}, 0, errBadStat
+		}
+	}
+	if n < 13 {
+		return Stat{}, 0, errBadStat
+	}
+	st.CPU = time.Duration(ut+stt) * ClockTick
+	return st, threads, nil
+}
+
+// nextField returns the first field of b at or after i and the index just
+// past it; the field is empty when none remains. Separators are what
+// strings.Fields splits on: runs of unicode.IsSpace runes, with invalid
+// UTF-8 counted as a one-byte non-space.
+func nextField(b []byte, i int) (field []byte, next int) {
+	for i < len(b) {
+		w, space := spaceAt(b, i)
+		if !space {
+			break
+		}
+		i += w
+	}
+	start := i
+	for i < len(b) {
+		w, space := spaceAt(b, i)
+		if space {
+			break
+		}
+		i += w
+	}
+	return b[start:i], i
+}
+
+func spaceAt(b []byte, i int) (width int, space bool) {
+	if c := b[i]; c < utf8.RuneSelf {
+		return 1, c == ' ' || c-'\t' <= '\r'-'\t'
+	}
+	r, w := utf8.DecodeRune(b[i:])
+	return w, unicode.IsSpace(r)
+}
+
+// parseUintBytes is strconv.ParseUint(string(b), 10, 64) without the
+// string: decimal digits only, failing on overflow.
+func parseUintBytes(b []byte) (uint64, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	var n uint64
+	for _, c := range b {
+		d := uint64(c - '0')
+		if d > 9 || n > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	return n, true
+}
+
+// atoiBytes is strconv.Atoi(string(b)) without the string: an optional
+// sign, then decimal digits, failing outside int's range.
+func atoiBytes(b []byte) (int, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if len(b) > 0 && (neg || b[0] == '+') {
+		b = b[1:]
+	}
+	u, ok := parseUintBytes(b)
+	limit := uint64(1)<<(strconv.IntSize-1) - 1
+	if neg {
+		limit++
+	}
+	if !ok || u > limit {
+		return 0, false
+	}
+	if neg {
+		return -int(u), true
+	}
+	return int(u), true
+}
+
 // Descendants returns root plus every live process whose ancestry chain
 // leads to root, by scanning /proc ppids — the mechanism that lets ALPS
 // follow a prefork server like Apache as it grows and shrinks its worker
 // pool (§5 of the paper tracks processes by user; this tracks them by
-// lineage, useful when the workload doesn't run as its own user).
+// lineage, useful when the workload doesn't run as its own user). Each
+// stat is read uncached (open, pread, close), so a scan of every host
+// process never touches the sampling descriptor table.
 func Descendants(root int) ([]int, error) {
 	entries, err := os.ReadDir(procRoot)
 	if err != nil {
@@ -127,7 +254,7 @@ func Descendants(root int) ([]int, error) {
 		if err != nil {
 			continue
 		}
-		st, err := ReadStat(pid)
+		st, _, err := readStatUncached(pid)
 		if err != nil || st.State == 'Z' {
 			continue
 		}

@@ -143,6 +143,9 @@ func TestRefreshEmptyMembership(t *testing.T) {
 	if _, ok := r.known[20]; ok {
 		t.Error("departed PID still baselined")
 	}
+	if got := fs.OpenHandles(); len(got) != 1 || got[0] != 10 {
+		t.Errorf("open read handles after prune = %v, want [10]", got)
+	}
 	done := false
 	for i := 0; i < 10 && !done; i++ {
 		done = stepQuantum(fs, r)
@@ -151,6 +154,7 @@ func TestRefreshEmptyMembership(t *testing.T) {
 		t.Errorf("scheduler has %d tasks, want 1 (emptied task must die)", r.sched.Len())
 	}
 	r.Release()
+	requireNoHandles(t, fs)
 }
 
 // TestRefreshUninstallableJoiner: a joiner that cannot be baselined

@@ -155,6 +155,13 @@ type Runner struct {
 	sigOps     []sigOp
 	sigResults []sigResult
 
+	// pool fans sampling and signalling out over Config.Samplers workers;
+	// prefetchOne and deliverOne are its item functions (prefetchAt and
+	// deliverAt), bound once so a fan-out allocates nothing.
+	pool        pool
+	prefetchOne func(int)
+	deliverOne  func(int)
+
 	suspended map[int]bool
 	ticks     int64
 	lastRef   time.Time
@@ -227,6 +234,7 @@ func NewRunner(cfg Config, tasks []Task) (*Runner, error) {
 			st, err := r.readStat(pid)
 			if err != nil || st.State == 'Z' {
 				_ = r.sys.Cont(pid) // harmless if gone
+				r.sys.Forget(pid)
 				r.health.vanished.Add(1)
 				if err != nil {
 					r.errf("baseline pid %d at startup: %v", pid, err)
@@ -292,6 +300,7 @@ func newRunnerSkeleton(cfg Config) *Runner {
 	if cfg.Clock != nil {
 		r.now = cfg.Clock
 	}
+	r.prefetchOne, r.deliverOne = r.prefetchAt, r.deliverAt
 	base := cfg.Quantum / 64
 	if base <= 0 {
 		base = 100 * time.Microsecond
@@ -498,12 +507,10 @@ func (r *Runner) enact(dec core.Decision) {
 		if cap(r.sigResults) < len(ops) {
 			r.sigResults = make([]sigResult, len(ops))
 		}
-		results := r.sigResults[:len(ops)]
-		fanOut(w, len(ops), func(i int) {
-			results[i] = r.deliverOp(ops[i])
-		})
+		r.sigResults = r.sigResults[:len(ops)]
+		r.pool.run(w, len(ops), r.deliverOne)
 		for i, op := range ops {
-			r.settleOp(op, results[i])
+			r.settleOp(op, r.sigResults[i])
 		}
 		return
 	}
@@ -524,6 +531,9 @@ func (r *Runner) appendOps(ops []sigOp, id core.TaskID, stop bool) []sigOp {
 	}
 	return ops
 }
+
+// deliverAt is one signal fan-out item: the delivery of sigOps[i].
+func (r *Runner) deliverAt(i int) { r.sigResults[i] = r.deliverOp(r.sigOps[i]) }
 
 // deliverOp performs one op's raw delivery (safe on a pool worker).
 func (r *Runner) deliverOp(op sigOp) sigResult {
@@ -636,7 +646,7 @@ func (r *Runner) reconcile() {
 
 // forgetTask clears every per-PID bookkeeping entry of a task the
 // scheduler declared dead — dropping only r.targets would leak known/
-// suspended entries for the departed PIDs.
+// suspended entries and read handles for the departed PIDs.
 func (r *Runner) forgetTask(id core.TaskID) {
 	for _, pid := range r.targets[id] {
 		if r.suspended[pid] {
@@ -648,6 +658,7 @@ func (r *Runner) forgetTask(id core.TaskID) {
 		delete(r.known, pid)
 		delete(r.badSig, pid)
 		delete(r.badRead, pid)
+		r.sys.Forget(pid)
 	}
 	delete(r.targets, id)
 	delete(r.groups, id)
@@ -773,13 +784,15 @@ func (r *Runner) read(id core.TaskID) (core.Progress, bool) {
 	return core.Progress{Consumed: consumed, Blocked: reads > 0 && !sawRunning}, true
 }
 
-// forgetPID clears a PID's bookkeeping without touching r.targets (used
-// from read, which is rebuilding the target slice it iterates).
+// forgetPID clears a PID's bookkeeping and read handle without touching
+// r.targets (used from read, which is rebuilding the target slice it
+// iterates).
 func (r *Runner) forgetPID(pid int) {
 	delete(r.known, pid)
 	delete(r.suspended, pid)
 	delete(r.badSig, pid)
 	delete(r.badRead, pid)
+	r.sys.Forget(pid)
 }
 
 // dropPID removes a PID from all bookkeeping and from every task's
@@ -950,6 +963,7 @@ func (r *Runner) refresh(m map[core.TaskID][]int) {
 				if err != nil || bst.State == 'Z' {
 					// Not installable this round; if it is a transient
 					// glitch the next refresh retries.
+					r.sys.Forget(pid)
 					r.health.refreshErrors.Add(1)
 					r.errf("refresh: cannot baseline joining pid %d (err=%v)", pid, err)
 					continue
@@ -999,9 +1013,9 @@ func (r *Runner) refresh(m map[core.TaskID][]int) {
 	r.needReconcile = true
 }
 
-// prune forgets bookkeeping for PIDs no longer in any task's membership,
-// resuming any that the runner had suspended: a process that left the
-// workload must not stay frozen.
+// prune forgets bookkeeping and read handles for PIDs no longer in any
+// task's membership, resuming any that the runner had suspended: a
+// process that left the workload must not stay frozen.
 func (r *Runner) prune() {
 	inUse := make(map[int]bool)
 	for _, pids := range r.targets {
@@ -1021,6 +1035,7 @@ func (r *Runner) prune() {
 	for pid := range r.known {
 		if !inUse[pid] {
 			delete(r.known, pid)
+			r.sys.Forget(pid)
 		}
 	}
 	for pid := range r.badSig {
@@ -1040,7 +1055,8 @@ func (r *Runner) prune() {
 // more persistent than in-loop signal delivery.
 const releaseAttempts = 8
 
-// Release resumes every process the runner has suspended. It is called
+// Release resumes every process the runner has suspended and releases
+// every read handle (a Step after Release reopens them). It is called
 // automatically when Run returns (and when a panic unwinds out of Step);
 // call it directly if using Step. Idempotent: transient failures are
 // retried persistently, and ESRCH (the process died while suspended — it
@@ -1066,6 +1082,9 @@ func (r *Runner) releaseLocked() {
 			r.errf("release pid %d: %v", pid, err)
 		}
 		delete(r.suspended, pid)
+	}
+	for pid := range r.known {
+		r.sys.Forget(pid)
 	}
 }
 

@@ -11,8 +11,13 @@ import "time"
 // the control loop is unit-testable without spawning a single process.
 type Sys interface {
 	// ReadStat returns the accounting snapshot for pid
-	// (/proc/<pid>/stat on Linux).
+	// (/proc/<pid>/stat on Linux). An implementation may hold a handle
+	// per PID between calls; Forget releases it.
 	ReadStat(pid int) (Stat, error)
+	// Forget releases whatever ReadStat holds for pid. The Runner calls
+	// it on every path that stops tracking a PID, and for every PID on
+	// Release.
+	Forget(pid int)
 	// Stop suspends pid (SIGSTOP).
 	Stop(pid int) error
 	// Cont resumes pid (SIGCONT).
@@ -40,8 +45,20 @@ type Sys interface {
 // RealSys is the production Sys over /proc and kill(2).
 type RealSys struct{}
 
-// ReadStat parses /proc/<pid>/stat.
-func (RealSys) ReadStat(pid int) (Stat, error) { return ReadStat(pid) }
+// ReadStat reads /proc/<pid>/stat through the package's descriptor table
+// (see statFDs), leaving Comm empty. A multi-threaded process whose leader
+// sleeps is reported running ('R') when any other thread is running, so
+// the §2.4 blocked vote judges the process, not its leader thread.
+func (RealSys) ReadStat(pid int) (Stat, error) {
+	st, threads, err := readStatFD(pid)
+	if err == nil && threads > 1 && st.Blocked() && anyThreadRunning(pid) {
+		st.State = 'R'
+	}
+	return st, err
+}
+
+// Forget closes pid's stat descriptor.
+func (RealSys) Forget(pid int) { forgetStatFD(pid) }
 
 // Stop sends SIGSTOP.
 func (RealSys) Stop(pid int) error { return Stop(pid) }
