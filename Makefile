@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race short bench alloc-gate timeline trace trace-fleet chaos chaos-fleet chaos-failover vulncheck
+.PHONY: check vet build test race short bench bench-check alloc-gate timeline trace trace-fleet chaos chaos-fleet chaos-failover vulncheck
 
 check: vet build race
 
@@ -46,6 +46,13 @@ bench:
 	$(GO) run ./cmd/alps-bench $(if $(QUICK),-quick) obs
 	$(GO) run ./cmd/alps-bench $(if $(QUICK),-quick) robustness
 	$(GO) run ./cmd/alps-bench $(if $(QUICK),-quick) scale
+
+# The real-process benchmark (bench/, run by bench/run.sh) is a separate
+# module, so the root `go test ./...` never compiles it although it drives
+# obs, trace and tshist directly. Vet (not build: `go build` would drop a
+# bench binary into bench/) and run its short tests.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Fast alloc-regression gate: the in-tree half of the scale benchmark's
 # allocs_per_quantum check. Runs without -race (race instrumentation

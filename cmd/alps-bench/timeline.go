@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"alps/internal/core"
+	"alps/internal/metrics"
 	"alps/internal/obs"
 	"alps/internal/trace"
 	"alps/internal/tshist"
@@ -130,9 +131,9 @@ func runTimeline() error {
 	ewmaRMS := series(rigs[1], "alps_audit_rms_share_error_ewma")
 	lockedRMS := series(rigs[2], "alps_audit_rms_share_error")
 
-	rawBeat := tshist.BeatRatio(rawRMS)
-	ewmaBeat := tshist.BeatRatio(ewmaRMS)
-	lockedBeat := tshist.BeatRatio(lockedRMS)
+	rawBeat := metrics.BeatRatio(rawRMS)
+	ewmaBeat := metrics.BeatRatio(ewmaRMS)
+	lockedBeat := metrics.BeatRatio(lockedRMS)
 	reduction := math.Inf(1)
 	if ewmaBeat > 0 {
 		reduction = rawBeat / ewmaBeat

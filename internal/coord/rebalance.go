@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"alps/internal/fleetobs"
+	"alps/internal/metrics"
 )
 
 // The rebalance planner. The coordinator's only lever is each shard's
@@ -174,19 +175,18 @@ func Plan(cfg PlannerConfig, weights map[int64]int64, shards []ShardLoad) PlanRe
 	// Measured error and per-principal raw correction ratio (clamped
 	// per shard below, after the capacity exponent).
 	ratio := make(map[int64]float64, len(live))
-	var sumSq float64
+	rel := make([]float64, 0, len(live))
 	for p := range live {
 		t := weightOf(p) / totalW
 		f := actual[p] / totalC
-		rel := (f - t) / t
-		sumSq += rel * rel
+		rel = append(rel, (f-t)/t)
 		r := cfg.Gain // unserved principal: maximum boost
 		if f > 0 {
 			r = math.Pow(t/f, cfg.Damping)
 		}
 		ratio[p] = r
 	}
-	res.GlobalRMS = math.Sqrt(sumSq / float64(len(live)))
+	res.GlobalRMS = metrics.RMS(rel)
 	if res.GlobalRMS < cfg.Deadband {
 		return res // converged: hold the distribution steady
 	}

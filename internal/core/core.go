@@ -55,7 +55,7 @@ type Config struct {
 	// DisableLazySampling turns off the Section 2.3 optimization so
 	// that every eligible task is measured on every quantum. Used only
 	// as the baseline for the overhead comparison in Section 3.2.
-	// Implies DisableIndexing: the due-heap's premise is that most
+	// Implies DisableIndexing: the due index's premise is that most
 	// eligible tasks are *not* due, which lazy sampling provides.
 	DisableLazySampling bool
 
@@ -69,14 +69,6 @@ type Config struct {
 	// equivalence property test and as the baseline the §4.2 scale
 	// benchmark measures the indexed loop against.
 	DisableIndexing bool
-
-	// DueHeap selects the PR-5 binary min-heap as the stage-1 due index
-	// instead of the default hierarchical timer wheel (see wheel.go).
-	// Both satisfy the same dueIndex contract and produce byte-identical
-	// event streams; the heap is retained as the O(log n) oracle for the
-	// wheel's property tests and as an escape hatch. Ignored when the
-	// indexed path is disabled.
-	DueHeap bool
 
 	// OnCycle, if non-nil, is invoked at the completion of every cycle
 	// with a record of the CPU time attributed to each task during that
@@ -147,7 +139,7 @@ type task struct {
 	pendingAdmit bool
 
 	// dueTick is the last tick this task was collected into a due
-	// batch; it deduplicates coincidentally matching stale heap entries
+	// batch; it deduplicates coincidentally matching stale due entries
 	// (indexed path only).
 	dueTick int64
 
@@ -203,12 +195,11 @@ type Scheduler struct {
 	eligible int
 
 	// Indexed-path state (see index.go and wheel.go): the measurement
-	// due index (timer wheel by default, min-heap behind Config.DueHeap;
-	// nil on the reference path), the admission queue of tasks awaiting
-	// their first stage-3 visit, the prepared due batch with the tick it
-	// was prepared for (0 = none), and scratch slices for the index
-	// drain and stage 3's visit list.
-	due         dueIndex
+	// due index (nil on the reference path), the admission queue of tasks
+	// awaiting their first stage-3 visit, the prepared due batch with the
+	// tick it was prepared for (0 = none), and scratch slices for the
+	// index drain and stage 3's visit list.
+	due         *dueWheel
 	admit       []TaskID
 	dueBatch    []TaskID
 	duePrepared int64
@@ -244,11 +235,7 @@ func New(cfg Config) *Scheduler {
 		indexed: !cfg.DisableIndexing && !cfg.DisableLazySampling,
 	}
 	if s.indexed {
-		if cfg.DueHeap {
-			s.due = &dueHeap{}
-		} else {
-			s.due = newDueWheel()
-		}
+		s.due = newDueWheel()
 	}
 	return s
 }

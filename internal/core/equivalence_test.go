@@ -10,14 +10,13 @@ import (
 	"alps/internal/obs"
 )
 
-// The indexed scheduler (the default O(due)-work path, with either due
-// index: the default timer wheel or the Config.DueHeap min-heap) must be
-// observationally identical to the retained reference implementation
-// (Config.DisableIndexing): same Decisions, byte-identical obs event
-// stream, same externally visible task state. These tests run the three
-// side by side on randomized workloads — mid-run admissions, removals,
-// deaths, re-weighting, quantum reconfiguration, blocked tasks, and
-// snapshot/restore round-trips — and fail on the first divergence.
+// The indexed scheduler (the default O(due)-work path over the timer
+// wheel) must be observationally identical to the retained reference
+// implementation (Config.DisableIndexing): same Decisions, byte-identical
+// obs event stream, same externally visible task state. These tests run
+// the two side by side on randomized workloads — mid-run admissions,
+// removals, deaths, re-weighting, quantum reconfiguration, blocked tasks,
+// and snapshot/restore round-trips — and fail on the first divergence.
 
 // scriptOp is one step of a pre-generated workload script. The script is
 // generated once per seed and applied to both schedulers, so the two runs
@@ -42,25 +41,20 @@ type equivRun struct {
 	count     int64
 }
 
-// equivMode selects which of the three TickQuantum implementations a
+// equivMode selects which of the two TickQuantum implementations a
 // script runs against.
 type equivMode int
 
 const (
 	modeWheel equivMode = iota // indexed, timer-wheel due index (default)
-	modeHeap                   // indexed, min-heap due index (Config.DueHeap)
 	modeReference
 )
 
 func (m equivMode) String() string {
-	switch m {
-	case modeWheel:
+	if m == modeWheel {
 		return "wheel"
-	case modeHeap:
-		return "heap"
-	default:
-		return "reference"
 	}
+	return "reference"
 }
 
 // copyDecision deep-copies a Decision: TickQuantum's result is backed by
@@ -82,7 +76,6 @@ func runScript(t *testing.T, seed int64, script []scriptOp, mode equivMode) equi
 		Quantum:         q,
 		Observer:        log,
 		DisableIndexing: mode == modeReference,
-		DueHeap:         mode == modeHeap,
 	})
 	if (mode == modeReference) == s.indexed {
 		t.Fatalf("mode %v produced indexed=%v", mode, s.indexed)
@@ -215,21 +208,15 @@ func equivCompare(t *testing.T, seed int64, mode equivMode, got, ref equivRun) b
 }
 
 // TestIndexedMatchesReference is the tentpole equivalence proof: on
-// randomized workload scripts, both indexed schedulers (timer wheel and
-// min-heap due index) and the reference scheduler produce identical
-// Decision sequences, byte-identical event streams, and the same final
-// task partition and bookkeeping.
+// randomized workload scripts, the indexed scheduler and the reference
+// scheduler produce identical Decision sequences, byte-identical event
+// streams, and the same final task partition and bookkeeping.
 func TestIndexedMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		script := genScript(rng)
 		ref := runScript(t, seed, script, modeReference)
-		for _, mode := range []equivMode{modeWheel, modeHeap} {
-			if !equivCompare(t, seed, mode, runScript(t, seed, script, mode), ref) {
-				return false
-			}
-		}
-		return true
+		return equivCompare(t, seed, modeWheel, runScript(t, seed, script, modeWheel), ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -10,29 +10,27 @@ import "sort"
 // any membership change, and Remove spliced with a linear scan. The §2.3
 // optimization saved the *measurements* but not the scan, so per-quantum
 // cost stayed Θ(N) and the breakdown threshold (control-loop work ≈ the
-// quantum) arrived at tens of processes. These two structures make the
+// quantum) arrived at tens of processes. Two structures make the
 // per-quantum cost proportional to the work that actually exists:
 //
 //   - orderedIDs keeps the registered TaskIDs sorted at all times, with
 //     binary-search insertion and removal, so deterministic ID-ordered
 //     iteration (grant sweeps, cycle records, the public Tasks API) needs
 //     no per-tick re-sort and Remove needs no linear scan;
-//   - dueHeap is a min-heap of (wake tick, task) entries so stage 1 pops
-//     exactly the tasks whose §2.3 measurement is due, instead of
-//     scanning all N to find them.
+//   - dueWheel (wheel.go) is a timing wheel of dueEntry (wake tick, task)
+//     pairs, so stage 1 drains exactly the tasks whose §2.3 measurement
+//     is due, instead of scanning all N to find them.
 //
-// Heap entries are invalidated lazily: a task that turned ineligible, was
+// Due entries are invalidated lazily: a task that turned ineligible, was
 // removed, or was rescheduled simply leaves its stale entry behind, and
 // the drain path discards any entry whose (wake, task) no longer matches
 // the live task state. Every push corresponds to one §2.3 scheduling
-// decision, so the heap holds at most one live entry per eligible task
+// decision, so the wheel holds at most one live entry per eligible task
 // plus not-yet-emitted stale entries; the scheduler rebuilds the index
 // outright when stales outnumber live entries (compactDue), bounding it
-// at O(live) even under membership-churn storms.
-//
-// dueHeap is the PR-5 implementation of the dueIndex interface (see
-// wheel.go), retained behind Config.DueHeap as the O(log n) oracle the
-// default timer wheel is property-tested against.
+// at O(live) even under membership-churn storms. The reference path
+// (Config.DisableIndexing) is the oracle the wheel is property-tested
+// against.
 
 // orderedIDs is an always-sorted set of TaskIDs.
 type orderedIDs struct {
@@ -69,73 +67,4 @@ func (o *orderedIDs) reset() { o.ids = o.ids[:0] }
 type dueEntry struct {
 	wake int64
 	id   TaskID
-}
-
-// dueHeap is a binary min-heap on wake tick. Ties are left unordered:
-// the scheduler sorts each quantum's due batch by TaskID afterwards, so
-// heap order never reaches the event stream.
-type dueHeap struct {
-	es []dueEntry
-}
-
-func (h *dueHeap) len() int { return len(h.es) }
-
-// reset empties the heap. The cursor anchor is meaningless for a
-// comparison-based index; it exists to satisfy dueIndex.
-func (h *dueHeap) reset(int64) { h.es = h.es[:0] }
-
-// drain pops every entry with wake <= tick, appending them to buf.
-func (h *dueHeap) drain(tick int64, buf []dueEntry) []dueEntry {
-	for {
-		e, ok := h.min()
-		if !ok || e.wake > tick {
-			return buf
-		}
-		h.pop()
-		buf = append(buf, e)
-	}
-}
-
-func (h *dueHeap) push(e dueEntry) {
-	h.es = append(h.es, e)
-	i := len(h.es) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.es[p].wake <= h.es[i].wake {
-			break
-		}
-		h.es[p], h.es[i] = h.es[i], h.es[p]
-		i = p
-	}
-}
-
-// min returns the root without popping; ok is false when empty.
-func (h *dueHeap) min() (dueEntry, bool) {
-	if len(h.es) == 0 {
-		return dueEntry{}, false
-	}
-	return h.es[0], true
-}
-
-func (h *dueHeap) pop() dueEntry {
-	top := h.es[0]
-	last := len(h.es) - 1
-	h.es[0] = h.es[last]
-	h.es = h.es[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.es) && h.es[l].wake < h.es[small].wake {
-			small = l
-		}
-		if r < len(h.es) && h.es[r].wake < h.es[small].wake {
-			small = r
-		}
-		if small == i {
-			return top
-		}
-		h.es[i], h.es[small] = h.es[small], h.es[i]
-		i = small
-	}
 }

@@ -18,82 +18,80 @@ import (
 // supports, overdrawing by (wake − bound) stretched quanta.
 func TestRestoreRebuildsScheduleFromAllowances(t *testing.T) {
 	q := 10 * time.Millisecond
-	for _, heap := range []bool{false, true} {
-		src := New(Config{Quantum: q, DueHeap: heap})
-		for i, share := range []int64{200, 400, 800, 50, 3} {
-			if err := src.Add(TaskID(i), share); err != nil {
-				t.Fatal(err)
-			}
+	src := New(Config{Quantum: q})
+	for i, share := range []int64{200, 400, 800, 50, 3} {
+		if err := src.Add(TaskID(i), share); err != nil {
+			t.Fatal(err)
 		}
-		// Idle ticks: allowances stay at the initial grant, wakes are
-		// postponed share quanta out.
-		idle := func(TaskID) (Progress, bool) { return Progress{}, true }
-		for i := 0; i < 20; i++ {
-			src.TickQuantum(idle)
-		}
-		snap := src.Snapshot()
+	}
+	// Idle ticks: allowances stay at the initial grant, wakes are
+	// postponed share quanta out.
+	idle := func(TaskID) (Progress, bool) { return Progress{}, true }
+	for i := 0; i < 20; i++ {
+		src.TickQuantum(idle)
+	}
+	snap := src.Snapshot()
 
-		// Case 1: a hand-inflated wake tick (cross-version snapshot,
-		// corruption) must be clamped to count + ⌈allowance/Q⌉ on restore.
-		inflated := snap
-		inflated.Tasks = append([]TaskSnapshot(nil), snap.Tasks...)
-		for i := range inflated.Tasks {
-			inflated.Tasks[i].Update += 1 << 30
+	// Case 1: a hand-inflated wake tick (cross-version snapshot,
+	// corruption) must be clamped to count + ⌈allowance/Q⌉ on restore.
+	inflated := snap
+	inflated.Tasks = append([]TaskSnapshot(nil), snap.Tasks...)
+	for i := range inflated.Tasks {
+		inflated.Tasks[i].Update += 1 << 30
+	}
+	r := New(Config{Quantum: q})
+	if err := r.Restore(inflated); err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range inflated.Tasks {
+		if !ts.Eligible {
+			continue
 		}
-		r := New(Config{Quantum: q, DueHeap: heap})
-		if err := r.Restore(inflated); err != nil {
-			t.Fatal(err)
+		got := r.tasks[ts.ID].update
+		if want := snap.Count + ceilDiv(ts.Allowance, snap.Quantum); got > want {
+			t.Fatalf("task %d restored wake %d exceeds recomputed bound %d", ts.ID, got, want)
 		}
-		for _, ts := range inflated.Tasks {
-			if !ts.Eligible {
-				continue
-			}
-			got := r.tasks[ts.ID].update
-			if want := snap.Count + ceilDiv(ts.Allowance, snap.Quantum); got > want {
-				t.Fatalf("heap=%v: task %d restored wake %d exceeds recomputed bound %d", heap, ts.ID, got, want)
-			}
-		}
+	}
 
-		// Case 2: quantum stretched 4x between save and load (restore +
-		// SetQuantum, the NewRunnerFromState path). Every eligible task
-		// must be measured no later than count + ⌈allowance/Q'⌉ — observed
-		// through the event stream, not internals.
-		r2 := New(Config{Quantum: q, DueHeap: heap})
-		if err := r2.Restore(snap); err != nil {
-			t.Fatal(err)
+	// Case 2: quantum stretched 4x between save and load (restore +
+	// SetQuantum, the NewRunnerFromState path). Every eligible task
+	// must be measured no later than count + ⌈allowance/Q'⌉ — observed
+	// through the event stream, not internals.
+	r2 := New(Config{Quantum: q})
+	if err := r2.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	stretched := 4 * q
+	if err := r2.SetQuantum(stretched); err != nil {
+		t.Fatal(err)
+	}
+	bounds := make(map[TaskID]int64)
+	for _, ts := range snap.Tasks {
+		if ts.Eligible {
+			bounds[ts.ID] = snap.Count + ceilDiv(ts.Allowance, stretched)
 		}
-		stretched := 4 * q
-		if err := r2.SetQuantum(stretched); err != nil {
-			t.Fatal(err)
-		}
-		bounds := make(map[TaskID]int64)
-		for _, ts := range snap.Tasks {
-			if ts.Eligible {
-				bounds[ts.ID] = snap.Count + ceilDiv(ts.Allowance, stretched)
+	}
+	log := obs.NewEventLog(0)
+	r2.cfg.Observer = log
+	for i := 0; i < 250; i++ {
+		r2.TickQuantum(idle)
+	}
+	firstMeasure := make(map[TaskID]int64)
+	for _, e := range log.Events() {
+		if e.Kind == obs.KindMeasure {
+			id := TaskID(e.Task)
+			if _, seen := firstMeasure[id]; !seen {
+				firstMeasure[id] = e.Tick
 			}
 		}
-		log := obs.NewEventLog(0)
-		r2.cfg.Observer = log
-		for i := 0; i < 250; i++ {
-			r2.TickQuantum(idle)
+	}
+	for id, bound := range bounds {
+		tick, ok := firstMeasure[id]
+		if !ok {
+			t.Fatalf("task %d never measured within 250 post-restore ticks (bound %d)", id, bound)
 		}
-		firstMeasure := make(map[TaskID]int64)
-		for _, e := range log.Events() {
-			if e.Kind == obs.KindMeasure {
-				id := TaskID(e.Task)
-				if _, seen := firstMeasure[id]; !seen {
-					firstMeasure[id] = e.Tick
-				}
-			}
-		}
-		for id, bound := range bounds {
-			tick, ok := firstMeasure[id]
-			if !ok {
-				t.Fatalf("heap=%v: task %d never measured within 250 post-restore ticks (bound %d)", heap, id, bound)
-			}
-			if tick > bound {
-				t.Fatalf("heap=%v: task %d stranded — first post-restore measure at tick %d, allowance supports at most %d", heap, id, tick, bound)
-			}
+		if tick > bound {
+			t.Fatalf("task %d stranded — first post-restore measure at tick %d, allowance supports at most %d", id, tick, bound)
 		}
 	}
 }

@@ -32,7 +32,7 @@ type Reader func(TaskID) (Progress, bool)
 //
 // Two implementations share the stage bodies. The default indexed path
 // does work proportional to what actually happened this quantum: stage 1
-// pops exactly the due tasks from a min-heap of §2.3 wake ticks, and
+// drains exactly the due tasks from a timing wheel of §2.3 wake ticks, and
 // stage 3 visits only the tasks whose eligibility could have changed —
 // the measured and the newly admitted — falling back to one full sweep
 // on the (once-per-cycle) grant quanta, where every task's allowance
@@ -122,7 +122,7 @@ func (s *Scheduler) prepareDue(tick int64) {
 		t.dueTick = tick
 		s.dueBatch = append(s.dueBatch, e.id)
 	}
-	// Index drain order (wheel slot order, heap tie order) must never
+	// Index drain order (wheel slot order) must never
 	// reach the event stream: the batch is ID-sorted before any
 	// measurement happens.
 	slices.Sort(s.dueBatch)
@@ -430,7 +430,7 @@ func (s *Scheduler) grantIfDue(o obs.Observer, d *Decision) int {
 // stage3 re-partitions one task by the sign of its allowance and, when
 // its measurement tick has arrived, schedules the next one (§2.3). Both
 // implementations funnel through here, so transition reasons, postpone
-// events, and heap maintenance cannot drift apart.
+// events, and due-index maintenance cannot drift apart.
 func (s *Scheduler) stage3(t *task, grants int, o obs.Observer, d *Decision) {
 	next := Ineligible
 	if t.allowance > 0 {

@@ -23,17 +23,16 @@ package core
 // The cursor advances one tick per quantum (the scheduler's count), so
 // draining is: empty the level-0 slot the cursor points at, and on
 // slot-block boundaries cascade the next higher level's slot down.
-// Entries are never removed in place — exactly like the heap, stale
-// entries (task removed, re-measured, or turned ineligible) are
-// discarded lazily at drain time by the caller's validation, and the
-// scheduler compacts the whole index when stales outnumber live entries
-// (see compactDue).
+// Entries are never removed in place: stale entries (task removed,
+// re-measured, or turned ineligible) are discarded lazily at drain time
+// by the caller's validation, and the scheduler compacts the whole index
+// when stales outnumber live entries (see compactDue).
 //
 // Ordering: a drain emits slot contents in insertion order, which is
 // NOT globally sorted. That is fine by construction — the scheduler
 // collects the whole due batch for a tick and sorts it by TaskID before
-// any measurement or event emission, so wheel order (like heap tie
-// order before it) never reaches the event stream.
+// any measurement or event emission, so wheel order never reaches the
+// event stream.
 
 const (
 	wheelBits   = 6
@@ -45,27 +44,9 @@ const (
 // wheelSpan returns the tick span covered by levels 0..l-1: 64^l.
 func wheelSpan(l int) int64 { return 1 << (uint(l) * wheelBits) }
 
-// dueIndex is the stage-1 due-task index: a multiset of (wake tick,
-// task) entries with lazy invalidation. Two implementations exist — the
-// default dueWheel and the retained PR-5 dueHeap (Config.DueHeap) — and
-// the equivalence property test holds them to identical observable
-// behavior.
-type dueIndex interface {
-	// push schedules one entry. Entries with wake ticks already in the
-	// past are emitted by the next drain.
-	push(dueEntry)
-	// drain removes every entry whose wake is <= tick, appending them to
-	// buf (in no particular order) and returning it. Ticks passed to
-	// successive drains must not decrease except via reset.
-	drain(tick int64, buf []dueEntry) []dueEntry
-	// len returns the number of entries currently held (live + stale).
-	len() int
-	// reset empties the index and re-anchors it so that cur is the next
-	// tick a drain will service (used by Restore and compaction).
-	reset(cur int64)
-}
-
-// dueWheel is the hierarchical timing wheel dueIndex.
+// dueWheel is the stage-1 due-task index: a multiset of (wake tick,
+// task) entries with lazy invalidation, held in a hierarchical timing
+// wheel.
 type dueWheel struct {
 	cur   int64 // next tick to drain; entries with wake < cur are in past
 	n     int
@@ -80,8 +61,11 @@ type dueWheel struct {
 
 func newDueWheel() *dueWheel { return &dueWheel{} }
 
+// len returns the number of entries held (live + stale).
 func (w *dueWheel) len() int { return w.n }
 
+// reset empties the wheel and re-anchors it so that cur is the next tick
+// a drain will service (used by Restore and compaction).
 func (w *dueWheel) reset(cur int64) {
 	for l := range w.slots {
 		for i := range w.slots[l] {
@@ -94,6 +78,8 @@ func (w *dueWheel) reset(cur int64) {
 	w.n = 0
 }
 
+// push schedules one entry. Entries with wake ticks already in the past
+// are emitted by the next drain.
 func (w *dueWheel) push(e dueEntry) {
 	w.n++
 	d := e.wake - w.cur
@@ -111,6 +97,9 @@ func (w *dueWheel) push(e dueEntry) {
 	w.over = append(w.over, e)
 }
 
+// drain removes every entry whose wake is <= tick, appending them to buf
+// (in no particular order) and returning it. Ticks passed to successive
+// drains must not decrease except via reset.
 func (w *dueWheel) drain(tick int64, buf []dueEntry) []dueEntry {
 	if len(w.past) > 0 {
 		// Monotonic-tick contract: everything in past has wake < cur and

@@ -108,7 +108,7 @@ func TestWheelReset(t *testing.T) {
 	if w.len() != 0 {
 		t.Fatalf("len %d after reset", w.len())
 	}
-	if got := w.drain(1 << 20, nil); len(got) != 0 {
+	if got := w.drain(1<<20, nil); len(got) != 0 {
 		t.Fatalf("drain after reset emitted %+v", got)
 	}
 	w.push(dueEntry{wake: 900, id: 1}) // before the new anchor: past bucket
@@ -120,41 +120,38 @@ func TestWheelReset(t *testing.T) {
 
 // TestDueIndexTieOrdering: tasks tied on the same wake tick must reach
 // the measurement loop (and therefore the event stream) in ascending
-// TaskID order regardless of which due index produced the batch or the
-// order entries entered it.
+// TaskID order regardless of the order entries entered the due index.
 func TestDueIndexTieOrdering(t *testing.T) {
-	for _, heap := range []bool{false, true} {
-		log := obs.NewEventLog(0)
-		s := New(Config{Quantum: q, Observer: log, DueHeap: heap})
-		// Insertion order deliberately shuffled; identical shares give
-		// every task the same wake tick at every step.
-		for _, id := range []TaskID{30, 10, 50, 20, 40} {
-			if err := s.Add(id, 4); err != nil {
-				t.Fatal(err)
+	log := obs.NewEventLog(0)
+	s := New(Config{Quantum: q, Observer: log})
+	// Insertion order deliberately shuffled; identical shares give
+	// every task the same wake tick at every step.
+	for _, id := range []TaskID{30, 10, 50, 20, 40} {
+		if err := s.Add(id, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		due := s.DueTasks()
+		for j := 1; j < len(due); j++ {
+			if due[j-1] >= due[j] {
+				t.Fatalf("DueTasks not strictly ascending: %v", due)
 			}
 		}
-		for i := 0; i < 10; i++ {
-			due := s.DueTasks()
-			for j := 1; j < len(due); j++ {
-				if due[j-1] >= due[j] {
-					t.Fatalf("heap=%v: DueTasks not strictly ascending: %v", heap, due)
-				}
-			}
-			s.TickQuantum(func(TaskID) (Progress, bool) {
-				return Progress{Consumed: q}, true
-			})
+		s.TickQuantum(func(TaskID) (Progress, bool) {
+			return Progress{Consumed: q}, true
+		})
+	}
+	var lastTick int64 = -1
+	var lastTask int64
+	for _, e := range log.Events() {
+		if e.Kind != obs.KindMeasure {
+			continue
 		}
-		var lastTick int64 = -1
-		var lastTask int64
-		for _, e := range log.Events() {
-			if e.Kind != obs.KindMeasure {
-				continue
-			}
-			if e.Tick == lastTick && e.Task <= lastTask {
-				t.Fatalf("heap=%v: measures out of ID order at tick %d: %d after %d", heap, e.Tick, e.Task, lastTask)
-			}
-			lastTick, lastTask = e.Tick, e.Task
+		if e.Tick == lastTick && e.Task <= lastTask {
+			t.Fatalf("measures out of ID order at tick %d: %d after %d", e.Tick, e.Task, lastTask)
 		}
+		lastTick, lastTask = e.Tick, e.Task
 	}
 }
 
@@ -165,38 +162,36 @@ func TestDueIndexTieOrdering(t *testing.T) {
 // compaction bound the index grows without limit — here to ~2000
 // entries for ~50 live tasks; with it, it must stay O(live).
 func TestDueIndexCompactionBoundsChurn(t *testing.T) {
-	for _, heap := range []bool{false, true} {
-		s := New(Config{Quantum: q, DueHeap: heap})
-		next := TaskID(0)
-		for i := 0; i < 50; i++ {
-			if err := s.Add(next, 1000); err != nil { // wake ≈ 1000 ticks out
+	s := New(Config{Quantum: q})
+	next := TaskID(0)
+	for i := 0; i < 50; i++ {
+		if err := s.Add(next, 1000); err != nil { // wake ≈ 1000 ticks out
+			t.Fatal(err)
+		}
+		next++
+	}
+	idle := func(TaskID) (Progress, bool) { return Progress{}, true }
+	s.TickQuantum(idle) // admit everyone; schedule far wakes
+	for round := 0; round < 400; round++ {
+		ids := s.Tasks()
+		for i := 0; i < 5 && i < len(ids); i++ {
+			if err := s.Remove(ids[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			if err := s.Add(next, 1000); err != nil {
 				t.Fatal(err)
 			}
 			next++
 		}
-		idle := func(TaskID) (Progress, bool) { return Progress{}, true }
-		s.TickQuantum(idle) // admit everyone; schedule far wakes
-		for round := 0; round < 400; round++ {
-			ids := s.Tasks()
-			for i := 0; i < 5 && i < len(ids); i++ {
-				if err := s.Remove(ids[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 5; i++ {
-				if err := s.Add(next, 1000); err != nil {
-					t.Fatal(err)
-				}
-				next++
-			}
-			s.TickQuantum(idle)
-			// Directly after a tick the index holds at most the live
-			// entries surviving compaction (2·eligible+slack at prepare
-			// time) plus this tick's stage-3 pushes and admissions.
-			if bound := 3*s.eligible + 2*compactSlack; s.due.len() > bound {
-				t.Fatalf("heap=%v round %d: due index holds %d entries for %d eligible tasks (bound %d)",
-					heap, round, s.due.len(), s.eligible, bound)
-			}
+		s.TickQuantum(idle)
+		// Directly after a tick the index holds at most the live
+		// entries surviving compaction (2·eligible+slack at prepare
+		// time) plus this tick's stage-3 pushes and admissions.
+		if bound := 3*s.eligible + 2*compactSlack; s.due.len() > bound {
+			t.Fatalf("round %d: due index holds %d entries for %d eligible tasks (bound %d)",
+				round, s.due.len(), s.eligible, bound)
 		}
 	}
 }
@@ -288,10 +283,7 @@ func TestWheelSerializesThroughCheckpoint(t *testing.T) {
 	if err := r.Restore(s.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	w, ok := r.due.(*dueWheel)
-	if !ok {
-		t.Fatalf("default due index is %T, want *dueWheel", r.due)
-	}
+	w := r.due
 	if want := s.Tick() + 1; w.cur != want {
 		t.Fatalf("restored wheel cursor %d, want count+1 = %d", w.cur, want)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"alps/internal/metrics"
 	"alps/internal/obs"
 )
 
@@ -144,20 +145,19 @@ type FleetAuditor struct {
 	// Propagation stats kept inline so healthz works without a registry;
 	// the histogram (when registered) gets the same observations.
 	propCount atomic.Int64
-	propMax   atomicFloat
+	propMax   obs.Gauge
 
 	mu       sync.Mutex
 	shards   map[string]*ShardAudit
-	commits  []commitRec
-	rounds   []roundRec
+	commits  *obs.Ring[commitRec]
+	rounds   *obs.Ring[roundRec]
 	weights  map[int64]float64
 	rms      float64
 	roundRMS float64 // newest round only — the wobbly instantaneous view
 	ewma     float64
 	ewmaInit bool
-	trail    []float64 // recent EWMA values, for the Rising detector
-	beatRing []float64 // recent per-round RMS values, for the beat gauge
-	beatNext int
+	trail    *obs.Ring[float64] // recent EWMA values, for the Rising detector
+	beatRing *obs.Ring[float64] // recent per-round RMS values, for the beat gauge
 	conv     convergence
 	hist     *obs.Histogram
 	reg      *obs.Registry
@@ -193,10 +193,14 @@ func NewFleetAuditor(cfg AuditorConfig) *FleetAuditor {
 		now = cfg.Now
 	}
 	return &FleetAuditor{
-		cfg:    cfg,
-		now:    now,
-		shards: make(map[string]*ShardAudit),
-		conv:   convergence{converged: true},
+		cfg:      cfg,
+		now:      now,
+		shards:   make(map[string]*ShardAudit),
+		commits:  obs.NewRing[commitRec](trackedCommits),
+		rounds:   obs.NewRing[roundRec](cfg.RMSWindow),
+		trail:    obs.NewRing[float64](ewmaTrail),
+		beatRing: obs.NewRing[float64](beatWindow),
+		conv:     convergence{converged: true},
 	}
 }
 
@@ -275,10 +279,7 @@ func (f *FleetAuditor) registerLeaseAgeLocked(row *ShardAudit) {
 // OnCommit records a committed epoch so later acks can be timed.
 func (f *FleetAuditor) OnCommit(epoch uint64, at time.Time) {
 	f.mu.Lock()
-	f.commits = append(f.commits, commitRec{epoch: epoch, at: at, acked: make(map[string]bool)})
-	if len(f.commits) > trackedCommits {
-		f.commits = f.commits[len(f.commits)-trackedCommits:]
-	}
+	f.commits.Push(commitRec{epoch: epoch, at: at, acked: make(map[string]bool)})
 	f.mu.Unlock()
 }
 
@@ -287,8 +288,8 @@ func (f *FleetAuditor) OnCommit(epoch uint64, at time.Time) {
 // advances the shard's acked epoch — the slow path.
 func (f *FleetAuditor) OnAck(shard string, ackEpoch uint64, at time.Time) {
 	f.mu.Lock()
-	for i := range f.commits {
-		c := &f.commits[i]
+	for i := f.commits.Len() - 1; i >= 0; i-- {
+		c := f.commits.Newest(i)
 		if c.epoch > ackEpoch || c.acked[shard] {
 			continue
 		}
@@ -298,7 +299,7 @@ func (f *FleetAuditor) OnAck(shard string, ackEpoch uint64, at time.Time) {
 			lat = 0
 		}
 		f.propCount.Add(1)
-		f.propMax.setMax(lat)
+		f.propMax.SetMax(lat)
 		if f.hist != nil {
 			f.hist.Observe(lat)
 		}
@@ -314,10 +315,7 @@ func (f *FleetAuditor) OnRound(consumed map[int64]float64, weights map[int64]flo
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.weights = weights
-	f.rounds = append(f.rounds, roundRec{consumed: consumed})
-	if len(f.rounds) > f.cfg.RMSWindow {
-		f.rounds = f.rounds[len(f.rounds)-f.cfg.RMSWindow:]
-	}
+	f.rounds.Push(roundRec{consumed: consumed})
 	f.rms = f.globalRMSLocked()
 
 	// The per-round estimators: an instantaneous RMS over just this
@@ -333,16 +331,8 @@ func (f *FleetAuditor) OnRound(consumed map[int64]float64, weights map[int64]flo
 	} else {
 		f.ewma, f.ewmaInit = f.rms, true
 	}
-	f.trail = append(f.trail, f.ewma)
-	if len(f.trail) > ewmaTrail {
-		f.trail = f.trail[len(f.trail)-ewmaTrail:]
-	}
-	if len(f.beatRing) < beatWindow {
-		f.beatRing = append(f.beatRing, f.roundRMS)
-	} else {
-		f.beatRing[f.beatNext] = f.roundRMS
-		f.beatNext = (f.beatNext + 1) % beatWindow
-	}
+	f.trail.Push(f.ewma)
+	f.beatRing.Push(f.roundRMS)
 
 	c := &f.conv
 	if changed {
@@ -367,12 +357,12 @@ func (f *FleetAuditor) OnRound(consumed map[int64]float64, weights map[int64]flo
 // fraction of total weight, error normalized by the target. Principals
 // with zero weight or no consumption window are skipped.
 func (f *FleetAuditor) globalRMSLocked() float64 {
-	if len(f.rounds) == 0 {
+	if f.rounds.Len() == 0 {
 		return 0
 	}
 	sum := make(map[int64]float64)
-	for _, r := range f.rounds {
-		for p, v := range r.consumed {
+	for i := f.rounds.Len() - 1; i >= 0; i-- {
+		for p, v := range f.rounds.Newest(i).consumed {
 			sum[p] += v
 		}
 	}
@@ -401,22 +391,16 @@ func (f *FleetAuditor) rmsOfLocked(sum map[int64]float64) float64 {
 	if totalW <= 0 {
 		return 0
 	}
-	var sq float64
-	var n int
+	errs := make([]float64, 0, len(f.weights))
 	for p, w := range f.weights {
 		if w <= 0 {
 			continue
 		}
 		target := w / totalW
 		achieved := sum[p] / total
-		e := (achieved - target) / target
-		sq += e * e
-		n++
+		errs = append(errs, (achieved-target)/target)
 	}
-	if n == 0 {
-		return 0
-	}
-	return math.Sqrt(sq / float64(n))
+	return metrics.RMS(errs)
 }
 
 // stale reports whether a row's gauges are stale: its last beat is
@@ -500,24 +484,7 @@ func (f *FleetAuditor) EWMAShareError() float64 {
 func (f *FleetAuditor) RMSBeatRatio() float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.beatRing) < 2 {
-		return 0
-	}
-	min, max, sum := f.beatRing[0], f.beatRing[0], 0.0
-	for _, v := range f.beatRing {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-		sum += v
-	}
-	mean := sum / float64(len(f.beatRing))
-	if mean <= 0 {
-		return 0
-	}
-	return (max - min) / mean
+	return metrics.BeatRatio(f.beatRing.Snapshot())
 }
 
 // ConvergenceView is the compact control signal the rebalancer's
@@ -543,18 +510,19 @@ func (f *FleetAuditor) Convergence() ConvergenceView {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	v := ConvergenceView{
-		Valid:     len(f.rounds) > 0,
+		Valid:     f.rounds.Len() > 0,
 		Converged: f.conv.converged,
 		EWMA:      f.ewma,
 		Round:     f.roundRMS,
 	}
-	if n := len(f.trail); n == ewmaTrail {
+	if trail := f.trail.Snapshot(); len(trail) == ewmaTrail {
 		// Monotone climb with real head-to-tail magnitude — a steady
 		// wobble (alternating up/down around a settled mean) must not
 		// read as divergence.
-		rising := f.trail[n-1] > f.trail[0]*1.05 && f.trail[n-1]-f.trail[0] > 1e-9
+		n := len(trail)
+		rising := trail[n-1] > trail[0]*1.05 && trail[n-1]-trail[0] > 1e-9
 		for i := 1; i < n && rising; i++ {
-			if f.trail[i] < f.trail[i-1] {
+			if trail[i] < trail[i-1] {
 				rising = false
 			}
 		}
@@ -757,25 +725,8 @@ func (f *FleetAuditor) Health() FleetHealth {
 	}
 	sort.Slice(h.Shards, func(i, j int) bool { return h.Shards[i].Name < h.Shards[j].Name })
 	h.PropagationCount = f.propCount.Load()
-	h.PropagationMaxSec = f.propMax.load()
+	h.PropagationMaxSec = f.propMax.Value()
 	h.CounterRegressions = f.counterRegressions.Load()
 	h.LeaseExpiries = f.leaseExpiries.Load()
 	return h
-}
-
-// atomicFloat is a max-tracking float64 on atomic bits.
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (a *atomicFloat) load() float64 { return math.Float64frombits(a.bits.Load()) }
-
-func (a *atomicFloat) setMax(v float64) {
-	for {
-		old := a.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if a.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
 }

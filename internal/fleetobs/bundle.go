@@ -101,7 +101,7 @@ type Bundler struct {
 	uploads    atomic.Int64
 
 	mu         sync.Mutex
-	recent     []*collection // newest last
+	recent     *obs.Ring[*collection]
 	lastOpen   time.Time
 	everOpened bool
 }
@@ -115,7 +115,7 @@ func NewBundler(cfg BundlerConfig) *Bundler {
 	if cfg.Now != nil {
 		now = cfg.Now
 	}
-	return &Bundler{cfg: cfg, now: now}
+	return &Bundler{cfg: cfg, now: now, recent: obs.NewRing[*collection](keepCollections)}
 }
 
 // Open starts a collection for the given anomaly unless one opened
@@ -139,10 +139,7 @@ func (b *Bundler) Open(reason string, epoch uint64) bool {
 		self := b.cfg.Self()
 		c.members[self.Name] = self
 	}
-	b.recent = append(b.recent, c)
-	if len(b.recent) > keepCollections {
-		b.recent = b.recent[len(b.recent)-keepCollections:]
-	}
+	b.recent.Push(c)
 	b.mu.Unlock()
 	b.opened.Add(1)
 	b.flush(c)
@@ -160,10 +157,10 @@ func (b *Bundler) Pending() *DumpRequest {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.recent) == 0 {
+	if b.recent.Len() == 0 {
 		return nil
 	}
-	req := b.recent[len(b.recent)-1].req
+	req := b.recent.Newest(0).req
 	return &req
 }
 
@@ -172,8 +169,8 @@ func (b *Bundler) Pending() *DumpRequest {
 func (b *Bundler) Accept(p DumpPayload) error {
 	b.mu.Lock()
 	var c *collection
-	for _, cand := range b.recent {
-		if cand.req.Seq == p.Seq {
+	for i := b.recent.Len() - 1; i >= 0; i-- {
+		if cand := b.recent.Newest(i); cand.req.Seq == p.Seq {
 			c = cand
 			break
 		}
@@ -210,11 +207,11 @@ func (b *Bundler) sources(c *collection) []trace.FleetSource {
 // Last returns the latest collection's request and member sources.
 func (b *Bundler) Last() (DumpRequest, []trace.FleetSource, bool) {
 	b.mu.Lock()
-	if len(b.recent) == 0 {
+	if b.recent.Len() == 0 {
 		b.mu.Unlock()
 		return DumpRequest{}, nil, false
 	}
-	c := b.recent[len(b.recent)-1]
+	c := b.recent.Newest(0)
 	b.mu.Unlock()
 	return c.req, b.sources(c), true
 }

@@ -188,9 +188,7 @@ type Tracer struct {
 	total atomic.Int64
 
 	mu   sync.Mutex
-	buf  []Event
-	next int
-	full bool
+	ring *obs.Ring[Event]
 }
 
 // NewTracer builds a tracer; the incarnation is taken from the clock.
@@ -206,7 +204,7 @@ func NewTracer(cfg TracerConfig) *Tracer {
 		cfg:         cfg,
 		incarnation: uint64(now().UnixNano()),
 		now:         now,
-		buf:         make([]Event, cfg.Events),
+		ring:        obs.NewRing[Event](cfg.Events),
 	}
 }
 
@@ -232,12 +230,7 @@ func (t *Tracer) Emit(e Event) {
 		e.Span = t.NextSpan()
 	}
 	t.mu.Lock()
-	t.buf[t.next] = e
-	t.next++
-	if t.next == len(t.buf) {
-		t.next = 0
-		t.full = true
-	}
+	t.ring.Push(e)
 	t.mu.Unlock()
 	t.total.Add(1)
 }
@@ -249,15 +242,7 @@ func (t *Tracer) Events() int64 { return t.total.Load() }
 func (t *Tracer) Snapshot() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.next
-	if t.full {
-		n = len(t.buf)
-	}
-	out := make([]Event, 0, n)
-	if t.full {
-		out = append(out, t.buf[t.next:]...)
-	}
-	return append(out, t.buf[:t.next]...)
+	return t.ring.Snapshot()
 }
 
 // Source converts the current window into a trace.FleetSource for

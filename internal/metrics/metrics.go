@@ -36,6 +36,44 @@ func RMSRelativeError(actual, ideal []float64) (float64, error) {
 	return math.Sqrt(sum / float64(len(actual))), nil
 }
 
+// RMS returns the root mean square of xs, or 0 for no values.
+func RMS(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sq float64
+	for _, x := range xs {
+		sq += x * x
+	}
+	return math.Sqrt(sq / float64(len(xs)))
+}
+
+// BeatRatio is the steady-state wobble statistic: (max - min) / mean
+// over the samples. 0 for fewer than 2 samples or a non-positive mean.
+// A converged, alias-free estimator holds this near 0; a window beating
+// against a duty cycle pushes it toward (and past) 1 — the fair-share
+// decay-window aliasing the auditors and timeline reports hunt.
+func BeatRatio(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	min, max, sum := xs[0], xs[0], 0.0
+	for _, x := range xs {
+		if x < min {
+			min = x
+		}
+		if x > max {
+			max = x
+		}
+		sum += x
+	}
+	mean := sum / float64(len(xs))
+	if mean <= 0 {
+		return 0
+	}
+	return (max - min) / mean
+}
+
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) (float64, error) {
 	if len(xs) == 0 {

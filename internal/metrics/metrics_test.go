@@ -37,6 +37,33 @@ func TestRMSRelativeErrorErrors(t *testing.T) {
 	}
 }
 
+// TestRMSAndBeatRatio pins the two window statistics the auditors share,
+// including the degenerate inputs their gauges read before a window
+// fills: no values, one value, and a non-positive mean.
+func TestRMSAndBeatRatio(t *testing.T) {
+	if v := RMS(nil); v != 0 {
+		t.Errorf("RMS(nil) = %v, want 0", v)
+	}
+	if v := RMS([]float64{3, -4}); !close(v, math.Sqrt(12.5), 1e-12) {
+		t.Errorf("RMS(3, -4) = %v, want sqrt(12.5)", v)
+	}
+	for _, tc := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{5}, 0},
+		{[]float64{-1, 1}, 0},
+		{[]float64{2, 2, 2}, 0},
+		{[]float64{1, 3}, 1},
+		{[]float64{1, 2, 3, 2}, 1},
+	} {
+		if got := BeatRatio(tc.xs); !close(got, tc.want, 1e-12) {
+			t.Errorf("BeatRatio(%v) = %v, want %v", tc.xs, got, tc.want)
+		}
+	}
+}
+
 // TestRMSBounds: the RMS of relative errors lies between the min and max
 // absolute relative error.
 func TestRMSBounds(t *testing.T) {

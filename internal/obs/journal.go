@@ -36,8 +36,7 @@ type JournalEntry struct {
 // completion while an HTTP handler or a SIGUSR1 handler dumps it.
 type Journal struct {
 	mu    sync.Mutex
-	buf   []JournalEntry
-	next  int
+	ring  *Ring[JournalEntry]
 	total int64
 }
 
@@ -47,22 +46,14 @@ const DefaultJournalSize = 256
 // NewJournal creates a journal holding the most recent n cycles
 // (minimum 1).
 func NewJournal(n int) *Journal {
-	if n < 1 {
-		n = 1
-	}
-	return &Journal{buf: make([]JournalEntry, 0, n)}
+	return &Journal{ring: NewRing[JournalEntry](n)}
 }
 
 // Append records one cycle, evicting the oldest once the ring is full.
 func (j *Journal) Append(e JournalEntry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if len(j.buf) < cap(j.buf) {
-		j.buf = append(j.buf, e)
-	} else {
-		j.buf[j.next] = e
-		j.next = (j.next + 1) % cap(j.buf)
-	}
+	j.ring.Push(e)
 	j.total++
 }
 
@@ -77,10 +68,7 @@ func (j *Journal) Total() int64 {
 func (j *Journal) Snapshot() []JournalEntry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]JournalEntry, 0, len(j.buf))
-	out = append(out, j.buf[j.next:]...)
-	out = append(out, j.buf[:j.next]...)
-	return out
+	return j.ring.Snapshot()
 }
 
 // lastN returns the newest n retained entries, oldest first (all of them

@@ -535,12 +535,48 @@ func (r *Runner) appendOps(ops []sigOp, id core.TaskID, stop bool) []sigOp {
 // deliverAt is one signal fan-out item: the delivery of sigOps[i].
 func (r *Runner) deliverAt(i int) { r.sigResults[i] = r.deliverOp(r.sigOps[i]) }
 
-// deliverOp performs one op's raw delivery (safe on a pool worker).
+// deliverOp performs one op's raw SIGSTOP (stop) or SIGCONT delivery —
+// kill(pid), or kill(-pgid) for a group op — with classified recovery:
+// transient errors retry with capped, jittered exponential backoff
+// within the quantum; ESRCH and EPERM are terminal (for a group op,
+// settleOp then falls back to per-PID delivery to settle individual
+// members). It touches only the Sys surface and atomic health counters,
+// so the signal batcher may run many deliveries concurrently on pool
+// workers; all map bookkeeping is deferred to settleOp and applySignal.
 func (r *Runner) deliverOp(op sigOp) sigResult {
-	if op.group {
-		return r.deliverGroupSignal(op.pid, op.stop)
+	if r.mx != nil {
+		begin := r.now()
+		defer func() { r.mx.signalDur.Observe(r.now().Sub(begin).Seconds()) }()
 	}
-	return r.deliverSignal(op.pid, op.stop)
+	send := r.sys.Cont
+	switch {
+	case op.group && op.stop:
+		send = r.sys.StopGroup
+	case op.group:
+		send = r.sys.ContGroup
+	case op.stop:
+		send = r.sys.Stop
+	}
+	res := sigResult{pid: op.pid, stop: op.stop}
+	for attempt := 1; ; attempt++ {
+		if res.err = send(op.pid); res.err == nil {
+			res.ok = true
+			return res
+		}
+		class := classify(res.err)
+		if class == errGone {
+			res.gone = true
+			return res
+		}
+		if class == errDenied || attempt >= maxSignalAttempts {
+			return res
+		}
+		r.health.sigRetries.Add(1)
+		// Jittered so a fleet-wide substrate hiccup never produces
+		// lockstep retries across shards; deterministic per
+		// (seed, pid, attempt) so fault tests replay exactly.
+		r.sys.Sleep(r.retry.Delay(uint64(op.pid), attempt))
+	}
 }
 
 // settleOp applies one delivery's bookkeeping on the loop goroutine.
@@ -814,7 +850,7 @@ func (r *Runner) dropPID(pid int) {
 }
 
 // sigResult is the outcome of one raw signal delivery, produced by
-// deliverSignal (possibly on a pool worker) and consumed by applySignal
+// deliverOp (possibly on a pool worker) and consumed by applySignal
 // on the loop goroutine.
 type sigResult struct {
 	pid  int
@@ -822,72 +858,6 @@ type sigResult struct {
 	ok   bool  // delivered
 	gone bool  // ESRCH: process vanished
 	err  error // terminal error when !ok
-}
-
-// deliverSignal performs the raw SIGSTOP (stop=true) or SIGCONT delivery
-// with classified recovery: transient errors retry with capped
-// exponential backoff within the quantum. It touches only the Sys
-// surface and atomic health counters, so the signal batcher may run many
-// deliveries concurrently; all map bookkeeping is deferred to
-// applySignal.
-func (r *Runner) deliverSignal(pid int, stop bool) sigResult {
-	if r.mx != nil {
-		begin := r.now()
-		defer func() { r.mx.signalDur.Observe(r.now().Sub(begin).Seconds()) }()
-	}
-	op := r.sys.Cont
-	if stop {
-		op = r.sys.Stop
-	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		if err = op(pid); err == nil {
-			return sigResult{pid: pid, stop: stop, ok: true}
-		}
-		class := classify(err)
-		if class == errGone {
-			return sigResult{pid: pid, stop: stop, gone: true, err: err}
-		}
-		if class == errDenied || attempt >= maxSignalAttempts {
-			return sigResult{pid: pid, stop: stop, err: err}
-		}
-		r.health.sigRetries.Add(1)
-		// Jittered so a fleet-wide substrate hiccup never produces
-		// lockstep retries across shards; deterministic per
-		// (seed, pid, attempt) so fault tests replay exactly.
-		r.sys.Sleep(r.retry.Delay(uint64(pid), attempt))
-	}
-}
-
-// deliverGroupSignal performs one raw kill(-pgid) delivery with the same
-// classified recovery as deliverSignal: transient errors retry with
-// capped jittered backoff within the quantum; ESRCH and EPERM are
-// terminal for the group call, and settleOp falls back to per-PID
-// delivery to settle individual members.
-func (r *Runner) deliverGroupSignal(pgid int, stop bool) sigResult {
-	if r.mx != nil {
-		begin := r.now()
-		defer func() { r.mx.signalDur.Observe(r.now().Sub(begin).Seconds()) }()
-	}
-	op := r.sys.ContGroup
-	if stop {
-		op = r.sys.StopGroup
-	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		if err = op(pgid); err == nil {
-			return sigResult{pid: pgid, stop: stop, ok: true}
-		}
-		class := classify(err)
-		if class == errGone {
-			return sigResult{pid: pgid, stop: stop, gone: true, err: err}
-		}
-		if class == errDenied || attempt >= maxSignalAttempts {
-			return sigResult{pid: pgid, stop: stop, err: err}
-		}
-		r.health.sigRetries.Add(1)
-		r.sys.Sleep(r.retry.Delay(uint64(pgid), attempt))
-	}
 }
 
 // applySignal settles one delivery's bookkeeping on the loop goroutine:
@@ -926,7 +896,7 @@ func (r *Runner) applySignal(res sigResult) bool {
 // single-worker path and by every out-of-band caller (reconcile,
 // refresh, restore, reconfigure).
 func (r *Runner) signal(pid int, stop bool) bool {
-	return r.applySignal(r.deliverSignal(pid, stop))
+	return r.applySignal(r.deliverOp(sigOp{pid: pid, stop: stop}))
 }
 
 // refresh installs new task memberships. A PID joining the workload is

@@ -79,10 +79,8 @@ type cycleSample struct {
 type Auditor struct {
 	cfg AuditorConfig
 
-	mu   sync.Mutex
-	ring []cycleSample
-	next int
-	n    int
+	mu     sync.Mutex
+	window *obs.Ring[cycleSample]
 
 	// Eligibility bookkeeping between cycles (fed by Observe).
 	eligible      map[int64]bool
@@ -104,8 +102,7 @@ type Auditor struct {
 	// median gauge: unlike the mean, the median is immune to the
 	// occasional quantum inflated by the OS descheduling the scheduler
 	// itself mid-phase.
-	workRing []time.Duration
-	workNext int
+	workRing *obs.Ring[time.Duration]
 
 	// Duty-cycle reconstruction (WindowLock): per-task last eligibility
 	// rising edge and smoothed inter-edge interval, plus a smoothed
@@ -127,8 +124,7 @@ type Auditor struct {
 	// recent windowed RMS values.
 	ewma     float64
 	ewmaInit bool
-	beatRing []float64
-	beatNext int
+	beatRing *obs.Ring[float64]
 
 	// Convergence tracking.
 	cycles          int64
@@ -158,7 +154,9 @@ func NewAuditor(cfg AuditorConfig) *Auditor {
 	}
 	return &Auditor{
 		cfg:             cfg,
-		ring:            make([]cycleSample, cfg.Window),
+		window:          obs.NewRing[cycleSample](cfg.Window),
+		workRing:        obs.NewRing[time.Duration](loopWorkRing),
+		beatRing:        obs.NewRing[float64](beatWindow),
 		eligible:        make(map[int64]bool),
 		perTask:         make(map[int64]float64),
 		phaseBegan:      make(map[int]time.Duration),
@@ -182,12 +180,7 @@ func (a *Auditor) Observe(e obs.Event) {
 		// The previous quantum's work bucket is complete: the signal
 		// phase (which follows QuantumEnd) has been stamped by now.
 		if a.loopTicks > 0 {
-			if len(a.workRing) < loopWorkRing {
-				a.workRing = append(a.workRing, a.curWork)
-			} else {
-				a.workRing[a.workNext] = a.curWork
-				a.workNext = (a.workNext + 1) % loopWorkRing
-			}
+			a.workRing.Push(a.curWork)
 		}
 		a.loopTicks++
 		a.lastWork = a.curWork
@@ -270,13 +263,7 @@ func (a *Auditor) dutyPeriodCyclesLocked() int {
 		return 0
 	}
 	p := int(math.Round(longest / a.cycleLenEwma))
-	if p < 1 {
-		p = 1
-	}
-	if p > len(a.ring) {
-		p = len(a.ring)
-	}
-	return p
+	return min(max(p, 1), a.window.Cap())
 }
 
 // OnCycle feeds one completed allocation cycle. Chain it into the
@@ -297,15 +284,12 @@ func (a *Auditor) OnCycle(rec core.CycleRecord) {
 	s.potential, s.measured = a.potential, a.measured
 	a.potential, a.measured = 0, 0
 
-	old := a.ring[a.next]
-	a.ring[a.next] = s
-	a.next = (a.next + 1) % len(a.ring)
-	if a.n < len(a.ring) {
-		a.n++
-	} else {
+	if n := a.window.Len(); n == a.window.Cap() {
+		old := a.window.Newest(n - 1)
 		a.winPot -= old.potential
 		a.winMeas -= old.measured
 	}
+	a.window.Push(s)
 	a.winPot += s.potential
 	a.winMeas += s.measured
 
@@ -322,12 +306,7 @@ func (a *Auditor) OnCycle(rec core.CycleRecord) {
 
 	// Diagnostics ride on every completed cycle: the beat ring feeds the
 	// wobble gauge and the EWMA estimator smooths the windowed RMS.
-	if len(a.beatRing) < beatWindow {
-		a.beatRing = append(a.beatRing, a.rms)
-	} else {
-		a.beatRing[a.beatNext] = a.rms
-		a.beatNext = (a.beatNext + 1) % beatWindow
-	}
+	a.beatRing.Push(a.rms)
 	if a.cfg.EWMAAlpha > 0 {
 		if !a.ewmaInit {
 			a.ewma, a.ewmaInit = a.rms, true
@@ -338,7 +317,7 @@ func (a *Auditor) OnCycle(rec core.CycleRecord) {
 
 	var fire func(rms float64)
 	var rms float64
-	if a.n == len(a.ring) && a.rms > a.cfg.DriftThreshold && !a.drifting {
+	if a.window.Len() == a.window.Cap() && a.rms > a.cfg.DriftThreshold && !a.drifting {
 		a.drifting = true
 		fire, rms = a.cfg.OnDrift, a.rms
 	} else if a.drifting && a.rms < 0.8*a.cfg.DriftThreshold {
@@ -360,11 +339,7 @@ func (a *Auditor) recomputeLocked(newest cycleSample) {
 	// shares within the threshold?
 	cycleOK := false
 	if errs, err := metrics.ShareErrors(newest.consumed, newest.shares); err == nil {
-		sq := 0.0
-		for _, e := range errs {
-			sq += e * e
-		}
-		cycleOK = math.Sqrt(sq/float64(len(errs))) < a.cfg.ConvergeThreshold
+		cycleOK = metrics.RMS(errs) < a.cfg.ConvergeThreshold
 	}
 	if cycleOK {
 		a.streak++
@@ -388,13 +363,13 @@ func (a *Auditor) recomputeLocked(newest cycleSample) {
 // multiple of the measured duty-cycle period that fits the filled ring
 // — a window covering whole duty cycles sees every principal's full
 // on/off pattern, so the RMS stops beating against SIGSTOP duty
-// cycling. With the knob off, limit == a.n and the arithmetic is the
-// raw fixed window, bit for bit.
+// cycling. With the knob off, limit is the filled length and the
+// arithmetic is the raw fixed window, bit for bit.
 func (a *Auditor) recomputeWindowLocked(newest cycleSample) {
-	limit := a.n
+	limit := a.window.Len()
 	if a.cfg.WindowLock {
 		if p := a.dutyPeriodCyclesLocked(); p > 0 {
-			if eff := (a.n / p) * p; eff > 0 {
+			if eff := (limit / p) * p; eff > 0 {
 				limit = eff
 			}
 		}
@@ -410,7 +385,7 @@ func (a *Auditor) recomputeWindowLocked(newest cycleSample) {
 	}
 	consumed := make([]float64, len(newest.ids))
 	for i := 0; i < limit; i++ {
-		s := a.ring[(a.next-1-i+len(a.ring)+len(a.ring))%len(a.ring)]
+		s := a.window.Newest(i)
 		for j, id := range s.ids {
 			if k, ok := current[id]; ok {
 				consumed[k] += s.consumed[j]
@@ -423,13 +398,11 @@ func (a *Auditor) recomputeWindowLocked(newest cycleSample) {
 		}
 	}
 	if errs, err := metrics.ShareErrors(consumed, newest.shares); err == nil {
-		sq := 0.0
 		for i, e := range errs {
 			a.perTask[newest.ids[i]] = e
 			a.registerTaskLocked(newest.ids[i])
-			sq += e * e
 		}
-		a.rms = math.Sqrt(sq / float64(len(errs)))
+		a.rms = metrics.RMS(errs)
 	}
 }
 
@@ -476,28 +449,19 @@ func (a *Auditor) Reconfigure(window int, drift float64) {
 	if drift > 0 {
 		a.cfg.DriftThreshold = drift
 	}
-	if window <= 0 || window == len(a.ring) {
+	if window <= 0 || window == a.window.Cap() {
 		return
 	}
-	keep := a.n
-	if keep > window {
-		keep = window
-	}
-	nr := make([]cycleSample, window)
-	for i := 0; i < keep; i++ { // i-th newest lands at nr[keep-1-i]
-		nr[keep-1-i] = a.ring[(a.next-1-i+2*len(a.ring))%len(a.ring)]
-	}
 	a.cfg.Window = window
-	a.ring = nr
-	a.n = keep
-	a.next = keep % window
+	a.window.Resize(window)
 	a.winPot, a.winMeas = 0, 0
-	for i := 0; i < keep; i++ {
-		a.winPot += nr[i].potential
-		a.winMeas += nr[i].measured
+	for i := 0; i < a.window.Len(); i++ {
+		s := a.window.Newest(i)
+		a.winPot += s.potential
+		a.winMeas += s.measured
 	}
-	if keep > 0 {
-		a.recomputeWindowLocked(nr[keep-1])
+	if a.window.Len() > 0 {
+		a.recomputeWindowLocked(a.window.Newest(0))
 	}
 }
 
@@ -506,7 +470,7 @@ func (a *Auditor) Reconfigure(window int, drift float64) {
 func (a *Auditor) Thresholds() (window int, drift float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.ring), a.cfg.DriftThreshold
+	return a.window.Cap(), a.cfg.DriftThreshold
 }
 
 // RMSShareError returns the windowed RMS share error.
@@ -534,24 +498,7 @@ func (a *Auditor) RMSShareErrorEWMA() float64 {
 func (a *Auditor) WindowBeatRatio() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.beatRing) < 2 {
-		return 0
-	}
-	min, max, sum := a.beatRing[0], a.beatRing[0], 0.0
-	for _, v := range a.beatRing {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-		sum += v
-	}
-	mean := sum / float64(len(a.beatRing))
-	if mean <= 0 {
-		return 0
-	}
-	return (max - min) / mean
+	return metrics.BeatRatio(a.beatRing.Snapshot())
 }
 
 // EffectiveWindowCycles returns the cycles the newest RMS actually
@@ -643,11 +590,10 @@ const loopWorkRing = 4096
 func (a *Auditor) MedianLoopWork() time.Duration {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.workRing) == 0 {
+	if a.workRing.Len() == 0 {
 		return 0
 	}
-	sorted := make([]time.Duration, len(a.workRing))
-	copy(sorted, a.workRing)
+	sorted := a.workRing.Snapshot()
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return sorted[len(sorted)/2]
 }
@@ -690,7 +636,7 @@ func (a *Auditor) Register(reg *obs.Registry) {
 		a.WindowBeatRatio)
 	reg.GaugeFunc("alps_audit_window_cycles",
 		"Cycles currently in the audit window.",
-		func() float64 { a.mu.Lock(); defer a.mu.Unlock(); return float64(a.n) })
+		func() float64 { a.mu.Lock(); defer a.mu.Unlock(); return float64(a.window.Len()) })
 	reg.GaugeFunc("alps_audit_window_effective_cycles",
 		"Cycles the newest RMS aggregated (duty-locked multiple when WindowLock is on).",
 		func() float64 { return float64(a.EffectiveWindowCycles()) })

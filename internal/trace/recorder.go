@@ -67,9 +67,7 @@ type Recorder struct {
 	cfg RecorderConfig
 
 	mu     sync.Mutex
-	buf    []obs.Event
-	next   int
-	full   bool
+	ring   *obs.Ring[obs.Event]
 	lastAt time.Duration // newest event timestamp: the recorder's clock
 
 	dumpedAt   time.Duration
@@ -88,7 +86,7 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	if cfg.Cooldown == 0 {
 		cfg.Cooldown = DefaultCooldown
 	}
-	return &Recorder{cfg: cfg, buf: make([]obs.Event, cfg.Events)}
+	return &Recorder{cfg: cfg, ring: obs.NewRing[obs.Event](cfg.Events)}
 }
 
 // Observe implements obs.Observer: record the event and fire the
@@ -96,12 +94,7 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 // visible in the stream itself.
 func (r *Recorder) Observe(e obs.Event) {
 	r.mu.Lock()
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
+	r.ring.Push(e)
 	if e.At > r.lastAt {
 		r.lastAt = e.At
 	}
@@ -139,7 +132,7 @@ func (r *Recorder) Trigger(reason string) bool {
 // triggerLocked applies the cooldown and snapshots the window. Caller
 // holds r.mu.
 func (r *Recorder) triggerLocked(reason string) *Dump {
-	if !r.full && r.next == 0 {
+	if r.ring.Len() == 0 {
 		return nil // nothing recorded yet
 	}
 	if r.cfg.Cooldown > 0 && r.everDumped && r.lastAt-r.dumpedAt < r.cfg.Cooldown {
@@ -149,26 +142,14 @@ func (r *Recorder) triggerLocked(reason string) *Dump {
 	r.dumpedAt = r.lastAt
 	r.everDumped = true
 	seq := r.dumps.Add(1)
-	return &Dump{Reason: reason, At: r.lastAt, Seq: seq, Events: r.snapshotLocked()}
-}
-
-func (r *Recorder) snapshotLocked() []obs.Event {
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	out := make([]obs.Event, 0, n)
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-	}
-	return append(out, r.buf[:r.next]...)
+	return &Dump{Reason: reason, At: r.lastAt, Seq: seq, Events: r.ring.Snapshot()}
 }
 
 // Snapshot returns the current window, oldest first.
 func (r *Recorder) Snapshot() []obs.Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.snapshotLocked()
+	return r.ring.Snapshot()
 }
 
 // WriteChrome serializes the current window as Chrome trace-event JSON.
@@ -207,7 +188,7 @@ func (r *Recorder) Register(reg *obs.Registry) {
 	reg.CounterFunc("alps_trace_dumps_suppressed_total",
 		"Triggers suppressed by the dump cooldown.", r.suppressed.Load)
 	reg.GaugeFunc("alps_trace_ring_capacity_events",
-		"Flight-recorder ring capacity.", func() float64 { return float64(len(r.buf)) })
+		"Flight-recorder ring capacity.", func() float64 { return float64(r.cfg.Events) })
 }
 
 // FileDumper writes flight-recorder dumps as Chrome trace files in a

@@ -31,6 +31,20 @@ func TestRecorderRingBounds(t *testing.T) {
 	}
 }
 
+// TestRecorderObserveZeroAllocs: the recorder sits on the control loop's
+// observer fan-out, once per event, so recording into a full ring must
+// not allocate.
+func TestRecorderObserveZeroAllocs(t *testing.T) {
+	r := NewRecorder(RecorderConfig{Events: 64})
+	e := ev(obs.KindMeasure, 0, 0)
+	for i := 0; i < 64; i++ {
+		r.Observe(e)
+	}
+	if n := testing.AllocsPerRun(1000, func() { e.Tick++; r.Observe(e) }); n != 0 {
+		t.Fatalf("Observe on a full ring: %v allocs, want 0", n)
+	}
+}
+
 func TestRecorderAutoTriggers(t *testing.T) {
 	var dumps []Dump
 	r := NewRecorder(RecorderConfig{Events: 64, OnDump: func(d Dump) { dumps = append(dumps, d) }})

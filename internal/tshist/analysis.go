@@ -2,34 +2,8 @@ package tshist
 
 // Series analysis for the timeline reports: FFT-free detection of a
 // periodic beat in a sampled gauge (the measurement-window aliasing the
-// auditors hunt) and the wobble statistic the benchmarks gate on. Plain
-// float slices, so both the fleet auditor's in-memory rings and the
-// store's retained points feed the same math.
-
-// BeatRatio is the steady-state wobble statistic: (max - min) / mean
-// over the samples. 0 for fewer than 2 samples or a non-positive mean.
-// A converged, alias-free estimator holds this near 0; a window beating
-// against a duty cycle pushes it toward (and past) 1.
-func BeatRatio(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	min, max, sum := xs[0], xs[0], 0.0
-	for _, x := range xs {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-		sum += x
-	}
-	mean := sum / float64(len(xs))
-	if mean <= 0 {
-		return 0
-	}
-	return (max - min) / mean
-}
+// auditors hunt). The wobble statistic the benchmarks gate on is
+// metrics.BeatRatio; Values turns retained points into its input.
 
 // DominantPeriod detects a periodic beat by normalized autocorrelation
 // — no FFT, just the direct lag products, fine for the few hundred

@@ -93,33 +93,6 @@ type Timeline struct {
 	Series  []Series `json:"series"`
 }
 
-// ring is one series' bounded point buffer.
-type ring struct {
-	buf  []Point
-	next int
-	n    int
-}
-
-func (r *ring) push(p Point) {
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, p)
-		r.n++
-		return
-	}
-	r.buf[r.next] = p
-	r.next = (r.next + 1) % len(r.buf)
-}
-
-// points returns the ring oldest-first.
-func (r *ring) points() []Point {
-	out := make([]Point, 0, len(r.buf))
-	if len(r.buf) < cap(r.buf) {
-		return append(out, r.buf...)
-	}
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
-}
-
 // seriesKey identifies one registry child.
 type seriesKey struct{ name, labels string }
 
@@ -132,7 +105,7 @@ type Store struct {
 	now func() time.Time
 
 	mu      sync.Mutex
-	rings   map[seriesKey]*ring
+	rings   map[seriesKey]*obs.Ring[Point]
 	order   []seriesKey // first-seen order; snapshots sort by name anyway
 	next    time.Time   // Tick's next due sample
 	samples int64
@@ -151,7 +124,7 @@ func New(cfg Config) *Store {
 	if cfg.Now != nil {
 		now = cfg.Now
 	}
-	return &Store{cfg: cfg, now: now, rings: make(map[seriesKey]*ring)}
+	return &Store{cfg: cfg, now: now, rings: make(map[seriesKey]*obs.Ring[Point])}
 }
 
 // Sample unconditionally appends one point per registry series, stamped
@@ -179,11 +152,11 @@ func (s *Store) Sample(now time.Time) {
 		key := seriesKey{sm.Name, sm.Labels}
 		r, ok := s.rings[key]
 		if !ok {
-			r = &ring{buf: make([]Point, 0, s.cfg.Capacity)}
+			r = obs.NewRing[Point](s.cfg.Capacity)
 			s.rings[key] = r
 			s.order = append(s.order, key)
 		}
-		r.push(Point{UnixNano: nano, Value: sm.Value})
+		r.Push(Point{UnixNano: nano, Value: sm.Value})
 	}
 }
 
@@ -233,7 +206,7 @@ func (s *Store) Snapshot() Timeline {
 	}
 	series := make([]Series, 0, len(keys))
 	for _, k := range keys {
-		series = append(series, Series{Name: k.name, Labels: k.labels, Points: s.rings[k].points()})
+		series = append(series, Series{Name: k.name, Labels: k.labels, Points: s.rings[k].Snapshot()})
 	}
 	s.mu.Unlock()
 	// order is first-seen; sort for a stable document.
@@ -263,7 +236,7 @@ func (s *Store) SeriesPoints(name, labels string) []Point {
 	if !ok {
 		return nil
 	}
-	return r.points()
+	return r.Snapshot()
 }
 
 // WriteJSON renders the timeline document as indented JSON.

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"alps/internal/metrics"
 	"alps/internal/obs"
 )
 
@@ -254,8 +255,8 @@ func TestConcurrentSampleScrape(t *testing.T) {
 
 // TestBeatAnalysis pins the FFT-free detector on a synthetic beat: a
 // period-5 sawtooth rides on a constant; DominantPeriod finds lag 5,
-// BeatRatio reports the wobble, and an EWMA of the same series kills it
-// by far more than the 5x the timeline bench gates.
+// metrics.BeatRatio reports the wobble, and an EWMA of the same series
+// kills it by far more than the 5x the timeline bench gates.
 func TestBeatAnalysis(t *testing.T) {
 	var raw, smooth []float64
 	ewma, alpha := 0.0, 0.1
@@ -278,7 +279,7 @@ func TestBeatAnalysis(t *testing.T) {
 	if corr < 0.9 {
 		t.Fatalf("autocorrelation at the beat = %.2f, want ~1 for a pure periodic signal", corr)
 	}
-	rr, sr := BeatRatio(raw), BeatRatio(smooth)
+	rr, sr := metrics.BeatRatio(raw), metrics.BeatRatio(smooth)
 	if rr < 1.0 {
 		t.Fatalf("raw beat ratio %.3f implausibly small", rr)
 	}
