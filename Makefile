@@ -1,13 +1,17 @@
 # Standard checks for the ALPS repository. `make check` is the
-# pre-commit gate: vet, build, and the full test suite under the race
-# detector (every fault-injection test is deterministic and fake-backed,
-# so -race adds coverage without flakiness).
+# pre-commit gate: gofmt, vet, build, and the full test suite under the
+# race detector (every fault-injection test is deterministic and
+# fake-backed, so -race adds coverage without flakiness).
 
 GO ?= go
 
-.PHONY: check vet build test race short bench bench-check alloc-gate timeline trace trace-fleet chaos chaos-fleet chaos-failover vulncheck
+.PHONY: check fmt vet build test race short bench bench-check alloc-gate timeline trace trace-fleet chaos chaos-fleet chaos-failover vulncheck
 
-check: vet build race
+check: fmt vet build race
+
+# Fails, listing them, if gofmt would rewrite any Go file.
+fmt:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 vet:
 	$(GO) vet ./...
@@ -64,11 +68,12 @@ alloc-gate:
 
 # Timeline smoke: retained-history closed-loop gates. A synthetic
 # duty-cycled workload aliases a deliberately mismatched audit window;
-# the run hard-fails unless the EWMA estimator cuts the raw gauge's
-# steady-state beat ratio >=5x, the FFT-free autocorrelation detector
-# finds the beat period in the retained series, and one history sample
-# over a production-shaped registry costs <=1% of a 10ms quantum.
-# Merges its section into BENCH_obs.json (obs keys preserved).
+# the run hard-fails unless the auditor's EWMA (alpha 0.1) cuts the raw
+# windowed gauge's steady-state beat ratio >=5x, the FFT-free
+# autocorrelation detector finds the beat period in the retained series,
+# and one history sample over a production-shaped registry costs <=1% of
+# a 10ms quantum. Merges its section into BENCH_obs.json (obs keys
+# preserved).
 # QUICK=1 trims cycles/iterations for CI.
 timeline:
 	$(GO) run ./cmd/alps-bench $(if $(QUICK),-quick) timeline
@@ -119,9 +124,9 @@ chaos-fleet:
 # reconfigured live, then killed so the fleet walks back onto the
 # deposed original — whose stale-term publishes must be fenced) plus the
 # replica-set and agent-failover unit scripts. Fully deterministic.
-# The scenario runs with convergence-fed adaptive damping on and writes
-# the surviving leader's /fleet/timeline capture (every reconvergence on
-# the virtual clock) to TIMELINE_failover.json for the CI artifact.
+# The scenario runs the static rebalance planner and writes the
+# surviving leader's /fleet/timeline capture (every reconvergence on the
+# virtual clock) to TIMELINE_failover.json for the CI artifact.
 chaos-failover:
 	ALPS_TIMELINE_OUT=$(CURDIR)/TIMELINE_failover.json $(GO) test -race -run 'TestChaosFailover|TestReplica|TestDeposed|TestWeightsUpdate|TestHeartbeatHigherTerm|TestAgent' -v ./internal/coord/
 

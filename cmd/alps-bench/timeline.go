@@ -19,17 +19,13 @@ import (
 // runTimeline demonstrates — and gates — the closed observability loop
 // on retained history. A synthetic duty-cycled workload (one task
 // bursting its whole entitlement every dutyPeriod cycles, its peer
-// filling the rest) is audited three ways over the same cycle stream:
+// filling the rest) is audited over a fixed window deliberately coprime
+// with the duty period, so the raw windowed RMS share-error gauge
+// aliases — it beats between phase-dependent values while the schedule
+// is perfectly fair — and the auditor's EWMA-over-windows estimator
+// (alps_audit_rms_share_error_ewma) smooths the beat away.
 //
-//   - raw:    a fixed window deliberately coprime with the duty period,
-//     so the windowed RMS share-error gauge aliases — it beats between
-//     phase-dependent values while the schedule is perfectly fair.
-//   - ewma:   the same aliased window smoothed by the EWMA-over-windows
-//     estimator (alps_audit_rms_share_error_ewma).
-//   - locked: WindowLock reconstructs the duty period from eligibility
-//     edges and truncates the window to a whole multiple of it.
-//
-// Every cycle each auditor's registry is sampled into a tshist store —
+// Every cycle the auditor's registry is sampled into a tshist store —
 // the same retained-history path /debug/timeline serves — and the beat
 // statistics are computed from the stored series, exactly as a timeline
 // consumer would. Two hard gates fail the run:
@@ -55,50 +51,28 @@ func runTimeline() error {
 		dutyPeriod = 4 // cycles per duty period of the synthetic workload
 		rawWindow  = 5 // coprime with dutyPeriod: maximal aliasing
 		tail       = 64
-		ewmaAlpha  = 0.1
 		q          = 10 * time.Millisecond
 		rounds     = 5
 	)
 
-	type rig struct {
-		name string
-		aud  *trace.Auditor
-		hist *tshist.Store
-	}
-	mk := func(name string, cfg trace.AuditorConfig) *rig {
-		reg := obs.NewRegistry()
-		aud := trace.NewAuditor(cfg)
-		aud.Register(reg)
-		return &rig{name: name, aud: aud,
-			hist: tshist.New(tshist.Config{Source: reg, Capacity: cycles})}
-	}
-	rigs := []*rig{
-		mk("raw", trace.AuditorConfig{Window: rawWindow}),
-		mk("ewma", trace.AuditorConfig{Window: rawWindow, EWMAAlpha: ewmaAlpha}),
-		mk("locked", trace.AuditorConfig{Window: rawWindow, WindowLock: true, EWMAAlpha: ewmaAlpha}),
-	}
+	audReg := obs.NewRegistry()
+	audited := trace.NewAuditor(trace.AuditorConfig{Window: rawWindow})
+	audited.Register(audReg)
+	hist := tshist.New(tshist.Config{Source: audReg, Capacity: cycles})
 
-	// One synthetic cycle: task 1 wakes and burns 2s every dutyPeriod-th
-	// cycle, task 2 duty-cycles every cycle and spreads the same 2s over
-	// the other three. Shares are 1:1 and long-run consumption is equal,
-	// so every nonzero RMS reading is measurement artifact, not unfairness.
-	feed := func(a *trace.Auditor, k int) {
-		at := time.Duration(k) * time.Second
-		switch k % dutyPeriod {
-		case 0:
-			a.Observe(obs.Event{Kind: obs.KindTransition, Task: 1, Eligible: true, At: at})
-		case 1:
-			a.Observe(obs.Event{Kind: obs.KindTransition, Task: 1, Eligible: false, At: at})
-		}
-		a.Observe(obs.Event{Kind: obs.KindTransition, Task: 2, Eligible: false, At: at})
-		a.Observe(obs.Event{Kind: obs.KindTransition, Task: 2, Eligible: true, At: at})
+	// One synthetic cycle: task 1 burns 2s every dutyPeriod-th cycle,
+	// task 2 spreads the same 2s over the other three. Shares are 1:1
+	// and long-run consumption is equal, so every nonzero RMS reading is
+	// measurement artifact, not unfairness.
+	epoch := time.Now()
+	for k := 0; k < cycles; k++ {
 		var c1, c2 time.Duration
 		if k%dutyPeriod == 0 {
 			c1 = 2 * time.Second
 		} else {
 			c2 = 2 * time.Second / 3
 		}
-		a.OnCycle(core.CycleRecord{
+		audited.OnCycle(core.CycleRecord{
 			Index:  k,
 			Length: time.Second,
 			Tasks: []core.CycleTask{
@@ -106,34 +80,24 @@ func runTimeline() error {
 				{ID: 2, Share: 1, Consumed: c2},
 			},
 		})
-	}
-
-	epoch := time.Now()
-	for k := 0; k < cycles; k++ {
-		now := epoch.Add(time.Duration(k) * time.Second)
-		for _, r := range rigs {
-			feed(r.aud, k)
-			r.hist.Sample(now)
-		}
+		hist.Sample(epoch.Add(time.Duration(k) * time.Second))
 	}
 
 	// Read the verdict off the retained series, the way a /debug/timeline
-	// consumer would, keeping only the steady-state tail (the EWMA and
-	// the duty estimator need a few periods to settle).
-	series := func(r *rig, name string) []float64 {
-		vals := tshist.Values(r.hist.SeriesPoints(name, ""))
+	// consumer would, keeping only the steady-state tail (the EWMA needs
+	// a few periods to settle).
+	series := func(name string) []float64 {
+		vals := tshist.Values(hist.SeriesPoints(name, ""))
 		if len(vals) > tail {
 			vals = vals[len(vals)-tail:]
 		}
 		return vals
 	}
-	rawRMS := series(rigs[0], "alps_audit_rms_share_error")
-	ewmaRMS := series(rigs[1], "alps_audit_rms_share_error_ewma")
-	lockedRMS := series(rigs[2], "alps_audit_rms_share_error")
+	rawRMS := series("alps_audit_rms_share_error")
+	ewmaRMS := series("alps_audit_rms_share_error_ewma")
 
 	rawBeat := metrics.BeatRatio(rawRMS)
 	ewmaBeat := metrics.BeatRatio(ewmaRMS)
-	lockedBeat := metrics.BeatRatio(lockedRMS)
 	reduction := math.Inf(1)
 	if ewmaBeat > 0 {
 		reduction = rawBeat / ewmaBeat
@@ -145,7 +109,7 @@ func runTimeline() error {
 	// full cmd/alps gauge surface (auditor + flight recorder) plus the
 	// per-task share-error histograms a 32-task run accumulates.
 	reg := obs.NewRegistry()
-	aud := trace.NewAuditor(trace.AuditorConfig{EWMAAlpha: ewmaAlpha})
+	aud := trace.NewAuditor(trace.AuditorConfig{})
 	aud.Register(reg)
 	trace.NewRecorder(trace.RecorderConfig{}).Register(reg)
 	for i := 0; i < 32; i++ {
@@ -183,7 +147,6 @@ func runTimeline() error {
 		RawWindowCycles     int     `json:"raw_window_cycles"`
 		RawBeatRatio        float64 `json:"raw_beat_ratio"`
 		EWMABeatRatio       float64 `json:"ewma_beat_ratio"`
-		LockedBeatRatio     float64 `json:"locked_beat_ratio"`
 		BeatReductionX      float64 `json:"beat_reduction_x"`
 		BeatReduced5x       bool    `json:"beat_reduced_5x"`
 		DetectedBeatPeriod  int     `json:"detected_beat_period_cycles"`
@@ -199,7 +162,6 @@ func runTimeline() error {
 		RawWindowCycles:     rawWindow,
 		RawBeatRatio:        rawBeat,
 		EWMABeatRatio:       ewmaBeat,
-		LockedBeatRatio:     lockedBeat,
 		BeatReductionX:      reduction,
 		BeatReduced5x:       reduction >= 5,
 		DetectedBeatPeriod:  lag,
@@ -215,7 +177,6 @@ func runTimeline() error {
 		cycles, dutyPeriod, rawWindow)
 	fmt.Printf("  raw windowed RMS beat ratio:     %.4f\n", rawBeat)
 	fmt.Printf("  EWMA estimator beat ratio:       %.4f  (%.1fx reduction, gate >= 5x)\n", ewmaBeat, reduction)
-	fmt.Printf("  duty-locked window beat ratio:   %.4f\n", lockedBeat)
 	fmt.Printf("  autocorrelation beat detection:  period %d cycles, corr %.2f (duty period %d)\n",
 		lag, corr, dutyPeriod)
 	fmt.Printf("  history sampler: %d series, %.0f ns/sample = %.4f%% of Q=%v (gate <= 1%%)\n",

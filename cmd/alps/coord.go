@@ -119,7 +119,6 @@ func cmdCoord(args []string) error {
 	quantum := fs.Duration("q", 0, "fleet-wide quantum pushed with every assignment (0: shards keep their own)")
 	gain := fs.Float64("gain", 0, "rebalance step clamp: one round moves a share by at most this factor (0: default 2)")
 	deadband := fs.Float64("deadband", 0, "global RMS share error below which no rebalance is committed (0: default 0.02)")
-	adaptive := fs.Bool("adaptive", true, "let the fleet auditor's convergence view retune rebalance damping and deadband each round (convergence-fed damping)")
 	timelineEvery := fs.Duration("timeline-every", time.Second, "retained-history sampling cadence for /fleet/timeline (0 disables the fleet timeline)")
 	traceDir := fs.String("trace-dir", "", "directory for correlated fleet trace bundles (empty: in-memory only, still served at /debug/fleet-trace)")
 	self := fs.String("self", "", "this replica's own base URL as peers and shards reach it (enables replication)")
@@ -177,18 +176,17 @@ func cmdCoord(args []string) error {
 		},
 	})
 	srv, err := coord.NewServer(coord.ServerConfig{
-		TTL:             *ttl,
-		RebalanceEvery:  *rebalance,
-		Quantum:         *quantum,
-		Weights:         weights,
-		StatePath:       *state,
-		Self:            *self,
-		Peers:           peerList,
-		LeaderTTL:       *leaderTTL,
-		Planner:         coord.PlannerConfig{Gain: *gain, Deadband: *deadband},
-		AdaptiveDamping: *adaptive,
-		Metrics:         reg,
-		Fleet:           fleet,
+		TTL:            *ttl,
+		RebalanceEvery: *rebalance,
+		Quantum:        *quantum,
+		Weights:        weights,
+		StatePath:      *state,
+		Self:           *self,
+		Peers:          peerList,
+		LeaderTTL:      *leaderTTL,
+		Planner:        coord.PlannerConfig{Gain: *gain, Deadband: *deadband},
+		Metrics:        reg,
+		Fleet:          fleet,
 		Logf: func(format string, args ...any) {
 			errlog.Info(fmt.Sprintf(format, args...))
 		},

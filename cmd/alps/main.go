@@ -84,8 +84,7 @@ func usage() {
   alps user   [common flags] [-refresh 1s] name:share ...
   alps coord  -http :7070 [-ttl 5s] [-rebalance 2s] [-state FILE]
               [-self URL -peers URL,URL] [-leader-ttl 2s]
-              [-adaptive=false] [-timeline-every 1s]
-              [-trace-dir D] [id:weight ...]
+              [-timeline-every 1s] [-trace-dir D] [id:weight ...]
 
 common flags:
   -q 20ms       ALPS quantum
@@ -121,12 +120,6 @@ audit and timeline flags:
   -audit-drift F    windowed RMS share error above which the drift trigger
                     fires the flight recorder (default 0.10); retunable
                     live via /admin/config (audit_drift)
-  -audit-ewma A     EWMA-over-windows weight for the smoothed share-error
-                    gauge alps_audit_rms_share_error_ewma (default 0.1;
-                    0 mirrors the raw windowed RMS)
-  -audit-lock       lock the audit window to a whole multiple of the
-                    measured duty-cycle period, so the RMS gauge stops
-                    beating against periodic workloads
   -timeline-every D retained-history sampling cadence: every D, one point
                     per metric series is kept in a bounded ring served at
                     /debug/timeline as JSON (?format=csv for CSV); 0
@@ -145,9 +138,7 @@ document on /fleet/healthz, the retained fleet timeline on
 /fleet/timeline, and the latest correlated fleet trace bundle
 (Perfetto-loadable, merged across the coordinator and every uploading
 shard) on /debug/fleet-trace; -trace-dir on coord persists those bundles
-as fleet-<reason>-<epoch>/. With -adaptive (on by default) the
-rebalancer's damping and deadband follow the fleet auditor's convergence
-view instead of staying fixed; -adaptive=false pins the static tuning.
+as fleet-<reason>-<epoch>/.
 
 SIGUSR1 dumps the cycle journal to stderr. SIGUSR2 dumps a flight-recorder
 trace. SIGHUP reloads -config.
@@ -170,12 +161,10 @@ type commonOpts struct {
 	shard     *string
 	capacity  *float64
 
-	// Observability tuning: the accuracy auditor's window and estimator
-	// knobs, and the retained-history sampling cadence.
+	// Observability tuning: the accuracy auditor's window and drift
+	// threshold, and the retained-history sampling cadence.
 	auditWindow   *int
 	auditDrift    *float64
-	auditEWMA     *float64
-	auditLock     *bool
 	timelineEvery *time.Duration
 
 	fs *flag.FlagSet // nil when constructed directly (tests)
@@ -197,8 +186,6 @@ func commonFlags(fs *flag.FlagSet) commonOpts {
 
 		auditWindow:   fs.Int("audit-window", 32, "accuracy auditor sliding-window length, in allocation cycles; also settable live via /admin/config"),
 		auditDrift:    fs.Float64("audit-drift", 0.10, "windowed RMS share error above which the drift trigger fires the flight recorder"),
-		auditEWMA:     fs.Float64("audit-ewma", 0.1, "EWMA-over-windows weight for the smoothed share-error gauge (0 mirrors the raw windowed RMS)"),
-		auditLock:     fs.Bool("audit-lock", false, "lock the audit window to a whole multiple of the measured duty-cycle period, suppressing window/duty-cycle aliasing"),
 		timelineEvery: fs.Duration("timeline-every", time.Second, "retained-history sampling cadence for /debug/timeline (0 disables the timeline)"),
 
 		fs: fs,
@@ -252,9 +239,6 @@ func (o commonOpts) validate() error {
 	if o.auditDrift != nil && *o.auditDrift <= 0 {
 		return fmt.Errorf("-audit-drift must be positive, got %v", *o.auditDrift)
 	}
-	if o.auditEWMA != nil && (*o.auditEWMA < 0 || *o.auditEWMA >= 1) {
-		return fmt.Errorf("-audit-ewma must be in [0, 1), got %v (1 would track only the newest window; use a raw gauge for that)", *o.auditEWMA)
-	}
 	if o.timelineEvery != nil && *o.timelineEvery < 0 {
 		return fmt.Errorf("-timeline-every must be zero (timeline off) or positive, got %v", *o.timelineEvery)
 	}
@@ -295,12 +279,6 @@ func (o commonOpts) obsOptions() obsOptions {
 	}
 	if o.auditDrift != nil {
 		op.auditDrift = *o.auditDrift
-	}
-	if o.auditEWMA != nil {
-		op.auditEWMA = *o.auditEWMA
-	}
-	if o.auditLock != nil {
-		op.auditLock = *o.auditLock
 	}
 	if o.timelineEvery != nil {
 		op.timelineEvery = *o.timelineEvery

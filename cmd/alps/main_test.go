@@ -102,8 +102,8 @@ func TestMaxqDefaultScalesWithQuantum(t *testing.T) {
 }
 
 // The audit/timeline flags are validated up front like every other
-// operator input: impossible windows, non-positive drift thresholds,
-// out-of-range EWMA weights and negative cadences fail fast.
+// operator input: impossible windows, non-positive drift thresholds and
+// negative cadences fail fast.
 func TestAuditFlagValidation(t *testing.T) {
 	parse := func(args ...string) commonOpts {
 		t.Helper()
@@ -120,15 +120,12 @@ func TestAuditFlagValidation(t *testing.T) {
 		ok   bool
 	}{
 		{"defaults", nil, true},
-		{"explicit values", []string{"-audit-window", "64", "-audit-drift", "0.2", "-audit-ewma", "0.3", "-audit-lock", "-timeline-every", "500ms"}, true},
+		{"explicit values", []string{"-audit-window", "64", "-audit-drift", "0.2", "-timeline-every", "500ms"}, true},
 		{"one-cycle window", []string{"-audit-window", "1"}, true},
 		{"zero window", []string{"-audit-window", "0"}, false},
 		{"negative window", []string{"-audit-window", "-8"}, false},
 		{"zero drift", []string{"-audit-drift", "0"}, false},
 		{"negative drift", []string{"-audit-drift", "-0.1"}, false},
-		{"ewma off", []string{"-audit-ewma", "0"}, true},
-		{"ewma at one", []string{"-audit-ewma", "1"}, false},
-		{"negative ewma", []string{"-audit-ewma", "-0.5"}, false},
 		{"timeline off", []string{"-timeline-every", "0"}, true},
 		{"negative timeline cadence", []string{"-timeline-every", "-1s"}, false},
 	}
@@ -148,12 +145,12 @@ func TestObsOptionsFromFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	opts := commonFlags(fs)
 	if err := fs.Parse([]string{"-http", ":0", "-audit-window", "7", "-audit-drift", "0.25",
-		"-audit-ewma", "0.4", "-audit-lock", "-timeline-every", "250ms"}); err != nil {
+		"-timeline-every", "250ms"}); err != nil {
 		t.Fatal(err)
 	}
 	op := opts.obsOptions()
 	want := obsOptions{addr: ":0", auditWindow: 7, auditDrift: 0.25,
-		auditEWMA: 0.4, auditLock: true, timelineEvery: 250 * time.Millisecond}
+		timelineEvery: 250 * time.Millisecond}
 	if op != want {
 		t.Errorf("obsOptions = %+v, want %+v", op, want)
 	}

@@ -67,16 +67,14 @@ type obsStack struct {
 }
 
 // obsOptions parameterizes an obsStack: the -http listen address, the
-// accuracy auditor's window/estimator knobs (-audit-window, -audit-drift,
-// -audit-ewma, -audit-lock) and the retained-history sampling cadence
+// accuracy auditor's window and drift threshold (-audit-window,
+// -audit-drift) and the retained-history sampling cadence
 // (-timeline-every; 0 disables /debug/timeline). Zero audit values fall
 // through to the trace.Auditor defaults.
 type obsOptions struct {
 	addr          string
 	auditWindow   int
 	auditDrift    float64
-	auditEWMA     float64
-	auditLock     bool
 	timelineEvery time.Duration
 }
 
@@ -100,8 +98,6 @@ func newObsStack(opt obsOptions) *obsStack {
 	st.aud = trace.NewAuditor(trace.AuditorConfig{
 		Window:         opt.auditWindow,
 		DriftThreshold: opt.auditDrift,
-		EWMAAlpha:      opt.auditEWMA,
-		WindowLock:     opt.auditLock,
 		OnDrift: func(rms float64) {
 			if st.rec.Trigger("share_drift") {
 				errlog.Warn("share-error drift", "rms", fmt.Sprintf("%.3f", rms))

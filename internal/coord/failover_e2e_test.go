@@ -88,21 +88,20 @@ func newReplicatedFleet(t *testing.T) *rfleet {
 		})
 		reg := obs.NewRegistry()
 		srv, err := coord.NewServer(coord.ServerConfig{
-			TTL:             chaosTTL,
-			RebalanceEvery:  chaosRebalance,
-			Weights:         map[int64]int64{1: 4, 2: 3, 3: 2, 4: 1},
-			StatePath:       filepath.Join(dir, n+".ckpt"),
-			Self:            replicaSetURL(n),
-			Peers:           peers,
-			LeaderTTL:       foLeaderTTL,
-			FollowEvery:     foFollowEvery,
-			Planner:         coord.PlannerConfig{ScaleTotal: 64},
-			AdaptiveDamping: true, // convergence-fed tuning must not regress failover reconvergence
-			Clock:           clk.Now,
-			Transport:       f.net.Transport(n),
-			Metrics:         reg,
-			Fleet:           stack,
-			Logf:            t.Logf,
+			TTL:            chaosTTL,
+			RebalanceEvery: chaosRebalance,
+			Weights:        map[int64]int64{1: 4, 2: 3, 3: 2, 4: 1},
+			StatePath:      filepath.Join(dir, n+".ckpt"),
+			Self:           replicaSetURL(n),
+			Peers:          peers,
+			LeaderTTL:      foLeaderTTL,
+			FollowEvery:    foFollowEvery,
+			Planner:        coord.PlannerConfig{ScaleTotal: 64},
+			Clock:          clk.Now,
+			Transport:      f.net.Transport(n),
+			Metrics:        reg,
+			Fleet:          stack,
+			Logf:           t.Logf,
 		})
 		if err != nil {
 			t.Fatalf("NewServer(%s): %v", n, err)
@@ -417,7 +416,7 @@ func TestChaosFailover(t *testing.T) {
 		lead, f.srvs[lead].Status().Term, f.srvs[lead].Epoch(), rounds, rms, fenced)
 
 	// The leader's Tick drove its retained history on the virtual clock:
-	// the convergence-fed damping gauges must be in the timeline, and —
+	// the fleet share-error estimator gauges must be in the timeline, and —
 	// when the chaos-failover CI job asks via ALPS_TIMELINE_OUT — the
 	// whole /fleet/timeline document is written out as the run artifact.
 	ft := f.stacks[lead].Timeline()

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"alps/internal/fleetobs"
 	"alps/internal/metrics"
 )
 
@@ -59,42 +58,6 @@ func (c PlannerConfig) withDefaults() PlannerConfig {
 	return c
 }
 
-// AdaptPlanner closes the observability loop: it derives one round's
-// effective planner tuning from the fleet auditor's convergence view.
-// The rules are deliberately coarse — this is hysteresis, not a second
-// controller:
-//
-//	converged, EWMA inside the deadband  → widen the deadband 2× and
-//	  halve the damping exponent: the fleet is where it should be, so
-//	  freeze epoch churn and make any step that does fire gentle;
-//	cv.EWMA above 2× the deadband and rising → undamp (exponent ×1.5,
-//	  capped at the full Newton step): the error is real and growing,
-//	  wobble-safety is the wrong trade;
-//	anything else (or no signal yet)     → the static tuning.
-//
-// The EWMA estimator, not the raw per-round RMS, feeds both rules: the
-// raw gauge beats against shard duty cycles (see internal/fleetobs),
-// and damping decisions keyed to an aliased signal would breathe with
-// the beat.
-func AdaptPlanner(base PlannerConfig, cv fleetobs.ConvergenceView) PlannerConfig {
-	base = base.withDefaults()
-	if !cv.Valid {
-		return base
-	}
-	switch {
-	case cv.Converged && cv.EWMA < base.Deadband:
-		base.Deadband *= 2
-		base.Damping /= 2
-	case cv.EWMA > 2*base.Deadband && cv.Rising:
-		if d := base.Damping * 1.5; d < 1 {
-			base.Damping = d
-		} else {
-			base.Damping = 1
-		}
-	}
-	return base
-}
-
 // ShardLoad is one live shard's input to a rebalance round.
 type ShardLoad struct {
 	Name string
@@ -116,14 +79,20 @@ type PlanResult struct {
 	// Shares is the new per-shard assignment (every live shard present,
 	// unchanged vectors included).
 	Shares map[string]map[int64]int64
-	// GlobalRMS is the RMS relative global share error measured from
-	// the input window: rms over principals of (f_p - t_p)/t_p where
-	// f_p is the consumed fraction and t_p the weight fraction.
-	// Negative when the window carried no consumption to measure.
+	// GlobalRMS is metrics.ShareError's RMS over the live principals
+	// for the input window. Negative when the window carried no signal
+	// (no live principal consumed anything).
 	GlobalRMS float64
 	// Changed reports whether any share moved (an epoch is worth
 	// committing only if it did).
 	Changed bool
+	// Weights is the live-weight vector, the target set GlobalRMS is
+	// measured against: every principal hosted by a live shard, with
+	// its global weight (1 when absent from the table).
+	Weights map[int64]float64
+	// Consumed is the window's consumption per principal summed over
+	// the live shards, principals outside the target set included.
+	Consumed map[int64]float64
 }
 
 // Plan computes one rebalance round over the live shards. weights is the
@@ -131,34 +100,35 @@ type PlanResult struct {
 // lists each live shard's committed shares and window consumption.
 func Plan(cfg PlannerConfig, weights map[int64]int64, shards []ShardLoad) PlanResult {
 	cfg = cfg.withDefaults()
-	res := PlanResult{Shares: make(map[string]map[int64]int64, len(shards)), GlobalRMS: -1}
+	res := PlanResult{
+		Shares:    make(map[string]map[int64]int64, len(shards)),
+		GlobalRMS: -1,
+		Weights:   make(map[int64]float64),
+		Consumed:  make(map[int64]float64),
+	}
 
 	// Live principals: union over live shards. A principal whose every
 	// host died drops out of the target — redistribution to survivors.
-	weightOf := func(p int64) float64 {
-		if w, ok := weights[p]; ok && w > 0 {
-			return float64(w)
-		}
-		return 1
-	}
-	actual := make(map[int64]float64)
-	var totalW, totalC float64
-	live := make(map[int64]bool)
+	var live []int64
 	for _, s := range shards {
 		for p := range s.Shares {
-			if !live[p] {
-				live[p] = true
-				totalW += weightOf(p)
+			if _, ok := res.Weights[p]; !ok {
+				w := float64(1)
+				if v := weights[p]; v > 0 {
+					w = float64(v)
+				}
+				res.Weights[p] = w
+				live = append(live, p)
 			}
 		}
 		for p, c := range s.Consumed {
-			actual[p] += c
-			totalC += c
+			res.Consumed[p] += c
 		}
 	}
 	if len(live) == 0 {
 		return res
 	}
+	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
 
 	// Copy-through defaults; overwritten below when there is signal.
 	for _, s := range shards {
@@ -168,27 +138,31 @@ func Plan(cfg PlannerConfig, weights map[int64]int64, shards []ShardLoad) PlanRe
 		}
 		res.Shares[s.Name] = out
 	}
-	if totalC <= 0 || totalW <= 0 {
+	consumed := make([]float64, len(live))
+	weight := make([]float64, len(live))
+	for i, p := range live {
+		consumed[i], weight[i] = res.Consumed[p], res.Weights[p]
+	}
+	rel := make([]float64, len(live))
+	rms, ok := metrics.ShareError(rel, consumed, weight)
+	if !ok {
 		return res // idle window: nothing to measure, nothing to move
 	}
+	res.GlobalRMS = rms
+	if rms < cfg.Deadband {
+		return res // converged: hold the distribution steady
+	}
 
-	// Measured error and per-principal raw correction ratio (clamped
-	// per shard below, after the capacity exponent).
+	// Per-principal raw correction ratio (t/f)^Damping, from the
+	// achieved-to-target fraction f/t = 1 + rel (clamped per shard
+	// below, after the capacity exponent).
 	ratio := make(map[int64]float64, len(live))
-	rel := make([]float64, 0, len(live))
-	for p := range live {
-		t := weightOf(p) / totalW
-		f := actual[p] / totalC
-		rel = append(rel, (f-t)/t)
+	for i, p := range live {
 		r := cfg.Gain // unserved principal: maximum boost
-		if f > 0 {
-			r = math.Pow(t/f, cfg.Damping)
+		if consumed[i] > 0 {
+			r = math.Pow(1+rel[i], -cfg.Damping)
 		}
 		ratio[p] = r
-	}
-	res.GlobalRMS = metrics.RMS(rel)
-	if res.GlobalRMS < cfg.Deadband {
-		return res // converged: hold the distribution steady
 	}
 
 	// Capacity-weighted step: each shard's correction is the global

@@ -3,8 +3,11 @@ package coord
 import (
 	"math"
 	"testing"
+	"time"
 
+	"alps/internal/core"
 	"alps/internal/fleetobs"
+	"alps/internal/trace"
 )
 
 // simulateWindow models what a fleet of 1-CPU shards would consume in
@@ -77,19 +80,22 @@ func TestPlanDeadband(t *testing.T) {
 	}
 }
 
-// TestPlanIdleWindow: a window with no consumption carries no signal;
-// shares are copied through unchanged and RMS reports -1.
+// TestPlanIdleWindow: a window in which no live principal consumed
+// anything carries no signal — even if a principal no live shard hosts
+// did; shares are copied through unchanged and RMS reports -1.
 func TestPlanIdleWindow(t *testing.T) {
-	res := Plan(PlannerConfig{}, map[int64]int64{1: 1},
-		[]ShardLoad{{Name: "s1", Shares: map[int64]int64{1: 50}}})
-	if res.Changed {
-		t.Fatal("idle window moved shares")
-	}
-	if res.GlobalRMS != -1 {
-		t.Fatalf("idle window rms = %v, want -1", res.GlobalRMS)
-	}
-	if res.Shares["s1"][1] != 50 {
-		t.Fatalf("idle window altered shares: %v", res.Shares)
+	for _, consumed := range []map[int64]float64{nil, {1: 0, 9: 0.5}} {
+		res := Plan(PlannerConfig{}, map[int64]int64{1: 1, 2: 4},
+			[]ShardLoad{{Name: "s1", Shares: map[int64]int64{1: 50, 2: 50}, Consumed: consumed}})
+		if res.Changed {
+			t.Fatalf("idle window %v moved shares", consumed)
+		}
+		if res.GlobalRMS != -1 {
+			t.Fatalf("idle window %v rms = %v, want -1", consumed, res.GlobalRMS)
+		}
+		if res.Shares["s1"][1] != 50 || res.Shares["s1"][2] != 50 {
+			t.Fatalf("idle window %v altered shares: %v", consumed, res.Shares)
+		}
 	}
 }
 
@@ -222,49 +228,54 @@ func TestScaleSharesDeterministic(t *testing.T) {
 	}
 }
 
-// TestAdaptPlanner pins the convergence-fed tuning rules: converged
-// fleets freeze churn (wider deadband, gentler exponent), a rising
-// smoothed error undamps toward the full Newton step (capped at 1),
-// and an invalid or in-between view leaves the static tuning alone.
-func TestAdaptPlanner(t *testing.T) {
-	base := PlannerConfig{Gain: 2, Damping: 0.5, ScaleTotal: 64, Deadband: 0.02}
+// TestShareErrorAgreement: the node auditor, the fleet auditor and the
+// planner report one RMS share error for one window. The node auditor
+// sees only its target tasks; the fleet auditor and Plan see the same
+// window plus principal 9, which no live shard hosts. 9 is outside the
+// target set, so its consumption must move neither the consumed nor the
+// target fractions.
+func TestShareErrorAgreement(t *testing.T) {
+	weights := map[int64]int64{1: 4, 2: 2, 3: 1}
+	node := trace.NewAuditor(trace.AuditorConfig{Window: 1})
+	node.OnCycle(core.CycleRecord{Tasks: []core.CycleTask{
+		{ID: 1, Share: 4, Consumed: 500 * time.Millisecond},
+		{ID: 2, Share: 2, Consumed: 300 * time.Millisecond},
+		{ID: 3, Share: 1, Consumed: 200 * time.Millisecond},
+	}})
 
-	cases := []struct {
-		name         string
-		cv           fleetobs.ConvergenceView
-		wantDamping  float64
-		wantDeadband float64
-	}{
-		{"no signal", fleetobs.ConvergenceView{}, 0.5, 0.02},
-		{"converged and quiet", fleetobs.ConvergenceView{Valid: true, Converged: true, EWMA: 0.01}, 0.25, 0.04},
-		{"converged but error above deadband", fleetobs.ConvergenceView{Valid: true, Converged: true, EWMA: 0.03}, 0.5, 0.02},
-		{"diverging", fleetobs.ConvergenceView{Valid: true, EWMA: 0.05, Rising: true}, 0.75, 0.02},
-		{"large error but not rising (wobble)", fleetobs.ConvergenceView{Valid: true, EWMA: 0.05}, 0.5, 0.02},
-		{"settling disturbance, mid error", fleetobs.ConvergenceView{Valid: true, EWMA: 0.03}, 0.5, 0.02},
+	loads := []ShardLoad{
+		{Name: "a", Shares: map[int64]int64{1: 100, 2: 100}, Consumed: map[int64]float64{1: 0.5, 2: 0.1}},
+		{Name: "b", Shares: map[int64]int64{2: 100, 3: 100}, Consumed: map[int64]float64{2: 0.2, 3: 0.2, 9: 0.7}},
 	}
-	for _, tc := range cases {
-		got := AdaptPlanner(base, tc.cv)
-		if got.Damping != tc.wantDamping || got.Deadband != tc.wantDeadband {
-			t.Errorf("%s: AdaptPlanner -> damping %v deadband %v, want %v %v",
-				tc.name, got.Damping, got.Deadband, tc.wantDamping, tc.wantDeadband)
+	res := Plan(PlannerConfig{}, weights, loads)
+
+	// The fleet auditor gets the window as Server.Rebalance aggregates
+	// it, outsider included, against the live weights.
+	fleet := fleetobs.NewFleetAuditor(fleetobs.AuditorConfig{RMSWindow: 1})
+	fleet.OnRound(map[int64]float64{1: 0.5, 2: 0.3, 3: 0.2, 9: 0.7},
+		map[int64]float64{1: 4, 2: 2, 3: 1}, false)
+
+	want := node.RMSShareError()
+	if want < 0.1 {
+		t.Fatalf("node RMS %v: the window should be visibly off share", want)
+	}
+	for name, got := range map[string]float64{
+		"Plan.GlobalRMS":      res.GlobalRMS,
+		"fleet windowed RMS":  fleet.GlobalRMSShareError(),
+		"fleet per-round RMS": fleet.RoundRMSShareError(),
+	} {
+		if math.Abs(got-want) > 1e-12 {
+			t.Errorf("%s = %v, node auditor = %v", name, got, want)
 		}
-		if got.Gain != 2 || got.ScaleTotal != 64 {
-			t.Errorf("%s: untouched knobs moved: %+v", tc.name, got)
-		}
 	}
 
-	// The undamp path saturates at the full step.
-	hot := base
-	hot.Damping = 0.8
-	got := AdaptPlanner(hot, fleetobs.ConvergenceView{Valid: true, EWMA: 1, Rising: true})
-	if got.Damping != 1 {
-		t.Errorf("undamp should cap at 1, got %v", got.Damping)
+	// Plan hands Server.Rebalance the same target set and window it
+	// measured, so the coordinator feeds the auditor without rebuilding
+	// them.
+	if len(res.Weights) != 3 || res.Weights[1] != 4 || res.Weights[2] != 2 || res.Weights[3] != 1 {
+		t.Errorf("Plan live weights = %v, want {1:4 2:2 3:1}", res.Weights)
 	}
-
-	// Zero-value base picks up defaults before adapting, so the rules
-	// scale off the real effective tuning.
-	got = AdaptPlanner(PlannerConfig{}, fleetobs.ConvergenceView{Valid: true, Converged: true, EWMA: 0.001})
-	if got.Damping != 0.25 || got.Deadband != 0.04 {
-		t.Errorf("defaults not applied before adapting: %+v", got)
+	if res.Consumed[9] != 0.7 || math.Abs(res.Consumed[2]-0.3) > 1e-15 {
+		t.Errorf("Plan consumed = %v, want the window summed over shards", res.Consumed)
 	}
 }

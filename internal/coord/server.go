@@ -56,13 +56,6 @@ type ServerConfig struct {
 	Transport http.RoundTripper
 	// Planner tunes the rebalance step.
 	Planner PlannerConfig
-	// AdaptiveDamping closes the observability loop (requires Fleet):
-	// each round's damping exponent and deadband are derived from the
-	// fleet auditor's convergence view via AdaptPlanner — converged
-	// fleets get a wider deadband and gentler steps (epoch churn
-	// freezes), a rising smoothed error undamps. Off, the static Planner
-	// tuning is used verbatim.
-	AdaptiveDamping bool
 	// Clock overrides time.Now (tests run on a virtual clock).
 	Clock func() time.Time
 	// Metrics, if non-nil, receives the alps_coord_* families.
@@ -120,10 +113,6 @@ type Server struct {
 	leaseSeq uint64
 	nextReb  time.Time
 	lastRMS  float64 // last measured global RMS (-1: no signal yet)
-	// Effective planner tuning of the last rebalance round (equal to the
-	// static config unless AdaptiveDamping moved them).
-	adaptDamping  float64
-	adaptDeadband float64
 
 	// Replication state (quiescent when cfg.Self is empty: isLeader is
 	// pinned true and term stays at whatever the checkpoint held).
@@ -333,12 +322,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		"Replica-state pulls from a deposed (lower-term) leader, ignored.", s.fencedPulls.get)
 	reg.CounterFunc("alps_coord_weight_updates_total",
 		"Live weight-table reconfigurations committed.", s.weightUpdates.get)
-	reg.GaugeFunc("alps_coord_adaptive_damping",
-		"Damping exponent the last rebalance round actually used (static config unless adaptive damping moved it).",
-		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return s.adaptDamping })
-	reg.GaugeFunc("alps_coord_adaptive_deadband",
-		"Deadband the last rebalance round actually used (static config unless adaptive damping moved it).",
-		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return s.adaptDeadband })
 }
 
 // ServeHTTP serves the /coord/v1/* control-plane endpoints.
@@ -505,20 +488,13 @@ func (s *Server) Rebalance(now time.Time) {
 		return
 	}
 
-	planner := s.cfg.Planner.withDefaults()
-	if s.cfg.AdaptiveDamping && s.cfg.Fleet != nil {
-		planner = AdaptPlanner(planner, s.cfg.Fleet.Auditor.Convergence())
-	}
-	res := Plan(planner, weights, loads)
+	res := Plan(s.cfg.Planner, weights, loads)
 
 	s.mu.Lock()
-	s.adaptDamping, s.adaptDeadband = planner.Damping, planner.Deadband
 	if res.GlobalRMS >= 0 {
 		s.lastRMS = res.GlobalRMS
 	}
-	// The window is spent whether or not anything moved. Replacing the
-	// maps (rather than clearing) keeps the references inside loads valid
-	// for the fleet aggregation below.
+	// The window is spent whether or not anything moved.
 	for _, rec := range s.shards {
 		rec.window = make(map[int64]float64)
 	}
@@ -535,30 +511,11 @@ func (s *Server) Rebalance(now time.Time) {
 	s.mu.Unlock()
 
 	if fleet := s.cfg.Fleet; fleet != nil {
-		agg := make(map[int64]float64)
-		for _, l := range loads {
-			for p, v := range l.Consumed {
-				agg[p] += v
-			}
-		}
-		// The auditor's global-RMS target is restricted to principals
+		// The auditor measures against Plan's target set, the principals
 		// still hosted by a *live* shard: a dead shard's principals must
 		// not keep shaping the fleet error after their capacity was
 		// redistributed.
-		wf := make(map[int64]float64)
-		for _, l := range loads {
-			for p := range l.Shares {
-				if _, seen := wf[p]; seen {
-					continue
-				}
-				w := float64(1)
-				if ww, ok := weights[p]; ok && ww > 0 {
-					w = float64(ww)
-				}
-				wf[p] = w
-			}
-		}
-		fleet.Auditor.OnRound(agg, wf, res.Changed)
+		fleet.Auditor.OnRound(res.Consumed, res.Weights, res.Changed)
 		fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindPlan, Epoch: epoch, Term: term,
 			Note: fmt.Sprintf("rms=%.3f shards=%d", res.GlobalRMS, len(loads))})
 		if res.Changed {

@@ -84,11 +84,11 @@ type LoopScaleParams struct {
 // DefaultLoopScaleParams sweeps N = 10..5000.
 func DefaultLoopScaleParams() LoopScaleParams {
 	return LoopScaleParams{
-		Ns:             []int{10, 50, 100, 250, 500, 1000, 2000, 5000},
-		Quantum:        10 * time.Millisecond,
-		Warmup:         50,
-		Measure:        300,
-		ActivePermille: 50,
+		Ns:              []int{10, 50, 100, 250, 500, 1000, 2000, 5000},
+		Quantum:         10 * time.Millisecond,
+		Warmup:          50,
+		Measure:         300,
+		ActivePermille:  50,
 		Samplers:        runtime.GOMAXPROCS(0),
 		SpeedupAtN:      1000,
 		GroupPrincipals: 50,

@@ -122,20 +122,13 @@ func smpRun(p SMPParams, shares []int64, m int, offset time.Duration) (errPct, u
 				// Per-cycle accuracy vs the proportional split of
 				// what the cycle actually delivered (on SMP the
 				// cycle's CPU total varies with idle capacity).
-				var cycleTotal time.Duration
-				for _, t := range rec.Tasks {
-					cycleTotal += t.Consumed
+				consumed := make([]float64, len(rec.Tasks))
+				weight := make([]float64, len(rec.Tasks))
+				for i, t := range rec.Tasks {
+					consumed[i], weight[i] = float64(t.Consumed), float64(t.Share)
 				}
-				if cycleTotal > 0 {
-					actual := make([]float64, len(rec.Tasks))
-					ideal := make([]float64, len(rec.Tasks))
-					for i, t := range rec.Tasks {
-						actual[i] = float64(t.Consumed)
-						ideal[i] = float64(t.Share) / float64(total) * float64(cycleTotal)
-					}
-					if v, err := metrics.RMSRelativeError(actual, ideal); err == nil {
-						rms = append(rms, v)
-					}
+				if v, ok := metrics.ShareError(nil, consumed, weight); ok {
+					rms = append(rms, v)
 				}
 			}
 			if seen >= target {

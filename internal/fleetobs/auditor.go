@@ -27,18 +27,9 @@ const DefaultStableStreak = 2
 // that far behind is the degraded-shard gauge's problem, not latency's).
 const trackedCommits = 64
 
-// DefaultEWMAAlpha is the per-round EWMA weight when AuditorConfig
-// leaves EWMAAlpha zero. 0.1 attenuates the short window-vs-duty-cycle
-// beats (period 2-4 rounds) by an order of magnitude while still
-// tracking a real drift within ~10 rounds.
-const DefaultEWMAAlpha = 0.1
-
 // beatWindow bounds the ring of recent per-round RMS values behind the
 // alps_fleet_rms_beat_ratio gauge.
 const beatWindow = 32
-
-// ewmaTrail is how many recent EWMA values the Rising detector keeps.
-const ewmaTrail = 4
 
 // AuditorConfig parameterizes a FleetAuditor.
 type AuditorConfig struct {
@@ -55,11 +46,6 @@ type AuditorConfig struct {
 	// and flagged in healthz — a dead shard's last-known gauges must not
 	// keep shaping the fleet picture forever.
 	LeaseTTL time.Duration
-	// EWMAAlpha weights the per-round EWMA share-error estimator
-	// (DefaultEWMAAlpha when 0; negative disables, pinning the EWMA
-	// gauge to the raw windowed RMS). The raw windowed gauge is
-	// untouched either way — the EWMA is a second estimator beside it.
-	EWMAAlpha float64
 }
 
 // Flag bits in a ShardAudit's packed state word.
@@ -154,9 +140,7 @@ type FleetAuditor struct {
 	weights  map[int64]float64
 	rms      float64
 	roundRMS float64 // newest round only — the wobbly instantaneous view
-	ewma     float64
-	ewmaInit bool
-	trail    *obs.Ring[float64] // recent EWMA values, for the Rising detector
+	ewma     metrics.EWMA
 	beatRing *obs.Ring[float64] // recent per-round RMS values, for the beat gauge
 	conv     convergence
 	hist     *obs.Histogram
@@ -185,9 +169,6 @@ func NewFleetAuditor(cfg AuditorConfig) *FleetAuditor {
 	if cfg.StableStreak <= 0 {
 		cfg.StableStreak = DefaultStableStreak
 	}
-	if cfg.EWMAAlpha == 0 {
-		cfg.EWMAAlpha = DefaultEWMAAlpha
-	}
 	now := time.Now
 	if cfg.Now != nil {
 		now = cfg.Now
@@ -198,7 +179,6 @@ func NewFleetAuditor(cfg AuditorConfig) *FleetAuditor {
 		shards:   make(map[string]*ShardAudit),
 		commits:  obs.NewRing[commitRec](trackedCommits),
 		rounds:   obs.NewRing[roundRec](cfg.RMSWindow),
-		trail:    obs.NewRing[float64](ewmaTrail),
 		beatRing: obs.NewRing[float64](beatWindow),
 		conv:     convergence{converged: true},
 	}
@@ -308,31 +288,34 @@ func (f *FleetAuditor) OnAck(shard string, ackEpoch uint64, at time.Time) {
 }
 
 // OnRound folds one rebalance round: the fleet-aggregated window
-// consumption per principal, the global weight table, and whether the
-// round moved shares. It advances the global RMS sliding window and the
-// convergence state machine.
+// consumption per principal, the live weight table (the target set:
+// consumption by anyone outside it counts for nothing), and whether the
+// round moved shares. It advances the global RMS sliding window, the
+// per-round estimators and the convergence state machine. A window that
+// carries no share-error signal (all targets idle) moves no estimator.
 func (f *FleetAuditor) OnRound(consumed map[int64]float64, weights map[int64]float64, changed bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.weights = weights
 	f.rounds.Push(roundRec{consumed: consumed})
-	f.rms = f.globalRMSLocked()
+	sum := make(map[int64]float64)
+	for i := f.rounds.Len() - 1; i >= 0; i-- {
+		for p, v := range f.rounds.Newest(i).consumed {
+			sum[p] += v
+		}
+	}
+	if rms, ok := f.shareErrorLocked(sum); ok {
+		f.rms = rms
+	}
 
 	// The per-round estimators: an instantaneous RMS over just this
 	// round (which beats against shard duty cycles), the EWMA that
 	// smooths that beat away, and the ring behind the beat-ratio gauge.
-	f.roundRMS = f.rmsOfLocked(consumed)
-	if a := f.cfg.EWMAAlpha; a > 0 {
-		if !f.ewmaInit {
-			f.ewma, f.ewmaInit = f.roundRMS, true
-		} else {
-			f.ewma = a*f.roundRMS + (1-a)*f.ewma
-		}
-	} else {
-		f.ewma, f.ewmaInit = f.rms, true
+	if rms, ok := f.shareErrorLocked(consumed); ok {
+		f.roundRMS = rms
+		f.ewma.Add(rms)
+		f.beatRing.Push(rms)
 	}
-	f.trail.Push(f.ewma)
-	f.beatRing.Push(f.roundRMS)
 
 	c := &f.conv
 	if changed {
@@ -352,55 +335,16 @@ func (f *FleetAuditor) OnRound(consumed map[int64]float64, weights map[int64]flo
 	}
 }
 
-// globalRMSLocked computes §3.1's RMS share error fleet-wide: over the
-// window, each principal's achieved fraction of total consumption vs its
-// fraction of total weight, error normalized by the target. Principals
-// with zero weight or no consumption window are skipped.
-func (f *FleetAuditor) globalRMSLocked() float64 {
-	if f.rounds.Len() == 0 {
-		return 0
+// shareErrorLocked is metrics.ShareError of one consumption aggregate
+// against the current weight table. Caller holds f.mu.
+func (f *FleetAuditor) shareErrorLocked(consumed map[int64]float64) (float64, bool) {
+	c := make([]float64, 0, len(f.weights))
+	w := make([]float64, 0, len(f.weights))
+	for p, wt := range f.weights {
+		c = append(c, consumed[p])
+		w = append(w, wt)
 	}
-	sum := make(map[int64]float64)
-	for i := f.rounds.Len() - 1; i >= 0; i-- {
-		for p, v := range f.rounds.Newest(i).consumed {
-			sum[p] += v
-		}
-	}
-	return f.rmsOfLocked(sum)
-}
-
-// rmsOfLocked computes the fleet RMS share error of one consumption
-// aggregate against the current weight table. Caller holds f.mu.
-func (f *FleetAuditor) rmsOfLocked(sum map[int64]float64) float64 {
-	if len(f.weights) == 0 {
-		return 0
-	}
-	var total float64
-	for _, v := range sum {
-		total += v
-	}
-	if total <= 0 {
-		return 0
-	}
-	var totalW float64
-	for _, w := range f.weights {
-		if w > 0 {
-			totalW += w
-		}
-	}
-	if totalW <= 0 {
-		return 0
-	}
-	errs := make([]float64, 0, len(f.weights))
-	for p, w := range f.weights {
-		if w <= 0 {
-			continue
-		}
-		target := w / totalW
-		achieved := sum[p] / total
-		errs = append(errs, (achieved-target)/target)
-	}
-	return metrics.RMS(errs)
+	return metrics.ShareError(nil, c, w)
 }
 
 // stale reports whether a row's gauges are stale: its last beat is
@@ -476,7 +420,7 @@ func (f *FleetAuditor) RoundRMSShareError() float64 {
 func (f *FleetAuditor) EWMAShareError() float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.ewma
+	return f.ewma.Value()
 }
 
 // RMSBeatRatio returns (max-min)/mean over the recent per-round RMS
@@ -485,50 +429,6 @@ func (f *FleetAuditor) RMSBeatRatio() float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return metrics.BeatRatio(f.beatRing.Snapshot())
-}
-
-// ConvergenceView is the compact control signal the rebalancer's
-// adaptive damping consumes: the convergence state machine plus the
-// smoothed error estimators, read in one lock acquisition.
-type ConvergenceView struct {
-	// Valid is false until at least one rebalance round has been folded
-	// in — an adaptive consumer must fall back to its static tuning.
-	Valid bool
-	// Converged mirrors the alps_fleet_converged gauge.
-	Converged bool
-	// EWMA is the smoothed per-round fleet RMS share error.
-	EWMA float64
-	// Round is the newest round's raw instantaneous RMS.
-	Round float64
-	// Rising is true when the EWMA has been climbing across the recent
-	// trail — the fleet is diverging, not just wobbling.
-	Rising bool
-}
-
-// Convergence snapshots the view.
-func (f *FleetAuditor) Convergence() ConvergenceView {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v := ConvergenceView{
-		Valid:     f.rounds.Len() > 0,
-		Converged: f.conv.converged,
-		EWMA:      f.ewma,
-		Round:     f.roundRMS,
-	}
-	if trail := f.trail.Snapshot(); len(trail) == ewmaTrail {
-		// Monotone climb with real head-to-tail magnitude — a steady
-		// wobble (alternating up/down around a settled mean) must not
-		// read as divergence.
-		n := len(trail)
-		rising := trail[n-1] > trail[0]*1.05 && trail[n-1]-trail[0] > 1e-9
-		for i := 1; i < n && rising; i++ {
-			if trail[i] < trail[i-1] {
-				rising = false
-			}
-		}
-		v.Rising = rising
-	}
-	return v
 }
 
 // Register exports the fleet gauges on a registry (typically the

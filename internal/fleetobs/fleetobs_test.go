@@ -396,14 +396,11 @@ func TestAuditorReplicationView(t *testing.T) {
 }
 
 // TestAuditorRoundEstimators: the per-round raw RMS wobbles on an
-// alternating consumption pattern while the EWMA smooths it, the beat
-// gauge reports the wobble, and the convergence view carries all of it.
+// alternating consumption pattern while the EWMA smooths it, and the
+// beat gauge reports the wobble.
 func TestAuditorRoundEstimators(t *testing.T) {
-	a := NewFleetAuditor(AuditorConfig{RMSWindow: 2, EWMAAlpha: 0.1})
+	a := NewFleetAuditor(AuditorConfig{RMSWindow: 2})
 	w := map[int64]float64{1: 1, 2: 1}
-	if v := a.Convergence(); v.Valid {
-		t.Fatal("view valid before any round")
-	}
 	// A period-2 beat: rounds alternate which principal over-consumes,
 	// so each round's instantaneous RMS is 0.5 while any aligned 2-round
 	// aggregate is perfect.
@@ -423,7 +420,7 @@ func TestAuditorRoundEstimators(t *testing.T) {
 	// The EWMA settles to the mean (0.5 every round here, so equal),
 	// but its excursion across the tail must be far below the raw
 	// swing... use a pattern where raw actually swings:
-	b := NewFleetAuditor(AuditorConfig{RMSWindow: 2, EWMAAlpha: 0.1})
+	b := NewFleetAuditor(AuditorConfig{RMSWindow: 2})
 	var rawTail, ewmaTailVals []float64
 	for i := 0; i < 60; i++ {
 		c := map[int64]float64{1: 0.5, 2: 0.5} // perfect: RMS 0
@@ -447,22 +444,38 @@ func TestAuditorRoundEstimators(t *testing.T) {
 	if br := b.RMSBeatRatio(); br < 1 {
 		t.Errorf("beat ratio %v implausibly small for a 0<->0.5 square wave", br)
 	}
-	v := b.Convergence()
-	if !v.Valid || !v.Converged {
-		t.Errorf("view = %+v, want valid and converged (no round moved shares)", v)
+	if !b.Health().Converged {
+		t.Error("fleet not converged although no round moved shares")
 	}
-	if v.Rising {
-		t.Error("steady wobble must not read as divergence")
-	}
+}
 
-	// A genuinely diverging error trend flips Rising.
-	d := NewFleetAuditor(AuditorConfig{RMSWindow: 2, EWMAAlpha: 0.5})
-	for i := 0; i < 10; i++ {
-		skew := 0.5 + 0.04*float64(i) // drifts further off the 1:1 target
-		d.OnRound(map[int64]float64{1: skew, 2: 1 - skew}, w, false)
+// TestAuditorIdleRoundNoSignal: a round in which no target consumed
+// anything carries no share-error signal, so it moves no estimator —
+// the windowed and per-round RMS, the EWMA and the beat ring all hold.
+// Folding the idle round in as 0 would pull the EWMA from 0.50 to 0.45
+// and the beat ratio from 0 to 1.03.
+func TestAuditorIdleRoundNoSignal(t *testing.T) {
+	a := NewFleetAuditor(AuditorConfig{RMSWindow: 4})
+	w := map[int64]float64{1: 1, 2: 1}
+	for i := 0; i < 31; i++ {
+		a.OnRound(map[int64]float64{1: 0.75, 2: 0.25}, w, false)
 	}
-	if v := d.Convergence(); !v.Rising {
-		t.Errorf("steadily growing error not flagged Rising: %+v", v)
+	snap := func() [4]float64 {
+		return [4]float64{a.GlobalRMSShareError(), a.RoundRMSShareError(), a.EWMAShareError(), a.RMSBeatRatio()}
+	}
+	before := snap()
+	if math.Abs(before[2]-0.5) > 1e-12 || before[3] != 0 {
+		t.Fatalf("setup: EWMA %v, beat ratio %v; want 0.5 and 0", before[2], before[3])
+	}
+	a.OnRound(map[int64]float64{1: 0, 2: 0}, w, false)
+	if after := snap(); after != before {
+		t.Errorf("idle round moved the estimators: (global, round, ewma, beat) %v -> %v", before, after)
+	}
+	// Idle targets while principal 9, outside the weight table,
+	// consumed: 9 is not a target and counts for nothing.
+	a.OnRound(map[int64]float64{9: 1}, w, false)
+	if after := snap(); after != before {
+		t.Errorf("outsider-only round moved the estimators: %v -> %v", before, after)
 	}
 }
 

@@ -103,14 +103,55 @@ func StdDev(xs []float64) (float64, error) {
 	return math.Sqrt(s / float64(len(xs)-1)), nil
 }
 
-// ShareErrors returns each task's relative share error for one cycle:
-// |consumed_i/total − share_i/S| ÷ (share_i/S), where total is the
-// cycle's aggregate consumption and S the share sum. Zero means the task
-// received exactly its entitled fraction; 1 means it was off by its
-// whole entitlement. This is the per-principal statistic behind the
-// alps_share_error_ratio histogram family, and the per-cycle granular
-// form of the paper's §3.1 accuracy metric (RMSRelativeError aggregates
-// its squares).
+// ShareError is the one relative share-error decision (§3.1) behind the
+// node auditor's windowed and per-cycle RMS, the fleet auditor's
+// windowed and per-round RMS, the rebalancer's global RMS and
+// correction, and the SMP experiment. consumed[i] and weight[i] describe
+// principal i over one window (errs, when non-nil, has the same
+// length). The target set is the principals with weight > 0, and both
+// the consumed fraction f_i and the target fraction t_i are normalised
+// over it: consumption by a principal outside the set moves neither.
+//
+// For each target, errs[i] receives the signed relative error
+// (f_i − t_i)/t_i — −1 for a target that consumed nothing — and rms is
+// their root mean square; errs[i] is 0 outside the set. ok is false
+// when the window carries no signal: no target, or no target consumed
+// anything (an all-idle window). errs is then untouched, and a caller
+// must move no estimator on it.
+func ShareError(errs, consumed, weight []float64) (rms float64, ok bool) {
+	var total, sum float64
+	n := 0
+	for i, w := range weight {
+		if w > 0 {
+			total += consumed[i]
+			sum += w
+			n++
+		}
+	}
+	if n == 0 || total <= 0 {
+		return 0, false
+	}
+	var sq float64
+	for i, w := range weight {
+		var e float64
+		if w > 0 {
+			t := w / sum
+			e = (consumed[i]/total - t) / t
+			sq += e * e
+		}
+		if errs != nil {
+			errs[i] = e
+		}
+	}
+	return math.Sqrt(sq / float64(n)), true
+}
+
+// ShareErrors is the magnitude view of ShareError for one cycle in
+// which every task is a target: |consumed_i/total − share_i/S| ÷
+// (share_i/S). Zero means the task received exactly its entitled
+// fraction; 1 means it was off by its whole entitlement. This is the
+// per-principal statistic behind the alps_share_error_ratio histogram
+// family. A non-positive share and an all-idle cycle are errors.
 func ShareErrors(consumed []float64, shares []float64) ([]float64, error) {
 	if len(consumed) == 0 {
 		return nil, ErrEmpty
@@ -118,24 +159,46 @@ func ShareErrors(consumed []float64, shares []float64) ([]float64, error) {
 	if len(consumed) != len(shares) {
 		return nil, fmt.Errorf("metrics: length mismatch %d vs %d", len(consumed), len(shares))
 	}
-	var total, s float64
-	for i := range consumed {
-		if shares[i] <= 0 {
-			return nil, fmt.Errorf("metrics: share[%d] = %v, want > 0", i, shares[i])
+	for i, s := range shares {
+		if s <= 0 {
+			return nil, fmt.Errorf("metrics: share[%d] = %v, want > 0", i, s)
 		}
-		total += consumed[i]
-		s += shares[i]
-	}
-	if total == 0 {
-		return nil, errors.New("metrics: no consumption in cycle")
 	}
 	out := make([]float64, len(consumed))
-	for i := range consumed {
-		ideal := shares[i] / s
-		out[i] = math.Abs(consumed[i]/total-ideal) / ideal
+	if _, ok := ShareError(out, consumed, shares); !ok {
+		return nil, errors.New("metrics: no consumption in cycle")
+	}
+	for i, e := range out {
+		out[i] = math.Abs(e)
 	}
 	return out, nil
 }
+
+// EWMAAlpha is the weight the share-error smoother gives each new
+// reading. 0.1 attenuates a window beating against a duty cycle of
+// period 2–5 by an order of magnitude while still tracking a real drift
+// within ~10 readings — the fair-share decay-window beat Gunther
+// documents for Solaris SRM.
+const EWMAAlpha = 0.1
+
+// EWMA is the share-error smoother both auditors run. The zero value
+// holds no reading; the first Add seeds it.
+type EWMA struct {
+	v      float64
+	seeded bool
+}
+
+// Add folds one reading in with weight EWMAAlpha.
+func (e *EWMA) Add(x float64) {
+	if !e.seeded {
+		e.v, e.seeded = x, true
+		return
+	}
+	e.v = EWMAAlpha*x + (1-EWMAAlpha)*e.v
+}
+
+// Value returns the smoothed reading, 0 before the first Add.
+func (e *EWMA) Value() float64 { return e.v }
 
 // Line is a fitted line y = Slope·x + Intercept.
 type Line struct {

@@ -260,3 +260,126 @@ func TestServiceErrorErrors(t *testing.T) {
 		t.Error("width mismatch should error")
 	}
 }
+
+// TestShareError pins the one share-error decision: consumption and
+// weight normalise over the same target set (weight > 0), an all-idle
+// window or an empty target set is "no signal", and a lone target is
+// exactly on share.
+func TestShareError(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		consumed []float64
+		weight   []float64
+		errs     []float64 // nil when !ok
+		rms      float64
+		ok       bool
+	}{
+		{"perfect", []float64{10, 20, 30}, []float64{1, 2, 3}, []float64{0, 0, 0}, 0, true},
+		// Equal consumption under 1:3: f = 1/2, 1/2 against t = 1/4, 3/4.
+		{"skewed", []float64{5, 5}, []float64{1, 3}, []float64{1, -1.0 / 3}, math.Sqrt((1 + 1.0/9) / 2), true},
+		// The third principal consumes but holds no weight: it leaves
+		// both totals, so the 1:3 targets are judged on 10:30 alone.
+		{"consumer outside the target set", []float64{10, 30, 60}, []float64{1, 3, 0}, []float64{0, 0, 0}, 0, true},
+		{"non-positive weight", []float64{10, 30, 60}, []float64{1, 3, -2}, []float64{0, 0, 0}, 0, true},
+		{"starved target", []float64{0, 40}, []float64{1, 3}, []float64{-1, 1.0 / 3}, math.Sqrt((1 + 1.0/9) / 2), true},
+		{"all-idle window", []float64{0, 0}, []float64{1, 3}, nil, 0, false},
+		{"only outsiders consumed", []float64{0, 0, 5}, []float64{1, 3, 0}, nil, 0, false},
+		{"no target", []float64{5}, []float64{0}, nil, 0, false},
+		{"empty", nil, nil, nil, 0, false},
+		{"single principal", []float64{7}, []float64{2}, []float64{0}, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			errs := make([]float64, len(tc.consumed))
+			for i := range errs {
+				errs[i] = 42 // sentinel: untouched on no signal
+			}
+			rms, ok := ShareError(errs, tc.consumed, tc.weight)
+			if ok != tc.ok {
+				t.Fatalf("ok = %v, want %v", ok, tc.ok)
+			}
+			if !ok {
+				for i, e := range errs {
+					if e != 42 {
+						t.Errorf("no signal wrote errs[%d] = %v", i, e)
+					}
+				}
+				return
+			}
+			if !close(rms, tc.rms, 1e-12) {
+				t.Errorf("rms = %v, want %v", rms, tc.rms)
+			}
+			for i, want := range tc.errs {
+				if !close(errs[i], want, 1e-12) {
+					t.Errorf("errs[%d] = %v, want %v", i, errs[i], want)
+				}
+			}
+			if r2, _ := ShareError(nil, tc.consumed, tc.weight); r2 != rms {
+				t.Errorf("nil errs changed rms: %v vs %v", r2, rms)
+			}
+		})
+	}
+}
+
+// TestShareErrorsMagnitudeView: on every non-idle cycle ShareErrors and
+// its RMS are bit-identical to the formula the alps_share_error_ratio
+// histograms and the node auditor's raw gauge were built on.
+func TestShareErrorsMagnitudeView(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(12)
+		consumed := make([]float64, n)
+		shares := make([]float64, n)
+		for i := range consumed {
+			consumed[i] = rng.Float64() * 0.05
+			if rng.Intn(5) == 0 {
+				consumed[i] = 0
+			}
+			shares[i] = float64(1 + rng.Intn(10))
+		}
+		var total, s float64
+		for i := range consumed {
+			total += consumed[i]
+			s += shares[i]
+		}
+		got, err := ShareErrors(consumed, shares)
+		if total == 0 {
+			if err == nil {
+				t.Fatalf("trial %d: idle cycle accepted", trial)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, n)
+		for i := range consumed {
+			ideal := shares[i] / s
+			want[i] = math.Abs(consumed[i]/total-ideal) / ideal
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: errs[%d] = %v, want %v bit for bit", trial, i, got[i], want[i])
+			}
+		}
+		if rms, _ := ShareError(nil, consumed, shares); rms != RMS(want) {
+			t.Fatalf("trial %d: rms %v != RMS of magnitudes %v", trial, rms, RMS(want))
+		}
+	}
+}
+
+// TestEWMA: the first reading seeds the smoother, later ones fold in
+// with EWMAAlpha.
+func TestEWMA(t *testing.T) {
+	var e EWMA
+	if e.Value() != 0 {
+		t.Fatalf("empty EWMA = %v, want 0", e.Value())
+	}
+	e.Add(0.5)
+	if e.Value() != 0.5 {
+		t.Fatalf("seeded EWMA = %v, want 0.5", e.Value())
+	}
+	e.Add(0)
+	if want := (1 - EWMAAlpha) * 0.5; !close(e.Value(), want, 1e-15) {
+		t.Fatalf("EWMA after fold = %v, want %v", e.Value(), want)
+	}
+}

@@ -21,13 +21,13 @@ func TestQuantileInterpolation(t *testing.T) {
 	cases := []struct {
 		q, want float64
 	}{
-		{0, 0},     // rank 0 lands at the lower edge of the first bucket
-		{0.25, 1},  // rank 1: whole first bucket
-		{0.5, 2},   // rank 2: upper edge of the second bucket
-		{0.75, 3},  // rank 3: halfway through (2,4]
-		{1, 4},     // rank 4: top of the last occupied bucket
-		{1.5, 4},   // clamped to q=1
-		{-0.5, 0},  // clamped to q=0
+		{0, 0},    // rank 0 lands at the lower edge of the first bucket
+		{0.25, 1}, // rank 1: whole first bucket
+		{0.5, 2},  // rank 2: upper edge of the second bucket
+		{0.75, 3}, // rank 3: halfway through (2,4]
+		{1, 4},    // rank 4: top of the last occupied bucket
+		{1.5, 4},  // clamped to q=1
+		{-0.5, 0}, // clamped to q=0
 	}
 	for _, c := range cases {
 		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1e-9 {

@@ -53,18 +53,18 @@ func TestReconfigureRejectsInvalidAtomically(t *testing.T) {
 	defer r.Release()
 
 	cases := []Reconfig{
-		{Quantum: time.Millisecond},                           // below the accounting tick
-		{SetShares: map[core.TaskID]int64{1: 0}},              // non-positive share
-		{SetShares: map[core.TaskID]int64{9: 4}},              // unknown task
-		{Remove: []core.TaskID{9}},                            // unknown task
-		{Remove: []core.TaskID{1, 1}},                         // duplicate
-		{Add: []Task{{ID: 1, Share: 1}}},                      // already exists
-		{Add: []Task{{ID: 5, Share: 0}}},                      // non-positive share
-		{Add: []Task{{ID: 5, Share: 1, PIDs: []int{-4}}}},     // invalid pid
-		{Add: []Task{{ID: 5, Share: 1}}},                      // no pids
-		{SetPIDs: map[core.TaskID][]int{9: {10}}},             // unknown task
-		{SetPIDs: map[core.TaskID][]int{1: {0}}},              // invalid pid
-		{SetPIDs: map[core.TaskID][]int{1: {}}},               // would empty the task
+		{Quantum: time.Millisecond},                       // below the accounting tick
+		{SetShares: map[core.TaskID]int64{1: 0}},          // non-positive share
+		{SetShares: map[core.TaskID]int64{9: 4}},          // unknown task
+		{Remove: []core.TaskID{9}},                        // unknown task
+		{Remove: []core.TaskID{1, 1}},                     // duplicate
+		{Add: []Task{{ID: 1, Share: 1}}},                  // already exists
+		{Add: []Task{{ID: 5, Share: 0}}},                  // non-positive share
+		{Add: []Task{{ID: 5, Share: 1, PIDs: []int{-4}}}}, // invalid pid
+		{Add: []Task{{ID: 5, Share: 1}}},                  // no pids
+		{SetPIDs: map[core.TaskID][]int{9: {10}}},         // unknown task
+		{SetPIDs: map[core.TaskID][]int{1: {0}}},          // invalid pid
+		{SetPIDs: map[core.TaskID][]int{1: {}}},           // would empty the task
 		// A batch mixing a valid change with an invalid one must apply
 		// neither.
 		{SetShares: map[core.TaskID]int64{1: 7}, Add: []Task{{ID: 1, Share: 1}}},

@@ -32,23 +32,7 @@ type AuditorConfig struct {
 	// DriftThreshold (with 20% hysteresis on the way back). It runs on
 	// the control loop; wire it to Recorder.Trigger.
 	OnDrift func(rms float64)
-	// WindowLock locks the effective RMS window to a whole multiple of
-	// the longest measured principal duty-cycle period, killing the beat
-	// a fixed window strikes against SIGSTOP duty cycling (the Gunther
-	// fair-share decay-window aliasing). The period is reconstructed
-	// online from stamped eligibility rising edges. Off (false), the raw
-	// fixed-window path is byte-identical to an auditor without the knob.
-	WindowLock bool
-	// EWMAAlpha enables the EWMA-over-windows estimator exported as
-	// alps_audit_rms_share_error_ewma: each completed cycle folds the
-	// windowed RMS in with weight alpha. 0 disables smoothing (the gauge
-	// then mirrors the raw windowed RMS exactly).
-	EWMAAlpha float64
 }
-
-// dutyEdgeAlpha smooths the per-task eligibility rising-edge intervals
-// that reconstruct each principal's duty-cycle period.
-const dutyEdgeAlpha = 0.3
 
 // beatWindow bounds the ring of recent windowed RMS values behind the
 // alps_audit_window_beat_ratio gauge.
@@ -71,7 +55,9 @@ type cycleSample struct {
 //
 //   - per-principal relative share error over the window (§3.1);
 //   - windowed RMS share error vs the target distribution (Table 2),
-//     which doubles as the flight recorder's drift trigger;
+//     which doubles as the flight recorder's drift trigger, and its
+//     EWMA (metrics.EWMA), which averages away the beat a window
+//     strikes against a duty cycle;
 //   - convergence time, in cycles, after a disturbance (start,
 //     Reconfigure, or restart via MarkDisturbance);
 //   - the §3.2 sampling-reduction ratio: the fraction of potential
@@ -104,26 +90,17 @@ type Auditor struct {
 	// itself mid-phase.
 	workRing *obs.Ring[time.Duration]
 
-	// Duty-cycle reconstruction (WindowLock): per-task last eligibility
-	// rising edge and smoothed inter-edge interval, plus a smoothed
-	// cycle length, give the duty period in cycles that the effective
-	// window locks to.
-	dutyLast     map[int64]time.Duration
-	dutyEwma     map[int64]float64 // seconds between rising edges
-	cycleLenEwma float64           // seconds per allocation cycle
-
-	// Windowed results, recomputed at each cycle completion.
-	rms       float64
-	effWindow int // cycles the newest RMS actually covered
-	perTask   map[int64]float64
-	winPot    int64
-	winMeas   int64
-	drifting  bool
+	// Windowed results, recomputed at each cycle completion. An all-idle
+	// window carries no share-error signal and leaves them as they were.
+	rms      float64
+	perTask  map[int64]float64
+	winPot   int64
+	winMeas  int64
+	drifting bool
 
 	// EWMA-over-windows estimator and the beat-ratio diagnostic ring of
 	// recent windowed RMS values.
-	ewma     float64
-	ewmaInit bool
+	ewma     metrics.EWMA
 	beatRing *obs.Ring[float64]
 
 	// Convergence tracking.
@@ -160,8 +137,6 @@ func NewAuditor(cfg AuditorConfig) *Auditor {
 		eligible:        make(map[int64]bool),
 		perTask:         make(map[int64]float64),
 		phaseBegan:      make(map[int]time.Duration),
-		dutyLast:        make(map[int64]time.Duration),
-		dutyEwma:        make(map[int64]float64),
 		lastConvergence: -1,
 		registered:      make(map[int64]bool),
 	}
@@ -206,9 +181,6 @@ func (a *Auditor) Observe(e obs.Event) {
 		if e.Eligible && !a.eligible[e.Task] {
 			a.eligible[e.Task] = true
 			a.eligibleCount++
-			if a.cfg.WindowLock {
-				a.dutyEdgeLocked(e.Task, e.At)
-			}
 		} else if !e.Eligible && a.eligible[e.Task] {
 			delete(a.eligible, e.Task)
 			a.eligibleCount--
@@ -218,52 +190,9 @@ func (a *Auditor) Observe(e obs.Event) {
 			delete(a.eligible, e.Task)
 			a.eligibleCount--
 		}
-		delete(a.dutyLast, e.Task)
-		delete(a.dutyEwma, e.Task)
 	case obs.KindReconfig:
 		a.markDisturbanceLocked()
 	}
-}
-
-// dutyEdgeLocked folds one eligibility rising edge into the task's
-// smoothed duty-cycle period. Only stamped events count: the core
-// scheduler leaves At zero, and a zero-to-zero interval would collapse
-// every period to nothing.
-func (a *Auditor) dutyEdgeLocked(task int64, at time.Duration) {
-	if at <= 0 {
-		return
-	}
-	if last, ok := a.dutyLast[task]; ok && at > last {
-		iv := (at - last).Seconds()
-		if prev, ok := a.dutyEwma[task]; ok {
-			a.dutyEwma[task] = dutyEdgeAlpha*iv + (1-dutyEdgeAlpha)*prev
-		} else {
-			a.dutyEwma[task] = iv
-		}
-	}
-	a.dutyLast[task] = at
-}
-
-// dutyPeriodCyclesLocked converts the longest measured duty period into
-// allocation cycles, or 0 when nothing has been measured yet. The
-// longest period wins because the window must cover a whole number of
-// every principal's duty cycles, and shorter periods divide into
-// multiples of themselves anyway once the window rounds to the longest.
-func (a *Auditor) dutyPeriodCyclesLocked() int {
-	if a.cycleLenEwma <= 0 {
-		return 0
-	}
-	var longest float64
-	for _, iv := range a.dutyEwma {
-		if iv > longest {
-			longest = iv
-		}
-	}
-	if longest <= 0 {
-		return 0
-	}
-	p := int(math.Round(longest / a.cycleLenEwma))
-	return min(max(p, 1), a.window.Cap())
 }
 
 // OnCycle feeds one completed allocation cycle. Chain it into the
@@ -293,35 +222,23 @@ func (a *Auditor) OnCycle(rec core.CycleRecord) {
 	a.winPot += s.potential
 	a.winMeas += s.measured
 
-	if a.cfg.WindowLock && rec.Length > 0 {
-		if a.cycleLenEwma <= 0 {
-			a.cycleLenEwma = rec.Length.Seconds()
-		} else {
-			a.cycleLenEwma = dutyEdgeAlpha*rec.Length.Seconds() + (1-dutyEdgeAlpha)*a.cycleLenEwma
-		}
-	}
-
 	a.cycles++
-	a.recomputeLocked(s)
+	a.convergeLocked(s)
 
-	// Diagnostics ride on every completed cycle: the beat ring feeds the
-	// wobble gauge and the EWMA estimator smooths the windowed RMS.
-	a.beatRing.Push(a.rms)
-	if a.cfg.EWMAAlpha > 0 {
-		if !a.ewmaInit {
-			a.ewma, a.ewmaInit = a.rms, true
-		} else {
-			a.ewma = a.cfg.EWMAAlpha*a.rms + (1-a.cfg.EWMAAlpha)*a.ewma
-		}
-	}
-
+	// Everything that reads the windowed RMS moves only on a window with
+	// signal: the beat ring behind the wobble gauge, the EWMA that
+	// smooths it, and the drift trigger.
 	var fire func(rms float64)
 	var rms float64
-	if a.window.Len() == a.window.Cap() && a.rms > a.cfg.DriftThreshold && !a.drifting {
-		a.drifting = true
-		fire, rms = a.cfg.OnDrift, a.rms
-	} else if a.drifting && a.rms < 0.8*a.cfg.DriftThreshold {
-		a.drifting = false
+	if a.recomputeWindowLocked(s) {
+		a.beatRing.Push(a.rms)
+		a.ewma.Add(a.rms)
+		if a.window.Len() == a.window.Cap() && a.rms > a.cfg.DriftThreshold && !a.drifting {
+			a.drifting = true
+			fire, rms = a.cfg.OnDrift, a.rms
+		} else if a.drifting && a.rms < 0.8*a.cfg.DriftThreshold {
+			a.drifting = false
+		}
 	}
 	a.mu.Unlock()
 
@@ -330,18 +247,16 @@ func (a *Auditor) OnCycle(rec core.CycleRecord) {
 	}
 }
 
-// recomputeLocked refreshes the windowed share errors and the
-// convergence state machine after the newest sample was pushed.
-func (a *Auditor) recomputeLocked(newest cycleSample) {
-	a.recomputeWindowLocked(newest)
-
-	// Convergence judges each cycle on its own: did THIS cycle deliver
-	// shares within the threshold?
-	cycleOK := false
-	if errs, err := metrics.ShareErrors(newest.consumed, newest.shares); err == nil {
-		cycleOK = metrics.RMS(errs) < a.cfg.ConvergeThreshold
+// convergeLocked advances the convergence state machine. It judges
+// each cycle on its own: did THIS cycle deliver shares within the
+// threshold? An idle cycle carries no signal and leaves the streak
+// where it was.
+func (a *Auditor) convergeLocked(newest cycleSample) {
+	rms, ok := metrics.ShareError(nil, newest.consumed, newest.shares)
+	if !ok {
+		return
 	}
-	if cycleOK {
+	if rms < a.cfg.ConvergeThreshold {
 		a.streak++
 		if !a.converged && a.streak >= a.cfg.ConvergeStreak {
 			a.converged = true
@@ -358,33 +273,17 @@ func (a *Auditor) recomputeLocked(newest cycleSample) {
 	}
 }
 
-// recomputeWindowLocked refreshes the windowed share errors. With
-// WindowLock on, the aggregation truncates to the largest whole
-// multiple of the measured duty-cycle period that fits the filled ring
-// — a window covering whole duty cycles sees every principal's full
-// on/off pattern, so the RMS stops beating against SIGSTOP duty
-// cycling. With the knob off, limit is the filled length and the
-// arithmetic is the raw fixed window, bit for bit.
-func (a *Auditor) recomputeWindowLocked(newest cycleSample) {
-	limit := a.window.Len()
-	if a.cfg.WindowLock {
-		if p := a.dutyPeriodCyclesLocked(); p > 0 {
-			if eff := (limit / p) * p; eff > 0 {
-				limit = eff
-			}
-		}
-	}
-	a.effWindow = limit
-
-	// Windowed errors aggregate consumption over the window for the
-	// tasks in the newest cycle (membership changes mid-window drop out
-	// with their cycles).
+// recomputeWindowLocked refreshes the windowed share errors and
+// reports whether the window carried a signal. The newest cycle's tasks
+// are the target set: consumption aggregates over the window for them
+// alone (membership changes mid-window drop out with their cycles).
+func (a *Auditor) recomputeWindowLocked(newest cycleSample) bool {
 	current := make(map[int64]int, len(newest.ids))
 	for i, id := range newest.ids {
 		current[id] = i
 	}
 	consumed := make([]float64, len(newest.ids))
-	for i := 0; i < limit; i++ {
+	for i := 0; i < a.window.Len(); i++ {
 		s := a.window.Newest(i)
 		for j, id := range s.ids {
 			if k, ok := current[id]; ok {
@@ -397,13 +296,17 @@ func (a *Auditor) recomputeWindowLocked(newest cycleSample) {
 			delete(a.perTask, id)
 		}
 	}
-	if errs, err := metrics.ShareErrors(consumed, newest.shares); err == nil {
-		for i, e := range errs {
-			a.perTask[newest.ids[i]] = e
-			a.registerTaskLocked(newest.ids[i])
-		}
-		a.rms = metrics.RMS(errs)
+	errs := make([]float64, len(newest.ids))
+	rms, ok := metrics.ShareError(errs, consumed, newest.shares)
+	if !ok {
+		return false
 	}
+	for i, e := range errs {
+		a.perTask[newest.ids[i]] = math.Abs(e)
+		a.registerTaskLocked(newest.ids[i])
+	}
+	a.rms = rms
+	return true
 }
 
 // registerTaskLocked exports a per-task share-error gauge the first time
@@ -481,15 +384,12 @@ func (a *Auditor) RMSShareError() float64 {
 }
 
 // RMSShareErrorEWMA returns the EWMA-over-windows share-error
-// estimator, or the raw windowed RMS when EWMAAlpha is 0 — readers get
-// the best available estimate either way.
+// estimator: each windowed RMS with signal folds in with weight
+// metrics.EWMAAlpha.
 func (a *Auditor) RMSShareErrorEWMA() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.cfg.EWMAAlpha <= 0 || !a.ewmaInit {
-		return a.rms
-	}
-	return a.ewma
+	return a.ewma.Value()
 }
 
 // WindowBeatRatio returns (max-min)/mean of the recent windowed RMS
@@ -499,29 +399,6 @@ func (a *Auditor) WindowBeatRatio() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return metrics.BeatRatio(a.beatRing.Snapshot())
-}
-
-// EffectiveWindowCycles returns the cycles the newest RMS actually
-// aggregated: the filled ring length, truncated to a whole number of
-// duty-cycle periods when WindowLock is on.
-func (a *Auditor) EffectiveWindowCycles() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.effWindow
-}
-
-// DutyPeriodSeconds returns the longest measured principal duty-cycle
-// period (0 until eligibility edges have been stamped twice).
-func (a *Auditor) DutyPeriodSeconds() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var longest float64
-	for _, iv := range a.dutyEwma {
-		if iv > longest {
-			longest = iv
-		}
-	}
-	return longest
 }
 
 // ConvergenceCycles returns the last measured convergence time in
@@ -629,7 +506,7 @@ func (a *Auditor) Register(reg *obs.Registry) {
 		"Fraction of potential per-quantum measurements avoided by §2.3 lazy sampling (§3.2).",
 		a.SamplingReductionRatio)
 	reg.GaugeFunc("alps_audit_rms_share_error_ewma",
-		"EWMA-over-windows RMS share error (raw windowed RMS when EWMAAlpha is 0).",
+		"EWMA-over-windows RMS share error (alpha 0.1), immune to a window beating against a duty cycle.",
 		a.RMSShareErrorEWMA)
 	reg.GaugeFunc("alps_audit_window_beat_ratio",
 		"(max-min)/mean of recent windowed RMS values; near 0 when steady, near 1 when the window beats against a duty cycle.",
@@ -637,12 +514,6 @@ func (a *Auditor) Register(reg *obs.Registry) {
 	reg.GaugeFunc("alps_audit_window_cycles",
 		"Cycles currently in the audit window.",
 		func() float64 { a.mu.Lock(); defer a.mu.Unlock(); return float64(a.window.Len()) })
-	reg.GaugeFunc("alps_audit_window_effective_cycles",
-		"Cycles the newest RMS aggregated (duty-locked multiple when WindowLock is on).",
-		func() float64 { return float64(a.EffectiveWindowCycles()) })
-	reg.GaugeFunc("alps_audit_duty_period_seconds",
-		"Longest measured principal duty-cycle period, from stamped eligibility edges.",
-		a.DutyPeriodSeconds)
 	reg.GaugeFunc("alps_audit_drifting",
 		"1 while the windowed RMS share error exceeds the drift threshold.",
 		func() float64 {

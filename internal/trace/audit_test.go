@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"alps/internal/core"
+	"alps/internal/metrics"
 	"alps/internal/obs"
 )
 
@@ -251,104 +252,68 @@ func TestAuditorDeadTaskDropsFromWindow(t *testing.T) {
 	}
 }
 
-// dutyRec builds a two-task CycleRecord with an explicit nominal cycle
-// length (the window-lock tests need Length to convert duty periods
-// into cycles).
-func dutyRec(index int, length time.Duration, c1, c2 time.Duration) core.CycleRecord {
-	return core.CycleRecord{
-		Index:  index,
-		Length: length,
-		Tasks: []core.CycleTask{
-			{ID: 1, Share: 1, Consumed: c1},
-			{ID: 2, Share: 1, Consumed: c2},
-		},
-	}
-}
-
 // feedDutyCycle drives one allocation cycle of the synthetic period-4
 // duty pattern into an auditor: task 1 bursts its whole 2s budget every
 // fourth cycle, task 2 spreads 2s evenly across the other three. Over
 // any aligned 4-cycle span the 1:1 shares are delivered exactly; over a
 // misaligned fixed window the measured RMS beats with period 4.
 func feedDutyCycle(a *Auditor, k int) {
-	at := time.Duration(k) * time.Second
-	switch k % 4 {
-	case 0: // burst cycle: task 1 wakes (rising edge)
-		a.Observe(obs.Event{Kind: obs.KindTransition, Task: 1, Eligible: true, At: at})
-	case 1:
-		a.Observe(obs.Event{Kind: obs.KindTransition, Task: 1, Eligible: false, At: at})
-	}
-	// Task 2 duty-cycles every cycle: falling then rising edge.
-	a.Observe(obs.Event{Kind: obs.KindTransition, Task: 2, Eligible: false, At: at})
-	a.Observe(obs.Event{Kind: obs.KindTransition, Task: 2, Eligible: true, At: at})
 	var c1, c2 time.Duration
 	if k%4 == 0 {
 		c1 = 2 * time.Second
 	} else {
 		c2 = 2 * time.Second / 3
 	}
-	a.OnCycle(dutyRec(k, time.Second, c1, c2))
+	a.OnCycle(cycleRec(k, c1, c2, 1, 1))
 }
 
-// TestAuditorWindowLockKillsAliasing is the tentpole's unit-level
-// proof: the same period-4 duty pattern makes a raw 5-cycle window's
-// RMS oscillate (the Gunther decay-window beat) while the duty-locked
-// window, truncated to 4 cycles from the measured eligibility edges,
-// reads a constant 0. The raw auditor also pins the knobs-off contract:
-// the EWMA gauge mirrors the raw RMS exactly when EWMAAlpha is 0.
-func TestAuditorWindowLockKillsAliasing(t *testing.T) {
-	raw := NewAuditor(AuditorConfig{Window: 5})
-	locked := NewAuditor(AuditorConfig{Window: 5, WindowLock: true})
+// TestAuditorEWMAKillsAliasing is the unit-level check on the one
+// smoother: the period-4 duty pattern makes a raw 5-cycle window's RMS
+// oscillate (the Gunther decay-window beat) while the EWMA over the
+// same windows holds steady — its beat ratio at least 5x lower.
+func TestAuditorEWMAKillsAliasing(t *testing.T) {
+	a := NewAuditor(AuditorConfig{Window: 5})
+	var rawVals, ewmaVals []float64
+	for k := 0; k < 200; k++ {
+		feedDutyCycle(a, k)
+		if k >= 100 { // past window fill and the EWMA's settling
+			rawVals = append(rawVals, a.RMSShareError())
+			ewmaVals = append(ewmaVals, a.RMSShareErrorEWMA())
+		}
+	}
+	if lo, hi := minOf(rawVals), maxOf(rawVals); hi-lo < 0.1 {
+		t.Fatalf("raw window shows no beat: RMS range [%v, %v]", lo, hi)
+	}
+	rb, eb := metrics.BeatRatio(rawVals), metrics.BeatRatio(ewmaVals)
+	if eb > rb/5 {
+		t.Errorf("EWMA beat ratio %v not >=5x below the raw window's %v", eb, rb)
+	}
+	if got := a.WindowBeatRatio(); math.Abs(got-metrics.BeatRatio(rawVals[len(rawVals)-beatWindow:])) > 1e-12 {
+		t.Errorf("WindowBeatRatio = %v, want the raw tail's beat ratio", got)
+	}
+}
 
-	var rawVals, lockVals []float64
-	for k := 0; k < 40; k++ {
-		feedDutyCycle(raw, k)
-		feedDutyCycle(locked, k)
-		if got, want := raw.RMSShareErrorEWMA(), raw.RMSShareError(); got != want {
-			t.Fatalf("cycle %d: knobs-off EWMA gauge %v != raw RMS %v", k, got, want)
-		}
-		if k >= 12 { // past window fill and duty-period estimation
-			rawVals = append(rawVals, raw.RMSShareError())
-			lockVals = append(lockVals, locked.RMSShareError())
-		}
+func maxOf(xs []float64) float64 {
+	m := xs[0]
+	for _, x := range xs {
+		m = math.Max(m, x)
 	}
+	return m
+}
 
-	min, max := rawVals[0], rawVals[0]
-	for _, v := range rawVals {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
+func minOf(xs []float64) float64 {
+	m := xs[0]
+	for _, x := range xs {
+		m = math.Min(m, x)
 	}
-	if max-min < 0.1 {
-		t.Fatalf("raw window shows no beat: RMS range [%v, %v]", min, max)
-	}
-	for _, v := range lockVals {
-		if v > 1e-9 {
-			t.Fatalf("duty-locked window still beats: RMS %v, want 0", v)
-		}
-	}
-	if got := locked.EffectiveWindowCycles(); got != 4 {
-		t.Errorf("EffectiveWindowCycles = %d, want 4 (one duty period)", got)
-	}
-	if got := raw.EffectiveWindowCycles(); got != 5 {
-		t.Errorf("raw EffectiveWindowCycles = %d, want 5 (the full window)", got)
-	}
-	if got := locked.DutyPeriodSeconds(); math.Abs(got-4) > 0.01 {
-		t.Errorf("DutyPeriodSeconds = %v, want ~4", got)
-	}
-	if rb, lb := raw.WindowBeatRatio(), locked.WindowBeatRatio(); lb > rb/5 {
-		t.Errorf("beat ratio not reduced >=5x: raw %v, locked %v", rb, lb)
-	}
+	return m
 }
 
 // TestAuditorEWMAEstimator checks the EWMA recursion against a manual
 // trace: first windowed RMS seeds it, later ones fold in with alpha.
 func TestAuditorEWMAEstimator(t *testing.T) {
-	const alpha = 0.25
-	a := NewAuditor(AuditorConfig{Window: 1, EWMAAlpha: alpha})
+	const alpha = metrics.EWMAAlpha
+	a := NewAuditor(AuditorConfig{Window: 1})
 	want := 0.0
 	for k := 0; k < 10; k++ {
 		// Alternate perfect and fully skewed cycles; window 1 makes the
@@ -383,6 +348,8 @@ func TestAuditorReconfigure(t *testing.T) {
 	NewAuditor(AuditorConfig{Window: 4}).Reconfigure(2, 0.5) // empty: must not panic
 
 	a := NewAuditor(AuditorConfig{Window: 4})
+	reg := obs.NewRegistry()
+	a.Register(reg)
 	// Two perfect cycles, then two fully skewed ones (shares 1:3 but
 	// equal consumption).
 	a.OnCycle(cycleRec(0, 10*time.Millisecond, 30*time.Millisecond, 1, 3))
@@ -412,8 +379,8 @@ func TestAuditorReconfigure(t *testing.T) {
 		t.Errorf("Thresholds after grow = (%d, %v), want (6, 0.42)", w, d)
 	}
 	a.OnCycle(cycleRec(4, 10*time.Millisecond, 30*time.Millisecond, 1, 3))
-	if got := a.EffectiveWindowCycles(); got != 3 {
-		t.Errorf("window after grow+1 cycle = %d cycles, want 3 (2 kept + 1 new)", got)
+	if got := gaugeValue(t, reg, "alps_audit_window_cycles"); got != 3 {
+		t.Errorf("window after grow+1 cycle = %v cycles, want 3 (2 kept + 1 new)", got)
 	}
 
 	// The lowered threshold drives the drift hysteresis: fill the window
@@ -433,11 +400,23 @@ func TestAuditorReconfigure(t *testing.T) {
 	}
 }
 
-// TestAuditorAliasGaugesRegistered: the new estimator gauges appear on
-// the registry.
+// gaugeValue reads one unlabelled sample off a registry.
+func gaugeValue(t *testing.T, reg *obs.Registry, name string) float64 {
+	t.Helper()
+	for _, s := range reg.Snapshot() {
+		if s.Name == name && s.Labels == "" {
+			return s.Value
+		}
+	}
+	t.Fatalf("no sample %q", name)
+	return 0
+}
+
+// TestAuditorAliasGaugesRegistered: the estimator gauges appear on the
+// registry.
 func TestAuditorAliasGaugesRegistered(t *testing.T) {
 	reg := obs.NewRegistry()
-	a := NewAuditor(AuditorConfig{Window: 2, EWMAAlpha: 0.2, WindowLock: true})
+	a := NewAuditor(AuditorConfig{Window: 2})
 	a.Register(reg)
 	a.OnCycle(cycleRec(0, 10*time.Millisecond, 20*time.Millisecond, 1, 2))
 	var sb strings.Builder
@@ -448,11 +427,47 @@ func TestAuditorAliasGaugesRegistered(t *testing.T) {
 	for _, want := range []string{
 		"alps_audit_rms_share_error_ewma",
 		"alps_audit_window_beat_ratio",
-		"alps_audit_window_effective_cycles 1",
-		"alps_audit_duty_period_seconds",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestAuditorIdleCycleNoSignal: an all-idle window carries no
+// share-error signal, so one idle cycle moves no estimator — the
+// windowed RMS and per-task errors, the EWMA, the beat ring, the drift
+// state and the per-cycle convergence streak all hold.
+func TestAuditorIdleCycleNoSignal(t *testing.T) {
+	a := NewAuditor(AuditorConfig{Window: 1, ConvergeStreak: 3})
+	// Alternate skewed and perfect cycles, ending perfect: the RMS is 0,
+	// the EWMA sits above it and the streak has started.
+	for k := 0; k < 5; k++ {
+		if k%2 == 1 {
+			a.OnCycle(cycleRec(k, 20*time.Millisecond, 0, 1, 1))
+		} else {
+			a.OnCycle(cycleRec(k, 10*time.Millisecond, 10*time.Millisecond, 1, 1))
+		}
+	}
+	type state struct {
+		rms, ewma, beat float64
+		ring            int
+		streak          int
+		drifting        bool
+		task1           float64
+	}
+	snap := func() state {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return state{a.rms, a.ewma.Value(), metrics.BeatRatio(a.beatRing.Snapshot()),
+			a.beatRing.Len(), a.streak, a.drifting, a.perTask[1]}
+	}
+	before := snap()
+	if before.ewma == before.rms || before.streak == 0 {
+		t.Fatalf("setup: want the EWMA off the raw RMS and a live streak, got %+v", before)
+	}
+	a.OnCycle(cycleRec(5, 0, 0, 1, 1))
+	if after := snap(); after != before {
+		t.Errorf("idle cycle moved the estimators:\n before %+v\n after  %+v", before, after)
 	}
 }

@@ -21,32 +21,32 @@ func sampleStream() []obs.Event {
 		{Kind: obs.KindQuantumStart, Tick: 1, Task: -1, N: 2, At: ms(0)},
 		ph(obs.KindPhaseBegin, 1, obs.PhaseSample, ms(0)),
 		{Kind: obs.KindMeasure, Tick: 1, Task: 1, Consumed: ms(5), At: ms(0) + 100*time.Microsecond},
-		ph(obs.KindPhaseEnd, 1, obs.PhaseSample, ms(0) + 200*time.Microsecond),
-		ph(obs.KindPhaseBegin, 1, obs.PhaseCharge, ms(0) + 200*time.Microsecond),
+		ph(obs.KindPhaseEnd, 1, obs.PhaseSample, ms(0)+200*time.Microsecond),
+		ph(obs.KindPhaseBegin, 1, obs.PhaseCharge, ms(0)+200*time.Microsecond),
 		{Kind: obs.KindCycle, Tick: 1, Task: -1, Cycle: 0, N: 2, Length: ms(30), At: ms(0) + 250*time.Microsecond},
 		{Kind: obs.KindGrant, Tick: 1, Task: 1, Cycle: 0, Allowance: ms(10), At: ms(0) + 250*time.Microsecond},
 		{Kind: obs.KindGrant, Tick: 1, Task: 2, Cycle: 0, Allowance: ms(20), At: ms(0) + 250*time.Microsecond},
-		ph(obs.KindPhaseEnd, 1, obs.PhaseCharge, ms(0) + 300*time.Microsecond),
-		ph(obs.KindPhaseBegin, 1, obs.PhaseDecide, ms(0) + 300*time.Microsecond),
+		ph(obs.KindPhaseEnd, 1, obs.PhaseCharge, ms(0)+300*time.Microsecond),
+		ph(obs.KindPhaseBegin, 1, obs.PhaseDecide, ms(0)+300*time.Microsecond),
 		{Kind: obs.KindTransition, Tick: 1, Task: 1, Eligible: true, Reason: obs.ReasonGrant, At: ms(0) + 350*time.Microsecond},
 		{Kind: obs.KindTransition, Tick: 1, Task: 2, Eligible: true, Reason: obs.ReasonGrant, At: ms(0) + 350*time.Microsecond},
 		{Kind: obs.KindPostpone, Tick: 1, Task: 2, Wake: 3, Allowance: ms(20), At: ms(0) + 350*time.Microsecond},
-		ph(obs.KindPhaseEnd, 1, obs.PhaseDecide, ms(0) + 400*time.Microsecond),
+		ph(obs.KindPhaseEnd, 1, obs.PhaseDecide, ms(0)+400*time.Microsecond),
 		{Kind: obs.KindQuantumEnd, Tick: 1, Task: -1, N: 1, At: ms(0) + 400*time.Microsecond},
-		ph(obs.KindPhaseBegin, 1, obs.PhaseSignal, ms(0) + 400*time.Microsecond),
-		ph(obs.KindPhaseEnd, 1, obs.PhaseSignal, ms(0) + 500*time.Microsecond),
-		ph(obs.KindPhaseBegin, 1, obs.PhaseSleep, ms(0) + 500*time.Microsecond),
+		ph(obs.KindPhaseBegin, 1, obs.PhaseSignal, ms(0)+400*time.Microsecond),
+		ph(obs.KindPhaseEnd, 1, obs.PhaseSignal, ms(0)+500*time.Microsecond),
+		ph(obs.KindPhaseBegin, 1, obs.PhaseSleep, ms(0)+500*time.Microsecond),
 		ph(obs.KindPhaseEnd, 2, obs.PhaseSleep, ms(10)),
 
 		{Kind: obs.KindQuantumStart, Tick: 2, Task: -1, N: 2, At: ms(10)},
 		ph(obs.KindPhaseBegin, 2, obs.PhaseSample, ms(10)),
 		{Kind: obs.KindMeasure, Tick: 2, Task: 1, Consumed: ms(10), At: ms(10) + 100*time.Microsecond},
-		ph(obs.KindPhaseEnd, 2, obs.PhaseSample, ms(10) + 200*time.Microsecond),
-		ph(obs.KindPhaseBegin, 2, obs.PhaseCharge, ms(10) + 200*time.Microsecond),
-		ph(obs.KindPhaseEnd, 2, obs.PhaseCharge, ms(10) + 220*time.Microsecond),
-		ph(obs.KindPhaseBegin, 2, obs.PhaseDecide, ms(10) + 220*time.Microsecond),
+		ph(obs.KindPhaseEnd, 2, obs.PhaseSample, ms(10)+200*time.Microsecond),
+		ph(obs.KindPhaseBegin, 2, obs.PhaseCharge, ms(10)+200*time.Microsecond),
+		ph(obs.KindPhaseEnd, 2, obs.PhaseCharge, ms(10)+220*time.Microsecond),
+		ph(obs.KindPhaseBegin, 2, obs.PhaseDecide, ms(10)+220*time.Microsecond),
 		{Kind: obs.KindTransition, Tick: 2, Task: 1, Eligible: false, Reason: obs.ReasonExhausted, At: ms(10) + 250*time.Microsecond},
-		ph(obs.KindPhaseEnd, 2, obs.PhaseDecide, ms(10) + 300*time.Microsecond),
+		ph(obs.KindPhaseEnd, 2, obs.PhaseDecide, ms(10)+300*time.Microsecond),
 		{Kind: obs.KindQuantumEnd, Tick: 2, Task: -1, N: 1, At: ms(10) + 300*time.Microsecond},
 		{Kind: obs.KindDead, Tick: 2, Task: 2, At: ms(10) + 310*time.Microsecond},
 		{Kind: obs.KindDegrade, Tick: 2, Task: -1, N: 1, Reason: obs.ReasonOverload, Length: ms(20), At: ms(10) + 320*time.Microsecond},
@@ -146,11 +146,11 @@ func TestBuildTruncatedWindow(t *testing.T) {
 
 func TestValidateRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
-		"not json":        `{"traceEvents": [`,
-		"no traceEvents":  `{"foo": []}`,
-		"missing pid":     `{"traceEvents": [{"name":"x","ph":"X","ts":0,"tid":1,"dur":1}]}`,
-		"missing ph":      `{"traceEvents": [{"name":"x","ts":0,"pid":1,"tid":1}]}`,
-		"negative dur":    `{"traceEvents": [{"name":"x","ph":"X","ts":0,"pid":1,"tid":1,"dur":-5}]}`,
+		"not json":       `{"traceEvents": [`,
+		"no traceEvents": `{"foo": []}`,
+		"missing pid":    `{"traceEvents": [{"name":"x","ph":"X","ts":0,"tid":1,"dur":1}]}`,
+		"missing ph":     `{"traceEvents": [{"name":"x","ts":0,"pid":1,"tid":1}]}`,
+		"negative dur":   `{"traceEvents": [{"name":"x","ph":"X","ts":0,"pid":1,"tid":1,"dur":-5}]}`,
 		"overlapping spans": `{"traceEvents": [
 			{"name":"a","ph":"X","ts":0,"pid":1,"tid":1,"dur":10},
 			{"name":"b","ph":"X","ts":5,"pid":1,"tid":1,"dur":10}]}`,
