@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race short bench bench-check alloc-gate timeline trace trace-fleet chaos chaos-fleet chaos-failover vulncheck
+.PHONY: check fmt vet build test race short bench bench-check alloc-gate timeline trace trace-fleet examples chaos chaos-fleet chaos-failover vulncheck loc
 
 check: fmt vet build race
 
@@ -86,6 +86,15 @@ trace:
 	$(GO) run ./cmd/alps-sim -chrome TRACE_sim.json
 	@echo "wrote TRACE_sim.json (open in https://ui.perfetto.dev)"
 
+# Example smoke: run each simulated example to completion; any non-zero
+# exit fails the target. examples/realos is left out because it spawns
+# real processes for 10 s.
+examples:
+	@for ex in quickstart multiapp scientific webserver; do \
+		echo "== examples/$$ex"; \
+		$(GO) run ./examples/$$ex || exit 1; \
+	done
+
 # Fleet trace smoke: a deterministic coordsim fleet (coordinator + two
 # shards on a virtual clock) converges, a shard's flight recorder fires,
 # the coordinator collects every member's window, and the merged
@@ -129,6 +138,14 @@ chaos-fleet:
 # virtual clock) to TIMELINE_failover.json for the CI artifact.
 chaos-failover:
 	ALPS_TIMELINE_OUT=$(CURDIR)/TIMELINE_failover.json $(GO) test -race -run 'TestChaosFailover|TestReplica|TestDeposed|TestWeightsUpdate|TestHeartbeatHigherTerm|TestAgent' -v ./internal/coord/
+
+# Line counts over tracked files only, so build output such as
+# .bench_build/ never counts: non-test Go outside bench/, test Go outside
+# bench/, and all Go in bench/.
+loc:
+	@echo "non-test Go outside bench/: $$(git ls-files -- '*.go' ':!:bench/*' ':!:*_test.go' | xargs -r cat | wc -l)"
+	@echo "test Go outside bench/:     $$(git ls-files -- '*_test.go' ':!:bench/*' | xargs -r cat | wc -l)"
+	@echo "Go in bench/:               $$(git ls-files -- 'bench/*.go' | xargs -r cat | wc -l)"
 
 # Known-vulnerability scan, gated on the tool being installed (the CI
 # image may not ship it; we never install dependencies on the fly).

@@ -274,47 +274,3 @@ func BenchmarkSimEventThroughput(b *testing.B) {
 	}
 	b.ReportMetric(10*float64(b.N)/b.Elapsed().Seconds(), "simSec/s")
 }
-
-// BenchmarkReservationControl runs the feedback reservation controller
-// converging on the simulator.
-func BenchmarkReservationControl(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		k := alps.NewKernel()
-		tasks := make([]alps.SimTask, 3)
-		for j := range tasks {
-			pid := k.SpawnStopped("w", 0, alps.Spin())
-			tasks[j] = alps.SimTask{ID: alps.TaskID(j), Share: 1, Pids: []alps.SimPID{pid}}
-		}
-		var ctrl *alps.ReservationController
-		a, err := alps.StartALPS(k, alps.SimConfig{
-			Quantum: 10 * time.Millisecond,
-			Cost:    alps.PaperCosts(),
-			OnCycle: func(rec alps.CycleRecord) { ctrl.OnCycle(rec, k.Now()) },
-		}, tasks)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctrl = alps.NewReservationController(a.Scheduler(), alps.ReservationConfig{})
-		if err := ctrl.Reserve(0, 0.5); err != nil {
-			b.Fatal(err)
-		}
-		k.Run(60 * time.Second)
-	}
-}
-
-// BenchmarkHierFlatten measures policy-tree flattening.
-func BenchmarkHierFlatten(b *testing.B) {
-	tree := alps.ShareGroup("root", 1,
-		alps.ShareGroup("a", 2,
-			alps.ShareLeaf("a1", 1, 1), alps.ShareLeaf("a2", 2, 2), alps.ShareLeaf("a3", 3, 3)),
-		alps.ShareGroup("b", 3,
-			alps.ShareLeaf("b1", 5, 4), alps.ShareLeaf("b2", 7, 5)),
-		alps.ShareLeaf("c", 4, 6),
-	)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := alps.FlattenShares(tree); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -10,6 +10,8 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add([]byte(`{"tasks":[{"name":"a","share":1}]}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{"tasks":[{"name":"a","share":-1}]}`))
+	f.Add([]byte(`{"ncpu":-1,"tasks":[{"name":"a","share":1}]}`))
+	f.Add([]byte(`{"duration":"-1m","tasks":[{"name":"a","share":1}]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		sc, err := ParseScenario(raw)
 		if err != nil {

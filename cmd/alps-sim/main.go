@@ -8,7 +8,11 @@
 //	alps-sim -example          # print a commented example scenario
 //
 // A scenario describes the machine, the ALPS configuration, and the
-// workload tasks; see Scenario for the schema. Output is each task's CPU
+// workload tasks; see Scenario for the schema. A task's integer share is
+// the only policy input, as in the paper's §2. A share tree is written as
+// its flattening: each leaf gets the product of the share ratios along
+// its path. A CPU-rate floor r on a machine the workload saturates is
+// share r·S, where S is the sum of all shares. Output is each task's CPU
 // consumption, its percentage of the workload total, and ALPS's own
 // overhead.
 package main
@@ -69,7 +73,6 @@ const exampleScenario = `{
     {"name": "large",  "share": 3, "behavior": "spin"},
     {"name": "iojob",  "share": 2, "behavior": "io", "exec": "80ms", "wait": "240ms"},
     {"name": "pool",   "share": 4, "behavior": "spin", "procs": 3}
-  ],
-  "reservations": {"large": 0.30}
+  ]
 }
 `

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -38,7 +37,7 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 
 // TaskSpec describes one workload task.
 type TaskSpec struct {
-	// Name labels the task in the report and keys reservations.
+	// Name labels the task in the report.
 	Name string `json:"name"`
 	// Share is the task's ALPS share.
 	Share int64 `json:"share"`
@@ -65,8 +64,6 @@ type Scenario struct {
 	// Duration is the simulated run length (default 1m).
 	Duration Duration   `json:"duration"`
 	Tasks    []TaskSpec `json:"tasks"`
-	// Reservations maps task names to absolute CPU-rate targets.
-	Reservations map[string]float64 `json:"reservations"`
 }
 
 // ParseScenario decodes and validates a scenario.
@@ -76,6 +73,9 @@ func ParseScenario(raw []byte) (Scenario, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sc); err != nil {
 		return sc, fmt.Errorf("parsing scenario: %w", err)
+	}
+	if sc.NCPU < 0 {
+		return sc, fmt.Errorf("ncpu %d is negative", sc.NCPU)
 	}
 	if sc.NCPU == 0 {
 		sc.NCPU = 1
@@ -87,8 +87,14 @@ func ParseScenario(raw []byte) (Scenario, error) {
 	default:
 		return sc, fmt.Errorf("unknown policy %q (want \"bsd\" or \"cfs\")", sc.Policy)
 	}
+	if sc.Quantum < 0 {
+		return sc, fmt.Errorf("quantum %v is negative", time.Duration(sc.Quantum))
+	}
 	if sc.Quantum == 0 {
 		sc.Quantum = Duration(10 * time.Millisecond)
+	}
+	if sc.Duration < 0 {
+		return sc, fmt.Errorf("duration %v is negative", time.Duration(sc.Duration))
 	}
 	if sc.Duration == 0 {
 		sc.Duration = Duration(time.Minute)
@@ -126,23 +132,14 @@ func ParseScenario(raw []byte) (Scenario, error) {
 			return sc, fmt.Errorf("task %q: unknown behavior %q", t.Name, t.Behavior)
 		}
 	}
-	for name, rate := range sc.Reservations {
-		if !seen[name] {
-			return sc, fmt.Errorf("reservation for unknown task %q", name)
-		}
-		if rate <= 0 || rate >= 1 {
-			return sc, fmt.Errorf("reservation for %q: rate %v outside (0,1)", name, rate)
-		}
-	}
 	return sc, nil
 }
 
 // TaskResult is one task's outcome.
 type TaskResult struct {
-	Name     string
-	Share    int64
-	Reserved float64
-	CPU      time.Duration
+	Name  string
+	Share int64
+	CPU   time.Duration
 	// PctOfWorkload is the task's percentage of all workload CPU.
 	PctOfWorkload float64
 	// Rate is CPU consumed over wall time (can exceed 1 on SMP
@@ -164,14 +161,10 @@ func (r Result) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "simulated %v on %d %s cpu(s), quantum %v, %d cycles completed\n",
 		r.Wall, r.Scenario.NCPU, r.Scenario.Policy, time.Duration(r.Scenario.Quantum), r.Cycles)
-	fmt.Fprintf(&b, "%-12s %6s %9s %12s %9s %7s\n", "task", "share", "reserved", "cpu", "workload%", "rate")
+	fmt.Fprintf(&b, "%-12s %6s %12s %9s %7s\n", "task", "share", "cpu", "workload%", "rate")
 	for _, t := range r.Tasks {
-		res := "-"
-		if t.Reserved > 0 {
-			res = fmt.Sprintf("%.0f%%", 100*t.Reserved)
-		}
-		fmt.Fprintf(&b, "%-12s %6d %9s %12v %8.1f%% %6.1f%%\n",
-			t.Name, t.Share, res, t.CPU.Round(time.Millisecond), t.PctOfWorkload, 100*t.Rate)
+		fmt.Fprintf(&b, "%-12s %6d %12v %8.1f%% %6.1f%%\n",
+			t.Name, t.Share, t.CPU.Round(time.Millisecond), t.PctOfWorkload, 100*t.Rate)
 	}
 	fmt.Fprintf(&b, "ALPS overhead: %.3f%% of one CPU\n", r.AlpsOverheadPct)
 	return b.String()
@@ -212,16 +205,12 @@ func RunScenario(sc Scenario, logCycles bool, tracePath, chromePath string) (*Re
 		simTasks[i] = alps.SimTask{ID: alps.TaskID(i), Share: t.Share, Pids: taskPids[i]}
 	}
 
-	var ctrl *alps.ReservationController
 	cycles := 0
 	cfg := alps.SimConfig{
 		Quantum: time.Duration(sc.Quantum),
 		Cost:    alps.PaperCosts(),
 		OnCycle: func(rec alps.CycleRecord) {
 			cycles++
-			if ctrl != nil {
-				ctrl.OnCycle(rec, k.Now())
-			}
 			if logCycles {
 				var total time.Duration
 				for _, ct := range rec.Tasks {
@@ -246,24 +235,6 @@ func RunScenario(sc Scenario, logCycles bool, tracePath, chromePath string) (*Re
 	if err != nil {
 		return nil, err
 	}
-	if len(sc.Reservations) > 0 {
-		ctrl = alps.NewReservationController(a.Scheduler(), alps.ReservationConfig{})
-		names := make([]string, 0, len(sc.Reservations))
-		for name := range sc.Reservations {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			for i, t := range sc.Tasks {
-				if t.Name == name {
-					if err := ctrl.Reserve(alps.TaskID(i), sc.Reservations[name]); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-
 	k.Run(time.Duration(sc.Duration))
 	if tr != nil {
 		k.EndTrace()
@@ -309,11 +280,10 @@ func RunScenario(sc Scenario, logCycles bool, tracePath, chromePath string) (*Re
 	}
 	for i, t := range sc.Tasks {
 		tr := TaskResult{
-			Name:     t.Name,
-			Share:    t.Share,
-			Reserved: sc.Reservations[t.Name],
-			CPU:      cpus[i],
-			Rate:     float64(cpus[i]) / float64(res.Wall),
+			Name:  t.Name,
+			Share: t.Share,
+			CPU:   cpus[i],
+			Rate:  float64(cpus[i]) / float64(res.Wall),
 		}
 		if total > 0 {
 			tr.PctOfWorkload = 100 * float64(cpus[i]) / float64(total)

@@ -24,9 +24,6 @@ func TestParseExampleScenario(t *testing.T) {
 	if sc.Tasks[4].Procs != 3 {
 		t.Errorf("pool procs = %d", sc.Tasks[4].Procs)
 	}
-	if sc.Reservations["large"] != 0.30 {
-		t.Errorf("reservations = %v", sc.Reservations)
-	}
 }
 
 func TestParseDefaults(t *testing.T) {
@@ -43,22 +40,27 @@ func TestParseDefaults(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad policy":        `{"policy":"o1","tasks":[{"name":"a","share":1}]}`,
-		"no tasks":          `{"tasks":[]}`,
-		"unnamed task":      `{"tasks":[{"share":1}]}`,
-		"duplicate name":    `{"tasks":[{"name":"a","share":1},{"name":"a","share":2}]}`,
-		"zero share":        `{"tasks":[{"name":"a","share":0}]}`,
-		"bad behavior":      `{"tasks":[{"name":"a","share":1,"behavior":"dance"}]}`,
-		"io without waits":  `{"tasks":[{"name":"a","share":1,"behavior":"io"}]}`,
-		"unknown resv task": `{"tasks":[{"name":"a","share":1}],"reservations":{"zzz":0.5}}`,
-		"bad resv rate":     `{"tasks":[{"name":"a","share":1}],"reservations":{"a":1.5}}`,
-		"unknown field":     `{"tasks":[{"name":"a","share":1}],"typo":true}`,
-		"bad duration":      `{"duration":"soon","tasks":[{"name":"a","share":1}]}`,
+	cases := map[string]struct{ raw, want string }{
+		"bad policy":        {`{"policy":"o1","tasks":[{"name":"a","share":1}]}`, "unknown policy"},
+		"no tasks":          {`{"tasks":[]}`, "no tasks"},
+		"unnamed task":      {`{"tasks":[{"share":1}]}`, "has no name"},
+		"duplicate name":    {`{"tasks":[{"name":"a","share":1},{"name":"a","share":2}]}`, "duplicate task name"},
+		"zero share":        {`{"tasks":[{"name":"a","share":0}]}`, "share must be positive"},
+		"bad behavior":      {`{"tasks":[{"name":"a","share":1,"behavior":"dance"}]}`, "unknown behavior"},
+		"io without waits":  {`{"tasks":[{"name":"a","share":1,"behavior":"io"}]}`, "io behavior needs"},
+		"unknown field":     {`{"tasks":[{"name":"a","share":1}],"typo":true}`, `unknown field "typo"`},
+		"reservations":      {`{"tasks":[{"name":"a","share":1}],"reservations":{"a":0.5}}`, `unknown field "reservations"`},
+		"bad duration":      {`{"duration":"soon","tasks":[{"name":"a","share":1}]}`, "bad duration"},
+		"negative ncpu":     {`{"ncpu":-1,"tasks":[{"name":"a","share":1}]}`, "ncpu -1 is negative"},
+		"negative duration": {`{"duration":"-1m","tasks":[{"name":"a","share":1}]}`, "duration -1m0s is negative"},
+		"negative quantum":  {`{"quantum":"-10ms","tasks":[{"name":"a","share":1}]}`, "quantum -10ms is negative"},
 	}
-	for name, raw := range cases {
-		if _, err := ParseScenario([]byte(raw)); err == nil {
+	for name, c := range cases {
+		_, err := ParseScenario([]byte(c.raw))
+		if err == nil {
 			t.Errorf("%s: expected parse error", name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %q", name, err, c.want)
 		}
 	}
 }

@@ -10,16 +10,15 @@ import (
 // The rebalance planner. The coordinator's only lever is each shard's
 // *local* share vector — shards schedule autonomously, and a local
 // proportional-share scheduler only honours ratios among co-located
-// principals. Plan therefore runs a damped multiplicative update (the
-// same feedback shape as internal/rsv, lifted to the fleet): a principal
-// whose global consumed fraction fell short of its weight gets its local
-// share multiplied up on every shard hosting it, one that overshot gets
-// multiplied down, each shard's vector is renormalized to a fixed total
-// (preserving the local ratios, which are all that matter), and the step
-// is clamped so a noisy window cannot slingshot the distribution. This
-// is the cluster-level fractional-share regime of Casanova et al.
-// (Dynamic Fractional Resource Scheduling vs Batch Scheduling): shares
-// move, jobs don't.
+// principals. Plan therefore runs a damped multiplicative update: a
+// principal whose global consumed fraction fell short of its weight gets
+// its local share multiplied up on every shard hosting it, one that
+// overshot gets multiplied down, each shard's vector is renormalized to a
+// fixed total (preserving the local ratios, which are all that matter),
+// and the step is clamped so a noisy window cannot slingshot the
+// distribution. This is the cluster-level fractional-share regime of
+// Casanova et al. (Dynamic Fractional Resource Scheduling vs Batch
+// Scheduling): shares move, jobs don't.
 
 // PlannerConfig tunes the rebalance step.
 type PlannerConfig struct {
