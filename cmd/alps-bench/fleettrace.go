@@ -177,16 +177,15 @@ func runFleetTrace() error {
 		return err
 	}
 
-	epoch := srv.Epoch()
-	health := stack.Auditor.Health()
+	st := srv.Status()
 	req, members, ok := stack.Bundler.Last()
 	fmt.Printf("Fleet tracing smoke (%d shards, %d virtual steps of %v)\n", len(shards), steps, step)
 	fmt.Printf("  committed epochs:        %d (global RMS %.3f, converged=%v)\n",
-		epoch, health.GlobalRMS, health.Converged)
+		st.Epoch, st.GlobalRMSWindowed, st.Converged)
 	fmt.Printf("  merged trace:            %d spans, %d publish->apply flows, %d bytes\n",
 		spans, flows, buf.Len())
 	fmt.Printf("  epoch propagation:       %d observations, max %.3fs\n",
-		health.PropagationCount, health.PropagationMaxSec)
+		st.PropagationCount, st.PropagationMaxSec)
 	if ok {
 		fmt.Printf("  correlated collection:   reason=%s epoch=%d members=%d\n",
 			req.Reason, req.Epoch, len(members))
@@ -194,13 +193,13 @@ func runFleetTrace() error {
 	fmt.Printf("  wrote %s\n", path)
 
 	// Gates: causality must actually be drawn, not just written.
-	if epoch == 0 {
+	if st.Epoch == 0 {
 		return fmt.Errorf("fleettrace: no epoch ever committed")
 	}
 	if flows == 0 {
 		return fmt.Errorf("fleettrace: merged trace has no publish->apply flows")
 	}
-	if health.PropagationCount == 0 {
+	if st.PropagationCount == 0 {
 		return fmt.Errorf("fleettrace: no epoch propagation was observed")
 	}
 	if !ok || req.Reason != "shard_dump" {

@@ -126,14 +126,14 @@ func runObs() error {
 	// Fleet-tracing overhead on the control plane: the coordinator's
 	// heartbeat handler — the fleet's hot RPC, every shard every period —
 	// timed with the fleet observability stack detached and attached.
-	// The attached path federates the shard's gauges into the fleet
-	// auditor and checks for a pending dump request on every beat; the
-	// budget is 1% added cost (5% under -quick, where short runs are
-	// noise-bound). A 1% resolution is below this harness's run-to-run
-	// noise (GC phase, frequency drift), so the two variants are NOT
-	// timed as separate runs: heartbeatLoop returns a closure per
-	// variant and the caller interleaves small chunks of both against
-	// live servers, charging slow drift to each side equally.
+	// The attached path watches the shard's dump counter and checks for
+	// a pending dump request on every beat; the budget is 1% added cost
+	// (5% under -quick, where short runs are noise-bound). A 1%
+	// resolution is below this harness's run-to-run noise (GC phase,
+	// frequency drift), so the two variants are NOT timed as separate
+	// runs: heartbeatLoop returns a closure per variant and the caller
+	// interleaves small chunks of both against live servers, charging
+	// slow drift to each side equally.
 	heartbeatLoop := func(withFleet bool) (func(n int) error, error) {
 		cfg := coord.ServerConfig{TTL: time.Hour, RebalanceEvery: time.Hour}
 		if withFleet {

@@ -16,6 +16,7 @@ import (
 	"alps/internal/coord"
 	"alps/internal/fleetobs"
 	"alps/internal/obs"
+	"alps/internal/osproc"
 )
 
 // Fleet mode. `alps coord` runs the coordinator; any scheduling mode
@@ -110,37 +111,96 @@ func startCoordLink(r *alps.Runner, st *obsStack, url, shard string, capacity fl
 	return agent, func() { cancel(); <-done }, nil
 }
 
+// coordOpts are the flags of "alps coord". validate() enforces their
+// contract before the listener opens: an out-of-range value is an error
+// naming the flag, never a silent rewrite to a default (the server and
+// planner treat 0 or less as "use the default") or an assignment every
+// shard would reject.
+type coordOpts struct {
+	httpAddr      *string
+	ttl           *time.Duration
+	rebalance     *time.Duration
+	state         *string
+	quantum       *time.Duration
+	gain          *float64
+	deadband      *float64
+	timelineEvery *time.Duration
+	traceDir      *string
+	self          *string
+	peers         *string
+	leaderTTL     *time.Duration
+}
+
+func coordFlags(fs *flag.FlagSet) coordOpts {
+	return coordOpts{
+		httpAddr:      fs.String("http", "", "address to serve /coord/v1/*, /metrics and /healthz on (required, e.g. :7070)"),
+		ttl:           fs.Duration("ttl", coord.DefaultTTL, "shard lease TTL; a shard silent past it is declared dead"),
+		rebalance:     fs.Duration("rebalance", coord.DefaultRebalanceEvery, "rebalance period"),
+		state:         fs.String("state", "", "checkpoint file for the committed share distribution"),
+		quantum:       fs.Duration("q", 0, "fleet-wide quantum pushed with every assignment (0: shards keep their own)"),
+		gain:          fs.Float64("gain", 0, "rebalance step clamp: one round moves a share by at most this factor, above 1 (0: default 2)"),
+		deadband:      fs.Float64("deadband", 0, "global RMS share error below which no rebalance is committed (0: default 0.02)"),
+		timelineEvery: fs.Duration("timeline-every", time.Second, "retained-history sampling cadence for /fleet/timeline (0 disables the fleet timeline)"),
+		traceDir:      fs.String("trace-dir", "", "directory for correlated fleet trace bundles (empty: in-memory only, still served at /debug/fleet-trace)"),
+		self:          fs.String("self", "", "this replica's own base URL as peers and shards reach it (enables replication)"),
+		peers:         fs.String("peers", "", "comma-separated base URLs of the other coordinator replicas"),
+		leaderTTL:     fs.Duration("leader-ttl", coord.DefaultLeaderTTL, "leadership lease TTL; a standby that hears nothing from the leader for its staggered multiple of this elects itself"),
+	}
+}
+
+// peerList splits -peers into URLs.
+func (o coordOpts) peerList() []string {
+	var out []string
+	for _, p := range strings.Split(*o.peers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func (o coordOpts) validate() error {
+	if *o.httpAddr == "" {
+		return fmt.Errorf("-http is required (the coordinator is an HTTP server)")
+	}
+	for _, d := range []struct {
+		flag string
+		v    time.Duration
+	}{{"-ttl", *o.ttl}, {"-rebalance", *o.rebalance}, {"-leader-ttl", *o.leaderTTL}} {
+		if d.v <= 0 {
+			return fmt.Errorf("%s must be positive, got %v", d.flag, d.v)
+		}
+	}
+	q := *o.quantum
+	if q < 0 {
+		return fmt.Errorf("-q must be zero (shards keep their own) or positive, got %v", q)
+	}
+	if q > 0 && q < osproc.ClockTick {
+		return fmt.Errorf("-q %v is below the /proc accounting tick %v; every shard would reject the assignment", q, osproc.ClockTick)
+	}
+	if g := *o.gain; g != 0 && !(g > 1) {
+		return fmt.Errorf("-gain must be zero (default 2) or above 1, got %v", g)
+	}
+	if d := *o.deadband; !(d >= 0) {
+		return fmt.Errorf("-deadband must be zero (default 0.02) or positive, got %v", d)
+	}
+	if *o.timelineEvery < 0 {
+		return fmt.Errorf("-timeline-every must be zero (timeline off) or positive, got %v", *o.timelineEvery)
+	}
+	if len(o.peerList()) > 0 && *o.self == "" {
+		return fmt.Errorf("-peers given without -self; a replica must know its own URL to stagger elections and stamp leader hints")
+	}
+	return nil
+}
+
 func cmdCoord(args []string) error {
 	fs := flag.NewFlagSet("coord", flag.ExitOnError)
-	httpAddr := fs.String("http", "", "address to serve /coord/v1/*, /metrics and /healthz on (required, e.g. :7070)")
-	ttl := fs.Duration("ttl", coord.DefaultTTL, "shard lease TTL; a shard silent past it is declared dead")
-	rebalance := fs.Duration("rebalance", coord.DefaultRebalanceEvery, "rebalance period")
-	state := fs.String("state", "", "checkpoint file for the committed share distribution")
-	quantum := fs.Duration("q", 0, "fleet-wide quantum pushed with every assignment (0: shards keep their own)")
-	gain := fs.Float64("gain", 0, "rebalance step clamp: one round moves a share by at most this factor (0: default 2)")
-	deadband := fs.Float64("deadband", 0, "global RMS share error below which no rebalance is committed (0: default 0.02)")
-	timelineEvery := fs.Duration("timeline-every", time.Second, "retained-history sampling cadence for /fleet/timeline (0 disables the fleet timeline)")
-	traceDir := fs.String("trace-dir", "", "directory for correlated fleet trace bundles (empty: in-memory only, still served at /debug/fleet-trace)")
-	self := fs.String("self", "", "this replica's own base URL as peers and shards reach it (enables replication)")
-	peers := fs.String("peers", "", "comma-separated base URLs of the other coordinator replicas")
-	leaderTTL := fs.Duration("leader-ttl", coord.DefaultLeaderTTL, "leadership lease TTL; a standby that hears nothing from the leader for its staggered multiple of this elects itself")
+	opts := coordFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *httpAddr == "" {
-		return fmt.Errorf("-http is required (the coordinator is an HTTP server)")
-	}
-	if *timelineEvery < 0 {
-		return fmt.Errorf("-timeline-every must be zero (timeline off) or positive, got %v", *timelineEvery)
-	}
-	var peerList []string
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerList = append(peerList, p)
-		}
-	}
-	if len(peerList) > 0 && *self == "" {
-		return fmt.Errorf("-peers given without -self; a replica must know its own URL to stagger elections and stamp leader hints")
+	if err := opts.validate(); err != nil {
+		return err
 	}
 	weights := make(map[int64]int64)
 	for _, a := range fs.Args() {
@@ -162,29 +222,29 @@ func cmdCoord(args []string) error {
 	reg := obs.NewRegistry()
 	// StackConfig treats 0 as "default cadence" and negative as
 	// "disabled"; the flag's 0 means disabled, so translate.
-	histEvery := *timelineEvery
+	histEvery := *opts.timelineEvery
 	if histEvery == 0 {
 		histEvery = -1
 	}
 	fleet := fleetobs.NewStack(fleetobs.StackConfig{
-		Dir:          *traceDir,
+		Dir:          *opts.traceDir,
 		Metrics:      reg,
-		LeaseTTL:     *ttl,
 		HistoryEvery: histEvery,
 		Logf: func(format string, args ...any) {
 			errlog.Info(fmt.Sprintf(format, args...))
 		},
 	})
+	peerList := opts.peerList()
 	srv, err := coord.NewServer(coord.ServerConfig{
-		TTL:            *ttl,
-		RebalanceEvery: *rebalance,
-		Quantum:        *quantum,
+		TTL:            *opts.ttl,
+		RebalanceEvery: *opts.rebalance,
+		Quantum:        *opts.quantum,
 		Weights:        weights,
-		StatePath:      *state,
-		Self:           *self,
+		StatePath:      *opts.state,
+		Self:           *opts.self,
 		Peers:          peerList,
-		LeaderTTL:      *leaderTTL,
-		Planner:        coord.PlannerConfig{Gain: *gain, Deadband: *deadband},
+		LeaderTTL:      *opts.leaderTTL,
+		Planner:        coord.PlannerConfig{Gain: *opts.gain, Deadband: *opts.deadband},
 		Metrics:        reg,
 		Fleet:          fleet,
 		Logf: func(format string, args ...any) {
@@ -198,15 +258,15 @@ func cmdCoord(args []string) error {
 	mux := obs.NewMux(reg, func() any { return srv.Status() }, nil)
 	mux.Handle("/coord/v1/", srv)
 	fleet.Mount(mux)
-	ln, err := net.Listen("tcp", *httpAddr)
+	ln, err := net.Listen("tcp", *opts.httpAddr)
 	if err != nil {
-		return fmt.Errorf("coordinator listener on %s: %w", *httpAddr, err)
+		return fmt.Errorf("coordinator listener on %s: %w", *opts.httpAddr, err)
 	}
 	hs := hardenedServer(mux)
 	go func() { _ = hs.Serve(ln) }()
 	errlog.Info("coordinator listening", "addr", ln.Addr().String(),
-		"ttl", *ttl, "rebalance", *rebalance, "weights", len(weights),
-		"self", *self, "peers", len(peerList))
+		"ttl", *opts.ttl, "rebalance", *opts.rebalance, "weights", len(weights),
+		"self", *opts.self, "peers", len(peerList))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -13,6 +13,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"alps/internal/coord"
+	"alps/internal/tshist"
 )
 
 var coordListenRe = regexp.MustCompile(`msg="coordinator listening" addr=([0-9.:\[\]]+)`)
@@ -33,8 +36,10 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 // (spawn mode with -coord), then checks the fleet wiring end to end:
 // the shard registers and turns healthy on /healthz (attached, epoch,
 // lease age), the coordinator's /coord/v1/status lists it with live
-// gauges, and killing the coordinator flips the shard's /healthz link
-// block to degraded-to-static while scheduling carries on.
+// gauges, the coordinator's /healthz is that same document, its
+// timeline is served and the removed /fleet/* routes are gone, and
+// killing the coordinator flips the shard's /healthz link block to
+// degraded-to-static while scheduling carries on.
 func TestFleetEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -167,9 +172,51 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 	metricsBody, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"alps_coord_leases_active 1", "alps_coord_heartbeats_total"} {
+	for _, want := range []string{"alps_coord_leases_active 1", "alps_coord_heartbeats_total",
+		`alps_fleet_shard_stale{shard="e2e-shard"} 0`} {
 		if !bytes.Contains(metricsBody, []byte(want)) {
 			t.Errorf("coordinator /metrics missing %q:\n%s", want, metricsBody)
+		}
+	}
+	// Families that only repeated an alps_coord_* fact are gone.
+	for _, gone := range []string{"alps_fleet_term ", "alps_fleet_is_leader ", "alps_fleet_shards ",
+		"alps_fleet_lease_expiries_total ", "alps_fleet_counter_regressions_total ",
+		"alps_fleet_global_rms_share_error_round ", "alps_fleet_registrations_total "} {
+		if bytes.Contains(metricsBody, []byte(gone)) {
+			t.Errorf("coordinator /metrics still exports %s", gone)
+		}
+	}
+
+	// /healthz is the coordinator's one status document: the same
+	// document as /coord/v1/status, fleet estimators and shard rows
+	// included. Retry until no commit lands between the two reads.
+	var healthDoc, statusDoc coord.FleetStatus
+	waitFor(t, "/healthz and /coord/v1/status to agree", 10*time.Second, func() bool {
+		if getJSON(coordAddr, "/healthz", &healthDoc) != nil || getJSON(coordAddr, "/coord/v1/status", &statusDoc) != nil {
+			return false
+		}
+		return healthDoc.Epoch == statusDoc.Epoch && len(healthDoc.Shards) == 1 && len(statusDoc.Shards) == 1 &&
+			healthDoc.Shards[0].Shard == statusDoc.Shards[0].Shard && healthDoc.Role == statusDoc.Role
+	})
+	if row := healthDoc.Shards[0]; row.Shard != "e2e-shard" || row.Stale || row.LeaseAgeSec < 0 {
+		t.Errorf("/healthz shard row = %+v, want a fresh e2e-shard", row)
+	}
+	for path, want := range map[string]int{"/fleet/healthz": 404, "/fleet/metrics": 404, "/fleet/timeline": 200} {
+		resp, err := http.Get(fmt.Sprintf("http://%s%s", coordAddr, path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
+		if path != "/fleet/timeline" {
+			continue
+		}
+		var tl tshist.Timeline
+		if err := json.Unmarshal(body, &tl); err != nil || tl.Samples == 0 {
+			t.Errorf("/fleet/timeline is not a sampled timeline (err %v): %.200s", err, body)
 		}
 	}
 

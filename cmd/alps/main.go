@@ -124,7 +124,7 @@ audit and timeline flags:
                     per metric series is kept in a bounded ring served at
                     /debug/timeline as JSON (?format=csv for CSV); 0
                     disables (default 1s). On "alps coord" the same flag
-                    drives the federated /fleet/timeline
+                    drives /fleet/timeline, the coordinator's history
 
 Replication: -self and -peers on "alps coord" run a replica set. Standbys
 pull committed state from the leader; leadership is a term-fenced TTL
@@ -132,13 +132,15 @@ lease, so a deposed leader's publishes are rejected by shards and
 replicas alike. POST /coord/v1/weights on the leader reconfigures the
 global weight table live (followers answer 409 with a leader hint).
 
-The coordinator additionally serves federated fleet metrics on
-/fleet/metrics (with per-shard staleness stamps), the fleet health
-document on /fleet/healthz, the retained fleet timeline on
-/fleet/timeline, and the latest correlated fleet trace bundle
-(Perfetto-loadable, merged across the coordinator and every uploading
-shard) on /debug/fleet-trace; -trace-dir on coord persists those bundles
-as fleet-<reason>-<epoch>/.
+The coordinator's status document is /healthz, the same document as
+/coord/v1/status: epoch, global RMS share error (last round, windowed,
+EWMA), convergence, epoch propagation, leased shards with lease age and
+stale flag, detached shards, and the replication view. /metrics carries
+the alps_coord_* and alps_fleet_* families. The coordinator also serves
+its retained timeline on /fleet/timeline and the latest correlated fleet
+trace bundle (Perfetto-loadable, merged across the coordinator and every
+uploading shard) on /debug/fleet-trace; -trace-dir on coord persists
+those bundles as fleet-<reason>-<epoch>/.
 
 SIGUSR1 dumps the cycle journal to stderr. SIGUSR2 dumps a flight-recorder
 trace. SIGHUP reloads -config.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"strings"
 	"testing"
 	"time"
 )
@@ -133,6 +134,47 @@ func TestAuditFlagValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := parse(tc.args...).validate(); (err == nil) != tc.ok {
 				t.Errorf("validate(%v) = %v, want ok=%t", tc.args, err, tc.ok)
+			}
+		})
+	}
+}
+
+// TestCoordFlagValidation: "alps coord" rejects every out-of-range flag
+// before the listener opens, naming the flag, instead of rewriting it to
+// a default or pushing a quantum every shard rejects. The documented
+// zeros (-q 0, -gain 0, -deadband 0) keep their meaning.
+func TestCoordFlagValidation(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		flag string // named in the error; "" means accepted
+	}{
+		{"defaults", nil, ""},
+		{"documented zeros", []string{"-q", "0", "-gain", "0", "-deadband", "0"}, ""},
+		{"explicit values", []string{"-q", "20ms", "-gain", "1.5", "-deadband", "0.05", "-ttl", "2s",
+			"-rebalance", "500ms", "-leader-ttl", "1s"}, ""},
+		{"quantum below the accounting tick", []string{"-q", "5ms"}, "-q"},
+		{"negative quantum", []string{"-q", "-10ms"}, "-q"},
+		{"gain below 1", []string{"-gain", "0.5"}, "-gain"},
+		{"gain of 1", []string{"-gain", "1"}, "-gain"},
+		{"negative deadband", []string{"-deadband", "-0.1"}, "-deadband"},
+		{"zero ttl", []string{"-ttl", "0"}, "-ttl"},
+		{"negative rebalance", []string{"-rebalance", "-1s"}, "-rebalance"},
+		{"zero leader ttl", []string{"-leader-ttl", "0"}, "-leader-ttl"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("coord", flag.ContinueOnError)
+			opts := coordFlags(fs)
+			if err := fs.Parse(append([]string{"-http", ":0"}, tc.args...)); err != nil {
+				t.Fatal(err)
+			}
+			err := opts.validate()
+			switch {
+			case tc.flag == "" && err != nil:
+				t.Errorf("validate(%v) = %v, want accepted", tc.args, err)
+			case tc.flag != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ")):
+				t.Errorf("validate(%v) = %v, want an error naming %s", tc.args, err, tc.flag)
 			}
 		})
 	}

@@ -390,12 +390,12 @@ func (f *fleet) assertFleetFederation() {
 	t := f.t
 	t.Helper()
 	stack := f.stacks[len(f.stacks)-1]
-	h := stack.Auditor.Health()
-	if h.PropagationCount == 0 {
-		t.Error("fleet auditor observed no epoch propagation latencies")
+	st := f.srv.Status()
+	if st.PropagationCount == 0 {
+		t.Error("coordinator observed no epoch propagation latencies")
 	}
-	if h.GlobalRMS < 0 || h.GlobalRMS > 0.5 {
-		t.Errorf("fleet auditor global RMS %.3f out of bounds", h.GlobalRMS)
+	if st.GlobalRMSWindowed < 0 || st.GlobalRMSWindowed > 0.5 {
+		t.Errorf("windowed global RMS %.3f out of bounds", st.GlobalRMSWindowed)
 	}
 	if stack.Bundler.Collections() == 0 {
 		t.Fatal("s4's lease loss opened no correlated collection")
@@ -417,7 +417,7 @@ func (f *fleet) assertFleetFederation() {
 		t.Fatalf("correlated bundle does not validate: %v", err)
 	}
 	t.Logf("fleet federation: propagation_count=%d global_rms=%.3f collections=%d uploads=%d",
-		h.PropagationCount, h.GlobalRMS, stack.Bundler.Collections(), stack.Bundler.Uploads())
+		st.PropagationCount, st.GlobalRMSWindowed, stack.Bundler.Collections(), stack.Bundler.Uploads())
 }
 
 func TestChaosFleet(t *testing.T) {

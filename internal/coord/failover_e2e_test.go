@@ -78,15 +78,18 @@ func newReplicatedFleet(t *testing.T) *rfleet {
 				peers = append(peers, replicaSetURL(o))
 			}
 		}
+		// One registry per replica, shared by server and stack as in
+		// "alps coord", so the retained timeline carries the server's
+		// gauges.
+		reg := obs.NewRegistry()
 		stack := fleetobs.NewStack(fleetobs.StackConfig{
 			Node:         n,
+			Metrics:      reg,
 			Now:          clk.Now,
 			Cooldown:     time.Second,
-			LeaseTTL:     chaosTTL,
 			HistoryEvery: chaosRebalance, // one timeline point per rebalance round
 			Logf:         t.Logf,
 		})
-		reg := obs.NewRegistry()
 		srv, err := coord.NewServer(coord.ServerConfig{
 			TTL:            chaosTTL,
 			RebalanceEvery: chaosRebalance,
@@ -398,10 +401,9 @@ func TestChaosFailover(t *testing.T) {
 			t.Fatalf("heal: replica %s role=%s, want follower", n, st.Role)
 		}
 	}
-	h := f.stacks[lead].Auditor.Health()
-	if !h.IsLeader || h.Term != 3 || h.Leader != replicaSetURL(lead) {
-		t.Fatalf("final: leader healthz disagrees with the replica set: leader=%q term=%d isLeader=%v",
-			h.Leader, h.Term, h.IsLeader)
+	if st := f.srvs[lead].Status(); st.Role != "leader" || st.Term != 3 || st.Leader != replicaSetURL(lead) {
+		t.Fatalf("final: leader status disagrees with the replica set: leader=%q term=%d role=%s",
+			st.Leader, st.Term, st.Role)
 	}
 
 	// Invariants over the whole script.
@@ -419,16 +421,16 @@ func TestChaosFailover(t *testing.T) {
 	// the fleet share-error estimator gauges must be in the timeline, and —
 	// when the chaos-failover CI job asks via ALPS_TIMELINE_OUT — the
 	// whole /fleet/timeline document is written out as the run artifact.
-	ft := f.stacks[lead].Timeline()
-	if ft.Timeline.Samples == 0 {
+	tl := f.stacks[lead].History.Snapshot()
+	if tl.Samples == 0 {
 		t.Fatal("final: leader retained no timeline samples")
 	}
 	series := make(map[string]int)
-	for _, sr := range ft.Timeline.Series {
+	for _, sr := range tl.Series {
 		series[sr.Name] = len(sr.Points)
 	}
 	for _, name := range []string{
-		"alps_fleet_global_rms_share_error_round",
+		"alps_coord_global_rms_share_error",
 		"alps_fleet_global_rms_share_error_ewma",
 		"alps_fleet_rms_beat_ratio",
 	} {
@@ -437,7 +439,7 @@ func TestChaosFailover(t *testing.T) {
 		}
 	}
 	if out := os.Getenv("ALPS_TIMELINE_OUT"); out != "" {
-		data, err := json.MarshalIndent(ft, "", " ")
+		data, err := json.MarshalIndent(tl, "", " ")
 		if err != nil {
 			t.Fatalf("marshal timeline capture: %v", err)
 		}
@@ -445,6 +447,6 @@ func TestChaosFailover(t *testing.T) {
 			t.Fatalf("write timeline capture: %v", err)
 		}
 		t.Logf("final: wrote /fleet/timeline capture to %s (%d series, %d samples)",
-			out, len(ft.Timeline.Series), ft.Timeline.Samples)
+			out, len(tl.Series), tl.Samples)
 	}
 }

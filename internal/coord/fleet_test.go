@@ -3,12 +3,16 @@ package coord
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"alps/internal/fleetobs"
+	"alps/internal/obs"
 	"alps/internal/trace"
 )
 
@@ -45,7 +49,7 @@ func kinds(events []fleetobs.Event) map[fleetobs.Kind]int {
 // consumption rewound (shard restart mid-window) credits the fresh
 // cumulative value, never subtracts, clamps pathological negative
 // readings at zero, and is flagged on the coordinator counter, the
-// fleet auditor, and the coordinator's trace.
+// status document, and the coordinator's trace.
 func TestFleetCounterRegressionClamp(t *testing.T) {
 	clk := newVclock()
 	s, stack := newFleetServer(t, clk)
@@ -68,8 +72,8 @@ func TestFleetCounterRegressionClamp(t *testing.T) {
 	if n := s.counterRegressions.get(); n != 2 {
 		t.Fatalf("coordinator regressions = %d, want 2", n)
 	}
-	if h := stack.Auditor.Health(); h.CounterRegressions != 2 {
-		t.Fatalf("auditor regressions = %d, want 2", h.CounterRegressions)
+	if st := s.Status(); st.CounterRegressions != 2 {
+		t.Fatalf("status regressions = %d, want 2", st.CounterRegressions)
 	}
 	if k := kinds(stack.Tracer.Snapshot()); k[fleetobs.KindCounterRegression] != 2 {
 		t.Fatalf("trace regression events = %d, want 2", k[fleetobs.KindCounterRegression])
@@ -237,8 +241,9 @@ func TestFleetDumpCollection(t *testing.T) {
 	if req := stack.Bundler.Pending(); req.Reason != "lease_lost" {
 		t.Fatalf("pending reason = %q, want lease_lost", req.Reason)
 	}
-	if h := stack.Auditor.Health(); h.LeaseExpiries != 1 || len(h.Shards) != 1 || !h.Shards[0].Detached {
-		t.Fatalf("auditor after expiry: %+v", h)
+	if st := srv.Status(); st.LeaseExpiries != 1 || len(st.Shards) != 0 ||
+		len(st.Detached) != 1 || st.Detached[0].Shard != "s1" {
+		t.Fatalf("status after expiry: %+v", st)
 	}
 }
 
@@ -280,5 +285,257 @@ func TestFleetDumpLargeUpload(t *testing.T) {
 	}
 	if stack.Bundler.Uploads() != 1 {
 		t.Fatalf("uploads = %d, want 1", stack.Bundler.Uploads())
+	}
+}
+
+// newMetricsServer builds a coordinator exporting onto a registry of
+// its own, on the test's virtual clock (TTL 1s).
+func newMetricsServer(t *testing.T, clk *vclock) (*Server, *obs.Registry) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	s, err := NewServer(ServerConfig{
+		TTL:            time.Second,
+		RebalanceEvery: 500 * time.Millisecond,
+		Clock:          clk.Now,
+		Metrics:        reg,
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	return s, reg
+}
+
+// scrape renders a registry in Prometheus text format.
+func scrape(t *testing.T, reg *obs.Registry) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	return buf.String()
+}
+
+// commitWeights commits one epoch through the live weight table.
+func commitWeights(t *testing.T, s *Server) {
+	t.Helper()
+	if _, err := s.SetWeights([]TaskShare{{ID: 1, Share: 1}}); err != nil {
+		t.Fatalf("SetWeights: %v", err)
+	}
+}
+
+// TestFleetPropagationAndLeases: each commit is timed to each shard's
+// first heartbeat acking it (one ack covering two commits times both,
+// a repeated ack times nothing), and an expired lease moves the shard
+// to the detached list and counts on both the document and the
+// registry.
+func TestFleetPropagationAndLeases(t *testing.T) {
+	clk := newVclock()
+	s, reg := newMetricsServer(t, clk)
+	r := mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 100})
+
+	commitWeights(t, s) // epoch 1
+	clk.Advance(250 * time.Millisecond)
+	beat(t, s, "s1", r.Lease, 1, nil)
+	beat(t, s, "s1", r.Lease, 1, nil) // re-ack: no second observation
+	clk.Advance(100 * time.Millisecond)
+	commitWeights(t, s) // epoch 2
+	commitWeights(t, s) // epoch 3
+	clk.Advance(50 * time.Millisecond)
+	beat(t, s, "s1", r.Lease, 3, nil)
+
+	st := s.Status()
+	if st.PropagationCount != 3 || math.Abs(st.PropagationMaxSec-0.25) > 1e-9 {
+		t.Fatalf("propagation count=%d max=%v, want 3 and 0.25s", st.PropagationCount, st.PropagationMaxSec)
+	}
+
+	clk.Advance(2 * time.Second)
+	s.Tick(clk.Now())
+	st = s.Status()
+	if len(st.Shards) != 0 || len(st.Detached) != 1 || st.Detached[0].Shard != "s1" ||
+		st.Detached[0].AckEpoch != 3 || st.LeaseExpiries != 1 {
+		t.Fatalf("after expiry: shards=%+v detached=%+v expiries=%d", st.Shards, st.Detached, st.LeaseExpiries)
+	}
+	text := scrape(t, reg)
+	for _, want := range []string{
+		"alps_fleet_global_rms_share_error ",
+		"alps_fleet_epoch_propagation_seconds_count 3",
+		`alps_fleet_lease_age_seconds{shard="s1"} +Inf`,
+		`alps_fleet_shard_stale{shard="s1"} 1`,
+		"alps_fleet_shards_detached 1",
+		"alps_coord_lease_expiries_total 1",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+
+	// Re-registering returns the shard to the live list.
+	mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 100})
+	if st := s.Status(); len(st.Shards) != 1 || len(st.Detached) != 0 {
+		t.Fatalf("after re-register: shards=%d detached=%d, want 1/0", len(st.Shards), len(st.Detached))
+	}
+}
+
+// gaugeBeater returns a heartbeat function for s that registers each
+// shard on its first beat and reports the given gauges.
+func gaugeBeater(t *testing.T, s *Server) func(name string, epoch uint64, rms float64, degraded bool) {
+	leases := map[string]string{}
+	return func(name string, epoch uint64, rms float64, degraded bool) {
+		t.Helper()
+		if leases[name] == "" {
+			leases[name] = mustRegister(t, s, name, TaskShare{ID: 1, Share: 100}).Lease
+		}
+		if _, err := s.Heartbeat(HeartbeatRequest{Shard: name, Lease: leases[name], Epoch: epoch,
+			Gauges: ShardGauges{RMSShareError: rms, Degraded: degraded}}); err != nil {
+			t.Fatalf("heartbeat %s: %v", name, err)
+		}
+	}
+}
+
+// TestFleetStaleAndDetachedShards: a leased shard silent past its lease
+// expiry is stale until the leader expires it — flagged in its row and
+// per-shard gauge, excluded from the degraded count — and an expired
+// shard is detached. A heartbeat brings a stale shard back.
+func TestFleetStaleAndDetachedShards(t *testing.T) {
+	clk := newVclock()
+	s, reg := newMetricsServer(t, clk)
+	hb := gaugeBeater(t, s)
+	for i := 0; i < 9; i++ {
+		commitWeights(t, s)
+	}
+
+	hb("detached", 9, 0.5, false)
+	clk.Advance(1500 * time.Millisecond)
+	if n := s.ExpireLeases(clk.Now()); n != 1 {
+		t.Fatalf("expired %d leases, want 1", n)
+	}
+	hb("isolated", 7, 0.25, false)
+	hb("silent-degraded", 9, 0.1, true)
+	clk.Advance(2500 * time.Millisecond)
+	hb("fresh-degraded", 9, 0.1, true)
+	clk.Advance(500 * time.Millisecond)
+	hb("live", 9, 0.01, false)
+
+	st := s.Status()
+	stale := map[string]bool{}
+	for _, row := range st.Shards {
+		stale[row.Shard] = row.Stale
+	}
+	want := map[string]bool{"isolated": true, "silent-degraded": true, "fresh-degraded": false, "live": false}
+	if len(stale) != len(want) {
+		t.Fatalf("leased rows %v, want %v", stale, want)
+	}
+	for name, w := range want {
+		if stale[name] != w {
+			t.Errorf("%s: stale = %v, want %v", name, stale[name], w)
+		}
+	}
+	if len(st.Detached) != 1 || st.Detached[0].Shard != "detached" || st.Detached[0].Stale {
+		t.Errorf("detached rows %+v, want one non-stale row for %q", st.Detached, "detached")
+	}
+
+	text := scrape(t, reg)
+	for _, line := range []string{
+		"alps_fleet_shards_stale 2",
+		"alps_fleet_shards_degraded 1", // silent-degraded is stale, not degraded
+		"alps_fleet_shards_detached 1",
+		`alps_fleet_last_heartbeat_age_seconds{shard="detached"} 4.5`,
+		`alps_fleet_lease_age_seconds{shard="isolated"} 3`,
+		`alps_fleet_shard_stale{shard="detached"} 1`,
+	} {
+		if !strings.Contains(text, line+"\n") {
+			t.Errorf("metrics missing %q", line)
+		}
+	}
+
+	hb("isolated", 9, 0.25, false)
+	if text := scrape(t, reg); !strings.Contains(text, "alps_fleet_shards_stale 1\n") {
+		t.Error("heartbeat did not clear the stale flag")
+	}
+}
+
+// TestFleetShardStaleness: every shard-sourced gauge keeps its value
+// and carries the heartbeat-age stamp that tells live from frozen — an
+// isolated (silent) shard's values are marked stale, a live shard's
+// are not.
+func TestFleetShardStaleness(t *testing.T) {
+	clk := newVclock()
+	s, reg := newMetricsServer(t, clk)
+	hb := gaugeBeater(t, s)
+	for i := 0; i < 9; i++ {
+		commitWeights(t, s)
+	}
+
+	hb("isolated", 7, 0.25, false)
+	// The isolated shard goes silent for three lease TTLs; the live one
+	// keeps beating.
+	for i := 0; i < 3; i++ {
+		clk.Advance(time.Second)
+		hb("live", 9, 0.01, false)
+	}
+
+	text := scrape(t, reg)
+	for _, tc := range []struct {
+		metric string
+		want   string
+	}{
+		// The staleness stamp: fresh beside the live shard's gauges,
+		// three TTLs old beside the isolated shard's.
+		{`alps_fleet_last_heartbeat_age_seconds{shard="live"}`, "0"},
+		{`alps_fleet_last_heartbeat_age_seconds{shard="isolated"}`, "3"},
+		// The values themselves survive isolation (frozen)...
+		{`alps_fleet_shard_rms_share_error{shard="isolated"}`, "0.25"},
+		{`alps_fleet_shard_ack_epoch{shard="isolated"}`, "7"},
+		{`alps_fleet_shard_rms_share_error{shard="live"}`, "0.01"},
+		{`alps_fleet_shard_ack_epoch{shard="live"}`, "9"},
+		// ...but the stale flag distinguishes them.
+		{`alps_fleet_shard_stale{shard="isolated"}`, "1"},
+		{`alps_fleet_shard_stale{shard="live"}`, "0"},
+	} {
+		if line := tc.metric + " " + tc.want; !strings.Contains(text, line+"\n") {
+			t.Errorf("metrics missing %q", line)
+		}
+	}
+}
+
+// TestFleetStateConcurrent: registrations, heartbeats, rebalance and
+// expiry ticks, and scrapes of Status and the registry reach the fleet
+// state from separate goroutines, as the HTTP handlers, Run and the
+// scrapers do under "alps coord". Meant for -race.
+func TestFleetStateConcurrent(t *testing.T) {
+	clk := newVclock()
+	s, reg := newMetricsServer(t, clk)
+	var wg sync.WaitGroup
+	for i := int64(1); i <= 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			name := fmt.Sprintf("s%d", i)
+			for j := 0; j < 50; j++ {
+				r, err := s.Register(RegisterRequest{Shard: name, Tasks: []TaskShare{{ID: i, Share: 100}}})
+				if err != nil {
+					t.Errorf("register %s: %v", name, err)
+					return
+				}
+				// A tick may expire the fresh lease; that error is expected.
+				_, _ = s.Heartbeat(HeartbeatRequest{Shard: name, Lease: r.Lease, Epoch: s.Epoch(),
+					Gauges: ShardGauges{Consumed: map[int64]float64{i: float64(j) * float64(i)}}})
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < 50; j++ {
+			clk.Advance(600 * time.Millisecond)
+			s.Tick(clk.Now())
+			_ = s.Status()
+			_ = reg.Snapshot()
+		}
+	}()
+	wg.Wait()
+	if st := s.Status(); len(st.Shards)+len(st.Detached) != 3 {
+		t.Fatalf("shards=%d detached=%d, want 3 in all", len(st.Shards), len(st.Detached))
 	}
 }

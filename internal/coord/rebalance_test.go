@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"alps/internal/core"
-	"alps/internal/fleetobs"
 	"alps/internal/trace"
 )
 
@@ -228,12 +227,12 @@ func TestScaleSharesDeterministic(t *testing.T) {
 	}
 }
 
-// TestShareErrorAgreement: the node auditor, the fleet auditor and the
-// planner report one RMS share error for one window. The node auditor
-// sees only its target tasks; the fleet auditor and Plan see the same
-// window plus principal 9, which no live shard hosts. 9 is outside the
-// target set, so its consumption must move neither the consumed nor the
-// target fractions.
+// TestShareErrorAgreement: the node auditor, the coordinator's fleet
+// estimators and the planner report one RMS share error for one window.
+// The node auditor sees only its target tasks; the fleet estimators and
+// Plan see the same window plus principal 9, which no live shard hosts.
+// 9 is outside the target set, so its consumption must move neither the
+// consumed nor the target fractions.
 func TestShareErrorAgreement(t *testing.T) {
 	weights := map[int64]int64{1: 4, 2: 2, 3: 1}
 	node := trace.NewAuditor(trace.AuditorConfig{Window: 1})
@@ -249,20 +248,20 @@ func TestShareErrorAgreement(t *testing.T) {
 	}
 	res := Plan(PlannerConfig{}, weights, loads)
 
-	// The fleet auditor gets the window as Server.Rebalance aggregates
-	// it, outsider included, against the live weights.
-	fleet := fleetobs.NewFleetAuditor(fleetobs.AuditorConfig{RMSWindow: 1})
-	fleet.OnRound(map[int64]float64{1: 0.5, 2: 0.3, 3: 0.2, 9: 0.7},
-		map[int64]float64{1: 4, 2: 2, 3: 1}, false)
+	// Server.Rebalance folds Plan's own result into its estimators: the
+	// per-round RMS is res.GlobalRMS, and the windowed RMS (one round so
+	// far) measures res.Consumed against res.Weights.
+	stats := newFleetStats()
+	stats.round(res)
 
 	want := node.RMSShareError()
 	if want < 0.1 {
 		t.Fatalf("node RMS %v: the window should be visibly off share", want)
 	}
 	for name, got := range map[string]float64{
-		"Plan.GlobalRMS":      res.GlobalRMS,
-		"fleet windowed RMS":  fleet.GlobalRMSShareError(),
-		"fleet per-round RMS": fleet.RoundRMSShareError(),
+		"Plan.GlobalRMS":     res.GlobalRMS,
+		"fleet windowed RMS": stats.windowRMS,
+		"fleet EWMA":         stats.ewma.Value(),
 	} {
 		if math.Abs(got-want) > 1e-12 {
 			t.Errorf("%s = %v, node auditor = %v", name, got, want)
@@ -270,8 +269,8 @@ func TestShareErrorAgreement(t *testing.T) {
 	}
 
 	// Plan hands Server.Rebalance the same target set and window it
-	// measured, so the coordinator feeds the auditor without rebuilding
-	// them.
+	// measured, so the coordinator feeds its estimators without
+	// rebuilding them.
 	if len(res.Weights) != 3 || res.Weights[1] != 4 || res.Weights[2] != 2 || res.Weights[3] != 1 {
 		t.Errorf("Plan live weights = %v, want {1:4 2:2 3:1}", res.Weights)
 	}

@@ -129,7 +129,6 @@ func (s *Server) maybeElect(now time.Time) {
 	if fleet := s.cfg.Fleet; fleet != nil {
 		fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindElected, Term: term, Epoch: epoch})
 	}
-	s.noteLeadership()
 }
 
 // stepDown demotes a leader that has seen proof of a higher term (or
@@ -156,7 +155,6 @@ func (s *Server) stepDown(now time.Time, seenTerm uint64, from string) {
 			Kind: fleetobs.KindStepDown, Term: seenTerm, Note: "from=" + from,
 		})
 	}
-	s.noteLeadership()
 }
 
 // probePeers is the leader's deposition check: it reads every peer's
@@ -225,9 +223,6 @@ func (s *Server) observePeer(url string, st ReplicaState, now time.Time) {
 	}
 	s.peerView[url] = peerView{term: st.Term, epoch: st.Epoch, at: now}
 	s.mu.Unlock()
-	if fleet := s.cfg.Fleet; fleet != nil {
-		fleet.Auditor.OnReplicaState(url, st.Term, st.Epoch, now)
-	}
 }
 
 // adopt fast-forwards this follower onto a strictly newer replica
@@ -366,6 +361,7 @@ func (s *Server) SetWeights(ws []TaskShare) (WeightsResponse, error) {
 	}
 	s.weights = weights
 	s.epoch++
+	s.stats.commit(s.epoch, now)
 	term, epoch := s.term, s.epoch
 	st := s.persistedLocked()
 	resp := WeightsResponse{Epoch: epoch, Term: term}
@@ -381,7 +377,6 @@ func (s *Server) SetWeights(ws []TaskShare) (WeightsResponse, error) {
 			Note: fmt.Sprintf("principals=%d", len(ws)),
 		})
 		fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindCommit, Epoch: epoch, Term: term})
-		fleet.Auditor.OnCommit(epoch, now)
 	}
 	return resp, nil
 }
@@ -444,17 +439,4 @@ func (s *Server) saveState(st persistedState) {
 		s.ckptErrors.inc()
 		s.logf("coord: checkpoint %s failed: %v", s.cfg.StatePath, err)
 	}
-}
-
-// noteLeadership mirrors the current leadership view into the fleet
-// auditor (healthz + gauges).
-func (s *Server) noteLeadership() {
-	fleet := s.cfg.Fleet
-	if fleet == nil {
-		return
-	}
-	s.mu.Lock()
-	leader, term, is := s.leaderURL, s.term, s.isLeader
-	s.mu.Unlock()
-	fleet.Auditor.OnLeadership(leader, term, is)
 }

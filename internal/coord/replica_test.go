@@ -6,22 +6,27 @@ import (
 	"errors"
 	"net/http"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"alps/internal/coord/coordsim"
+	"alps/internal/fleetobs"
+	"alps/internal/obs"
 )
 
 // replicaSet hosts a coordinator replica set on coordsim's in-memory
 // net: each server is a named host, replicas reach each other through
 // the simulated transport, and the test advances one shared virtual
-// clock while ticking every live server.
+// clock while ticking every live server. Each replica's server and
+// fleet stack share one registry, as in "alps coord".
 type replicaSet struct {
 	t     *testing.T
 	clk   *coordsim.Clock
 	net   *coordsim.Net
 	names []string
 	srvs  map[string]*Server
+	regs  map[string]*obs.Registry
 	live  map[string]bool
 }
 
@@ -35,6 +40,7 @@ func newReplicaSet(t *testing.T, names ...string) *replicaSet {
 		net:   nil,
 		names: names,
 		srvs:  make(map[string]*Server),
+		regs:  make(map[string]*obs.Registry),
 		live:  make(map[string]bool),
 	}
 	rs.net = coordsim.NewNet(rs.clk)
@@ -46,6 +52,7 @@ func newReplicaSet(t *testing.T, names ...string) *replicaSet {
 				peers = append(peers, replicaURL(o))
 			}
 		}
+		reg := obs.NewRegistry()
 		s, err := NewServer(ServerConfig{
 			TTL:            time.Second,
 			RebalanceEvery: 500 * time.Millisecond,
@@ -57,6 +64,8 @@ func newReplicaSet(t *testing.T, names ...string) *replicaSet {
 			FollowEvery:    100 * time.Millisecond,
 			Clock:          rs.clk.Now,
 			Transport:      rs.net.Transport(n),
+			Metrics:        reg,
+			Fleet:          fleetobs.NewStack(fleetobs.StackConfig{Node: n, Metrics: reg, Now: rs.clk.Now}),
 			Logf:           t.Logf,
 		})
 		if err != nil {
@@ -64,6 +73,7 @@ func newReplicaSet(t *testing.T, names ...string) *replicaSet {
 		}
 		rs.net.Host(n, s)
 		rs.srvs[n] = s
+		rs.regs[n] = reg
 		rs.live[n] = true
 	}
 	return rs
@@ -138,6 +148,54 @@ func TestReplicaElectionRankOrder(t *testing.T) {
 // epoch from real shard feedback, standbys replicate it, and when the
 // leader dies the next-ranked replica takes over at term+1 *from its
 // replica* — a shard re-registering on the new leader gets the
+
+// TestReplicaView: once r1 has won term 1 and committed an epoch, and
+// the followers have pulled it, every replica reports the same term and
+// leader, lists both peers with their term, epoch and age, and exports
+// the view once, as the alps_coord_* gauges on its own registry.
+func TestReplicaView(t *testing.T) {
+	rs := newReplicaSet(t, "r1", "r2", "r3")
+	rs.run(1 * time.Second)
+	if _, err := rs.srvs["r1"].SetWeights([]TaskShare{{ID: 1, Share: 1}, {ID: 2, Share: 1}}); err != nil {
+		t.Fatalf("SetWeights on r1: %v", err)
+	}
+	rs.run(1 * time.Second)
+
+	for _, n := range rs.names {
+		st := rs.srvs[n].Status()
+		if st.Term != 1 || st.Epoch != 1 || st.Leader != replicaURL("r1") {
+			t.Errorf("%s: term=%d epoch=%d leader=%q, want 1, 1, %s", n, st.Term, st.Epoch, st.Leader, replicaURL("r1"))
+		}
+		var peers []string
+		for _, r := range st.Replicas {
+			peers = append(peers, r.URL)
+			if r.Term != 1 || r.Epoch != 1 || r.AgeSec < 0 || r.AgeSec > 0.4 {
+				t.Errorf("%s: replica row %+v, want term 1, epoch 1, age within the 0.4s leader TTL", n, r)
+			}
+		}
+		if len(peers) != 2 || strings.Contains(strings.Join(peers, ","), replicaURL(n)) {
+			t.Errorf("%s: replica rows %v, want both peers and not itself", n, peers)
+		}
+
+		text := scrape(t, rs.regs[n])
+		isLeader := "0"
+		if n == "r1" {
+			isLeader = "1"
+		}
+		for _, want := range []string{"alps_coord_term 1\n", "alps_coord_is_leader " + isLeader + "\n",
+			"alps_coord_replica_lag_epochs 0\n"} {
+			if !strings.Contains(text, want) {
+				t.Errorf("%s: metrics missing %q", n, strings.TrimSpace(want))
+			}
+		}
+		for _, dup := range []string{"alps_fleet_term", "alps_fleet_is_leader"} {
+			if strings.Contains(text, dup) {
+				t.Errorf("%s: exports the duplicate family %s", n, dup)
+			}
+		}
+	}
+}
+
 // committed shares back, not its registration defaults.
 func TestReplicaFailoverPreservesCommittedState(t *testing.T) {
 	rs := newReplicaSet(t, "r1", "r2", "r3")

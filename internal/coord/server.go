@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -58,11 +59,11 @@ type ServerConfig struct {
 	Planner PlannerConfig
 	// Clock overrides time.Now (tests run on a virtual clock).
 	Clock func() time.Time
-	// Metrics, if non-nil, receives the alps_coord_* families.
+	// Metrics, if non-nil, receives the alps_coord_* families and the
+	// alps_fleet_* fleet estimators and per-shard gauges.
 	Metrics *obs.Registry
-	// Fleet, if non-nil, enables fleet observability: control-plane
-	// events are traced with epoch-causal contexts, heartbeat gauges are
-	// federated into the stack's auditor, and anomalies (shard recorder
+	// Fleet, if non-nil, enables fleet tracing: control-plane events are
+	// traced with epoch-causal contexts, and anomalies (shard recorder
 	// dumps, lease losses, epoch stalls) open correlated trace
 	// collections through the stack's bundler.
 	Fleet *fleetobs.Stack
@@ -82,8 +83,6 @@ type shardRec struct {
 	// window accumulates differenced consumption for the next rebalance.
 	lastCum map[int64]float64
 	window  map[int64]float64
-	// audit is the shard's row in the fleet auditor (nil without Fleet).
-	audit *fleetobs.ShardAudit
 	// lastDumps is the TraceDumps watermark; -1 until the first
 	// heartbeat, so a re-registration never misreads the shard's existing
 	// dump count as a fresh trigger.
@@ -110,9 +109,11 @@ type Server struct {
 	weights  map[int64]int64
 	assigned map[string]map[int64]int64 // last committed per-shard shares
 	shards   map[string]*shardRec       // live leases only
+	detached map[string]*shardRec       // expired leases not yet re-registered
 	leaseSeq uint64
 	nextReb  time.Time
 	lastRMS  float64 // last measured global RMS (-1: no signal yet)
+	stats    fleetStats
 
 	// Replication state (quiescent when cfg.Self is empty: isLeader is
 	// pinned true and term stays at whatever the checkpoint held).
@@ -186,7 +187,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		weights:  make(map[int64]int64),
 		assigned: make(map[string]map[int64]int64),
 		shards:   make(map[string]*shardRec),
+		detached: make(map[string]*shardRec),
 		lastRMS:  -1,
+		stats:    newFleetStats(),
 		isLeader: cfg.Self == "", // standalone coordinator: always leads
 		peerView: make(map[string]peerView),
 	}
@@ -291,14 +294,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.term) })
 	reg.GaugeFunc("alps_coord_is_leader",
 		"1 when this coordinator replica currently leads.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if s.isLeader {
-				return 1
-			}
-			return 0
-		})
+		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return boolGauge(s.isLeader) })
 	reg.GaugeFunc("alps_coord_replica_lag_epochs",
 		"Committed epochs the farthest-behind peer replica lags (0: in sync or no peers).",
 		func() float64 {
@@ -322,6 +318,112 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		"Replica-state pulls from a deposed (lower-term) leader, ignored.", s.fencedPulls.get)
 	reg.CounterFunc("alps_coord_weight_updates_total",
 		"Live weight-table reconfigurations committed.", s.weightUpdates.get)
+
+	s.stats.propHist = reg.Histogram("alps_fleet_epoch_propagation_seconds",
+		"Latency from epoch commit to each shard's heartbeat ack.", obs.LatencyBuckets)
+	locked := func(fn func() float64) func() float64 {
+		return func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return fn() }
+	}
+	reg.GaugeFunc("alps_fleet_shards_degraded",
+		"Leased, non-stale shards reporting degraded local scheduling.",
+		func() float64 { _, degraded := s.countShards(s.now()); return float64(degraded) })
+	reg.GaugeFunc("alps_fleet_shards_stale",
+		"Leased shards silent past their lease expiry, not yet expired (only the leader expires leases).",
+		func() float64 { stale, _ := s.countShards(s.now()); return float64(stale) })
+	reg.GaugeFunc("alps_fleet_shards_detached",
+		"Shards whose lease expired and have not re-registered.",
+		locked(func() float64 { return float64(len(s.detached)) }))
+	reg.GaugeFunc("alps_fleet_global_rms_share_error",
+		"Fleet-wide RMS share error vs the global weight table, over the last 8 rounds' summed consumption.",
+		locked(func() float64 { return s.stats.windowRMS }))
+	reg.GaugeFunc("alps_fleet_global_rms_share_error_ewma",
+		"EWMA-smoothed per-round fleet RMS share error — the aliasing-free estimator.",
+		locked(func() float64 { return s.stats.ewma.Value() }))
+	reg.GaugeFunc("alps_fleet_rms_beat_ratio",
+		"(max-min)/mean of recent per-round fleet RMS values; near 0 when steady.",
+		locked(s.stats.beatRatio))
+	reg.GaugeFunc("alps_fleet_convergence_rounds",
+		"Rebalance rounds the last disturbance took to settle.",
+		locked(func() float64 { return float64(s.stats.convRounds) }))
+	reg.GaugeFunc("alps_fleet_converged",
+		"1 when no rebalance round has moved shares recently.",
+		locked(func() float64 { return boolGauge(s.stats.converged) }))
+}
+
+// registerShardMetrics exports one shard's per-shard gauges, read from
+// its live or detached record at scrape time. Every shard-sourced value
+// (its RMS, its ack epoch) has a last_heartbeat_age_seconds stamp beside
+// it: a dead shard's frozen values must not scrape like live ones.
+// GaugeFunc re-registration replaces, so every registration may call it.
+func (s *Server) registerShardMetrics(name string) {
+	reg := s.cfg.Metrics
+	if reg == nil {
+		return
+	}
+	gauge := func(family, help string, fn func(rec *shardRec, detached bool, now time.Time) float64) {
+		reg.GaugeFunc(fmt.Sprintf("%s{shard=%q}", family, name), help, func() float64 {
+			now := s.now()
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			rec, detached := s.shards[name], false
+			if rec == nil {
+				rec, detached = s.detached[name], true
+			}
+			if rec == nil {
+				return math.NaN()
+			}
+			return fn(rec, detached, now)
+		})
+	}
+	gauge("alps_fleet_lease_age_seconds", "Seconds since the shard last renewed its lease (+Inf once it expired).",
+		func(rec *shardRec, detached bool, now time.Time) float64 {
+			if detached {
+				return math.Inf(1)
+			}
+			return s.leaseAge(rec, now)
+		})
+	gauge("alps_fleet_last_heartbeat_age_seconds",
+		"Seconds since the shard last renewed its lease, detached or not — the staleness stamp for every per-shard gauge.",
+		func(rec *shardRec, _ bool, now time.Time) float64 { return s.leaseAge(rec, now) })
+	gauge("alps_fleet_shard_rms_share_error",
+		"The shard's last reported local RMS share error (check the heartbeat-age stamp for freshness).",
+		func(rec *shardRec, _ bool, _ time.Time) float64 { return rec.gauges.RMSShareError })
+	gauge("alps_fleet_shard_ack_epoch", "Last weight-table epoch the shard acknowledged.",
+		func(rec *shardRec, _ bool, _ time.Time) float64 { return float64(rec.ackEpoch) })
+	gauge("alps_fleet_shard_stale",
+		"1 when the shard is past its lease expiry or detached: its gauges are history, not fleet state.",
+		func(rec *shardRec, detached bool, now time.Time) float64 {
+			return boolGauge(detached || now.After(rec.expires))
+		})
+}
+
+// leaseAge is the time in seconds since the shard last renewed its
+// lease, by registering or heartbeating.
+func (s *Server) leaseAge(rec *shardRec, now time.Time) float64 {
+	return now.Sub(rec.expires.Add(-s.cfg.TTL)).Seconds()
+}
+
+// countShards counts the leased shards past their lease expiry (stale)
+// and, among the rest, those reporting degraded scheduling.
+func (s *Server) countShards(now time.Time) (stale, degraded int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, rec := range s.shards {
+		switch {
+		case now.After(rec.expires):
+			stale++
+		case rec.gauges.Degraded:
+			degraded++
+		}
+	}
+	return stale, degraded
+}
+
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ServeHTTP serves the /coord/v1/* control-plane endpoints.
@@ -431,8 +533,8 @@ func (s *Server) Run(ctx interface{ Done() <-chan struct{} }) {
 	}
 }
 
-// ExpireLeases drops every shard whose lease expired before now and
-// reports how many it dropped. Their last-committed assignments are
+// ExpireLeases detaches every shard whose lease expired before now and
+// reports how many it detached. Their last-committed assignments are
 // kept, so a shard that comes back resumes where it left off.
 func (s *Server) ExpireLeases(now time.Time) int {
 	s.mu.Lock()
@@ -443,6 +545,7 @@ func (s *Server) ExpireLeases(now time.Time) int {
 		}
 	}
 	for _, name := range dead {
+		s.detached[name] = s.shards[name]
 		delete(s.shards, name)
 	}
 	epoch := s.epoch
@@ -452,7 +555,6 @@ func (s *Server) ExpireLeases(now time.Time) int {
 		s.logf("coord: lease expired, shard %s declared dead", name)
 		if fleet := s.cfg.Fleet; fleet != nil {
 			fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindLeaseExpire, Epoch: epoch, Peer: name})
-			fleet.Auditor.OnLeaseExpire(name)
 		}
 	}
 	if len(dead) > 0 {
@@ -472,11 +574,15 @@ func (s *Server) Rebalance(now time.Time) {
 	s.nextReb = now.Add(s.cfg.RebalanceEvery)
 	loads := make([]ShardLoad, 0, len(s.shards))
 	for name, rec := range s.shards {
+		// The window is spent whether or not anything moves. Plan reads
+		// it unlocked, so heartbeats landing meanwhile go to a fresh one.
+		window := rec.window
+		rec.window = make(map[int64]float64)
 		shares := s.assigned[name]
 		if len(shares) == 0 {
 			continue
 		}
-		loads = append(loads, ShardLoad{Name: name, Shares: shares, Consumed: rec.window, Capacity: rec.capacity})
+		loads = append(loads, ShardLoad{Name: name, Shares: shares, Consumed: window, Capacity: rec.capacity})
 	}
 	sort.Slice(loads, func(i, j int) bool { return loads[i].Name < loads[j].Name })
 	weights := make(map[int64]int64, len(s.weights))
@@ -494,10 +600,7 @@ func (s *Server) Rebalance(now time.Time) {
 	if res.GlobalRMS >= 0 {
 		s.lastRMS = res.GlobalRMS
 	}
-	// The window is spent whether or not anything moved.
-	for _, rec := range s.shards {
-		rec.window = make(map[int64]float64)
-	}
+	s.stats.round(res)
 	var st persistedState
 	if res.Changed {
 		s.epoch++
@@ -505,22 +608,17 @@ func (s *Server) Rebalance(now time.Time) {
 			s.assigned[name] = shares
 		}
 		st = s.persistedLocked()
+		s.stats.commit(s.epoch, now)
 	}
 	epoch := s.epoch
 	term := s.term
 	s.mu.Unlock()
 
 	if fleet := s.cfg.Fleet; fleet != nil {
-		// The auditor measures against Plan's target set, the principals
-		// still hosted by a *live* shard: a dead shard's principals must
-		// not keep shaping the fleet error after their capacity was
-		// redistributed.
-		fleet.Auditor.OnRound(res.Consumed, res.Weights, res.Changed)
 		fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindPlan, Epoch: epoch, Term: term,
 			Note: fmt.Sprintf("rms=%.3f shards=%d", res.GlobalRMS, len(loads))})
 		if res.Changed {
 			fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindCommit, Epoch: epoch, Term: term})
-			fleet.Auditor.OnCommit(epoch, now)
 		}
 	}
 	if !res.Changed {
@@ -637,9 +735,7 @@ func (s *Server) Register(req RegisterRequest) (RegisterResponse, error) {
 		lastDumps: -1,
 		capacity:  req.Capacity,
 	}
-	if fleet := s.cfg.Fleet; fleet != nil {
-		rec.audit = fleet.Auditor.Shard(req.Shard)
-	}
+	delete(s.detached, req.Shard)
 	s.shards[req.Shard] = rec
 	resp := RegisterResponse{
 		Lease:      rec.lease,
@@ -648,8 +744,8 @@ func (s *Server) Register(req RegisterRequest) (RegisterResponse, error) {
 	}
 	s.mu.Unlock()
 	s.registers.inc()
+	s.registerShardMetrics(req.Shard)
 	if fleet := s.cfg.Fleet; fleet != nil {
-		rec.audit.OnHeartbeat(now, resp.Assignment.Epoch, 0, false)
 		fleet.Tracer.Emit(fleetobs.Event{
 			Kind: fleetobs.KindRegister, Epoch: resp.Assignment.Epoch, Peer: req.Shard,
 			Note: "lease=" + resp.Lease,
@@ -748,13 +844,15 @@ func (s *Server) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error) {
 		}
 		rec.lastDumps = req.Gauges.TraceDumps
 	}
+	if req.Epoch > prevAck {
+		s.stats.ack(req.Shard, req.Epoch, now)
+	}
 	epoch := s.epoch
 	resp := HeartbeatResponse{TTLMillis: s.cfg.TTL.Milliseconds()}
 	if s.epoch > req.Epoch {
 		a := s.assignmentLocked(req.Shard)
 		resp.Assignment = &a
 	}
-	audit := rec.audit
 	s.mu.Unlock()
 	s.heartbeats.inc()
 	if regressed {
@@ -763,11 +861,7 @@ func (s *Server) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error) {
 	}
 
 	if fleet != nil {
-		if audit != nil {
-			audit.OnHeartbeat(now, req.Epoch, req.Gauges.RMSShareError, req.Gauges.Degraded)
-		}
 		if regressed {
-			fleet.Auditor.OnCounterRegression()
 			fleet.Tracer.Emit(fleetobs.Event{
 				Kind: fleetobs.KindCounterRegression, Epoch: req.Epoch, Peer: req.Shard,
 			})
@@ -779,7 +873,6 @@ func (s *Server) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error) {
 				ev.ParentInc = req.Trace.Incarnation
 			}
 			fleet.Tracer.Emit(ev)
-			fleet.Auditor.OnAck(req.Shard, req.Epoch, now)
 		}
 		if fastForwarded {
 			fleet.Tracer.Emit(fleetobs.Event{
@@ -820,6 +913,11 @@ type ShardStatus struct {
 	AckEpoch uint64      `json:"ack_epoch"`
 	Gauges   ShardGauges `json:"gauges"`
 	Shares   []TaskShare `json:"shares"`
+	// LeaseAgeSec is the time since the shard last renewed its lease.
+	LeaseAgeSec float64 `json:"lease_age_sec"`
+	// Stale: past its lease expiry but not yet expired (only the leader
+	// expires leases), so its gauges are history, not fleet state.
+	Stale bool `json:"stale,omitempty"`
 }
 
 // ReplicaStatus is one peer replica's row in the coordinator status.
@@ -830,12 +928,30 @@ type ReplicaStatus struct {
 	AgeSec float64 `json:"age_sec"`
 }
 
-// FleetStatus is the /coord/v1/status document.
+// FleetStatus is the coordinator's status document, served on
+// /coord/v1/status and /healthz.
 type FleetStatus struct {
-	Epoch     uint64          `json:"epoch"`
-	GlobalRMS float64         `json:"global_rms_share_error"`
-	Weights   map[int64]int64 `json:"weights"`
-	Shards    []ShardStatus   `json:"shards"`
+	Epoch uint64 `json:"epoch"`
+	// GlobalRMS is the last round's global RMS share error (-1: no
+	// signal yet); GlobalRMSWindowed sums the last 8 rounds'
+	// consumption, and GlobalRMSEWMA smooths the per-round values.
+	GlobalRMS         float64 `json:"global_rms_share_error"`
+	GlobalRMSWindowed float64 `json:"global_rms_share_error_windowed"`
+	GlobalRMSEWMA     float64 `json:"global_rms_share_error_ewma"`
+	// Converged is false while rebalance rounds keep moving shares;
+	// ConvergenceRounds is how many rounds the last disturbance took.
+	Converged         bool `json:"converged"`
+	ConvergenceRounds int  `json:"convergence_rounds"`
+	// Epoch propagation: latencies observed from each commit to each
+	// shard's first heartbeat acking it.
+	PropagationCount   int64           `json:"epoch_propagation_count"`
+	PropagationMaxSec  float64         `json:"epoch_propagation_max_sec"`
+	LeaseExpiries      int64           `json:"lease_expiries"`
+	CounterRegressions int64           `json:"counter_regressions"`
+	Weights            map[int64]int64 `json:"weights"`
+	// Shards holds a lease; Detached lost it and has not re-registered.
+	Shards   []ShardStatus `json:"shards"`
+	Detached []ShardStatus `json:"detached,omitempty"`
 	// Replication view ("standalone" role when replication is off).
 	Role     string          `json:"role"`
 	Term     uint64          `json:"term,omitempty"`
@@ -848,7 +964,19 @@ func (s *Server) Status() FleetStatus {
 	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := FleetStatus{Epoch: s.epoch, GlobalRMS: s.lastRMS, Weights: make(map[int64]int64, len(s.weights))}
+	st := FleetStatus{
+		Epoch:              s.epoch,
+		GlobalRMS:          s.lastRMS,
+		GlobalRMSWindowed:  s.stats.windowRMS,
+		GlobalRMSEWMA:      s.stats.ewma.Value(),
+		Converged:          s.stats.converged,
+		ConvergenceRounds:  s.stats.convRounds,
+		PropagationCount:   s.stats.propCount,
+		PropagationMaxSec:  s.stats.propMax,
+		LeaseExpiries:      s.expiries.get(),
+		CounterRegressions: s.counterRegressions.get(),
+		Weights:            make(map[int64]int64, len(s.weights)),
+	}
 	for p, w := range s.weights {
 		st.Weights[p] = w
 	}
@@ -869,26 +997,33 @@ func (s *Server) Status() FleetStatus {
 		})
 	}
 	sort.Slice(st.Replicas, func(i, j int) bool { return st.Replicas[i].URL < st.Replicas[j].URL })
-	names := make([]string, 0, len(s.shards))
-	for name := range s.shards {
+	st.Shards = s.shardRowsLocked(s.shards, false, now)
+	st.Detached = s.shardRowsLocked(s.detached, true, now)
+	return st
+}
+
+// shardRowsLocked renders shard records as status rows, sorted by name.
+func (s *Server) shardRowsLocked(recs map[string]*shardRec, detached bool, now time.Time) []ShardStatus {
+	names := make([]string, 0, len(recs))
+	for name := range recs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var rows []ShardStatus
 	for _, name := range names {
-		rec := s.shards[name]
-		row := ShardStatus{
-			Shard:    name,
-			Lease:    rec.lease,
-			TTLLeft:  rec.expires.Sub(now).String(),
-			AckEpoch: rec.ackEpoch,
-			Gauges:   rec.gauges,
-		}
-		for _, ts := range s.assignmentLocked(name).Tasks {
-			row.Shares = append(row.Shares, ts)
-		}
-		st.Shards = append(st.Shards, row)
+		rec := recs[name]
+		rows = append(rows, ShardStatus{
+			Shard:       name,
+			Lease:       rec.lease,
+			TTLLeft:     rec.expires.Sub(now).String(),
+			AckEpoch:    rec.ackEpoch,
+			Gauges:      rec.gauges,
+			Shares:      s.assignmentLocked(name).Tasks,
+			LeaseAgeSec: s.leaseAge(rec, now),
+			Stale:       !detached && now.After(rec.expires),
+		})
 	}
-	return st
+	return rows
 }
 
 // --- HTTP plumbing ---

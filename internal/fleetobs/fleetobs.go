@@ -1,8 +1,11 @@
 // Package fleetobs is the fleet-wide observability layer on top of the
-// coord control plane: epoch-causal distributed tracing, metrics
-// federation, and correlated flight recording.
+// coord control plane: epoch-causal distributed tracing and correlated
+// flight recording. The fleet's metrics — global RMS share error,
+// epoch propagation latency, per-shard staleness — are the coordinator's
+// own (coord.Server exports them beside its other state); this package
+// only retains their history.
 //
-// Three pieces, all stdlib-only:
+// Two pieces, both stdlib-only:
 //
 //   - Tracer: a per-node bounded ring of control-plane events
 //     (plan/commit/publish/apply/ack/lease-expire/...), each stamped with
@@ -12,12 +15,6 @@
 //     both ends of every epoch propagation are linkable into
 //     publish→apply→ack chains and rendered as Chrome flow events by
 //     trace.BuildFleet.
-//   - FleetAuditor: the fleet-level mirror of trace.Auditor — global RMS
-//     share error against the global weight table over a sliding window
-//     of rebalance rounds, per-shard lease age, an epoch propagation
-//     latency histogram (commit → each shard's ack), degraded/stale shard
-//     counts and rebalance-round convergence, exported as alps_fleet_*
-//     and served on /fleet/metrics + /fleet/healthz.
 //   - Bundler: correlated flight recording. When any member's recorder
 //     fires (heartbeated as ShardGauges.TraceDumps), or the coordinator
 //     sees a lease loss or epoch stall, it opens a collection; the dump

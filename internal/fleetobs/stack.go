@@ -1,7 +1,6 @@
 package fleetobs
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -19,14 +18,13 @@ type StackConfig struct {
 	Dir string
 	// Cooldown rate-limits collections (DefaultBundleCooldown when 0).
 	Cooldown time.Duration
-	// Metrics receives the alps_fleet_* exports; nil allocates a
-	// dedicated registry (served on /fleet/metrics either way).
+	// Metrics receives the stack's own exports and is the registry the
+	// retained history samples; pass the coordinator's registry so the
+	// timeline carries its alps_coord_* and alps_fleet_* gauges. Nil
+	// allocates a dedicated registry.
 	Metrics *obs.Registry
 	// Now overrides time.Now.
 	Now func() time.Time
-	// LeaseTTL marks shard gauges stale past this silence bound (see
-	// AuditorConfig.LeaseTTL); 0 disables staleness.
-	LeaseTTL time.Duration
 	// Logf receives diagnostics.
 	Logf func(format string, args ...any)
 	// HistoryEvery is the retained-history sampling cadence
@@ -37,23 +35,22 @@ type StackConfig struct {
 	HistoryCap int
 }
 
-// Stack bundles the coordinator's three fleet observability pieces: the
-// tracer (its own control-plane event ring), the auditor (federated
-// fleet metrics), and the bundler (correlated flight recording). The
+// Stack bundles the coordinator's two fleet observability pieces, the
+// tracer (its own control-plane event ring) and the bundler (correlated
+// flight recording), with the retained history of its registry. The
 // coord server calls its hooks; cmd/alps mounts its HTTP surface.
 type Stack struct {
 	Tracer  *Tracer
-	Auditor *FleetAuditor
 	Bundler *Bundler
-	Metrics *obs.Registry
-	// History retains a bounded timeline of every fleet gauge, served at
-	// /fleet/timeline. The coordinator's Tick drives its cadence, so in
-	// coordsim the samples land on the virtual clock. Nil when disabled.
+	// History retains a bounded timeline of every gauge on the registry,
+	// served at /fleet/timeline. The coordinator's Tick drives its
+	// cadence, so in coordsim the samples land on the virtual clock. Nil
+	// when disabled.
 	History *tshist.Store
 }
 
 // NewStack wires a coordinator stack: the bundler's self source is the
-// tracer's window, and everything registers on the fleet registry.
+// tracer's window, and both register on the stack's registry.
 func NewStack(cfg StackConfig) *Stack {
 	if cfg.Node == "" {
 		cfg.Node = "coord"
@@ -63,7 +60,6 @@ func NewStack(cfg StackConfig) *Stack {
 		reg = obs.NewRegistry()
 	}
 	tracer := NewTracer(TracerConfig{Node: cfg.Node, Coordinator: true, Now: cfg.Now})
-	auditor := NewFleetAuditor(AuditorConfig{Now: cfg.Now, LeaseTTL: cfg.LeaseTTL})
 	bundler := NewBundler(BundlerConfig{
 		Dir:      cfg.Dir,
 		Cooldown: cfg.Cooldown,
@@ -71,7 +67,6 @@ func NewStack(cfg StackConfig) *Stack {
 		Logf:     cfg.Logf,
 		Self:     func() trace.FleetSource { return tracer.Source(nil, time.Time{}) },
 	})
-	auditor.Register(reg)
 	bundler.Register(reg)
 	reg.CounterFunc("alps_fleet_trace_events_total",
 		"Coordinator control-plane events traced.", tracer.Events)
@@ -84,50 +79,15 @@ func NewStack(cfg StackConfig) *Stack {
 			Now:      cfg.Now,
 		})
 	}
-	return &Stack{Tracer: tracer, Auditor: auditor, Bundler: bundler, Metrics: reg, History: hist}
+	return &Stack{Tracer: tracer, Bundler: bundler, History: hist}
 }
 
-// FleetTimeline is the /fleet/timeline document: the coordinator's
-// retained gauge history plus a staleness stamp per shard, so a reader
-// replaying federated series knows which shards were actually reporting
-// over the retained span.
-type FleetTimeline struct {
-	Shards   []ShardHealth   `json:"shards"`
-	Timeline tshist.Timeline `json:"timeline"`
-}
-
-// Timeline snapshots the federated timeline document (zero value when
-// history is disabled).
-func (s *Stack) Timeline() FleetTimeline {
-	var ft FleetTimeline
-	ft.Shards = s.Auditor.Health().Shards
-	if s.History != nil {
-		ft.Timeline = s.History.Snapshot()
-	}
-	return ft
-}
-
-// Mount exposes the fleet endpoints on a mux: federated metrics, the
-// fleet health document, and the latest correlated trace bundle.
+// Mount exposes the fleet endpoints on a mux: the latest correlated
+// trace bundle and, when history is on, the retained timeline (JSON, or
+// CSV with ?format=csv).
 func (s *Stack) Mount(mux *http.ServeMux) {
-	mux.Handle("/fleet/metrics", s.Metrics.Handler())
-	mux.HandleFunc("/fleet/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.Auditor.Health())
-	})
 	mux.Handle("/debug/fleet-trace", s.Bundler)
-	mux.HandleFunc("/fleet/timeline", func(w http.ResponseWriter, r *http.Request) {
-		if s.History != nil && r.URL.Query().Get("format") == "csv" {
-			// CSV drops the shard stamps; it is the plotting format, and
-			// the stamps live one ?format switch away.
-			s.History.Handler().ServeHTTP(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		_ = enc.Encode(s.Timeline())
-	})
+	if s.History != nil {
+		mux.Handle("/fleet/timeline", s.History.Handler())
+	}
 }
