@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race short bench bench-check alloc-gate timeline trace trace-fleet examples chaos chaos-fleet chaos-failover vulncheck loc
+.PHONY: check fmt vet build test race short bench bench-check alloc-gate timeline trace trace-fleet examples chaos chaos-fleet chaos-failover vulncheck loc knobs
 
 check: fmt vet build race
 
@@ -146,6 +146,16 @@ loc:
 	@echo "non-test Go outside bench/: $$(git ls-files -- '*.go' ':!:bench/*' ':!:*_test.go' | xargs -r cat | wc -l)"
 	@echo "test Go outside bench/:     $$(git ls-files -- '*_test.go' ':!:bench/*' | xargs -r cat | wc -l)"
 	@echo "Go in bench/:               $$(git ls-files -- 'bench/*.go' | xargs -r cat | wc -l)"
+
+# Settable values: each exported struct named Config or ...Config in
+# tracked non-test Go outside bench/, with its exported-field count, then
+# the total.
+knobs:
+	@git ls-files -- '*.go' ':!:bench/*' ':!:*_test.go' | xargs -r awk ' \
+		/^type ([A-Z][A-Za-z0-9]*)?Config struct \{/ { name = FILENAME " " $$2; n = 0; inside = 1; next } \
+		inside && /^\}/ { printf "%-50s %d\n", name, n; total += n; inside = 0; next } \
+		inside && /^\t[A-Z]/ { n++ } \
+		END { print "exported Config fields: " total }'
 
 # Known-vulnerability scan, gated on the tool being installed (the CI
 # image may not ship it; we never install dependencies on the fly).

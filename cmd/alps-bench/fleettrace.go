@@ -24,7 +24,7 @@ import (
 // CI gate that fleet tracing stays wired end to end.
 func runFleetTrace() error {
 	clk := coordsim.NewClock()
-	net := coordsim.NewNet(clk)
+	net := coordsim.NewNet()
 	stack := fleetobs.NewStack(fleetobs.StackConfig{
 		Node: "coord", Now: clk.Now, Cooldown: time.Second,
 	})
@@ -59,7 +59,7 @@ func runFleetTrace() error {
 			tracer:   fleetobs.NewTracer(fleetobs.TracerConfig{Node: name, Now: clk.Now}),
 		}
 		agent, err := coord.NewAgent(coord.AgentConfig{
-			URL: "http://coord", Shard: name,
+			URLs: []string{"http://coord"}, Shard: name,
 			Tasks: func() []coord.TaskShare {
 				sh.mu.Lock()
 				defer sh.mu.Unlock()

@@ -186,7 +186,7 @@ func RunScenario(sc Scenario, logCycles bool, tracePath, chromePath string) (*Re
 	}
 	var events *alps.EventLog
 	if chromePath != "" {
-		events = alps.NewEventLog(0)
+		events = alps.NewEventLog()
 	}
 
 	taskPids := make([][]alps.SimPID, len(sc.Tasks))

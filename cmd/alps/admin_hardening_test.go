@@ -24,7 +24,6 @@ func newAdminRunner(t *testing.T) (*alps.Runner, *osproc.FaultSys) {
 	r, err := alps.NewRunner(alps.RunnerConfig{
 		Quantum: 10 * time.Millisecond,
 		Sys:     fs,
-		Clock:   fs.Now,
 	}, []alps.RunnerTask{
 		{ID: 0, Share: 1, PIDs: []int{100}},
 		{ID: 1, Share: 3, PIDs: []int{200}},

@@ -33,7 +33,6 @@ func TestAdminReconfigureCheckpointRace(t *testing.T) {
 	r, err := alps.NewRunner(alps.RunnerConfig{
 		Quantum: 10 * time.Millisecond,
 		Sys:     fs,
-		Clock:   fs.Now,
 		Checkpoint: func(st alps.RunnerState) {
 			// Read every field of the capture so -race sees any torn
 			// snapshot, and check it is internally consistent.

@@ -310,6 +310,9 @@ func (o commonOpts) config() alps.RunnerConfig {
 			Enable:     maxq > 0,
 			MaxQuantum: maxq,
 		},
+		// Dropped and recycled PIDs, group-signal fallbacks, failed
+		// baselines and overload-guard level changes reach the log.
+		OnError: func(err error) { errlog.Warn("runner", "err", err) },
 	}
 }
 

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
+
+	"alps"
+	"alps/internal/osproc"
 )
 
 func TestParsePidShares(t *testing.T) {
@@ -99,6 +104,49 @@ func TestMaxqDefaultScalesWithQuantum(t *testing.T) {
 	}
 	if opts.config().Overload.Enable {
 		t.Error("-maxq 0 should disable the guard")
+	}
+}
+
+// The runner's non-fatal diagnostics reach the operator's log: a PID
+// that refuses SIGSTOP is dropped after three strikes, and the drop is
+// logged through errlog, not only counted in Health.
+func TestRunnerDiagnosticsLogged(t *testing.T) {
+	var buf bytes.Buffer
+	saved := errlog
+	errlog = slog.New(slog.NewTextHandler(&buf, nil))
+	t.Cleanup(func() { errlog = saved })
+
+	flags := flag.NewFlagSet("test", flag.ContinueOnError)
+	opts := commonFlags(flags)
+	if err := flags.Parse([]string{"-q", "20ms"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := opts.config()
+	sys := osproc.NewFaultSys()
+	sys.AddProc(osproc.FaultProc{PID: 10, Start: 1})
+	sys.AddProc(osproc.FaultProc{PID: 20, Start: 2})
+	cfg.Sys = sys
+	r, err := alps.NewRunner(cfg, []alps.RunnerTask{
+		{ID: 1, Share: 3, PIDs: []int{10}},
+		{ID: 2, Share: 1, PIDs: []int{20}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Release()
+	// Every post-startup SIGSTOP to 20 fails EPERM until the runner
+	// drops it.
+	sys.Inject(20, osproc.CallStop, osproc.FaultEPERM, osproc.FaultEPERM,
+		osproc.FaultEPERM, osproc.FaultEPERM, osproc.FaultEPERM)
+	for i := 0; i < 60 && r.Health().UnsignalablePIDs == 0; i++ {
+		sys.Advance(cfg.Quantum)
+		r.Step()
+	}
+	if r.Health().UnsignalablePIDs != 1 {
+		t.Fatalf("pid 20 not dropped: %+v", r.Health())
+	}
+	if out := buf.String(); !strings.Contains(out, "pid 20") || !strings.Contains(out, "dropping") {
+		t.Errorf("drop not logged; errlog holds:\n%s", out)
 	}
 }
 

@@ -1,41 +1,39 @@
 // Package backoff computes capped exponential retry delays with
-// deterministic, decorrelating jitter.
+// deterministic, decorrelating jitter: every delay d is spread over
+// [d/2, d).
 //
 // Two consumers share it: the osproc runner's in-quantum signal retries,
-// and the coord shard agent's coordinator RPCs. The second is why jitter
+// seeded from the runner's start instant, and the coord shard agent's
+// coordinator RPCs, seeded from the shard name. The second is why jitter
 // exists at all — a fleet of shards that lose their coordinator at the
 // same instant would otherwise retry in lockstep and reconnect as a
-// thundering herd. Jitter here is a pure function of (Seed, key,
-// attempt), not a shared RNG: delays are reproducible in tests (seed it),
-// decorrelated across processes (seed from process identity), and
+// thundering herd. The jitter is a pure function of (Seed, key,
+// attempt), not a shared RNG: delays are reproducible in tests (fix the
+// seed), decorrelated across processes (seed from process identity), and
 // computable concurrently without locks.
 package backoff
 
 import "time"
 
-// Policy describes one retry schedule. The zero value is unusable; use
-// New for sensible construction, or fill the fields directly.
+// Policy describes one retry schedule. Build it with New.
 type Policy struct {
 	// Base is the first delay; attempt n waits Base << (n-1), capped.
 	Base time.Duration
 	// Cap bounds every delay (inclusive). Cap <= 0 means uncapped
 	// growth is still clamped at a safe ceiling to avoid overflow.
 	Cap time.Duration
-	// Jitter is the fraction of each delay that is randomized, in
-	// [0, 1]. 0 disables jitter (the pre-fleet behaviour); 0.5 spreads
-	// delays over [d/2, d).
-	Jitter float64
 	// Seed decorrelates jitter streams. Two policies with different
-	// seeds (e.g. hashed from each shard's name or PID) produce
-	// different schedules for the same key and attempt.
+	// seeds produce different schedules for the same key and attempt.
 	Seed uint64
 }
 
-// New builds a Policy with the given base and cap and the default 50%
-// jitter fraction.
+// New builds a Policy with the given base, cap and jitter seed.
 func New(base, cap time.Duration, seed uint64) Policy {
-	return Policy{Base: base, Cap: cap, Jitter: 0.5, Seed: seed}
+	return Policy{Base: base, Cap: cap, Seed: seed}
 }
+
+// jitter is the fraction of each delay that is randomized.
+const jitter = 0.5
 
 // maxShift bounds the exponential term so Base << n never overflows.
 const maxShift = 32
@@ -62,16 +60,9 @@ func (p Policy) Delay(key uint64, attempt int) time.Duration {
 	if p.Cap > 0 && d > p.Cap {
 		d = p.Cap
 	}
-	if p.Jitter <= 0 {
-		return d
-	}
-	j := p.Jitter
-	if j > 1 {
-		j = 1
-	}
 	// frac in [0, 1): a splitmix64 hash of the stream coordinates.
 	frac := float64(mix(p.Seed^key^uint64(attempt)*0x9e3779b97f4a7c15)>>11) / (1 << 53)
-	return time.Duration(float64(d) * (1 - j + j*frac))
+	return time.Duration(float64(d) * (1 - jitter + jitter*frac))
 }
 
 // mix is splitmix64's finalizer: a cheap, well-distributed 64-bit hash.

@@ -18,14 +18,11 @@ import (
 
 // AgentConfig parameterizes a shard's coordinator link.
 type AgentConfig struct {
-	// URL is the coordinator base URL, e.g. "http://coord:7070".
-	// Convenience for the single-coordinator case; ignored when URLs is
-	// set.
-	URL string
-	// URLs lists the coordinator replica set. The agent talks to one
-	// replica at a time and rotates on failures and on not-leader
-	// redirects (preferring the redirect's leader hint), so a leader
-	// failover costs a few RPCs, not an operator.
+	// URLs lists the coordinator base URLs, e.g. "http://coord:7070":
+	// one for a standalone coordinator, every member for a replica set.
+	// The agent talks to one replica at a time and rotates on failures
+	// and on not-leader redirects (preferring the redirect's leader
+	// hint), so a leader failover costs a few RPCs, not an operator.
 	URLs []string
 	// Shard is this shard's fleet-unique name.
 	Shard string
@@ -41,22 +38,10 @@ type AgentConfig struct {
 	// Returning an error leaves the agent's epoch unchanged, so the
 	// coordinator re-sends the assignment on the next heartbeat.
 	Apply func(Assignment) error
-	// Period is the heartbeat period. Default 1s.
+	// Period is the heartbeat period. Default 1s. The link reports
+	// degraded-to-static after 3×Period without a successful exchange,
+	// and failed RPCs back off from Period/4 to a cap of 8×Period.
 	Period time.Duration
-	// Timeout bounds every RPC. Default 2s.
-	Timeout time.Duration
-	// StaleAfter is how long without a successful exchange before the
-	// link reports degraded-to-static. Default 3×Period.
-	StaleAfter time.Duration
-	// BreakerAfter consecutive failures open the circuit breaker
-	// (default 5); BreakerFor is how long it stays open before one
-	// probe is allowed (default 10×Period).
-	BreakerAfter int
-	BreakerFor   time.Duration
-	// Backoff is the retry delay policy. Zero value: capped exponential
-	// from Period/4 to 8×Period, jitter-seeded from the shard name so
-	// a fleet restarting together doesn't stampede the coordinator.
-	Backoff backoff.Policy
 	// Clock overrides time.Now; Transport overrides the HTTP transport
 	// (coordsim injects faults here).
 	Clock     func() time.Time
@@ -85,13 +70,11 @@ type LinkStatus struct {
 	// LeaseAge is time since the last successful exchange ("" before
 	// the first one).
 	LeaseAge string `json:"lease_age,omitempty"`
-	// DegradedStatic: no coordinator contact past StaleAfter — the
-	// shard is running on its last-committed static shares.
+	// DegradedStatic: no coordinator contact for 3×Period — the shard
+	// is running on its last-committed static shares.
 	DegradedStatic bool `json:"degraded_static"`
 	// Failures is the current consecutive-failure count.
 	Failures int `json:"failures,omitempty"`
-	// BreakerOpen: the circuit breaker is holding RPCs back.
-	BreakerOpen bool `json:"breaker_open,omitempty"`
 	// Applies counts assignments applied; StaleRejected counts
 	// assignments discarded for a non-increasing epoch.
 	Applies       int64 `json:"applies"`
@@ -116,23 +99,22 @@ type Agent struct {
 	cfg    AgentConfig
 	now    func() time.Time
 	client *http.Client
-	urls   []string
+	retry  backoff.Policy
 
-	mu           sync.Mutex
-	cur          int    // index into urls of the replica in use
-	leaderHint   string // leader URL from the last not-leader redirect
-	term         uint64 // term of the last applied assignment
-	attached     bool
-	lease        string
-	epoch        uint64
-	lastContact  time.Time
-	fails        int
-	breakerUntil time.Time
-	applies      int64
-	staleRej     int64
-	termRej      int64
-	redirects    int64
-	failsTotal   int64
+	mu          sync.Mutex
+	cur         int    // index into cfg.URLs of the replica in use
+	leaderHint  string // leader URL from the last not-leader redirect
+	term        uint64 // term of the last applied assignment
+	attached    bool
+	lease       string
+	epoch       uint64
+	lastContact time.Time
+	fails       int
+	applies     int64
+	staleRej    int64
+	termRej     int64
+	redirects   int64
+	failsTotal  int64
 	// lastApplied is the trace context of the last applied assignment,
 	// echoed on heartbeats; lastDumpSeq dedupes piggybacked dump
 	// requests (at-most-once per collection).
@@ -140,17 +122,16 @@ type Agent struct {
 	lastDumpSeq int64
 }
 
+// rpcTimeout bounds every coordinator RPC.
+const rpcTimeout = 2 * time.Second
+
 // NewAgent validates the config and builds an unattached agent; the
 // first Step registers.
 func NewAgent(cfg AgentConfig) (*Agent, error) {
-	urls := cfg.URLs
-	if len(urls) == 0 && cfg.URL != "" {
-		urls = []string{cfg.URL}
-	}
-	if len(urls) == 0 {
+	if len(cfg.URLs) == 0 {
 		return nil, errors.New("coord: agent: empty coordinator URL")
 	}
-	for _, u := range urls {
+	for _, u := range cfg.URLs {
 		if u == "" {
 			return nil, errors.New("coord: agent: empty coordinator URL in list")
 		}
@@ -164,28 +145,15 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Period <= 0 {
 		cfg.Period = time.Second
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 3 * cfg.Period
-	}
-	if cfg.BreakerAfter <= 0 {
-		cfg.BreakerAfter = 5
-	}
-	if cfg.BreakerFor <= 0 {
-		cfg.BreakerFor = 10 * cfg.Period
-	}
-	if cfg.Backoff == (backoff.Policy{}) {
-		h := fnv.New64a()
-		_, _ = io.WriteString(h, cfg.Shard)
-		cfg.Backoff = backoff.New(cfg.Period/4, 8*cfg.Period, h.Sum64())
-	}
-	a := &Agent{cfg: cfg, now: time.Now, urls: urls}
+	// Jitter seeded from the shard name, so a fleet restarting together
+	// doesn't stampede the coordinator.
+	h := fnv.New64a()
+	_, _ = io.WriteString(h, cfg.Shard)
+	a := &Agent{cfg: cfg, now: time.Now, retry: backoff.New(cfg.Period/4, 8*cfg.Period, h.Sum64())}
 	if cfg.Clock != nil {
 		a.now = cfg.Clock
 	}
-	a.client = &http.Client{Timeout: cfg.Timeout}
+	a.client = &http.Client{Timeout: rpcTimeout}
 	if cfg.Transport != nil {
 		a.client.Transport = cfg.Transport
 	}
@@ -221,14 +189,6 @@ func (a *Agent) registerMetrics(reg *obs.Registry) {
 			}
 			return 0
 		})
-	reg.GaugeFunc("alps_coord_link_breaker_open",
-		"1 while the coordinator-RPC circuit breaker is open.",
-		func() float64 {
-			if a.Status().BreakerOpen {
-				return 1
-			}
-			return 0
-		})
 	reg.CounterFunc("alps_coord_link_failures_total",
 		"Coordinator RPC failures.",
 		func() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.failsTotal })
@@ -258,24 +218,18 @@ func (a *Agent) Status() LinkStatus {
 		Attached:          a.attached,
 		Epoch:             a.epoch,
 		Failures:          a.fails,
-		BreakerOpen:       now.Before(a.breakerUntil),
 		Applies:           a.applies,
 		StaleRejected:     a.staleRej,
-		Coordinator:       a.urls[a.cur],
+		Coordinator:       a.cfg.URLs[a.cur],
 		Term:              a.term,
 		Redirects:         a.redirects,
 		StaleTermRejected: a.termRej,
+		DegradedStatic:    true, // never attached yet
 	}
 	if !a.lastContact.IsZero() {
 		age := now.Sub(a.lastContact)
 		st.LeaseAge = age.String()
-		st.DegradedStatic = age > a.cfg.StaleAfter
-	} else {
-		st.DegradedStatic = true // never attached yet
-	}
-	if !a.attached {
-		st.DegradedStatic = st.DegradedStatic || a.lastContact.IsZero() ||
-			now.Sub(a.lastContact) > a.cfg.StaleAfter
+		st.DegradedStatic = age > 3*a.cfg.Period
 	}
 	return st
 }
@@ -302,13 +256,7 @@ const (
 // heartbeat otherwise) and returns how long to wait before the next
 // Step. It never blocks beyond one RPC timeout.
 func (a *Agent) Step() time.Duration {
-	now := a.now()
 	a.mu.Lock()
-	if now.Before(a.breakerUntil) {
-		wait := a.breakerUntil.Sub(now)
-		a.mu.Unlock()
-		return wait
-	}
 	attached := a.attached
 	a.mu.Unlock()
 
@@ -332,31 +280,26 @@ func (a *Agent) Step() time.Duration {
 		// so a fleet-wide lease wipe doesn't re-register in lockstep.
 		a.attached = false
 		a.lease = ""
-		return a.cfg.Backoff.Delay(1, 1)
+		return a.retry.Delay(1, 1)
 	case rpcNotLeader:
 		// A healthy follower answered: the replica set is alive, we are
 		// just aimed at the wrong member. Rotate (to the hinted leader
 		// when the hint is fresh), re-register there, and reset the
-		// failure streak — a redirect must never open the breaker.
+		// failure streak — a redirect is not a failure to back off from.
 		a.attached = false
 		a.lease = ""
 		a.fails = 0
 		a.redirects++
 		a.rotateLocked(a.leaderHint)
 		a.leaderHint = ""
-		return a.cfg.Backoff.Delay(3, 1)
+		return a.retry.Delay(3, 1)
 	default:
 		a.fails++
 		a.failsTotal++
-		if len(a.urls) > 1 {
+		if len(a.cfg.URLs) > 1 {
 			a.rotateLocked("") // try the next replica before giving up
 		}
-		if a.fails >= a.cfg.BreakerAfter {
-			a.breakerUntil = a.now().Add(a.cfg.BreakerFor)
-			a.logf("coord-link: breaker open for %v after %d consecutive failures", a.cfg.BreakerFor, a.fails)
-			return a.cfg.BreakerFor
-		}
-		return a.cfg.Backoff.Delay(2, a.fails)
+		return a.retry.Delay(2, a.fails)
 	}
 }
 
@@ -366,7 +309,7 @@ func (a *Agent) Step() time.Duration {
 // re-registers on the new target.
 func (a *Agent) rotateLocked(hint string) {
 	if hint != "" {
-		for i, u := range a.urls {
+		for i, u := range a.cfg.URLs {
 			if u == hint {
 				if i != a.cur {
 					a.cur = i
@@ -376,9 +319,9 @@ func (a *Agent) rotateLocked(hint string) {
 			}
 		}
 	}
-	if len(a.urls) > 1 {
-		a.cur = (a.cur + 1) % len(a.urls)
-		a.logf("coord-link: rotating to coordinator %s", a.urls[a.cur])
+	if len(a.cfg.URLs) > 1 {
+		a.cur = (a.cur + 1) % len(a.cfg.URLs)
+		a.logf("coord-link: rotating to coordinator %s", a.cfg.URLs[a.cur])
 	}
 }
 
@@ -538,7 +481,7 @@ func (a *Agent) maybeApply(asg Assignment) {
 	a.logf("coord-link: applied assignment epoch %d (%d tasks)", asg.Epoch, len(asg.Tasks))
 }
 
-// post runs one JSON POST with the configured timeout and classifies
+// post runs one JSON POST under rpcTimeout and classifies
 // the outcome.
 func (a *Agent) post(path string, in, out any) rpcClass {
 	body, err := json.Marshal(in)
@@ -547,7 +490,7 @@ func (a *Agent) post(path string, in, out any) rpcClass {
 		return rpcFatal
 	}
 	a.mu.Lock()
-	base := a.urls[a.cur]
+	base := a.cfg.URLs[a.cur]
 	a.mu.Unlock()
 	httpReq, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader(body))
 	if err != nil {

@@ -3,6 +3,8 @@ package coord
 import (
 	"testing"
 	"time"
+
+	"alps/internal/coord/coordsim"
 )
 
 // newFailoverAgent builds an agent aimed at a coordsim-hosted replica
@@ -28,8 +30,8 @@ func newFailoverAgent(t *testing.T, rs *replicaSet, shard *testShard, name strin
 
 // TestAgentNotLeaderRedirectFollowsHint: an agent aimed at a follower
 // gets a 409 not-leader with a leader hint, rotates straight to the
-// hinted replica and registers there — no failure counted, breaker
-// untouched (a redirect is routing, not an outage).
+// hinted replica and registers there — no failure counted (a redirect
+// is routing, not an outage).
 func TestAgentNotLeaderRedirectFollowsHint(t *testing.T) {
 	rs := newReplicaSet(t, "r1", "r2")
 	rs.run(1 * time.Second)
@@ -48,7 +50,7 @@ func TestAgentNotLeaderRedirectFollowsHint(t *testing.T) {
 	if st.Attached {
 		t.Fatalf("attached through a follower: %+v", st)
 	}
-	if st.Redirects != 1 || st.Failures != 0 || st.BreakerOpen {
+	if st.Redirects != 1 || st.Failures != 0 {
 		t.Fatalf("redirect miscounted: %+v", st)
 	}
 	if st.Coordinator != replicaURL("r1") {
@@ -68,7 +70,7 @@ func TestAgentNotLeaderRedirectFollowsHint(t *testing.T) {
 // TestAgentFailsOverOnLeaderDeath: the leader dies after committing an
 // epoch; the agent rotates to the standby (which elected itself from
 // its replica), re-registers, and keeps its applied epoch — a few RPCs,
-// no operator, breaker closed throughout.
+// no operator, no failure streak left behind.
 func TestAgentFailsOverOnLeaderDeath(t *testing.T) {
 	rs := newReplicaSet(t, "r1", "r2")
 	rs.run(1 * time.Second)
@@ -120,8 +122,8 @@ func TestAgentFailsOverOnLeaderDeath(t *testing.T) {
 	if st.Epoch != epoch {
 		t.Fatalf("failover moved the applied epoch %d -> %d", epoch, st.Epoch)
 	}
-	if st.BreakerOpen || st.Failures != 0 {
-		t.Fatalf("failover tripped the breaker: %+v", st)
+	if st.Failures != 0 {
+		t.Fatalf("failover left a failure streak: %+v", st)
 	}
 }
 
@@ -129,7 +131,7 @@ func TestAgentFailsOverOnLeaderDeath(t *testing.T) {
 // applied one is a deposed leader's publish — discarded whatever epoch
 // it claims, while term 0 (standalone coordinator) still passes.
 func TestAgentTermFence(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	shard := newTestShard(map[int64]int64{1: 10})
 	a := newTestAgent(t, clk, &handlerTransport{}, shard, "s1")
 

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"alps/internal/coord/coordsim"
 )
 
 // handlerTransport routes agent RPCs straight into a Server's handler —
@@ -77,10 +79,10 @@ func (ts *testShard) apply(a Assignment) error {
 	return nil
 }
 
-func newTestAgent(t *testing.T, clk *vclock, tr *handlerTransport, shard *testShard, name string) *Agent {
+func newTestAgent(t *testing.T, clk *coordsim.Clock, tr *handlerTransport, shard *testShard, name string) *Agent {
 	t.Helper()
 	a, err := NewAgent(AgentConfig{
-		URL:    "http://coord.test",
+		URLs:   []string{"http://coord.test"},
 		Shard:  name,
 		Tasks:  shard.tasks,
 		Gauges: func() ShardGauges { return ShardGauges{} },
@@ -100,7 +102,7 @@ func newTestAgent(t *testing.T, clk *vclock, tr *handlerTransport, shard *testSh
 // TestAgentAttachAndPull: first Step registers; after the coordinator
 // commits a new epoch, the next Step's heartbeat pulls and applies it.
 func TestAgentAttachAndPull(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	srv := newTestServer(t, clk, "")
 	tr := &handlerTransport{handler: srv}
 	shard := newTestShard(map[int64]int64{1: 100, 2: 100})
@@ -128,7 +130,7 @@ func TestAgentAttachAndPull(t *testing.T) {
 // beatViaAgentGauges feeds the server a skewed window through a direct
 // heartbeat (so it has signal), rebalances, then Steps the agent so it
 // pulls the commit.
-func beatViaAgentGauges(t *testing.T, srv *Server, clk *vclock, a *Agent, shard *testShard) {
+func beatViaAgentGauges(t *testing.T, srv *Server, clk *coordsim.Clock, a *Agent, shard *testShard) {
 	t.Helper()
 	srv.mu.Lock()
 	rec := srv.shards[a.cfg.Shard]
@@ -147,7 +149,7 @@ func beatViaAgentGauges(t *testing.T, srv *Server, clk *vclock, a *Agent, shard 
 // (restart, expiry) is not a failure — the agent re-registers on the
 // next Step and the link heals.
 func TestAgentLeaseLostReregisters(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	srv := newTestServer(t, clk, "")
 	tr := &handlerTransport{handler: srv}
 	shard := newTestShard(map[int64]int64{1: 10})
@@ -174,48 +176,49 @@ func TestAgentLeaseLostReregisters(t *testing.T) {
 	}
 }
 
-// TestAgentBreaker: consecutive transport failures grow the backoff and
-// eventually open the circuit breaker; a later success snaps the link
-// closed again.
-func TestAgentBreaker(t *testing.T) {
-	clk := newVclock()
+// TestAgentBackoff: consecutive transport failures back off
+// exponentially from Period/4 up to the 8×Period cap, each wait jittered
+// over [d/2, d), so the capped waits never fall below 4×Period; the first
+// success returns to the heartbeat period and clears the failure count.
+func TestAgentBackoff(t *testing.T) {
+	clk := coordsim.NewClock()
 	srv := newTestServer(t, clk, "")
 	tr := &handlerTransport{handler: srv}
 	shard := newTestShard(map[int64]int64{1: 10})
 	a := newTestAgent(t, clk, tr, shard, "s1")
-	a.Step() // register ok
+	period := a.cfg.Period
+	if d := a.Step(); d != period {
+		t.Fatalf("post-register delay = %v, want the period", d)
+	}
 
 	tr.setFail(errors.New("connection refused"))
-	var delays []time.Duration
-	for i := 0; i < a.cfg.BreakerAfter; i++ {
-		delays = append(delays, a.Step())
+	const failures = 12
+	var prev time.Duration
+	for i := 1; i <= failures; i++ {
+		d := a.Step()
+		if d <= 0 || d > 8*period {
+			t.Fatalf("failure %d: wait %v outside (0, %v]", i, d, 8*period)
+		}
+		raw := period / 4 << (i - 1)
+		if raw >= 8*period && d < 4*period {
+			t.Fatalf("failure %d: capped wait %v below %v", i, d, 4*period)
+		}
+		if raw <= 8*period && d <= prev {
+			t.Fatalf("failure %d: wait %v did not grow past %v", i, d, prev)
+		}
+		prev = d
 	}
-	st := a.Status()
-	if !st.BreakerOpen {
-		t.Fatalf("breaker closed after %d failures: %+v", a.cfg.BreakerAfter, st)
-	}
-	if st.Failures != a.cfg.BreakerAfter {
-		t.Fatalf("failures = %d, want %d", st.Failures, a.cfg.BreakerAfter)
-	}
-	// Backoff grew before the breaker tripped.
-	if !(delays[1] >= delays[0] || delays[2] >= delays[1]) {
-		t.Fatalf("backoff never grew: %v", delays)
-	}
-	// While open, Step is a no-RPC wait.
-	if d := a.Step(); d <= 0 {
-		t.Fatalf("open-breaker wait = %v", d)
+	if st := a.Status(); st.Failures != failures {
+		t.Fatalf("failures = %d, want %d", st.Failures, failures)
 	}
 
-	// Past BreakerFor, one probe is allowed; the coordinator is back.
+	// The coordinator is back: the next exchange heals the link.
 	tr.setFail(nil)
-	clk.Advance(a.cfg.BreakerFor + time.Millisecond)
-	a.Step()
-	st = a.Status()
-	if st.BreakerOpen || st.Failures != 0 {
-		t.Fatalf("link did not heal: %+v", st)
+	if d := a.Step(); d != period {
+		t.Fatalf("wait after recovery = %v, want the period %v", d, period)
 	}
-	if !st.Attached {
-		t.Fatalf("not attached after heal: %+v", st)
+	if st := a.Status(); st.Failures != 0 || !st.Attached {
+		t.Fatalf("link did not heal: %+v", st)
 	}
 }
 
@@ -223,7 +226,7 @@ func TestAgentBreaker(t *testing.T) {
 // epoch is discarded — a delayed duplicate or a rolled-back coordinator
 // cannot move shares backward.
 func TestAgentStaleEpochRejected(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	shard := newTestShard(map[int64]int64{1: 10})
 	a := newTestAgent(t, clk, &handlerTransport{}, shard, "s1")
 
@@ -248,7 +251,7 @@ func TestAgentStaleEpochRejected(t *testing.T) {
 // epoch unchanged, so the coordinator re-sends the assignment on the
 // next heartbeat and the second attempt lands it.
 func TestAgentApplyFailureRetried(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	srv := newTestServer(t, clk, "")
 	tr := &handlerTransport{handler: srv}
 	shard := newTestShard(map[int64]int64{1: 100, 2: 100})
@@ -268,11 +271,11 @@ func TestAgentApplyFailureRetried(t *testing.T) {
 	}
 }
 
-// TestAgentDegradedStatic: past StaleAfter without coordinator contact
+// TestAgentDegradedStatic: past 3×Period without coordinator contact
 // the link reports degraded-to-static — the operator-visible signal
 // that the shard is running on its last committed shares.
 func TestAgentDegradedStatic(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	srv := newTestServer(t, clk, "")
 	tr := &handlerTransport{handler: srv}
 	shard := newTestShard(map[int64]int64{1: 10})
@@ -287,7 +290,7 @@ func TestAgentDegradedStatic(t *testing.T) {
 	}
 	tr.setFail(errors.New("partition"))
 	a.Step()
-	clk.Advance(4 * a.cfg.Period) // past StaleAfter = 3×Period
+	clk.Advance(4 * a.cfg.Period) // past the 3×Period staleness bound
 	st := a.Status()
 	if !st.DegradedStatic {
 		t.Fatalf("partitioned link not degraded: %+v", st)

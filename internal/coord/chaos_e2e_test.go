@@ -114,7 +114,7 @@ func newFleet(t *testing.T) *fleet {
 	f := &fleet{
 		t:   t,
 		clk: clk,
-		net: coordsim.NewNet(clk),
+		net: coordsim.NewNet(),
 		srvCfg: coord.ServerConfig{
 			TTL:            chaosTTL,
 			RebalanceEvery: chaosRebalance,
@@ -142,10 +142,8 @@ func newFleet(t *testing.T) *fleet {
 			tasks = append(tasks, osproc.Task{ID: core.TaskID(p), Share: 8, PIDs: []int{pid}})
 		}
 		r, err := osproc.NewRunner(osproc.Config{
-			Quantum:     chaosQ,
-			Sys:         sh.fs,
-			Clock:       sh.fs.Now,
-			BackoffSeed: uint64(i),
+			Quantum: chaosQ,
+			Sys:     sh.fs,
 			OnCycle: func(rec core.CycleRecord) {
 				sh.mu.Lock()
 				for _, ct := range rec.Tasks {
@@ -161,16 +159,15 @@ func newFleet(t *testing.T) *fleet {
 		sh.r = r
 		sh.tracer = fleetobs.NewTracer(fleetobs.TracerConfig{Node: name, Now: clk.Now})
 		agent, err := coord.NewAgent(coord.AgentConfig{
-			URL:        "http://coord",
-			Shard:      name,
-			Tasks:      sh.tasks,
-			Gauges:     sh.gauges,
-			Apply:      sh.apply,
-			Period:     chaosPeriod,
-			StaleAfter: 3 * chaosPeriod,
-			Clock:      clk.Now,
-			Transport:  f.net.Transport(name),
-			Tracer:     sh.tracer,
+			URLs:      []string{"http://coord"},
+			Shard:     name,
+			Tasks:     sh.tasks,
+			Gauges:    sh.gauges,
+			Apply:     sh.apply,
+			Period:    chaosPeriod,
+			Clock:     clk.Now,
+			Transport: f.net.Transport(name),
+			Tracer:    sh.tracer,
 			Collect: func(fleetobs.DumpRequest) (fleetobs.DumpPayload, bool) {
 				return fleetobs.DumpPayload{Fleet: sh.tracer.Snapshot()}, true
 			},

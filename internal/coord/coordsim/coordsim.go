@@ -1,11 +1,14 @@
 // Package coordsim is a deterministic fault harness for the coord
-// control plane: an in-memory network of named HTTP hosts on a shared
-// virtual clock, with scriptable partitions, drops, delays, duplicated
-// deliveries and host kills injected at the http.RoundTripper layer.
-// The chaos e2e tests wire coord.Agent's Transport and coord.Server's
-// Clock through one Net, so an entire fleet — coordinator crashes,
-// partitions, lease expiries — plays out in virtual time with no
-// sockets, no goroutine sleeps and no flaky timing.
+// control plane: a shared virtual clock and an in-memory network of
+// named HTTP hosts, with scriptable partitions, duplicated deliveries
+// and host kills injected at the http.RoundTripper layer. The chaos e2e
+// tests route every coord.Agent and coord.Server through one Net and
+// read one Clock, so an entire fleet — coordinator crashes, partitions,
+// lease expiries — plays out in virtual time with no sockets, no
+// goroutine sleeps and no flaky timing. Clock is the one virtual clock
+// of the coord and fleetobs tests; a simulated shard's runner reads its
+// osproc.FaultSys clock instead, which the scenario advances in step
+// with this one.
 package coordsim
 
 import (
@@ -48,31 +51,23 @@ func (c *Clock) Advance(d time.Duration) {
 // Net is the simulated network: named hosts and the fault rules between
 // them. All methods are safe for concurrent use.
 type Net struct {
-	Clock *Clock
-
 	mu          sync.Mutex
 	hosts       map[string]http.Handler
 	killed      map[string]bool
 	partitioned map[string]bool // key "a|b", symmetric
-	drops       map[string]int  // host → remaining requests to drop
 	dupes       map[string]int  // host → remaining requests to deliver twice
-	delay       map[string]time.Duration
 
-	// Fault bookkeeping for assertions.
-	Dropped    int
+	// Duplicated counts duplicated deliveries, for assertions.
 	Duplicated int
 }
 
-// NewNet builds an empty network on the given clock.
-func NewNet(clk *Clock) *Net {
+// NewNet builds an empty network.
+func NewNet() *Net {
 	return &Net{
-		Clock:       clk,
 		hosts:       make(map[string]http.Handler),
 		killed:      make(map[string]bool),
 		partitioned: make(map[string]bool),
-		drops:       make(map[string]int),
 		dupes:       make(map[string]int),
-		delay:       make(map[string]time.Duration),
 	}
 }
 
@@ -138,27 +133,12 @@ func (n *Net) Rejoin(host string, others ...string) {
 	}
 }
 
-// Drop makes the next count requests to host vanish (connection error).
-func (n *Net) Drop(host string, count int) {
-	n.mu.Lock()
-	n.drops[host] += count
-	n.mu.Unlock()
-}
-
 // Duplicate makes the next count requests to host be delivered twice —
 // the caller sees the second response, the handler sees both requests.
 // Models an at-least-once retry layer re-sending a non-idempotent POST.
 func (n *Net) Duplicate(host string, count int) {
 	n.mu.Lock()
 	n.dupes[host] += count
-	n.mu.Unlock()
-}
-
-// Delay adds fixed virtual latency to every request to host (the clock
-// advances by d before the handler runs) until called again with 0.
-func (n *Net) Delay(host string, d time.Duration) {
-	n.mu.Lock()
-	n.delay[host] = d
 	n.mu.Unlock()
 }
 
@@ -173,8 +153,8 @@ type transport struct {
 	from string
 }
 
-// errNet is the connection-level error surfaced for killed, partitioned
-// or dropped deliveries — the same class a real dial failure produces,
+// errNet is the connection-level error surfaced for killed or
+// partitioned deliveries — the same class a real dial failure produces,
 // which coord.Agent classifies as retryable.
 type errNet struct{ msg string }
 
@@ -190,23 +170,13 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	h, ok := n.hosts[host]
 	killed := n.killed[host]
 	parted := n.partitioned[pairKey(t.from, host)]
-	var dropped, duped bool
-	if n.drops[host] > 0 {
-		n.drops[host]--
-		n.Dropped++
-		dropped = true
-	}
-	if !dropped && n.dupes[host] > 0 {
+	duped := n.dupes[host] > 0
+	if duped {
 		n.dupes[host]--
 		n.Duplicated++
-		duped = true
 	}
-	delay := n.delay[host]
 	n.mu.Unlock()
 
-	if delay > 0 {
-		n.Clock.Advance(delay)
-	}
 	switch {
 	case !ok:
 		return nil, errNet{fmt.Sprintf("coordsim: no such host %q", host)}
@@ -214,8 +184,6 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, errNet{fmt.Sprintf("coordsim: connect %s: connection refused (killed)", host)}
 	case parted:
 		return nil, errNet{fmt.Sprintf("coordsim: %s -> %s: network partitioned", t.from, host)}
-	case dropped:
-		return nil, errNet{fmt.Sprintf("coordsim: request to %s dropped", host)}
 	}
 
 	// Buffer the body so a duplicated delivery can replay it.

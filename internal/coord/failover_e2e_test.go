@@ -32,10 +32,7 @@ import (
 	"alps/internal/osproc"
 )
 
-const (
-	foLeaderTTL   = 200 * time.Millisecond
-	foFollowEvery = 50 * time.Millisecond
-)
+const foLeaderTTL = 200 * time.Millisecond
 
 var foReplicas = []string{"c1", "c2", "c3"}
 
@@ -60,7 +57,7 @@ func newReplicatedFleet(t *testing.T) *rfleet {
 	f := &rfleet{
 		t:      t,
 		clk:    clk,
-		net:    coordsim.NewNet(clk),
+		net:    coordsim.NewNet(),
 		srvs:   make(map[string]*coord.Server),
 		regs:   make(map[string]*obs.Registry),
 		stacks: make(map[string]*fleetobs.Stack),
@@ -98,7 +95,6 @@ func newReplicatedFleet(t *testing.T) *rfleet {
 			Self:           replicaSetURL(n),
 			Peers:          peers,
 			LeaderTTL:      foLeaderTTL,
-			FollowEvery:    foFollowEvery,
 			Planner:        coord.PlannerConfig{ScaleTotal: 64},
 			Clock:          clk.Now,
 			Transport:      f.net.Transport(n),
@@ -128,10 +124,8 @@ func newReplicatedFleet(t *testing.T) *rfleet {
 			tasks = append(tasks, osproc.Task{ID: core.TaskID(p), Share: 8, PIDs: []int{pid}})
 		}
 		r, err := osproc.NewRunner(osproc.Config{
-			Quantum:     chaosQ,
-			Sys:         sh.fs,
-			Clock:       sh.fs.Now,
-			BackoffSeed: uint64(i),
+			Quantum: chaosQ,
+			Sys:     sh.fs,
 			OnCycle: func(rec core.CycleRecord) {
 				sh.mu.Lock()
 				for _, ct := range rec.Tasks {
@@ -147,17 +141,16 @@ func newReplicatedFleet(t *testing.T) *rfleet {
 		sh.r = r
 		sh.tracer = fleetobs.NewTracer(fleetobs.TracerConfig{Node: name, Now: clk.Now})
 		agent, err := coord.NewAgent(coord.AgentConfig{
-			URLs:       urls,
-			Shard:      name,
-			Tasks:      sh.tasks,
-			Gauges:     sh.gauges,
-			Apply:      sh.apply,
-			Period:     chaosPeriod,
-			StaleAfter: 3 * chaosPeriod,
-			Clock:      clk.Now,
-			Transport:  f.net.Transport(name),
-			Tracer:     sh.tracer,
-			Logf:       t.Logf,
+			URLs:      urls,
+			Shard:     name,
+			Tasks:     sh.tasks,
+			Gauges:    sh.gauges,
+			Apply:     sh.apply,
+			Period:    chaosPeriod,
+			Clock:     clk.Now,
+			Transport: f.net.Transport(name),
+			Tracer:    sh.tracer,
+			Logf:      t.Logf,
 		})
 		if err != nil {
 			t.Fatalf("shard %s agent: %v", name, err)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"alps/internal/coord/coordsim"
 	"alps/internal/fleetobs"
 	"alps/internal/obs"
 	"alps/internal/trace"
@@ -18,7 +19,7 @@ import (
 
 // newFleetServer builds a coordinator with the fleet observability
 // stack attached, on the test's virtual clock.
-func newFleetServer(t *testing.T, clk *vclock) (*Server, *fleetobs.Stack) {
+func newFleetServer(t *testing.T, clk *coordsim.Clock) (*Server, *fleetobs.Stack) {
 	t.Helper()
 	stack := fleetobs.NewStack(fleetobs.StackConfig{
 		Node: "coord", Now: clk.Now, Cooldown: time.Second, Logf: t.Logf,
@@ -51,7 +52,7 @@ func kinds(events []fleetobs.Event) map[fleetobs.Kind]int {
 // readings at zero, and is flagged on the coordinator counter, the
 // status document, and the coordinator's trace.
 func TestFleetCounterRegressionClamp(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	s, stack := newFleetServer(t, clk)
 	reg := mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 100})
 
@@ -87,13 +88,13 @@ func TestFleetCounterRegressionClamp(t *testing.T) {
 // same parent, and the merged two-source trace validates with exactly
 // one publish→apply flow.
 func TestFleetPublishApplyAckFlow(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	srv, stack := newFleetServer(t, clk)
 	tr := &handlerTransport{handler: srv}
 	shard := newTestShard(map[int64]int64{1: 100, 2: 100})
 	shardTracer := fleetobs.NewTracer(fleetobs.TracerConfig{Node: "s1", Now: clk.Now})
 	a, err := NewAgent(AgentConfig{
-		URL: "http://coord.test", Shard: "s1",
+		URLs: []string{"http://coord.test"}, Shard: "s1",
 		Tasks:  shard.tasks,
 		Gauges: func() ShardGauges { return ShardGauges{} },
 		Apply:  shard.apply,
@@ -177,7 +178,7 @@ func TestFleetPublishApplyAckFlow(t *testing.T) {
 // /coord/v1/dump exactly once, and the bundle merges coordinator +
 // shard sources.
 func TestFleetDumpCollection(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	srv, stack := newFleetServer(t, clk)
 	tr := &handlerTransport{handler: srv}
 	shard := newTestShard(map[int64]int64{1: 100})
@@ -185,7 +186,7 @@ func TestFleetDumpCollection(t *testing.T) {
 	var traceDumps int64
 	var collects int
 	a, err := NewAgent(AgentConfig{
-		URL: "http://coord.test", Shard: "s1",
+		URLs: []string{"http://coord.test"}, Shard: "s1",
 		Tasks:  shard.tasks,
 		Gauges: func() ShardGauges { return ShardGauges{TraceDumps: traceDumps} },
 		Apply:  shard.apply,
@@ -252,7 +253,7 @@ func TestFleetDumpCollection(t *testing.T) {
 // to /coord/v1/dump (it did once: every production upload bounced with
 // "request body too large" while the tiny test windows sailed through).
 func TestFleetDumpLargeUpload(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	srv, stack := newFleetServer(t, clk)
 	if !stack.Bundler.Open("shard_dump", 0) {
 		t.Fatal("Open refused")
@@ -290,7 +291,7 @@ func TestFleetDumpLargeUpload(t *testing.T) {
 
 // newMetricsServer builds a coordinator exporting onto a registry of
 // its own, on the test's virtual clock (TTL 1s).
-func newMetricsServer(t *testing.T, clk *vclock) (*Server, *obs.Registry) {
+func newMetricsServer(t *testing.T, clk *coordsim.Clock) (*Server, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	s, err := NewServer(ServerConfig{
@@ -330,7 +331,7 @@ func commitWeights(t *testing.T, s *Server) {
 // to the detached list and counts on both the document and the
 // registry.
 func TestFleetPropagationAndLeases(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	s, reg := newMetricsServer(t, clk)
 	r := mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 100})
 
@@ -398,7 +399,7 @@ func gaugeBeater(t *testing.T, s *Server) func(name string, epoch uint64, rms fl
 // per-shard gauge, excluded from the degraded count — and an expired
 // shard is detached. A heartbeat brings a stale shard back.
 func TestFleetStaleAndDetachedShards(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	s, reg := newMetricsServer(t, clk)
 	hb := gaugeBeater(t, s)
 	for i := 0; i < 9; i++ {
@@ -460,7 +461,7 @@ func TestFleetStaleAndDetachedShards(t *testing.T) {
 // isolated (silent) shard's values are marked stale, a live shard's
 // are not.
 func TestFleetShardStaleness(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	s, reg := newMetricsServer(t, clk)
 	hb := gaugeBeater(t, s)
 	for i := 0; i < 9; i++ {
@@ -504,7 +505,7 @@ func TestFleetShardStaleness(t *testing.T) {
 // state from separate goroutines, as the HTTP handlers, Run and the
 // scrapers do under "alps coord". Meant for -race.
 func TestFleetStateConcurrent(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	s, reg := newMetricsServer(t, clk)
 	var wg sync.WaitGroup
 	for i := int64(1); i <= 3; i++ {

@@ -25,12 +25,6 @@ type PlannerConfig struct {
 	// Gain clamps each round's multiplicative step to [1/Gain, Gain].
 	// Must be > 1; default 2 (halve or double at most per round).
 	Gain float64
-	// Damping is the exponent applied to the raw correction ratio
-	// (target/actual)^Damping, in (0, 1]. 1 is the full Newton-like
-	// step, which overshoots when measurement windows are noisy (they
-	// straddle partial cycles); default 0.5 takes the square root —
-	// slower, but it converges instead of oscillating.
-	Damping float64
 	// ScaleTotal is the per-shard share-vector normalization total;
 	// local ratios are preserved, absolute values kept in integer range.
 	// Default 4096.
@@ -41,12 +35,16 @@ type PlannerConfig struct {
 	Deadband float64
 }
 
+// damping is the exponent applied to the raw correction ratio
+// (target/actual)^damping. 1 would be the full Newton-like step, which
+// overshoots when measurement windows are noisy (they straddle partial
+// cycles); the square root is slower, but it converges instead of
+// oscillating.
+const damping = 0.5
+
 func (c PlannerConfig) withDefaults() PlannerConfig {
 	if c.Gain <= 1 {
 		c.Gain = 2
-	}
-	if c.Damping <= 0 || c.Damping > 1 {
-		c.Damping = 0.5
 	}
 	if c.ScaleTotal <= 0 {
 		c.ScaleTotal = 4096
@@ -152,14 +150,14 @@ func Plan(cfg PlannerConfig, weights map[int64]int64, shards []ShardLoad) PlanRe
 		return res // converged: hold the distribution steady
 	}
 
-	// Per-principal raw correction ratio (t/f)^Damping, from the
+	// Per-principal raw correction ratio (t/f)^damping, from the
 	// achieved-to-target fraction f/t = 1 + rel (clamped per shard
 	// below, after the capacity exponent).
 	ratio := make(map[int64]float64, len(live))
 	for i, p := range live {
 		r := cfg.Gain // unserved principal: maximum boost
 		if consumed[i] > 0 {
-			r = math.Pow(1+rel[i], -cfg.Damping)
+			r = math.Pow(1+rel[i], -damping)
 		}
 		ratio[p] = r
 	}

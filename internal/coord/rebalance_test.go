@@ -125,18 +125,23 @@ func TestPlanDeadShardRedistribution(t *testing.T) {
 // TestPlanClamp: one round can at most double or halve a share (Gain 2),
 // so one noisy window cannot slingshot the distribution.
 func TestPlanClamp(t *testing.T) {
-	weights := map[int64]int64{1: 1000, 2: 1}
-	shares := map[string]map[int64]int64{"s1": {1: 10, 2: 10}}
-	// Principal 1 is massively underserved: uniform consumption.
-	// Damping 1 takes the raw step, so only the clamp bounds it.
-	res := Plan(PlannerConfig{ScaleTotal: 20, Damping: 1}, weights, simulateWindow(shares, 1.0))
+	// Principal 1 is massively underserved under uniform consumption:
+	// even the damped step, (1/0.2)^0.5 ≈ 2.2 up and far below 0.5 down
+	// for the rest, lies past the clamp.
+	weights := map[int64]int64{1: 1_000_000, 2: 1, 3: 1, 4: 1, 5: 1}
+	shares := map[string]map[int64]int64{"s1": {1: 10, 2: 10, 3: 10, 4: 10, 5: 10}}
+	res := Plan(PlannerConfig{ScaleTotal: 40}, weights, simulateWindow(shares, 1.0))
 	if !res.Changed {
 		t.Fatal("skew not replanned")
 	}
 	s1 := res.Shares["s1"]
-	// Ratios are clamped to [0.5, 2]: 10*2 : 10*0.5 = 4:1 of total 20.
-	if s1[1] != 16 || s1[2] != 4 {
-		t.Fatalf("clamped step gave %v, want map[1:16 2:4]", s1)
+	// Ratios are clamped to [0.5, 2]: 10*2 : 10*0.5 (×4) = 20:5:5:5:5 of
+	// total 40.
+	want := map[int64]int64{1: 20, 2: 5, 3: 5, 4: 5, 5: 5}
+	for p, w := range want {
+		if s1[p] != w {
+			t.Fatalf("clamped step gave %v, want %v", s1, want)
+		}
 	}
 }
 

@@ -90,7 +90,7 @@ func (s *Server) replicaTick(now time.Time) {
 	}
 	follow := !leading && !now.Before(s.nextFollow)
 	if follow {
-		s.nextFollow = now.Add(s.cfg.FollowEvery)
+		s.nextFollow = now.Add(s.cfg.LeaderTTL / 4)
 	}
 	s.mu.Unlock()
 	if probe {

@@ -43,7 +43,7 @@ func newReplicaSet(t *testing.T, names ...string) *replicaSet {
 		regs:  make(map[string]*obs.Registry),
 		live:  make(map[string]bool),
 	}
-	rs.net = coordsim.NewNet(rs.clk)
+	rs.net = coordsim.NewNet()
 	dir := t.TempDir()
 	for _, n := range names {
 		var peers []string
@@ -61,7 +61,6 @@ func newReplicaSet(t *testing.T, names ...string) *replicaSet {
 			Self:           replicaURL(n),
 			Peers:          peers,
 			LeaderTTL:      400 * time.Millisecond,
-			FollowEvery:    100 * time.Millisecond,
 			Clock:          rs.clk.Now,
 			Transport:      rs.net.Transport(n),
 			Metrics:        reg,

@@ -45,13 +45,11 @@ type ServerConfig struct {
 	// Peers lists the other replicas' URLs (ignored when Self is empty).
 	Peers []string
 	// LeaderTTL is the leadership lease: a follower that has not seen the
-	// leader for LeaderTTL (plus its rank stagger) elects itself; a
-	// leader probes its peers every LeaderTTL/2 and steps down on seeing
-	// a higher term. Default DefaultLeaderTTL.
+	// leader for LeaderTTL (plus its rank stagger) elects itself and
+	// pulls the leader's state every LeaderTTL/4; a leader probes its
+	// peers every LeaderTTL/2 and steps down on seeing a higher term.
+	// Default DefaultLeaderTTL.
 	LeaderTTL time.Duration
-	// FollowEvery is the follower's state-pull period. Default
-	// LeaderTTL/4.
-	FollowEvery time.Duration
 	// Transport overrides the replica-to-replica HTTP transport
 	// (coordsim injects its in-memory net here).
 	Transport http.RoundTripper
@@ -177,9 +175,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.LeaderTTL <= 0 {
 		cfg.LeaderTTL = DefaultLeaderTTL
-	}
-	if cfg.FollowEvery <= 0 {
-		cfg.FollowEvery = cfg.LeaderTTL / 4
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -518,8 +513,8 @@ func (s *Server) Run(ctx interface{ Done() <-chan struct{} }) {
 	if period <= 0 {
 		period = 100 * time.Millisecond
 	}
-	if s.replicated() && period > s.cfg.FollowEvery {
-		period = s.cfg.FollowEvery // replication duties pace the tick too
+	if s.replicated() && period > s.cfg.LeaderTTL/4 {
+		period = s.cfg.LeaderTTL / 4 // replication duties pace the tick too
 	}
 	t := time.NewTicker(period)
 	defer t.Stop()

@@ -7,32 +7,13 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
+
+	"alps/internal/coord/coordsim"
 )
 
-// vclock is a virtual clock for deterministic lease/rebalance tests.
-type vclock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newVclock() *vclock { return &vclock{t: time.Unix(1_700_000_000, 0)} }
-
-func (c *vclock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *vclock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func newTestServer(t *testing.T, clk *vclock, statePath string) *Server {
+func newTestServer(t *testing.T, clk *coordsim.Clock, statePath string) *Server {
 	t.Helper()
 	s, err := NewServer(ServerConfig{
 		TTL:            time.Second,
@@ -73,7 +54,7 @@ func beat(t *testing.T, s *Server, shard, lease string, epoch uint64, cum map[in
 // skewed consumption window, rebalance commits epoch 1, the next
 // heartbeat pulls the corrected assignment.
 func TestRegisterHeartbeatRebalance(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	s := newTestServer(t, clk, "")
 	reg := mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 100}, TaskShare{ID: 2, Share: 100})
 	if reg.Assignment.Epoch != 0 {
@@ -122,7 +103,7 @@ func TestRegisterHeartbeatRebalance(t *testing.T) {
 // TestLeaseExpiry: a silent shard loses its lease after TTL and a
 // forced rebalance redistributes to the survivors.
 func TestLeaseExpiry(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	s := newTestServer(t, clk, "")
 	r1 := mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 100})
 	r2 := mustRegister(t, s, "s2", TaskShare{ID: 2, Share: 100})
@@ -156,7 +137,7 @@ func TestLeaseExpiry(t *testing.T) {
 // and committed assignments from its checkpoint, so the new incarnation
 // keeps numbering where the old one stopped.
 func TestCheckpointRestart(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	path := filepath.Join(t.TempDir(), "coord.ckpt")
 	s := newTestServer(t, clk, path)
 	reg := mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 100}, TaskShare{ID: 2, Share: 300})
@@ -195,7 +176,7 @@ func TestCheckpointRestart(t *testing.T) {
 // fast-forwards, so its next commit is newer than anything in the fleet
 // — shares can never roll backward fleet-wide.
 func TestStaleCheckpointFastForward(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	s := newTestServer(t, clk, "") // restarted with no state: epoch 0
 	reg := mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 100}, TaskShare{ID: 2, Share: 100})
 	// The shard already applied epoch 7 from the previous incarnation.
@@ -214,7 +195,7 @@ func TestStaleCheckpointFastForward(t *testing.T) {
 // backward means the shard restarted; the fresh reading becomes the
 // window instead of a negative delta.
 func TestShardRestartConsumptionReset(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	s := newTestServer(t, clk, "")
 	reg := mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 100})
 	beat(t, s, "s1", reg.Lease, 0, map[int64]float64{1: 5.0})
@@ -244,7 +225,7 @@ func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.Res
 // TestHTTPEndpoints covers the wire layer: happy register/heartbeat,
 // unknown-lease 404 with a JSON error body, method and body policing.
 func TestHTTPEndpoints(t *testing.T) {
-	clk := newVclock()
+	clk := coordsim.NewClock()
 	s := newTestServer(t, clk, "")
 
 	w := postJSON(t, s, "/coord/v1/register", RegisterRequest{

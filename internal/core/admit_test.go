@@ -16,7 +16,7 @@ import (
 // already positive). Admission must outrank the grant.
 func TestAdmissionDuringGrantReason(t *testing.T) {
 	for _, ref := range []bool{false, true} {
-		log := obs.NewEventLog(0)
+		log := obs.NewEventLog()
 		s := New(Config{Quantum: q, Observer: log, DisableIndexing: ref})
 		if err := s.Add(1, 1); err != nil {
 			t.Fatal(err)
@@ -53,7 +53,7 @@ func TestAdmissionDuringGrantReason(t *testing.T) {
 // TestGrantReasonStillUsed: the precedence fix must not erase ReasonGrant
 // for tasks that genuinely owe their eligibility to a cycle grant.
 func TestGrantReasonStillUsed(t *testing.T) {
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	s := New(Config{Quantum: q, Observer: log})
 	if err := s.Add(1, 1); err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestGrantReasonStillUsed(t *testing.T) {
 // (landing in a grant quantum, per the scenario above) replays exactly
 // when the registration's Tick is supplied.
 func TestReplayMidRunAdmission(t *testing.T) {
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	s := New(Config{Quantum: q, Observer: log})
 	if err := s.Add(1, 1); err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestCeilDivBoundary(t *testing.T) {
 // positive wake tick, not re-measured every quantum.
 func TestExtremeAllowanceWakeTick(t *testing.T) {
 	huge := time.Duration(math.MaxInt64 / 2)
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	s := New(Config{Quantum: huge, Observer: log})
 	if err := s.Add(1, 2); err != nil { // allowance = 2 × maxInt64/2 ≈ ceiling
 		t.Fatal(err)

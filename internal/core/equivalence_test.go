@@ -71,7 +71,7 @@ func copyDecision(d Decision) Decision {
 
 func runScript(t *testing.T, seed int64, script []scriptOp, mode equivMode) equivRun {
 	t.Helper()
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	s := New(Config{
 		Quantum:         q,
 		Observer:        log,

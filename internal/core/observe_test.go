@@ -30,7 +30,7 @@ func pe(tick int64, p obs.Phase) obs.Event {
 // event taxonomy documented in DESIGN.md.
 func TestEventTaxonomy(t *testing.T) {
 	q := 10 * time.Millisecond
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	s := New(Config{Quantum: q, Observer: log})
 	if err := s.Add(1, 1); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestEventTaxonomy(t *testing.T) {
 // TestDeadTaskEvent: a Reader reporting a task gone yields KindDead.
 func TestDeadTaskEvent(t *testing.T) {
 	q := 10 * time.Millisecond
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	s := New(Config{Quantum: q, Observer: log})
 	if err := s.Add(7, 1); err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestDeadTaskEvent(t *testing.T) {
 // undone by a grant.
 func TestBlockedTransitionReason(t *testing.T) {
 	q := 10 * time.Millisecond
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	s := New(Config{Quantum: q, Observer: log})
 	if err := s.Add(1, 1); err != nil {
 		t.Fatal(err)

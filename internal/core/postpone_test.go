@@ -42,7 +42,7 @@ func TestPostponementNeverLate(t *testing.T) {
 func testPostponement(t *testing.T, seed int64) {
 	q := 10 * time.Millisecond
 	rng := rand.New(rand.NewSource(seed))
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	s := New(Config{Quantum: q, Observer: log})
 
 	nTasks := 2 + rng.Intn(5)

@@ -52,7 +52,7 @@ func Replay(cfg Config, tasks []ReplayTask, events []obs.Event) ([]obs.Event, er
 		}
 	}
 
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	cfg.Observer = log
 	cfg.OnCycle = nil
 	s := New(cfg)

@@ -71,7 +71,7 @@ func TestRestoreRebuildsScheduleFromAllowances(t *testing.T) {
 			bounds[ts.ID] = snap.Count + ceilDiv(ts.Allowance, stretched)
 		}
 	}
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	r2.cfg.Observer = log
 	for i := 0; i < 250; i++ {
 		r2.TickQuantum(idle)
@@ -133,7 +133,7 @@ func TestSnapshotRestoreTransitionProperty(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		for _, cut := range []int{1, 13, 100, 250, totalTicks - 1} {
 			// Uninterrupted run, capturing the full event stream.
-			baseLog := obs.NewEventLog(0)
+			baseLog := obs.NewEventLog()
 			base := New(Config{Quantum: q, Observer: baseLog})
 			for _, tk := range tasks {
 				if err := base.Add(tk.ID, tk.Share); err != nil {
@@ -147,7 +147,7 @@ func TestSnapshotRestoreTransitionProperty(t *testing.T) {
 
 			// Interrupted run: same schedule to the cut, then a
 			// Snapshot/Restore into a fresh scheduler, then the rest.
-			firstLog := obs.NewEventLog(0)
+			firstLog := obs.NewEventLog()
 			first := New(Config{Quantum: q, Observer: firstLog})
 			for _, tk := range tasks {
 				if err := first.Add(tk.ID, tk.Share); err != nil {
@@ -160,7 +160,7 @@ func TestSnapshotRestoreTransitionProperty(t *testing.T) {
 			}
 			snap := first.Snapshot()
 
-			secondLog := obs.NewEventLog(0)
+			secondLog := obs.NewEventLog()
 			second := New(Config{Quantum: time.Millisecond, Observer: secondLog})
 			if err := second.Restore(snap); err != nil {
 				t.Fatalf("seed %d cut %d: restore: %v", seed, cut, err)

@@ -122,7 +122,7 @@ func TestWheelReset(t *testing.T) {
 // the measurement loop (and therefore the event stream) in ascending
 // TaskID order regardless of the order entries entered the due index.
 func TestDueIndexTieOrdering(t *testing.T) {
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	s := New(Config{Quantum: q, Observer: log})
 	// Insertion order deliberately shuffled; identical shares give
 	// every task the same wake tick at every step.

@@ -187,6 +187,13 @@ type LoopScaleResult struct {
 	SyscallsPerFlipAtScale float64          `json:"syscalls_per_flip_at_scale"`
 }
 
+// wallClockSys is a FaultSys whose clock is the wall clock: phase events
+// are stamped with wall time, so the auditor's loop-work gauges measure
+// the same thing the external Step timer does.
+type wallClockSys struct{ *osproc.FaultSys }
+
+func (wallClockSys) Now() time.Time { return time.Now() }
+
 // loopScaleRun times one variant at one N.
 func loopScaleRun(p LoopScaleParams, n, samplers int, disableIndexing bool) (LoopVariantPoint, error) {
 	fs := osproc.NewFaultSys()
@@ -207,12 +214,9 @@ func loopScaleRun(p LoopScaleParams, n, samplers int, disableIndexing bool) (Loo
 		tasks[i] = osproc.Task{ID: core.TaskID(i + 1), Share: int64(i%8) + 1, PIDs: []int{pid}}
 	}
 	aud := trace.NewAuditor(trace.AuditorConfig{})
-	// Clock stays unset: phase events are stamped with wall time, so the
-	// auditor's loop-work gauges measure the same thing the external
-	// Step timer does.
 	r, err := osproc.NewRunner(osproc.Config{
 		Quantum:         p.Quantum,
-		Sys:             fs,
+		Sys:             wallClockSys{fs},
 		Observer:        aud,
 		OnCycle:         aud.OnCycle,
 		Samplers:        samplers,

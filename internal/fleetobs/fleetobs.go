@@ -153,10 +153,10 @@ type Event struct {
 	Note string `json:"note,omitempty"`
 }
 
-// DefaultTracerEvents is the ring capacity when TracerConfig leaves
-// Events zero: control-plane events are rare (a handful per rebalance
-// round), so 4096 covers many minutes of fleet history.
-const DefaultTracerEvents = 4096
+// TracerEvents is the tracer's ring capacity: control-plane events are
+// rare (a handful per rebalance round), so 4096 covers many minutes of
+// fleet history.
+const TracerEvents = 4096
 
 // TracerConfig parameterizes a Tracer.
 type TracerConfig struct {
@@ -165,8 +165,6 @@ type TracerConfig struct {
 	Node string
 	// Coordinator marks the coordinator's tracer.
 	Coordinator bool
-	// Events is the ring capacity (DefaultTracerEvents when 0).
-	Events int
 	// Now overrides time.Now (tests and coordsim run on virtual clocks).
 	Now func() time.Time
 }
@@ -190,9 +188,6 @@ type Tracer struct {
 
 // NewTracer builds a tracer; the incarnation is taken from the clock.
 func NewTracer(cfg TracerConfig) *Tracer {
-	if cfg.Events <= 0 {
-		cfg.Events = DefaultTracerEvents
-	}
 	now := time.Now
 	if cfg.Now != nil {
 		now = cfg.Now
@@ -201,7 +196,7 @@ func NewTracer(cfg TracerConfig) *Tracer {
 		cfg:         cfg,
 		incarnation: uint64(now().UnixNano()),
 		now:         now,
-		ring:        obs.NewRing[Event](cfg.Events),
+		ring:        obs.NewRing[Event](TracerEvents),
 	}
 }
 

@@ -10,37 +10,30 @@ import (
 	"testing"
 	"time"
 
+	"alps/internal/coord/coordsim"
 	"alps/internal/obs"
 	"alps/internal/trace"
 	"alps/internal/tshist"
 )
 
-// testClock is a settable virtual clock.
-type testClock struct{ t time.Time }
-
-func newTestClock() *testClock {
-	return &testClock{t: time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-func (c *testClock) Now() time.Time          { return c.t }
-func (c *testClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
-
 func TestTracerRingAndSpans(t *testing.T) {
-	clk := newTestClock()
-	tr := NewTracer(TracerConfig{Node: "s1", Events: 4, Now: clk.Now})
+	clk := coordsim.NewClock()
+	tr := NewTracer(TracerConfig{Node: "s1", Now: clk.Now})
 	if tr.Incarnation() != uint64(clk.Now().UnixNano()) {
 		t.Fatalf("incarnation not taken from clock: %d", tr.Incarnation())
 	}
-	for i := 0; i < 6; i++ {
+	const total = TracerEvents + 2
+	for i := 0; i < total; i++ {
 		clk.Advance(time.Millisecond)
 		tr.Emit(Event{Kind: KindPublish, Epoch: uint64(i)})
 	}
 	got := tr.Snapshot()
-	if len(got) != 4 {
-		t.Fatalf("ring should hold 4 events, got %d", len(got))
+	if len(got) != TracerEvents {
+		t.Fatalf("ring should hold %d events, got %d", TracerEvents, len(got))
 	}
 	// Oldest first, and the two oldest were evicted.
-	if got[0].Epoch != 2 || got[3].Epoch != 5 {
-		t.Fatalf("ring order wrong: epochs %d..%d", got[0].Epoch, got[3].Epoch)
+	if got[0].Epoch != 2 || got[len(got)-1].Epoch != total-1 {
+		t.Fatalf("ring order wrong: epochs %d..%d", got[0].Epoch, got[len(got)-1].Epoch)
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i].Span <= got[i-1].Span {
@@ -50,13 +43,13 @@ func TestTracerRingAndSpans(t *testing.T) {
 			t.Fatalf("event missing incarnation")
 		}
 	}
-	if tr.Events() != 6 {
-		t.Fatalf("total events = %d, want 6", tr.Events())
+	if tr.Events() != total {
+		t.Fatalf("total events = %d, want %d", tr.Events(), total)
 	}
 }
 
 func TestTracerSourceRoundTrip(t *testing.T) {
-	clk := newTestClock()
+	clk := coordsim.NewClock()
 	tr := NewTracer(TracerConfig{Node: "coord", Coordinator: true, Now: clk.Now})
 	tr.Emit(Event{Kind: KindPublish, Epoch: 3, Peer: "s1", Note: "ttl=5s"})
 	src := tr.Source(nil, time.Time{})
@@ -76,7 +69,7 @@ func TestTracerSourceRoundTrip(t *testing.T) {
 }
 
 func TestBundlerCollectionFlow(t *testing.T) {
-	clk := newTestClock()
+	clk := coordsim.NewClock()
 	coordTr := NewTracer(TracerConfig{Node: "coord", Coordinator: true, Now: clk.Now})
 	coordTr.Emit(Event{Kind: KindCommit, Epoch: 7})
 	dir := t.TempDir()
@@ -163,7 +156,7 @@ func TestBundlerCollectionFlow(t *testing.T) {
 // retained timeline; the fleet metrics and health live on the
 // coordinator's own /metrics and /healthz.
 func TestStackMount(t *testing.T) {
-	clk := newTestClock()
+	clk := coordsim.NewClock()
 	s := NewStack(StackConfig{Node: "coord", Now: clk.Now})
 	mux := http.NewServeMux()
 	s.Mount(mux)
@@ -185,7 +178,7 @@ func TestStackMount(t *testing.T) {
 // the registry it was given and serves it at /fleet/timeline, JSON and
 // CSV; with history disabled the route is not mounted.
 func TestStackTimeline(t *testing.T) {
-	clk := newTestClock()
+	clk := coordsim.NewClock()
 	reg := obs.NewRegistry()
 	v := 0.0
 	reg.GaugeFunc("alps_coord_epoch", "the registry owner's gauge", func() float64 { return v })

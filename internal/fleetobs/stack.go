@@ -28,11 +28,9 @@ type StackConfig struct {
 	// Logf receives diagnostics.
 	Logf func(format string, args ...any)
 	// HistoryEvery is the retained-history sampling cadence
-	// (tshist.DefaultEvery when 0; negative disables the store).
+	// (tshist.DefaultEvery when 0; negative disables the store). Each
+	// retained series holds tshist.DefaultCapacity samples.
 	HistoryEvery time.Duration
-	// HistoryCap bounds each retained series (tshist.DefaultCapacity
-	// when 0).
-	HistoryCap int
 }
 
 // Stack bundles the coordinator's two fleet observability pieces, the
@@ -73,10 +71,9 @@ func NewStack(cfg StackConfig) *Stack {
 	var hist *tshist.Store
 	if cfg.HistoryEvery >= 0 {
 		hist = tshist.New(tshist.Config{
-			Source:   reg,
-			Every:    cfg.HistoryEvery,
-			Capacity: cfg.HistoryCap,
-			Now:      cfg.Now,
+			Source: reg,
+			Every:  cfg.HistoryEvery,
+			Now:    cfg.Now,
 		})
 	}
 	return &Stack{Tracer: tracer, Bundler: bundler, History: hist}

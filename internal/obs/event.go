@@ -329,31 +329,22 @@ func Stamp(clock func() time.Duration, inner Observer) Observer {
 	})
 }
 
-// EventLog is a concurrency-safe event collector for tests, debugging,
-// and replay. Use Cap to bound memory on long runs.
+// EventLog is an unbounded, concurrency-safe event collector for tests,
+// debugging, and replay. Long runs that need bounded memory record into
+// the flight recorder's ring (trace.Recorder) instead.
 type EventLog struct {
-	mu    sync.Mutex
-	limit int
-	evs   []Event
+	mu  sync.Mutex
+	evs []Event
 }
 
-// NewEventLog returns a collector keeping at most limit events (<= 0
-// means unbounded). When bounded it keeps the most recent events.
-func NewEventLog(limit int) *EventLog { return &EventLog{limit: limit} }
+// NewEventLog returns an empty collector.
+func NewEventLog() *EventLog { return &EventLog{} }
 
 // Observe implements Observer.
 func (l *EventLog) Observe(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.evs = append(l.evs, e)
-	if l.limit > 0 && len(l.evs) > l.limit {
-		// Drop the oldest half in one move to amortize the copy.
-		keep := l.limit / 2
-		if keep == 0 {
-			keep = 1
-		}
-		l.evs = append(l.evs[:0], l.evs[len(l.evs)-keep:]...)
-	}
 }
 
 // Events returns a copy of the collected events in emission order.

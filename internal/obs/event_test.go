@@ -35,22 +35,8 @@ func TestStamp(t *testing.T) {
 	}
 }
 
-func TestEventLogBound(t *testing.T) {
-	l := NewEventLog(10)
-	for i := 0; i < 100; i++ {
-		l.Observe(Event{Kind: KindMeasure, Tick: int64(i)})
-	}
-	evs := l.Events()
-	if len(evs) > 10 {
-		t.Errorf("retained %d events, limit 10", len(evs))
-	}
-	if last := evs[len(evs)-1]; last.Tick != 99 {
-		t.Errorf("newest event lost: last tick %d", last.Tick)
-	}
-}
-
 func TestEventLogFilterAndReset(t *testing.T) {
-	l := NewEventLog(0)
+	l := NewEventLog()
 	l.Observe(Event{Kind: KindMeasure})
 	l.Observe(Event{Kind: KindTransition})
 	l.Observe(Event{Kind: KindMeasure})

@@ -57,7 +57,7 @@ func runConcurrentScript(t *testing.T, samplers int) (h Health, transitions []ob
 	t.Helper()
 	fs := NewFaultSys()
 	tasks := concurrentScript(fs)
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	r := newFaultRunner(t, fs, Config{
 		Samplers: samplers,
 		Observer: log,

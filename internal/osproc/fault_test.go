@@ -10,15 +10,14 @@ import (
 
 const fq = 20 * time.Millisecond // fault-test quantum
 
-// newFaultRunner builds a Runner over a FaultSys with its clock pointed
-// at the fake, so overruns and backoffs are fully deterministic.
+// newFaultRunner builds a Runner over a FaultSys. The runner reads the
+// fake's virtual clock, so overruns and backoffs are fully deterministic.
 func newFaultRunner(t *testing.T, fs *FaultSys, cfg Config, tasks []Task) *Runner {
 	t.Helper()
 	if cfg.Quantum == 0 {
 		cfg.Quantum = fq
 	}
 	cfg.Sys = fs
-	cfg.Clock = fs.Now
 	r, err := NewRunner(cfg, tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -338,6 +337,27 @@ func TestSlowReadSurfacesAsLateness(t *testing.T) {
 		t.Errorf("MissedTicks = %d, want 2 (slow read must surface as lateness)", h.MissedTicks)
 	}
 	r.Release()
+}
+
+// TestRunnerReadsSubstrateClock: a Runner built with nothing but a Sys
+// reads that Sys's clock, so a stall on the fake's virtual clock shows up
+// as missed quanta without any other wiring.
+func TestRunnerReadsSubstrateClock(t *testing.T) {
+	fs := NewFaultSys()
+	fs.AddProc(FaultProc{PID: 10, Start: 1})
+	r, err := NewRunner(Config{Quantum: fq, Sys: fs}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Release()
+	stepQuantum(fs, r) // eligible
+	fs.SlowDelay = 3 * fq
+	fs.Inject(10, CallRead, FaultSlow)
+	stepQuantum(fs, r) // this read stalls the loop for 3 quanta
+	stepQuantum(fs, r) // next firing observes the stall
+	if h := r.Health(); h.MissedTicks != 3 {
+		t.Errorf("MissedTicks = %d, want 3 (the runner must read Sys.Now)", h.MissedTicks)
+	}
 }
 
 // TestCatchUpCap: a very long stall issues at most maxCatchUpTicks extra

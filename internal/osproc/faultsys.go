@@ -251,8 +251,8 @@ func (f *FaultSys) Advance(d time.Duration) {
 	}
 }
 
-// Now returns the virtual wall-clock time; point Runner's clock here so
-// slow reads and sleeps surface as quantum lateness.
+// Now returns the virtual wall-clock time. A Runner over the fake reads
+// its clock here, so slow reads and sleeps surface as quantum lateness.
 func (f *FaultSys) Now() time.Time {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"alps/internal/core"
 )
@@ -84,7 +83,6 @@ func newFixtureRunner(targets map[core.TaskID][]int) *Runner {
 		badSig:    make(map[int]int),
 		badRead:   make(map[int]int),
 		suspended: make(map[int]bool),
-		now:       time.Now,
 	}
 }
 

@@ -47,7 +47,7 @@ func sigLogLines(fs *FaultSys, from int) (perPID, group int) {
 func TestGroupSignalingOneSyscallPerFlip(t *testing.T) {
 	fs := NewFaultSys()
 	fs.SharedCPU = true
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	tasks := []Task{
 		addGroup(fs, 1, 1, 1000, 20),
 		addGroup(fs, 2, 2, 2000, 20),
@@ -120,7 +120,7 @@ func TestGroupPartialESRCHLeavesNoSurvivorFrozen(t *testing.T) {
 func TestGroupEPERMFallsBackPerPIDStrikesOnce(t *testing.T) {
 	fs := NewFaultSys()
 	tasks := []Task{addGroup(fs, 1, 1, 700, 2), addGroup(fs, 2, 3, 800, 2)}
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	r := newFaultRunner(t, fs, Config{Observer: log}, tasks)
 	// Two EPERMs per member of group 700: the group sweep consumes one
 	// each (no member signalable -> aggregate EPERM), the per-PID
@@ -233,7 +233,7 @@ func TestGroupModeSurvivesStateRoundTrip(t *testing.T) {
 	}
 	r.Release()
 
-	r2, err := NewRunnerFromState(Config{Sys: fs, Clock: fs.Now}, st)
+	r2, err := NewRunnerFromState(Config{Sys: fs}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestGroupModeSurvivesStateRoundTrip(t *testing.T) {
 
 	// Same state, but a member left the group during the outage.
 	fs.Proc(302).PGID = 1 // white-box: re-home one member
-	r3, err := NewRunnerFromState(Config{Sys: fs, Clock: fs.Now}, st)
+	r3, err := NewRunnerFromState(Config{Sys: fs}, st)
 	if err != nil {
 		t.Fatal(err)
 	}

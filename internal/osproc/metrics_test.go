@@ -15,7 +15,7 @@ func TestRunnerMetricsExposition(t *testing.T) {
 	fs := NewFaultSys()
 	fs.AddProc(FaultProc{PID: 10, Start: 1, State: 'R', Rate: 1})
 	reg := obs.NewRegistry()
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	r := newFaultRunner(t, fs, Config{Metrics: reg, Observer: log}, []Task{
 		{ID: 1, Share: 1, PIDs: []int{10}},
 	})

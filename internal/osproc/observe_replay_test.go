@@ -18,7 +18,7 @@ func TestRunnerReplayReproducesTransitions(t *testing.T) {
 	fs.AddProc(FaultProc{PID: 10, Start: 1, State: 'R', Rate: 1})
 	fs.AddProc(FaultProc{PID: 20, Start: 1, State: 'R', Rate: 0.6})
 	fs.AddProc(FaultProc{PID: 30, Start: 1, State: 'S', Rate: 0}) // blocked sleeper
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	tasks := []Task{
 		{ID: 1, Share: 1, PIDs: []int{10}},
 		{ID: 2, Share: 3, PIDs: []int{20}},

@@ -19,37 +19,28 @@ import (
 // *next-smaller* quantum) prevents flapping at the boundary.
 
 // OverloadConfig parameterizes the guard. The zero value disables it;
-// set Enable and leave the other fields zero for the defaults.
+// set Enable and leave MaxQuantum zero for the default cap.
 type OverloadConfig struct {
 	// Enable turns the guard on.
 	Enable bool
-	// HighFrac: degrade one level after Window consecutive invocations
-	// whose work exceeds HighFrac of the effective quantum. Default 0.5.
-	HighFrac float64
-	// LowFrac: recover one level after Window consecutive invocations
-	// whose work is below LowFrac of the quantum one level down.
-	// Default 0.25 — together with HighFrac this leaves a factor-2
-	// hysteresis band, so a recovery can never trigger an immediate
-	// re-degrade.
-	LowFrac float64
-	// Window is the consecutive-invocation count on both edges.
-	// Default 8.
-	Window int
 	// MaxQuantum caps the stretched quantum. Default 40ms (Fig. 4's
 	// last accurate point).
 	MaxQuantum time.Duration
 }
 
+// The guard's hysteresis: degrade one level after overloadWindow
+// consecutive invocations whose work exceeds overloadHigh of the
+// effective quantum; recover one level after overloadWindow consecutive
+// invocations whose work is below overloadLow of the quantum one level
+// down. The two fractions leave a factor-2 band, so a recovery can never
+// trigger an immediate re-degrade.
+const (
+	overloadHigh   = 0.5
+	overloadLow    = 0.25
+	overloadWindow = 8
+)
+
 func (c OverloadConfig) withDefaults() OverloadConfig {
-	if c.HighFrac <= 0 {
-		c.HighFrac = 0.5
-	}
-	if c.LowFrac <= 0 {
-		c.LowFrac = 0.25
-	}
-	if c.Window <= 0 {
-		c.Window = 8
-	}
 	if c.MaxQuantum <= 0 {
 		c.MaxQuantum = 40 * time.Millisecond
 	}
@@ -71,22 +62,21 @@ func (r *Runner) noteWork(work time.Duration) {
 	if !r.cfg.Overload.Enable {
 		return
 	}
-	cfg := r.cfg.Overload
 	effQ := r.EffectiveQuantum()
-	if float64(work) > cfg.HighFrac*float64(effQ) {
+	if float64(work) > overloadHigh*float64(effQ) {
 		r.over.hot++
 		r.over.cool = 0
-		canStretch := r.baseQ<<(r.over.level+1) <= cfg.MaxQuantum
-		if r.over.hot >= cfg.Window && canStretch {
+		canStretch := r.baseQ<<(r.over.level+1) <= r.cfg.Overload.MaxQuantum
+		if r.over.hot >= overloadWindow && canStretch {
 			r.over.hot = 0
 			r.setLevel(r.over.level+1, obs.ReasonOverload)
 		}
 		return
 	}
 	r.over.hot = 0
-	if r.over.level > 0 && float64(work) < cfg.LowFrac*float64(effQ/2) {
+	if r.over.level > 0 && float64(work) < overloadLow*float64(effQ/2) {
 		r.over.cool++
-		if r.over.cool >= cfg.Window {
+		if r.over.cool >= overloadWindow {
 			r.over.cool = 0
 			r.setLevel(r.over.level-1, obs.ReasonRecovered)
 		}

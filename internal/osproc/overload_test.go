@@ -24,12 +24,12 @@ func TestOverloadDegradeAndRecover(t *testing.T) {
 	fs := NewFaultSys()
 	fs.AddProc(FaultProc{PID: 10, Start: 1})
 	fs.SlowDelay = 8 * time.Millisecond // each read eats 8ms of a 10ms quantum
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	r := newFaultRunner(t, fs, Config{
 		Quantum:             10 * time.Millisecond,
 		DisableLazySampling: true, // one read per quantum, deterministically
 		Observer:            log,
-		Overload:            OverloadConfig{Enable: true, Window: 3},
+		Overload:            OverloadConfig{Enable: true},
 	}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
 	defer r.Release()
 
@@ -37,12 +37,13 @@ func TestOverloadDegradeAndRecover(t *testing.T) {
 		t.Fatalf("effective quantum = %v at start", r.EffectiveQuantum())
 	}
 
-	// Sustained overload: work 8ms > 0.5 × 10ms for Window consecutive
-	// quanta → stretch to 20ms. At 20ms the same work is 8ms < 10ms, so
-	// one level suffices. (The very first tick admits the task without a
-	// measurement read, hence 4 steps for 3 measured quanta.)
-	slowN(fs, 10, 3)
-	for i := 0; i < 4; i++ {
+	// Sustained overload: work 8ms > 0.5 × 10ms for overloadWindow
+	// consecutive quanta → stretch to 20ms. At 20ms the same work is
+	// 8ms < 10ms, so one level suffices. (The very first tick admits the
+	// task without a measurement read, hence one step more than there
+	// are measured quanta.)
+	slowN(fs, 10, overloadWindow)
+	for i := 0; i < overloadWindow+1; i++ {
 		stepEff(fs, r)
 	}
 	if r.EffectiveQuantum() != 20*time.Millisecond {
@@ -59,9 +60,9 @@ func TestOverloadDegradeAndRecover(t *testing.T) {
 		t.Error("Health.Degraded() = false while overload-degraded")
 	}
 
-	// Load vanishes: work ≈ 0 < 0.25 × 10ms for Window consecutive
-	// quanta → recover to 10ms.
-	for i := 0; i < 3; i++ {
+	// Load vanishes: work ≈ 0 < 0.25 × 10ms for overloadWindow
+	// consecutive quanta → recover to 10ms.
+	for i := 0; i < overloadWindow; i++ {
 		stepEff(fs, r)
 	}
 	if r.EffectiveQuantum() != 10*time.Millisecond {
@@ -90,7 +91,7 @@ func TestOverloadCapsAtMaxQuantum(t *testing.T) {
 	r := newFaultRunner(t, fs, Config{
 		Quantum:             10 * time.Millisecond,
 		DisableLazySampling: true,
-		Overload:            OverloadConfig{Enable: true, Window: 2},
+		Overload:            OverloadConfig{Enable: true},
 	}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
 	defer r.Release()
 
@@ -141,11 +142,11 @@ func TestReconfigQuantumResetsDegradation(t *testing.T) {
 	r := newFaultRunner(t, fs, Config{
 		Quantum:             10 * time.Millisecond,
 		DisableLazySampling: true,
-		Overload:            OverloadConfig{Enable: true, Window: 3},
+		Overload:            OverloadConfig{Enable: true},
 	}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
 	defer r.Release()
-	slowN(fs, 10, 4)
-	for i := 0; i < 4; i++ {
+	slowN(fs, 10, overloadWindow+1)
+	for i := 0; i < overloadWindow+1; i++ {
 		stepEff(fs, r)
 	}
 	if r.Health().DegradeLevel != 1 {

@@ -13,7 +13,7 @@ func TestReconfigureSetShare(t *testing.T) {
 	fs := NewFaultSys()
 	fs.AddProc(FaultProc{PID: 10, Start: 1})
 	fs.AddProc(FaultProc{PID: 20, Start: 2})
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	r := newFaultRunner(t, fs, Config{Observer: log}, []Task{
 		{ID: 1, Share: 1, PIDs: []int{10}},
 		{ID: 2, Share: 1, PIDs: []int{20}},
@@ -88,7 +88,7 @@ func TestReconfigureRejectsInvalidAtomically(t *testing.T) {
 func TestReconfigureQuantum(t *testing.T) {
 	fs := NewFaultSys()
 	fs.AddProc(FaultProc{PID: 10, Start: 1})
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	r := newFaultRunner(t, fs, Config{Observer: log}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
 	defer r.Release()
 	if err := r.Reconfigure(Reconfig{Quantum: 40 * time.Millisecond}); err != nil {

@@ -62,18 +62,15 @@ type Config struct {
 	// (vanished PIDs, signal failures, refresh problems).
 	OnError func(error)
 	// Sys overrides the OS surface; nil means the real /proc + kill(2)
-	// implementation. Tests install a fault-injecting fake here.
+	// implementation. Tests install a fault-injecting fake here. The
+	// runner reads time only through Sys.Now, so over FaultSys the
+	// fake's slow reads and backoff sleeps surface as quantum lateness.
 	Sys Sys
 	// Observer, if non-nil, receives the core algorithm's decision
 	// events (see obs.Event), plus the runner's own signal/sleep phase
-	// markers. Events are stamped with the wall time elapsed since the
-	// runner was created.
+	// markers. Events are stamped with the Sys clock's time elapsed
+	// since the runner was created.
 	Observer obs.Observer
-	// Clock overrides the runner's time source (default time.Now). It
-	// drives quantum-lateness detection, work accounting, and event
-	// timestamps, so tests can run the loop on a virtual clock (e.g.
-	// FaultSys.Now) and fault-injected delays surface as real lateness.
-	Clock func() time.Time
 	// Metrics, if non-nil, receives the runner's health telemetry
 	// (exported at scrape time from the same atomics Health reads) and
 	// latency histograms: step lateness, per-task sample duration, and
@@ -88,13 +85,6 @@ type Config struct {
 	// Overload configures the §4.2 overload guard; the zero value
 	// leaves it disabled.
 	Overload OverloadConfig
-	// BackoffSeed seeds the jitter stream of the runner's capped
-	// signal-retry backoff (see internal/backoff). The zero value is a
-	// fixed default stream — fault-injection tests stay deterministic —
-	// while cmd/alps derives a per-process seed so a fleet of shards
-	// whose substrate misbehaves simultaneously never retries in
-	// lockstep.
-	BackoffSeed uint64
 }
 
 // Fault-tolerance knobs. Real systems exhibit every one of these failure
@@ -170,13 +160,12 @@ type Runner struct {
 	baseQ time.Duration // operator-configured quantum (pre-degradation)
 	over  overloadState
 
-	now     func() time.Time // injectable clock for overrun tests
-	start   time.Time        // creation time, origin for event timestamps
-	tracer  obs.Observer     // stamped observer (nil when disabled)
-	inSleep bool             // an open sleep phase span awaits the next Step
+	start   time.Time    // creation instant on Sys.Now, origin for event timestamps
+	tracer  obs.Observer // stamped observer (nil when disabled)
+	inSleep bool         // an open sleep phase span awaits the next Step
 	health  healthCounters
 	mx      *runnerMetrics // nil unless Config.Metrics was set
-	retry   backoff.Policy // signal-retry backoff (jittered, seedable)
+	retry   backoff.Policy // signal-retry backoff, jitter seeded from start
 
 	// statCache holds the worker pool's prefetched stat reads for the
 	// current quantum (nil when sampling sequentially); read() consumes
@@ -295,20 +284,19 @@ func newRunnerSkeleton(cfg Config) *Runner {
 		groups:    make(map[core.TaskID]int),
 		suspended: make(map[int]bool),
 		baseQ:     cfg.Quantum,
-		now:       time.Now,
-	}
-	if cfg.Clock != nil {
-		r.now = cfg.Clock
+		start:     cfg.Sys.Now(),
 	}
 	r.prefetchOne, r.deliverOne = r.prefetchAt, r.deliverAt
 	base := cfg.Quantum / 64
 	if base <= 0 {
 		base = 100 * time.Microsecond
 	}
-	r.retry = backoff.New(base, cfg.Quantum/8, cfg.BackoffSeed)
-	r.start = r.now()
+	// The jitter seed is the start instant: distinct for every runner on
+	// a real host, so shards whose substrate fails together never retry
+	// in lockstep, and fixed on a fake, so fault tests replay exactly.
+	r.retry = backoff.New(base, cfg.Quantum/8, uint64(r.start.UnixNano()))
 	r.tracer = obs.Stamp(func() time.Duration {
-		return r.now().Sub(r.start)
+		return r.sys.Now().Sub(r.start)
 	}, cfg.Observer)
 	r.sched = core.New(core.Config{
 		Quantum:             cfg.Quantum,
@@ -362,8 +350,8 @@ func (r *Runner) Run(ctx context.Context) error {
 	defer timer.Stop()
 	defer r.Release()
 	r.loopMu.Lock()
-	r.lastRef = r.now()
-	r.lastTick = r.now()
+	r.lastRef = r.sys.Now()
+	r.lastTick = r.sys.Now()
 	r.loopMu.Unlock()
 	for {
 		select {
@@ -405,7 +393,7 @@ func (r *Runner) Step() (done bool) {
 		r.phase(obs.KindPhaseEnd, obs.PhaseSleep)
 	}
 	effQ := r.EffectiveQuantum()
-	now := r.now()
+	now := r.sys.Now()
 	passes := 1
 	if !r.lastTick.IsZero() {
 		// Timer-overrun detection: a tick that fires ≥ 2Q after its
@@ -440,14 +428,14 @@ func (r *Runner) Step() (done bool) {
 	}
 
 	cyclesBefore := r.sched.Cycles()
-	workBegin := r.now()
+	workBegin := r.sys.Now()
 	for i := 0; i < passes && !done; i++ {
 		done = r.tickOnce()
 	}
 	// Per-invocation control-loop work drives the §4.2 overload guard:
 	// divide by the passes actually run so catch-up bursts are not
 	// mistaken for sustained overload.
-	r.noteWork(r.now().Sub(workBegin) / time.Duration(passes))
+	r.noteWork(r.sys.Now().Sub(workBegin) / time.Duration(passes))
 
 	if r.cfg.Checkpoint != nil && r.sched.Cycles() > cyclesBefore {
 		r.cfg.Checkpoint(r.stateLocked())
@@ -545,8 +533,8 @@ func (r *Runner) deliverAt(i int) { r.sigResults[i] = r.deliverOp(r.sigOps[i]) }
 // workers; all map bookkeeping is deferred to settleOp and applySignal.
 func (r *Runner) deliverOp(op sigOp) sigResult {
 	if r.mx != nil {
-		begin := r.now()
-		defer func() { r.mx.signalDur.Observe(r.now().Sub(begin).Seconds()) }()
+		begin := r.sys.Now()
+		defer func() { r.mx.signalDur.Observe(r.sys.Now().Sub(begin).Seconds()) }()
 	}
 	send := r.sys.Cont
 	switch {
@@ -732,8 +720,8 @@ func (r *Runner) readStat(pid int) (st Stat, err error) {
 // no-charge-on-guess behavior.
 func (r *Runner) read(id core.TaskID) (core.Progress, bool) {
 	if r.mx != nil {
-		begin := r.now()
-		defer func() { r.mx.sampleDur.Observe(r.now().Sub(begin).Seconds()) }()
+		begin := r.sys.Now()
+		defer func() { r.mx.sampleDur.Observe(r.sys.Now().Sub(begin).Seconds()) }()
 	}
 	pids := r.targets[id]
 	var consumed time.Duration

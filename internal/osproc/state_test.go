@@ -49,7 +49,6 @@ func TestStateRestoreResumesMidCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2.now = fs.Now
 	r2.lastTick = fs.Now()
 
 	// The restored scheduler continues the dead instance's cycle: same
@@ -236,7 +235,6 @@ func TestRestoreConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2.now = fs.Now
 	r2.lastTick = fs.Now()
 
 	base10, base20 := fs.Proc(10).CPU, fs.Proc(20).CPU

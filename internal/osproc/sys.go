@@ -40,6 +40,10 @@ type Sys interface {
 	// backoff between signal attempts. Fakes advance a virtual clock
 	// instead so fault tests run in microseconds.
 	Sleep(d time.Duration)
+	// Now is the Runner's only clock: quantum lateness, work accounting,
+	// event timestamps and the retry-jitter seed all read it, so a fake
+	// and the runner can never disagree about the time.
+	Now() time.Time
 }
 
 // RealSys is the production Sys over /proc and kill(2).
@@ -80,3 +84,6 @@ func (RealSys) PidsOfUser(uid uint32) ([]int, error) { return PidsOfUser(uid) }
 
 // Sleep is time.Sleep.
 func (RealSys) Sleep(d time.Duration) { time.Sleep(d) }
+
+// Now is time.Now.
+func (RealSys) Now() time.Time { return time.Now() }

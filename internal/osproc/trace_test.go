@@ -19,7 +19,7 @@ func TestRunnerChromeTraceWellFormed(t *testing.T) {
 	fs.AddProc(FaultProc{PID: 20, Start: 1, State: 'R', Rate: 0.7})
 	fs.AddProc(FaultProc{PID: 30, Start: 1, State: 'S', Rate: 0})
 	fs.SlowDelay = fq / 4
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	r := newFaultRunner(t, fs, Config{Observer: log}, []Task{
 		{ID: 1, Share: 1, PIDs: []int{10}},
 		{ID: 2, Share: 3, PIDs: []int{20}},
@@ -76,7 +76,6 @@ func TestRunnerDropAnomalyAutoDump(t *testing.T) {
 	fs.AddProc(FaultProc{PID: 20, Start: 1, State: 'R', Rate: 1})
 	var dumps []trace.Dump
 	rec := trace.NewRecorder(trace.RecorderConfig{
-		Events: 2048,
 		OnDump: func(d trace.Dump) { dumps = append(dumps, d) },
 	})
 	r := newFaultRunner(t, fs, Config{Observer: rec}, []Task{

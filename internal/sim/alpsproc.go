@@ -56,22 +56,12 @@ type AlpsConfig struct {
 	Cost CostModel
 	// DisableLazySampling turns off the §2.3 optimization.
 	DisableLazySampling bool
-	// GroupSignaling mirrors the osproc runner's process-group fast path
-	// in the cost model: each eligibility flip of a principal costs one
-	// Signal (one kill(-pgid) covers the whole group) regardless of
-	// member count. The simulated kernel has no process groups, so
-	// delivery still fans out per PID; only the charged CPU cost and the
-	// signals-sent syscall count collapse to per-principal.
-	GroupSignaling bool
 	// OnCycle receives the per-cycle consumption log (§3.1).
 	OnCycle func(core.CycleRecord)
 	// StartOffset delays the first quantum boundary, decorrelating
 	// concurrent ALPS instances (the paper notes distinct ALPSs'
 	// cycles are not synchronized).
 	StartOffset time.Duration
-	// Nice is the ALPS process's nice value (0: no special priority,
-	// the paper's headline constraint).
-	Nice int
 	// RefreshEvery, if positive, re-resolves task membership that
 	// often via Refresh (§5 updates each user's process list once per
 	// second).
@@ -167,7 +157,8 @@ func StartALPS(k *Kernel, cfg AlpsConfig, tasks []AlpsTask) (*AlpsProc, error) {
 	}
 	a.nextFire = k.Now() + cfg.StartOffset
 	a.lastRefresh = k.Now()
-	a.pid = k.Spawn("alps", cfg.Nice, BehaviorFunc(a.next))
+	// Nice 0: no special priority, the paper's headline constraint.
+	a.pid = k.Spawn("alps", 0, BehaviorFunc(a.next))
 	return a, nil
 }
 
@@ -266,7 +257,6 @@ func (a *AlpsProc) next(k *Kernel, pid PID) Action {
 		cost += a.cfg.Cost.MeasureBase + time.Duration(measured)*a.cfg.Cost.MeasurePerProc
 	}
 
-	refreshOrders := len(pending) // out-of-band per-PID stops from refresh
 	for _, id := range dec.Suspend {
 		for _, wp := range a.targets[id] {
 			pending = append(pending, sigOrder{wp, SIGSTOP})
@@ -277,25 +267,8 @@ func (a *AlpsProc) next(k *Kernel, pid PID) Action {
 			pending = append(pending, sigOrder{wp, SIGCONT})
 		}
 	}
-	syscalls := len(pending)
-	if a.cfg.GroupSignaling {
-		// One kill(-pgid) per flipped principal; refresh-time joins stay
-		// per-PID (a joiner is stopped individually, not via its group).
-		flips := 0
-		for _, id := range dec.Suspend {
-			if len(a.targets[id]) > 0 {
-				flips++
-			}
-		}
-		for _, id := range dec.Resume {
-			if len(a.targets[id]) > 0 {
-				flips++
-			}
-		}
-		syscalls = refreshOrders + flips
-	}
-	cost += time.Duration(syscalls) * a.cfg.Cost.Signal
-	a.signalsSent += int64(syscalls)
+	cost += time.Duration(len(pending)) * a.cfg.Cost.Signal
+	a.signalsSent += int64(len(pending))
 
 	// Advance the timer grid; coalesce firings we are too late for,
 	// like overlapping SIGALRMs.

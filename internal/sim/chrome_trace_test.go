@@ -22,7 +22,7 @@ func captureFaultedRun(t *testing.T) ([]obs.Event, []AlpsTask) {
 	tasks = append(tasks, AlpsTask{ID: 3, Share: 2, Pids: []PID{io}})
 	InjectFaults(k, []Fault{{At: 1500 * time.Millisecond, Kill: tasks[1].Pids[0]}})
 
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	if _, err := StartALPS(k, AlpsConfig{
 		Quantum:  10 * time.Millisecond,
 		Cost:     PaperCosts(),
@@ -143,7 +143,6 @@ func TestSimDriftAnomalyAutoDump(t *testing.T) {
 
 	var dumps []trace.Dump
 	rec := trace.NewRecorder(trace.RecorderConfig{
-		Events: 4096,
 		OnDump: func(d trace.Dump) { dumps = append(dumps, d) },
 	})
 	aud := trace.NewAuditor(trace.AuditorConfig{

@@ -15,7 +15,7 @@ func TestObserverDeterminism(t *testing.T) {
 	run := func() []obs.Event {
 		k := NewKernel()
 		tasks := startWorkload(k, []int64{1, 2, 3})
-		log := obs.NewEventLog(0)
+		log := obs.NewEventLog()
 		if _, err := StartALPS(k, AlpsConfig{
 			Quantum:  10 * time.Millisecond,
 			Cost:     PaperCosts(),
@@ -54,7 +54,7 @@ func TestSimReplayReproducesTransitions(t *testing.T) {
 	io := k.SpawnStopped("io", 0, &PeriodicIO{Exec: 2 * time.Millisecond, Wait: 30 * time.Millisecond})
 	tasks = append(tasks, AlpsTask{ID: core.TaskID(len(shares)), Share: 2, Pids: []PID{io}})
 
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	if _, err := StartALPS(k, AlpsConfig{
 		Quantum:  10 * time.Millisecond,
 		Cost:     PaperCosts(),

@@ -21,18 +21,19 @@ type AuditorConfig struct {
 	// auditor declares drift and fires OnDrift (default 0.10: shares
 	// delivered 10% off target, twice the paper's worst Table 2 row).
 	DriftThreshold float64
-	// ConvergeThreshold is the per-cycle RMS share error below which a
-	// cycle counts toward convergence (default 0.05, the §3.1 "within
-	// 5% of ideal" criterion).
-	ConvergeThreshold float64
-	// ConvergeStreak is how many consecutive cycles must meet
-	// ConvergeThreshold to declare convergence (default 3).
-	ConvergeStreak int
 	// OnDrift fires once per excursion when the windowed RMS crosses
 	// DriftThreshold (with 20% hysteresis on the way back). It runs on
 	// the control loop; wire it to Recorder.Trigger.
 	OnDrift func(rms float64)
 }
+
+// A cycle counts toward convergence when its own RMS share error is
+// below convergeThreshold (the §3.1 "within 5% of ideal" criterion);
+// convergeStreak consecutive such cycles declare convergence.
+const (
+	convergeThreshold = 0.05
+	convergeStreak    = 3
+)
 
 // beatWindow bounds the ring of recent windowed RMS values behind the
 // alps_audit_window_beat_ratio gauge.
@@ -122,12 +123,6 @@ func NewAuditor(cfg AuditorConfig) *Auditor {
 	}
 	if cfg.DriftThreshold <= 0 {
 		cfg.DriftThreshold = 0.10
-	}
-	if cfg.ConvergeThreshold <= 0 {
-		cfg.ConvergeThreshold = 0.05
-	}
-	if cfg.ConvergeStreak <= 0 {
-		cfg.ConvergeStreak = 3
 	}
 	return &Auditor{
 		cfg:             cfg,
@@ -256,13 +251,13 @@ func (a *Auditor) convergeLocked(newest cycleSample) {
 	if !ok {
 		return
 	}
-	if rms < a.cfg.ConvergeThreshold {
+	if rms < convergeThreshold {
 		a.streak++
-		if !a.converged && a.streak >= a.cfg.ConvergeStreak {
+		if !a.converged && a.streak >= convergeStreak {
 			a.converged = true
 			// Convergence time: cycles from the disturbance to the
 			// start of the qualifying streak.
-			c := a.cycles - a.disturbedAt - int64(a.cfg.ConvergeStreak)
+			c := a.cycles - a.disturbedAt - convergeStreak
 			if c < 0 {
 				c = 0
 			}

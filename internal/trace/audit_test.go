@@ -84,16 +84,17 @@ func TestAuditorDriftTrigger(t *testing.T) {
 }
 
 func TestAuditorConvergence(t *testing.T) {
-	a := NewAuditor(AuditorConfig{Window: 8, ConvergeThreshold: 0.05, ConvergeStreak: 2})
+	a := NewAuditor(AuditorConfig{Window: 8})
 	if got := a.ConvergenceCycles(); got != -1 {
 		t.Errorf("ConvergenceCycles before any data = %v, want -1", got)
 	}
 	good := func(i int) core.CycleRecord { return cycleRec(i, 10*time.Millisecond, 20*time.Millisecond, 1, 2) }
 	bad := func(i int) core.CycleRecord { return cycleRec(i, 25*time.Millisecond, 5*time.Millisecond, 1, 2) }
 
-	// Converges immediately: two good cycles, zero cycles of settling.
+	// Converges immediately: three good cycles, zero cycles of settling.
 	a.OnCycle(good(0))
 	a.OnCycle(good(1))
+	a.OnCycle(good(2))
 	if got := a.ConvergenceCycles(); got != 0 {
 		t.Errorf("ConvergenceCycles = %v, want 0 (converged from the first cycle)", got)
 	}
@@ -103,10 +104,11 @@ func TestAuditorConvergence(t *testing.T) {
 	if got := a.ConvergenceCycles(); got != -1 {
 		t.Errorf("ConvergenceCycles after disturbance = %v, want -1", got)
 	}
-	// One bad settling cycle, then two good ones: convergence time 1.
-	a.OnCycle(bad(2))
-	a.OnCycle(good(3))
+	// One bad settling cycle, then three good ones: convergence time 1.
+	a.OnCycle(bad(3))
 	a.OnCycle(good(4))
+	a.OnCycle(good(5))
+	a.OnCycle(good(6))
 	if got := a.ConvergenceCycles(); got != 1 {
 		t.Errorf("ConvergenceCycles = %v, want 1 (one settling cycle)", got)
 	}
@@ -152,10 +154,11 @@ func TestAuditorSamplingRatio(t *testing.T) {
 
 func TestAuditorRegister(t *testing.T) {
 	reg := obs.NewRegistry()
-	a := NewAuditor(AuditorConfig{Window: 2, ConvergeStreak: 2})
+	a := NewAuditor(AuditorConfig{Window: 2})
 	a.Register(reg)
-	a.OnCycle(cycleRec(0, 10*time.Millisecond, 20*time.Millisecond, 1, 2))
-	a.OnCycle(cycleRec(1, 10*time.Millisecond, 20*time.Millisecond, 1, 2))
+	for i := 0; i < convergeStreak; i++ {
+		a.OnCycle(cycleRec(i, 10*time.Millisecond, 20*time.Millisecond, 1, 2))
+	}
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -439,7 +442,7 @@ func TestAuditorAliasGaugesRegistered(t *testing.T) {
 // windowed RMS and per-task errors, the EWMA, the beat ring, the drift
 // state and the per-cycle convergence streak all hold.
 func TestAuditorIdleCycleNoSignal(t *testing.T) {
-	a := NewAuditor(AuditorConfig{Window: 1, ConvergeStreak: 3})
+	a := NewAuditor(AuditorConfig{Window: 1})
 	// Alternate skewed and perfect cycles, ending perfect: the RMS is 0,
 	// the EWMA sits above it and the streak has started.
 	for k := 0; k < 5; k++ {

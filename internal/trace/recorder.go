@@ -13,16 +13,15 @@ import (
 	"alps/internal/obs"
 )
 
-// DefaultRecorderEvents is the ring capacity used when RecorderConfig
-// leaves Events zero. At the ~10 events a two-task quantum emits, 8192
-// events cover several hundred quanta — seconds of history at Q=10ms.
-const DefaultRecorderEvents = 8192
+// RecorderEvents is the flight recorder's ring capacity. At the ~10
+// events a two-task quantum emits, 8192 events cover several hundred
+// quanta — seconds of history at Q=10ms.
+const RecorderEvents = 8192
 
-// DefaultCooldown is the minimum substrate time between dumps when
-// RecorderConfig leaves Cooldown zero: anomalies arrive in bursts (one
-// late quantum makes the next late too), and one window already covers
-// the whole burst.
-const DefaultCooldown = 2 * time.Second
+// RecorderCooldown is the minimum substrate time between dumps:
+// anomalies arrive in bursts (one late quantum makes the next late too),
+// and one window already covers the whole burst.
+const RecorderCooldown = 2 * time.Second
 
 // Dump is one flight-recorder window handed to the OnDump callback.
 type Dump struct {
@@ -43,11 +42,6 @@ func (d Dump) WriteChrome(w io.Writer, substrate string) error {
 
 // RecorderConfig parameterizes a Recorder. The zero value is usable.
 type RecorderConfig struct {
-	// Events is the ring capacity (DefaultRecorderEvents when 0).
-	Events int
-	// Cooldown is the minimum substrate time between two dumps
-	// (DefaultCooldown when 0; negative disables rate limiting).
-	Cooldown time.Duration
 	// OnDump receives each triggered window. It runs synchronously on
 	// the triggering goroutine — the control loop for automatic
 	// triggers — so implementations that touch the disk should hand off
@@ -80,13 +74,7 @@ type Recorder struct {
 
 // NewRecorder creates a flight recorder.
 func NewRecorder(cfg RecorderConfig) *Recorder {
-	if cfg.Events <= 0 {
-		cfg.Events = DefaultRecorderEvents
-	}
-	if cfg.Cooldown == 0 {
-		cfg.Cooldown = DefaultCooldown
-	}
-	return &Recorder{cfg: cfg, ring: obs.NewRing[obs.Event](cfg.Events)}
+	return &Recorder{cfg: cfg, ring: obs.NewRing[obs.Event](RecorderEvents)}
 }
 
 // Observe implements obs.Observer: record the event and fire the
@@ -135,7 +123,7 @@ func (r *Recorder) triggerLocked(reason string) *Dump {
 	if r.ring.Len() == 0 {
 		return nil // nothing recorded yet
 	}
-	if r.cfg.Cooldown > 0 && r.everDumped && r.lastAt-r.dumpedAt < r.cfg.Cooldown {
+	if r.everDumped && r.lastAt-r.dumpedAt < RecorderCooldown {
 		r.suppressed.Add(1)
 		return nil
 	}
@@ -188,7 +176,7 @@ func (r *Recorder) Register(reg *obs.Registry) {
 	reg.CounterFunc("alps_trace_dumps_suppressed_total",
 		"Triggers suppressed by the dump cooldown.", r.suppressed.Load)
 	reg.GaugeFunc("alps_trace_ring_capacity_events",
-		"Flight-recorder ring capacity.", func() float64 { return float64(r.cfg.Events) })
+		"Flight-recorder ring capacity.", func() float64 { return RecorderEvents })
 }
 
 // FileDumper writes flight-recorder dumps as Chrome trace files in a

@@ -16,13 +16,13 @@ func ev(kind obs.Kind, tick int64, at time.Duration) obs.Event {
 }
 
 func TestRecorderRingBounds(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Events: 8})
-	for i := 0; i < 20; i++ {
+	r := NewRecorder(RecorderConfig{})
+	for i := 0; i < RecorderEvents+12; i++ {
 		r.Observe(ev(obs.KindQuantumStart, int64(i), time.Duration(i)*time.Millisecond))
 	}
 	snap := r.Snapshot()
-	if len(snap) != 8 {
-		t.Fatalf("snapshot length = %d, want 8", len(snap))
+	if len(snap) != RecorderEvents {
+		t.Fatalf("snapshot length = %d, want %d", len(snap), RecorderEvents)
 	}
 	for i, e := range snap {
 		if want := int64(12 + i); e.Tick != want {
@@ -35,9 +35,9 @@ func TestRecorderRingBounds(t *testing.T) {
 // observer fan-out, once per event, so recording into a full ring must
 // not allocate.
 func TestRecorderObserveZeroAllocs(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Events: 64})
+	r := NewRecorder(RecorderConfig{})
 	e := ev(obs.KindMeasure, 0, 0)
-	for i := 0; i < 64; i++ {
+	for i := 0; i < RecorderEvents; i++ {
 		r.Observe(e)
 	}
 	if n := testing.AllocsPerRun(1000, func() { e.Tick++; r.Observe(e) }); n != 0 {
@@ -47,7 +47,7 @@ func TestRecorderObserveZeroAllocs(t *testing.T) {
 
 func TestRecorderAutoTriggers(t *testing.T) {
 	var dumps []Dump
-	r := NewRecorder(RecorderConfig{Events: 64, OnDump: func(d Dump) { dumps = append(dumps, d) }})
+	r := NewRecorder(RecorderConfig{OnDump: func(d Dump) { dumps = append(dumps, d) }})
 	r.Observe(ev(obs.KindQuantumStart, 1, 0))
 	r.Observe(obs.Event{Kind: obs.KindDead, Tick: 1, Task: 7, At: time.Millisecond})
 	if len(dumps) != 1 || dumps[0].Reason != "process_drop" {
@@ -60,7 +60,7 @@ func TestRecorderAutoTriggers(t *testing.T) {
 	// Past the cooldown, an overload degradation triggers again.
 	r.Observe(obs.Event{
 		Kind: obs.KindDegrade, Reason: obs.ReasonOverload, Tick: 2, Task: -1,
-		At: DefaultCooldown + 2*time.Millisecond,
+		At: RecorderCooldown + 2*time.Millisecond,
 	})
 	if len(dumps) != 2 || dumps[1].Reason != "overload_degrade" {
 		t.Fatalf("dumps after degrade = %+v", dumps)
@@ -68,7 +68,7 @@ func TestRecorderAutoTriggers(t *testing.T) {
 	// Recovery events do not trigger.
 	r.Observe(obs.Event{
 		Kind: obs.KindDegrade, Reason: obs.ReasonRecovered, Tick: 3, Task: -1,
-		At: 3 * DefaultCooldown,
+		At: 3 * RecorderCooldown,
 	})
 	if len(dumps) != 2 {
 		t.Errorf("recovery degrade event dumped: %+v", dumps[2:])
@@ -77,16 +77,16 @@ func TestRecorderAutoTriggers(t *testing.T) {
 
 func TestRecorderCooldown(t *testing.T) {
 	var dumps int
-	r := NewRecorder(RecorderConfig{Events: 16, Cooldown: time.Second, OnDump: func(Dump) { dumps++ }})
+	r := NewRecorder(RecorderConfig{OnDump: func(Dump) { dumps++ }})
 	r.Observe(ev(obs.KindQuantumStart, 1, 10*time.Millisecond))
 	if !r.Trigger("lateness_spike") {
 		t.Fatal("first trigger suppressed")
 	}
-	r.Observe(ev(obs.KindQuantumStart, 2, 20*time.Millisecond))
+	r.Observe(ev(obs.KindQuantumStart, 2, RecorderCooldown))
 	if r.Trigger("lateness_spike") {
 		t.Error("trigger inside cooldown was not suppressed")
 	}
-	r.Observe(ev(obs.KindQuantumStart, 3, 1500*time.Millisecond))
+	r.Observe(ev(obs.KindQuantumStart, 3, RecorderCooldown+10*time.Millisecond))
 	if !r.Trigger("share_drift") {
 		t.Error("trigger after cooldown suppressed")
 	}
@@ -106,7 +106,7 @@ func TestRecorderEmptyRingNoDump(t *testing.T) {
 }
 
 func TestRecorderServeHTTP(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Events: 64})
+	r := NewRecorder(RecorderConfig{})
 	for _, e := range sampleStream() {
 		r.Observe(e)
 	}
@@ -122,7 +122,7 @@ func TestRecorderServeHTTP(t *testing.T) {
 
 func TestRecorderMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := NewRecorder(RecorderConfig{Events: 4})
+	r := NewRecorder(RecorderConfig{})
 	r.Register(reg)
 	r.Observe(ev(obs.KindQuantumStart, 1, 0))
 	r.Trigger("manual")
@@ -134,7 +134,7 @@ func TestRecorderMetrics(t *testing.T) {
 		"alps_trace_events_total 1",
 		"alps_trace_dumps_total 1",
 		"alps_trace_dumps_suppressed_total 0",
-		"alps_trace_ring_capacity_events 4",
+		"alps_trace_ring_capacity_events 8192",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("metrics missing %q:\n%s", want, sb.String())

@@ -24,7 +24,7 @@ type Event = obs.Event
 // EventKind discriminates Event payloads (measure, grant, transition...).
 type EventKind = obs.Kind
 
-// EventLog is a bounded, concurrency-safe Event collector.
+// EventLog is an unbounded, concurrency-safe Event collector.
 type EventLog = obs.EventLog
 
 // Registry is a set of named metrics with Prometheus text exposition.
@@ -36,9 +36,8 @@ type Journal = obs.Journal
 // NewRegistry creates an empty metrics registry.
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
-// NewEventLog creates an event collector retaining at most limit events
-// (0: unbounded).
-func NewEventLog(limit int) *EventLog { return obs.NewEventLog(limit) }
+// NewEventLog creates an empty event collector.
+func NewEventLog() *EventLog { return obs.NewEventLog() }
 
 // NewJournal creates a journal holding the most recent n cycles.
 func NewJournal(n int) *Journal { return obs.NewJournal(n) }
