@@ -96,10 +96,12 @@ type CycleRecord struct {
 	Index int
 	// Tick is the value of the quantum counter when the cycle completed.
 	Tick int64
-	// Length is the nominal cycle length S·Q at completion time.
+	// Length is the nominal cycle length S·Q at completion time, over
+	// the tasks in S.
 	Length time.Duration
 	// Tasks holds the per-task consumption attributed to the cycle,
-	// ordered by TaskID.
+	// ordered by TaskID. Every registered task is listed; a task dormant
+	// at completion shows 0 consumed.
 	Tasks []CycleTask
 }
 
@@ -127,6 +129,16 @@ type task struct {
 	allowance time.Duration // allowance_i, in time units (quanta × Q)
 	update    int64         // update_i: tick index of next measurement
 	blocked   bool          // observed blocked more recently than consuming
+
+	// dormant marks a task that was observed blocked and consumed nothing
+	// for a whole cycle: it is out of S, holds no allowance, stays
+	// Eligible (runnable, never stopped), and is only read by the watch
+	// until it shows consumption (see grantIfDue and rejoin).
+	dormant bool
+	// woke marks a periodic sleeper: a task that has rejoined S from
+	// dormancy at least once. The watch reads it every quantum while it
+	// is dormant (see stage3).
+	woke bool
 
 	// pendingAdmit marks a task registered (by Add or Restore) but not
 	// yet processed by a stage-3 repartition. It drives two things: the
@@ -181,8 +193,10 @@ type Scheduler struct {
 	tasks map[TaskID]*task
 	order orderedIDs // always-sorted IDs, for deterministic iteration
 
-	totalShares int64         // S
+	totalShares int64         // S, over the tasks in S (the dormant excluded)
 	cycleTime   time.Duration // t_c
+	dormant     int           // tasks out of S
+	periodic    int           // dormant tasks with woke set
 	count       int64         // quantum counter
 	cycles      int           // completed cycle count
 
@@ -243,10 +257,11 @@ func New(cfg Config) *Scheduler {
 // Quantum returns the configured ALPS quantum Q.
 func (s *Scheduler) Quantum() time.Duration { return s.cfg.Quantum }
 
-// TotalShares returns S, the sum of all registered tasks' shares.
+// TotalShares returns S, the sum of the shares of the tasks in S: every
+// registered task except the dormant ones.
 func (s *Scheduler) TotalShares() int64 { return s.totalShares }
 
-// CycleLength returns the nominal cycle length S·Q.
+// CycleLength returns the nominal cycle length S·Q over the tasks in S.
 func (s *Scheduler) CycleLength() time.Duration {
 	return time.Duration(s.totalShares) * s.cfg.Quantum
 }
@@ -283,6 +298,18 @@ func (s *Scheduler) Share(id TaskID) (int64, error) {
 	}
 	return t.share, nil
 }
+
+// Dormant reports whether the task is dormant: observed blocked through a
+// whole cycle, out of S, runnable, and read only by the watch until it
+// shows consumption. A dormant task's State is Eligible. False for an
+// unknown task.
+func (s *Scheduler) Dormant(id TaskID) bool {
+	t, ok := s.tasks[id]
+	return ok && t.dormant
+}
+
+// NumDormant returns the number of dormant tasks.
+func (s *Scheduler) NumDormant() int { return s.dormant }
 
 // State returns the eligibility state of the given task.
 func (s *Scheduler) State(id TaskID) (State, error) {
@@ -341,14 +368,23 @@ func (s *Scheduler) Add(id TaskID, share int64) error {
 // time: an unspent allowance shrinks the cycle (that CPU will never be
 // claimed), an unpaid debt extends it (the departed task overconsumed at
 // the others' expense, and they still deserve their full allowances).
-// This keeps the Σallowances ≡ t_c bookkeeping identity exact.
+// This keeps the Σallowances ≡ t_c bookkeeping identity exact. A dormant
+// task holds no allowance and no place in S, so removing it changes
+// neither.
 func (s *Scheduler) Remove(id TaskID) error {
 	t, ok := s.tasks[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoTask, id)
 	}
 	s.cycleTime -= t.allowance
-	s.totalShares -= t.share
+	if t.dormant {
+		s.dormant--
+		if t.woke {
+			s.periodic--
+		}
+	} else {
+		s.totalShares -= t.share
+	}
 	if t.state == Eligible {
 		s.eligible--
 	}
@@ -365,7 +401,7 @@ func (s *Scheduler) Remove(id TaskID) error {
 // remaining cycle time are left untouched, so re-weighting never jolts
 // in-flight eligibility (important for feedback controllers that adjust
 // shares every cycle) and the Σallowances ≡ t_c bookkeeping identity is
-// preserved.
+// preserved. A dormant task is out of S, so S moves only when it rejoins.
 func (s *Scheduler) SetShare(id TaskID, share int64) error {
 	if share <= 0 {
 		return fmt.Errorf("%w: task %d share %d", ErrBadShare, id, share)
@@ -374,7 +410,9 @@ func (s *Scheduler) SetShare(id TaskID, share int64) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoTask, id)
 	}
-	s.totalShares += share - t.share
+	if !t.dormant {
+		s.totalShares += share - t.share
+	}
 	t.share = share
 	return nil
 }

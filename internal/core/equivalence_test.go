@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -16,7 +17,8 @@ import (
 // obs event stream, same externally visible task state. These tests run
 // the two side by side on randomized workloads — mid-run admissions,
 // removals, deaths, re-weighting, quantum reconfiguration, blocked tasks,
-// and snapshot/restore round-trips — and fail on the first divergence.
+// sleepers that go dormant and wake, and snapshot/restore round-trips —
+// and fail on the first divergence.
 
 // scriptOp is one step of a pre-generated workload script. The script is
 // generated once per seed and applied to both schedulers, so the two runs
@@ -35,10 +37,36 @@ type equivRun struct {
 	events    []obs.Event
 	decisions []Decision
 	tasks     []TaskID
-	state     map[TaskID]string // id -> "state/allowance/share/blocked"
+	state     map[TaskID]string // id -> "state/allowance/share/dormant"
 	cycleTime time.Duration
 	cycles    int
 	count     int64
+	cover     map[string]bool // the dormancyCases this run reached
+}
+
+// dormancyCases names the parts of the dormancy rule a run can reach.
+// TestIndexedMatchesReference fails unless its seeds reach every one, so
+// the property cannot silently stop exercising them.
+var dormancyCases = []string{
+	"entered", "woke", // a dormant / woke transition
+	"periodic sleeper watched every quantum", "watch deferred", // how a watch read was rescheduled
+	"removed", "reshared", // Remove / SetShare on a dormant task
+	"requantized", "restored", // SetQuantum / self-restore with a task dormant
+	"all dormant", // every registered task dormant at once
+}
+
+// sleepPhase reports whether task id sleeps at tick under seed. Half the
+// task IDs alternate a sleep phase of 20–60 quanta (blocked, consuming
+// nothing: long enough to sleep through whole cycles and go dormant) with
+// a run phase of 5–20 quanta, so a sleeper often goes dormant, wakes, and
+// goes dormant again as a periodic sleeper within one script.
+func sleepPhase(seed, tick int64, id TaskID) bool {
+	r := rand.New(rand.NewSource(seed ^ int64(id)<<32 ^ 0x5eed))
+	if r.Intn(2) == 0 {
+		return false
+	}
+	sleep, run := 20+r.Int63n(40), 5+r.Int63n(15)
+	return (tick+r.Int63n(sleep+run))%(sleep+run) < sleep
 }
 
 // equivMode selects which of the two TickQuantum implementations a
@@ -85,6 +113,14 @@ func runScript(t *testing.T, seed int64, script []scriptOp, mode equivMode) equi
 	// task set diverges visibly instead of dragging the oracle with it.
 	prog := func(tick int64, id TaskID) (Progress, bool) {
 		r := rand.New(rand.NewSource(seed ^ tick<<20 ^ int64(id)))
+		if sleepPhase(seed, tick, id) {
+			// A dormant sleeper may be read every quantum; at the 1/40
+			// rate below it would die within a few cycles.
+			if r.Intn(400) == 0 {
+				return Progress{}, false
+			}
+			return Progress{Blocked: true}, true
+		}
 		if r.Intn(40) == 0 {
 			return Progress{}, false // task died
 		}
@@ -94,29 +130,53 @@ func runScript(t *testing.T, seed int64, script []scriptOp, mode equivMode) equi
 		}, true
 	}
 	var decisions []Decision
+	cover := map[string]bool{}
+	mark := func(c string, ok bool) {
+		if ok {
+			cover[c] = true
+		}
+	}
 	for _, op := range script {
 		switch op.kind {
 		case 1:
 			_ = s.Add(op.id, op.share)
 		case 2:
 			if ids := s.Tasks(); len(ids) > 1 {
-				_ = s.Remove(ids[op.pick%len(ids)])
+				id := ids[op.pick%len(ids)]
+				mark("removed", s.Dormant(id))
+				_ = s.Remove(id)
 			}
 		case 3:
 			if ids := s.Tasks(); len(ids) > 0 {
-				_ = s.SetShare(ids[op.pick%len(ids)], op.share)
+				id := ids[op.pick%len(ids)]
+				mark("reshared", s.Dormant(id))
+				_ = s.SetShare(id, op.share)
 			}
 		case 4:
+			mark("requantized", s.NumDormant() > 0)
 			_ = s.SetQuantum(op.quantum)
 		case 5:
+			mark("restored", s.NumDormant() > 0)
 			if err := s.Restore(s.Snapshot()); err != nil {
 				t.Fatalf("seed %d: self-restore: %v", seed, err)
 			}
 		default:
-			decisions = append(decisions, copyDecision(s.TickQuantum(func(id TaskID) (Progress, bool) {
+			d := s.TickQuantum(func(id TaskID) (Progress, bool) {
 				return prog(s.Tick(), id)
-			})))
+			})
+			for _, id := range d.Measured {
+				if tk, ok := s.tasks[id]; ok && tk.dormant {
+					mark("watch deferred", tk.update > s.count+1)
+					mark("periodic sleeper watched every quantum", tk.woke && tk.update == s.count+1 && s.totalShares > 1)
+				}
+			}
+			mark("all dormant", s.Len() > 0 && s.NumDormant() == s.Len())
+			decisions = append(decisions, copyDecision(d))
 		}
+	}
+	for _, e := range log.Events() {
+		mark("entered", e.Reason == obs.ReasonDormant)
+		mark("woke", e.Reason == obs.ReasonWoke)
 	}
 	out := equivRun{
 		events:    log.Events(),
@@ -126,6 +186,7 @@ func runScript(t *testing.T, seed int64, script []scriptOp, mode equivMode) equi
 		cycleTime: s.CycleTimeRemaining(),
 		cycles:    s.Cycles(),
 		count:     s.Tick(),
+		cover:     cover,
 	}
 	for _, id := range out.tasks {
 		st, _ := s.State(id)
@@ -135,7 +196,7 @@ func runScript(t *testing.T, seed int64, script []scriptOp, mode equivMode) equi
 		// ineligible tasks' wake ticks every quantum while the indexed
 		// path leaves them stale — unobservable by design, since both
 		// stay ≤ count until the grant sweep that recomputes them.
-		out.state[id] = st.String() + "/" + al.String() + "/" + time.Duration(sh).String()
+		out.state[id] = fmt.Sprintf("%v/%v/%d/%t", st, al, sh, s.Dormant(id))
 	}
 	return out
 }
@@ -210,16 +271,34 @@ func equivCompare(t *testing.T, seed int64, mode equivMode, got, ref equivRun) b
 // TestIndexedMatchesReference is the tentpole equivalence proof: on
 // randomized workload scripts, the indexed scheduler and the reference
 // scheduler produce identical Decision sequences, byte-identical event
-// streams, and the same final task partition and bookkeeping.
+// streams, and the same final task partition and bookkeeping. The scripts
+// include sleepers, and the test fails if too few seeds enter dormancy or
+// any part of the dormancy rule goes unexercised, so the property cannot
+// go vacuous.
 func TestIndexedMatchesReference(t *testing.T) {
+	const seeds = 100
+	reached := map[string]int{} // seeds reaching each of dormancyCases
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		script := genScript(rng)
 		ref := runScript(t, seed, script, modeReference)
+		for c := range ref.cover {
+			reached[c]++
+		}
 		return equivCompare(t, seed, modeWheel, runScript(t, seed, script, modeWheel), ref)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	if err := quick.Check(f, &quick.Config{MaxCount: seeds}); err != nil {
+		t.Fatal(err)
+	}
+	// About 90% of seeds enter dormancy; the rarest case, a periodic
+	// sleeper watched every quantum, is reached by about a fifth.
+	if reached["entered"] < seeds/2 {
+		t.Errorf("only %d of %d seeds entered dormancy, want at least %d", reached["entered"], seeds, seeds/2)
+	}
+	for _, c := range dormancyCases {
+		if reached[c] == 0 {
+			t.Errorf("no seed of %d reached dormancy case %q", seeds, c)
+		}
 	}
 }
 

@@ -9,12 +9,12 @@ import (
 // Checkpoint/restore of the Figure 3 state machine. A Snapshot captures
 // everything the algorithm needs to continue a run exactly where it left
 // off: the quantum counter, the remaining cycle time t_c, and every
-// task's share, allowance, eligibility state, blocked flag, and scheduled
-// measurement tick. Restore is all-or-nothing: it fully validates the
-// snapshot (including the Σallowance ≡ t_c bookkeeping identity the
-// algorithm maintains exactly) before touching the scheduler, so a
-// corrupt or semantically impossible snapshot can never leave a scheduler
-// half-restored.
+// task's share, allowance, eligibility state, blocked, dormant and
+// periodic-sleeper flags, and scheduled measurement tick. Restore is
+// all-or-nothing: it fully validates the snapshot (including the
+// Σallowance ≡ t_c bookkeeping identity the algorithm maintains exactly)
+// before touching the scheduler, so a corrupt or semantically impossible
+// snapshot can never leave a scheduler half-restored.
 
 // TaskSnapshot is one task's entry in a Snapshot.
 type TaskSnapshot struct {
@@ -29,11 +29,19 @@ type TaskSnapshot struct {
 	// grant corrects.
 	Allowance time.Duration `json:"allowance"`
 	// Update is the tick index of the task's next scheduled measurement
-	// (the §2.3 lazy-sampling wake tick).
+	// (the §2.3 lazy-sampling wake tick, or a dormant task's next watch
+	// read, at most one nominal cycle out when it was scheduled).
 	Update int64 `json:"update"`
 	// Blocked records whether the task was observed blocked more recently
 	// than consuming (drives the §2.4 every-quantum recheck).
 	Blocked bool `json:"blocked"`
+	// Dormant records that the task is out of S, watched until it shows
+	// consumption. A dormant task is eligible with allowance 0.
+	// Checkpoints written before dormancy existed omit it.
+	Dormant bool `json:"dormant,omitempty"`
+	// Woke records a periodic sleeper, a task that has rejoined S from
+	// dormancy at least once (the watch reads it every quantum).
+	Woke bool `json:"woke,omitempty"`
 	// CycleConsumed and CycleBlocked are the in-flight per-cycle
 	// instrumentation accumulators, so a restored run's first OnCycle
 	// record is not missing the pre-crash portion of the cycle.
@@ -79,6 +87,8 @@ func (s *Scheduler) Snapshot() Snapshot {
 			Allowance:     t.allowance,
 			Update:        t.update,
 			Blocked:       t.blocked,
+			Dormant:       t.dormant,
+			Woke:          t.woke,
 			CycleConsumed: t.cycleConsumed,
 			CycleBlocked:  t.cycleBlocked,
 		})
@@ -96,7 +106,7 @@ func (s *Scheduler) Restore(snap Snapshot) error {
 	}
 	tasks := make(map[TaskID]*task, len(snap.Tasks))
 	var total int64
-	eligible := 0
+	eligible, dormant, periodic := 0, 0, 0
 	for _, ts := range snap.Tasks {
 		st := Ineligible
 		if ts.Eligible {
@@ -125,6 +135,8 @@ func (s *Scheduler) Restore(snap Snapshot) error {
 			allowance: ts.Allowance,
 			update:    update,
 			blocked:   ts.Blocked,
+			dormant:   ts.Dormant,
+			woke:      ts.Woke,
 			// An ineligible task with a positive allowance can only be one
 			// captured between its Add and its first stage-3 visit; restore
 			// the pending-admission mark so its first transition carries
@@ -134,7 +146,14 @@ func (s *Scheduler) Restore(snap Snapshot) error {
 			cycleConsumed: ts.CycleConsumed,
 			cycleBlocked:  ts.CycleBlocked,
 		}
-		total += ts.Share
+		if ts.Dormant {
+			dormant++
+			if ts.Woke {
+				periodic++
+			}
+		} else {
+			total += ts.Share
+		}
 	}
 	s.cfg.Quantum = snap.Quantum
 	s.tasks = tasks
@@ -162,6 +181,8 @@ func (s *Scheduler) Restore(snap Snapshot) error {
 	}
 	s.totalShares = total
 	s.eligible = eligible
+	s.dormant = dormant
+	s.periodic = periodic
 	s.cycleTime = snap.CycleTime
 	s.count = snap.Count
 	s.cycles = snap.Cycles
@@ -189,6 +210,9 @@ func (snap Snapshot) validate() error {
 		seen[ts.ID] = true
 		if ts.CycleBlocked < 0 || ts.CycleConsumed < 0 {
 			return fmt.Errorf("%w: task %d has negative cycle accounting", ErrBadSnapshot, ts.ID)
+		}
+		if ts.Dormant && (!ts.Eligible || ts.Allowance != 0) {
+			return fmt.Errorf("%w: dormant task %d must be eligible with allowance 0", ErrBadSnapshot, ts.ID)
 		}
 		sum += ts.Allowance
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -30,6 +32,17 @@ type Reader func(TaskID) (Progress, bool)
 //     allowance, and schedule the next measurement of each just-measured
 //     task ⌈allowance/Q⌉ quanta out (§2.3).
 //
+// Dormancy extends §2.4 for tasks that sleep through whole cycles. At a
+// grant, a task observed blocked that consumed nothing all cycle goes
+// dormant: its allowance is settled as Remove settles it, it leaves S,
+// and it is made runnable (never stopped while dormant). A watch reads it
+// — every quantum if it has woken from dormancy before and such periodic
+// sleepers are no more numerous than the tasks in S, else once per
+// nominal cycle (S quanta) — and the first read showing consumption or a
+// runnable state puts it back in S with ⌊t_c·share/S⌋, its share of what
+// is left of the cycle, before that read is charged. It banks no credit
+// for the time it slept.
+//
 // Two implementations share the stage bodies. The default indexed path
 // does work proportional to what actually happened this quantum: stage 1
 // drains exactly the due tasks from a timing wheel of §2.3 wake ticks, and
@@ -58,11 +71,12 @@ func (s *Scheduler) TickQuantum(read Reader) Decision {
 
 // DueTasks returns, in ascending ID order, the tasks the next TickQuantum
 // will measure in stage 1: the eligible tasks whose §2.3 wake tick has
-// arrived (every eligible task when lazy sampling is disabled). Drivers
-// use it to prefetch the measurements concurrently before invoking the
-// algorithm. The returned slice is owned by the scheduler and valid only
-// until the next TickQuantum; registration changes between the two calls
-// are tolerated (stage 1 revalidates), they just waste the prefetch.
+// arrived, dormant tasks' watch reads included (every eligible task when
+// lazy sampling is disabled). Drivers use it to prefetch the
+// measurements concurrently before invoking the algorithm. The returned
+// slice is owned by the scheduler and valid only until the next
+// TickQuantum; registration changes between the two calls are tolerated
+// (stage 1 revalidates), they just waste the prefetch.
 func (s *Scheduler) DueTasks() []TaskID {
 	if len(s.tasks) == 0 {
 		return nil
@@ -362,19 +376,28 @@ func (s *Scheduler) tickReference(read Reader) Decision {
 
 // charge applies one measurement to a task: consumption against the
 // allowance and the cycle time, the §2.4 blocked charge, per-cycle
-// instrumentation, and the measure event.
+// instrumentation, and the measure event. A dormant task's measurement is
+// a watch read: one showing consumption or a runnable state rejoins the
+// task to S and is then charged like any other, debiting what the task
+// ran while dormant; one showing it still blocked and idle charges
+// nothing.
 func (s *Scheduler) charge(t *task, p Progress, o obs.Observer) {
-	q := s.cfg.Quantum
-	t.allowance -= p.Consumed
-	s.cycleTime -= p.Consumed
-	t.cycleConsumed += p.Consumed
-	if p.Blocked {
-		t.allowance -= q
-		s.cycleTime -= q
-		t.cycleBlocked++
-		t.blocked = true
-	} else if p.Consumed > 0 {
-		t.blocked = false
+	if t.dormant && (p.Consumed > 0 || !p.Blocked) {
+		s.rejoin(t, o)
+	}
+	if !t.dormant {
+		q := s.cfg.Quantum
+		t.allowance -= p.Consumed
+		s.cycleTime -= p.Consumed
+		t.cycleConsumed += p.Consumed
+		if p.Blocked {
+			t.allowance -= q
+			s.cycleTime -= q
+			t.cycleBlocked++
+			t.blocked = true
+		} else if p.Consumed > 0 {
+			t.blocked = false
+		}
 	}
 	if o != nil {
 		o.Observe(obs.Event{
@@ -388,11 +411,61 @@ func (s *Scheduler) charge(t *task, p Progress, o obs.Observer) {
 	}
 }
 
-// grantIfDue runs stage 2: when the cycle time is exhausted it completes
-// the cycle and grants every task share_i·Q, returning 1; otherwise 0.
+// rejoin puts a dormant task back in S with ⌊t_c·share/S⌋, S taken before
+// it rejoins: its share of what is left of the cycle, 0 when the cycle
+// time is spent, and share·Q (a fresh cycle's grant, as Add gives) when S
+// was empty or the quotient does not fit in a Duration. The task is a
+// periodic sleeper from now on (see stage3).
+func (s *Scheduler) rejoin(t *task, o obs.Observer) {
+	a := time.Duration(t.share) * s.cfg.Quantum
+	switch {
+	case s.totalShares == 0:
+	case s.cycleTime <= 0:
+		a = 0
+	default:
+		// Div64 panics unless hi < S, the same condition under which the
+		// quotient fits in 64 bits.
+		hi, lo := bits.Mul64(uint64(s.cycleTime), uint64(t.share))
+		if hi < uint64(s.totalShares) {
+			if q, _ := bits.Div64(hi, lo, uint64(s.totalShares)); q <= math.MaxInt64 {
+				a = time.Duration(q)
+			}
+		}
+	}
+	t.allowance = a
+	s.cycleTime += a
+	s.totalShares += t.share
+	t.dormant = false
+	s.dormant--
+	if t.woke {
+		s.periodic--
+	}
+	t.woke = true
+	if o != nil {
+		o.Observe(obs.Event{
+			Kind:      obs.KindTransition,
+			Tick:      s.count,
+			Task:      int64(t.id),
+			Eligible:  true,
+			Reason:    obs.ReasonWoke,
+			Allowance: a,
+		})
+	}
+}
+
+// grantIfDue runs stage 2: when the cycle time is exhausted (and S is not
+// empty) it completes the cycle and grants every task in S share_i·Q,
+// returning 1; otherwise 0. Before the new cycle's length is computed,
+// every task that was observed blocked and consumed nothing this cycle
+// goes dormant; stage 3 then schedules its first watch read.
 func (s *Scheduler) grantIfDue(o obs.Observer, d *Decision) int {
-	if s.cycleTime > 0 {
+	if s.cycleTime > 0 || s.totalShares == 0 {
 		return 0
+	}
+	for _, id := range s.order.all() {
+		if t := s.tasks[id]; !t.dormant && t.blocked && t.cycleBlocked > 0 && t.cycleConsumed == 0 {
+			s.makeDormant(t, o, d)
+		}
 	}
 	q := s.cfg.Quantum
 	s.cycleTime += s.CycleLength()
@@ -411,6 +484,9 @@ func (s *Scheduler) grantIfDue(o obs.Observer, d *Decision) int {
 	d.CycleCompleted = true
 	for _, id := range s.order.all() {
 		t := s.tasks[id]
+		if t.dormant {
+			continue
+		}
 		carry := t.allowance
 		t.allowance += time.Duration(t.share) * q
 		if o != nil {
@@ -427,13 +503,41 @@ func (s *Scheduler) grantIfDue(o obs.Observer, d *Decision) int {
 	return 1
 }
 
+// makeDormant takes a task out of S: its allowance is settled against
+// the cycle time as Remove settles it, and — if it was stopped — it is
+// resumed so it can wake.
+func (s *Scheduler) makeDormant(t *task, o obs.Observer, d *Decision) {
+	s.cycleTime -= t.allowance
+	t.allowance = 0
+	s.totalShares -= t.share
+	t.dormant = true
+	s.dormant++
+	if t.woke {
+		s.periodic++
+	}
+	if t.state != Eligible {
+		t.state = Eligible
+		s.eligible++
+		d.Resume = append(d.Resume, t.id)
+	}
+	if o != nil {
+		o.Observe(obs.Event{
+			Kind:     obs.KindTransition,
+			Tick:     s.count,
+			Task:     int64(t.id),
+			Eligible: true,
+			Reason:   obs.ReasonDormant,
+		})
+	}
+}
+
 // stage3 re-partitions one task by the sign of its allowance and, when
 // its measurement tick has arrived, schedules the next one (§2.3). Both
 // implementations funnel through here, so transition reasons, postpone
 // events, and due-index maintenance cannot drift apart.
 func (s *Scheduler) stage3(t *task, grants int, o obs.Observer, d *Decision) {
 	next := Ineligible
-	if t.allowance > 0 {
+	if t.allowance > 0 || t.dormant {
 		next = Eligible
 	}
 	if next != t.state {
@@ -472,7 +576,21 @@ func (s *Scheduler) stage3(t *task, grants int, o obs.Observer, d *Decision) {
 	}
 	t.pendingAdmit = false
 	if t.update <= s.count {
-		if t.blocked {
+		if t.dormant {
+			// The watch. A periodic sleeper — a task that has woken
+			// from dormancy before — is read every quantum while the
+			// dormant periodic sleepers are no more numerous than the
+			// tasks in S, so a periodic-I/O task is caught the quantum
+			// it wakes however many idle tasks sleep beside it. Any
+			// other dormant task is read once per nominal cycle, S
+			// quanta from now, so a large idle fleet costs one read per
+			// task per S quanta and no task goes unwatched for longer
+			// than S·Q. With S empty that is every quantum.
+			t.update = s.count + max(s.totalShares, 1)
+			if t.woke && s.periodic <= len(s.tasks)-s.dormant {
+				t.update = s.count + 1
+			}
+		} else if t.blocked {
 			// A task observed blocked is rechecked every quantum
 			// until it is seen consuming again. The ceil(allowance)
 			// postponement's premise — allowance drains no faster

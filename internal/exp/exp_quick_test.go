@@ -54,3 +54,30 @@ func TestQuickIO(t *testing.T) {
 		t.Errorf("blocked phase not ~25:75: %v", res.BlockedSharePct)
 	}
 }
+
+// TestQuickIOBesideIdle is TestQuickIO with processes that only sleep
+// registered beside A, B and C. They go dormant, and must not change how
+// closely B is watched: B still rejoins the quantum it wakes, so the
+// blocked-phase shape stays 25:75 and the active phase 1:2:3 however many
+// idle processes outnumber the tasks in S.
+func TestQuickIOBesideIdle(t *testing.T) {
+	for _, idle := range []int{2, 20} {
+		p := DefaultIOParams()
+		p.IOStartCycle = 60
+		p.TotalCycles = 140
+		p.Idle = idle
+		res, err := IORedistribution(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%2d idle: active  %5.1f %5.1f %5.1f", idle, res.ActiveSharePct[0], res.ActiveSharePct[1], res.ActiveSharePct[2])
+		t.Logf("%2d idle: blocked %5.1f %5.1f %5.1f", idle, res.BlockedSharePct[0], res.BlockedSharePct[1], res.BlockedSharePct[2])
+		within := func(got, want, tol float64) bool { return got >= want-tol && got <= want+tol }
+		if !within(res.BlockedSharePct[0], 25, 6) || !within(res.BlockedSharePct[2], 75, 6) {
+			t.Errorf("%d idle: blocked phase not ~25:75: %v", idle, res.BlockedSharePct)
+		}
+		if !within(res.ActiveSharePct[0], 16.7, 4) || !within(res.ActiveSharePct[2], 50, 5) {
+			t.Errorf("%d idle: active phase not ~1:2:3: %v", idle, res.ActiveSharePct)
+		}
+	}
+}

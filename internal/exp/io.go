@@ -19,6 +19,10 @@ type IOParams struct {
 	IOStartCycle int
 	// TotalCycles is the length of the recorded trace.
 	TotalCycles int
+	// Idle adds that many share-1 processes that sleep throughout beside
+	// A, B and C (the paper has none). They go dormant and must leave
+	// the shape unchanged; the trace and summaries cover A, B and C only.
+	Idle int
 }
 
 // DefaultIOParams returns the paper's Figure 6 configuration.
@@ -76,6 +80,10 @@ func IORedistribution(p IOParams) (*IOResult, error) {
 		// Blocked phases stretch cycles in real time.
 		MaxDuration: time.Duration(p.TotalCycles+100) * 4 * cycleLen,
 	}
+	for i := 0; i < p.Idle; i++ {
+		spec.Shares = append(spec.Shares, 1)
+		spec.Behaviors = append(spec.Behaviors, sim.SleepLoop(time.Hour))
+	}
 	r, err := Run(spec)
 	if err != nil {
 		return nil, err
@@ -84,15 +92,16 @@ func IORedistribution(p IOParams) (*IOResult, error) {
 	res := &IOResult{Params: p}
 	var steadyN, blockedN, activeN int
 	for _, c := range r.Cycles {
+		abc := c.Record.Tasks[:3]
 		var total time.Duration
-		for _, t := range c.Record.Tasks {
+		for _, t := range abc {
 			total += t.Consumed
 		}
 		if total == 0 {
 			continue
 		}
 		var pct [3]float64
-		for i, t := range c.Record.Tasks {
+		for i, t := range abc {
 			pct[i] = 100 * float64(t.Consumed) / float64(total)
 		}
 		res.Trace = append(res.Trace, IOCycle{Cycle: c.Record.Index, SharePct: pct})

@@ -28,8 +28,10 @@ import (
 // — because that is the thousands-of-processes regime: a task that
 // consumes nothing drains its allowance by the §2.4 blocked charge in
 // O(share) measurements per cycle and then leaves the due set entirely,
-// so the per-quantum work the loop *has* to do follows the active set,
-// not the fleet size. A CPU-bound fleet would instead keep ~N/5 tasks
+// and once it has slept through a whole cycle it goes dormant, out of S,
+// and is read once per nominal cycle (S quanta). Either way the
+// per-quantum work the loop *has* to do follows the active set, not the
+// fleet size. A CPU-bound fleet would instead keep ~N/5 tasks
 // inside §2.3's final-allowance window (postponement ⌈allowance/Q⌉ = 1
 // at trickle consumption rates), and both loops would be due-bound.
 //

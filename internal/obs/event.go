@@ -48,8 +48,12 @@ const (
 	// error the next cycle corrects), Allowance (post-grant).
 	KindGrant
 	// KindTransition records an eligibility flip the driver must enact
-	// (SIGSTOP/SIGCONT). Fields: Tick, Task, Eligible (new state),
-	// Reason, Allowance.
+	// (SIGSTOP/SIGCONT), or a task leaving S as dormant (ReasonDormant)
+	// or rejoining it (ReasonWoke). Both of those carry Eligible true, and
+	// are flips only when the Decision's Resume lists the task (a
+	// stopped task going dormant); otherwise the task was already
+	// eligible and the event repeats that state. Fields: Tick, Task,
+	// Eligible (new state), Reason, Allowance (post-transition).
 	KindTransition
 	// KindPostpone records a §2.3 lazy-sampling decision: the task's
 	// next measurement is scheduled more than one quantum out.
@@ -182,6 +186,12 @@ const (
 	// ReasonRecovered: the overload guard restored the effective quantum
 	// one level after sustained headroom.
 	ReasonRecovered
+	// ReasonDormant: a task observed blocked that consumed nothing for a
+	// whole cycle left S at the grant; it is runnable and watched.
+	ReasonDormant
+	// ReasonWoke: a dormant task's watch read showed consumption or a
+	// runnable state, and it rejoined S with a prorated allowance.
+	ReasonWoke
 )
 
 var reasonNames = [...]string{
@@ -192,6 +202,8 @@ var reasonNames = [...]string{
 	ReasonAdmitted:  "admitted",
 	ReasonOverload:  "overload",
 	ReasonRecovered: "recovered",
+	ReasonDormant:   "dormant",
+	ReasonWoke:      "woke",
 }
 
 // String returns the reason name ("" for ReasonNone).

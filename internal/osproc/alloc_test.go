@@ -7,6 +7,7 @@ package osproc
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -22,7 +23,11 @@ import (
 // window is asserted, not the max: the runtime itself (GC bookkeeping,
 // map growth amortization) may land a stray allocation inside any
 // single Step, and the median discards those without hiding a loop
-// that allocates every quantum.
+// that allocates every quantum. The sleepers go dormant and, never
+// having woken, are read once per nominal cycle: the quanta that carry
+// those watch reads are few, and their median is asserted on its own
+// over at least ten of them, once the due index has grown to hold a
+// watch batch in each slot.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	fs := NewFaultSys()
 	fs.Quiet = true
@@ -49,19 +54,47 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		fs.Advance(q)
 		r.Step()
 	}
-	const measure = 200
+	if d := r.Scheduler().NumDormant(); d != n-n/20 {
+		t.Fatalf("%d dormant tasks after warmup, want the %d sleepers", d, n-n/20)
+	}
+	// Each watch batch is re-queued in the due index one nominal cycle
+	// (S quanta) out, in a different one of its 64 level-0 slots each
+	// time, and a slot's backing array grows once to hold a batch. Let
+	// every slot take one before measuring the steady state.
+	for i := 0; i < 64*int(r.Scheduler().TotalShares()); i++ {
+		fs.Advance(q)
+		r.Step()
+	}
+	const measure = 1000
 	var before, after runtime.MemStats
 	samples := make([]float64, 0, measure)
+	var watch []float64 // quanta that read dormant tasks
 	for i := 0; i < measure; i++ {
 		fs.Advance(q)
+		watched := slices.ContainsFunc(r.Scheduler().DueTasks(), r.Scheduler().Dormant)
 		runtime.ReadMemStats(&before)
 		r.Step()
 		runtime.ReadMemStats(&after)
-		samples = append(samples, float64(after.Mallocs-before.Mallocs))
+		allocs := float64(after.Mallocs - before.Mallocs)
+		samples = append(samples, allocs)
+		if watched {
+			watch = append(watch, allocs)
+		}
 	}
-	sort.Float64s(samples)
-	if med := samples[len(samples)/2]; med != 0 {
+	median := func(v []float64) (med, p90 float64) {
+		sort.Float64s(v)
+		return v[len(v)/2], v[len(v)*9/10]
+	}
+	if med, p90 := median(samples); med != 0 {
 		t.Errorf("steady-state quantum allocates: median %.0f allocs/Step (p90 %.0f) over %d steps, want 0",
-			med, samples[len(samples)*9/10], measure)
+			med, p90, measure)
+	}
+	if len(watch) < 10 {
+		t.Fatalf("only %d quanta read dormant tasks in %d steps, want at least 10", len(watch), measure)
+	}
+	t.Logf("%d quanta read dormant tasks in %d steps", len(watch), measure)
+	if med, p90 := median(watch); med != 0 {
+		t.Errorf("quanta with dormant watch reads allocate: median %.0f allocs/Step (p90 %.0f) over %d quanta, want 0",
+			med, p90, len(watch))
 	}
 }

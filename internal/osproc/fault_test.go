@@ -492,3 +492,52 @@ func TestHealthStringAndDegraded(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
+
+// TestStepDoneWhenSleepersOutliveS: the only task in S exits between
+// grants while three sleepers are dormant with their next watch reads
+// deferred. S is then empty and no grant comes, yet the watch keeps
+// reading the sleepers: one that wakes rejoins S, and once every sleeper
+// has exited Step reports done, so Run returns.
+func TestStepDoneWhenSleepersOutliveS(t *testing.T) {
+	fs := NewFaultSys()
+	fs.AddProc(FaultProc{PID: 10, Start: 1, State: 'R', Rate: 1})
+	tasks := []Task{{ID: 1, Share: 4, PIDs: []int{10}}}
+	for i := 0; i < 3; i++ {
+		pid := 20 + i
+		fs.AddProc(FaultProc{PID: pid, Start: uint64(pid), State: 'S'})
+		tasks = append(tasks, Task{ID: core.TaskID(2 + i), Share: 1, PIDs: []int{pid}})
+	}
+	r := newFaultRunner(t, fs, Config{}, tasks)
+	sched := r.Scheduler()
+	// Step to a quantum that completed no cycle and after which no
+	// sleeper is read next quantum, then let the spinner exit.
+	for {
+		cycles := sched.Cycles()
+		if stepQuantum(fs, r) || sched.Tick() > 200 {
+			t.Fatal("the sleepers never went dormant with deferred reads")
+		}
+		if sched.NumDormant() == 3 && sched.Cycles() == cycles && len(sched.DueTasks()) == 0 {
+			break
+		}
+	}
+	fs.Kill(10)
+	for sched.TotalShares() > 0 {
+		if stepQuantum(fs, r) || sched.Tick() > 400 {
+			t.Fatal("the spinner's exit was never noticed")
+		}
+	}
+	fs.SetState(21, 'R')
+	for i := 0; sched.Dormant(3); i++ {
+		if stepQuantum(fs, r); i > 4 {
+			t.Fatal("a sleeper that woke after S emptied was never read")
+		}
+	}
+	for _, pid := range []int{20, 21, 22} {
+		fs.Kill(pid)
+	}
+	for i := 0; !stepQuantum(fs, r); i++ {
+		if i > 4 {
+			t.Fatalf("Step not done %d quanta after every process exited (%d tasks left)", i, sched.Len())
+		}
+	}
+}

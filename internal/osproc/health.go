@@ -50,6 +50,10 @@ type Health struct {
 	OverloadRecovers int64
 	DegradeLevel     int
 	EffectiveQuantum time.Duration
+	// DormantTasks is the number of tasks out of S as of the last Step:
+	// observed blocked through a whole cycle, runnable, and read only by
+	// the scheduler's watch until they show consumption.
+	DormantTasks int
 	// LastLateness is how late the most recent step fired past its
 	// quantum; MaxLateness is the worst observed.
 	LastLateness time.Duration
@@ -59,11 +63,11 @@ type Health struct {
 // String renders the snapshot as a single key=value telemetry line.
 func (h Health) String() string {
 	return fmt.Sprintf(
-		"ticks=%d vanished=%d reused=%d sig_retries=%d sig_failures=%d unsignalable=%d read_retries=%d missed_ticks=%d catchup_ticks=%d refresh_errors=%d reconfigs=%d degrade_level=%d eff_quantum=%v late_last=%v late_max=%v",
+		"ticks=%d vanished=%d reused=%d sig_retries=%d sig_failures=%d unsignalable=%d read_retries=%d missed_ticks=%d catchup_ticks=%d refresh_errors=%d reconfigs=%d degrade_level=%d eff_quantum=%v dormant=%d late_last=%v late_max=%v",
 		h.Ticks, h.VanishedPIDs, h.ReusedPIDs, h.SignalRetries, h.SignalFailures,
 		h.UnsignalablePIDs, h.ReadRetries, h.MissedTicks, h.CatchUpTicks,
 		h.RefreshErrors, h.Reconfigs, h.DegradeLevel, h.EffectiveQuantum,
-		h.LastLateness, h.MaxLateness)
+		h.DormantTasks, h.LastLateness, h.MaxLateness)
 }
 
 // Degraded reports whether the loop has seen any fault or overrun — the
@@ -87,6 +91,7 @@ type healthCounters struct {
 	overloadDegrades, overloadRecovers atomic.Int64
 	degradeLevel, effQuantumNS         atomic.Int64
 	lastLatenessNS, maxLatenessNS      atomic.Int64
+	dormant                            atomic.Int64
 }
 
 func (c *healthCounters) noteLateness(d time.Duration) {
@@ -116,6 +121,7 @@ func (c *healthCounters) snapshot() Health {
 		OverloadRecovers: c.overloadRecovers.Load(),
 		DegradeLevel:     int(c.degradeLevel.Load()),
 		EffectiveQuantum: time.Duration(c.effQuantumNS.Load()),
+		DormantTasks:     int(c.dormant.Load()),
 		LastLateness:     time.Duration(c.lastLatenessNS.Load()),
 		MaxLateness:      time.Duration(c.maxLatenessNS.Load()),
 	}

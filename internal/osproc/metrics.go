@@ -68,6 +68,9 @@ func (r *Runner) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("alps_runner_effective_quantum_seconds",
 		"Quantum currently in force (configured quantum << degrade level).",
 		func() float64 { return time.Duration(h.effQuantumNS.Load()).Seconds() })
+	reg.GaugeFunc("alps_runner_dormant_tasks",
+		"Tasks out of the share total after sleeping through a whole cycle: left running unstopped and only watched until they use CPU.",
+		func() float64 { return float64(h.dormant.Load()) })
 	reg.GaugeFunc("alps_runner_last_lateness_seconds",
 		"How late the most recent step fired past its quantum.",
 		func() float64 { return time.Duration(h.lastLatenessNS.Load()).Seconds() })

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"alps/internal/core"
 	"alps/internal/obs"
 )
 
@@ -52,5 +53,64 @@ func TestRunnerMetricsExposition(t *testing.T) {
 	// runner's stamping bridge.
 	if len(log.Filter(obs.KindMeasure)) == 0 {
 		t.Error("observer saw no measurements")
+	}
+}
+
+// TestDormantTasksGauge: sleepers that go dormant show up in
+// Health.DormantTasks, its String, and the alps_runner_dormant_tasks
+// gauge; a sleeper that wakes leaves the count. Going dormant is not a
+// fault: none of the failure counters moves.
+func TestDormantTasksGauge(t *testing.T) {
+	fs := NewFaultSys()
+	fs.AddProc(FaultProc{PID: 10, Start: 1, State: 'R', Rate: 1})
+	tasks := []Task{{ID: 1, Share: 2, PIDs: []int{10}}}
+	for i := 0; i < 3; i++ {
+		pid := 20 + i
+		fs.AddProc(FaultProc{PID: pid, Start: uint64(pid), State: 'S'})
+		tasks = append(tasks, Task{ID: core.TaskID(2 + i), Share: 1, PIDs: []int{pid}})
+	}
+	reg := obs.NewRegistry()
+	r := newFaultRunner(t, fs, Config{Metrics: reg}, tasks)
+	gauge := func() string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(line, "alps_runner_dormant_tasks ") {
+				return line
+			}
+		}
+		t.Fatalf("exposition lacks alps_runner_dormant_tasks:\n%s", b.String())
+		return ""
+	}
+	for i := 0; i < 40; i++ {
+		stepQuantum(fs, r)
+	}
+	h := r.Health()
+	if h.DormantTasks != 3 || r.Scheduler().NumDormant() != 3 {
+		t.Fatalf("DormantTasks = %d (scheduler %d), want the 3 sleepers", h.DormantTasks, r.Scheduler().NumDormant())
+	}
+	if got := gauge(); got != "alps_runner_dormant_tasks 3" {
+		t.Errorf("gauge line %q, want 3", got)
+	}
+	if !strings.Contains(h.String(), " dormant=3 ") {
+		t.Errorf("Health.String() lacks dormant=3: %s", h)
+	}
+	for _, pid := range fs.StoppedPIDs() {
+		if pid >= 20 {
+			t.Errorf("dormant sleeper pid %d is stopped", pid)
+		}
+	}
+
+	fs.SetState(21, 'R')
+	for i := 0; i < 3; i++ {
+		stepQuantum(fs, r)
+	}
+	if h = r.Health(); h.DormantTasks != 2 || gauge() != "alps_runner_dormant_tasks 2" {
+		t.Errorf("after pid 21 woke: DormantTasks = %d, gauge %q, want 2", h.DormantTasks, gauge())
+	}
+	if f := h.VanishedPIDs + h.ReusedPIDs + h.SignalFailures + h.UnsignalablePIDs + h.RefreshErrors; f != 0 {
+		t.Errorf("dormancy moved the failure counters: %s", h)
 	}
 }

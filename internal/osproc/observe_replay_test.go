@@ -10,9 +10,10 @@ import (
 // TestRunnerReplayReproducesTransitions is the real-OS-substrate half of
 // the cross-substrate acceptance check (the sim half lives in
 // internal/sim): the event stream captured from a Runner over a
-// fault-injecting Sys — including mid-run process death — replays
-// through core.Replay into the identical eligibility-transition
-// sequence. One replay harness, two substrates, one event vocabulary.
+// fault-injecting Sys — including mid-run process death and a sleeper
+// going dormant — replays through core.Replay into the identical
+// eligibility-transition sequence. One replay harness, two substrates,
+// one event vocabulary.
 func TestRunnerReplayReproducesTransitions(t *testing.T) {
 	fs := NewFaultSys()
 	fs.AddProc(FaultProc{PID: 10, Start: 1, State: 'R', Rate: 1})
@@ -57,5 +58,12 @@ func TestRunnerReplayReproducesTransitions(t *testing.T) {
 	}
 	if len(log.Filter(obs.KindDead)) == 0 {
 		t.Error("scenario never exercised the dead-task event")
+	}
+	dormant := false
+	for _, e := range want {
+		dormant = dormant || (e.Task == 3 && e.Reason == obs.ReasonDormant)
+	}
+	if !dormant {
+		t.Error("the sleeper never went dormant")
 	}
 }

@@ -159,7 +159,14 @@ func (r *Runner) Reconfigure(rc Reconfig) error {
 		var alive []int
 		for _, pid := range t.PIDs {
 			if err := r.sys.Stop(pid); err != nil {
-				r.health.vanished.Add(1)
+				// Classified as NewRunner does: a PID that is gone has
+				// vanished; a live one that refuses SIGSTOP is dropped
+				// because it cannot be signalled.
+				if classify(err) == errGone {
+					r.health.vanished.Add(1)
+				} else {
+					r.health.unsignalable.Add(1)
+				}
 				r.errf("reconfig: stop joining pid %d: %v", pid, err)
 				continue
 			}

@@ -2,6 +2,8 @@ package osproc
 
 import (
 	"errors"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -144,6 +146,39 @@ func TestReconfigureAddRemove(t *testing.T) {
 	r.Release()
 	if got := fs.StoppedPIDs(); len(got) != 0 {
 		t.Errorf("release left PIDs stopped: %v", got)
+	}
+}
+
+// TestReconfigureAddUnsignalablePID: a live PID added through
+// Reconfigure that refuses SIGSTOP is dropped as unsignalable, as
+// NewRunner classifies it, not reported as vanished; a PID that is gone
+// still counts as vanished.
+func TestReconfigureAddUnsignalablePID(t *testing.T) {
+	fs := NewFaultSys()
+	fs.AddProc(FaultProc{PID: 10, Start: 1})
+	fs.AddProc(FaultProc{PID: 30, Start: 3})
+	var errs []error
+	r := newFaultRunner(t, fs, Config{OnError: func(err error) { errs = append(errs, err) }},
+		[]Task{{ID: 1, Share: 1, PIDs: []int{10}}})
+	stepQuantum(fs, r)
+	fs.Inject(30, CallStop, FaultEPERM)
+	if err := r.Reconfigure(Reconfig{Add: []Task{{ID: 3, Share: 2, PIDs: []int{30, 40}}}}); err != nil {
+		t.Fatal(err)
+	}
+	h := r.Health()
+	if h.UnsignalablePIDs != 1 || h.VanishedPIDs != 1 {
+		t.Errorf("unsignalable=%d vanished=%d, want 1 each (pid 30 refused SIGSTOP, pid 40 is gone)",
+			h.UnsignalablePIDs, h.VanishedPIDs)
+	}
+	if len(r.targets[3]) != 0 || fs.IsStopped(30) {
+		t.Errorf("refusing pid kept: targets %v, stopped %t", r.targets[3], fs.IsStopped(30))
+	}
+	logged := false
+	for _, err := range errs {
+		logged = logged || (strings.Contains(err.Error(), "pid 30") && strings.Contains(err.Error(), syscall.EPERM.Error()))
+	}
+	if !logged {
+		t.Errorf("no log line keeps pid 30's EPERM: %v", errs)
 	}
 }
 

@@ -436,6 +436,7 @@ func (r *Runner) Step() (done bool) {
 	// divide by the passes actually run so catch-up bursts are not
 	// mistaken for sustained overload.
 	r.noteWork(r.sys.Now().Sub(workBegin) / time.Duration(passes))
+	r.health.dormant.Store(int64(r.sched.NumDormant()))
 
 	if r.cfg.Checkpoint != nil && r.sched.Cycles() > cyclesBefore {
 		r.cfg.Checkpoint(r.stateLocked())
