@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race short bench bench-check alloc-gate timeline trace trace-fleet examples chaos chaos-fleet chaos-failover vulncheck loc knobs
+.PHONY: check fmt vet build test race short bench bench-check alloc-gate timeline trace trace-fleet examples chaos chaos-fleet vulncheck loc knobs
 
 check: fmt vet build race
 
@@ -121,23 +121,13 @@ chaos:
 # checkpoint, a shard partitioned and healed, a shard killed) plus the
 # real-process fleet e2e (coordinator and shard as separate processes;
 # the shard must attach, then degrade to static shares when the
-# coordinator dies). Deterministic except the final e2e, which spawns
-# real busy loops; not part of `short`.
+# coordinator dies). The scenario writes the restarted coordinator's
+# /fleet/timeline capture to TIMELINE_fleet.json for the CI artifact.
+# Deterministic except the final e2e, which spawns real busy loops; not
+# part of `short`.
 chaos-fleet:
-	$(GO) test -race -run 'TestChaosFleet' -v ./internal/coord/
+	ALPS_TIMELINE_OUT=$(CURDIR)/TIMELINE_fleet.json $(GO) test -race -run 'TestChaosFleet' -v ./internal/coord/
 	$(GO) test -race -run 'TestFleetEndToEnd' -v ./cmd/alps/
-
-# Replicated-coordinator failover suite under the race detector: the
-# coordsim replica-set scenario (three coordinator replicas, the leader
-# partitioned away from standbys and shards, a standby elected and
-# reconfigured live, then killed so the fleet walks back onto the
-# deposed original — whose stale-term publishes must be fenced) plus the
-# replica-set and agent-failover unit scripts. Fully deterministic.
-# The scenario runs the static rebalance planner and writes the
-# surviving leader's /fleet/timeline capture (every reconvergence on the
-# virtual clock) to TIMELINE_failover.json for the CI artifact.
-chaos-failover:
-	ALPS_TIMELINE_OUT=$(CURDIR)/TIMELINE_failover.json $(GO) test -race -run 'TestChaosFailover|TestReplica|TestDeposed|TestWeightsUpdate|TestHeartbeatHigherTerm|TestAgent' -v ./internal/coord/
 
 # Line counts over tracked files only, so build output such as
 # .bench_build/ never counts: non-test Go outside bench/, test Go outside

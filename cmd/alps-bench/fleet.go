@@ -34,28 +34,14 @@ type convergenceRow struct {
 // fleetWindow is simulateWindow from the planner tests: perfect local
 // proportional consumption of one window per shard.
 func fleetWindow(shares map[string]map[int64]int64) []coord.ShardLoad {
-	return fleetWindowMixed(shares, shares)
-}
-
-// fleetWindowMixed separates what the planner believes the fleet runs
-// (base, its committed share table) from what the fleet actually runs
-// (running, which generates the consumption). The two differ exactly
-// during a failover: a standby that took over from a lagged replica
-// plans from its own committed table while the windows it measures come
-// from the newer shares the dead leader had already published.
-func fleetWindowMixed(base, running map[string]map[int64]int64) []coord.ShardLoad {
 	var loads []coord.ShardLoad
-	for name, sv := range base {
-		run := running[name]
-		if run == nil {
-			run = sv
-		}
+	for name, sv := range shares {
 		var tot int64
-		for _, sh := range run {
+		for _, sh := range sv {
 			tot += sh
 		}
-		consumed := make(map[int64]float64, len(run))
-		for p, sh := range run {
+		consumed := make(map[int64]float64, len(sv))
+		for p, sh := range sv {
 			consumed[p] = float64(sh) / float64(tot)
 		}
 		cp := make(map[int64]int64, len(sv))
@@ -80,31 +66,6 @@ func fleetWindowMixed(base, running map[string]map[int64]int64) []coord.ShardLoa
 // feasible uniform-start case.
 func measureConvergence(s int) (convergenceRow, error) {
 	weights, shares := ringFleet(s)
-	return measureConvergenceFrom(s, weights, shares)
-}
-
-// ringFleet builds the s-shard ring with alternating 4/1 weights and
-// uniform initial shares.
-func ringFleet(s int) (map[int64]int64, map[string]map[int64]int64) {
-	weights := make(map[int64]int64, s)
-	shares := make(map[string]map[int64]int64, s)
-	shardName := func(i int) string { return fmt.Sprintf("s%03d", i) }
-	for i := 0; i < s; i++ {
-		shares[shardName(i)] = make(map[int64]int64, 2)
-	}
-	for p := 0; p < s; p++ {
-		if p%2 == 0 {
-			weights[int64(p)] = 4
-		} else {
-			weights[int64(p)] = 1
-		}
-		shares[shardName(p)][int64(p)] = 100
-		shares[shardName((p+1)%s)][int64(p)] = 100
-	}
-	return weights, shares
-}
-
-func measureConvergenceFrom(s int, weights map[int64]int64, shares map[string]map[int64]int64) (convergenceRow, error) {
 	row := convergenceRow{Shards: s, Principals: s, InitialRMS: -1, FinalRMS: -1}
 	var cfg coord.PlannerConfig
 	for round := 1; round <= convergenceRoundsCap; round++ {
@@ -126,77 +87,25 @@ func measureConvergenceFrom(s int, weights map[int64]int64, shares map[string]ma
 		s, convergenceRoundsCap, row.FinalRMS)
 }
 
-// Coordinator failover: the leader runs the ring fleet partway to
-// convergence and dies; a standby takes over from its replica, which is
-// one replication pull (one committed round) behind. The standby plans
-// from the lagged table while the first window it measures reflects the
-// newer shares the fleet actually runs — the worst mismatch failover can
-// produce, since heartbeat fast-forward caps replica lag at one commit.
-// The gate is 2x the steady-state convergence gate: taking over from a
-// lagged replica may cost rounds, but not a fresh cold start's worth.
-const failoverRoundsGate = 2 * convergenceRoundsGate
-
-type failoverRow struct {
-	Shards      int     `json:"shards"`
-	LeadRounds  int     `json:"leader_rounds_before_death"`
-	LagRounds   int     `json:"replica_lag_rounds"`
-	Rounds      int     `json:"failover_rounds_to_deadband"`
-	TakeoverRMS float64 `json:"takeover_rms"`
-	FinalRMS    float64 `json:"final_rms"`
-}
-
-func measureFailover(s int) (failoverRow, error) {
-	weights, actual := ringFleet(s)
-	row := failoverRow{Shards: s, LeadRounds: 3, LagRounds: 1, TakeoverRMS: -1, FinalRMS: -1}
-	var cfg coord.PlannerConfig
-
-	// The leader's reign: each commit lands on the shards immediately;
-	// the standby replicates the previous round's table.
-	replica := actual
-	for round := 1; round <= row.LeadRounds; round++ {
-		res := coord.Plan(cfg, weights, fleetWindow(actual))
-		if res.GlobalRMS < 0 {
-			return row, fmt.Errorf("failover S=%d lead round %d: no RMS measured", s, round)
-		}
-		if !res.Changed {
-			break
-		}
-		replica = actual
-		actual = res.Shares
+// ringFleet builds the s-shard ring with alternating 4/1 weights and
+// uniform initial shares.
+func ringFleet(s int) (map[int64]int64, map[string]map[int64]int64) {
+	weights := make(map[int64]int64, s)
+	shares := make(map[string]map[int64]int64, s)
+	shardName := func(i int) string { return fmt.Sprintf("s%03d", i) }
+	for i := 0; i < s; i++ {
+		shares[shardName(i)] = make(map[int64]int64, 2)
 	}
-
-	// Takeover: the standby's committed table is the replica; the fleet
-	// keeps running the dead leader's last publish until the standby's
-	// own first commit overwrites it.
-	committed := replica
-	running := actual
-	for round := 1; round <= convergenceRoundsCap; round++ {
-		res := coord.Plan(cfg, weights, fleetWindowMixed(committed, running))
-		if res.GlobalRMS < 0 {
-			return row, fmt.Errorf("failover S=%d round %d: no RMS measured", s, round)
+	for p := 0; p < s; p++ {
+		if p%2 == 0 {
+			weights[int64(p)] = 4
+		} else {
+			weights[int64(p)] = 1
 		}
-		if row.TakeoverRMS < 0 {
-			row.TakeoverRMS = res.GlobalRMS
-		}
-		row.FinalRMS = res.GlobalRMS
-		if !res.Changed {
-			row.Rounds = round
-			return row, nil
-		}
-		committed = res.Shares
-		running = res.Shares
+		shares[shardName(p)][int64(p)] = 100
+		shares[shardName((p+1)%s)][int64(p)] = 100
 	}
-	return row, fmt.Errorf("failover S=%d: standby did not converge in %d rounds (rms=%.4f)",
-		s, convergenceRoundsCap, row.FinalRMS)
-}
-
-// runFailover produces the failover report row and enforces its gate.
-func runFailover() (failoverRow, bool, error) {
-	row, err := measureFailover(4)
-	if err != nil {
-		return row, false, err
-	}
-	return row, row.Rounds <= failoverRoundsGate, nil
+	return weights, shares
 }
 
 // runConvergence produces the report section and enforces the gate.

@@ -59,7 +59,7 @@ func runFleetTrace() error {
 			tracer:   fleetobs.NewTracer(fleetobs.TracerConfig{Node: name, Now: clk.Now}),
 		}
 		agent, err := coord.NewAgent(coord.AgentConfig{
-			URLs: []string{"http://coord"}, Shard: name,
+			URL: "http://coord", Shard: name,
 			Tasks: func() []coord.TaskShare {
 				sh.mu.Lock()
 				defer sh.mu.Unlock()

@@ -160,10 +160,6 @@ func runRobustness() error {
 	if err != nil {
 		return err
 	}
-	fo, foWithin, err := runFailover()
-	if err != nil {
-		return err
-	}
 
 	report := struct {
 		QuantumNs            int64            `json:"quantum_ns"`
@@ -174,9 +170,6 @@ func runRobustness() error {
 		Convergence          []convergenceRow `json:"rebalance_convergence"`
 		ConvergenceGate      int              `json:"rebalance_convergence_rounds_gate"`
 		ConvergenceWithin    bool             `json:"rebalance_convergence_within_gate"`
-		Failover             failoverRow      `json:"coordinator_failover"`
-		FailoverGate         int              `json:"failover_rounds_gate"`
-		FailoverWithin       bool             `json:"failover_within_gate"`
 	}{
 		QuantumNs:            int64(q),
 		SaveLatency:          lat,
@@ -186,9 +179,6 @@ func runRobustness() error {
 		Convergence:          conv,
 		ConvergenceGate:      convergenceRoundsGate,
 		ConvergenceWithin:    convWithin,
-		Failover:             fo,
-		FailoverGate:         failoverRoundsGate,
-		FailoverWithin:       foWithin,
 	}
 
 	fmt.Println("Checkpoint write latency (atomic temp+fsync+rename, wall time)")
@@ -209,10 +199,6 @@ func runRobustness() error {
 		fmt.Printf("  S=%-3d %2d rounds to deadband (rms %.3f -> %.4f)\n",
 			row.Shards, row.Rounds, row.InitialRMS, row.FinalRMS)
 	}
-	fmt.Printf("Coordinator failover (standby takes over %d-round-lagged replica after %d leader rounds, gate %d rounds):\n",
-		fo.LagRounds, fo.LeadRounds, failoverRoundsGate)
-	fmt.Printf("  S=%-3d %2d rounds back to deadband (rms %.3f -> %.4f)\n",
-		fo.Shards, fo.Rounds, fo.TakeoverRMS, fo.FinalRMS)
 
 	outDir := *out
 	if outDir == "" {
@@ -232,10 +218,6 @@ func runRobustness() error {
 	if !report.ConvergenceWithin {
 		return fmt.Errorf("rebalance convergence regressed past the %d-round gate (see %s)",
 			convergenceRoundsGate, outPath)
-	}
-	if !report.FailoverWithin {
-		return fmt.Errorf("failover reconvergence regressed past the %d-round gate (see %s)",
-			failoverRoundsGate, outPath)
 	}
 	return nil
 }

@@ -39,24 +39,13 @@ func startCoordLink(r *alps.Runner, st *obsStack, url, shard string, capacity fl
 		}
 		shard = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	// -coord accepts a comma-separated replica list; the agent rotates
-	// across it on failures and not-leader redirects.
-	var urls []string
-	for _, u := range strings.Split(url, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	if len(urls) == 0 {
-		return nil, nil, fmt.Errorf("coordinator link: -coord %q names no URLs", url)
-	}
 	// The fleet tracer records this shard's apply/upload events; its
 	// window plus the flight recorder's (anchored to wall time) is what
 	// this shard contributes when the coordinator opens a correlated
 	// collection.
 	tracer := fleetobs.NewTracer(fleetobs.TracerConfig{Node: shard})
 	agent, err := coord.NewAgent(coord.AgentConfig{
-		URLs:     urls,
+		URL:      url,
 		Shard:    shard,
 		Capacity: capacity,
 		Tasks: func() []coord.TaskShare {
@@ -126,9 +115,6 @@ type coordOpts struct {
 	deadband      *float64
 	timelineEvery *time.Duration
 	traceDir      *string
-	self          *string
-	peers         *string
-	leaderTTL     *time.Duration
 }
 
 func coordFlags(fs *flag.FlagSet) coordOpts {
@@ -142,21 +128,7 @@ func coordFlags(fs *flag.FlagSet) coordOpts {
 		deadband:      fs.Float64("deadband", 0, "global RMS share error below which no rebalance is committed (0: default 0.02)"),
 		timelineEvery: fs.Duration("timeline-every", time.Second, "retained-history sampling cadence for /fleet/timeline (0 disables the fleet timeline)"),
 		traceDir:      fs.String("trace-dir", "", "directory for correlated fleet trace bundles (empty: in-memory only, still served at /debug/fleet-trace)"),
-		self:          fs.String("self", "", "this replica's own base URL as peers and shards reach it (enables replication)"),
-		peers:         fs.String("peers", "", "comma-separated base URLs of the other coordinator replicas"),
-		leaderTTL:     fs.Duration("leader-ttl", coord.DefaultLeaderTTL, "leadership lease TTL; a standby that hears nothing from the leader for its staggered multiple of this elects itself"),
 	}
-}
-
-// peerList splits -peers into URLs.
-func (o coordOpts) peerList() []string {
-	var out []string
-	for _, p := range strings.Split(*o.peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func (o coordOpts) validate() error {
@@ -166,7 +138,7 @@ func (o coordOpts) validate() error {
 	for _, d := range []struct {
 		flag string
 		v    time.Duration
-	}{{"-ttl", *o.ttl}, {"-rebalance", *o.rebalance}, {"-leader-ttl", *o.leaderTTL}} {
+	}{{"-ttl", *o.ttl}, {"-rebalance", *o.rebalance}} {
 		if d.v <= 0 {
 			return fmt.Errorf("%s must be positive, got %v", d.flag, d.v)
 		}
@@ -186,9 +158,6 @@ func (o coordOpts) validate() error {
 	}
 	if *o.timelineEvery < 0 {
 		return fmt.Errorf("-timeline-every must be zero (timeline off) or positive, got %v", *o.timelineEvery)
-	}
-	if len(o.peerList()) > 0 && *o.self == "" {
-		return fmt.Errorf("-peers given without -self; a replica must know its own URL to stagger elections and stamp leader hints")
 	}
 	return nil
 }
@@ -234,16 +203,12 @@ func cmdCoord(args []string) error {
 			errlog.Info(fmt.Sprintf(format, args...))
 		},
 	})
-	peerList := opts.peerList()
 	srv, err := coord.NewServer(coord.ServerConfig{
 		TTL:            *opts.ttl,
 		RebalanceEvery: *opts.rebalance,
 		Quantum:        *opts.quantum,
 		Weights:        weights,
 		StatePath:      *opts.state,
-		Self:           *opts.self,
-		Peers:          peerList,
-		LeaderTTL:      *opts.leaderTTL,
 		Planner:        coord.PlannerConfig{Gain: *opts.gain, Deadband: *opts.deadband},
 		Metrics:        reg,
 		Fleet:          fleet,
@@ -265,8 +230,7 @@ func cmdCoord(args []string) error {
 	hs := hardenedServer(mux)
 	go func() { _ = hs.Serve(ln) }()
 	errlog.Info("coordinator listening", "addr", ln.Addr().String(),
-		"ttl", *opts.ttl, "rebalance", *opts.rebalance, "weights", len(weights),
-		"self", *opts.self, "peers", len(peerList))
+		"ttl", *opts.ttl, "rebalance", *opts.rebalance, "weights", len(weights))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -180,6 +180,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 	// Families that only repeated an alps_coord_* fact are gone.
 	for _, gone := range []string{"alps_fleet_term ", "alps_fleet_is_leader ", "alps_fleet_shards ",
+		"alps_coord_term ", "alps_coord_is_leader ",
 		"alps_fleet_lease_expiries_total ", "alps_fleet_counter_regressions_total ",
 		"alps_fleet_global_rms_share_error_round ", "alps_fleet_registrations_total "} {
 		if bytes.Contains(metricsBody, []byte(gone)) {
@@ -196,7 +197,7 @@ func TestFleetEndToEnd(t *testing.T) {
 			return false
 		}
 		return healthDoc.Epoch == statusDoc.Epoch && len(healthDoc.Shards) == 1 && len(statusDoc.Shards) == 1 &&
-			healthDoc.Shards[0].Shard == statusDoc.Shards[0].Shard && healthDoc.Role == statusDoc.Role
+			healthDoc.Shards[0].Shard == statusDoc.Shards[0].Shard
 	})
 	if row := healthDoc.Shards[0]; row.Shard != "e2e-shard" || row.Stale || row.LeaseAgeSec < 0 {
 		t.Errorf("/healthz shard row = %+v, want a fresh e2e-shard", row)

@@ -83,7 +83,6 @@ func usage() {
   alps spawn  [common flags] [-children] -shares 1,2,3 -- command [args...]
   alps user   [common flags] [-refresh 1s] name:share ...
   alps coord  -http :7070 [-ttl 5s] [-rebalance 2s] [-state FILE]
-              [-self URL -peers URL,URL] [-leader-ttl 2s]
               [-timeline-every 1s] [-trace-dir D] [id:weight ...]
 
 common flags:
@@ -103,12 +102,11 @@ common flags:
                 in Perfetto) to directory D; dumps fire automatically on
                 lateness spikes, share-error drift, overload degradation,
                 process drops and checkpoint failures
-  -coord URLs   attach this instance to a fleet coordinator as a shard:
+  -coord URL    attach this instance to a fleet coordinator as a shard:
                 register under a lease, heartbeat consumption, and apply
                 the coordinator's share assignments; on coordinator loss
-                the shard keeps its last-committed shares. A comma-
-                separated list names a replica set: the shard follows
-                not-leader redirects and fails over on leader death
+                the shard keeps its last-committed shares until the
+                coordinator is back
   -shard NAME   fleet-unique shard name for -coord (default hostname-pid)
   -capacity W   relative capacity weight sent with lease registration;
                 the rebalancer steers bigger hosts harder (0: 1.0)
@@ -126,16 +124,15 @@ audit and timeline flags:
                     disables (default 1s). On "alps coord" the same flag
                     drives /fleet/timeline, the coordinator's history
 
-Replication: -self and -peers on "alps coord" run a replica set. Standbys
-pull committed state from the leader; leadership is a term-fenced TTL
-lease, so a deposed leader's publishes are rejected by shards and
-replicas alike. POST /coord/v1/weights on the leader reconfigures the
-global weight table live (followers answer 409 with a leader hint).
+Run one "alps coord" under a supervisor with -state FILE: a restarted
+coordinator resumes at the epoch, weights and assignments it last
+committed, and the shards re-register on their next heartbeat. POST
+/coord/v1/weights reconfigures the global weight table live.
 
 The coordinator's status document is /healthz, the same document as
 /coord/v1/status: epoch, global RMS share error (last round, windowed,
 EWMA), convergence, epoch propagation, leased shards with lease age and
-stale flag, detached shards, and the replication view. /metrics carries
+stale flag, and detached shards. /metrics carries
 the alps_coord_* and alps_fleet_* families. The coordinator also serves
 its retained timeline on /fleet/timeline and the latest correlated fleet
 trace bundle (Perfetto-loadable, merged across the coordinator and every
@@ -182,7 +179,7 @@ func commonFlags(fs *flag.FlagSet) commonOpts {
 		maxq:      fs.Duration("maxq", 40*time.Millisecond, "overload guard quantum bound (0 disables the guard; default scales to 2q when -q exceeds it)"),
 		traceDir:  fs.String("trace-dir", "", "write flight-recorder dumps (Chrome trace JSON, loadable in Perfetto) to this directory"),
 		samplers:  fs.Int("samplers", runtime.GOMAXPROCS(0), "worker pool size for concurrent /proc sampling and signal delivery (1 = sequential)"),
-		coordURL:  fs.String("coord", "", "fleet coordinator base URL, or a comma-separated replica list; attach this instance as a shard"),
+		coordURL:  fs.String("coord", "", "fleet coordinator base URL; attach this instance as a shard"),
 		shard:     fs.String("shard", "", "fleet-unique shard name for -coord (default hostname-pid)"),
 		capacity:  fs.Float64("capacity", 0, "relative capacity weight sent with -coord lease registration; the rebalancer steers bigger hosts harder (0: 1.0)"),
 
@@ -223,6 +220,9 @@ func (o commonOpts) validate() error {
 	}
 	if o.samplers != nil && *o.samplers < 1 {
 		return fmt.Errorf("-samplers must be at least 1, got %d", *o.samplers)
+	}
+	if o.coordURL != nil && strings.Contains(*o.coordURL, ",") {
+		return fmt.Errorf("-coord takes one coordinator URL, got the list %q", *o.coordURL)
 	}
 	if o.coordURL != nil && o.shard != nil && *o.shard != "" && *o.coordURL == "" {
 		return fmt.Errorf("-shard %q given without -coord; a shard name only means something to a coordinator", *o.shard)
@@ -322,7 +322,7 @@ type runOpts struct {
 	statePath string  // -state: per-cycle checkpoint file; empty disables
 	confPath  string  // -config: SIGHUP reload source; empty disables
 	traceDir  string  // -trace-dir: flight-recorder dump directory; empty discards dumps
-	coordURL  string  // -coord: coordinator URL or comma-separated replica list; empty runs standalone
+	coordURL  string  // -coord: coordinator URL; empty runs standalone
 	shard     string  // -shard: fleet-unique name; defaulted from hostname-pid
 	capacity  float64 // -capacity: relative capacity weight in lease registration; 0 means 1.0
 }

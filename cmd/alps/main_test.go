@@ -50,6 +50,11 @@ func TestCommonOptsValidate(t *testing.T) {
 	mk := func(q, maxq time.Duration) commonOpts {
 		return commonOpts{q: &q, maxq: &maxq}
 	}
+	withCoord := func(url string) commonOpts {
+		o := mk(20*time.Millisecond, 40*time.Millisecond)
+		o.coordURL = &url
+		return o
+	}
 	cases := []struct {
 		name string
 		opts commonOpts
@@ -62,11 +67,18 @@ func TestCommonOptsValidate(t *testing.T) {
 		{"negative quantum", mk(-time.Millisecond, 40*time.Millisecond), false},
 		{"negative maxq", mk(20*time.Millisecond, -time.Millisecond), false},
 		{"maxq below q", mk(20*time.Millisecond, 10*time.Millisecond), false},
+		{"one coord URL", withCoord("http://coord:7070"), true},
+		{"coord URL list", withCoord("http://c1:7070,http://c2:7070"), false},
+		{"coord trailing comma", withCoord("http://coord:7070,"), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.opts.validate(); (err == nil) != tc.ok {
+			err := tc.opts.validate()
+			if (err == nil) != tc.ok {
 				t.Errorf("validate() = %v, want ok=%t", err, tc.ok)
+			}
+			if err != nil && tc.opts.coordURL != nil && !strings.HasPrefix(err.Error(), "-coord ") {
+				t.Errorf("validate() = %v, want an error naming -coord", err)
 			}
 		})
 	}
@@ -200,7 +212,7 @@ func TestCoordFlagValidation(t *testing.T) {
 		{"defaults", nil, ""},
 		{"documented zeros", []string{"-q", "0", "-gain", "0", "-deadband", "0"}, ""},
 		{"explicit values", []string{"-q", "20ms", "-gain", "1.5", "-deadband", "0.05", "-ttl", "2s",
-			"-rebalance", "500ms", "-leader-ttl", "1s"}, ""},
+			"-rebalance", "500ms"}, ""},
 		{"quantum below the accounting tick", []string{"-q", "5ms"}, "-q"},
 		{"negative quantum", []string{"-q", "-10ms"}, "-q"},
 		{"gain below 1", []string{"-gain", "0.5"}, "-gain"},
@@ -208,7 +220,6 @@ func TestCoordFlagValidation(t *testing.T) {
 		{"negative deadband", []string{"-deadband", "-0.1"}, "-deadband"},
 		{"zero ttl", []string{"-ttl", "0"}, "-ttl"},
 		{"negative rebalance", []string{"-rebalance", "-1s"}, "-rebalance"},
-		{"zero leader ttl", []string{"-leader-ttl", "0"}, "-leader-ttl"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,12 +18,8 @@ import (
 
 // AgentConfig parameterizes a shard's coordinator link.
 type AgentConfig struct {
-	// URLs lists the coordinator base URLs, e.g. "http://coord:7070":
-	// one for a standalone coordinator, every member for a replica set.
-	// The agent talks to one replica at a time and rotates on failures
-	// and on not-leader redirects (preferring the redirect's leader
-	// hint), so a leader failover costs a few RPCs, not an operator.
-	URLs []string
+	// URL is the coordinator base URL, e.g. "http://coord:7070".
+	URL string
 	// Shard is this shard's fleet-unique name.
 	Shard string
 	// Capacity is this shard's relative capacity weight carried in lease
@@ -79,15 +75,6 @@ type LinkStatus struct {
 	// assignments discarded for a non-increasing epoch.
 	Applies       int64 `json:"applies"`
 	StaleRejected int64 `json:"stale_rejected,omitempty"`
-	// Coordinator is the replica this agent currently talks to.
-	Coordinator string `json:"coordinator,omitempty"`
-	// Term is the leadership term of the last applied assignment.
-	Term uint64 `json:"term,omitempty"`
-	// Redirects counts not-leader bounces (409) that rotated the link.
-	Redirects int64 `json:"redirects,omitempty"`
-	// StaleTermRejected counts assignments fenced for carrying a term
-	// below the last applied one — a deposed leader's publishes.
-	StaleTermRejected int64 `json:"stale_term_rejected,omitempty"`
 }
 
 // Agent maintains one shard's link to the coordinator: register under a
@@ -102,9 +89,6 @@ type Agent struct {
 	retry  backoff.Policy
 
 	mu          sync.Mutex
-	cur         int    // index into cfg.URLs of the replica in use
-	leaderHint  string // leader URL from the last not-leader redirect
-	term        uint64 // term of the last applied assignment
 	attached    bool
 	lease       string
 	epoch       uint64
@@ -112,8 +96,6 @@ type Agent struct {
 	fails       int
 	applies     int64
 	staleRej    int64
-	termRej     int64
-	redirects   int64
 	failsTotal  int64
 	// lastApplied is the trace context of the last applied assignment,
 	// echoed on heartbeats; lastDumpSeq dedupes piggybacked dump
@@ -128,13 +110,8 @@ const rpcTimeout = 2 * time.Second
 // NewAgent validates the config and builds an unattached agent; the
 // first Step registers.
 func NewAgent(cfg AgentConfig) (*Agent, error) {
-	if len(cfg.URLs) == 0 {
+	if cfg.URL == "" {
 		return nil, errors.New("coord: agent: empty coordinator URL")
-	}
-	for _, u := range cfg.URLs {
-		if u == "" {
-			return nil, errors.New("coord: agent: empty coordinator URL in list")
-		}
 	}
 	if cfg.Shard == "" {
 		return nil, errors.New("coord: agent: empty shard name")
@@ -198,15 +175,6 @@ func (a *Agent) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("alps_coord_link_stale_rejected_total",
 		"Assignments rejected for a non-increasing epoch.",
 		func() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.staleRej })
-	reg.GaugeFunc("alps_coord_link_term",
-		"Leadership term of the last applied assignment.",
-		func() float64 { a.mu.Lock(); defer a.mu.Unlock(); return float64(a.term) })
-	reg.CounterFunc("alps_coord_link_redirects_total",
-		"Not-leader redirects that rotated the link to another replica.",
-		func() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.redirects })
-	reg.CounterFunc("alps_coord_link_term_rejected_total",
-		"Assignments fenced for carrying a stale leadership term.",
-		func() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.termRej })
 }
 
 // Status snapshots the link for /healthz.
@@ -215,16 +183,12 @@ func (a *Agent) Status() LinkStatus {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := LinkStatus{
-		Attached:          a.attached,
-		Epoch:             a.epoch,
-		Failures:          a.fails,
-		Applies:           a.applies,
-		StaleRejected:     a.staleRej,
-		Coordinator:       a.cfg.URLs[a.cur],
-		Term:              a.term,
-		Redirects:         a.redirects,
-		StaleTermRejected: a.termRej,
-		DegradedStatic:    true, // never attached yet
+		Attached:       a.attached,
+		Epoch:          a.epoch,
+		Failures:       a.fails,
+		Applies:        a.applies,
+		StaleRejected:  a.staleRej,
+		DegradedStatic: true, // never attached yet
 	}
 	if !a.lastContact.IsZero() {
 		age := now.Sub(a.lastContact)
@@ -246,9 +210,8 @@ type rpcClass int
 
 const (
 	rpcOK        rpcClass = iota
-	rpcRetryable          // net error, timeout, 5xx — back off, rotate, retry
-	rpcLeaseLost          // 404/410, or 409 without a not-leader code — re-register
-	rpcNotLeader          // 409 {code:"not_leader"} — rotate toward the leader, re-register
+	rpcRetryable          // net error, timeout, 5xx — back off and retry
+	rpcLeaseLost          // 404/409/410 — re-register
 	rpcFatal              // other 4xx — config error, log loudly, still retry slowly
 )
 
@@ -281,47 +244,10 @@ func (a *Agent) Step() time.Duration {
 		a.attached = false
 		a.lease = ""
 		return a.retry.Delay(1, 1)
-	case rpcNotLeader:
-		// A healthy follower answered: the replica set is alive, we are
-		// just aimed at the wrong member. Rotate (to the hinted leader
-		// when the hint is fresh), re-register there, and reset the
-		// failure streak — a redirect is not a failure to back off from.
-		a.attached = false
-		a.lease = ""
-		a.fails = 0
-		a.redirects++
-		a.rotateLocked(a.leaderHint)
-		a.leaderHint = ""
-		return a.retry.Delay(3, 1)
 	default:
 		a.fails++
 		a.failsTotal++
-		if len(a.cfg.URLs) > 1 {
-			a.rotateLocked("") // try the next replica before giving up
-		}
 		return a.retry.Delay(2, a.fails)
-	}
-}
-
-// rotateLocked re-aims the link: at the hinted URL when it is in the
-// configured set, otherwise at the next replica round-robin. The lease
-// does not survive a rotation — leases are per-replica, so the agent
-// re-registers on the new target.
-func (a *Agent) rotateLocked(hint string) {
-	if hint != "" {
-		for i, u := range a.cfg.URLs {
-			if u == hint {
-				if i != a.cur {
-					a.cur = i
-					a.logf("coord-link: following leader hint to %s", u)
-				}
-				return
-			}
-		}
-	}
-	if len(a.cfg.URLs) > 1 {
-		a.cur = (a.cur + 1) % len(a.cfg.URLs)
-		a.logf("coord-link: rotating to coordinator %s", a.cfg.URLs[a.cur])
 	}
 }
 
@@ -357,7 +283,7 @@ func (a *Agent) register() rpcClass {
 
 func (a *Agent) heartbeat() rpcClass {
 	a.mu.Lock()
-	req := HeartbeatRequest{Shard: a.cfg.Shard, Lease: a.lease, Epoch: a.epoch, Term: a.term, Trace: a.lastApplied}
+	req := HeartbeatRequest{Shard: a.cfg.Shard, Lease: a.lease, Epoch: a.epoch, Trace: a.lastApplied}
 	a.mu.Unlock()
 	req.Gauges = a.cfg.Gauges()
 	var resp HeartbeatResponse
@@ -409,9 +335,8 @@ func (a *Agent) handleDump(req fleetobs.DumpRequest) {
 			})
 		}
 		a.logf("coord-link: uploaded fleet trace window (%s, seq %d)", req.Reason, req.Seq)
-	case rpcRetryable, rpcNotLeader:
-		// Leave lastDumpSeq: the request rides the next heartbeat too
-		// (after a redirect, to the leader that asked for it).
+	case rpcRetryable:
+		// Leave lastDumpSeq: the request rides the next heartbeat too.
 	default:
 		a.markDump(req.Seq)
 		a.logf("coord-link: fleet dump upload rejected (%s, seq %d)", req.Reason, req.Seq)
@@ -432,16 +357,6 @@ func (a *Agent) markDump(seq int64) {
 // shard's shares backward.
 func (a *Agent) maybeApply(asg Assignment) {
 	a.mu.Lock()
-	if asg.Term != 0 && asg.Term < a.term {
-		// The term fence: a deposed leader (lower term) can never move
-		// this shard's shares, whatever epoch it claims. Term 0 passes
-		// for wire compatibility with standalone coordinators.
-		a.termRej++
-		term := a.term
-		a.mu.Unlock()
-		a.logf("coord-link: fenced assignment from deposed leader (term %d < %d)", asg.Term, term)
-		return
-	}
 	if asg.Epoch <= a.epoch {
 		if asg.Epoch < a.epoch {
 			a.staleRej++
@@ -465,9 +380,6 @@ func (a *Agent) maybeApply(asg Assignment) {
 		a.epoch = asg.Epoch
 		a.applies++
 		a.lastApplied = asg.Trace
-		if asg.Term > a.term {
-			a.term = asg.Term
-		}
 	}
 	a.mu.Unlock()
 	if a.cfg.Tracer != nil {
@@ -489,12 +401,9 @@ func (a *Agent) post(path string, in, out any) rpcClass {
 		a.logf("coord-link: marshal %s: %v", path, err)
 		return rpcFatal
 	}
-	a.mu.Lock()
-	base := a.cfg.URLs[a.cur]
-	a.mu.Unlock()
-	httpReq, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader(body))
+	httpReq, err := http.NewRequest(http.MethodPost, a.cfg.URL+path, bytes.NewReader(body))
 	if err != nil {
-		a.logf("coord-link: bad coordinator URL %q: %v", base, err)
+		a.logf("coord-link: bad coordinator URL %q: %v", a.cfg.URL, err)
 		return rpcFatal
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
@@ -516,17 +425,8 @@ func (a *Agent) post(path string, in, out any) rpcClass {
 			return rpcRetryable
 		}
 		return rpcOK
-	case resp.StatusCode == http.StatusConflict:
-		var we wireError
-		if json.Unmarshal(raw, &we) == nil && we.Code == codeNotLeader {
-			a.mu.Lock()
-			a.leaderHint = we.Leader
-			a.mu.Unlock()
-			a.logf("coord-link: %s is not the leader (hint %q)", base, we.Leader)
-			return rpcNotLeader
-		}
-		return rpcLeaseLost
-	case resp.StatusCode == http.StatusNotFound,
+	case resp.StatusCode == http.StatusConflict,
+		resp.StatusCode == http.StatusNotFound,
 		resp.StatusCode == http.StatusGone:
 		return rpcLeaseLost
 	case resp.StatusCode >= 500:

@@ -82,7 +82,7 @@ func (ts *testShard) apply(a Assignment) error {
 func newTestAgent(t *testing.T, clk *coordsim.Clock, tr *handlerTransport, shard *testShard, name string) *Agent {
 	t.Helper()
 	a, err := NewAgent(AgentConfig{
-		URLs:   []string{"http://coord.test"},
+		URL:    "http://coord.test",
 		Shard:  name,
 		Tasks:  shard.tasks,
 		Gauges: func() ShardGauges { return ShardGauges{} },

@@ -8,12 +8,16 @@ package coord_test
 // heals — asserting throughout that every surviving shard keeps
 // completing allocation cycles, that assignment epochs are strictly
 // monotonic on every shard (duplicated deliveries included), that the
-// coordinator restart resumes from its checkpoint, and that in the end
-// the global share error is bounded and no process is left SIGSTOPped.
+// coordinator restart resumes from its checkpoint, that the restarted
+// coordinator's Tick drives its retained fleet timeline, and that in
+// the end the global share error is bounded and no process is left
+// SIGSTOPped.
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -23,6 +27,7 @@ import (
 	"alps/internal/coord/coordsim"
 	"alps/internal/core"
 	"alps/internal/fleetobs"
+	"alps/internal/obs"
 	"alps/internal/osproc"
 	"alps/internal/trace"
 )
@@ -159,7 +164,7 @@ func newFleet(t *testing.T) *fleet {
 		sh.r = r
 		sh.tracer = fleetobs.NewTracer(fleetobs.TracerConfig{Node: name, Now: clk.Now})
 		agent, err := coord.NewAgent(coord.AgentConfig{
-			URLs:      []string{"http://coord"},
+			URL:       "http://coord",
 			Shard:     name,
 			Tasks:     sh.tasks,
 			Gauges:    sh.gauges,
@@ -185,14 +190,20 @@ func newFleet(t *testing.T) *fleet {
 
 // startCoordinator (re)builds the coordinator from its checkpoint and
 // plugs it into the network — both initial start and crash restart.
+// Server and stack share one registry, as in "alps coord", so the
+// retained timeline carries the server's gauges.
 func (f *fleet) startCoordinator() {
+	reg := obs.NewRegistry()
 	stack := fleetobs.NewStack(fleetobs.StackConfig{
-		Node:     fmt.Sprintf("coord#%d", len(f.stacks)+1),
-		Now:      f.clk.Now,
-		Cooldown: time.Second,
-		Logf:     f.t.Logf,
+		Node:         fmt.Sprintf("coord#%d", len(f.stacks)+1),
+		Metrics:      reg,
+		Now:          f.clk.Now,
+		Cooldown:     time.Second,
+		HistoryEvery: chaosRebalance, // one timeline point per rebalance round
+		Logf:         f.t.Logf,
 	})
 	f.stacks = append(f.stacks, stack)
+	f.srvCfg.Metrics = reg
 	f.srvCfg.Fleet = stack
 	srv, err := coord.NewServer(f.srvCfg)
 	if err != nil {
@@ -417,6 +428,44 @@ func (f *fleet) assertFleetFederation() {
 		st.PropagationCount, st.GlobalRMSWindowed, stack.Bundler.Collections(), stack.Bundler.Uploads())
 }
 
+// assertTimeline checks that the restarted coordinator's Tick drove its
+// retained history on the virtual clock: the fleet share-error gauges
+// are in its timeline. When ALPS_TIMELINE_OUT names a file (make
+// chaos-fleet sets it), the whole /fleet/timeline document is written
+// there as the run artifact.
+func (f *fleet) assertTimeline() {
+	t := f.t
+	t.Helper()
+	tl := f.stacks[len(f.stacks)-1].History.Snapshot()
+	if tl.Samples == 0 {
+		t.Fatal("timeline: the coordinator retained no samples")
+	}
+	series := make(map[string]int)
+	for _, sr := range tl.Series {
+		series[sr.Name] = len(sr.Points)
+	}
+	for _, name := range []string{
+		"alps_coord_global_rms_share_error",
+		"alps_fleet_global_rms_share_error_ewma",
+		"alps_fleet_rms_beat_ratio",
+	} {
+		if series[name] == 0 {
+			t.Errorf("timeline: missing series %s (have %v)", name, series)
+		}
+	}
+	if out := os.Getenv("ALPS_TIMELINE_OUT"); out != "" {
+		data, err := json.MarshalIndent(tl, "", " ")
+		if err != nil {
+			t.Fatalf("marshal timeline capture: %v", err)
+		}
+		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+			t.Fatalf("write timeline capture: %v", err)
+		}
+		t.Logf("timeline: wrote /fleet/timeline capture to %s (%d series, %d samples)",
+			out, len(tl.Series), tl.Samples)
+	}
+}
+
 func TestChaosFleet(t *testing.T) {
 	f := newFleet(t)
 
@@ -523,6 +572,7 @@ func TestChaosFleet(t *testing.T) {
 	f.assertEpochsMonotonic()
 	f.assertFleetTrace()
 	f.assertFleetFederation()
+	f.assertTimeline()
 	if f.net.Duplicated == 0 {
 		t.Error("duplicate injection never fired — idempotence untested")
 	}

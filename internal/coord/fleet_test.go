@@ -94,7 +94,7 @@ func TestFleetPublishApplyAckFlow(t *testing.T) {
 	shard := newTestShard(map[int64]int64{1: 100, 2: 100})
 	shardTracer := fleetobs.NewTracer(fleetobs.TracerConfig{Node: "s1", Now: clk.Now})
 	a, err := NewAgent(AgentConfig{
-		URLs: []string{"http://coord.test"}, Shard: "s1",
+		URL: "http://coord.test", Shard: "s1",
 		Tasks:  shard.tasks,
 		Gauges: func() ShardGauges { return ShardGauges{} },
 		Apply:  shard.apply,
@@ -186,7 +186,7 @@ func TestFleetDumpCollection(t *testing.T) {
 	var traceDumps int64
 	var collects int
 	a, err := NewAgent(AgentConfig{
-		URLs: []string{"http://coord.test"}, Shard: "s1",
+		URL: "http://coord.test", Shard: "s1",
 		Tasks:  shard.tasks,
 		Gauges: func() ShardGauges { return ShardGauges{TraceDumps: traceDumps} },
 		Apply:  shard.apply,
@@ -395,7 +395,7 @@ func gaugeBeater(t *testing.T, s *Server) func(name string, epoch uint64, rms fl
 }
 
 // TestFleetStaleAndDetachedShards: a leased shard silent past its lease
-// expiry is stale until the leader expires it — flagged in its row and
+// expiry is stale until the next tick expires it — flagged in its row and
 // per-shard gauge, excluded from the degraded count — and an expired
 // shard is detached. A heartbeat brings a stale shard back.
 func TestFleetStaleAndDetachedShards(t *testing.T) {
@@ -538,5 +538,55 @@ func TestFleetStateConcurrent(t *testing.T) {
 	wg.Wait()
 	if st := s.Status(); len(st.Shards)+len(st.Detached) != 3 {
 		t.Fatalf("shards=%d detached=%d, want 3 in all", len(st.Shards), len(st.Detached))
+	}
+}
+
+// TestFleetStallAndExpiryOrder: shards that stall or expire in the same
+// tick are traced in name order, so a fleet trace is reproducible run
+// to run. Each case runs on 20 fresh servers, because map order would
+// only sometimes come out sorted.
+func TestFleetStallAndExpiryOrder(t *testing.T) {
+	names := []string{"s3", "s1", "s2"}
+	peers := func(events []fleetobs.Event, kind fleetobs.Kind) []string {
+		var out []string
+		for _, e := range events {
+			if e.Kind == kind {
+				out = append(out, e.Peer)
+			}
+		}
+		return out
+	}
+	want := "[s1 s2 s3]"
+	for run := 0; run < 20; run++ {
+		// Stall: every shard keeps acking epoch 0 after epoch 1 commits,
+		// and all three cross the stall bound in the same tick.
+		clk := coordsim.NewClock()
+		s, stack := newFleetServer(t, clk)
+		for _, name := range names {
+			mustRegister(t, s, name, TaskShare{ID: 1, Share: 100})
+		}
+		if _, err := s.SetWeights([]TaskShare{{ID: 1, Share: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		s.checkStalls(clk.Now())
+		clk.Advance(4 * s.cfg.RebalanceEvery)
+		s.checkStalls(clk.Now())
+		if got := fmt.Sprint(peers(stack.Tracer.Snapshot(), fleetobs.KindEpochStall)); got != want {
+			t.Fatalf("run %d: stall events name %s, want %s", run, got, want)
+		}
+
+		// Expiry: all three leases lapse in the same tick.
+		clk = coordsim.NewClock()
+		s, stack = newFleetServer(t, clk)
+		for _, name := range names {
+			mustRegister(t, s, name, TaskShare{ID: 1, Share: 100})
+		}
+		clk.Advance(2 * s.cfg.TTL)
+		if n := s.ExpireLeases(clk.Now()); n != 3 {
+			t.Fatalf("run %d: %d leases expired, want 3", run, n)
+		}
+		if got := fmt.Sprint(peers(stack.Tracer.Snapshot(), fleetobs.KindLeaseExpire)); got != want {
+			t.Fatalf("run %d: expiry events name %s, want %s", run, got, want)
+		}
 	}
 }

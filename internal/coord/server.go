@@ -32,27 +32,10 @@ type ServerConfig struct {
 	// registered share as weight.
 	Weights map[int64]int64
 	// StatePath, if nonempty, checkpoints the committed distribution
-	// (term, epoch, weights, per-shard assignments) via internal/ckpt
-	// before each publish, and restores it in NewServer.
+	// (epoch, weights, per-shard assignments) via internal/ckpt before
+	// each publish, and restores it in NewServer. A coordinator restarted
+	// on it resumes where it stopped; it is the only recovery state.
 	StatePath string
-	// Self, if nonempty, is this replica's advertised URL and enables
-	// coordinator replication: the server joins the replica set named by
-	// Peers, starts as a follower, pulls committed state from the leader,
-	// and elects itself (term+1) after LeaderTTL of leader silence,
-	// rank-staggered so the lowest-ranked live replica wins. Empty Self
-	// runs the classic standalone coordinator (term stays 0 on the wire).
-	Self string
-	// Peers lists the other replicas' URLs (ignored when Self is empty).
-	Peers []string
-	// LeaderTTL is the leadership lease: a follower that has not seen the
-	// leader for LeaderTTL (plus its rank stagger) elects itself and
-	// pulls the leader's state every LeaderTTL/4; a leader probes its
-	// peers every LeaderTTL/2 and steps down on seeing a higher term.
-	// Default DefaultLeaderTTL.
-	LeaderTTL time.Duration
-	// Transport overrides the replica-to-replica HTTP transport
-	// (coordsim injects its in-memory net here).
-	Transport http.RoundTripper
 	// Planner tunes the rebalance step.
 	Planner PlannerConfig
 	// Clock overrides time.Now (tests run on a virtual clock).
@@ -113,35 +96,12 @@ type Server struct {
 	lastRMS  float64 // last measured global RMS (-1: no signal yet)
 	stats    fleetStats
 
-	// Replication state (quiescent when cfg.Self is empty: isLeader is
-	// pinned true and term stays at whatever the checkpoint held).
-	term        uint64
-	maxSeenTerm uint64
-	isLeader    bool
-	leaderURL   string    // last known leader ("" unknown)
-	leaderSeen  time.Time // last proof of the leader's liveness
-	rank        int       // stable index of Self in the sorted replica set
-	nextFollow  time.Time
-	nextProbe   time.Time
-	shardDigest map[string]uint64 // replicated leases digest (shard → ack epoch)
-	peerView    map[string]peerView
-
 	registers, heartbeats, expiries counter
 	rebalances, fastForwards        counter
 	ckptErrors, rejectedStaleLeases counter
 	counterRegressions              counter
-	elections, stepDowns            counter
-	notLeaderRejects, fencedPulls   counter
 	weightUpdates                   counter
-	rclient                         *http.Client
 	mux                             *http.ServeMux
-}
-
-// peerView is the last replication state observed from one peer replica.
-type peerView struct {
-	term  uint64
-	epoch uint64
-	at    time.Time
 }
 
 // counter is a tiny internal counter mirrored to the obs registry via
@@ -173,9 +133,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.RebalanceEvery <= 0 {
 		cfg.RebalanceEvery = DefaultRebalanceEvery
 	}
-	if cfg.LeaderTTL <= 0 {
-		cfg.LeaderTTL = DefaultLeaderTTL
-	}
 	s := &Server{
 		cfg:      cfg,
 		now:      time.Now,
@@ -185,8 +142,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		detached: make(map[string]*shardRec),
 		lastRMS:  -1,
 		stats:    newFleetStats(),
-		isLeader: cfg.Self == "", // standalone coordinator: always leads
-		peerView: make(map[string]peerView),
 	}
 	if cfg.Clock != nil {
 		s.now = cfg.Clock
@@ -207,8 +162,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			return nil, fmt.Errorf("coord: state file %s: %w (refusing partial restore)", cfg.StatePath, err)
 		default:
 			s.epoch = st.Epoch
-			s.term = st.Term
-			s.maxSeenTerm = st.Term
 			for p, w := range st.Weights {
 				if _, fromOperator := s.weights[p]; !fromOperator {
 					s.weights[p] = w
@@ -217,22 +170,17 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			for name, shares := range st.Assigned {
 				s.assigned[name] = shares
 			}
-			s.logf("coord: restored state term=%d epoch=%d shards=%d principals=%d",
-				st.Term, st.Epoch, len(st.Assigned), len(s.weights))
+			s.logf("coord: restored state epoch=%d shards=%d principals=%d",
+				st.Epoch, len(st.Assigned), len(s.weights))
 		}
 	}
-	now := s.now()
-	s.nextReb = now.Add(cfg.RebalanceEvery)
-	if s.replicated() {
-		s.initReplication(now)
-	}
+	s.nextReb = s.now().Add(cfg.RebalanceEvery)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/coord/v1/register", s.handleRegister)
 	s.mux.HandleFunc("/coord/v1/heartbeat", s.handleHeartbeat)
 	s.mux.HandleFunc("/coord/v1/assignment", s.handleAssignment)
 	s.mux.HandleFunc("/coord/v1/status", s.handleStatus)
 	s.mux.HandleFunc("/coord/v1/dump", s.handleDump)
-	s.mux.HandleFunc("/coord/v1/replica/state", s.handleReplicaState)
 	s.mux.HandleFunc("/coord/v1/weights", s.handleWeights)
 	if cfg.Metrics != nil {
 		s.registerMetrics(cfg.Metrics)
@@ -242,12 +190,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 
 // persistedState is the checkpoint payload: everything epoch semantics
 // depend on. Leases and consumption windows are deliberately absent —
-// they are re-learned from heartbeats.
+// they are re-learned from heartbeats. ckpt.Load ignores unknown fields,
+// so a checkpoint written by a replica of an earlier build, which also
+// carries "term", still restores.
 type persistedState struct {
-	Epoch uint64 `json:"epoch"`
-	// Term is the leadership term the state was committed under (0:
-	// standalone coordinator, or a pre-replication checkpoint).
-	Term     uint64                     `json:"term,omitempty"`
+	Epoch    uint64                     `json:"epoch"`
 	Weights  map[int64]int64            `json:"weights"`
 	Assigned map[string]map[int64]int64 `json:"assigned"`
 }
@@ -284,33 +231,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		"Heartbeats rejected for an unknown or superseded lease.", s.rejectedStaleLeases.get)
 	reg.CounterFunc("alps_coord_counter_regressions_total",
 		"Heartbeats whose consumption counters went backwards (clamped).", s.counterRegressions.get)
-	reg.GaugeFunc("alps_coord_term",
-		"Leadership term this replica is at (0: standalone).",
-		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.term) })
-	reg.GaugeFunc("alps_coord_is_leader",
-		"1 when this coordinator replica currently leads.",
-		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return boolGauge(s.isLeader) })
-	reg.GaugeFunc("alps_coord_replica_lag_epochs",
-		"Committed epochs the farthest-behind peer replica lags (0: in sync or no peers).",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			var lag uint64
-			for _, v := range s.peerView {
-				if v.epoch < s.epoch && s.epoch-v.epoch > lag {
-					lag = s.epoch - v.epoch
-				}
-			}
-			return float64(lag)
-		})
-	reg.CounterFunc("alps_coord_elections_total",
-		"Times this replica elected itself leader.", s.elections.get)
-	reg.CounterFunc("alps_coord_stepdowns_total",
-		"Times this replica stepped down on seeing a higher term.", s.stepDowns.get)
-	reg.CounterFunc("alps_coord_not_leader_rejects_total",
-		"Mutating RPCs rejected because this replica is a follower.", s.notLeaderRejects.get)
-	reg.CounterFunc("alps_coord_fenced_pulls_total",
-		"Replica-state pulls from a deposed (lower-term) leader, ignored.", s.fencedPulls.get)
 	reg.CounterFunc("alps_coord_weight_updates_total",
 		"Live weight-table reconfigurations committed.", s.weightUpdates.get)
 
@@ -323,7 +243,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		"Leased, non-stale shards reporting degraded local scheduling.",
 		func() float64 { _, degraded := s.countShards(s.now()); return float64(degraded) })
 	reg.GaugeFunc("alps_fleet_shards_stale",
-		"Leased shards silent past their lease expiry, not yet expired (only the leader expires leases).",
+		"Leased shards silent past their lease expiry, not yet expired by the next tick.",
 		func() float64 { stale, _ := s.countShards(s.now()); return float64(stale) })
 	reg.GaugeFunc("alps_fleet_shards_detached",
 		"Shards whose lease expired and have not re-registered.",
@@ -424,25 +344,12 @@ func boolGauge(b bool) float64 {
 // ServeHTTP serves the /coord/v1/* control-plane endpoints.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Tick drives the replication duties (follower pulls, leader probes,
-// elections), lease expiry and the rebalance schedule; Run calls it
-// periodically, deterministic tests call it directly. Followers do no
-// fleet work — they replicate and wait.
+// Tick drives the retained fleet history, lease expiry and the
+// rebalance schedule; Run calls it periodically, deterministic tests
+// call it directly.
 func (s *Server) Tick(now time.Time) {
 	if f := s.cfg.Fleet; f != nil && f.History != nil {
-		// Followers sample too: their fleet registries retain their own
-		// view, and a post-failover timeline needs the pre-failover
-		// leader's history intact.
 		f.History.Tick(now)
-	}
-	if s.replicated() {
-		s.replicaTick(now)
-	}
-	s.mu.Lock()
-	leading := s.isLeader
-	s.mu.Unlock()
-	if !leading {
-		return
 	}
 	expired := s.ExpireLeases(now)
 	s.mu.Lock()
@@ -467,7 +374,8 @@ func (s *Server) checkStalls(now time.Time) {
 	s.mu.Lock()
 	epoch := s.epoch
 	var stalled []string
-	for name, rec := range s.shards {
+	for _, name := range sortedNames(s.shards) {
+		rec := s.shards[name]
 		if rec.ackEpoch >= epoch {
 			rec.behindSince = time.Time{}
 			rec.stallFlagged = false
@@ -513,9 +421,6 @@ func (s *Server) Run(ctx interface{ Done() <-chan struct{} }) {
 	if period <= 0 {
 		period = 100 * time.Millisecond
 	}
-	if s.replicated() && period > s.cfg.LeaderTTL/4 {
-		period = s.cfg.LeaderTTL / 4 // replication duties pace the tick too
-	}
 	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
@@ -534,8 +439,8 @@ func (s *Server) Run(ctx interface{ Done() <-chan struct{} }) {
 func (s *Server) ExpireLeases(now time.Time) int {
 	s.mu.Lock()
 	var dead []string
-	for name, rec := range s.shards {
-		if now.After(rec.expires) {
+	for _, name := range sortedNames(s.shards) {
+		if now.After(s.shards[name].expires) {
 			dead = append(dead, name)
 		}
 	}
@@ -559,11 +464,8 @@ func (s *Server) ExpireLeases(now time.Time) int {
 }
 
 // Rebalance runs one planning round over the live shards and, if any
-// share moved, commits it: epoch+1, checkpoint, then publish (shards
-// pull the new assignment on their next heartbeat). Crash order matters:
-// the checkpoint is written *before* the new epoch becomes visible, so a
-// coordinator killed mid-rebalance restarts into the epoch it was about
-// to publish, never behind it.
+// share moved, commits it (see commitLocked); shards pull the new
+// assignment on their next heartbeat.
 func (s *Server) Rebalance(now time.Time) {
 	s.mu.Lock()
 	s.nextReb = now.Add(s.cfg.RebalanceEvery)
@@ -596,48 +498,60 @@ func (s *Server) Rebalance(now time.Time) {
 		s.lastRMS = res.GlobalRMS
 	}
 	s.stats.round(res)
-	var st persistedState
+	var saveErr error
 	if res.Changed {
-		s.epoch++
 		for name, shares := range res.Shares {
 			s.assigned[name] = shares
 		}
-		st = s.persistedLocked()
-		s.stats.commit(s.epoch, now)
+		saveErr = s.commitLocked(now)
 	}
 	epoch := s.epoch
-	term := s.term
 	s.mu.Unlock()
+	s.reportSave(saveErr)
 
 	if fleet := s.cfg.Fleet; fleet != nil {
-		fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindPlan, Epoch: epoch, Term: term,
+		fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindPlan, Epoch: epoch,
 			Note: fmt.Sprintf("rms=%.3f shards=%d", res.GlobalRMS, len(loads))})
 		if res.Changed {
-			fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindCommit, Epoch: epoch, Term: term})
+			fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindCommit, Epoch: epoch})
 		}
 	}
 	if !res.Changed {
 		return
 	}
-
-	if s.cfg.StatePath != "" {
-		if err := ckpt.Save(s.cfg.StatePath, st); err != nil {
-			// Publish anyway: shards reject stale epochs after a
-			// rollback restart, and heartbeats fast-forward us — the
-			// epoch protocol is the backstop the checkpoint merely
-			// accelerates.
-			s.ckptErrors.inc()
-			s.logf("coord: checkpoint %s failed: %v (publishing anyway)", s.cfg.StatePath, err)
-		}
-	}
 	s.rebalances.inc()
 	s.logf("coord: committed epoch %d (rms=%.3f, %d shards)", epoch, res.GlobalRMS, len(loads))
+}
+
+// commitLocked makes the current weights and assignments the next epoch:
+// epoch+1, then the checkpoint, both under s.mu. No heartbeat can read
+// the new epoch before the file holds it, and two commits cannot save
+// out of order, so a coordinator killed at any point restarts into the
+// last epoch it published, never behind it. It returns the save error
+// for the caller to pass to reportSave once s.mu is released.
+func (s *Server) commitLocked(now time.Time) error {
+	s.epoch++
+	s.stats.commit(s.epoch, now)
+	if s.cfg.StatePath == "" {
+		return nil
+	}
+	return ckpt.Save(s.cfg.StatePath, s.persistedLocked())
+}
+
+// reportSave counts and logs a failed commit checkpoint. The epoch is
+// published anyway: heartbeats fast-forward a coordinator that restarts
+// behind its shards, so the epoch protocol is the backstop the
+// checkpoint merely accelerates.
+func (s *Server) reportSave(err error) {
+	if err != nil {
+		s.ckptErrors.inc()
+		s.logf("coord: checkpoint %s failed: %v (publishing anyway)", s.cfg.StatePath, err)
+	}
 }
 
 func (s *Server) persistedLocked() persistedState {
 	st := persistedState{
 		Epoch:    s.epoch,
-		Term:     s.term,
 		Weights:  make(map[int64]int64, len(s.weights)),
 		Assigned: make(map[string]map[int64]int64, len(s.assigned)),
 	}
@@ -657,7 +571,7 @@ func (s *Server) persistedLocked() persistedState {
 // assignmentLocked builds the wire Assignment for one shard at the
 // current epoch.
 func (s *Server) assignmentLocked(name string) Assignment {
-	a := Assignment{Epoch: s.epoch, Term: s.term}
+	a := Assignment{Epoch: s.epoch}
 	if s.cfg.Quantum > 0 {
 		a.Quantum = s.cfg.Quantum.String()
 	}
@@ -694,11 +608,6 @@ func (s *Server) Register(req RegisterRequest) (RegisterResponse, error) {
 	}
 	now := s.now()
 	s.mu.Lock()
-	if !s.isLeader {
-		s.mu.Unlock()
-		s.notLeaderRejects.inc()
-		return RegisterResponse{}, errNotLeader
-	}
 	for _, t := range req.Tasks {
 		if _, ok := s.weights[t.ID]; !ok {
 			s.weights[t.ID] = t.Share
@@ -763,10 +672,9 @@ func (s *Server) stampPublish(a *Assignment, peer string) {
 		Epoch:       a.Epoch,
 		Incarnation: fleet.Tracer.Incarnation(),
 		Span:        span,
-		Term:        a.Term,
 	}
 	fleet.Tracer.Emit(fleetobs.Event{
-		Kind: fleetobs.KindPublish, Epoch: a.Epoch, Term: a.Term, Peer: peer, Span: span,
+		Kind: fleetobs.KindPublish, Epoch: a.Epoch, Peer: peer, Span: span,
 	})
 }
 
@@ -784,25 +692,11 @@ func (s *Server) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error) {
 	now := s.now()
 	fleet := s.cfg.Fleet
 	s.mu.Lock()
-	if !s.isLeader {
-		s.mu.Unlock()
-		s.notLeaderRejects.inc()
-		return HeartbeatResponse{}, errNotLeader
-	}
 	rec := s.shards[req.Shard]
 	if rec == nil || rec.lease != req.Lease {
 		s.mu.Unlock()
 		s.rejectedStaleLeases.inc()
 		return HeartbeatResponse{}, errUnknownLease
-	}
-	if req.Term > s.term {
-		// The shard has applied an assignment from a higher-term leader:
-		// this replica was deposed while it thought it still led. Step
-		// down and bounce the shard toward the real leader.
-		s.mu.Unlock()
-		s.stepDown(now, req.Term, "shard "+req.Shard)
-		s.notLeaderRejects.inc()
-		return HeartbeatResponse{}, errNotLeader
 	}
 	rec.expires = now.Add(s.cfg.TTL)
 	prevAck := rec.ackEpoch
@@ -910,17 +804,9 @@ type ShardStatus struct {
 	Shares   []TaskShare `json:"shares"`
 	// LeaseAgeSec is the time since the shard last renewed its lease.
 	LeaseAgeSec float64 `json:"lease_age_sec"`
-	// Stale: past its lease expiry but not yet expired (only the leader
-	// expires leases), so its gauges are history, not fleet state.
+	// Stale: past its lease expiry but not yet expired by the next tick,
+	// so its gauges are history, not fleet state.
 	Stale bool `json:"stale,omitempty"`
-}
-
-// ReplicaStatus is one peer replica's row in the coordinator status.
-type ReplicaStatus struct {
-	URL    string  `json:"url"`
-	Term   uint64  `json:"term"`
-	Epoch  uint64  `json:"epoch"`
-	AgeSec float64 `json:"age_sec"`
 }
 
 // FleetStatus is the coordinator's status document, served on
@@ -947,11 +833,6 @@ type FleetStatus struct {
 	// Shards holds a lease; Detached lost it and has not re-registered.
 	Shards   []ShardStatus `json:"shards"`
 	Detached []ShardStatus `json:"detached,omitempty"`
-	// Replication view ("standalone" role when replication is off).
-	Role     string          `json:"role"`
-	Term     uint64          `json:"term,omitempty"`
-	Leader   string          `json:"leader,omitempty"`
-	Replicas []ReplicaStatus `json:"replicas,omitempty"`
 }
 
 // Status snapshots the fleet for operators.
@@ -975,37 +856,26 @@ func (s *Server) Status() FleetStatus {
 	for p, w := range s.weights {
 		st.Weights[p] = w
 	}
-	st.Term = s.term
-	switch {
-	case !s.replicated():
-		st.Role = "standalone"
-	case s.isLeader:
-		st.Role = "leader"
-		st.Leader = s.cfg.Self
-	default:
-		st.Role = "follower"
-		st.Leader = s.leaderHintLocked(now)
-	}
-	for url, v := range s.peerView {
-		st.Replicas = append(st.Replicas, ReplicaStatus{
-			URL: url, Term: v.term, Epoch: v.epoch, AgeSec: now.Sub(v.at).Seconds(),
-		})
-	}
-	sort.Slice(st.Replicas, func(i, j int) bool { return st.Replicas[i].URL < st.Replicas[j].URL })
 	st.Shards = s.shardRowsLocked(s.shards, false, now)
 	st.Detached = s.shardRowsLocked(s.detached, true, now)
 	return st
 }
 
-// shardRowsLocked renders shard records as status rows, sorted by name.
-func (s *Server) shardRowsLocked(recs map[string]*shardRec, detached bool, now time.Time) []ShardStatus {
+// sortedNames returns the shard names of recs in sorted order, so every
+// walk that emits per-shard events or rows is reproducible.
+func sortedNames(recs map[string]*shardRec) []string {
 	names := make([]string, 0, len(recs))
 	for name := range recs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	return names
+}
+
+// shardRowsLocked renders shard records as status rows, sorted by name.
+func (s *Server) shardRowsLocked(recs map[string]*shardRec, detached bool, now time.Time) []ShardStatus {
 	var rows []ShardStatus
-	for _, name := range names {
+	for _, name := range sortedNames(recs) {
 		rec := recs[name]
 		rows = append(rows, ShardStatus{
 			Shard:       name,
@@ -1029,10 +899,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, err := s.Register(req)
-	if errors.Is(err, errNotLeader) {
-		s.writeNotLeader(w)
-		return
-	}
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err)
 		return
@@ -1046,10 +912,6 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, err := s.Heartbeat(req)
-	if errors.Is(err, errNotLeader) {
-		s.writeNotLeader(w)
-		return
-	}
 	if errors.Is(err, errUnknownLease) {
 		writeJSONError(w, http.StatusNotFound, err)
 		return
@@ -1108,6 +970,59 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, s.Status())
+}
+
+// SetWeights reconfigures the global weight table live:
+// validate-all-then-apply, then an epoch commit, so every shard pulls a
+// re-stamped assignment and later rebalances steer toward the new
+// targets.
+func (s *Server) SetWeights(ws []TaskShare) (WeightsResponse, error) {
+	if len(ws) == 0 {
+		return WeightsResponse{}, errors.New("coord: weights: empty table")
+	}
+	weights := make(map[int64]int64, len(ws))
+	for _, t := range ws {
+		if t.Share <= 0 {
+			return WeightsResponse{}, fmt.Errorf("coord: weights: weight %d for principal %d is not positive", t.Share, t.ID)
+		}
+		if _, dup := weights[t.ID]; dup {
+			return WeightsResponse{}, fmt.Errorf("coord: weights: duplicate principal %d", t.ID)
+		}
+		weights[t.ID] = t.Share
+	}
+	now := s.now()
+	s.mu.Lock()
+	s.weights = weights
+	saveErr := s.commitLocked(now)
+	resp := WeightsResponse{Epoch: s.epoch}
+	s.mu.Unlock()
+	s.reportSave(saveErr)
+	resp.Weights = append([]TaskShare(nil), ws...)
+	sort.Slice(resp.Weights, func(i, j int) bool { return resp.Weights[i].ID < resp.Weights[j].ID })
+	s.weightUpdates.inc()
+	s.logf("coord: weight table reconfigured (%d principals), committed epoch %d", len(ws), resp.Epoch)
+	if fleet := s.cfg.Fleet; fleet != nil {
+		fleet.Tracer.Emit(fleetobs.Event{
+			Kind: fleetobs.KindWeights, Epoch: resp.Epoch,
+			Note: fmt.Sprintf("principals=%d", len(ws)),
+		})
+		fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindCommit, Epoch: resp.Epoch})
+	}
+	return resp, nil
+}
+
+// handleWeights serves POST /coord/v1/weights.
+func (s *Server) handleWeights(w http.ResponseWriter, r *http.Request) {
+	var req WeightsRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	resp, err := s.SetWeights(req.Weights)
+	if err != nil {
+		writeJSONError(w, http.StatusBadRequest, err)
+		return
+	}
+	writeJSON(w, resp)
 }
 
 // decodeBody reads a size-capped POST body with strict field checking;

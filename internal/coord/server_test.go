@@ -3,13 +3,16 @@ package coord
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"alps/internal/ckpt"
 	"alps/internal/coord/coordsim"
 )
 
@@ -309,5 +312,213 @@ func TestHTTPEndpoints(t *testing.T) {
 	s.ServeHTTP(rw, req)
 	if rw.Code != http.StatusNotFound {
 		t.Fatalf("assignment nope: %d, want 404", rw.Code)
+	}
+}
+
+// TestWeightsUpdateLive: the weight table is validated whole before any
+// of it applies, a good table commits one epoch (directly and over POST
+// /coord/v1/weights), a coordinator restarted from the checkpoint has
+// the new table, and the shard's next heartbeat carries the re-stamped
+// assignment.
+func TestWeightsUpdateLive(t *testing.T) {
+	clk := coordsim.NewClock()
+	path := filepath.Join(t.TempDir(), "coord.ckpt")
+	s := newTestServer(t, clk, path)
+	reg := mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 100}, TaskShare{ID: 2, Share: 100})
+	epoch0 := s.Epoch()
+
+	for _, bad := range [][]TaskShare{
+		nil,
+		{{ID: 1, Share: 0}},
+		{{ID: 1, Share: 2}, {ID: 1, Share: 3}},
+	} {
+		if _, err := s.SetWeights(bad); err == nil {
+			t.Fatalf("SetWeights(%v) accepted an invalid table", bad)
+		}
+	}
+	if got := s.Epoch(); got != epoch0 {
+		t.Fatalf("epoch moved to %d on rejected tables, want %d", got, epoch0)
+	}
+
+	resp, err := s.SetWeights([]TaskShare{{ID: 2, Share: 1}, {ID: 1, Share: 5}})
+	if err != nil {
+		t.Fatalf("SetWeights: %v", err)
+	}
+	if resp.Epoch != epoch0+1 {
+		t.Fatalf("weights committed epoch %d, want %d", resp.Epoch, epoch0+1)
+	}
+	if len(resp.Weights) != 2 || resp.Weights[0] != (TaskShare{ID: 1, Share: 5}) {
+		t.Fatalf("response table %v, want principal 1 first at weight 5", resp.Weights)
+	}
+	if got := s.Status().Weights[1]; got != 5 {
+		t.Fatalf("weight[1] = %d, want 5", got)
+	}
+
+	w := postJSON(t, s, "/coord/v1/weights", WeightsRequest{Weights: []TaskShare{{ID: 1, Share: 7}, {ID: 2, Share: 1}}})
+	if w.Code != http.StatusOK {
+		t.Fatalf("weights POST: HTTP %d %s, want 200", w.Code, w.Body)
+	}
+	var wresp WeightsResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &wresp); err != nil {
+		t.Fatalf("decode weights response: %v", err)
+	}
+	if wresp.Epoch != epoch0+2 {
+		t.Fatalf("HTTP weights commit epoch = %d, want %d", wresp.Epoch, epoch0+2)
+	}
+	if got := s.weightUpdates.get(); got != 2 {
+		t.Fatalf("weightUpdates = %d, want 2", got)
+	}
+
+	restarted := newTestServer(t, clk, path)
+	if got := restarted.Status().Weights; got[1] != 7 || got[2] != 1 {
+		t.Fatalf("restarted weights = %v, want 1:7 2:1", got)
+	}
+	if got := restarted.Epoch(); got != epoch0+2 {
+		t.Fatalf("restarted epoch = %d, want %d", got, epoch0+2)
+	}
+
+	hb := beat(t, s, "s1", reg.Lease, epoch0, nil)
+	if hb.Assignment == nil || hb.Assignment.Epoch != epoch0+2 {
+		t.Fatalf("heartbeat after the weight change got %+v, want the epoch %d assignment", hb.Assignment, epoch0+2)
+	}
+}
+
+// TestRestoreReplicaCheckpoint: a checkpoint written by a coordinator
+// replica of an earlier build also carries "term". It still restores
+// the epoch, weights and assignments.
+func TestRestoreReplicaCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "coord.ckpt")
+	legacy := json.RawMessage(`{"epoch":7,"term":3,"weights":{"1":5,"2":1},"assigned":{"s1":{"1":300,"2":100}}}`)
+	if err := ckpt.Save(path, legacy); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, coordsim.NewClock(), path)
+	if got := s.Epoch(); got != 7 {
+		t.Fatalf("restored epoch = %d, want 7", got)
+	}
+	if got := s.Status().Weights; got[1] != 5 || got[2] != 1 {
+		t.Fatalf("restored weights = %v, want 1:5 2:1", got)
+	}
+	reg := mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 1}, TaskShare{ID: 2, Share: 1})
+	want := []TaskShare{{ID: 1, Share: 300}, {ID: 2, Share: 100}}
+	if got := reg.Assignment.Tasks; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("restored assignment %v, want %v", got, want)
+	}
+}
+
+// TestCommitSavesBeforePublish: no shard may be handed an epoch that the
+// checkpoint does not hold yet, or a restart could come back behind what
+// the fleet has already applied. A shard heartbeats in a tight loop and
+// loads the checkpoint for every assignment it receives, while the test
+// commits 200 rebalance rounds, then 200 weight tables.
+func TestCommitSavesBeforePublish(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		commit func(s *Server, i int, now time.Time)
+	}{
+		{"rebalance", func(s *Server, _ int, now time.Time) { s.Rebalance(now) }},
+		{"weights", func(s *Server, i int, _ time.Time) {
+			if _, err := s.SetWeights([]TaskShare{{ID: 1, Share: int64(1 + i%3)}, {ID: 2, Share: 1}}); err != nil {
+				t.Error(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := coordsim.NewClock()
+			path := filepath.Join(t.TempDir(), "coord.ckpt")
+			s, err := NewServer(ServerConfig{
+				TTL:            time.Hour,
+				RebalanceEvery: time.Hour,
+				StatePath:      path,
+				Clock:          clk.Now,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 100}, TaskShare{ID: 2, Share: 100})
+
+			stop := make(chan struct{})
+			type result struct {
+				seen  int
+				early []string
+				err   error
+			}
+			done := make(chan result)
+			go func() {
+				var res result
+				epoch := reg.Assignment.Epoch
+				cum := 0.0
+				for {
+					select {
+					case <-stop:
+						done <- res
+						return
+					default:
+					}
+					// Skewed 3:1 against 1:1 weights, so every round
+					// that sees a window moves shares.
+					cum += 0.01
+					resp, err := s.Heartbeat(HeartbeatRequest{
+						Shard: "s1", Lease: reg.Lease, Epoch: epoch,
+						Gauges: ShardGauges{Consumed: map[int64]float64{1: 3 * cum, 2: cum}},
+					})
+					if err != nil {
+						res.err = err
+						<-stop
+						done <- res
+						return
+					}
+					if resp.Assignment == nil {
+						continue
+					}
+					a := resp.Assignment.Epoch
+					var st persistedState
+					if err := ckpt.Load(path, &st); err != nil || st.Epoch < a {
+						res.early = append(res.early, fmt.Sprintf("epoch %d published, checkpoint at %d (%v)", a, st.Epoch, err))
+					}
+					res.seen++
+					epoch = a
+				}
+			}()
+			for i := 0; i < 200; i++ {
+				// Let at least one heartbeat land first, so every
+				// rebalance round has a consumption window to plan from.
+				for last, deadline := s.heartbeats.get(), time.Now().Add(time.Second); s.heartbeats.get() == last && time.Now().Before(deadline); {
+					runtime.Gosched()
+				}
+				clk.Advance(time.Millisecond)
+				tc.commit(s, i, clk.Now())
+			}
+			close(stop)
+			res := <-done
+			if res.err != nil {
+				t.Fatalf("heartbeat: %v", res.err)
+			}
+			if res.seen == 0 {
+				t.Fatal("the heartbeating shard was never handed an assignment")
+			}
+			if len(res.early) > 0 {
+				t.Fatalf("%d of %d assignments were published before their checkpoint: %v",
+					len(res.early), res.seen, res.early)
+			}
+			t.Logf("%d assignments, each already checkpointed", res.seen)
+		})
+	}
+}
+
+// TestCommitPublishesDespiteSaveFailure: a checkpoint that cannot be
+// written is counted, and the epoch is published anyway.
+func TestCommitPublishesDespiteSaveFailure(t *testing.T) {
+	clk := coordsim.NewClock()
+	s := newTestServer(t, clk, filepath.Join(t.TempDir(), "missing-dir", "coord.ckpt"))
+	reg := mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 100})
+	if _, err := s.SetWeights([]TaskShare{{ID: 1, Share: 2}}); err != nil {
+		t.Fatalf("SetWeights: %v", err)
+	}
+	if got := s.ckptErrors.get(); got != 1 {
+		t.Fatalf("checkpoint errors = %d, want 1", got)
+	}
+	if hb := beat(t, s, "s1", reg.Lease, 0, nil); hb.Assignment == nil || hb.Assignment.Epoch != 1 {
+		t.Fatalf("heartbeat got %+v, want the epoch 1 assignment", hb.Assignment)
 	}
 }

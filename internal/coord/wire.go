@@ -45,12 +45,6 @@ type Assignment struct {
 	Epoch   uint64      `json:"epoch"`
 	Quantum string      `json:"quantum,omitempty"`
 	Tasks   []TaskShare `json:"tasks,omitempty"`
-	// Term is the leadership term of the coordinator replica that
-	// published this assignment (0 when the coordinator runs standalone,
-	// for wire compatibility). Shards reject assignments whose term is
-	// below the one they last applied: a deposed leader's publish is a
-	// fenced write, never a rollback.
-	Term uint64 `json:"term,omitempty"`
 	// Trace is the epoch-causal context of the publish that carried this
 	// assignment (present when the coordinator runs fleet tracing). The
 	// shard echoes it on heartbeats after applying, and stamps it as the
@@ -110,10 +104,6 @@ type HeartbeatRequest struct {
 	Lease  string      `json:"lease"`
 	Epoch  uint64      `json:"epoch"`
 	Gauges ShardGauges `json:"gauges"`
-	// Term is the leadership term of the last assignment this shard
-	// applied. A leader seeing a higher term here knows it was deposed
-	// (the fleet has moved on) and steps down.
-	Term uint64 `json:"term,omitempty"`
 	// Trace echoes the context of the last assignment this shard
 	// applied, closing the publish→apply→ack loop for fleet tracing.
 	Trace *fleetobs.TraceContext `json:"trace,omitempty"`
@@ -130,34 +120,9 @@ type HeartbeatResponse struct {
 	Dump *fleetobs.DumpRequest `json:"dump,omitempty"`
 }
 
-// ReplicaState is the committed coordinator state a follower pulls from
-// the leader over GET /coord/v1/replica/state, and the shape both sides
-// persist via internal/ckpt: the whole weight table plus every shard's
-// committed assignment, versioned by (term, epoch). A standby that takes
-// over fast-forwards from its own replica of this document instead of a
-// stale file.
-type ReplicaState struct {
-	// Self names the responding replica (its advertised URL).
-	Self string `json:"self,omitempty"`
-	// Leader is the responder's current leader view ("" when unknown).
-	Leader string `json:"leader,omitempty"`
-	// Term is the leadership term the state was committed under.
-	Term uint64 `json:"term"`
-	// Epoch is the committed assignment epoch.
-	Epoch uint64 `json:"epoch"`
-	// Weights is the global weight table.
-	Weights []TaskShare `json:"weights,omitempty"`
-	// Assigned is every known shard's committed share vector.
-	Assigned map[string][]TaskShare `json:"assigned,omitempty"`
-	// Shards digests the lease table: shard name → last ack epoch. A
-	// failed-over leader knows who was attached without waiting a full
-	// heartbeat period.
-	Shards map[string]uint64 `json:"shards,omitempty"`
-}
-
 // WeightsRequest reconfigures the global weight table live:
-// POST /coord/v1/weights on the leader. Validate-all-then-apply; the
-// committed table replicates to standbys like any other commit.
+// POST /coord/v1/weights. Validate-all-then-apply; the committed table
+// is checkpointed like any other commit.
 type WeightsRequest struct {
 	Weights []TaskShare `json:"weights"`
 }
@@ -166,23 +131,13 @@ type WeightsRequest struct {
 // published it.
 type WeightsResponse struct {
 	Epoch   uint64      `json:"epoch"`
-	Term    uint64      `json:"term,omitempty"`
 	Weights []TaskShare `json:"weights"`
 }
 
 // wireError is the JSON error body all coordinator endpoints return.
-// Code and Leader carry the machine-readable not-leader redirect: a
-// follower answers mutating RPCs with 409 {code:"not_leader",
-// leader:"<url>"} so agents and operators can re-aim at the leader.
 type wireError struct {
-	Error  string `json:"error"`
-	Code   string `json:"code,omitempty"`
-	Leader string `json:"leader,omitempty"`
+	Error string `json:"error"`
 }
-
-// codeNotLeader marks a 409 that means "I am a follower" — distinct from
-// lease conflicts, which share the status code but not the meaning.
-const codeNotLeader = "not_leader"
 
 // DefaultTTL is the lease TTL when ServerConfig leaves it zero.
 const DefaultTTL = 5 * time.Second

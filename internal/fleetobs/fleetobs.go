@@ -72,15 +72,6 @@ const (
 	KindDumpRequest
 	// KindDumpUpload: a member uploaded its window to a collection.
 	KindDumpUpload
-	// KindElected: a replica won the leadership lease and took over at a
-	// new, higher term.
-	KindElected
-	// KindStepDown: a leader observed a higher term (a peer or shard has
-	// moved on) and demoted itself to follower.
-	KindStepDown
-	// KindFenced: a publish or replica pull carrying a term below the
-	// applied one was rejected — the deposed-leader write fence firing.
-	KindFenced
 	// KindWeights: the global weight table was reconfigured live over
 	// POST /coord/v1/weights.
 	KindWeights
@@ -99,9 +90,6 @@ var kindNames = map[Kind]string{
 	KindEpochStall:        "epoch_stall",
 	KindDumpRequest:       "dump_request",
 	KindDumpUpload:        "dump_upload",
-	KindElected:           "elected",
-	KindStepDown:          "step_down",
-	KindFenced:            "fenced",
 	KindWeights:           "weights_update",
 }
 
@@ -121,11 +109,6 @@ type TraceContext struct {
 	Epoch       uint64 `json:"epoch"`
 	Incarnation uint64 `json:"incarnation"`
 	Span        uint64 `json:"span"`
-	// Term is the leadership term of the coordinator that published the
-	// assignment (0 on streams recorded before replication existed). A
-	// merged fleet trace renders it on every span, so a failover handover
-	// is visible as the term argument stepping up across tracks.
-	Term uint64 `json:"term,omitempty"`
 }
 
 // Event is one entry in a node's fleet trace ring.
@@ -136,9 +119,6 @@ type Event struct {
 	Dur time.Duration `json:"dur,omitempty"`
 	// Epoch is the epoch the event concerns.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Term is the leadership term the event concerns (0: unknown or
-	// pre-replication).
-	Term uint64 `json:"term,omitempty"`
 	// Peer names the other endpoint: the shard on coordinator events.
 	Peer string `json:"peer,omitempty"`
 	// Span is this event's id, monotone per (node, incarnation).
@@ -259,7 +239,6 @@ func SpansOf(events []Event) []trace.FleetSpan {
 			At:        e.At,
 			Dur:       e.Dur,
 			Epoch:     e.Epoch,
-			Term:      e.Term,
 			Inc:       e.Incarnation,
 			Span:      e.Span,
 			Parent:    e.Parent,

@@ -37,7 +37,6 @@ type FleetSpan struct {
 	At        time.Time
 	Dur       time.Duration
 	Epoch     uint64
-	Term      uint64 // leadership term (0: pre-replication stream)
 	Inc       uint64 // emitting node's incarnation
 	Span      uint64
 	Parent    uint64 // remote parent span (0: none)
@@ -142,9 +141,6 @@ func BuildFleet(sources []FleetSource) []ChromeEvent {
 			}
 			frontier[key] = end
 			args := map[string]any{"epoch": sp.Epoch, "span": sp.Span}
-			if sp.Term != 0 {
-				args["term"] = sp.Term
-			}
 			if sp.Parent != 0 {
 				args["parent"] = sp.Parent
 			}
