@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -491,6 +492,42 @@ func runSMP() error {
 	fmt.Println("  (ALPS controls eligibility, not placement: with more processors the kernel")
 	fmt.Println("   runs several eligible processes at once, and near cycle ends fewer eligible")
 	fmt.Println("   processes remain than processors — costing utilization and accuracy)")
+
+	pp := exp.DefaultSMPPrincipalsParams()
+	if *quick {
+		pp.Cycles, pp.Trials = 40, 1
+	}
+	quanta := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
+	cells := make([][]string, len(pp.CPUs))
+	for _, q := range quanta {
+		pp.Quantum = q
+		res, err := exp.SMP(pp)
+		if err != nil {
+			return err
+		}
+		for i, pt := range res.Points {
+			var meds []string
+			for _, m := range pt.MedianRMSErrorPct {
+				meds = append(meds, fmt.Sprintf("%.1f", m))
+			}
+			cells[i] = append(cells[i], strings.Join(meds, " / ")+"%")
+		}
+	}
+	fmt.Println("SMP principals: members 8/4/2/1/1 with shares 5/4/3/2/1, median per-cycle RMS error per phase offset")
+	fmt.Printf("  %4s", "CPUs")
+	for _, q := range quanta {
+		fmt.Printf(" %22s", "Q="+q.String())
+	}
+	fmt.Println()
+	for i, m := range pp.CPUs {
+		fmt.Printf("  %4d", m)
+		for _, c := range cells[i] {
+			fmt.Printf(" %22s", c)
+		}
+		fmt.Println()
+	}
+	fmt.Println("  (a principal with k runnable members drains up to k quanta of CPU per quantum;")
+	fmt.Println("   §2.3 postpones its next read by ⌈allowance/(k·Q)⌉, k capped at the CPUs)")
 	return nil
 }
 

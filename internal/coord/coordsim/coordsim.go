@@ -117,22 +117,6 @@ func (n *Net) Heal(a, b string) {
 	n.mu.Unlock()
 }
 
-// Isolate partitions host from each of the others, leaving the others
-// connected among themselves — the classic replica-set split where a
-// leader keeps serving shards but loses its standbys (or vice versa).
-func (n *Net) Isolate(host string, others ...string) {
-	for _, o := range others {
-		n.Partition(host, o)
-	}
-}
-
-// Rejoin heals host's links to each of the others.
-func (n *Net) Rejoin(host string, others ...string) {
-	for _, o := range others {
-		n.Heal(host, o)
-	}
-}
-
 // Duplicate makes the next count requests to host be delivered twice —
 // the caller sees the second response, the handler sees both requests.
 // Models an at-least-once retry layer re-sending a non-idempotent POST.

@@ -138,29 +138,45 @@ func TestCeilDivBoundary(t *testing.T) {
 
 // TestExtremeAllowanceWakeTick drives the overflow end to end: a task
 // whose allowance sits near the Duration ceiling must be postponed to a
-// positive wake tick, not re-measured every quantum.
+// positive wake tick, not re-measured every quantum. A huge drain width
+// makes k·Q overflow too; the wake is then one quantum out.
 func TestExtremeAllowanceWakeTick(t *testing.T) {
 	huge := time.Duration(math.MaxInt64 / 2)
-	log := obs.NewEventLog()
-	s := New(Config{Quantum: huge, Observer: log})
-	if err := s.Add(1, 2); err != nil { // allowance = 2 × maxInt64/2 ≈ ceiling
-		t.Fatal(err)
-	}
-	// Admission postpones the first measurement ⌈allowance/Q⌉ = 2 quanta
-	// out (wake tick 3); with the overflow the wake tick went negative and
-	// the task was re-measured every quantum.
-	s.TickQuantum(uniformReader(0, false))
-	d := s.TickQuantum(uniformReader(1, false))
-	if len(d.Measured) != 0 {
-		t.Fatalf("task measured at tick 2 before its wake tick (re-measure storm)")
-	}
-	d = s.TickQuantum(uniformReader(1, false))
-	if len(d.Measured) != 1 {
-		t.Fatalf("task not measured at its wake tick 3")
-	}
-	for _, e := range log.Events() {
-		if e.Kind == obs.KindPostpone && e.Wake <= e.Tick {
-			t.Fatalf("postpone to wake %d at tick %d: ceilDiv overflowed", e.Wake, e.Tick)
-		}
+	for _, c := range []struct {
+		name  string
+		width int
+		next  int64 // the read after tick 3's: ⌈(A−1)/(k·Q)⌉ quanta out
+	}{
+		{"one CPU", 0, 5},
+		{"huge width", math.MaxInt, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			log := obs.NewEventLog()
+			s := New(Config{Quantum: huge, Observer: log})
+			if err := s.Add(1, 2); err != nil { // allowance = 2 × maxInt64/2 ≈ ceiling
+				t.Fatal(err)
+			}
+			read := func(consumed time.Duration) Reader {
+				return func(TaskID) (Progress, bool) { return Progress{Consumed: consumed, Width: c.width}, true }
+			}
+			// Admission postpones the first measurement ⌈allowance/Q⌉ = 2
+			// quanta out (wake tick 3); with the overflow the wake tick
+			// went negative and the task was re-measured every quantum.
+			s.TickQuantum(read(0))
+			for tick := int64(2); tick <= c.next; tick++ {
+				want := 0
+				if tick == 3 || tick == c.next {
+					want = 1
+				}
+				if d := s.TickQuantum(read(1)); len(d.Measured) != want {
+					t.Fatalf("tick %d: measured %v, want a read only at ticks 3 and %d", tick, d.Measured, c.next)
+				}
+			}
+			for _, e := range log.Events() {
+				if e.Kind == obs.KindPostpone && e.Wake <= e.Tick {
+					t.Fatalf("postpone to wake %d at tick %d: the wake arithmetic overflowed", e.Wake, e.Tick)
+				}
+			}
+		})
 	}
 }

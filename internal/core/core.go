@@ -43,6 +43,12 @@ type Progress struct {
 	// (e.g. I/O). The paper reads the process's kernel "wait channel";
 	// the Linux driver reads the run state in /proc/<pid>/stat.
 	Blocked bool
+	// Width is the drain width k: how many CPUs the task could be using
+	// at once, as the substrate saw it (its runnable members, capped at
+	// the machine's CPUs). The next read is postponed by
+	// ⌈allowance/(k·Q)⌉ quanta, since the task can drain up to k·Q per
+	// quantum. Both 0 and 1 mean one CPU, the paper's uniprocessor rule.
+	Width int
 }
 
 // Config parameterizes a Scheduler.
@@ -129,6 +135,7 @@ type task struct {
 	allowance time.Duration // allowance_i, in time units (quanta × Q)
 	update    int64         // update_i: tick index of next measurement
 	blocked   bool          // observed blocked more recently than consuming
+	width     int           // drain width k at the last measurement (0 and 1: one CPU)
 
 	// dormant marks a task that was observed blocked and consumed nothing
 	// for a whole cycle: it is out of S, holds no allowance, stays

@@ -26,8 +26,11 @@
 // every quantity an integer number of nanoseconds.
 //
 // The Section 2.3 optimization — postponing the next measurement of a task
-// by ⌈allowance/Q⌉ quanta, since the task cannot possibly exhaust its
+// by ⌈allowance/(k·Q)⌉ quanta, since the task cannot possibly exhaust its
 // allowance sooner — is implemented and on by default; set
 // Config.DisableLazySampling to obtain the unoptimized baseline the paper
-// compares against in Section 3.2.
+// compares against in Section 3.2. k is the drain width the substrate
+// reports with each measurement (Progress.Width): how many CPUs the task
+// could be using at once. It is 1 on the paper's uniprocessor, where the
+// rule is the paper's ⌈allowance/Q⌉.
 package core

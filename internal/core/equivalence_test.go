@@ -17,8 +17,8 @@ import (
 // obs event stream, same externally visible task state. These tests run
 // the two side by side on randomized workloads — mid-run admissions,
 // removals, deaths, re-weighting, quantum reconfiguration, blocked tasks,
-// sleepers that go dormant and wake, and snapshot/restore round-trips —
-// and fail on the first divergence.
+// sleepers that go dormant and wake, drain widths from 1 to 4, and
+// snapshot/restore round-trips — and fail on the first divergence.
 
 // scriptOp is one step of a pre-generated workload script. The script is
 // generated once per seed and applied to both schedulers, so the two runs
@@ -42,6 +42,7 @@ type equivRun struct {
 	cycles    int
 	count     int64
 	cover     map[string]bool // the dormancyCases this run reached
+	regs      []ReplayTask    // the script's admissions, for Replay
 }
 
 // dormancyCases names the parts of the dormancy rule a run can reach.
@@ -127,9 +128,11 @@ func runScript(t *testing.T, seed int64, script []scriptOp, mode equivMode) equi
 		return Progress{
 			Consumed: time.Duration(r.Int63n(int64(2 * q))),
 			Blocked:  r.Intn(8) == 0,
+			Width:    1 + r.Intn(4),
 		}, true
 	}
 	var decisions []Decision
+	var regs []ReplayTask
 	cover := map[string]bool{}
 	mark := func(c string, ok bool) {
 		if ok {
@@ -139,7 +142,9 @@ func runScript(t *testing.T, seed int64, script []scriptOp, mode equivMode) equi
 	for _, op := range script {
 		switch op.kind {
 		case 1:
-			_ = s.Add(op.id, op.share)
+			if s.Add(op.id, op.share) == nil {
+				regs = append(regs, ReplayTask{ID: op.id, Share: op.share, Tick: s.Tick()})
+			}
 		case 2:
 			if ids := s.Tasks(); len(ids) > 1 {
 				id := ids[op.pick%len(ids)]
@@ -177,6 +182,7 @@ func runScript(t *testing.T, seed int64, script []scriptOp, mode equivMode) equi
 	for _, e := range log.Events() {
 		mark("entered", e.Reason == obs.ReasonDormant)
 		mark("woke", e.Reason == obs.ReasonWoke)
+		mark("narrowed", e.Kind == obs.KindPostpone && e.Wake-e.Tick < ceilDiv(e.Allowance, s.cfg.Quantum))
 	}
 	out := equivRun{
 		events:    log.Events(),
@@ -187,6 +193,7 @@ func runScript(t *testing.T, seed int64, script []scriptOp, mode equivMode) equi
 		cycles:    s.Cycles(),
 		count:     s.Tick(),
 		cover:     cover,
+		regs:      regs,
 	}
 	for _, id := range out.tasks {
 		st, _ := s.State(id)
@@ -274,7 +281,10 @@ func equivCompare(t *testing.T, seed int64, mode equivMode, got, ref equivRun) b
 // streams, and the same final task partition and bookkeeping. The scripts
 // include sleepers, and the test fails if too few seeds enter dormancy or
 // any part of the dormancy rule goes unexercised, so the property cannot
-// go vacuous.
+// go vacuous. Each seed's ticks and admissions alone, run again, must
+// also come back byte-identical from core.Replay, which reads the drain
+// widths from the measure events; it fails unless some seed's widths
+// shortened a postponement.
 func TestIndexedMatchesReference(t *testing.T) {
 	const seeds = 100
 	reached := map[string]int{} // seeds reaching each of dormancyCases
@@ -285,7 +295,28 @@ func TestIndexedMatchesReference(t *testing.T) {
 		for c := range ref.cover {
 			reached[c]++
 		}
-		return equivCompare(t, seed, modeWheel, runScript(t, seed, script, modeWheel), ref)
+		if !equivCompare(t, seed, modeWheel, runScript(t, seed, script, modeWheel), ref) {
+			return false
+		}
+		// Replay re-admits tasks but cannot remove, reshare, requantize
+		// or restore, so it replays the script without those operations.
+		var replayable []scriptOp
+		for _, op := range script {
+			if op.kind <= 1 {
+				replayable = append(replayable, op)
+			}
+		}
+		run := runScript(t, seed, replayable, modeWheel)
+		replayed, err := Replay(Config{Quantum: q}, run.regs, run.events)
+		if err != nil {
+			t.Logf("seed %d: replay: %v", seed, err)
+			return false
+		}
+		if !reflect.DeepEqual(replayed, run.events) {
+			t.Logf("seed %d: replayed stream differs from the captured one", seed)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: seeds}); err != nil {
 		t.Fatal(err)
@@ -299,6 +330,9 @@ func TestIndexedMatchesReference(t *testing.T) {
 		if reached[c] == 0 {
 			t.Errorf("no seed of %d reached dormancy case %q", seeds, c)
 		}
+	}
+	if reached["narrowed"] == 0 {
+		t.Errorf("no seed of %d postponed a read by less than ⌈A/Q⌉", seeds)
 	}
 }
 

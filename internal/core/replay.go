@@ -46,7 +46,7 @@ func Replay(cfg Config, tasks []ReplayTask, events []obs.Event) ([]obs.Event, er
 		case obs.KindQuantumStart:
 			ticks++
 		case obs.KindMeasure:
-			meas[key{e.Tick, e.Task}] = Progress{Consumed: e.Consumed, Blocked: e.Blocked}
+			meas[key{e.Tick, e.Task}] = Progress{Consumed: e.Consumed, Blocked: e.Blocked, Width: e.N}
 		case obs.KindDead:
 			dead[key{e.Tick, e.Task}] = true
 		}

@@ -10,11 +10,11 @@ import (
 // everything the algorithm needs to continue a run exactly where it left
 // off: the quantum counter, the remaining cycle time t_c, and every
 // task's share, allowance, eligibility state, blocked, dormant and
-// periodic-sleeper flags, and scheduled measurement tick. Restore is
-// all-or-nothing: it fully validates the snapshot (including the
-// Σallowance ≡ t_c bookkeeping identity the algorithm maintains exactly)
-// before touching the scheduler, so a corrupt or semantically impossible
-// snapshot can never leave a scheduler half-restored.
+// periodic-sleeper flags, drain width, and scheduled measurement tick.
+// Restore is all-or-nothing: it fully validates the snapshot (including
+// the Σallowance ≡ t_c bookkeeping identity the algorithm maintains
+// exactly) before touching the scheduler, so a corrupt or semantically
+// impossible snapshot can never leave a scheduler half-restored.
 
 // TaskSnapshot is one task's entry in a Snapshot.
 type TaskSnapshot struct {
@@ -42,6 +42,11 @@ type TaskSnapshot struct {
 	// Woke records a periodic sleeper, a task that has rejoined S from
 	// dormancy at least once (the watch reads it every quantum).
 	Woke bool `json:"woke,omitempty"`
+	// Width is the drain width k of the task's last measurement, which
+	// its §2.3 wake tick was computed with; 0 and 1 mean one CPU.
+	// Checkpoints written before widths existed omit it and restore with
+	// k = 1.
+	Width int `json:"width,omitempty"`
 	// CycleConsumed and CycleBlocked are the in-flight per-cycle
 	// instrumentation accumulators, so a restored run's first OnCycle
 	// record is not missing the pre-crash portion of the cycle.
@@ -89,6 +94,7 @@ func (s *Scheduler) Snapshot() Snapshot {
 			Blocked:       t.blocked,
 			Dormant:       t.dormant,
 			Woke:          t.woke,
+			Width:         t.width,
 			CycleConsumed: t.cycleConsumed,
 			CycleBlocked:  t.cycleBlocked,
 		})
@@ -113,7 +119,7 @@ func (s *Scheduler) Restore(snap Snapshot) error {
 			st = Eligible
 			eligible++
 		}
-		// The §2.3 wake tick is a cache of count + ⌈allowance/Q⌉, and the
+		// The §2.3 wake tick is a cache of count + ⌈allowance/(k·Q)⌉, and the
 		// serialized copy can overstate it: a quantum-stretching
 		// Reconfigure between save and load (the overload guard re-applies
 		// its degrade level on restart) shrinks the recomputed wake, and a
@@ -124,7 +130,7 @@ func (s *Scheduler) Restore(snap Snapshot) error {
 		// restored event streams are unchanged.
 		update := ts.Update
 		if ts.Eligible && ts.Allowance > 0 {
-			if w := snap.Count + ceilDiv(ts.Allowance, snap.Quantum); update > w {
+			if w := snap.Count + drainQuanta(ts.Allowance, ts.Width, snap.Quantum); update > w {
 				update = w
 			}
 		}
@@ -137,6 +143,7 @@ func (s *Scheduler) Restore(snap Snapshot) error {
 			blocked:   ts.Blocked,
 			dormant:   ts.Dormant,
 			woke:      ts.Woke,
+			width:     ts.Width,
 			// An ineligible task with a positive allowance can only be one
 			// captured between its Add and its first stage-3 visit; restore
 			// the pending-admission mark so its first transition carries
@@ -211,6 +218,9 @@ func (snap Snapshot) validate() error {
 		if ts.CycleBlocked < 0 || ts.CycleConsumed < 0 {
 			return fmt.Errorf("%w: task %d has negative cycle accounting", ErrBadSnapshot, ts.ID)
 		}
+		if ts.Width < 0 {
+			return fmt.Errorf("%w: task %d has negative width %d", ErrBadSnapshot, ts.ID, ts.Width)
+		}
 		if ts.Dormant && (!ts.Eligible || ts.Allowance != 0) {
 			return fmt.Errorf("%w: dormant task %d must be eligible with allowance 0", ErrBadSnapshot, ts.ID)
 		}
@@ -256,7 +266,7 @@ func (s *Scheduler) SetQuantum(q time.Duration) error {
 		if t.state != Eligible || t.update <= s.count || t.allowance <= 0 {
 			continue
 		}
-		if w := s.count + ceilDiv(t.allowance, q); w < t.update {
+		if w := s.count + drainQuanta(t.allowance, t.width, q); w < t.update {
 			t.update = w
 			if s.indexed {
 				s.due.push(dueEntry{wake: w, id: id})

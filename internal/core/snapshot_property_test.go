@@ -10,30 +10,43 @@ import (
 )
 
 // Property: restore rebuilds the §2.3 measurement schedule from the
-// restored allowances, never trusting serialized wake ticks that
-// overshoot them — and a quantum-stretching reconfiguration applied
-// after restore (the overload guard re-applies its degrade level on
-// restart) pulls every scheduled wake back under the new quantum. A
+// restored allowances and drain widths, never trusting serialized wake
+// ticks that overshoot them — and a quantum-stretching reconfiguration
+// applied after restore (the overload guard re-applies its degrade level
+// on restart) pulls every scheduled wake back under the new quantum. A
 // stranded task would sit unmeasured past the point its allowance
 // supports, overdrawing by (wake − bound) stretched quanta.
 func TestRestoreRebuildsScheduleFromAllowances(t *testing.T) {
 	q := 10 * time.Millisecond
 	src := New(Config{Quantum: q})
-	for i, share := range []int64{200, 400, 800, 50, 3} {
+	for i, share := range []int64{200, 400, 800, 50, 3, 16} {
 		if err := src.Add(TaskID(i), share); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Idle ticks: allowances stay at the initial grant, wakes are
-	// postponed share quanta out.
-	idle := func(TaskID) (Progress, bool) { return Progress{}, true }
+	// postponed share quanta out. Task 5 is read at tick 17 and reports
+	// drain width 2, so its next read is ⌈16Q/2Q⌉ = 8 quanta out.
+	const wide = TaskID(5)
+	idle := func(id TaskID) (Progress, bool) {
+		if id == wide {
+			return Progress{Width: 2}, true
+		}
+		return Progress{}, true
+	}
 	for i := 0; i < 20; i++ {
 		src.TickQuantum(idle)
 	}
 	snap := src.Snapshot()
+	width := func(id TaskID) time.Duration {
+		if id == wide {
+			return 2
+		}
+		return 1
+	}
 
 	// Case 1: a hand-inflated wake tick (cross-version snapshot,
-	// corruption) must be clamped to count + ⌈allowance/Q⌉ on restore.
+	// corruption) must be clamped to count + ⌈allowance/(k·Q)⌉ on restore.
 	inflated := snap
 	inflated.Tasks = append([]TaskSnapshot(nil), snap.Tasks...)
 	for i := range inflated.Tasks {
@@ -48,15 +61,17 @@ func TestRestoreRebuildsScheduleFromAllowances(t *testing.T) {
 			continue
 		}
 		got := r.tasks[ts.ID].update
-		if want := snap.Count + ceilDiv(ts.Allowance, snap.Quantum); got > want {
+		if want := snap.Count + ceilDiv(ts.Allowance, width(ts.ID)*snap.Quantum); got > want {
 			t.Fatalf("task %d restored wake %d exceeds recomputed bound %d", ts.ID, got, want)
 		}
 	}
 
 	// Case 2: quantum stretched 4x between save and load (restore +
 	// SetQuantum, the NewRunnerFromState path). Every eligible task
-	// must be measured no later than count + ⌈allowance/Q'⌉ — observed
-	// through the event stream, not internals.
+	// must be measured no later than count + ⌈allowance/(k·Q')⌉ —
+	// observed through the event stream, not internals. For the width-2
+	// task that is tick 22; a checkpoint that lost its width would put
+	// the read at tick 24.
 	r2 := New(Config{Quantum: q})
 	if err := r2.Restore(snap); err != nil {
 		t.Fatal(err)
@@ -68,7 +83,7 @@ func TestRestoreRebuildsScheduleFromAllowances(t *testing.T) {
 	bounds := make(map[TaskID]int64)
 	for _, ts := range snap.Tasks {
 		if ts.Eligible {
-			bounds[ts.ID] = snap.Count + ceilDiv(ts.Allowance, stretched)
+			bounds[ts.ID] = snap.Count + ceilDiv(ts.Allowance, width(ts.ID)*stretched)
 		}
 	}
 	log := obs.NewEventLog()

@@ -72,6 +72,7 @@ func TestRestoreRejectsInvalid(t *testing.T) {
 		{"identity violated", func(sn *Snapshot) { sn.Tasks[0].Allowance += time.Millisecond }},
 		{"cycle time skewed", func(sn *Snapshot) { sn.CycleTime -= time.Millisecond }},
 		{"negative cycle accounting", func(sn *Snapshot) { sn.Tasks[0].CycleBlocked = -1 }},
+		{"negative width", func(sn *Snapshot) { sn.Tasks[0].Width = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

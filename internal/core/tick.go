@@ -30,7 +30,8 @@ type Reader func(TaskID) (Progress, bool)
 //     S·Q and grant every task share_i·Q of new allowance.
 //  3. Re-partition tasks into eligible/ineligible by the sign of their
 //     allowance, and schedule the next measurement of each just-measured
-//     task ⌈allowance/Q⌉ quanta out (§2.3).
+//     task ⌈allowance/(k·Q)⌉ quanta out (§2.3), where k is the drain
+//     width its last measurement reported (1 on a uniprocessor).
 //
 // Dormancy extends §2.4 for tasks that sleep through whole cycles. At a
 // grant, a task observed blocked that consumed nothing all cycle goes
@@ -376,15 +377,16 @@ func (s *Scheduler) tickReference(read Reader) Decision {
 
 // charge applies one measurement to a task: consumption against the
 // allowance and the cycle time, the §2.4 blocked charge, per-cycle
-// instrumentation, and the measure event. A dormant task's measurement is
-// a watch read: one showing consumption or a runnable state rejoins the
-// task to S and is then charged like any other, debiting what the task
-// ran while dormant; one showing it still blocked and idle charges
-// nothing.
+// instrumentation, the drain width stage 3 postpones by, and the measure
+// event. A dormant task's measurement is a watch read: one showing
+// consumption or a runnable state rejoins the task to S and is then
+// charged like any other, debiting what the task ran while dormant; one
+// showing it still blocked and idle charges nothing.
 func (s *Scheduler) charge(t *task, p Progress, o obs.Observer) {
 	if t.dormant && (p.Consumed > 0 || !p.Blocked) {
 		s.rejoin(t, o)
 	}
+	t.width = max(p.Width, 0)
 	if !t.dormant {
 		q := s.cfg.Quantum
 		t.allowance -= p.Consumed
@@ -404,6 +406,7 @@ func (s *Scheduler) charge(t *task, p Progress, o obs.Observer) {
 			Kind:      obs.KindMeasure,
 			Tick:      s.count,
 			Task:      int64(t.id),
+			N:         t.width,
 			Consumed:  p.Consumed,
 			Blocked:   p.Blocked,
 			Allowance: t.allowance,
@@ -601,7 +604,7 @@ func (s *Scheduler) stage3(t *task, grants int, o obs.Observer, d *Decision) {
 			// workload sits exhausted.
 			t.update = s.count + 1
 		} else {
-			t.update = s.count + ceilDiv(t.allowance, s.cfg.Quantum)
+			t.update = s.count + drainQuanta(t.allowance, t.width, s.cfg.Quantum)
 			if o != nil && t.update > s.count+1 {
 				o.Observe(obs.Event{
 					Kind:      obs.KindPostpone,
@@ -651,6 +654,22 @@ func (s *Scheduler) emitCycle() {
 		t.cycleBlocked = 0
 	}
 	s.cfg.OnCycle(rec)
+}
+
+// drainQuanta returns ⌈a/(k·q)⌉ for a positive allowance a: the quanta a
+// task of drain width k (0 and 1 meaning one CPU) needs at the least to
+// spend a, and so how far §2.3 may postpone its next read. Every wake
+// tick — stage 3, SetQuantum's pull-back and Restore's clamp — comes from
+// here. A product k·q beyond a, or beyond the Duration range, means one
+// quantum; a ≤ 0 keeps ⌈a/q⌉.
+func drainQuanta(a time.Duration, k int, q time.Duration) int64 {
+	if k <= 1 || a <= 0 {
+		return ceilDiv(a, q)
+	}
+	if q > a/time.Duration(k) { // k·q > a, tested without forming k·q
+		return 1
+	}
+	return ceilDiv(a, q*time.Duration(k))
 }
 
 // ceilDiv returns ⌈a/b⌉ for positive b, correct for negative a and safe

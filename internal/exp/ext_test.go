@@ -35,6 +35,22 @@ func TestSMPExperiment(t *testing.T) {
 	}
 }
 
+// TestSMPPrincipals: on 2 CPUs, where the 8-, 4- and 2-member
+// principals each drain two quanta of CPU per quantum, their median
+// per-cycle error stays under 40% at Q=10 ms. Postponing reads by
+// ⌈allowance/Q⌉, as if each drained one CPU, reads 81% here.
+func TestSMPPrincipals(t *testing.T) {
+	p := DefaultSMPPrincipalsParams()
+	p.CPUs, p.Cycles, p.Trials = []int{2}, 40, 1
+	res, err := SMP(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Points[0].MedianRMSErrorPct[0]; got > 40 {
+		t.Errorf("2 CPUs: median per-cycle error %.1f%%, want at most 40%%", got)
+	}
+}
+
 // TestPortabilityExperiment: balanced workloads are accurate on both
 // kernel policies; overheads stay under 1% everywhere.
 func TestPortabilityExperiment(t *testing.T) {

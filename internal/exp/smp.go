@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"alps/internal/core"
@@ -20,8 +21,11 @@ import (
 // near the end of each cycle fewer eligible processes remain than
 // processors — costing utilization and accuracy.
 type SMPParams struct {
-	CPUs       []int
-	Workload   Workload
+	CPUs     []int
+	Workload Workload
+	// Principals, if set, replaces Workload's one process per share
+	// with §5 resource principals of several spinning processes each.
+	Principals []SMPPrincipal
 	Quantum    time.Duration
 	Cycles     int
 	Warmup     int
@@ -43,12 +47,33 @@ func DefaultSMPParams() SMPParams {
 	}
 }
 
+// SMPPrincipal is one resource principal: a share held by Members
+// spinning processes.
+type SMPPrincipal struct {
+	Share   int64
+	Members int
+}
+
+// DefaultSMPPrincipalsParams measures the real-process benchmark's
+// `principals` shape on 1/2/4-processor machines at Q=10 ms: five
+// principals of 8/4/2/1/1 spinners with shares 5/4/3/2/1. A principal
+// with several runnable members drains up to one quantum per CPU per
+// quantum, so this is the case the §2.3 drain width exists for.
+func DefaultSMPPrincipalsParams() SMPParams {
+	p := DefaultSMPParams()
+	p.Principals = []SMPPrincipal{{5, 8}, {4, 4}, {3, 2}, {2, 1}, {1, 1}}
+	return p
+}
+
 // SMPPoint is one processor count's measurement.
 type SMPPoint struct {
 	CPUs int
 	// MeanRMSErrorPct is the §3.1 accuracy metric; the per-cycle ideal
 	// scales with the machine's capacity actually consumed.
 	MeanRMSErrorPct float64
+	// MedianRMSErrorPct holds each trial's (phase offset's) median
+	// per-cycle RMS error.
+	MedianRMSErrorPct []float64
 	// UtilizationPct is consumed workload CPU over M×wall capacity.
 	UtilizationPct float64
 	// OverheadPct is ALPS CPU / wall.
@@ -63,44 +88,55 @@ type SMPResult struct {
 
 // SMP runs the multiprocessor extension experiment.
 func SMP(p SMPParams) (*SMPResult, error) {
-	shares, err := p.Workload.Shares()
-	if err != nil {
-		return nil, err
+	principals := p.Principals
+	if principals == nil {
+		shares, err := p.Workload.Shares()
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range shares {
+			principals = append(principals, SMPPrincipal{Share: s, Members: 1})
+		}
 	}
 	res := &SMPResult{Params: p}
 	for _, m := range p.CPUs {
 		var errsum, utilsum, ovhsum float64
+		var medians []float64
 		for trial := 0; trial < p.Trials; trial++ {
-			e, util, ovh, err := smpRun(p, shares, m, time.Duration(trial)*1700*time.Microsecond)
+			e, med, util, ovh, err := smpRun(p, principals, m, time.Duration(trial)*1700*time.Microsecond)
 			if err != nil {
 				return nil, fmt.Errorf("M=%d: %w", m, err)
 			}
 			errsum += e
+			medians = append(medians, med)
 			utilsum += util
 			ovhsum += ovh
 		}
 		n := float64(p.Trials)
 		res.Points = append(res.Points, SMPPoint{
-			CPUs:            m,
-			MeanRMSErrorPct: errsum / n,
-			UtilizationPct:  utilsum / n,
-			OverheadPct:     ovhsum / n,
+			CPUs:              m,
+			MeanRMSErrorPct:   errsum / n,
+			MedianRMSErrorPct: medians,
+			UtilizationPct:    utilsum / n,
+			OverheadPct:       ovhsum / n,
 		})
 	}
 	return res, nil
 }
 
-func smpRun(p SMPParams, shares []int64, m int, offset time.Duration) (errPct, utilPct, ovhPct float64, err error) {
+func smpRun(p SMPParams, principals []SMPPrincipal, m int, offset time.Duration) (errPct, medianPct, utilPct, ovhPct float64, err error) {
 	k := sim.NewKernelSMP(m)
-	pids := make([]sim.PID, len(shares))
-	tasks := make([]sim.AlpsTask, len(shares))
-	for i, s := range shares {
-		pids[i] = k.SpawnStopped(fmt.Sprintf("w%d", i), 0, sim.Spin())
-		tasks[i] = sim.AlpsTask{ID: core.TaskID(i), Share: s, Pids: []sim.PID{pids[i]}}
-	}
+	var pids []sim.PID
+	tasks := make([]sim.AlpsTask, len(principals))
 	var total int64
-	for _, s := range shares {
-		total += s
+	for i, pr := range principals {
+		tasks[i] = sim.AlpsTask{ID: core.TaskID(i), Share: pr.Share}
+		for j := 0; j < pr.Members; j++ {
+			pid := k.SpawnStopped(fmt.Sprintf("w%d", i), 0, sim.Spin())
+			tasks[i].Pids = append(tasks[i].Pids, pid)
+			pids = append(pids, pid)
+		}
+		total += pr.Share
 	}
 	warm := p.Warmup
 	if p.WarmupTime > 0 {
@@ -137,7 +173,7 @@ func smpRun(p SMPParams, shares []int64, m int, offset time.Duration) (errPct, u
 		},
 	}, tasks)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	k.Run(time.Duration(target+20) * 4 * time.Duration(total) * p.Quantum)
 
@@ -149,10 +185,11 @@ func smpRun(p SMPParams, shares []int64, m int, offset time.Duration) (errPct, u
 	}
 	mean, err := metrics.Mean(rms)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
+	sort.Float64s(rms)
 	wall := k.Now()
-	return 100 * mean,
+	return 100 * mean, 100 * rms[len(rms)/2],
 		100 * float64(workCPU) / (float64(m) * float64(wall)),
 		100 * float64(a.CPU()) / float64(wall),
 		nil

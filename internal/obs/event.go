@@ -35,7 +35,9 @@ const (
 	// Fields: Tick, N (registered tasks).
 	KindQuantumStart Kind = iota
 	// KindMeasure records a measurement of one task's progress.
-	// Fields: Tick, Task, Consumed, Blocked, Allowance (post-charge).
+	// Fields: Tick, Task, Consumed, Blocked, Allowance (post-charge), N
+	// (the drain width k the reader reported: how many CPUs the task
+	// could use at once, which §2.3 postpones by; 0 and 1 mean one CPU).
 	KindMeasure
 	// KindDead records a task dropped because its Reader reported it
 	// gone. Fields: Tick, Task.
@@ -248,8 +250,8 @@ func (e Event) String() string {
 	case KindQuantumStart:
 		return fmt.Sprintf("t%-5d quantum_start tasks=%d", e.Tick, e.N)
 	case KindMeasure:
-		return fmt.Sprintf("t%-5d measure task=%d consumed=%v blocked=%t allowance=%v",
-			e.Tick, e.Task, e.Consumed, e.Blocked, e.Allowance)
+		return fmt.Sprintf("t%-5d measure task=%d consumed=%v blocked=%t allowance=%v width=%d",
+			e.Tick, e.Task, e.Consumed, e.Blocked, e.Allowance, e.N)
 	case KindDead:
 		return fmt.Sprintf("t%-5d dead task=%d", e.Tick, e.Task)
 	case KindCycle:

@@ -55,6 +55,7 @@ func TestEventStrings(t *testing.T) {
 		want string
 	}{
 		{Event{Kind: KindMeasure, Tick: 3, Task: 1, Consumed: 20 * time.Millisecond, Allowance: 40 * time.Millisecond}, "measure task=1"},
+		{Event{Kind: KindMeasure, Tick: 3, Task: 1, N: 2}, "width=2"},
 		{Event{Kind: KindTransition, Tick: 4, Task: 2, Eligible: true, Reason: ReasonGrant}, "-> eligible (grant)"},
 		{Event{Kind: KindTransition, Tick: 4, Task: 2, Reason: ReasonExhausted}, "-> ineligible (exhausted)"},
 		{Event{Kind: KindPostpone, Tick: 5, Task: 0, Wake: 9}, "wake=t9"},

@@ -112,6 +112,11 @@ type FaultSys struct {
 	// of CPU per quantum of wall time, so the scale benchmark sets this.
 	SharedCPU bool
 
+	// NCPU is what CPUs reports: the cap on a task's drain width. 0
+	// means 1, so a Runner over the fake keeps the paper's uniprocessor
+	// §2.3 rule unless a test asks for more. Advance does not read it.
+	NCPU int
+
 	// Sleeps counts backoff sleeps; their durations advance the clock.
 	Sleeps int
 
@@ -257,6 +262,13 @@ func (f *FaultSys) Now() time.Time {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.base.Add(f.elapsed)
+}
+
+// CPUs implements Sys: the NCPU field, with 0 meaning 1.
+func (f *FaultSys) CPUs() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return max(f.NCPU, 1)
 }
 
 // Sleep advances the virtual clock (the fake analogue of a backoff

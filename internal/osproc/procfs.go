@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -275,16 +276,8 @@ func Descendants(root int) ([]int, error) {
 			p = next
 		}
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out, nil
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Stop suspends a process (SIGSTOP cannot be caught or ignored).

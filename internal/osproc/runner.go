@@ -159,6 +159,7 @@ type Runner struct {
 
 	baseQ time.Duration // operator-configured quantum (pre-degradation)
 	over  overloadState
+	cpus  int // Sys.CPUs at construction: the cap on a task's drain width
 
 	start   time.Time    // creation instant on Sys.Now, origin for event timestamps
 	tracer  obs.Observer // stamped observer (nil when disabled)
@@ -284,6 +285,7 @@ func newRunnerSkeleton(cfg Config) *Runner {
 		groups:    make(map[core.TaskID]int),
 		suspended: make(map[int]bool),
 		baseQ:     cfg.Quantum,
+		cpus:      max(cfg.Sys.CPUs(), 1),
 		start:     cfg.Sys.Now(),
 	}
 	r.prefetchOne, r.deliverOne = r.prefetchAt, r.deliverAt
@@ -719,6 +721,11 @@ func (r *Runner) readStat(pid int) (st Stat, err error) {
 // an otherwise fully blocked principal is due. Only when *no* PID could
 // be read does the principal report unblocked, keeping the original
 // no-charge-on-guess behavior.
+//
+// The drain width is the number of members observed in state R (after
+// RealSys's thread vote), capped at Sys.CPUs: processes, not threads, so
+// a multi-threaded worker that uses one CPU keeps the paper's bound.
+// Sleeping, stopped, zombie and unreadable members add nothing.
 func (r *Runner) read(id core.TaskID) (core.Progress, bool) {
 	if r.mx != nil {
 		begin := r.sys.Now()
@@ -728,6 +735,7 @@ func (r *Runner) read(id core.TaskID) (core.Progress, bool) {
 	var consumed time.Duration
 	alive := false
 	reads := 0          // PIDs whose stat was successfully observed
+	width := 0          // observed PIDs in state R
 	sawRunning := false // some observed PID was not blocked
 	live := pids[:0]
 	for _, pid := range pids {
@@ -771,33 +779,27 @@ func (r *Runner) read(id core.TaskID) (core.Progress, bool) {
 			r.suspended[pid] = true
 			r.needReconcile = true
 		}
-		prev, ok := r.known[pid]
-		if !ok {
-			// No baseline (a join path was skipped): establish one now
-			// and charge nothing, so the process's historical CPU is
-			// never billed as one quantum's consumption.
-			r.known[pid] = pidState{cpu: st.CPU, start: st.Start}
-			live = append(live, pid)
-			alive = true
-			reads++
-			if !st.Blocked() {
-				sawRunning = true
+		// A PID without a baseline (a join path was skipped) gets one
+		// here and is charged nothing, so the process's historical CPU is
+		// never billed as one quantum's consumption.
+		if prev, ok := r.known[pid]; ok {
+			if st.Start != prev.start {
+				r.health.reused.Add(1)
+				r.errf("pid %d was recycled by the kernel (start %d -> %d); dropping", pid, prev.start, st.Start)
+				r.forgetPID(pid)
+				continue
 			}
-			continue
-		}
-		if st.Start != prev.start {
-			r.health.reused.Add(1)
-			r.errf("pid %d was recycled by the kernel (start %d -> %d); dropping", pid, prev.start, st.Start)
-			r.forgetPID(pid)
-			continue
-		}
-		if d := st.CPU - prev.cpu; d > 0 {
-			consumed += d
+			if d := st.CPU - prev.cpu; d > 0 {
+				consumed += d
+			}
 		}
 		r.known[pid] = pidState{cpu: st.CPU, start: st.Start}
 		live = append(live, pid)
 		alive = true
 		reads++
+		if st.State == 'R' {
+			width++
+		}
 		if !st.Blocked() {
 			sawRunning = true
 		}
@@ -806,7 +808,7 @@ func (r *Runner) read(id core.TaskID) (core.Progress, bool) {
 	if !alive {
 		return core.Progress{}, false
 	}
-	return core.Progress{Consumed: consumed, Blocked: reads > 0 && !sawRunning}, true
+	return core.Progress{Consumed: consumed, Blocked: reads > 0 && !sawRunning, Width: min(width, r.cpus)}, true
 }
 
 // forgetPID clears a PID's bookkeeping and read handle without touching

@@ -1,6 +1,9 @@
 package osproc
 
-import "time"
+import (
+	"runtime"
+	"time"
+)
 
 // Sys is the operating-system surface the Runner depends on: reading a
 // process's accounting state, delivering the two job-control signals, and
@@ -44,6 +47,10 @@ type Sys interface {
 	// event timestamps and the retry-jitter seed all read it, so a fake
 	// and the runner can never disagree about the time.
 	Now() time.Time
+	// CPUs is how many CPUs the workload can run on at once: the cap on
+	// a task's drain width, which §2.3 postpones its next read by. The
+	// Runner reads it once, when it is built.
+	CPUs() int
 }
 
 // RealSys is the production Sys over /proc and kill(2).
@@ -87,3 +94,6 @@ func (RealSys) Sleep(d time.Duration) { time.Sleep(d) }
 
 // Now is time.Now.
 func (RealSys) Now() time.Time { return time.Now() }
+
+// CPUs is runtime.NumCPU: the CPUs this process may run on.
+func (RealSys) CPUs() int { return runtime.NumCPU() }

@@ -233,6 +233,7 @@ func (a *AlpsProc) next(k *Kernel, pid PID) Action {
 		var consumed time.Duration
 		alive := false
 		blocked := true
+		width := 0 // members Running or Ready: the CPUs the task can use
 		for _, wp := range pids {
 			info, ok := k.Info(wp)
 			if !ok {
@@ -245,12 +246,15 @@ func (a *AlpsProc) next(k *Kernel, pid PID) Action {
 			if info.State != Sleeping {
 				blocked = false
 			}
+			if info.State == Running || info.State == Ready {
+				width++
+			}
 		}
 		if !alive {
 			delete(a.targets, id)
 			return core.Progress{}, false
 		}
-		return core.Progress{Consumed: consumed, Blocked: blocked}, true
+		return core.Progress{Consumed: consumed, Blocked: blocked, Width: min(width, k.NCPU())}, true
 	})
 	if measured > 0 {
 		a.measurements += int64(measured)

@@ -152,6 +152,7 @@ func Build(events []obs.Event) []ChromeEvent {
 			instant("measure", pidTasks, e.Task, ts, map[string]any{
 				"tick": e.Tick, "consumed_us": e.Consumed.Microseconds(),
 				"allowance_us": e.Allowance.Microseconds(), "blocked": e.Blocked,
+				"width": e.N,
 			})
 		case obs.KindDead:
 			tasksSeen[e.Task] = true

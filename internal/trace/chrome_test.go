@@ -40,7 +40,7 @@ func sampleStream() []obs.Event {
 
 		{Kind: obs.KindQuantumStart, Tick: 2, Task: -1, N: 2, At: ms(10)},
 		ph(obs.KindPhaseBegin, 2, obs.PhaseSample, ms(10)),
-		{Kind: obs.KindMeasure, Tick: 2, Task: 1, Consumed: ms(10), At: ms(10) + 100*time.Microsecond},
+		{Kind: obs.KindMeasure, Tick: 2, Task: 1, N: 2, Consumed: ms(10), At: ms(10) + 100*time.Microsecond},
 		ph(obs.KindPhaseEnd, 2, obs.PhaseSample, ms(10)+200*time.Microsecond),
 		ph(obs.KindPhaseBegin, 2, obs.PhaseCharge, ms(10)+200*time.Microsecond),
 		ph(obs.KindPhaseEnd, 2, obs.PhaseCharge, ms(10)+220*time.Microsecond),
@@ -105,6 +105,14 @@ func TestBuildTracks(t *testing.T) {
 		if count(want, "i") == 0 {
 			t.Errorf("no %q instant emitted", want)
 		}
+	}
+	// A measure instant carries the drain width the reader reported.
+	wide := false
+	for _, e := range evs {
+		wide = wide || (e.Name == "measure" && e.Args["width"] == 2)
+	}
+	if !wide {
+		t.Error("no measure instant carries width 2")
 	}
 	// Track metadata names both processes.
 	if got := count("process_name", "M"); got != 2 {
