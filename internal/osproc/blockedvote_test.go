@@ -23,7 +23,7 @@ func TestBlockedVoteAbstention(t *testing.T) {
 	// 'S' state rather than 'T'.
 	for _, pid := range pids {
 		_ = fs.Cont(pid)
-		delete(r.suspended, pid)
+		r.procs[pid].stopped = false
 	}
 
 	// One PID unreadable for the whole quantum (both read attempts race);

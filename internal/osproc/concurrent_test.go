@@ -129,6 +129,7 @@ func TestConcurrentSamplingChaos(t *testing.T) {
 		r := newFaultRunner(t, fs, Config{Samplers: samplers}, tasks)
 		for i := 0; i < 80; i++ {
 			stepQuantum(fs, r)
+			checkTable(t, r, fs)
 		}
 		if r.sched.Len() == 0 {
 			t.Errorf("samplers=%d: chaos run lost the whole workload", samplers)

@@ -65,8 +65,8 @@ func TestNewRunnerPartialStartup(t *testing.T) {
 	if !fs.IsStopped(10) {
 		t.Error("live PID not suspended at startup")
 	}
-	if got := r.targets[1]; len(got) != 1 || got[0] != 10 {
-		t.Errorf("targets = %v, want [10]", got)
+	if got := memberPIDs(r, 1); len(got) != 1 || got[0] != 10 {
+		t.Errorf("members = %v, want [10]", got)
 	}
 	r.Release()
 	if fs.IsStopped(10) {
@@ -93,11 +93,11 @@ func TestVanishMidRun(t *testing.T) {
 	if r.sched.Len() != 1 {
 		t.Fatalf("scheduler still has %d tasks, want 1", r.sched.Len())
 	}
-	if _, ok := r.known[10]; ok {
-		t.Error("stale baseline entry for vanished PID")
+	if _, ok := r.procs[10]; ok {
+		t.Error("stale record for vanished PID")
 	}
-	if _, ok := r.targets[1]; ok {
-		t.Error("dead task still in targets")
+	if _, ok := r.tasks[1]; ok {
+		t.Error("dead task still has an entry")
 	}
 	if h := r.Health(); h.VanishedPIDs == 0 {
 		t.Error("vanished PID not counted")
@@ -183,11 +183,11 @@ func TestUnsignalablePIDDropped(t *testing.T) {
 			// expected: delivery failed
 		}
 	}
-	if _, ok := r.known[10]; ok {
-		t.Error("unsignalable PID still has a baseline entry")
+	if _, ok := r.procs[10]; ok {
+		t.Error("unsignalable PID still has a record")
 	}
-	if len(r.targets[1]) != 0 {
-		t.Errorf("unsignalable PID still targeted: %v", r.targets[1])
+	if got := memberPIDs(r, 1); len(got) != 0 {
+		t.Errorf("unsignalable PID still a member: %v", got)
 	}
 	h := r.Health()
 	if h.UnsignalablePIDs != 1 {
@@ -283,8 +283,8 @@ func TestPIDReuseNotCharged(t *testing.T) {
 	if charged > time.Second {
 		t.Errorf("recycled PID's CPU was charged to the task: %v", charged)
 	}
-	if _, ok := r.known[10]; ok {
-		t.Error("recycled PID still has a baseline entry")
+	if _, ok := r.procs[10]; ok {
+		t.Error("recycled PID still has a record")
 	}
 	r.Release()
 	requireNoHandles(t, fs)
@@ -436,7 +436,8 @@ func TestReleaseRetriesTransient(t *testing.T) {
 
 // TestChaosInvariants: seeded random transient faults on every OS call
 // for many quanta. Whatever the interleaving, the loop must not panic,
-// must not leak bookkeeping, and Release must leave nothing frozen.
+// must keep its process table consistent after every Step (no record
+// outlives its membership), and Release must leave nothing frozen.
 func TestChaosInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		fs := NewFaultSys()
@@ -451,22 +452,7 @@ func TestChaosInvariants(t *testing.T) {
 		fs.Chaos(seed, 0.2)
 		for i := 0; i < 300; i++ {
 			stepQuantum(fs, r)
-		}
-		inUse := make(map[int]bool)
-		for _, pids := range r.targets {
-			for _, pid := range pids {
-				inUse[pid] = true
-			}
-		}
-		for pid := range r.known {
-			if !inUse[pid] {
-				t.Errorf("seed %d: stale baseline for pid %d", seed, pid)
-			}
-		}
-		for pid := range r.suspended {
-			if !inUse[pid] {
-				t.Errorf("seed %d: stale suspension for pid %d", seed, pid)
-			}
+			checkTable(t, r, fs)
 		}
 		r.Release()
 		if got := fs.StoppedPIDs(); len(got) != 0 {

@@ -50,8 +50,6 @@ type FaultProc struct {
 	// PGID is the process-group ID; zero means the process leads its own
 	// group (pgid == PID), matching a plain fork without setpgid.
 	PGID int
-	// UID owns the process (for PidsOfUser).
-	UID uint32
 	// State is the run state reported while not stopped: 'R', 'S', 'D'
 	// or 'Z'.
 	State byte
@@ -561,18 +559,4 @@ func sigErr(kind FaultKind) error {
 		return syscall.EINTR
 	}
 	return nil
-}
-
-// PidsOfUser implements Sys: live (non-zombie) PIDs owned by uid.
-func (f *FaultSys) PidsOfUser(uid uint32) ([]int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []int
-	for _, pid := range f.pids() {
-		p := f.procs[pid]
-		if p.UID == uid && p.State != 'Z' {
-			out = append(out, pid)
-		}
-	}
-	return out, nil
 }

@@ -74,23 +74,29 @@ func TestReadStatFixtureMissing(t *testing.T) {
 }
 
 // newFixtureRunner builds a Runner over the real procfs reader (pointed
-// at the fixture tree) without spawning or signalling anything.
-func newFixtureRunner(targets map[core.TaskID][]int) *Runner {
-	return &Runner{
-		sys:       RealSys{},
-		targets:   targets,
-		known:     make(map[int]pidState),
-		badSig:    make(map[int]int),
-		badRead:   make(map[int]int),
-		suspended: make(map[int]bool),
+// at the fixture tree) without spawning or signalling anything: each PID
+// gets the record a join would give it, baselined at its current stat.
+func newFixtureRunner(t *testing.T, targets map[core.TaskID][]int) *Runner {
+	t.Helper()
+	r := &Runner{sys: RealSys{}, procs: make(map[int]*proc), tasks: make(map[core.TaskID]*members)}
+	for id, pids := range targets {
+		r.tasks[id] = &members{pids: pids}
+		for _, pid := range pids {
+			st, err := r.sys.ReadStat(pid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.procs[pid] = &proc{task: id, cpu: st.CPU, start: st.Start}
+		}
 	}
+	return r
 }
 
 // TestRunnerReaderOverFixture drives the Runner's procfs reader against a
-// fixture: the first read of an unbaselined PID establishes a baseline
-// (charging none of its historical CPU), subsequent CPU growth is
-// observed as consumption, and the run state drives blocked detection —
-// without any live processes or signals.
+// fixture: the first read after a PID's join charges none of its
+// historical CPU, subsequent CPU growth is observed as consumption, and
+// the run state drives blocked detection — without any live processes or
+// signals.
 func TestRunnerReaderOverFixture(t *testing.T) {
 	root := withFakeProc(t)
 	stat := func(pid, ticks int, state string) string {
@@ -99,13 +105,13 @@ func TestRunnerReaderOverFixture(t *testing.T) {
 	writeStat(t, root, 101, stat(101, 5, "R"))
 	writeStat(t, root, 102, stat(102, 9, "S"))
 
-	r := newFixtureRunner(map[core.TaskID][]int{1: {101, 102}})
+	r := newFixtureRunner(t, map[core.TaskID][]int{1: {101, 102}})
 	p, ok := r.read(1)
 	if !ok {
 		t.Fatal("task reported dead")
 	}
 	if p.Consumed != 0 {
-		t.Errorf("first (baselining) read consumed = %v, want 0", p.Consumed)
+		t.Errorf("first read after the join consumed = %v, want 0", p.Consumed)
 	}
 	if p.Blocked {
 		t.Error("group with a running member reported blocked")
@@ -136,8 +142,8 @@ func TestRunnerReaderOverFixture(t *testing.T) {
 	if _, ok := r.read(1); ok {
 		t.Error("task with only zombie/vanished members should be dead")
 	}
-	if len(r.known) != 0 {
-		t.Errorf("bookkeeping leak: %d stale baseline entries after all PIDs died", len(r.known))
+	if len(r.procs) != 0 {
+		t.Errorf("bookkeeping leak: %d stale records after all PIDs died", len(r.procs))
 	}
 }
 
@@ -149,7 +155,7 @@ func TestReaderDetectsPIDReuse(t *testing.T) {
 		return itoa(pid) + " (w) R 1 1 1 0 -1 0 0 0 0 0 " + itoa(ticks) + " 0 0 0 20 0 1 0 " + start + " 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0"
 	}
 	writeStat(t, root, 55, stat(55, 10, "111"))
-	r := newFixtureRunner(map[core.TaskID][]int{1: {55}})
+	r := newFixtureRunner(t, map[core.TaskID][]int{1: {55}})
 	if _, ok := r.read(1); !ok {
 		t.Fatal("live task reported dead")
 	}

@@ -106,8 +106,10 @@ func TestGroupPartialESRCHLeavesNoSurvivorFrozen(t *testing.T) {
 	if h := r.Health(); h.SignalFailures != 0 {
 		t.Errorf("SignalFailures = %d, want 0 (partial ESRCH is not a failure)", h.SignalFailures)
 	}
-	if len(r.badSig) != 0 {
-		t.Errorf("badSig strikes outstanding: %v", r.badSig)
+	for pid, p := range r.procs {
+		if p.badSig != 0 {
+			t.Errorf("pid %d has %d signal strikes outstanding", pid, p.badSig)
+		}
 	}
 	r.Release()
 	requireNoHandles(t, fs)
@@ -201,7 +203,7 @@ func TestGroupClaimVerification(t *testing.T) {
 	r := newFaultRunner(t, fs, Config{
 		OnError: func(err error) { errs = append(errs, err) },
 	}, []Task{{ID: 1, Share: 1, PIDs: []int{50, 51, 52}, PGID: 50}})
-	if _, ok := r.groups[1]; ok {
+	if r.tasks[1].pgid != 0 {
 		t.Fatal("mixed membership accepted for group signalling")
 	}
 	if len(errs) == 0 {
@@ -237,8 +239,8 @@ func TestGroupModeSurvivesStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pgid, ok := r2.groups[1]; !ok || pgid != 300 {
-		t.Errorf("restored runner lost group mode: groups=%v", r2.groups)
+	if pgid := r2.tasks[1].pgid; pgid != 300 {
+		t.Errorf("restored runner lost group mode: pgid=%d", pgid)
 	}
 	r2.Release()
 
@@ -248,7 +250,7 @@ func TestGroupModeSurvivesStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r3.groups[1]; ok {
+	if r3.tasks[1].pgid != 0 {
 		t.Error("restore trusted a stale PGID claim after membership drifted")
 	}
 	r3.Release()
@@ -262,7 +264,7 @@ func TestGroupDemotionOnRefreshJoin(t *testing.T) {
 	r := newFaultRunner(t, fs, Config{}, tasks)
 	fs.AddProc(FaultProc{PID: 77, Start: 77}) // joiner in its own group
 	r.refresh(map[core.TaskID][]int{1: {400, 401, 77}})
-	if _, ok := r.groups[1]; ok {
+	if r.tasks[1].pgid != 0 {
 		t.Error("group mode survived a join from outside the process group")
 	}
 	r.Release()

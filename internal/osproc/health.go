@@ -15,7 +15,8 @@ type Health struct {
 	// catch-up invocations issued for overrun quanta.
 	Ticks int64
 	// VanishedPIDs counts PIDs dropped because the process exited or
-	// became a zombie (ESRCH / missing /proc entry).
+	// became a zombie (ESRCH / missing /proc entry), or because a joining
+	// PID could not be read.
 	VanishedPIDs int64
 	// ReusedPIDs counts PIDs dropped because their /proc start time
 	// changed: the kernel recycled the PID for an unrelated process.
@@ -27,7 +28,8 @@ type Health struct {
 	// retries (EPERM, or retry budget exhausted).
 	SignalFailures int64
 	// UnsignalablePIDs counts PIDs dropped after repeated consecutive
-	// signal or read denials (the graceful-degradation path).
+	// signal or read denials (the graceful-degradation path), or because
+	// the signal that joins a PID to its task failed after retries.
 	UnsignalablePIDs int64
 	// ReadRetries counts transient /proc read errors that were retried.
 	ReadRetries int64
@@ -37,8 +39,10 @@ type Health struct {
 	// CatchUpTicks counts the extra algorithm invocations issued to
 	// compensate missed quanta (capped per step).
 	CatchUpTicks int64
-	// RefreshErrors counts membership-refresh entries that could not be
-	// installed (unknown task, unbaselineable PID).
+	// RefreshErrors counts membership-refresh entries ignored because
+	// they name a task the runner does not know. A listed PID that cannot
+	// join counts as vanished, unsignalable or reused, as on every other
+	// adoption path.
 	RefreshErrors int64
 	// Reconfigs counts applied live-reconfiguration changes (SIGHUP,
 	// /admin/config).

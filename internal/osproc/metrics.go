@@ -51,7 +51,7 @@ func (r *Runner) registerMetrics(reg *obs.Registry) {
 		"Extra algorithm invocations issued to compensate missed quanta.",
 		h.catchUpTicks.Load)
 	reg.CounterFunc("alps_runner_refresh_errors_total",
-		"Membership-refresh entries that could not be installed.",
+		"Membership-refresh entries ignored because they name an unknown task.",
 		h.refreshErrors.Load)
 	reg.CounterFunc("alps_runner_reconfigs_total",
 		"Applied live-reconfiguration changes (SIGHUP, /admin/config).",

@@ -9,7 +9,7 @@ import (
 // PIDs the /proc reads and kill(2) calls dominate the quantum; the loop
 // fans the raw syscalls out over a bounded worker pool
 // (Config.Samplers) while keeping every bookkeeping decision — strike
-// accounting, PID drops, the suspended map, error reporting — on the
+// accounting, PID drops, the process records, error reporting — on the
 // loop goroutine in deterministic order. Workers therefore touch only
 // the Sys surface and atomic health counters, and outcomes are
 // guaranteed to match the sequential path: FaultSys fault schedules are
@@ -95,7 +95,7 @@ func (r *Runner) prefetch() {
 	}
 	pids := r.prefetchPIDs[:0]
 	for _, id := range r.sched.DueTasks() {
-		pids = append(pids, r.targets[id]...)
+		pids = append(pids, r.tasks[id].pids...)
 	}
 	r.prefetchPIDs = pids
 	if len(pids) <= 1 {

@@ -27,11 +27,12 @@ type Reconfig struct {
 	// SetShares changes the share of existing tasks.
 	SetShares map[core.TaskID]int64
 	// SetPIDs replaces the PID membership of existing tasks. Joining
-	// PIDs are baselined and aligned with the task's eligibility;
-	// departing PIDs are resumed and forgotten.
+	// PIDs are baselined and aligned with the task's eligibility, a
+	// member of another task moves over, and departing PIDs are resumed
+	// and forgotten.
 	SetPIDs map[core.TaskID][]int
 	// Add registers new tasks (their PIDs start ineligible, as at
-	// startup).
+	// startup; a member of another task moves over).
 	Add []Task
 	// Remove deregisters tasks; their PIDs are resumed and forgotten.
 	Remove []core.TaskID
@@ -120,14 +121,7 @@ func (r *Runner) Reconfigure(rc Reconfig) error {
 			r.errf("reconfig: remove task %d: %v", id, err)
 			continue
 		}
-		for _, pid := range r.targets[id] {
-			if r.suspended[pid] {
-				if r.signal(pid, false) {
-					delete(r.suspended, pid)
-				}
-			}
-		}
-		r.forgetTask(id)
+		r.dropTask(id)
 		r.health.reconfigs.Add(1)
 		r.emit(obs.Event{Kind: obs.KindReconfig, Tick: tick, Task: int64(id)})
 	}
@@ -156,38 +150,13 @@ func (r *Runner) Reconfigure(rc Reconfig) error {
 			r.errf("reconfig: add task %d: %v", t.ID, err)
 			continue
 		}
-		var alive []int
+		m := &members{pgid: t.PGID}
+		r.tasks[t.ID] = m
 		for _, pid := range t.PIDs {
-			if err := r.sys.Stop(pid); err != nil {
-				// Classified as NewRunner does: a PID that is gone has
-				// vanished; a live one that refuses SIGSTOP is dropped
-				// because it cannot be signalled.
-				if classify(err) == errGone {
-					r.health.vanished.Add(1)
-				} else {
-					r.health.unsignalable.Add(1)
-				}
-				r.errf("reconfig: stop joining pid %d: %v", pid, err)
-				continue
-			}
-			st, err := r.readStat(pid)
-			if err != nil || st.State == 'Z' {
-				_ = r.sys.Cont(pid)
-				r.sys.Forget(pid)
-				r.health.vanished.Add(1)
-				r.errf("reconfig: baseline joining pid %d (err=%v)", pid, err)
-				continue
-			}
-			r.suspended[pid] = true
-			r.known[pid] = pidState{cpu: st.CPU, start: st.Start}
-			alive = append(alive, pid)
-		}
-		r.targets[t.ID] = alive
-		if t.PGID != 0 && len(alive) > 0 && r.verifyGroup(t.ID, t.PGID, alive) {
-			r.groups[t.ID] = t.PGID
+			_ = r.join(t.ID, pid, 0)
 		}
 		r.health.reconfigs.Add(1)
-		r.emit(obs.Event{Kind: obs.KindReconfig, Tick: tick, Task: int64(t.ID), Share: t.Share, N: len(alive)})
+		r.emit(obs.Event{Kind: obs.KindReconfig, Tick: tick, Task: int64(t.ID), Share: t.Share, N: len(m.pids)})
 	}
 	if len(rc.SetPIDs) > 0 {
 		r.refresh(rc.SetPIDs)

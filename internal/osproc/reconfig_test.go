@@ -115,20 +115,23 @@ func TestReconfigureAddRemove(t *testing.T) {
 	r := newFaultRunner(t, fs, Config{}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
 	for i := 0; i < 3; i++ {
 		stepQuantum(fs, r)
+		checkTable(t, r, fs)
 	}
 	if err := r.Reconfigure(Reconfig{Add: []Task{{ID: 3, Share: 2, PIDs: []int{30}}}}); err != nil {
 		t.Fatal(err)
 	}
+	checkTable(t, r, fs)
 	// The joiner starts ineligible (stopped) with a baseline, like at
 	// startup; the loop admits it on a later quantum.
 	if !fs.IsStopped(30) {
 		t.Error("added pid 30 not stopped at join")
 	}
-	if ps, ok := r.known[30]; !ok || ps.start != 3 {
-		t.Errorf("added pid 30 not baselined: %+v ok=%t", ps, ok)
+	if p, ok := r.procs[30]; !ok || p.start != 3 {
+		t.Errorf("added pid 30 not baselined: %+v ok=%t", p, ok)
 	}
 	for i := 0; i < 20; i++ {
 		stepQuantum(fs, r)
+		checkTable(t, r, fs)
 	}
 	if r.Scheduler().Len() != 2 {
 		t.Fatalf("len = %d after add, want 2", r.Scheduler().Len())
@@ -137,6 +140,7 @@ func TestReconfigureAddRemove(t *testing.T) {
 	if err := r.Reconfigure(Reconfig{Remove: []core.TaskID{1}}); err != nil {
 		t.Fatal(err)
 	}
+	checkTable(t, r, fs)
 	if fs.IsStopped(10) {
 		t.Error("removed task's pid 10 left stopped")
 	}
@@ -165,13 +169,14 @@ func TestReconfigureAddUnsignalablePID(t *testing.T) {
 	if err := r.Reconfigure(Reconfig{Add: []Task{{ID: 3, Share: 2, PIDs: []int{30, 40}}}}); err != nil {
 		t.Fatal(err)
 	}
+	checkTable(t, r, fs)
 	h := r.Health()
 	if h.UnsignalablePIDs != 1 || h.VanishedPIDs != 1 {
 		t.Errorf("unsignalable=%d vanished=%d, want 1 each (pid 30 refused SIGSTOP, pid 40 is gone)",
 			h.UnsignalablePIDs, h.VanishedPIDs)
 	}
-	if len(r.targets[3]) != 0 || fs.IsStopped(30) {
-		t.Errorf("refusing pid kept: targets %v, stopped %t", r.targets[3], fs.IsStopped(30))
+	if got := memberPIDs(r, 3); len(got) != 0 || fs.IsStopped(30) {
+		t.Errorf("refusing pid kept: members %v, stopped %t", got, fs.IsStopped(30))
 	}
 	logged := false
 	for _, err := range errs {
@@ -189,17 +194,19 @@ func TestReconfigureSetPIDs(t *testing.T) {
 	r := newFaultRunner(t, fs, Config{}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
 	for i := 0; i < 3; i++ {
 		stepQuantum(fs, r)
+		checkTable(t, r, fs)
 	}
 	if err := r.Reconfigure(Reconfig{SetPIDs: map[core.TaskID][]int{1: {11}}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.targets[1]; len(got) != 1 || got[0] != 11 {
-		t.Errorf("targets = %v, want [11]", got)
+	checkTable(t, r, fs)
+	if got := memberPIDs(r, 1); len(got) != 1 || got[0] != 11 {
+		t.Errorf("members = %v, want [11]", got)
 	}
 	if fs.IsStopped(10) {
 		t.Error("departed pid 10 left stopped")
 	}
-	if _, ok := r.known[11]; !ok {
+	if _, ok := r.procs[11]; !ok {
 		t.Error("joining pid 11 not baselined")
 	}
 	r.Release()

@@ -3,7 +3,7 @@ package osproc
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,10 +109,24 @@ const (
 	maxCatchUpTicks = 4
 )
 
-// pidState is the accounting baseline for one live process incarnation.
-type pidState struct {
-	cpu   time.Duration // last observed cumulative CPU
-	start uint64        // /proc start time when baselined (reuse guard)
+// proc is the runner's record of one controlled process. Every member PID
+// of every task has exactly one: join creates it, and forget (or leave,
+// which resumes the process first) deletes it.
+type proc struct {
+	task    core.TaskID
+	cpu     time.Duration // last observed cumulative CPU
+	start   uint64        // /proc start time at join (reuse guard)
+	stopped bool          // the runner has the process SIGSTOPped
+	badSig  int           // consecutive failed signal deliveries
+	badRead int           // consecutive denied stat reads
+}
+
+// members is one task's entry: its member PIDs in join order, and the
+// process group each member was confirmed (getpgid) to be in, so that an
+// eligibility flip costs one syscall. pgid 0 means per-PID delivery.
+type members struct {
+	pids []int
+	pgid int
 }
 
 // Runner executes the ALPS control loop over real processes. Create it
@@ -131,14 +145,11 @@ type Runner struct {
 	// quantum, so contention is negligible.
 	loopMu sync.Mutex
 
-	targets map[core.TaskID][]int
-	known   map[int]pidState // accounting baseline per live PID
-	badSig  map[int]int      // consecutive failed signal deliveries
-	badRead map[int]int      // consecutive denied stat reads
-	// groups maps a task to its verified process-group ID. Presence means
-	// every member PID was confirmed (getpgid) to be in the group, so
-	// eligibility flips cost one syscall; absence means per-PID delivery.
-	groups map[core.TaskID]int
+	// procs is the process table, one record per controlled PID, and
+	// tasks holds one entry per scheduler task. join is the only way a PID
+	// enters them; forget and leave are the only ways out.
+	procs map[int]*proc
+	tasks map[core.TaskID]*members
 
 	// sigOps and sigResults are enact's per-quantum scratch, reused
 	// across ticks so the steady-state signal path allocates nothing.
@@ -152,10 +163,9 @@ type Runner struct {
 	prefetchOne func(int)
 	deliverOne  func(int)
 
-	suspended map[int]bool
-	ticks     int64
-	lastRef   time.Time
-	lastTick  time.Time
+	ticks    int64
+	lastRef  time.Time
+	lastTick time.Time
 
 	baseQ time.Duration // operator-configured quantum (pre-degradation)
 	over  overloadState
@@ -191,80 +201,210 @@ type Runner struct {
 // the algorithm first grants them their allowance (§2.2). PIDs that are
 // already gone are dropped (and counted in Health); if every requested
 // PID is gone, NewRunner fails with ErrNoLiveProcess rather than
-// pretending to schedule an empty workload. Call Run to start scheduling
-// and always let it return (or call Release) so the workload is not left
-// stopped.
+// pretending to schedule an empty workload. A task list that names a PID
+// twice is rejected before anything is signalled, and a live PID that
+// refuses SIGSTOP fails NewRunner. Call Run to start scheduling and always
+// let it return (or call Release) so the workload is not left stopped.
 func NewRunner(cfg Config, tasks []Task) (*Runner, error) {
 	if cfg.Quantum < ClockTick {
 		return nil, fmt.Errorf("osproc: quantum %v is below the /proc accounting tick %v", cfg.Quantum, ClockTick)
 	}
 	r := newRunnerSkeleton(cfg)
+	owner := make(map[int]core.TaskID)
+	requested := 0
 	for _, t := range tasks {
 		if err := r.sched.Add(t.ID, t.Share); err != nil {
 			return nil, err
 		}
-	}
-	requested, live := 0, 0
-	for _, t := range tasks {
-		var alive []int
 		for _, pid := range t.PIDs {
-			requested++
-			if err := r.sys.Stop(pid); err != nil {
-				if classify(err) == errGone {
-					r.health.vanished.Add(1)
-					r.errf("stop pid %d at startup: %v (already gone)", pid, err)
-					continue
-				}
-				r.Release()
-				return nil, fmt.Errorf("osproc: cannot stop pid %d: %w", pid, err)
+			if prev, dup := owner[pid]; dup {
+				return nil, fmt.Errorf("osproc: pid %d is named by tasks %d and %d; each process belongs to one task", pid, prev, t.ID)
 			}
-			// Baseline after the stop so the baseline covers all CPU
-			// consumed up to suspension; a PID that died in the window
-			// (or turns out to be a zombie) is dropped.
-			st, err := r.readStat(pid)
-			if err != nil || st.State == 'Z' {
-				_ = r.sys.Cont(pid) // harmless if gone
-				r.sys.Forget(pid)
-				r.health.vanished.Add(1)
-				if err != nil {
-					r.errf("baseline pid %d at startup: %v", pid, err)
-				} else {
-					r.errf("baseline pid %d at startup: zombie", pid)
-				}
-				continue
-			}
-			r.suspended[pid] = true
-			r.known[pid] = pidState{cpu: st.CPU, start: st.Start}
-			alive = append(alive, pid)
-			live++
+			owner[pid] = t.ID
 		}
-		r.targets[t.ID] = alive
-		if t.PGID != 0 && len(alive) > 0 && r.verifyGroup(t.ID, t.PGID, alive) {
-			r.groups[t.ID] = t.PGID
+		r.tasks[t.ID] = &members{pgid: t.PGID}
+		requested += len(t.PIDs)
+	}
+	for _, t := range tasks {
+		for _, pid := range t.PIDs {
+			if err := r.join(t.ID, pid, 0); err != nil {
+				r.Release()
+				return nil, err
+			}
 		}
 	}
-	if requested > 0 && live == 0 {
+	if requested > 0 && len(r.procs) == 0 {
 		r.Release()
 		return nil, ErrNoLiveProcess
 	}
 	return r, nil
 }
 
-// verifyGroup confirms via getpgid that every member PID actually
-// belongs to the claimed process group before one-syscall group
-// signalling is enabled for the task. A claimed-but-wrong PGID would
-// otherwise stop unrelated processes or miss members; mixed or
-// unverifiable memberships fall back to per-PID delivery.
-func (r *Runner) verifyGroup(id core.TaskID, pgid int, pids []int) bool {
-	for _, pid := range pids {
-		got, err := r.sys.Pgid(pid)
-		if err != nil || got != pgid {
-			r.errf("task %d: pid %d is not in process group %d (pgid=%d err=%v); using per-PID signalling",
-				id, pid, pgid, got, err)
-			return false
+// join adopts pid into task id, and is the only way a PID enters the
+// process table. A PID already in the table moves to the task and keeps
+// its baseline. start is the /proc start time a checkpoint recorded for
+// the PID, or 0 if none was:
+//   - a recorded PID is read first; if its start time changed, the kernel
+//     recycled it, and it is dropped unsignalled (ReusedPIDs);
+//   - any other PID is signalled first, stopped if its task is
+//     ineligible, and read afterwards, so its baseline covers all CPU up
+//     to suspension.
+//
+// Every joiner is then aligned with its task's eligibility and, if the
+// task claims a process group, checked with getpgid; a mismatch demotes
+// the task to per-PID signalling. A joiner that is gone or a zombie is
+// dropped (VanishedPIDs). A join signal that still fails after delivery's
+// retries drops the PID (UnsignalablePIDs) and is returned, so that
+// NewRunner can fail on it.
+func (r *Runner) join(id core.TaskID, pid int, start uint64) error {
+	p := r.procs[pid]
+	if p != nil && p.task == id {
+		return nil
+	}
+	fresh := p == nil
+	if fresh {
+		p = &proc{task: id}
+		r.procs[pid] = p
+	} else {
+		r.unlink(pid, p)
+		p.task = id
+	}
+	m := r.tasks[id]
+	m.pids = append(m.pids, pid)
+	if fresh {
+		if start == 0 {
+			if ok, err := r.alignJoiner(pid, p); !ok {
+				return err
+			}
+		}
+		if !r.baseline(pid, p, start) {
+			return nil
 		}
 	}
+	if ok, err := r.alignJoiner(pid, p); !ok {
+		return err
+	}
+	if m.pgid != 0 {
+		if got, err := r.sys.Pgid(pid); err != nil || got != m.pgid {
+			r.errf("task %d: pid %d is not in process group %d (pgid=%d err=%v); using per-PID signalling",
+				id, pid, m.pgid, got, err)
+			m.pgid = 0
+		}
+	}
+	return nil
+}
+
+// baseline takes a fresh joiner's first reading. A joiner that cannot be
+// read or is a zombie is let go (VanishedPIDs), and one whose start time
+// differs from the recorded start is forgotten unsignalled (ReusedPIDs);
+// baseline reports whether the PID is still a member. A joiner found
+// stopped is recorded as stopped, so aligning it with an eligible task
+// resumes it: a dead instance may have left it SIGSTOPped.
+func (r *Runner) baseline(pid int, p *proc, start uint64) bool {
+	st, err := r.readStat(pid)
+	switch {
+	case err != nil || st.State == 'Z':
+		r.health.vanished.Add(1)
+		r.errf("join pid %d to task %d: gone or a zombie (err=%v)", pid, p.task, err)
+		r.leave(pid)
+		return false
+	case start != 0 && st.Start != start:
+		r.health.reused.Add(1)
+		r.errf("join pid %d: recycled by the kernel (start %d -> %d); dropping without signalling", pid, start, st.Start)
+		r.forget(pid)
+		return false
+	}
+	p.cpu, p.start = st.CPU, st.Start
+	p.stopped = p.stopped || st.State == 'T'
 	return true
+}
+
+// alignJoiner aligns a joiner with its task's eligibility through the
+// loop's delivery routine, and drops it if that delivery fails for good:
+// as vanished if the process is gone, else as unsignalable, returning the
+// error. It reports whether the PID is still a member.
+func (r *Runner) alignJoiner(pid int, p *proc) (bool, error) {
+	res, sent := r.align(pid, p)
+	if !sent || res.ok {
+		return true, nil
+	}
+	r.forget(pid)
+	if res.gone {
+		r.health.vanished.Add(1)
+		r.errf("join pid %d to task %d: %s: %v (vanished)", pid, p.task, sigName(res.stop), res.err)
+		return false, nil
+	}
+	r.health.unsignalable.Add(1)
+	r.errf("join pid %d to task %d: %s: %v (unsignalable; dropping)", pid, p.task, sigName(res.stop), res.err)
+	return false, fmt.Errorf("osproc: cannot %s pid %d: %w", sigName(res.stop), pid, res.err)
+}
+
+// align sends pid the signal, if any, that brings its run state in line
+// with its task's eligibility, and records a delivered one. sent is false
+// when the PID was already aligned. join and reconcile share it.
+func (r *Runner) align(pid int, p *proc) (res sigResult, sent bool) {
+	st, _ := r.sched.State(p.task)
+	stop := st == core.Ineligible
+	if p.stopped == stop {
+		return sigResult{}, false
+	}
+	res = r.deliverOp(sigOp{pid: pid, task: p.task, stop: stop})
+	if res.ok {
+		p.stopped = stop
+	}
+	return res, true
+}
+
+// forget deletes pid's record without signalling it, for a process that
+// is gone, a PID the kernel recycled, or a process that refuses signals,
+// and releases its read handle.
+func (r *Runner) forget(pid int) {
+	if p := r.procs[pid]; p != nil {
+		r.unlink(pid, p)
+		delete(r.procs, pid)
+	}
+	r.sys.Forget(pid)
+}
+
+// leave lets pid go on every other departure: a refresh or SetPIDs
+// departure, Remove, a dead task, a PID dropped after denied reads. It
+// resumes the process if the runner has it stopped, with Release's
+// retries, then forgets it, so no PID is forgotten while it is stopped.
+func (r *Runner) leave(pid int) {
+	if p := r.procs[pid]; p != nil && p.stopped {
+		r.resume(pid)
+	}
+	r.forget(pid)
+}
+
+// unlink removes pid from its task's member order.
+func (r *Runner) unlink(pid int, p *proc) {
+	m := r.tasks[p.task]
+	if i := slices.Index(m.pids, pid); i >= 0 {
+		m.pids = slices.Delete(m.pids, i, i+1)
+	}
+}
+
+// dropTask lets every member of task id go and deletes the task's entry.
+func (r *Runner) dropTask(id core.TaskID) {
+	if m := r.tasks[id]; m != nil {
+		for len(m.pids) > 0 {
+			r.leave(m.pids[0])
+		}
+	}
+	delete(r.tasks, id)
+}
+
+// eachMember calls fn on each member of m in order. fn may let go of the
+// PID it is handed, and of no other.
+func (r *Runner) eachMember(m *members, fn func(pid int, p *proc)) {
+	for i := 0; i < len(m.pids); {
+		pid := m.pids[i]
+		fn(pid, r.procs[pid])
+		if i < len(m.pids) && m.pids[i] == pid {
+			i++
+		}
+	}
 }
 
 // newRunnerSkeleton builds a Runner with its maps, clock, scheduler, and
@@ -276,17 +416,13 @@ func newRunnerSkeleton(cfg Config) *Runner {
 	}
 	cfg.Overload = cfg.Overload.withDefaults()
 	r := &Runner{
-		cfg:       cfg,
-		sys:       cfg.Sys,
-		targets:   make(map[core.TaskID][]int),
-		known:     make(map[int]pidState),
-		badSig:    make(map[int]int),
-		badRead:   make(map[int]int),
-		groups:    make(map[core.TaskID]int),
-		suspended: make(map[int]bool),
-		baseQ:     cfg.Quantum,
-		cpus:      max(cfg.Sys.CPUs(), 1),
-		start:     cfg.Sys.Now(),
+		cfg:   cfg,
+		sys:   cfg.Sys,
+		procs: make(map[int]*proc),
+		tasks: make(map[core.TaskID]*members),
+		baseQ: cfg.Quantum,
+		cpus:  max(cfg.Sys.CPUs(), 1),
+		start: cfg.Sys.Now(),
 	}
 	r.prefetchOne, r.deliverOne = r.prefetchAt, r.deliverAt
 	base := cfg.Quantum / 64
@@ -459,7 +595,7 @@ func (r *Runner) tickOnce() bool {
 	r.phase(obs.KindPhaseBegin, obs.PhaseSignal)
 	r.enact(dec)
 	for _, id := range dec.Dead {
-		r.forgetTask(id)
+		r.dropTask(id)
 	}
 	r.maybeReconcile(dec)
 	r.phase(obs.KindPhaseEnd, obs.PhaseSignal)
@@ -482,8 +618,8 @@ type sigOp struct {
 // verified process group costs one syscall per eligibility flip
 // regardless of member count; everything else goes per PID. With more
 // than one worker the raw deliveries (including their retry/backoff) run
-// concurrently, but strike accounting, drops, and the suspended map are
-// updated on the loop goroutine in decision order, so the outcome is
+// concurrently, but strike accounting, drops, and the process records
+// are updated on the loop goroutine in decision order, so the outcome is
 // identical to the sequential path.
 func (r *Runner) enact(dec core.Decision) {
 	ops := r.sigOps[:0]
@@ -514,10 +650,11 @@ func (r *Runner) enact(dec core.Decision) {
 // a single group op when the task owns a verified process group, else
 // one op per member PID.
 func (r *Runner) appendOps(ops []sigOp, id core.TaskID, stop bool) []sigOp {
-	if pgid, ok := r.groups[id]; ok && len(r.targets[id]) > 0 {
-		return append(ops, sigOp{pid: pgid, task: id, stop: stop, group: true})
+	m := r.tasks[id]
+	if m.pgid != 0 && len(m.pids) > 0 {
+		return append(ops, sigOp{pid: m.pgid, task: id, stop: stop, group: true})
 	}
-	for _, pid := range r.targets[id] {
+	for _, pid := range m.pids {
 		ops = append(ops, sigOp{pid: pid, task: id, stop: stop})
 	}
 	return ops
@@ -533,7 +670,7 @@ func (r *Runner) deliverAt(i int) { r.sigResults[i] = r.deliverOp(r.sigOps[i]) }
 // settleOp then falls back to per-PID delivery to settle individual
 // members). It touches only the Sys surface and atomic health counters,
 // so the signal batcher may run many deliveries concurrently on pool
-// workers; all map bookkeeping is deferred to settleOp and applySignal.
+// workers; all record bookkeeping is deferred to settleOp and applySignal.
 func (r *Runner) deliverOp(op sigOp) sigResult {
 	if r.mx != nil {
 		begin := r.sys.Now()
@@ -573,11 +710,10 @@ func (r *Runner) deliverOp(op sigOp) sigResult {
 // settleOp applies one delivery's bookkeeping on the loop goroutine.
 func (r *Runner) settleOp(op sigOp, res sigResult) {
 	if !op.group {
-		if r.applySignal(res) {
-			r.markSuspended(op.pid, op.stop)
-		}
+		r.applySignal(res)
 		return
 	}
+	m := r.tasks[op.task]
 	if res.ok {
 		// One syscall covered the whole group: POSIX kill(-pgid) succeeds
 		// when it signalled at least one member. A member that exited
@@ -587,8 +723,8 @@ func (r *Runner) settleOp(op sigOp, res sigResult) {
 		// silently skipped (credential change) is caught by the
 		// measurement loop's stopped-state check and re-aligned by the
 		// reconcile sweep.
-		for _, pid := range r.targets[op.task] {
-			r.markSuspended(pid, op.stop)
+		for _, pid := range m.pids {
+			r.procs[pid].stopped = op.stop
 		}
 		return
 	}
@@ -600,20 +736,7 @@ func (r *Runner) settleOp(op sigOp, res sigResult) {
 	// left in the wrong run state.
 	r.errf("%s group %d (task %d): %v; falling back to per-PID delivery",
 		sigName(op.stop), op.pid, op.task, res.err)
-	for _, pid := range r.targets[op.task] {
-		if r.signal(pid, op.stop) {
-			r.markSuspended(pid, op.stop)
-		}
-	}
-}
-
-// markSuspended records a delivered signal's effect on the suspended map.
-func (r *Runner) markSuspended(pid int, stop bool) {
-	if stop {
-		r.suspended[pid] = true
-	} else {
-		delete(r.suspended, pid)
-	}
+	r.eachMember(m, func(pid int, _ *proc) { r.signal(pid, op.stop) })
 }
 
 func sigName(stop bool) string {
@@ -626,16 +749,17 @@ func sigName(stop bool) string {
 // maybeReconcile runs the full reconciliation sweep only when it can
 // matter: something this quantum may have left suspension state
 // disagreeing with eligibility (needReconcile: failed signals, refresh,
-// reconfig, restore), strikes are outstanding, eligibility moved en masse
-// (a cycle grant) or membership changed (deaths) — plus a low-frequency
-// safety-net sweep, and every quantum when DisableIndexing asks for the
-// seed loop. The sweep itself was the runner's last O(N)-per-quantum
-// component after the core went O(due).
+// reconfig, restore), eligibility moved en masse (a cycle grant) or
+// membership changed (deaths) — plus a low-frequency safety-net sweep,
+// and every quantum when DisableIndexing asks for the seed loop. A failed
+// delivery sets needReconcile, and so does a failed re-send in the sweep,
+// so a disagreement keeps the sweep running until it is settled. The
+// sweep itself was the runner's last O(N)-per-quantum component after
+// the core went O(due).
 func (r *Runner) maybeReconcile(dec core.Decision) {
 	const reconcileEvery = 16
 	if r.cfg.DisableIndexing || r.needReconcile ||
 		dec.CycleCompleted || len(dec.Dead) > 0 ||
-		len(r.badSig) > 0 || len(r.badRead) > 0 ||
 		r.ticks%reconcileEvery == 0 {
 		r.reconcile()
 	}
@@ -653,42 +777,12 @@ func (r *Runner) maybeReconcile(dec core.Decision) {
 func (r *Runner) reconcile() {
 	r.needReconcile = false
 	for _, id := range r.sched.TaskIDs() {
-		st, err := r.sched.State(id)
-		if err != nil {
-			continue
-		}
-		for _, pid := range r.targets[id] {
-			if st == core.Eligible && r.suspended[pid] {
-				if r.signal(pid, false) {
-					delete(r.suspended, pid)
-				}
-			} else if st == core.Ineligible && !r.suspended[pid] {
-				if r.signal(pid, true) {
-					r.suspended[pid] = true
-				}
+		r.eachMember(r.tasks[id], func(pid int, p *proc) {
+			if res, sent := r.align(pid, p); sent {
+				r.applySignal(res)
 			}
-		}
+		})
 	}
-}
-
-// forgetTask clears every per-PID bookkeeping entry of a task the
-// scheduler declared dead — dropping only r.targets would leak known/
-// suspended entries and read handles for the departed PIDs.
-func (r *Runner) forgetTask(id core.TaskID) {
-	for _, pid := range r.targets[id] {
-		if r.suspended[pid] {
-			// Defensive: a dead task's PIDs were observed gone, but if
-			// one is merely unreadable, never leave it frozen.
-			_ = r.sys.Cont(pid)
-			delete(r.suspended, pid)
-		}
-		delete(r.known, pid)
-		delete(r.badSig, pid)
-		delete(r.badRead, pid)
-		r.sys.Forget(pid)
-	}
-	delete(r.targets, id)
-	delete(r.groups, id)
 }
 
 // readStat reads a PID's stat with immediate retries for transient
@@ -707,10 +801,10 @@ func (r *Runner) readStat(pid int) (st Stat, err error) {
 }
 
 // read is the core.Reader over the Sys surface. Failure handling per
-// class: gone/zombie PIDs are dropped (permanent); transiently
+// class: gone/zombie PIDs are forgotten (permanent); transiently
 // unreadable PIDs are kept and charged nothing this quantum — the
 // cumulative counters mean the consumption is charged at the next good
-// read, never lost; repeatedly denied PIDs are dropped after
+// read, never lost; repeatedly denied PIDs leave after
 // maxBadPIDStrikes. A PID whose start time changed is an unrelated
 // process that inherited the number (PID reuse) and is dropped before a
 // single nanosecond of its CPU can be charged to the task.
@@ -731,44 +825,44 @@ func (r *Runner) read(id core.TaskID) (core.Progress, bool) {
 		begin := r.sys.Now()
 		defer func() { r.mx.sampleDur.Observe(r.sys.Now().Sub(begin).Seconds()) }()
 	}
-	pids := r.targets[id]
 	var consumed time.Duration
 	alive := false
 	reads := 0          // PIDs whose stat was successfully observed
 	width := 0          // observed PIDs in state R
 	sawRunning := false // some observed PID was not blocked
-	live := pids[:0]
-	for _, pid := range pids {
+	r.eachMember(r.tasks[id], func(pid int, p *proc) {
 		st, err := r.cachedStat(pid)
 		if err != nil {
 			switch classify(err) {
 			case errGone:
 				r.health.vanished.Add(1)
-				r.forgetPID(pid)
+				r.forget(pid)
+				return
 			case errDenied:
-				r.badRead[pid]++
-				if r.badRead[pid] >= maxBadPIDStrikes {
+				if p.badRead++; p.badRead >= maxBadPIDStrikes {
 					r.health.unsignalable.Add(1)
-					r.errf("read pid %d: %v (dropping after %d denied quanta)", pid, err, r.badRead[pid])
-					r.forgetPID(pid)
-					continue
+					r.errf("read pid %d: %v (dropping after %d denied quanta)", pid, err, p.badRead)
+					r.leave(pid)
+					return
 				}
-				fallthrough
-			default:
-				// Keep the PID; its run state is unknown, so it
-				// abstains from the blocked vote.
-				live = append(live, pid)
-				alive = true
 			}
-			continue
+			// Keep the PID; its run state is unknown, so it abstains
+			// from the blocked vote.
+			alive = true
+			return
 		}
-		delete(r.badRead, pid)
-		if st.State == 'Z' {
+		p.badRead = 0
+		switch {
+		case st.State == 'Z':
 			r.health.vanished.Add(1)
-			r.forgetPID(pid)
-			continue
-		}
-		if st.State == 'T' && !r.suspended[pid] {
+			r.forget(pid)
+			return
+		case st.Start != p.start:
+			r.health.reused.Add(1)
+			r.errf("pid %d was recycled by the kernel (start %d -> %d); dropping", pid, p.start, st.Start)
+			r.forget(pid)
+			return
+		case st.State == 'T' && !p.stopped:
 			// The member is stopped though the runner believes it running:
 			// a group signal that silently skipped it (POSIX kill(-pgid)
 			// succeeds once it signals any one member), or an external
@@ -776,25 +870,13 @@ func (r *Runner) read(id core.TaskID) (core.Progress, bool) {
 			// sweep re-send SIGCONT through the strike machinery, so a
 			// partially delivered group resume can never leave a survivor
 			// frozen.
-			r.suspended[pid] = true
+			p.stopped = true
 			r.needReconcile = true
 		}
-		// A PID without a baseline (a join path was skipped) gets one
-		// here and is charged nothing, so the process's historical CPU is
-		// never billed as one quantum's consumption.
-		if prev, ok := r.known[pid]; ok {
-			if st.Start != prev.start {
-				r.health.reused.Add(1)
-				r.errf("pid %d was recycled by the kernel (start %d -> %d); dropping", pid, prev.start, st.Start)
-				r.forgetPID(pid)
-				continue
-			}
-			if d := st.CPU - prev.cpu; d > 0 {
-				consumed += d
-			}
+		if d := st.CPU - p.cpu; d > 0 {
+			consumed += d
 		}
-		r.known[pid] = pidState{cpu: st.CPU, start: st.Start}
-		live = append(live, pid)
+		p.cpu = st.CPU
 		alive = true
 		reads++
 		if st.State == 'R' {
@@ -803,41 +885,11 @@ func (r *Runner) read(id core.TaskID) (core.Progress, bool) {
 		if !st.Blocked() {
 			sawRunning = true
 		}
-	}
-	r.targets[id] = live
+	})
 	if !alive {
 		return core.Progress{}, false
 	}
 	return core.Progress{Consumed: consumed, Blocked: reads > 0 && !sawRunning, Width: min(width, r.cpus)}, true
-}
-
-// forgetPID clears a PID's bookkeeping and read handle without touching
-// r.targets (used from read, which is rebuilding the target slice it
-// iterates).
-func (r *Runner) forgetPID(pid int) {
-	delete(r.known, pid)
-	delete(r.suspended, pid)
-	delete(r.badSig, pid)
-	delete(r.badRead, pid)
-	r.sys.Forget(pid)
-}
-
-// dropPID removes a PID from all bookkeeping and from every task's
-// membership (the permanent-failure path for signal delivery).
-func (r *Runner) dropPID(pid int) {
-	r.forgetPID(pid)
-	for id, pids := range r.targets {
-		for i, p := range pids {
-			if p != pid {
-				continue
-			}
-			nw := make([]int, 0, len(pids)-1)
-			nw = append(nw, pids[:i]...)
-			nw = append(nw, pids[i+1:]...)
-			r.targets[id] = nw
-			break
-		}
-	}
 }
 
 // sigResult is the outcome of one raw signal delivery, produced by
@@ -852,60 +904,66 @@ type sigResult struct {
 }
 
 // applySignal settles one delivery's bookkeeping on the loop goroutine:
-// ESRCH drops the PID immediately; EPERM (and exhausted retries) count a
-// strike, and a PID that keeps refusing signals for maxBadPIDStrikes
-// consecutive deliveries is dropped so the remaining workload's
-// guarantees survive. Reports whether the signal was delivered.
+// a delivered signal is recorded; ESRCH drops the PID immediately; EPERM
+// (and exhausted retries) count a strike, and a PID that keeps refusing
+// signals for maxBadPIDStrikes consecutive deliveries is dropped so the
+// remaining workload's guarantees survive. Reports whether the signal
+// was delivered.
 func (r *Runner) applySignal(res sigResult) bool {
+	p := r.procs[res.pid]
+	if p == nil {
+		return false // dropped by an earlier delivery of the same batch
+	}
 	name := sigName(res.stop)
 	if res.ok {
-		delete(r.badSig, res.pid)
+		p.badSig = 0
+		p.stopped = res.stop
 		return true
 	}
 	if res.gone {
 		r.health.vanished.Add(1)
 		r.errf("%s pid %d: %v (vanished)", name, res.pid, res.err)
-		r.dropPID(res.pid)
+		r.forget(res.pid)
 		return false
 	}
 	r.health.sigFailures.Add(1)
-	r.badSig[res.pid]++
+	p.badSig++
 	// The delivery failed with the PID still present, so its suspension
 	// state may now disagree with its task's eligibility.
 	r.needReconcile = true
-	if r.badSig[res.pid] >= maxBadPIDStrikes {
+	if p.badSig >= maxBadPIDStrikes {
 		r.health.unsignalable.Add(1)
-		r.errf("%s pid %d: %v (unsignalable after %d failed deliveries; dropping)", name, res.pid, res.err, r.badSig[res.pid])
-		r.dropPID(res.pid)
+		r.errf("%s pid %d: %v (unsignalable after %d failed deliveries; dropping)", name, res.pid, res.err, p.badSig)
+		r.forget(res.pid)
 	} else {
 		r.errf("%s pid %d: %v", name, res.pid, res.err)
 	}
 	return false
 }
 
-// signal is the sequential deliver-then-apply pair, used by the
-// single-worker path and by every out-of-band caller (reconcile,
-// refresh, restore, reconfigure).
+// signal is the sequential deliver-then-apply pair, used by the per-PID
+// fallback of a failed group op.
 func (r *Runner) signal(pid int, stop bool) bool {
 	return r.applySignal(r.deliverOp(sigOp{pid: pid, stop: stop}))
 }
 
-// refresh installs new task memberships. A PID joining the workload is
-// baselined *before* it can ever be measured, so its historical CPU is
-// not charged to the task as one quantum's consumption; joiners of an
-// ineligible task are stopped, and a suspended PID moving into an
-// eligible task is resumed. Memberships for tasks the scheduler no
-// longer knows are ignored. PIDs that left the workload entirely are
-// resumed (never leave a departed process frozen) and forgotten.
-func (r *Runner) refresh(m map[core.TaskID][]int) {
-	ids := make([]core.TaskID, 0, len(m))
-	for id := range m {
+// refresh installs new task memberships, visiting tasks in ID order.
+// Every PID listed for a task joins it (join baselines a new PID before
+// it can ever be measured, and moves a member of another task, so a PID
+// listed for two tasks ends up in the higher ID, which is logged); every
+// member a listed task no longer names leaves. Memberships for tasks the
+// runner does not know are ignored and counted in RefreshErrors; tasks
+// absent from the map keep their membership.
+func (r *Runner) refresh(want map[core.TaskID][]int) {
+	ids := make([]core.TaskID, 0, len(want))
+	for id := range want {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	named := make(map[int]core.TaskID)
+	known := ids[:0]
 	for _, id := range ids {
-		st, err := r.sched.State(id)
-		if err != nil {
+		if r.tasks[id] == nil {
 			// Task unknown to the scheduler (died mid-run, or the
 			// Refresh callback reported an ID that was never
 			// registered): its membership has no share to bill to.
@@ -913,115 +971,53 @@ func (r *Runner) refresh(m map[core.TaskID][]int) {
 			r.errf("refresh: ignoring membership for unknown task %d", id)
 			continue
 		}
-		old := make(map[int]bool, len(r.targets[id]))
-		for _, pid := range r.targets[id] {
-			old[pid] = true
-		}
-		live := make([]int, 0, len(m[id]))
-		for _, pid := range m[id] {
-			if _, have := r.known[pid]; !have {
-				bst, err := r.readStat(pid)
-				if err != nil || bst.State == 'Z' {
-					// Not installable this round; if it is a transient
-					// glitch the next refresh retries.
-					r.sys.Forget(pid)
-					r.health.refreshErrors.Add(1)
-					r.errf("refresh: cannot baseline joining pid %d (err=%v)", pid, err)
-					continue
-				}
-				r.known[pid] = pidState{cpu: bst.CPU, start: bst.Start}
+		known = append(known, id)
+		for _, pid := range want[id] {
+			if prev, dup := named[pid]; dup && prev != id {
+				r.errf("refresh: pid %d is listed for tasks %d and %d; it joins task %d", pid, prev, id, id)
 			}
-			if !old[pid] {
-				// Align the joiner's run state with its new task's
-				// eligibility (covers both fresh joins and a PID
-				// moving between tasks of different states).
-				if st == core.Ineligible && !r.suspended[pid] {
-					if r.signal(pid, true) {
-						r.suspended[pid] = true
-					}
-				} else if st == core.Eligible && r.suspended[pid] {
-					if r.signal(pid, false) {
-						delete(r.suspended, pid)
-					}
-				}
-				if _, ok := r.known[pid]; !ok {
-					continue // signal() dropped it (ESRCH)
-				}
-			}
-			live = append(live, pid)
-		}
-		r.targets[id] = live
-		if pgid, ok := r.groups[id]; ok {
-			// Joiners must be in the verified group, or the task becomes a
-			// mixed membership and loses one-syscall signalling: a group
-			// kill would miss the outside members.
-			for _, pid := range live {
-				if old[pid] {
-					continue
-				}
-				if got, err := r.sys.Pgid(pid); err != nil || got != pgid {
-					r.errf("refresh: task %d: joining pid %d is outside process group %d (pgid=%d err=%v); reverting to per-PID signalling",
-						id, pid, pgid, got, err)
-					delete(r.groups, id)
-					break
-				}
-			}
+			named[pid] = id
+			_ = r.join(id, pid, 0)
 		}
 	}
-	r.prune()
+	for _, id := range known {
+		r.eachMember(r.tasks[id], func(pid int, _ *proc) {
+			if _, listed := named[pid]; !listed {
+				r.leave(pid)
+			}
+		})
+	}
 	// Membership moved under the scheduler; make the next quantum verify
 	// the whole suspension/eligibility correspondence.
 	r.needReconcile = true
 }
 
-// prune forgets bookkeeping and read handles for PIDs no longer in any
-// task's membership, resuming any that the runner had suspended: a
-// process that left the workload must not stay frozen.
-func (r *Runner) prune() {
-	inUse := make(map[int]bool)
-	for _, pids := range r.targets {
-		for _, pid := range pids {
-			inUse[pid] = true
+// releaseAttempts bounds the retries of resume, which Release and leave
+// share. It is the last line of the "never leave the workload frozen"
+// invariant, so it is far more persistent than in-loop signal delivery.
+const releaseAttempts = 8
+
+// resume sends pid SIGCONT, retrying transient failures. ESRCH (the
+// process died while suspended, so it can no longer be frozen) is not an
+// error.
+func (r *Runner) resume(pid int) {
+	var err error
+	for attempt := 1; attempt <= releaseAttempts; attempt++ {
+		if err = r.sys.Cont(pid); err == nil || classify(err) != errTransient {
+			break
 		}
+		r.sys.Sleep(time.Millisecond)
 	}
-	for pid := range r.suspended {
-		if inUse[pid] {
-			continue
-		}
-		if err := r.sys.Cont(pid); err != nil && classify(err) != errGone {
-			r.errf("release departed pid %d: %v", pid, err)
-		}
-		delete(r.suspended, pid)
-	}
-	for pid := range r.known {
-		if !inUse[pid] {
-			delete(r.known, pid)
-			r.sys.Forget(pid)
-		}
-	}
-	for pid := range r.badSig {
-		if !inUse[pid] {
-			delete(r.badSig, pid)
-		}
-	}
-	for pid := range r.badRead {
-		if !inUse[pid] {
-			delete(r.badRead, pid)
-		}
+	if err != nil && classify(err) != errGone {
+		r.errf("resume pid %d: %v", pid, err)
 	}
 }
-
-// releaseAttempts bounds Release's per-PID retries. Release is the last
-// line of the "never leave the workload frozen" invariant, so it is far
-// more persistent than in-loop signal delivery.
-const releaseAttempts = 8
 
 // Release resumes every process the runner has suspended and releases
 // every read handle (a Step after Release reopens them). It is called
 // automatically when Run returns (and when a panic unwinds out of Step);
 // call it directly if using Step. Idempotent: transient failures are
-// retried persistently, and ESRCH (the process died while suspended — it
-// can no longer be frozen) is not an error. Safe from any goroutine.
+// retried persistently (see resume). Safe from any goroutine.
 func (r *Runner) Release() {
 	r.loopMu.Lock()
 	defer r.loopMu.Unlock()
@@ -1031,20 +1027,11 @@ func (r *Runner) Release() {
 // releaseLocked is Release's body, for callers already holding loopMu
 // (notably Step's panic path, which would deadlock calling Release).
 func (r *Runner) releaseLocked() {
-	for pid := range r.suspended {
-		var err error
-		for attempt := 1; attempt <= releaseAttempts; attempt++ {
-			if err = r.sys.Cont(pid); err == nil || classify(err) != errTransient {
-				break
-			}
-			r.sys.Sleep(time.Millisecond)
+	for pid, p := range r.procs {
+		if p.stopped {
+			r.resume(pid)
+			p.stopped = false
 		}
-		if err != nil && classify(err) != errGone {
-			r.errf("release pid %d: %v", pid, err)
-		}
-		delete(r.suspended, pid)
-	}
-	for pid := range r.known {
 		r.sys.Forget(pid)
 	}
 }

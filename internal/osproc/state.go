@@ -70,14 +70,17 @@ func (r *Runner) stateLocked() RunnerState {
 		DegradeLevel: r.over.level,
 	}
 	for _, snap := range st.Sched.Tasks {
-		rec := TaskRecord{ID: snap.ID, Share: snap.Share, PGID: r.groups[snap.ID]}
-		for _, pid := range r.targets[snap.ID] {
-			rec.PIDs = append(rec.PIDs, PIDRecord{PID: pid, Start: r.known[pid].start})
+		m := r.tasks[snap.ID]
+		rec := TaskRecord{ID: snap.ID, Share: snap.Share, PGID: m.pgid}
+		for _, pid := range m.pids {
+			rec.PIDs = append(rec.PIDs, PIDRecord{PID: pid, Start: r.procs[pid].start})
 		}
 		st.Tasks = append(st.Tasks, rec)
 	}
-	for pid := range r.suspended {
-		st.Suspended = append(st.Suspended, pid)
+	for pid, p := range r.procs {
+		if p.stopped {
+			st.Suspended = append(st.Suspended, pid)
+		}
 	}
 	sort.Ints(st.Suspended)
 	return st
@@ -89,17 +92,19 @@ func (r *Runner) stateLocked() RunnerState {
 // state, not cfg; everything else (Sys, Observer, Metrics, callbacks,
 // Overload) comes from cfg.
 //
-// Re-adoption rules, per PID:
+// Each recorded PID re-joins its task through join, with its recorded
+// start time:
 //   - gone or zombie: dropped (counted in Health as vanished);
 //   - /proc start time differs from the record: the kernel recycled the
 //     PID for an unrelated process — dropped without ever being
 //     signalled (counted as reused);
-//   - live and verified: CPU accounting is re-baselined at the *current*
-//     counter (the PR 1 join rule — CPU consumed while no scheduler was
+//   - live and verified: CPU accounting is baselined at the *current*
+//     counter by that same read (CPU consumed while no scheduler was
 //     running is nobody's fault and must not be billed as one quantum's
 //     consumption), and its run state is aligned with its task's restored
-//     eligibility: eligible PIDs are SIGCONTed (freeing anything the dead
-//     instance left SIGSTOPped), ineligible PIDs are SIGSTOPped.
+//     eligibility: a PID found stopped in an eligible task is SIGCONTed
+//     (freeing anything the dead instance left SIGSTOPped), a PID of an
+//     ineligible task is SIGSTOPped.
 //
 // Tasks whose every PID was dropped are removed from the restored
 // scheduler before the first tick. If no PID at all survives,
@@ -117,10 +122,12 @@ func NewRunnerFromState(cfg Config, st RunnerState) (*Runner, error) {
 	for _, t := range st.Sched.Tasks {
 		shares[t.ID] = t.Share
 	}
+	recs := make(map[core.TaskID]TaskRecord, len(st.Tasks))
 	for _, rec := range st.Tasks {
 		if sh, ok := shares[rec.ID]; !ok || sh != rec.Share {
 			return nil, fmt.Errorf("%w: task record %d disagrees with scheduler snapshot", ErrBadState, rec.ID)
 		}
+		recs[rec.ID] = rec
 	}
 
 	cfg.Quantum = st.BaseQuantum
@@ -146,61 +153,19 @@ func NewRunnerFromState(cfg Config, st RunnerState) (*Runner, error) {
 	r.health.effQuantumNS.Store(int64(effQ))
 	r.health.degradeLevel.Store(int64(level))
 
-	eligible := make(map[core.TaskID]bool, len(st.Sched.Tasks))
-	for _, t := range st.Sched.Tasks {
-		eligible[t.ID] = t.Eligible
-	}
-	live := 0
-	for _, rec := range st.Tasks {
-		var adopted []int
+	for _, ts := range st.Sched.Tasks {
+		rec := recs[ts.ID]
+		m := &members{pgid: rec.PGID}
+		r.tasks[ts.ID] = m
 		for _, pr := range rec.PIDs {
-			pst, err := r.readStat(pr.PID)
-			if err != nil || pst.State == 'Z' {
-				r.forgetPID(pr.PID)
-				r.health.vanished.Add(1)
-				r.errf("adopt pid %d: gone (err=%v)", pr.PID, err)
-				continue
-			}
-			if pst.Start != pr.Start {
-				r.forgetPID(pr.PID)
-				r.health.reused.Add(1)
-				r.errf("adopt pid %d: recycled by the kernel (start %d -> %d); dropping without signalling",
-					pr.PID, pr.Start, pst.Start)
-				continue
-			}
-			if eligible[rec.ID] {
-				// The dead instance may have left it SIGSTOPped; a
-				// SIGCONT to a running process is harmless.
-				if !r.signal(pr.PID, false) {
-					r.forgetPID(pr.PID)
-					continue
-				}
-			} else {
-				if !r.signal(pr.PID, true) {
-					r.forgetPID(pr.PID)
-					continue
-				}
-				r.suspended[pr.PID] = true
-			}
-			// Re-baseline at the current counter: CPU consumed during
-			// the scheduler outage is never charged.
-			cur, err := r.readStat(pr.PID)
-			if err != nil {
-				cur = pst
-			}
-			r.known[pr.PID] = pidState{cpu: cur.CPU, start: pr.Start}
-			adopted = append(adopted, pr.PID)
-			live++
+			_ = r.join(ts.ID, pr.PID, pr.Start)
 		}
-		r.targets[rec.ID] = adopted
-		if len(adopted) == 0 {
-			_ = r.sched.Remove(rec.ID)
-			delete(r.targets, rec.ID)
-		} else if rec.PGID != 0 && r.verifyGroup(rec.ID, rec.PGID, adopted) {
-			r.groups[rec.ID] = rec.PGID
+		if len(m.pids) == 0 {
+			_ = r.sched.Remove(ts.ID)
+			delete(r.tasks, ts.ID)
 		}
 	}
-	if live == 0 {
+	if len(r.procs) == 0 {
 		r.Release()
 		return nil, ErrNoLiveProcess
 	}

@@ -72,9 +72,9 @@ func TestStateRestoreResumesMidCycle(t *testing.T) {
 	}
 
 	// Re-baselined at the current counters: outage CPU is not charged.
-	for pid, ps := range r2.known {
-		if cur := fs.Proc(pid).CPU; ps.cpu != cur {
-			t.Errorf("pid %d baseline %v, want current counter %v", pid, ps.cpu, cur)
+	for pid, p := range r2.procs {
+		if cur := fs.Proc(pid).CPU; p.cpu != cur {
+			t.Errorf("pid %d baseline %v, want current counter %v", pid, p.cpu, cur)
 		}
 	}
 
@@ -113,7 +113,7 @@ func TestRestoreFreesEligibleStoppedPID(t *testing.T) {
 		if !ts.Eligible {
 			continue
 		}
-		for _, pid := range r2.targets[ts.ID] {
+		for _, pid := range memberPIDs(r2, ts.ID) {
 			if fs.IsStopped(pid) {
 				t.Errorf("eligible pid %d still stopped after restore", pid)
 			}
@@ -152,8 +152,8 @@ func TestRestoreDropsVanishedAndReusedPIDs(t *testing.T) {
 	if _, err := r2.Scheduler().State(1); err == nil {
 		t.Error("task 1 still registered with no live PID")
 	}
-	if got := r2.targets[2]; len(got) != 1 || got[0] != 20 {
-		t.Errorf("task 2 targets = %v, want [20]", got)
+	if got := memberPIDs(r2, 2); len(got) != 1 || got[0] != 20 {
+		t.Errorf("task 2 members = %v, want [20]", got)
 	}
 	r2.Release()
 }

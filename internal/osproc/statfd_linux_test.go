@@ -52,7 +52,7 @@ func TestBlockedVoteSeesRunningThread(t *testing.T) {
 	if st.State != 'R' {
 		t.Errorf("state = %c, want R (thread 301 runs)", st.State)
 	}
-	r := newFixtureRunner(map[core.TaskID][]int{1: {300}})
+	r := newFixtureRunner(t, map[core.TaskID][]int{1: {300}})
 	if p, ok := r.read(1); !ok || p.Blocked {
 		t.Errorf("read = %+v ok=%v, want a live, unblocked task", p, ok)
 	}

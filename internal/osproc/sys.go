@@ -6,12 +6,12 @@ import (
 )
 
 // Sys is the operating-system surface the Runner depends on: reading a
-// process's accounting state, delivering the two job-control signals, and
-// enumerating a user's processes. The production implementation (RealSys)
-// forwards to /proc and kill(2); FaultSys is a scriptable fake that
-// injects the failure modes a live system exhibits — vanished PIDs, PID
-// reuse, EPERM, /proc read races, slow reads — so every failure path in
-// the control loop is unit-testable without spawning a single process.
+// process's accounting state and delivering the two job-control signals.
+// The production implementation (RealSys) forwards to /proc and kill(2);
+// FaultSys is a scriptable fake that injects the failure modes a live
+// system exhibits — vanished PIDs, PID reuse, EPERM, /proc read races,
+// slow reads — so every failure path in the control loop is unit-testable
+// without spawning a single process.
 type Sys interface {
 	// ReadStat returns the accounting snapshot for pid
 	// (/proc/<pid>/stat on Linux). An implementation may hold a handle
@@ -37,8 +37,6 @@ type Sys interface {
 	// it to verify a claimed group before trusting one-syscall group
 	// signalling.
 	Pgid(pid int) (int, error)
-	// PidsOfUser enumerates the live PIDs owned by uid.
-	PidsOfUser(uid uint32) ([]int, error)
 	// Sleep pauses the calling goroutine, used for the capped retry
 	// backoff between signal attempts. Fakes advance a virtual clock
 	// instead so fault tests run in microseconds.
@@ -85,9 +83,6 @@ func (RealSys) ContGroup(pgid int) error { return ContGroup(pgid) }
 
 // Pgid is getpgid(2).
 func (RealSys) Pgid(pid int) (int, error) { return Pgid(pid) }
-
-// PidsOfUser scans /proc for processes owned by uid.
-func (RealSys) PidsOfUser(uid uint32) ([]int, error) { return PidsOfUser(uid) }
 
 // Sleep is time.Sleep.
 func (RealSys) Sleep(d time.Duration) { time.Sleep(d) }

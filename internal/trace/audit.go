@@ -59,8 +59,8 @@ type cycleSample struct {
 //     which doubles as the flight recorder's drift trigger, and its
 //     EWMA (metrics.EWMA), which averages away the beat a window
 //     strikes against a duty cycle;
-//   - convergence time, in cycles, after a disturbance (start,
-//     Reconfigure, or restart via MarkDisturbance);
+//   - convergence time, in cycles, after a disturbance (start or
+//     Reconfigure; a restart builds a fresh auditor);
 //   - the §3.2 sampling-reduction ratio: the fraction of potential
 //     per-quantum measurements that lazy sampling avoided.
 type Auditor struct {
@@ -318,15 +318,6 @@ func (a *Auditor) registerTaskLocked(id int64) {
 			defer a.mu.Unlock()
 			return a.perTask[id]
 		})
-}
-
-// MarkDisturbance resets the convergence clock, e.g. after a restart
-// from checkpoint. Reconfigure is detected automatically from the event
-// stream.
-func (a *Auditor) MarkDisturbance() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.markDisturbanceLocked()
 }
 
 func (a *Auditor) markDisturbanceLocked() {

@@ -112,11 +112,6 @@ func TestAuditorConvergence(t *testing.T) {
 	if got := a.ConvergenceCycles(); got != 1 {
 		t.Errorf("ConvergenceCycles = %v, want 1 (one settling cycle)", got)
 	}
-	// MarkDisturbance (the restart path) resets too.
-	a.MarkDisturbance()
-	if got := a.ConvergenceCycles(); got != -1 {
-		t.Errorf("ConvergenceCycles after MarkDisturbance = %v, want -1", got)
-	}
 }
 
 // TestAuditorSamplingRatio replays the §3.2 accounting: potential
