@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race short bench bench-check alloc-gate timeline trace trace-fleet examples chaos chaos-fleet vulncheck loc knobs
+.PHONY: check fmt vet build test race short bench bench-check alloc-gate timeline trace examples chaos chaos-fleet vulncheck loc knobs
 
 check: fmt vet build race
 
@@ -30,9 +30,9 @@ short:
 	$(GO) test -short ./...
 
 # Benchmarks, each writing a JSON report next to the repo root:
-#   obs        — observer off vs on, ns/quantum, plus the coordinator
-#                heartbeat with fleet tracing off vs on; hard-fails when
-#                fleet tracing adds >1% (>5% quick) (BENCH_obs.json)
+#   obs        — observer off vs on (no-op, metrics, flight recorder),
+#                ns/quantum on the bare core and the runner loop
+#                (BENCH_obs.json)
 #   robustness — checkpoint write latency, per-cycle checkpoint
 #                overhead vs the 5%-of-quantum budget, and coordinator
 #                rebalance convergence vs the 12-round gate
@@ -94,18 +94,6 @@ examples:
 		echo "== examples/$$ex"; \
 		$(GO) run ./examples/$$ex || exit 1; \
 	done
-
-# Fleet trace smoke: a deterministic coordsim fleet (coordinator + two
-# shards on a virtual clock) converges, a shard's flight recorder fires,
-# the coordinator collects every member's window, and the merged
-# epoch-causal trace is validated and written as TRACE_fleet.json
-# (coordinator track + one track per shard, publish->apply flow events;
-# opens directly in Perfetto). Fails unless every committed epoch's
-# causality is drawn and the correlated collection gathered all members.
-# QUICK=1 trims the virtual run for CI.
-trace-fleet:
-	$(GO) run ./cmd/alps-bench $(if $(QUICK),-quick) fleettrace
-	@echo "wrote TRACE_fleet.json (open in https://ui.perfetto.dev)"
 
 # Crash/restart end-to-end suite under the race detector: SIGKILL the
 # scheduler mid-run, restart from the -state file, require shares to

@@ -52,7 +52,6 @@ var experiments = []experiment{
 	{"servicelag", "extension: worst-case service lag (stride-style error bound)", runServiceLag},
 	{"obs", "observability overhead: observer off vs on (writes BENCH_obs.json)", runObs},
 	{"timeline", "aliasing-free audit windows on retained history: raw vs EWMA beat, sampler cost (merges into BENCH_obs.json)", runTimeline},
-	{"fleettrace", "fleet tracing smoke: coordsim fleet -> merged epoch-causal trace (writes TRACE_fleet.json)", runFleetTrace},
 	{"robustness", "checkpoint write latency and per-cycle overhead (writes BENCH_robustness.json)", runRobustness},
 	{"scale", "control-loop cost vs fleet size, reference vs O(due) loop (writes BENCH_scale.json)", runScale},
 }

@@ -1,19 +1,14 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"syscall"
 	"time"
 
-	"alps/internal/coord"
 	"alps/internal/core"
-	"alps/internal/fleetobs"
 	"alps/internal/obs"
 	"alps/internal/osproc"
 	"alps/internal/trace"
@@ -123,113 +118,6 @@ func runObs() error {
 		return float64(cpuNow()-start) / float64(runnerIters), nil
 	}
 
-	// Fleet-tracing overhead on the control plane: the coordinator's
-	// heartbeat handler — the fleet's hot RPC, every shard every period —
-	// timed with the fleet observability stack detached and attached.
-	// The attached path watches the shard's dump counter and checks for
-	// a pending dump request on every beat; the budget is 1% added cost
-	// (5% under -quick, where short runs are noise-bound). A 1%
-	// resolution is below this harness's run-to-run noise (GC phase,
-	// frequency drift), so the two variants are NOT timed as separate
-	// runs: heartbeatLoop returns a closure per variant and the caller
-	// interleaves small chunks of both against live servers, charging
-	// slow drift to each side equally.
-	heartbeatLoop := func(withFleet bool) (func(n int) error, error) {
-		cfg := coord.ServerConfig{TTL: time.Hour, RebalanceEvery: time.Hour}
-		if withFleet {
-			cfg.Fleet = fleetobs.NewStack(fleetobs.StackConfig{})
-		}
-		srv, err := coord.NewServer(cfg)
-		if err != nil {
-			return nil, err
-		}
-		do := func(path string, body []byte, out any) error {
-			req := httptest.NewRequest("POST", path, bytes.NewReader(body))
-			w := httptest.NewRecorder()
-			srv.ServeHTTP(w, req)
-			if w.Code != 200 {
-				return fmt.Errorf("%s: HTTP %d: %s", path, w.Code, w.Body.String())
-			}
-			if out != nil {
-				return json.Unmarshal(w.Body.Bytes(), out)
-			}
-			return nil
-		}
-		regBody, err := json.Marshal(coord.RegisterRequest{
-			Shard: "bench",
-			Tasks: []coord.TaskShare{{ID: 1, Share: 300}, {ID: 2, Share: 100}},
-		})
-		if err != nil {
-			return nil, err
-		}
-		var rr coord.RegisterResponse
-		if err := do("/coord/v1/register", regBody, &rr); err != nil {
-			return nil, err
-		}
-		// Steady state: a constant cumulative reading (zero delta), the
-		// committed epoch already applied — the beat every shard sends
-		// between rebalances.
-		hbBody, err := json.Marshal(coord.HeartbeatRequest{
-			Shard: "bench", Lease: rr.Lease, Epoch: rr.Assignment.Epoch,
-			Gauges: coord.ShardGauges{
-				Consumed:      map[int64]float64{1: 7.5, 2: 2.5},
-				RMSShareError: 0.05,
-				Cycles:        1000,
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		return func(n int) error {
-			for i := 0; i < n; i++ {
-				if err := do("/coord/v1/heartbeat", hbBody, nil); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, nil
-	}
-	heartbeatBench := func(iters int) (offNs, onNs float64, err error) {
-		loopOff, err := heartbeatLoop(false)
-		if err != nil {
-			return 0, 0, err
-		}
-		loopOn, err := heartbeatLoop(true)
-		if err != nil {
-			return 0, 0, err
-		}
-		const chunk = 500
-		if err := loopOff(iters / 10); err != nil { // warmup
-			return 0, 0, err
-		}
-		if err := loopOn(iters / 10); err != nil {
-			return 0, 0, err
-		}
-		runtime.GC()
-		var cpuOff, cpuOn time.Duration
-		for done := 0; done < iters; done += chunk {
-			// Alternate which variant leads each chunk pair so neither
-			// side systematically inherits the other's GC debt.
-			order := []bool{false, true}
-			if (done/chunk)%2 == 1 {
-				order[0], order[1] = true, false
-			}
-			for _, withFleet := range order {
-				loop, acc := loopOff, &cpuOff
-				if withFleet {
-					loop, acc = loopOn, &cpuOn
-				}
-				start := cpuNow()
-				if err := loop(chunk); err != nil {
-					return 0, 0, err
-				}
-				*acc += cpuNow() - start
-			}
-		}
-		n := float64((iters + chunk - 1) / chunk * chunk)
-		return float64(cpuOff) / n, float64(cpuOn) / n, nil
-	}
-
 	type variant struct {
 		Name        string  `json:"name"`
 		NsPerTick   float64 `json:"ns_per_tick"`
@@ -286,27 +174,6 @@ func runObs() error {
 			keepMin(&runnerB.Variants[i].NsPerTick, ns)
 		}
 	}
-	hbIters := 60_000
-	if *quick {
-		hbIters = 8_000
-	}
-	// Keep the round with the smallest *paired* difference, not
-	// min-of-rounds per variant: the chunk interleave makes off/on
-	// strongly correlated within a round, and mixing rounds would throw
-	// that pairing away exactly where a 1% resolution needs it. Min of
-	// the paired diffs is the same additive-noise argument as min-of-k
-	// above — an asymmetric GC or scheduling hit only ever inflates a
-	// round's diff, while a real regression shifts every round.
-	var hbOff, hbOn float64
-	for round := 0; round < rounds; round++ {
-		off, on, err := heartbeatBench(hbIters)
-		if err != nil {
-			return err
-		}
-		if hbOff == 0 || on-off < hbOn-hbOff {
-			hbOff, hbOn = off, on
-		}
-	}
 	finish(&coreB)
 	finish(&runnerB)
 
@@ -317,14 +184,6 @@ func runObs() error {
 	disabledPct := pctOfQuantum(runnerB.Variants[0].NsPerTick)
 	enabledPct := pctOfQuantum(runnerB.Variants[2].NsPerTick)
 	recorderPct := pctOfQuantum(runnerB.Variants[3].NsPerTick)
-	fleetPct := 0.0
-	if hbOff > 0 {
-		fleetPct = 100 * (hbOn - hbOff) / hbOff
-	}
-	fleetBudget := 1.0
-	if *quick {
-		fleetBudget = 5.0
-	}
 	report := struct {
 		Tasks                int     `json:"tasks"`
 		QuantumNs            int64   `json:"quantum_ns"`
@@ -334,11 +193,6 @@ func runObs() error {
 		RecorderPctOfQuantum float64 `json:"recorder_quantum_loop_overhead_pct"`
 		DisabledWithin5Pct   bool    `json:"disabled_within_5pct"`
 		RecorderWithin5Pct   bool    `json:"recorder_within_5pct"`
-		FleetHeartbeatOffNs  float64 `json:"fleet_heartbeat_off_ns"`
-		FleetHeartbeatOnNs   float64 `json:"fleet_heartbeat_on_ns"`
-		FleetTracingPct      float64 `json:"fleet_tracing_heartbeat_overhead_pct"`
-		FleetBudgetPct       float64 `json:"fleet_tracing_budget_pct"`
-		FleetWithinBudget    bool    `json:"fleet_tracing_within_1pct"`
 	}{
 		Tasks:                nTasks,
 		QuantumNs:            int64(q),
@@ -348,11 +202,6 @@ func runObs() error {
 		RecorderPctOfQuantum: recorderPct,
 		DisabledWithin5Pct:   disabledPct < 5,
 		RecorderWithin5Pct:   recorderPct < 5,
-		FleetHeartbeatOffNs:  hbOff,
-		FleetHeartbeatOnNs:   hbOn,
-		FleetTracingPct:      fleetPct,
-		FleetBudgetPct:       fleetBudget,
-		FleetWithinBudget:    fleetPct < fleetBudget,
 	}
 
 	fmt.Println("Observability overhead per quantum (CPU time, getrusage, min of", rounds, "rounds)")
@@ -371,9 +220,6 @@ func runObs() error {
 	if !report.RecorderWithin5Pct {
 		fmt.Println("  WARNING: flight-recorder quantum-loop overhead exceeds the 5% budget on this host")
 	}
-	fmt.Printf("  coordinator heartbeat, fleet tracing off:  %9.1f ns\n", hbOff)
-	fmt.Printf("  coordinator heartbeat, fleet tracing on:   %9.1f ns  %+.2f%% (budget %.0f%%)\n",
-		hbOn, fleetPct, fleetBudget)
 
 	dir := *out
 	if dir == "" {
@@ -388,11 +234,5 @@ func runObs() error {
 		return err
 	}
 	fmt.Printf("  wrote %s\n", path)
-	// The fleet-tracing number is a hard gate, not a warning: the
-	// heartbeat path is the control plane's only hot loop, and the
-	// stack's contract is that attaching it is free at steady state.
-	if !report.FleetWithinBudget {
-		return fmt.Errorf("fleet tracing adds %.2f%% to the heartbeat path (budget %.0f%%)", fleetPct, fleetBudget)
-	}
 	return nil
 }

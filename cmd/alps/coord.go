@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -14,9 +15,9 @@ import (
 
 	"alps"
 	"alps/internal/coord"
-	"alps/internal/fleetobs"
 	"alps/internal/obs"
 	"alps/internal/osproc"
+	"alps/internal/tshist"
 )
 
 // Fleet mode. `alps coord` runs the coordinator; any scheduling mode
@@ -39,11 +40,6 @@ func startCoordLink(r *alps.Runner, st *obsStack, url, shard string, capacity fl
 		}
 		shard = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	// The fleet tracer records this shard's apply/upload events; its
-	// window plus the flight recorder's (anchored to wall time) is what
-	// this shard contributes when the coordinator opens a correlated
-	// collection.
-	tracer := fleetobs.NewTracer(fleetobs.TracerConfig{Node: shard})
 	agent, err := coord.NewAgent(coord.AgentConfig{
 		URL:      url,
 		Shard:    shard,
@@ -75,14 +71,6 @@ func startCoordLink(r *alps.Runner, st *obsStack, url, shard string, capacity fl
 			return r.Reconfigure(rc)
 		},
 		Metrics: st.reg,
-		Tracer:  tracer,
-		Collect: func(fleetobs.DumpRequest) (fleetobs.DumpPayload, bool) {
-			return fleetobs.DumpPayload{
-				Fleet:          tracer.Snapshot(),
-				Obs:            st.rec.Snapshot(),
-				AnchorUnixNano: st.started.UnixNano(),
-			}, true
-		},
 		Logf: func(format string, args ...any) {
 			errlog.Info(fmt.Sprintf(format, args...))
 		},
@@ -114,7 +102,6 @@ type coordOpts struct {
 	gain          *float64
 	deadband      *float64
 	timelineEvery *time.Duration
-	traceDir      *string
 }
 
 func coordFlags(fs *flag.FlagSet) coordOpts {
@@ -127,7 +114,6 @@ func coordFlags(fs *flag.FlagSet) coordOpts {
 		gain:          fs.Float64("gain", 0, "rebalance step clamp: one round moves a share by at most this factor, above 1 (0: default 2)"),
 		deadband:      fs.Float64("deadband", 0, "global RMS share error below which no rebalance is committed (0: default 0.02)"),
 		timelineEvery: fs.Duration("timeline-every", time.Second, "retained-history sampling cadence for /fleet/timeline (0 disables the fleet timeline)"),
-		traceDir:      fs.String("trace-dir", "", "directory for correlated fleet trace bundles (empty: in-memory only, still served at /debug/fleet-trace)"),
 	}
 }
 
@@ -188,41 +174,10 @@ func cmdCoord(args []string) error {
 		weights[id] = w
 	}
 
-	reg := obs.NewRegistry()
-	// StackConfig treats 0 as "default cadence" and negative as
-	// "disabled"; the flag's 0 means disabled, so translate.
-	histEvery := *opts.timelineEvery
-	if histEvery == 0 {
-		histEvery = -1
-	}
-	fleet := fleetobs.NewStack(fleetobs.StackConfig{
-		Dir:          *opts.traceDir,
-		Metrics:      reg,
-		HistoryEvery: histEvery,
-		Logf: func(format string, args ...any) {
-			errlog.Info(fmt.Sprintf(format, args...))
-		},
-	})
-	srv, err := coord.NewServer(coord.ServerConfig{
-		TTL:            *opts.ttl,
-		RebalanceEvery: *opts.rebalance,
-		Quantum:        *opts.quantum,
-		Weights:        weights,
-		StatePath:      *opts.state,
-		Planner:        coord.PlannerConfig{Gain: *opts.gain, Deadband: *opts.deadband},
-		Metrics:        reg,
-		Fleet:          fleet,
-		Logf: func(format string, args ...any) {
-			errlog.Info(fmt.Sprintf(format, args...))
-		},
-	})
+	srv, mux, err := newCoordinator(opts, weights)
 	if err != nil {
 		return err
 	}
-
-	mux := obs.NewMux(reg, func() any { return srv.Status() }, nil)
-	mux.Handle("/coord/v1/", srv)
-	fleet.Mount(mux)
 	ln, err := net.Listen("tcp", *opts.httpAddr)
 	if err != nil {
 		return fmt.Errorf("coordinator listener on %s: %w", *opts.httpAddr, err)
@@ -240,4 +195,38 @@ func cmdCoord(args []string) error {
 	defer cancel()
 	_ = hs.Shutdown(sctx)
 	return nil
+}
+
+// newCoordinator builds what "alps coord" serves: the server, its
+// retained timeline when -timeline-every is positive, and the HTTP
+// surface (/coord/v1/*, /metrics, /healthz and /fleet/timeline). The
+// server's Tick drives the timeline, so samples follow its clock.
+func newCoordinator(opts coordOpts, weights map[int64]int64) (*coord.Server, *http.ServeMux, error) {
+	reg := obs.NewRegistry()
+	var hist *tshist.Store
+	if every := *opts.timelineEvery; every > 0 {
+		hist = tshist.New(tshist.Config{Source: reg, Every: every})
+	}
+	srv, err := coord.NewServer(coord.ServerConfig{
+		TTL:            *opts.ttl,
+		RebalanceEvery: *opts.rebalance,
+		Quantum:        *opts.quantum,
+		Weights:        weights,
+		StatePath:      *opts.state,
+		Planner:        coord.PlannerConfig{Gain: *opts.gain, Deadband: *opts.deadband},
+		Metrics:        reg,
+		History:        hist,
+		Logf: func(format string, args ...any) {
+			errlog.Info(fmt.Sprintf(format, args...))
+		},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	mux := obs.NewMux(reg, func() any { return srv.Status() }, nil)
+	mux.Handle("/coord/v1/", srv)
+	if hist != nil {
+		mux.Handle("/fleet/timeline", hist.Handler())
+	}
+	return srv, mux, nil
 }

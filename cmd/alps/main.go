@@ -83,7 +83,7 @@ func usage() {
   alps spawn  [common flags] [-children] -shares 1,2,3 -- command [args...]
   alps user   [common flags] [-refresh 1s] name:share ...
   alps coord  -http :7070 [-ttl 5s] [-rebalance 2s] [-state FILE]
-              [-timeline-every 1s] [-trace-dir D] [id:weight ...]
+              [-timeline-every 1s] [id:weight ...]
 
 common flags:
   -q 20ms       ALPS quantum
@@ -132,12 +132,10 @@ committed, and the shards re-register on their next heartbeat. POST
 The coordinator's status document is /healthz, the same document as
 /coord/v1/status: epoch, global RMS share error (last round, windowed,
 EWMA), convergence, epoch propagation, leased shards with lease age and
-stale flag, and detached shards. /metrics carries
-the alps_coord_* and alps_fleet_* families. The coordinator also serves
-its retained timeline on /fleet/timeline and the latest correlated fleet
-trace bundle (Perfetto-loadable, merged across the coordinator and every
-uploading shard) on /debug/fleet-trace; -trace-dir on coord persists
-those bundles as fleet-<reason>-<epoch>/.
+stale flag, and detached shards; a shard's row shows its trace_dumps, so
+a fired flight recorder points at that shard's -trace-dir and
+/debug/trace. /metrics carries the alps_coord_* and alps_fleet_*
+families, and /fleet/timeline their retained history.
 
 SIGUSR1 dumps the cycle journal to stderr. SIGUSR2 dumps a flight-recorder
 trace. SIGHUP reloads -config.

@@ -2,14 +2,21 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"io"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"alps"
+	"alps/internal/coord"
 	"alps/internal/osproc"
+	"alps/internal/trace"
+	"alps/internal/tshist"
 )
 
 func TestParsePidShares(t *testing.T) {
@@ -237,6 +244,132 @@ func TestCoordFlagValidation(t *testing.T) {
 			}
 		})
 	}
+
+	// The coordinator keeps no trace bundles: -trace-dir is not a flag.
+	fs := flag.NewFlagSet("coord", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	coordFlags(fs)
+	err := fs.Parse([]string{"-http", ":0", "-trace-dir", "x"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -trace-dir") {
+		t.Errorf("coord -trace-dir x: err = %v, want flag provided but not defined", err)
+	}
+}
+
+// buildCoord parses args as "alps coord" flags and builds the
+// coordinator and the mux it would serve.
+func buildCoord(t *testing.T, args ...string) (*coord.Server, http.Handler) {
+	t.Helper()
+	fs := flag.NewFlagSet("coord", flag.ContinueOnError)
+	opts := coordFlags(fs)
+	if err := fs.Parse(append([]string{"-http", ":0"}, args...)); err != nil {
+		t.Fatal(err)
+	}
+	srv, mux, err := newCoordinator(opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, mux
+}
+
+func getPath(h http.Handler, path string) *httptest.ResponseRecorder {
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+	return rr
+}
+
+// TestCoordMount: "alps coord" serves the retained timeline at
+// /fleet/timeline; the fleet metrics and health live on the
+// coordinator's own /metrics and /healthz, and the correlated-bundle
+// route is gone.
+func TestCoordMount(t *testing.T) {
+	_, mux := buildCoord(t, "-timeline-every", "1s")
+	for path, want := range map[string]int{
+		"/fleet/timeline":    http.StatusOK,
+		"/debug/fleet-trace": http.StatusNotFound,
+		"/fleet/metrics":     http.StatusNotFound,
+		"/fleet/healthz":     http.StatusNotFound,
+	} {
+		if code := getPath(mux, path).Code; code != want {
+			t.Errorf("GET %s = %d, want %d", path, code, want)
+		}
+	}
+}
+
+// TestCoordTimeline: "alps coord" retains the history of its registry,
+// driven by the server's Tick, and serves it at /fleet/timeline as JSON
+// and CSV. With -timeline-every 0 the route is not mounted.
+func TestCoordTimeline(t *testing.T) {
+	srv, mux := buildCoord(t, "-timeline-every", "1s")
+	now := time.Now()
+	for i := 0; i < 3; i++ {
+		if i > 0 {
+			if _, err := srv.SetWeights([]coord.TaskShare{{ID: 1, Share: int64(i)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Tick(now.Add(time.Duration(i) * time.Second))
+	}
+	var tl tshist.Timeline
+	if err := json.Unmarshal(getPath(mux, "/fleet/timeline").Body.Bytes(), &tl); err != nil {
+		t.Fatalf("unmarshal /fleet/timeline: %v", err)
+	}
+	if tl.Samples != 3 {
+		t.Fatalf("timeline samples = %d, want 3", tl.Samples)
+	}
+	found := false
+	for _, sr := range tl.Series {
+		if sr.Name == "alps_coord_epoch" {
+			found = true
+			if len(sr.Points) != 3 || sr.Points[2].Value != 2 {
+				t.Fatalf("epoch series = %+v, want 3 points ending at 2", sr.Points)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("alps_coord_epoch missing from the retained timeline")
+	}
+	if body := getPath(mux, "/fleet/timeline?format=csv").Body.String(); !strings.HasPrefix(body, "name,labels,unix_nano,value\n") {
+		t.Fatalf("CSV timeline missing header: %.40q", body)
+	}
+
+	_, off := buildCoord(t, "-timeline-every", "0")
+	if code := getPath(off, "/fleet/timeline").Code; code != http.StatusNotFound {
+		t.Fatalf("disabled timeline: GET /fleet/timeline = %d, want 404", code)
+	}
+}
+
+// TestTraceDirDroppedDumps: a flight-recorder dump that finds the
+// -trace-dir writer busy is dropped, and the drop is counted on
+// /metrics as alps_trace_dumps_dropped_total.
+func TestTraceDirDroppedDumps(t *testing.T) {
+	st := newObsStack(obsOptions{})
+	if err := st.setTraceDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	writing, release := make(chan struct{}), make(chan struct{})
+	st.dumper.OnWrite = func(string, trace.Dump, error) {
+		writing <- struct{}{}
+		<-release
+	}
+	st.dumper.Dump(trace.Dump{Reason: "manual", Seq: 1})
+	<-writing // the writer holds dump 1
+	for seq := int64(2); seq <= 7; seq++ {
+		st.dumper.Dump(trace.Dump{Reason: "manual", Seq: seq}) // 4 queue, 2 drop
+	}
+	var buf bytes.Buffer
+	if err := st.reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "alps_trace_dumps_dropped_total 2\n") {
+		t.Errorf("metrics missing alps_trace_dumps_dropped_total 2:\n%s", buf.String())
+	}
+	go func() {
+		for range writing {
+		}
+	}()
+	close(release)
+	st.close()
+	close(writing)
 }
 
 // The flag values must actually reach the stack: obsOptions carries them

@@ -60,10 +60,6 @@ type obsStack struct {
 	fleetMu       sync.Mutex
 	fleetConsumed map[int64]float64
 	fleetCycles   int64
-
-	// started anchors the flight recorder's substrate offsets onto the
-	// wall clock when a window is uploaded to a fleet collection.
-	started time.Time
 }
 
 // obsOptions parameterizes an obsStack: the -http listen address, the
@@ -84,7 +80,6 @@ func newObsStack(opt obsOptions) *obsStack {
 		journal:       obs.NewJournal(obs.DefaultJournalSize),
 		addr:          opt.addr,
 		fleetConsumed: make(map[int64]float64),
-		started:       time.Now(),
 	}
 	st.rec = trace.NewRecorder(trace.RecorderConfig{
 		OnDump: func(d trace.Dump) {
@@ -123,7 +118,8 @@ func (st *obsStack) auditor() *trace.Auditor {
 
 // setTraceDir routes flight-recorder dumps to Chrome trace files in dir
 // (the -trace-dir flag), on a worker goroutine so triggers never block
-// the control loop.
+// the control loop. A dump that finds the worker's queue full is
+// dropped and counted, so a missing file is visible on /metrics.
 func (st *obsStack) setTraceDir(dir string) error {
 	if dir == "" {
 		return nil
@@ -139,6 +135,8 @@ func (st *obsStack) setTraceDir(dir string) error {
 		}
 		errlog.Info("trace dump written", "path", path)
 	}
+	st.reg.CounterFunc("alps_trace_dumps_dropped_total",
+		"Flight-recorder dumps dropped because the -trace-dir writer was busy.", d.Dropped)
 	st.dumper = d
 	return nil
 }

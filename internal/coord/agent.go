@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"alps/internal/backoff"
-	"alps/internal/fleetobs"
 	"alps/internal/obs"
 )
 
@@ -44,14 +43,6 @@ type AgentConfig struct {
 	Transport http.RoundTripper
 	// Metrics, if non-nil, receives the alps_coord_link_* families.
 	Metrics *obs.Registry
-	// Tracer, if non-nil, records this shard's control-plane events
-	// (applies, dump uploads) for merged fleet traces.
-	Tracer *fleetobs.Tracer
-	// Collect, if non-nil, builds this shard's contribution to a
-	// correlated fleet dump (its fleet event window plus, typically, its
-	// local flight-recorder window). Returning false skips the upload.
-	// The agent fills Shard, Seq, Reason and a zero Incarnation.
-	Collect func(fleetobs.DumpRequest) (fleetobs.DumpPayload, bool)
 	// Logf, if non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -97,11 +88,6 @@ type Agent struct {
 	applies     int64
 	staleRej    int64
 	failsTotal  int64
-	// lastApplied is the trace context of the last applied assignment,
-	// echoed on heartbeats; lastDumpSeq dedupes piggybacked dump
-	// requests (at-most-once per collection).
-	lastApplied *fleetobs.TraceContext
-	lastDumpSeq int64
 }
 
 // rpcTimeout bounds every coordinator RPC.
@@ -283,7 +269,7 @@ func (a *Agent) register() rpcClass {
 
 func (a *Agent) heartbeat() rpcClass {
 	a.mu.Lock()
-	req := HeartbeatRequest{Shard: a.cfg.Shard, Lease: a.lease, Epoch: a.epoch, Trace: a.lastApplied}
+	req := HeartbeatRequest{Shard: a.cfg.Shard, Lease: a.lease, Epoch: a.epoch}
 	a.mu.Unlock()
 	req.Gauges = a.cfg.Gauges()
 	var resp HeartbeatResponse
@@ -297,58 +283,7 @@ func (a *Agent) heartbeat() rpcClass {
 	if resp.Assignment != nil {
 		a.maybeApply(*resp.Assignment)
 	}
-	if resp.Dump != nil {
-		a.handleDump(*resp.Dump)
-	}
 	return rpcOK
-}
-
-// handleDump answers a piggybacked correlated-dump request: collect this
-// shard's trace window and upload it. Each collection is uploaded at
-// most once (dedupe by Seq); a retryable upload failure leaves the
-// watermark alone so the next heartbeat retries.
-func (a *Agent) handleDump(req fleetobs.DumpRequest) {
-	a.mu.Lock()
-	seen := req.Seq <= a.lastDumpSeq
-	a.mu.Unlock()
-	if seen || a.cfg.Collect == nil {
-		return
-	}
-	payload, ok := a.cfg.Collect(req)
-	if !ok {
-		a.markDump(req.Seq)
-		return
-	}
-	payload.Shard = a.cfg.Shard
-	payload.Seq = req.Seq
-	payload.Reason = req.Reason
-	if payload.Incarnation == 0 && a.cfg.Tracer != nil {
-		payload.Incarnation = a.cfg.Tracer.Incarnation()
-	}
-	var out struct{}
-	switch a.post("/coord/v1/dump", payload, &out) {
-	case rpcOK:
-		a.markDump(req.Seq)
-		if a.cfg.Tracer != nil {
-			a.cfg.Tracer.Emit(fleetobs.Event{
-				Kind: fleetobs.KindDumpUpload, Epoch: req.Epoch, Note: "reason=" + req.Reason,
-			})
-		}
-		a.logf("coord-link: uploaded fleet trace window (%s, seq %d)", req.Reason, req.Seq)
-	case rpcRetryable:
-		// Leave lastDumpSeq: the request rides the next heartbeat too.
-	default:
-		a.markDump(req.Seq)
-		a.logf("coord-link: fleet dump upload rejected (%s, seq %d)", req.Reason, req.Seq)
-	}
-}
-
-func (a *Agent) markDump(seq int64) {
-	a.mu.Lock()
-	if seq > a.lastDumpSeq {
-		a.lastDumpSeq = seq
-	}
-	a.mu.Unlock()
 }
 
 // maybeApply vets an assignment's epoch and commits it locally. The
@@ -368,7 +303,6 @@ func (a *Agent) maybeApply(asg Assignment) {
 		return // same epoch: already applied
 	}
 	a.mu.Unlock()
-	applyStart := a.now()
 	if err := a.cfg.Apply(asg); err != nil {
 		// Leave a.epoch alone: the coordinator keeps re-sending until
 		// the local scheduler accepts.
@@ -379,17 +313,8 @@ func (a *Agent) maybeApply(asg Assignment) {
 	if asg.Epoch > a.epoch {
 		a.epoch = asg.Epoch
 		a.applies++
-		a.lastApplied = asg.Trace
 	}
 	a.mu.Unlock()
-	if a.cfg.Tracer != nil {
-		ev := fleetobs.Event{Kind: fleetobs.KindApply, Epoch: asg.Epoch, Dur: a.now().Sub(applyStart)}
-		if asg.Trace != nil {
-			ev.Parent = asg.Trace.Span
-			ev.ParentInc = asg.Trace.Incarnation
-		}
-		a.cfg.Tracer.Emit(ev)
-	}
 	a.logf("coord-link: applied assignment epoch %d (%d tasks)", asg.Epoch, len(asg.Tasks))
 }
 

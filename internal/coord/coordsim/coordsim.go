@@ -6,7 +6,7 @@
 // read one Clock, so an entire fleet — coordinator crashes, partitions,
 // lease expiries — plays out in virtual time with no sockets, no
 // goroutine sleeps and no flaky timing. Clock is the one virtual clock
-// of the coord and fleetobs tests; a simulated shard's runner reads its
+// of the coord tests; a simulated shard's runner reads its
 // osproc.FaultSys clock instead, which the scenario advances in step
 // with this one.
 package coordsim

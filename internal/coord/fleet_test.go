@@ -3,6 +3,7 @@ package coord
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http/httptest"
@@ -12,57 +13,27 @@ import (
 	"time"
 
 	"alps/internal/coord/coordsim"
-	"alps/internal/fleetobs"
 	"alps/internal/obs"
-	"alps/internal/trace"
+	"alps/internal/tshist"
 )
-
-// newFleetServer builds a coordinator with the fleet observability
-// stack attached, on the test's virtual clock.
-func newFleetServer(t *testing.T, clk *coordsim.Clock) (*Server, *fleetobs.Stack) {
-	t.Helper()
-	stack := fleetobs.NewStack(fleetobs.StackConfig{
-		Node: "coord", Now: clk.Now, Cooldown: time.Second, Logf: t.Logf,
-	})
-	s, err := NewServer(ServerConfig{
-		TTL:            time.Second,
-		RebalanceEvery: 500 * time.Millisecond,
-		Clock:          clk.Now,
-		Fleet:          stack,
-		Logf:           t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	return s, stack
-}
-
-// kinds extracts the event kinds in a tracer window.
-func kinds(events []fleetobs.Event) map[fleetobs.Kind]int {
-	out := make(map[fleetobs.Kind]int)
-	for _, e := range events {
-		out[e.Kind]++
-	}
-	return out
-}
 
 // TestFleetCounterRegressionClamp: a heartbeat whose cumulative
 // consumption rewound (shard restart mid-window) credits the fresh
 // cumulative value, never subtracts, clamps pathological negative
 // readings at zero, and is flagged on the coordinator counter, the
-// status document, and the coordinator's trace.
+// status document, and /metrics.
 func TestFleetCounterRegressionClamp(t *testing.T) {
 	clk := coordsim.NewClock()
-	s, stack := newFleetServer(t, clk)
-	reg := mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 100})
+	s, reg := newMetricsServer(t, clk)
+	r := mustRegister(t, s, "s1", TaskShare{ID: 1, Share: 100})
 
-	beat(t, s, "s1", reg.Lease, 0, map[int64]float64{1: 5.0})
+	beat(t, s, "s1", r.Lease, 0, map[int64]float64{1: 5.0})
 	if n := s.counterRegressions.get(); n != 0 {
 		t.Fatalf("normal beat flagged as regression (%d)", n)
 	}
-	beat(t, s, "s1", reg.Lease, 0, map[int64]float64{1: 0.25}) // restarted
+	beat(t, s, "s1", r.Lease, 0, map[int64]float64{1: 0.25}) // restarted
 	// Pathological: a negative cumulative reading clamps to zero.
-	beat(t, s, "s1", reg.Lease, 0, map[int64]float64{1: -3})
+	beat(t, s, "s1", r.Lease, 0, map[int64]float64{1: -3})
 
 	s.mu.Lock()
 	win := s.shards["s1"].window[1]
@@ -76,216 +47,118 @@ func TestFleetCounterRegressionClamp(t *testing.T) {
 	if st := s.Status(); st.CounterRegressions != 2 {
 		t.Fatalf("status regressions = %d, want 2", st.CounterRegressions)
 	}
-	if k := kinds(stack.Tracer.Snapshot()); k[fleetobs.KindCounterRegression] != 2 {
-		t.Fatalf("trace regression events = %d, want 2", k[fleetobs.KindCounterRegression])
+	if text := scrape(t, reg); !strings.Contains(text, "alps_coord_counter_regressions_total 2\n") {
+		t.Fatal("metrics missing alps_coord_counter_regressions_total 2")
 	}
 }
 
-// TestFleetPublishApplyAckFlow runs a real agent against a fleet-traced
-// coordinator and asserts the epoch-causal loop end to end: the pulled
-// assignment carries a trace context, the shard's apply span parents on
-// it, the next heartbeat's echo produces a coordinator ack with the
-// same parent, and the merged two-source trace validates with exactly
-// one publish→apply flow.
-func TestFleetPublishApplyAckFlow(t *testing.T) {
+// TestFleetAnomaliesOnStatusAndTimeline pins two rows of the fleet
+// diagnosis table on a coordsim fleet: an epoch stall is the shard's
+// alps_fleet_shard_ack_epoch staying below alps_coord_epoch in
+// /fleet/timeline, and a shard whose flight recorder fired shows a
+// rising trace_dumps in its status row. Shard "stuck" fails every
+// Apply; shard "healthy" catches up.
+func TestFleetAnomaliesOnStatusAndTimeline(t *testing.T) {
+	const period = 500 * time.Millisecond
 	clk := coordsim.NewClock()
-	srv, stack := newFleetServer(t, clk)
-	tr := &handlerTransport{handler: srv}
-	shard := newTestShard(map[int64]int64{1: 100, 2: 100})
-	shardTracer := fleetobs.NewTracer(fleetobs.TracerConfig{Node: "s1", Now: clk.Now})
-	a, err := NewAgent(AgentConfig{
-		URL: "http://coord.test", Shard: "s1",
-		Tasks:  shard.tasks,
-		Gauges: func() ShardGauges { return ShardGauges{} },
-		Apply:  shard.apply,
-		Period: 100 * time.Millisecond,
-		Clock:  clk.Now, Transport: tr,
-		Tracer: shardTracer,
-		Logf:   t.Logf,
+	reg := obs.NewRegistry()
+	hist := tshist.New(tshist.Config{Source: reg, Every: period / 5, Now: clk.Now})
+	srv, err := NewServer(ServerConfig{
+		TTL:            time.Second,
+		RebalanceEvery: period,
+		Clock:          clk.Now,
+		Metrics:        reg,
+		History:        hist,
+		Logf:           t.Logf,
 	})
 	if err != nil {
-		t.Fatalf("NewAgent: %v", err)
+		t.Fatalf("NewServer: %v", err)
 	}
-
-	a.Step() // register
-	beatViaAgentGauges(t, srv, clk, a, shard)
-	if a.Epoch() != 1 {
-		t.Fatalf("agent did not apply epoch 1 (epoch=%d)", a.Epoch())
-	}
-	a.Step() // heartbeat echoing the applied trace context → ack
-
-	coordEvents := stack.Tracer.Snapshot()
-	var publishSpan uint64
-	for _, e := range coordEvents {
-		if e.Kind == fleetobs.KindPublish && e.Epoch == 1 {
-			publishSpan = e.Span
+	tr := &handlerTransport{handler: srv}
+	var dumps int64
+	agent := func(name string, apply func(Assignment) error, gauges func() ShardGauges) *Agent {
+		a, err := NewAgent(AgentConfig{
+			URL: "http://coord.test", Shard: name,
+			Tasks:  func() []TaskShare { return []TaskShare{{ID: 1, Share: 100}} },
+			Gauges: gauges,
+			Apply:  apply,
+			Period: period / 5,
+			Clock:  clk.Now, Transport: tr,
+			Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatalf("NewAgent %s: %v", name, err)
 		}
+		return a
 	}
-	if publishSpan == 0 {
-		t.Fatalf("no publish event for epoch 1 in %v", kinds(coordEvents))
-	}
-	var sawAck bool
-	for _, e := range coordEvents {
-		if e.Kind == fleetobs.KindAck && e.Epoch == 1 {
-			sawAck = true
-			if e.Parent != publishSpan || e.ParentInc != stack.Tracer.Incarnation() {
-				t.Fatalf("ack parent = (%d,%d), want publish span (%d,%d)",
-					e.Parent, e.ParentInc, publishSpan, stack.Tracer.Incarnation())
+	healthy := agent("healthy", newTestShard(map[int64]int64{1: 100}).apply,
+		func() ShardGauges { return ShardGauges{} })
+	stuck := agent("stuck", func(Assignment) error { return errors.New("scheduler refused") },
+		func() ShardGauges { return ShardGauges{TraceDumps: dumps} })
+
+	healthy.Step()
+	stuck.Step()
+	commitWeights(t, srv) // epoch 1, which only the healthy shard applies
+	var rows []int64
+	for i := 0; i < 25; i++ { // 5 rebalance periods
+		clk.Advance(period / 5)
+		if i == 10 {
+			dumps = 2 // the stuck shard's recorder fired twice
+		}
+		srv.Tick(clk.Now())
+		healthy.Step()
+		stuck.Step()
+		for _, row := range srv.Status().Shards {
+			if row.Shard == "stuck" {
+				rows = append(rows, row.Gauges.TraceDumps)
 			}
 		}
 	}
-	if !sawAck {
-		t.Fatal("no ack event for epoch 1")
+	if len(rows) == 0 || rows[0] != 0 || rows[len(rows)-1] != 2 {
+		t.Errorf("stuck shard's status row trace_dumps went %v, want 0 rising to 2", rows)
 	}
-	var sawApply bool
-	for _, e := range shardTracer.Snapshot() {
-		if e.Kind == fleetobs.KindApply && e.Epoch == 1 {
-			sawApply = true
-			if e.Parent != publishSpan {
-				t.Fatalf("apply parent = %d, want publish span %d", e.Parent, publishSpan)
-			}
+	text := scrape(t, reg)
+	for _, line := range []string{"alps_coord_registers_total 2", "alps_coord_weight_updates_total 1"} {
+		if !strings.Contains(text, line+"\n") {
+			t.Errorf("metrics missing %q", line)
 		}
 	}
-	if !sawApply {
-		t.Fatal("no apply event on the shard tracer")
-	}
 
-	sources := []trace.FleetSource{
-		stack.Tracer.Source(nil, time.Time{}),
-		shardTracer.Source(nil, time.Time{}),
-	}
-	var flows int
-	for _, ev := range trace.BuildFleet(sources) {
-		if ev.Ph == "f" {
-			flows++
-		}
-	}
-	if flows != 1 {
-		t.Fatalf("merged trace has %d publish→apply flows, want 1", flows)
-	}
-	var buf bytes.Buffer
-	if err := trace.WriteFleet(&buf, sources, nil); err != nil {
-		t.Fatalf("WriteFleet: %v", err)
-	}
-	if err := trace.Validate(buf.Bytes()); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-}
-
-// TestFleetDumpCollection: a jump in a shard's heartbeated TraceDumps
-// gauge opens a correlated collection, the dump request piggybacks on
-// the heartbeat response, the agent uploads its window through
-// /coord/v1/dump exactly once, and the bundle merges coordinator +
-// shard sources.
-func TestFleetDumpCollection(t *testing.T) {
-	clk := coordsim.NewClock()
-	srv, stack := newFleetServer(t, clk)
-	tr := &handlerTransport{handler: srv}
-	shard := newTestShard(map[int64]int64{1: 100})
-	shardTracer := fleetobs.NewTracer(fleetobs.TracerConfig{Node: "s1", Now: clk.Now})
-	var traceDumps int64
-	var collects int
-	a, err := NewAgent(AgentConfig{
-		URL: "http://coord.test", Shard: "s1",
-		Tasks:  shard.tasks,
-		Gauges: func() ShardGauges { return ShardGauges{TraceDumps: traceDumps} },
-		Apply:  shard.apply,
-		Period: 100 * time.Millisecond,
-		Clock:  clk.Now, Transport: tr,
-		Tracer: shardTracer,
-		Collect: func(req fleetobs.DumpRequest) (fleetobs.DumpPayload, bool) {
-			collects++
-			return fleetobs.DumpPayload{Fleet: shardTracer.Snapshot()}, true
-		},
-		Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("NewAgent: %v", err)
-	}
-
-	a.Step() // register
-	a.Step() // first heartbeat sets the TraceDumps watermark
-	if stack.Bundler.Collections() != 0 {
-		t.Fatal("watermark heartbeat must not open a collection")
-	}
-
-	shardTracer.Emit(fleetobs.Event{Kind: fleetobs.KindApply, Epoch: 1})
-	traceDumps = 1 // the shard's recorder fired
-	a.Step()       // heartbeat triggers the collection AND uploads in one step
-	if stack.Bundler.Collections() != 1 {
-		t.Fatalf("collections = %d, want 1", stack.Bundler.Collections())
-	}
-	if collects != 1 || stack.Bundler.Uploads() != 1 {
-		t.Fatalf("collects=%d uploads=%d, want 1/1", collects, stack.Bundler.Uploads())
-	}
-
-	a.Step() // same pending request again: deduped by seq
-	if collects != 1 || stack.Bundler.Uploads() != 1 {
-		t.Fatalf("dump re-uploaded: collects=%d uploads=%d", collects, stack.Bundler.Uploads())
-	}
-
-	req, sources, ok := stack.Bundler.Last()
-	if !ok || req.Reason != "shard_dump" {
-		t.Fatalf("collection = %+v, ok=%v", req, ok)
-	}
-	if len(sources) != 2 || !sources[0].Coordinator || sources[1].Name != "s1" {
-		t.Fatalf("bundle sources wrong: %+v", sources)
-	}
-
-	// A lease expiry after the cooldown opens a second, distinct
-	// collection with the lease_lost reason.
-	clk.Advance(2 * time.Second)
-	srv.Tick(clk.Now())
-	if stack.Bundler.Collections() != 2 {
-		t.Fatalf("collections after lease expiry = %d, want 2", stack.Bundler.Collections())
-	}
-	if req := stack.Bundler.Pending(); req.Reason != "lease_lost" {
-		t.Fatalf("pending reason = %q, want lease_lost", req.Reason)
-	}
-	if st := srv.Status(); st.LeaseExpiries != 1 || len(st.Shards) != 0 ||
-		len(st.Detached) != 1 || st.Detached[0].Shard != "s1" {
-		t.Fatalf("status after expiry: %+v", st)
-	}
-}
-
-// TestFleetDumpLargeUpload: a real flight-recorder window serializes to
-// several MB — over the 1MB control-RPC body cap, which must not apply
-// to /coord/v1/dump (it did once: every production upload bounced with
-// "request body too large" while the tiny test windows sailed through).
-func TestFleetDumpLargeUpload(t *testing.T) {
-	clk := coordsim.NewClock()
-	srv, stack := newFleetServer(t, clk)
-	if !stack.Bundler.Open("shard_dump", 0) {
-		t.Fatal("Open refused")
-	}
-	req := stack.Bundler.Pending()
-
-	peer := strings.Repeat("x", 256)
-	events := make([]fleetobs.Event, 3*4096)
-	for i := range events {
-		events[i] = fleetobs.Event{
-			Kind: fleetobs.KindApply, At: clk.Now(), Epoch: 1,
-			Span: uint64(i + 1), Peer: peer,
-		}
-	}
-	body, err := json.Marshal(fleetobs.DumpPayload{
-		Shard: "s1", Seq: req.Seq, Reason: req.Reason, Fleet: events,
-	})
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if len(body) <= maxBodyBytes {
-		t.Fatalf("test payload is only %d bytes; grow it past maxBodyBytes", len(body))
-	}
-
-	hr := httptest.NewRequest("POST", "http://coord.test/coord/v1/dump", bytes.NewReader(body))
 	rr := httptest.NewRecorder()
-	srv.ServeHTTP(rr, hr)
-	if rr.Code != 200 {
-		t.Fatalf("dump upload = %d %s, want 200", rr.Code, rr.Body.String())
+	hist.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/fleet/timeline", nil))
+	var tl tshist.Timeline
+	if err := json.Unmarshal(rr.Body.Bytes(), &tl); err != nil {
+		t.Fatalf("unmarshal /fleet/timeline: %v", err)
 	}
-	if stack.Bundler.Uploads() != 1 {
-		t.Fatalf("uploads = %d, want 1", stack.Bundler.Uploads())
+	series := make(map[string][]tshist.Point)
+	for _, sr := range tl.Series {
+		series[sr.Name+sr.Labels] = sr.Points
+	}
+	epoch := series["alps_coord_epoch"]
+	if len(epoch) == 0 || epoch[len(epoch)-1].Value != 1 {
+		t.Fatalf("alps_coord_epoch series = %v, want it to end at 1", epoch)
+	}
+	behind := func(shard string) time.Duration {
+		acks := series[fmt.Sprintf(`alps_fleet_shard_ack_epoch{shard=%q}`, shard)]
+		if len(acks) != len(epoch) {
+			t.Fatalf("%s: %d ack points against %d epoch points", shard, len(acks), len(epoch))
+		}
+		var first, last int64
+		for i, p := range acks {
+			if p.Value < epoch[i].Value {
+				if first == 0 {
+					first = p.UnixNano
+				}
+				last = p.UnixNano
+			}
+		}
+		return time.Duration(last - first)
+	}
+	if d := behind("stuck"); d <= 3*period {
+		t.Errorf("stuck shard's ack epoch was behind alps_coord_epoch for %v, want over 3 rebalance periods (%v)", d, 3*period)
+	}
+	if d := behind("healthy"); d >= period {
+		t.Errorf("healthy shard's ack epoch was behind for %v, want it caught up within one period", d)
 	}
 }
 
@@ -542,51 +415,64 @@ func TestFleetStateConcurrent(t *testing.T) {
 }
 
 // TestFleetStallAndExpiryOrder: shards that stall or expire in the same
-// tick are traced in name order, so a fleet trace is reproducible run
-// to run. Each case runs on 20 fresh servers, because map order would
-// only sometimes come out sorted.
+// tick are reported in name order, in status rows and lease-expiry log
+// lines, so the coordinator's surfaces are reproducible run to run. Each
+// case runs on 20 fresh servers, because map order would only sometimes
+// come out sorted.
 func TestFleetStallAndExpiryOrder(t *testing.T) {
 	names := []string{"s3", "s1", "s2"}
-	peers := func(events []fleetobs.Event, kind fleetobs.Kind) []string {
-		var out []string
-		for _, e := range events {
-			if e.Kind == kind {
-				out = append(out, e.Peer)
-			}
-		}
-		return out
-	}
 	want := "[s1 s2 s3]"
 	for run := 0; run < 20; run++ {
-		// Stall: every shard keeps acking epoch 0 after epoch 1 commits,
-		// and all three cross the stall bound in the same tick.
 		clk := coordsim.NewClock()
-		s, stack := newFleetServer(t, clk)
-		for _, name := range names {
-			mustRegister(t, s, name, TaskShare{ID: 1, Share: 100})
-		}
-		if _, err := s.SetWeights([]TaskShare{{ID: 1, Share: 1}}); err != nil {
+		var expired []string
+		s, err := NewServer(ServerConfig{
+			TTL:            time.Second,
+			RebalanceEvery: 500 * time.Millisecond,
+			Clock:          clk.Now,
+			Logf: func(format string, args ...any) {
+				if format == "coord: lease expired, shard %s declared dead" {
+					expired = append(expired, args[0].(string))
+				}
+			},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		s.checkStalls(clk.Now())
-		clk.Advance(4 * s.cfg.RebalanceEvery)
-		s.checkStalls(clk.Now())
-		if got := fmt.Sprint(peers(stack.Tracer.Snapshot(), fleetobs.KindEpochStall)); got != want {
-			t.Fatalf("run %d: stall events name %s, want %s", run, got, want)
+		leases := make(map[string]string)
+		for _, name := range names {
+			leases[name] = mustRegister(t, s, name, TaskShare{ID: 1, Share: 100}).Lease
+		}
+
+		// Stall: epoch 1 commits and every shard keeps acking epoch 0.
+		commitWeights(t, s)
+		for _, name := range names {
+			beat(t, s, name, leases[name], 0, nil)
+		}
+		st := s.Status()
+		var stalled []string
+		for _, row := range st.Shards {
+			if row.AckEpoch < st.Epoch {
+				stalled = append(stalled, row.Shard)
+			}
+		}
+		if got := fmt.Sprint(stalled); got != want {
+			t.Fatalf("run %d: stalled status rows name %s, want %s", run, got, want)
 		}
 
 		// Expiry: all three leases lapse in the same tick.
-		clk = coordsim.NewClock()
-		s, stack = newFleetServer(t, clk)
-		for _, name := range names {
-			mustRegister(t, s, name, TaskShare{ID: 1, Share: 100})
-		}
 		clk.Advance(2 * s.cfg.TTL)
 		if n := s.ExpireLeases(clk.Now()); n != 3 {
 			t.Fatalf("run %d: %d leases expired, want 3", run, n)
 		}
-		if got := fmt.Sprint(peers(stack.Tracer.Snapshot(), fleetobs.KindLeaseExpire)); got != want {
-			t.Fatalf("run %d: expiry events name %s, want %s", run, got, want)
+		if got := fmt.Sprint(expired); got != want {
+			t.Fatalf("run %d: expiry log lines name %s, want %s", run, got, want)
+		}
+		var detached []string
+		for _, row := range s.Status().Detached {
+			detached = append(detached, row.Shard)
+		}
+		if got := fmt.Sprint(detached); got != want {
+			t.Fatalf("run %d: detached rows name %s, want %s", run, got, want)
 		}
 	}
 }

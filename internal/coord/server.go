@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"alps/internal/ckpt"
-	"alps/internal/fleetobs"
 	"alps/internal/obs"
+	"alps/internal/tshist"
 )
 
 // ServerConfig parameterizes a coordinator.
@@ -43,11 +43,11 @@ type ServerConfig struct {
 	// Metrics, if non-nil, receives the alps_coord_* families and the
 	// alps_fleet_* fleet estimators and per-shard gauges.
 	Metrics *obs.Registry
-	// Fleet, if non-nil, enables fleet tracing: control-plane events are
-	// traced with epoch-causal contexts, and anomalies (shard recorder
-	// dumps, lease losses, epoch stalls) open correlated trace
-	// collections through the stack's bundler.
-	Fleet *fleetobs.Stack
+	// History, if non-nil, retains the fleet's timeline (normally sampling
+	// Metrics, so it carries the alps_coord_* and alps_fleet_* gauges).
+	// Tick drives its cadence, so in coordsim the samples land on the
+	// virtual clock.
+	History *tshist.Store
 	// Logf, if non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -64,17 +64,8 @@ type shardRec struct {
 	// window accumulates differenced consumption for the next rebalance.
 	lastCum map[int64]float64
 	window  map[int64]float64
-	// lastDumps is the TraceDumps watermark; -1 until the first
-	// heartbeat, so a re-registration never misreads the shard's existing
-	// dump count as a fresh trigger.
-	lastDumps int64
 	// capacity is the shard's registered relative capacity weight (0 → 1).
 	capacity float64
-	// behindSince is when the shard started acking behind the committed
-	// epoch; stallFlagged keeps one stall from opening a collection on
-	// every tick.
-	behindSince  time.Time
-	stallFlagged bool
 }
 
 // Server is the coordinator: lease table, weight table, epoch-numbered
@@ -117,11 +108,6 @@ func (c *counter) get() int64 { c.mu.Lock(); defer c.mu.Unlock(); return c.v }
 // maxBodyBytes bounds every request body the coordinator reads; the
 // control plane must not be stallable by an unbounded POST.
 const maxBodyBytes = 1 << 20
-
-// maxDumpBodyBytes bounds trace-window uploads separately: a full
-// flight-recorder ring serializes to a few MB, far over the control
-// RPC cap but still bounded by the ring sizes on the shard.
-const maxDumpBodyBytes = 32 << 20
 
 // NewServer builds a coordinator, restoring the committed distribution
 // from cfg.StatePath when a checkpoint exists there (fail-closed: a
@@ -180,7 +166,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.mux.HandleFunc("/coord/v1/heartbeat", s.handleHeartbeat)
 	s.mux.HandleFunc("/coord/v1/assignment", s.handleAssignment)
 	s.mux.HandleFunc("/coord/v1/status", s.handleStatus)
-	s.mux.HandleFunc("/coord/v1/dump", s.handleDump)
 	s.mux.HandleFunc("/coord/v1/weights", s.handleWeights)
 	if cfg.Metrics != nil {
 		s.registerMetrics(cfg.Metrics)
@@ -348,8 +333,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // rebalance schedule; Run calls it periodically, deterministic tests
 // call it directly.
 func (s *Server) Tick(now time.Time) {
-	if f := s.cfg.Fleet; f != nil && f.History != nil {
-		f.History.Tick(now)
+	if s.cfg.History != nil {
+		s.cfg.History.Tick(now)
 	}
 	expired := s.ExpireLeases(now)
 	s.mu.Lock()
@@ -357,58 +342,6 @@ func (s *Server) Tick(now time.Time) {
 	s.mu.Unlock()
 	if due || expired > 0 {
 		s.Rebalance(now)
-	}
-	s.checkStalls(now)
-}
-
-// checkStalls flags live shards that keep acking an epoch behind the
-// committed one well past the rebalance cadence — a sign the assignment
-// is published but never lands (apply failures, a wedged agent) — and
-// opens a correlated trace collection for the episode.
-func (s *Server) checkStalls(now time.Time) {
-	fleet := s.cfg.Fleet
-	if fleet == nil {
-		return
-	}
-	bound := 3 * s.cfg.RebalanceEvery
-	s.mu.Lock()
-	epoch := s.epoch
-	var stalled []string
-	for _, name := range sortedNames(s.shards) {
-		rec := s.shards[name]
-		if rec.ackEpoch >= epoch {
-			rec.behindSince = time.Time{}
-			rec.stallFlagged = false
-			continue
-		}
-		if rec.behindSince.IsZero() {
-			rec.behindSince = now
-			continue
-		}
-		if !rec.stallFlagged && now.Sub(rec.behindSince) > bound {
-			rec.stallFlagged = true
-			stalled = append(stalled, name)
-		}
-	}
-	s.mu.Unlock()
-	for _, name := range stalled {
-		fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindEpochStall, Epoch: epoch, Peer: name})
-		s.logf("coord: shard %s stalled behind epoch %d", name, epoch)
-		s.openCollection("epoch_stall", epoch)
-	}
-}
-
-// openCollection starts a correlated fleet dump and traces the request.
-func (s *Server) openCollection(reason string, epoch uint64) {
-	fleet := s.cfg.Fleet
-	if fleet == nil {
-		return
-	}
-	if fleet.Bundler.Open(reason, epoch) {
-		fleet.Tracer.Emit(fleetobs.Event{
-			Kind: fleetobs.KindDumpRequest, Epoch: epoch, Note: "reason=" + reason,
-		})
-		s.logf("coord: opened fleet trace collection (%s, epoch %d)", reason, epoch)
 	}
 }
 
@@ -448,17 +381,10 @@ func (s *Server) ExpireLeases(now time.Time) int {
 		s.detached[name] = s.shards[name]
 		delete(s.shards, name)
 	}
-	epoch := s.epoch
 	s.mu.Unlock()
 	for _, name := range dead {
 		s.expiries.inc()
 		s.logf("coord: lease expired, shard %s declared dead", name)
-		if fleet := s.cfg.Fleet; fleet != nil {
-			fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindLeaseExpire, Epoch: epoch, Peer: name})
-		}
-	}
-	if len(dead) > 0 {
-		s.openCollection("lease_lost", epoch)
 	}
 	return len(dead)
 }
@@ -509,13 +435,6 @@ func (s *Server) Rebalance(now time.Time) {
 	s.mu.Unlock()
 	s.reportSave(saveErr)
 
-	if fleet := s.cfg.Fleet; fleet != nil {
-		fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindPlan, Epoch: epoch,
-			Note: fmt.Sprintf("rms=%.3f shards=%d", res.GlobalRMS, len(loads))})
-		if res.Changed {
-			fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindCommit, Epoch: epoch})
-		}
-	}
 	if !res.Changed {
 		return
 	}
@@ -632,12 +551,11 @@ func (s *Server) Register(req RegisterRequest) (RegisterResponse, error) {
 	s.assigned[req.Shard] = merged
 	s.leaseSeq++
 	rec := &shardRec{
-		lease:     fmt.Sprintf("lease-%d", s.leaseSeq),
-		expires:   now.Add(s.cfg.TTL),
-		lastCum:   make(map[int64]float64),
-		window:    make(map[int64]float64),
-		lastDumps: -1,
-		capacity:  req.Capacity,
+		lease:    fmt.Sprintf("lease-%d", s.leaseSeq),
+		expires:  now.Add(s.cfg.TTL),
+		lastCum:  make(map[int64]float64),
+		window:   make(map[int64]float64),
+		capacity: req.Capacity,
 	}
 	delete(s.detached, req.Shard)
 	s.shards[req.Shard] = rec
@@ -649,33 +567,8 @@ func (s *Server) Register(req RegisterRequest) (RegisterResponse, error) {
 	s.mu.Unlock()
 	s.registers.inc()
 	s.registerShardMetrics(req.Shard)
-	if fleet := s.cfg.Fleet; fleet != nil {
-		fleet.Tracer.Emit(fleetobs.Event{
-			Kind: fleetobs.KindRegister, Epoch: resp.Assignment.Epoch, Peer: req.Shard,
-			Note: "lease=" + resp.Lease,
-		})
-		s.stampPublish(&resp.Assignment, req.Shard)
-	}
 	s.logf("coord: shard %s registered (%d tasks, lease %s)", req.Shard, len(req.Tasks), resp.Lease)
 	return resp, nil
-}
-
-// stampPublish attaches the epoch-causal trace context to an outgoing
-// assignment and records the publish span. No-op without fleet tracing.
-func (s *Server) stampPublish(a *Assignment, peer string) {
-	fleet := s.cfg.Fleet
-	if fleet == nil {
-		return
-	}
-	span := fleet.Tracer.NextSpan()
-	a.Trace = &fleetobs.TraceContext{
-		Epoch:       a.Epoch,
-		Incarnation: fleet.Tracer.Incarnation(),
-		Span:        span,
-	}
-	fleet.Tracer.Emit(fleetobs.Event{
-		Kind: fleetobs.KindPublish, Epoch: a.Epoch, Peer: peer, Span: span,
-	})
 }
 
 // errUnknownLease makes a heartbeat for a dead or superseded lease a
@@ -690,7 +583,6 @@ var errUnknownLease = errors.New("coord: unknown or superseded lease")
 // has — epochs never roll backward fleet-wide.
 func (s *Server) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error) {
 	now := s.now()
-	fleet := s.cfg.Fleet
 	s.mu.Lock()
 	rec := s.shards[req.Shard]
 	if rec == nil || rec.lease != req.Lease {
@@ -718,25 +610,15 @@ func (s *Server) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error) {
 		rec.window[p] += delta
 		rec.lastCum[p] = cum
 	}
-	fastForwarded := false
 	if req.Epoch > s.epoch {
 		s.logf("coord: fast-forwarding epoch %d -> %d (stale checkpoint; shard %s is ahead)",
 			s.epoch, req.Epoch, req.Shard)
 		s.epoch = req.Epoch
 		s.fastForwards.inc()
-		fastForwarded = true
-	}
-	dumpTriggered := false
-	if fleet != nil {
-		if rec.lastDumps >= 0 && req.Gauges.TraceDumps > rec.lastDumps {
-			dumpTriggered = true
-		}
-		rec.lastDumps = req.Gauges.TraceDumps
 	}
 	if req.Epoch > prevAck {
 		s.stats.ack(req.Shard, req.Epoch, now)
 	}
-	epoch := s.epoch
 	resp := HeartbeatResponse{TTLMillis: s.cfg.TTL.Milliseconds()}
 	if s.epoch > req.Epoch {
 		a := s.assignmentLocked(req.Shard)
@@ -747,34 +629,6 @@ func (s *Server) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error) {
 	if regressed {
 		s.counterRegressions.inc()
 		s.logf("coord: shard %s consumption counters went backwards (restart?); delta clamped", req.Shard)
-	}
-
-	if fleet != nil {
-		if regressed {
-			fleet.Tracer.Emit(fleetobs.Event{
-				Kind: fleetobs.KindCounterRegression, Epoch: req.Epoch, Peer: req.Shard,
-			})
-		}
-		if req.Epoch > prevAck {
-			ev := fleetobs.Event{Kind: fleetobs.KindAck, Epoch: req.Epoch, Peer: req.Shard}
-			if req.Trace != nil {
-				ev.Parent = req.Trace.Span
-				ev.ParentInc = req.Trace.Incarnation
-			}
-			fleet.Tracer.Emit(ev)
-		}
-		if fastForwarded {
-			fleet.Tracer.Emit(fleetobs.Event{
-				Kind: fleetobs.KindFastForward, Epoch: req.Epoch, Peer: req.Shard,
-			})
-		}
-		if dumpTriggered {
-			s.openCollection("shard_dump", epoch)
-		}
-		if resp.Assignment != nil {
-			s.stampPublish(resp.Assignment, req.Shard)
-		}
-		resp.Dump = fleet.Bundler.Pending()
 	}
 	return resp, nil
 }
@@ -862,7 +716,7 @@ func (s *Server) Status() FleetStatus {
 }
 
 // sortedNames returns the shard names of recs in sorted order, so every
-// walk that emits per-shard events or rows is reproducible.
+// walk that logs per-shard lines or renders rows is reproducible.
 func sortedNames(recs map[string]*shardRec) []string {
 	names := make([]string, 0, len(recs))
 	for name := range recs {
@@ -941,28 +795,6 @@ func (s *Server) handleAssignment(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, a)
 }
 
-// handleDump accepts a member's trace-window upload into the open
-// correlated collection. 400 (not 404/409/410) on a rotated-out
-// sequence: the lease-loss status codes would make the agent
-// re-register over a merely late dump.
-func (s *Server) handleDump(w http.ResponseWriter, r *http.Request) {
-	var p fleetobs.DumpPayload
-	if !decodeBodyLimit(w, r, &p, maxDumpBodyBytes) {
-		return
-	}
-	fleet := s.cfg.Fleet
-	if fleet == nil {
-		writeJSONError(w, http.StatusBadRequest, errors.New("coord: fleet observability disabled"))
-		return
-	}
-	if err := fleet.Bundler.Accept(p); err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.logf("coord: accepted fleet trace window from %s (seq %d)", p.Shard, p.Seq)
-	writeJSON(w, struct{}{})
-}
-
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", "GET")
@@ -1001,13 +833,6 @@ func (s *Server) SetWeights(ws []TaskShare) (WeightsResponse, error) {
 	sort.Slice(resp.Weights, func(i, j int) bool { return resp.Weights[i].ID < resp.Weights[j].ID })
 	s.weightUpdates.inc()
 	s.logf("coord: weight table reconfigured (%d principals), committed epoch %d", len(ws), resp.Epoch)
-	if fleet := s.cfg.Fleet; fleet != nil {
-		fleet.Tracer.Emit(fleetobs.Event{
-			Kind: fleetobs.KindWeights, Epoch: resp.Epoch,
-			Note: fmt.Sprintf("principals=%d", len(ws)),
-		})
-		fleet.Tracer.Emit(fleetobs.Event{Kind: fleetobs.KindCommit, Epoch: resp.Epoch})
-	}
 	return resp, nil
 }
 
@@ -1028,16 +853,12 @@ func (s *Server) handleWeights(w http.ResponseWriter, r *http.Request) {
 // decodeBody reads a size-capped POST body with strict field checking;
 // on failure it writes the error response and reports false.
 func decodeBody(w http.ResponseWriter, r *http.Request, out any) bool {
-	return decodeBodyLimit(w, r, out, maxBodyBytes)
-}
-
-func decodeBodyLimit(w http.ResponseWriter, r *http.Request, out any, limit int64) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
 		writeJSONError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(out); err != nil {
 		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))

@@ -187,6 +187,9 @@ func TestStaleCheckpointFastForward(t *testing.T) {
 	if got := s.Epoch(); got != 7 {
 		t.Fatalf("epoch after ahead-heartbeat = %d, want fast-forward to 7", got)
 	}
+	if n := s.fastForwards.get(); n != 1 {
+		t.Fatalf("fast-forwards = %d, want 1 (alps_coord_stale_fastforwards_total)", n)
+	}
 	clk.Advance(time.Second)
 	s.Rebalance(clk.Now())
 	if got := s.Epoch(); got != 8 {
@@ -277,6 +280,15 @@ func TestHTTPEndpoints(t *testing.T) {
 	s.ServeHTTP(rw, req)
 	if rw.Code != http.StatusBadRequest {
 		t.Fatalf("unknown field: %d, want 400", rw.Code)
+	}
+	// A shard of an earlier build echoes its last assignment's trace
+	// context; the heartbeat is rejected, not silently accepted.
+	req = httptest.NewRequest(http.MethodPost, "/coord/v1/heartbeat", strings.NewReader(
+		`{"shard":"s1","lease":"`+reg.Lease+`","epoch":0,"gauges":{"rms_share_error":0,"cycles":1},"trace":{"epoch":0,"incarnation":1,"span":1}}`))
+	rw = httptest.NewRecorder()
+	s.ServeHTTP(rw, req)
+	if rw.Code != http.StatusBadRequest {
+		t.Fatalf("heartbeat with a trace context: %d, want 400", rw.Code)
 	}
 
 	// Oversized body is cut off by MaxBytesReader, not read to the end.

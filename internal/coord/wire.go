@@ -23,11 +23,7 @@
 // the epoch that versions it.
 package coord
 
-import (
-	"time"
-
-	"alps/internal/fleetobs"
-)
+import "time"
 
 // TaskShare names one resource principal and a share for it — local to a
 // shard in registrations and assignments, global in the coordinator's
@@ -45,12 +41,6 @@ type Assignment struct {
 	Epoch   uint64      `json:"epoch"`
 	Quantum string      `json:"quantum,omitempty"`
 	Tasks   []TaskShare `json:"tasks,omitempty"`
-	// Trace is the epoch-causal context of the publish that carried this
-	// assignment (present when the coordinator runs fleet tracing). The
-	// shard echoes it on heartbeats after applying, and stamps it as the
-	// parent of its apply span, so merged fleet traces draw a
-	// publish→apply flow for every propagated epoch.
-	Trace *fleetobs.TraceContext `json:"trace,omitempty"`
 }
 
 // ShardGauges is the feedback signal a shard heartbeats: the auditor and
@@ -69,8 +59,9 @@ type ShardGauges struct {
 	// Cycles counts completed allocation cycles (liveness signal).
 	Cycles int64 `json:"cycles"`
 	// TraceDumps counts flight-recorder windows the shard's recorder has
-	// dumped. The coordinator watches it for increases and opens a
-	// correlated fleet collection when any member's recorder fires.
+	// dumped. The coordinator's status shows it in the shard's row, so an
+	// operator knows which shard's dump (its -trace-dir or /debug/trace)
+	// to read.
 	TraceDumps int64 `json:"trace_dumps,omitempty"`
 }
 
@@ -104,9 +95,6 @@ type HeartbeatRequest struct {
 	Lease  string      `json:"lease"`
 	Epoch  uint64      `json:"epoch"`
 	Gauges ShardGauges `json:"gauges"`
-	// Trace echoes the context of the last assignment this shard
-	// applied, closing the publish→apply→ack loop for fleet tracing.
-	Trace *fleetobs.TraceContext `json:"trace,omitempty"`
 }
 
 // HeartbeatResponse renews the lease; Assignment is present only when
@@ -114,10 +102,6 @@ type HeartbeatRequest struct {
 type HeartbeatResponse struct {
 	TTLMillis  int64       `json:"ttl_ms"`
 	Assignment *Assignment `json:"assignment,omitempty"`
-	// Dump, when present, asks the shard to upload its trace window to
-	// the correlated collection it names (POST /coord/v1/dump). Piggybacked
-	// on every heartbeat while a collection is open; shards dedupe by Seq.
-	Dump *fleetobs.DumpRequest `json:"dump,omitempty"`
 }
 
 // WeightsRequest reconfigures the global weight table live:

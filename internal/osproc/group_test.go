@@ -334,3 +334,91 @@ func TestGroupSignalsRaceReconfigure(t *testing.T) {
 		t.Errorf("PIDs left frozen after release: %v", got)
 	}
 }
+
+// TestGroupStopSkippedMember: POSIX kill(-pgid, SIGSTOP) succeeds once it
+// stops any one member, so a member the kernel skipped (changed
+// credentials; scripted as an EPERM on that member) is recorded stopped
+// while it runs. Ineligible tasks are not measured, so only the reconcile
+// sweep can see it: the sweep reads the members of an ineligible group
+// task, skipping a task whose group stop went out this quantum (SIGSTOP
+// lands asynchronously), and re-sends SIGSTOP to a running member alone,
+// through the strike machinery.
+func TestGroupStopSkippedMember(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		refusals         int
+		wantUnsignalable int64
+	}{
+		{"refused once", 1, 0},
+		{"refused always", 1000, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := NewFaultSys()
+			tasks := []Task{addGroup(fs, 1, 1, 500, 3), addGroup(fs, 2, 5, 600, 2)}
+			r := newFaultRunner(t, fs, Config{}, tasks)
+			defer r.Release()
+			refusals := make([]FaultKind, tc.refusals)
+			for i := range refusals {
+				refusals[i] = FaultEPERM
+			}
+			fs.Inject(501, CallStop, refusals...)
+			ineligible := func() bool {
+				st, _ := r.sched.State(1)
+				return st == core.Ineligible
+			}
+
+			// Tasks start ineligible, stopped member by member at adoption:
+			// wait for task 1's first grant, then for its first group stop.
+			steps := 0
+			for ; steps < 60 && ineligible(); steps++ {
+				stepQuantum(fs, r)
+			}
+			for ; steps < 60 && !ineligible(); steps++ {
+				stepQuantum(fs, r)
+			}
+			if !ineligible() || fs.IsStopped(501) || !fs.IsStopped(500) {
+				t.Fatalf("after %d quanta: task 1 ineligible=%v, 500 stopped=%v, 501 stopped=%v; want the group stop to skip 501 alone",
+					steps, ineligible(), fs.IsStopped(500), fs.IsStopped(501))
+			}
+			mark := len(fs.Log)
+			r.reconcile() // same quantum as the group stop: nothing is read or sent
+			if perPID, _ := sigLogLines(fs, mark); perPID != 0 || fs.IsStopped(501) {
+				t.Fatalf("sweep in the group stop's quantum sent %d per-PID signals (501 stopped=%v), want none",
+					perPID, fs.IsStopped(501))
+			}
+
+			stepQuantum(fs, r)
+			steps++
+			r.reconcile()
+			if !ineligible() {
+				t.Fatal("task 1 became eligible one quantum after its stop; scenario not exercised")
+			}
+			h := r.Health()
+			switch {
+			case tc.wantUnsignalable == 0 && (!fs.IsStopped(501) || h.SignalFailures != 0):
+				t.Fatalf("one sweep later: 501 stopped=%v SignalFailures=%d, want stopped with no failure",
+					fs.IsStopped(501), h.SignalFailures)
+			case tc.wantUnsignalable > 0 && h.SignalFailures == 0:
+				t.Fatal("one sweep later: no per-PID SIGSTOP was tried on the running member")
+			}
+
+			for ; steps < 60; steps++ {
+				stepQuantum(fs, r)
+				if !ineligible() {
+					continue
+				}
+				for _, pid := range []int{500, 502} {
+					if !fs.IsStopped(pid) {
+						t.Fatalf("quantum %d: member %d runs while its task is ineligible", steps, pid)
+					}
+				}
+				if tc.wantUnsignalable == 0 && !fs.IsStopped(501) {
+					t.Fatalf("quantum %d: member 501 runs while its task is ineligible", steps)
+				}
+			}
+			if got := r.Health().UnsignalablePIDs; got != tc.wantUnsignalable {
+				t.Errorf("UnsignalablePIDs = %d, want %d", got, tc.wantUnsignalable)
+			}
+		})
+	}
+}

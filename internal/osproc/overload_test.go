@@ -26,10 +26,9 @@ func TestOverloadDegradeAndRecover(t *testing.T) {
 	fs.SlowDelay = 8 * time.Millisecond // each read eats 8ms of a 10ms quantum
 	log := obs.NewEventLog()
 	r := newFaultRunner(t, fs, Config{
-		Quantum:             10 * time.Millisecond,
-		DisableLazySampling: true, // one read per quantum, deterministically
-		Observer:            log,
-		Overload:            OverloadConfig{Enable: true},
+		Quantum:  10 * time.Millisecond,
+		Observer: log,
+		Overload: OverloadConfig{Enable: true},
 	}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
 	defer r.Release()
 
@@ -89,9 +88,8 @@ func TestOverloadCapsAtMaxQuantum(t *testing.T) {
 	fs.AddProc(FaultProc{PID: 10, Start: 1})
 	fs.SlowDelay = 30 * time.Millisecond // overloads even a 40ms quantum
 	r := newFaultRunner(t, fs, Config{
-		Quantum:             10 * time.Millisecond,
-		DisableLazySampling: true,
-		Overload:            OverloadConfig{Enable: true},
+		Quantum:  10 * time.Millisecond,
+		Overload: OverloadConfig{Enable: true},
 	}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
 	defer r.Release()
 
@@ -117,8 +115,7 @@ func TestOverloadDisabledByDefault(t *testing.T) {
 	fs.AddProc(FaultProc{PID: 10, Start: 1})
 	fs.SlowDelay = 15 * time.Millisecond
 	r := newFaultRunner(t, fs, Config{
-		Quantum:             10 * time.Millisecond,
-		DisableLazySampling: true,
+		Quantum: 10 * time.Millisecond,
 	}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
 	defer r.Release()
 	slowN(fs, 10, 20)
@@ -140,9 +137,8 @@ func TestReconfigQuantumResetsDegradation(t *testing.T) {
 	fs.AddProc(FaultProc{PID: 10, Start: 1})
 	fs.SlowDelay = 8 * time.Millisecond
 	r := newFaultRunner(t, fs, Config{
-		Quantum:             10 * time.Millisecond,
-		DisableLazySampling: true,
-		Overload:            OverloadConfig{Enable: true},
+		Quantum:  10 * time.Millisecond,
+		Overload: OverloadConfig{Enable: true},
 	}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
 	defer r.Release()
 	slowN(fs, 10, overloadWindow+1)

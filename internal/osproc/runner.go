@@ -34,8 +34,6 @@ type Config struct {
 	// 10–40 ms; note /proc accounting advances in 10 ms ticks, so
 	// quanta below 10 ms cannot observe progress.
 	Quantum time.Duration
-	// DisableLazySampling turns off the §2.3 optimization.
-	DisableLazySampling bool
 	// Samplers bounds the worker pool that fans out /proc stat reads
 	// (prefetched for the tasks due this quantum) and SIGSTOP/SIGCONT
 	// deliveries. Values ≤ 1 keep the loop fully sequential — the
@@ -124,9 +122,12 @@ type proc struct {
 // members is one task's entry: its member PIDs in join order, and the
 // process group each member was confirmed (getpgid) to be in, so that an
 // eligibility flip costs one syscall. pgid 0 means per-PID delivery.
+// groupStop is the Step (its start on Sys.Now) whose group SIGSTOP last
+// reached the task.
 type members struct {
-	pids []int
-	pgid int
+	pids      []int
+	pgid      int
+	groupStop time.Time
 }
 
 // Runner executes the ALPS control loop over real processes. Create it
@@ -437,11 +438,10 @@ func newRunnerSkeleton(cfg Config) *Runner {
 		return r.sys.Now().Sub(r.start)
 	}, cfg.Observer)
 	r.sched = core.New(core.Config{
-		Quantum:             cfg.Quantum,
-		DisableLazySampling: cfg.DisableLazySampling,
-		DisableIndexing:     cfg.DisableIndexing,
-		OnCycle:             cfg.OnCycle,
-		Observer:            r.tracer,
+		Quantum:         cfg.Quantum,
+		DisableIndexing: cfg.DisableIndexing,
+		OnCycle:         cfg.OnCycle,
+		Observer:        r.tracer,
 	})
 	r.health.effQuantumNS.Store(int64(cfg.Quantum))
 	if cfg.Metrics != nil {
@@ -720,11 +720,15 @@ func (r *Runner) settleOp(op sigOp, res sigResult) {
 		// mid-call simply was not there to signal — the next measurement
 		// observes it gone and drops it — so no strikes are charged here
 		// and none can be double-charged later. A member the kernel
-		// silently skipped (credential change) is caught by the
-		// measurement loop's stopped-state check and re-aligned by the
-		// reconcile sweep.
+		// silently skipped (credential change) is recorded with the rest
+		// and caught later: a skipped resume by the measurement loop's
+		// stopped-state check, a skipped stop by the reconcile sweep's
+		// read of ineligible group tasks (see reconcile).
 		for _, pid := range m.pids {
 			r.procs[pid].stopped = op.stop
+		}
+		if op.stop {
+			m.groupStop = r.lastTick
 		}
 		return
 	}
@@ -774,15 +778,36 @@ func (r *Runner) maybeReconcile(dec core.Decision) {
 // disagrees with its task's eligibility gets the signal re-sent
 // (accumulating unsignalability strikes on failure, so a permanently
 // refusing PID is eventually dropped).
+//
+// A group SIGSTOP that skipped a member reports success, and ineligible
+// tasks are not measured, so the sweep reads the members of each
+// ineligible group task itself and records a running one as running,
+// which makes align re-send SIGSTOP to that PID alone. A task whose group
+// stop went out this quantum waits for the next sweep: the signal lands
+// asynchronously, and reading it early would send spurious per-PID stops.
 func (r *Runner) reconcile() {
 	r.needReconcile = false
 	for _, id := range r.sched.TaskIDs() {
-		r.eachMember(r.tasks[id], func(pid int, p *proc) {
+		m := r.tasks[id]
+		st, _ := r.sched.State(id)
+		check := m.pgid != 0 && st == core.Ineligible && !m.groupStop.Equal(r.lastTick)
+		r.eachMember(m, func(pid int, p *proc) {
+			if check && p.stopped && r.running(pid, p) {
+				p.stopped = false
+			}
 			if res, sent := r.align(pid, p); sent {
 				r.applySignal(res)
 			}
 		})
 	}
+}
+
+// running reads pid and reports whether it is the same process (start
+// time) and neither stopped nor a zombie. A failed read proves nothing;
+// the task's next measurement settles a PID that is gone or recycled.
+func (r *Runner) running(pid int, p *proc) bool {
+	st, err := r.readStat(pid)
+	return err == nil && st.Start == p.start && st.State != 'T' && st.State != 'Z'
 }
 
 // readStat reads a PID's stat with immediate retries for transient

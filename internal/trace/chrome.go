@@ -51,8 +51,6 @@ type ChromeEvent struct {
 	Dur  float64        `json:"dur"`
 	PID  int64          `json:"pid"`
 	TID  int64          `json:"tid"`
-	ID   uint64         `json:"id,omitempty"` // flow-event binding ("s"/"f")
-	BP   string         `json:"bp,omitempty"` // flow binding point ("e": enclosing slice)
 	Args map[string]any `json:"args,omitempty"`
 }
 

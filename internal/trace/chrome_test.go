@@ -222,3 +222,79 @@ func TestChromeDocShape(t *testing.T) {
 		t.Error("quantum 2 span not at ts=10000µs")
 	}
 }
+
+// buildAndValidate runs events through Build → WriteChrome → Validate.
+func buildAndValidate(t *testing.T, events []obs.Event) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, events, nil); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
+	}
+	if err := Validate(buf.Bytes()); err != nil {
+		t.Fatalf("Validate: %v\ntrace: %s", err, buf.String())
+	}
+}
+
+// quantumAt emits a start/end pair at the given offsets.
+func quantumAt(tick int64, start, end time.Duration) []obs.Event {
+	return []obs.Event{
+		{Kind: obs.KindQuantumStart, Tick: tick, At: start},
+		{Kind: obs.KindQuantumEnd, Tick: tick, At: end},
+	}
+}
+
+// TestBuildSkewedMergedStreams is the multi-source robustness contract:
+// two shards' event streams concatenated with a constant clock skew —
+// so timestamps jump backwards at the seam — must still produce a trace
+// with valid span nesting and no negative durations.
+func TestBuildSkewedMergedStreams(t *testing.T) {
+	var merged []obs.Event
+	// Shard A: quanta at 100ms grid.
+	for i := 0; i < 3; i++ {
+		d := time.Duration(i) * 100 * time.Millisecond
+		merged = append(merged, quantumAt(int64(i), d, d+90*time.Millisecond)...)
+	}
+	// Shard B: same grid but its clock reads 150ms earlier, so the first
+	// B event is older than the last A event.
+	for i := 0; i < 3; i++ {
+		d := time.Duration(i)*100*time.Millisecond - 150*time.Millisecond
+		merged = append(merged, quantumAt(int64(100+i), d, d+90*time.Millisecond)...)
+	}
+	buildAndValidate(t, merged)
+}
+
+// TestBuildDuplicatedEvents: duplicated deliveries (the same open and
+// close edges twice, as a lossy collector might produce) must not break
+// nesting on any track.
+func TestBuildDuplicatedEvents(t *testing.T) {
+	base := []obs.Event{
+		{Kind: obs.KindQuantumStart, Tick: 1, At: 0},
+		{Kind: obs.KindPhaseBegin, N: int(obs.PhaseSample), Tick: 1, At: time.Millisecond},
+		{Kind: obs.KindPhaseEnd, N: int(obs.PhaseSample), Tick: 1, At: 2 * time.Millisecond},
+		{Kind: obs.KindTransition, Task: 7, Eligible: true, Tick: 1, At: 3 * time.Millisecond},
+		{Kind: obs.KindQuantumEnd, Tick: 1, At: 9 * time.Millisecond},
+		{Kind: obs.KindTransition, Task: 7, Eligible: false, Tick: 2, At: 11 * time.Millisecond},
+	}
+	var dup []obs.Event
+	for _, e := range base {
+		dup = append(dup, e, e)
+	}
+	buildAndValidate(t, dup)
+}
+
+// TestBuildOutOfOrderPhases: phase edges delivered out of timestamp
+// order (a close older than its open) must clamp to zero-length spans,
+// never negative durations or overlaps.
+func TestBuildOutOfOrderPhases(t *testing.T) {
+	events := []obs.Event{
+		{Kind: obs.KindPhaseBegin, N: int(obs.PhaseSample), Tick: 1, At: 10 * time.Millisecond},
+		// Close stamped *before* the open: a skewed merge artifact.
+		{Kind: obs.KindPhaseEnd, N: int(obs.PhaseSample), Tick: 1, At: 4 * time.Millisecond},
+		// Overlapping different phases from interleaved sources.
+		{Kind: obs.KindPhaseBegin, N: int(obs.PhaseCharge), Tick: 1, At: 6 * time.Millisecond},
+		{Kind: obs.KindPhaseBegin, N: int(obs.PhaseDecide), Tick: 1, At: 8 * time.Millisecond},
+		{Kind: obs.KindPhaseEnd, N: int(obs.PhaseCharge), Tick: 1, At: 14 * time.Millisecond},
+		{Kind: obs.KindPhaseEnd, N: int(obs.PhaseDecide), Tick: 1, At: 12 * time.Millisecond},
+	}
+	buildAndValidate(t, events)
+}

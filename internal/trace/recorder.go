@@ -145,11 +145,10 @@ func (r *Recorder) WriteChrome(w io.Writer, extra map[string]any) error {
 	return WriteChrome(w, r.Snapshot(), extra)
 }
 
-// SetJSONDownloadHeaders stamps the response headers every trace
-// download endpoint uses: an explicit JSON content type (so nothing is
+// SetJSONDownloadHeaders stamps the response headers a trace download
+// endpoint uses: an explicit JSON content type (so nothing is
 // content-sniffed into an unnamed octet stream) and a Content-Disposition
-// attachment filename the browser saves the trace under. /debug/trace
-// and /debug/fleet-trace both go through it, keeping the two consistent.
+// attachment filename the browser saves the trace under.
 func SetJSONDownloadHeaders(h http.Header, filename string) {
 	h.Set("Content-Type", "application/json; charset=utf-8")
 	h.Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", filename))
@@ -163,8 +162,8 @@ func (r *Recorder) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Dumps returns the number of flight-recorder windows dumped so far; a
-// shard heartbeats it so the coordinator can open a correlated fleet
-// collection when any member's recorder fires.
+// shard heartbeats it, so its row in the coordinator's status shows
+// which shard's dump to read.
 func (r *Recorder) Dumps() int64 { return r.dumps.Load() }
 
 // Register exposes the recorder's bookkeeping on a metrics registry.
