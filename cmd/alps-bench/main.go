@@ -50,9 +50,7 @@ var experiments = []experiment{
 	{"smp", "extension: ALPS on 1/2/4-processor machines", runSMP},
 	{"portability", "extension: ALPS on BSD vs CFS kernel policies", runPortability},
 	{"servicelag", "extension: worst-case service lag (stride-style error bound)", runServiceLag},
-	{"obs", "observability overhead: observer off vs on (writes BENCH_obs.json)", runObs},
-	{"timeline", "aliasing-free audit windows on retained history: raw vs EWMA beat, sampler cost (merges into BENCH_obs.json)", runTimeline},
-	{"robustness", "checkpoint write latency and per-cycle overhead (writes BENCH_robustness.json)", runRobustness},
+	{"obs", "observability and history-sampler overhead (writes BENCH_obs.json)", runObs},
 	{"scale", "control-loop cost vs fleet size, reference vs O(due) loop (writes BENCH_scale.json)", runScale},
 }
 

@@ -12,6 +12,7 @@ import (
 	"alps/internal/obs"
 	"alps/internal/osproc"
 	"alps/internal/trace"
+	"alps/internal/tshist"
 )
 
 // runObs measures the cost the observability layer adds per quantum and
@@ -41,11 +42,16 @@ import (
 // construction; the disabled-path alloc count is separately pinned to
 // zero by core's TestDisabledObserverAllocs.) The recorder variant gets
 // the same 5% budget: the flight recorder is always on in cmd/alps, so
-// its fully-loaded tick must also fit the §3.2 framing.
+// its fully-loaded tick must also fit the §3.2 framing. Both budgets
+// only warn.
+//
+// The one hard gate is the history sampler's: one tshist.Store.Sample
+// over a production-shaped registry must cost at most 1% of the quantum,
+// so that retained history stays too cheap to matter.
 func runObs() error {
-	coreIters, runnerIters := 100_000, 20_000
+	coreIters, runnerIters, samplerIters := 100_000, 20_000, 20_000
 	if *quick {
-		coreIters, runnerIters = 20_000, 4_000
+		coreIters, runnerIters, samplerIters = 20_000, 4_000, 4_000
 	}
 	// Each variant runs `rounds` interleaved repetitions and keeps the
 	// fastest; scheduling noise is additive, so min-of-k converges on
@@ -177,6 +183,30 @@ func runObs() error {
 	finish(&coreB)
 	finish(&runnerB)
 
+	// History-sampler cost over a production-shaped registry: the full
+	// cmd/alps gauge surface (auditor + flight recorder) plus the
+	// per-task share-error histograms a 32-task run accumulates.
+	histReg := obs.NewRegistry()
+	trace.NewAuditor(trace.AuditorConfig{}).Register(histReg)
+	trace.NewRecorder(trace.RecorderConfig{}).Register(histReg)
+	for i := 0; i < nTasks; i++ {
+		histReg.Histogram(fmt.Sprintf(`alps_share_error_ratio{task="%d"}`, i),
+			"bench fill", obs.RatioBuckets).Observe(0.1)
+	}
+	store := tshist.New(tshist.Config{Source: histReg})
+	epoch := time.Now()
+	var sampleNs float64
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < samplerIters/10; i++ { // warmup
+			store.Sample(epoch)
+		}
+		start := cpuNow()
+		for i := 0; i < samplerIters; i++ {
+			store.Sample(epoch)
+		}
+		keepMin(&sampleNs, float64(cpuNow()-start)/float64(samplerIters))
+	}
+
 	// Quantum-loop overhead: controller CPU per tick over the quantum
 	// it schedules (the §3.2 overhead statistic), with the observer
 	// disabled and enabled.
@@ -184,6 +214,7 @@ func runObs() error {
 	disabledPct := pctOfQuantum(runnerB.Variants[0].NsPerTick)
 	enabledPct := pctOfQuantum(runnerB.Variants[2].NsPerTick)
 	recorderPct := pctOfQuantum(runnerB.Variants[3].NsPerTick)
+	samplePct := pctOfQuantum(sampleNs)
 	report := struct {
 		Tasks                int     `json:"tasks"`
 		QuantumNs            int64   `json:"quantum_ns"`
@@ -193,6 +224,10 @@ func runObs() error {
 		RecorderPctOfQuantum float64 `json:"recorder_quantum_loop_overhead_pct"`
 		DisabledWithin5Pct   bool    `json:"disabled_within_5pct"`
 		RecorderWithin5Pct   bool    `json:"recorder_within_5pct"`
+		SamplerSeries        int     `json:"sampler_series"`
+		SamplerNsPerSample   float64 `json:"sampler_ns_per_sample"`
+		SamplerPctOfQuantum  float64 `json:"sampler_pct_of_quantum"`
+		SamplerWithin1Pct    bool    `json:"sampler_within_1pct"`
 	}{
 		Tasks:                nTasks,
 		QuantumNs:            int64(q),
@@ -202,6 +237,10 @@ func runObs() error {
 		RecorderPctOfQuantum: recorderPct,
 		DisabledWithin5Pct:   disabledPct < 5,
 		RecorderWithin5Pct:   recorderPct < 5,
+		SamplerSeries:        len(histReg.Snapshot()),
+		SamplerNsPerSample:   sampleNs,
+		SamplerPctOfQuantum:  samplePct,
+		SamplerWithin1Pct:    samplePct <= 1,
 	}
 
 	fmt.Println("Observability overhead per quantum (CPU time, getrusage, min of", rounds, "rounds)")
@@ -220,6 +259,8 @@ func runObs() error {
 	if !report.RecorderWithin5Pct {
 		fmt.Println("  WARNING: flight-recorder quantum-loop overhead exceeds the 5% budget on this host")
 	}
+	fmt.Printf("  history sampler: %d series, %.0f ns/sample = %.4f%% of Q=%v (gate <= 1%%)\n",
+		report.SamplerSeries, sampleNs, samplePct, q)
 
 	dir := *out
 	if dir == "" {
@@ -234,5 +275,10 @@ func runObs() error {
 		return err
 	}
 	fmt.Printf("  wrote %s\n", path)
+	// The gate fails the run only after the report is on disk, so the
+	// numbers that show the regression are kept.
+	if !report.SamplerWithin1Pct {
+		return fmt.Errorf("history sampler costs %.4f%% of the quantum (gate 1%%)", samplePct)
+	}
 	return nil
 }

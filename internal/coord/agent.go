@@ -63,9 +63,11 @@ type LinkStatus struct {
 	// Failures is the current consecutive-failure count.
 	Failures int `json:"failures,omitempty"`
 	// Applies counts assignments applied; StaleRejected counts
-	// assignments discarded for a non-increasing epoch.
+	// assignments discarded for a non-increasing epoch; ApplyFailures
+	// counts assignments the local scheduler refused.
 	Applies       int64 `json:"applies"`
 	StaleRejected int64 `json:"stale_rejected,omitempty"`
+	ApplyFailures int64 `json:"apply_failures,omitempty"`
 }
 
 // Agent maintains one shard's link to the coordinator: register under a
@@ -88,6 +90,10 @@ type Agent struct {
 	applies     int64
 	staleRej    int64
 	failsTotal  int64
+	applyFails  int64
+	// refusedEpoch is the last epoch whose failed apply was logged, so a
+	// refused assignment logs once however often it is re-sent.
+	refusedEpoch uint64
 }
 
 // rpcTimeout bounds every coordinator RPC.
@@ -161,6 +167,9 @@ func (a *Agent) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("alps_coord_link_stale_rejected_total",
 		"Assignments rejected for a non-increasing epoch.",
 		func() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.staleRej })
+	reg.CounterFunc("alps_coord_link_apply_failures_total",
+		"Assignments the local scheduler refused to apply.",
+		func() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.applyFails })
 }
 
 // Status snapshots the link for /healthz.
@@ -174,6 +183,7 @@ func (a *Agent) Status() LinkStatus {
 		Failures:       a.fails,
 		Applies:        a.applies,
 		StaleRejected:  a.staleRej,
+		ApplyFailures:  a.applyFails,
 		DegradedStatic: true, // never attached yet
 	}
 	if !a.lastContact.IsZero() {
@@ -305,8 +315,16 @@ func (a *Agent) maybeApply(asg Assignment) {
 	a.mu.Unlock()
 	if err := a.cfg.Apply(asg); err != nil {
 		// Leave a.epoch alone: the coordinator keeps re-sending until
-		// the local scheduler accepts.
-		a.logf("coord-link: apply epoch %d failed: %v", asg.Epoch, err)
+		// the local scheduler accepts. Each refusal counts; only the
+		// first of each epoch is logged.
+		a.mu.Lock()
+		a.applyFails++
+		first := asg.Epoch != a.refusedEpoch
+		a.refusedEpoch = asg.Epoch
+		a.mu.Unlock()
+		if first {
+			a.logf("coord-link: apply epoch %d failed: %v", asg.Epoch, err)
+		}
 		return
 	}
 	a.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -47,7 +48,7 @@ type testShard struct {
 	mu      sync.Mutex
 	shares  map[int64]int64
 	applied []uint64 // every epoch Apply committed, in order
-	fail    error    // next Apply error, if set
+	fail    error    // every Apply fails with it while set
 }
 
 func newTestShard(shares map[int64]int64) *testShard {
@@ -68,9 +69,7 @@ func (ts *testShard) apply(a Assignment) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	if ts.fail != nil {
-		err := ts.fail
-		ts.fail = nil
-		return err
+		return ts.fail
 	}
 	for _, t := range a.Tasks {
 		ts.shares[t.ID] = t.Share
@@ -248,25 +247,41 @@ func TestAgentStaleEpochRejected(t *testing.T) {
 }
 
 // TestAgentApplyFailureRetried: a failed local apply leaves the agent's
-// epoch unchanged, so the coordinator re-sends the assignment on the
-// next heartbeat and the second attempt lands it.
+// epoch unchanged, so the coordinator re-sends the assignment on every
+// heartbeat. Each refusal counts, one log line names the refused epoch,
+// and the first heartbeat after the shard recovers lands it.
 func TestAgentApplyFailureRetried(t *testing.T) {
 	clk := coordsim.NewClock()
 	srv := newTestServer(t, clk, "")
 	tr := &handlerTransport{handler: srv}
 	shard := newTestShard(map[int64]int64{1: 100, 2: 100})
 	a := newTestAgent(t, clk, tr, shard, "s1")
+	refusals := 0
+	a.cfg.Logf = func(format string, args ...any) {
+		if strings.HasPrefix(format, "coord-link: apply epoch") {
+			refusals++
+		}
+		t.Logf(format, args...)
+	}
 	a.Step() // register
 
 	shard.mu.Lock()
 	shard.fail = errors.New("scheduler busy")
 	shard.mu.Unlock()
 	beatViaAgentGauges(t, srv, clk, a, shard) // apply fails
-	if st := a.Status(); st.Epoch != 0 || st.Applies != 0 {
-		t.Fatalf("failed apply advanced the epoch: %+v", st)
+	a.Step()
+	a.Step() // the assignment is re-sent and refused twice more
+	if st := a.Status(); st.Epoch != 0 || st.Applies != 0 || st.ApplyFailures != 3 {
+		t.Fatalf("after three refused heartbeats: %+v", st)
 	}
+	if refusals != 1 {
+		t.Errorf("logged %d refusals of epoch 1, want 1", refusals)
+	}
+	shard.mu.Lock()
+	shard.fail = nil
+	shard.mu.Unlock()
 	a.Step() // next heartbeat re-pulls; apply succeeds now
-	if st := a.Status(); st.Epoch != 1 || st.Applies != 1 {
+	if st := a.Status(); st.Epoch != 1 || st.Applies != 1 || st.ApplyFailures != 3 {
 		t.Fatalf("assignment not re-sent after apply failure: %+v", st)
 	}
 }

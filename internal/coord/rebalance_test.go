@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -35,34 +36,80 @@ func simulateWindow(shares map[string]map[int64]int64, window float64) []ShardLo
 
 // TestPlanConverges: starting from a maximally skewed distribution, the
 // damped multiplicative update drives the global RMS share error under
-// the deadband within a bounded number of rounds. The bound here (12) is
-// the one DESIGN.md documents and the bench gate enforces.
+// the deadband within 12 rounds, the bound DESIGN.md documents. The
+// first case hosts one principal twice under weights 4:2:1; the ring
+// fleets scale the same uniform start to 64 shards.
 func TestPlanConverges(t *testing.T) {
-	// 2 shards, 3 principals; global weights 4:2:1 but initial local
-	// shares are uniform, so principal 1 (hosted twice) starts far over.
-	weights := map[int64]int64{1: 4, 2: 2, 3: 1}
-	shares := map[string]map[int64]int64{
-		"s1": {1: 100, 2: 100},
-		"s2": {1: 100, 3: 100},
+	type fleet struct {
+		name    string
+		weights map[int64]int64
+		shares  map[string]map[int64]int64
+	}
+	cases := []fleet{
+		{
+			// 2 shards, 3 principals; global weights 4:2:1 but initial
+			// local shares are uniform, so principal 1 (hosted twice)
+			// starts far over.
+			name:    "S=2",
+			weights: map[int64]int64{1: 4, 2: 2, 3: 1},
+			shares: map[string]map[int64]int64{
+				"s1": {1: 100, 2: 100},
+				"s2": {1: 100, 3: 100},
+			},
+		},
+	}
+	for _, s := range []int{4, 16, 64} {
+		weights, shares := ringFleet(s)
+		cases = append(cases, fleet{fmt.Sprintf("S=%d", s), weights, shares})
 	}
 	var cfg PlannerConfig
-	lastRMS := math.Inf(1)
-	for round := 1; round <= 12; round++ {
-		res := Plan(cfg, weights, simulateWindow(shares, 1.0))
-		if res.GlobalRMS < 0 {
-			t.Fatalf("round %d: no RMS measured", round)
-		}
-		if !res.Changed {
-			if res.GlobalRMS >= cfg.withDefaults().Deadband {
-				t.Fatalf("round %d: planner stopped at rms=%.4f, above deadband", round, res.GlobalRMS)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			shares := tc.shares
+			lastRMS := math.Inf(1)
+			for round := 1; round <= 12; round++ {
+				res := Plan(cfg, tc.weights, simulateWindow(shares, 1.0))
+				if res.GlobalRMS < 0 {
+					t.Fatalf("round %d: no RMS measured", round)
+				}
+				if !res.Changed {
+					if res.GlobalRMS >= cfg.withDefaults().Deadband {
+						t.Fatalf("round %d: planner stopped at rms=%.4f, above deadband", round, res.GlobalRMS)
+					}
+					t.Logf("converged after %d rounds (rms=%.4f)", round, res.GlobalRMS)
+					return
+				}
+				lastRMS = res.GlobalRMS
+				shares = res.Shares
 			}
-			t.Logf("converged after %d rounds (rms=%.4f)", round, res.GlobalRMS)
-			return
-		}
-		lastRMS = res.GlobalRMS
-		shares = res.Shares
+			t.Fatalf("did not converge in 12 rounds (last rms=%.4f)", lastRMS)
+		})
 	}
-	t.Fatalf("did not converge in 12 rounds (last rms=%.4f)", lastRMS)
+}
+
+// ringFleet builds an s-shard ring (s even): principal p is hosted on
+// shards p and (p+1) mod s, weights alternate 4 (even p) and 1 (odd p),
+// and every local share starts at 100. Each shard then hosts one heavy
+// and one light principal, so the heavy principal's global demand (1.6
+// windows) fits its two hosts, with the exact solution at 4:1 local
+// shares everywhere; a steeper spread would ask more than two replicas
+// can serve.
+func ringFleet(s int) (map[int64]int64, map[string]map[int64]int64) {
+	weights := make(map[int64]int64, s)
+	shares := make(map[string]map[int64]int64, s)
+	shardName := func(i int) string { return fmt.Sprintf("s%03d", i) }
+	for i := 0; i < s; i++ {
+		shares[shardName(i)] = make(map[int64]int64, 2)
+	}
+	for p := 0; p < s; p++ {
+		weights[int64(p)] = 1
+		if p%2 == 0 {
+			weights[int64(p)] = 4
+		}
+		shares[shardName(p)][int64(p)] = 100
+		shares[shardName((p+1)%s)][int64(p)] = 100
+	}
+	return weights, shares
 }
 
 // TestPlanDeadband: an already-balanced fleet is left alone — no epoch

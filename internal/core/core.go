@@ -217,15 +217,14 @@ type Scheduler struct {
 
 	// Indexed-path state (see index.go and wheel.go): the measurement
 	// due index (nil on the reference path), the admission queue of tasks
-	// awaiting their first stage-3 visit, the prepared due batch with the
-	// tick it was prepared for (0 = none), and scratch slices for the
-	// index drain and stage 3's visit list.
-	due         *dueWheel
-	admit       []TaskID
-	dueBatch    []TaskID
-	duePrepared int64
-	visit       []TaskID
-	drainBuf    []dueEntry
+	// awaiting their first stage-3 visit, the due batch stage 1 is
+	// measuring, and scratch slices for the index drain and stage 3's
+	// visit list.
+	due      *dueWheel
+	admit    []TaskID
+	dueBatch []TaskID
+	visit    []TaskID
+	drainBuf []dueEntry
 
 	// Decision scratch, reused across ticks so the steady-state quantum
 	// loop allocates nothing (see the Decision ownership contract).

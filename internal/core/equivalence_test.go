@@ -348,8 +348,9 @@ func TestIndexedMatchesReferenceEager(t *testing.T) {
 	}
 }
 
-// TestDueTasksMatchesMeasured: the prefetch API predicts exactly the set
-// stage 1 will measure, and calling it (or not) never perturbs the run.
+// TestDueTasksMatchesMeasured: DueBatch, read from the Reader's first
+// call, is exactly the set stage 1 measures, and it is empty outside
+// TickQuantum.
 func TestDueTasksMatchesMeasured(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -361,12 +362,15 @@ func TestDueTasksMatchesMeasured(t *testing.T) {
 			}
 		}
 		for step := 0; step < 150; step++ {
-			var due []TaskID
-			if rng.Intn(3) > 0 { // sometimes skip the prefetch entirely
-				due = append(due, s.DueTasks()...)
+			if b := s.DueBatch(); len(b) != 0 {
+				t.Logf("seed %d step %d: DueBatch %v outside TickQuantum", seed, step, b)
+				return false
 			}
-			var dead []TaskID
+			var due, dead []TaskID
 			d := s.TickQuantum(func(id TaskID) (Progress, bool) {
+				if due == nil {
+					due = append([]TaskID{}, s.DueBatch()...)
+				}
 				r := rand.New(rand.NewSource(seed ^ s.Tick()<<18 ^ int64(id)))
 				if r.Intn(50) == 0 {
 					dead = append(dead, id)
@@ -374,18 +378,16 @@ func TestDueTasksMatchesMeasured(t *testing.T) {
 				}
 				return Progress{Consumed: time.Duration(r.Int63n(int64(2 * q)))}, true
 			})
-			if due != nil {
-				// Measured ∪ Dead is exactly what stage 1 visited.
-				visited := append(append([]TaskID{}, d.Measured...), dead...)
-				for i := 1; i < len(visited); i++ { // insertion sort; tiny
-					for j := i; j > 0 && visited[j] < visited[j-1]; j-- {
-						visited[j], visited[j-1] = visited[j-1], visited[j]
-					}
+			// Measured ∪ Dead is exactly what stage 1 visited.
+			visited := append(append([]TaskID{}, d.Measured...), dead...)
+			for i := 1; i < len(visited); i++ { // insertion sort; tiny
+				for j := i; j > 0 && visited[j] < visited[j-1]; j-- {
+					visited[j], visited[j-1] = visited[j-1], visited[j]
 				}
-				if !reflect.DeepEqual(due, visited) && !(len(due) == 0 && len(visited) == 0) {
-					t.Logf("seed %d step %d: DueTasks %v but stage 1 visited %v", seed, step, due, visited)
-					return false
-				}
+			}
+			if !reflect.DeepEqual(due, visited) && !(len(due) == 0 && len(visited) == 0) {
+				t.Logf("seed %d step %d: DueBatch %v but stage 1 visited %v", seed, step, due, visited)
+				return false
 			}
 		}
 		return true

@@ -173,7 +173,6 @@ func (s *Scheduler) Restore(snap Snapshot) error {
 	}
 	s.admit = s.admit[:0]
 	s.dueBatch = s.dueBatch[:0]
-	s.duePrepared = 0
 	for _, ts := range snap.Tasks {
 		s.order.insert(ts.ID)
 		if s.indexed {

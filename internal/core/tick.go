@@ -70,55 +70,18 @@ func (s *Scheduler) TickQuantum(read Reader) Decision {
 	return s.tickReference(read)
 }
 
-// DueTasks returns, in ascending ID order, the tasks the next TickQuantum
-// will measure in stage 1: the eligible tasks whose §2.3 wake tick has
-// arrived, dormant tasks' watch reads included (every eligible task when
-// lazy sampling is disabled). Drivers use it to prefetch the
-// measurements concurrently before invoking the algorithm. The returned
-// slice is owned by the scheduler and valid only until the next
-// TickQuantum; registration changes between the two calls are tolerated
-// (stage 1 revalidates), they just waste the prefetch.
-func (s *Scheduler) DueTasks() []TaskID {
-	if len(s.tasks) == 0 {
-		return nil
-	}
-	s.prepareDue(s.count + 1)
-	return s.dueBatch
-}
+// DueBatch returns, in ascending ID order, the tasks the TickQuantum in
+// progress measures in stage 1: the eligible tasks whose §2.3 wake tick
+// has arrived, dormant tasks' watch reads included. It is valid only
+// while TickQuantum runs, from its Reader, so that a driver can read the
+// whole batch at once on its first call. It is empty outside TickQuantum
+// and on the reference path. The slice is owned by the scheduler.
+func (s *Scheduler) DueBatch() []TaskID { return s.dueBatch }
 
-// prepareDue populates s.dueBatch with the tasks due for measurement at
-// the given tick, ascending by ID. Idempotent per tick; shared by
-// DueTasks (prefetch) and the indexed stage 1.
+// prepareDue fills s.dueBatch with the tasks due for measurement at the
+// given tick, ascending by ID, for the indexed stage 1.
 func (s *Scheduler) prepareDue(tick int64) {
-	if s.duePrepared == tick {
-		return
-	}
-	if s.indexed && s.duePrepared != 0 {
-		// A batch prepared for an earlier tick was never consumed by a
-		// TickQuantum (the driver called DueTasks and then skipped the
-		// tick). Its entries were drained from the index; re-arm them so
-		// the tasks are not silently lost from the measurement schedule.
-		for _, id := range s.dueBatch {
-			if t, ok := s.tasks[id]; ok && t.state == Eligible {
-				s.due.push(dueEntry{wake: t.update, id: id})
-			}
-		}
-	}
 	s.dueBatch = s.dueBatch[:0]
-	s.duePrepared = tick
-	if !s.indexed {
-		for _, id := range s.order.all() {
-			t := s.tasks[id]
-			if t.state != Eligible {
-				continue
-			}
-			if !s.cfg.DisableLazySampling && t.update > tick {
-				continue
-			}
-			s.dueBatch = append(s.dueBatch, id)
-		}
-		return
-	}
 	// Lazily invalidated entries (removed, re-measured, or turned
 	// ineligible tasks) are normally discarded as they drain, but a
 	// membership-churn storm can strand far-future stales faster than
@@ -208,8 +171,8 @@ func (s *Scheduler) tickIndexed(read Reader) Decision {
 	}
 
 	// Stage 1: measure exactly the due tasks. Each batch entry is
-	// revalidated against the live task state, so a Remove between a
-	// DueTasks prefetch and this tick cannot resurrect a task.
+	// revalidated against the live task state, so a Reader that removes
+	// a task mid-stage cannot resurrect it.
 	s.prepareDue(s.count)
 	for _, id := range s.dueBatch {
 		t, ok := s.tasks[id]
@@ -225,7 +188,6 @@ func (s *Scheduler) tickIndexed(read Reader) Decision {
 		s.charge(t, p, o)
 	}
 	s.dueBatch = s.dueBatch[:0]
-	s.duePrepared = 0 // batch consumed; nothing to re-arm
 	for _, id := range d.Dead {
 		// Remove cannot fail here: the ID was just iterated.
 		_ = s.Remove(id)

@@ -132,13 +132,13 @@ func TestDueIndexTieOrdering(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		due := s.DueTasks()
-		for j := 1; j < len(due); j++ {
-			if due[j-1] >= due[j] {
-				t.Fatalf("DueTasks not strictly ascending: %v", due)
-			}
-		}
 		s.TickQuantum(func(TaskID) (Progress, bool) {
+			due := s.DueBatch()
+			for j := 1; j < len(due); j++ {
+				if due[j-1] >= due[j] {
+					t.Fatalf("DueBatch not strictly ascending: %v", due)
+				}
+			}
 			return Progress{Consumed: q}, true
 		})
 	}

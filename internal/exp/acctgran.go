@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"alps/internal/core"
 	"alps/internal/sim"
 )
 
@@ -75,48 +74,16 @@ func AccountingGranularity(p AcctGranParams) (*AcctGranResult, error) {
 func acctGranRun(p AcctGranParams, gran, quantum time.Duration) (float64, error) {
 	k := sim.NewKernel()
 	k.SetAccountingGranularity(gran)
-
-	pids := make([]sim.PID, len(p.Shares))
-	tasks := make([]sim.AlpsTask, len(p.Shares))
-	for i, s := range p.Shares {
-		pids[i] = k.SpawnStopped(fmt.Sprintf("w%d", i), 0, sim.Spin())
-		tasks[i] = sim.AlpsTask{ID: core.TaskID(i), Share: s, Pids: []sim.PID{pids[i]}}
-	}
-
-	warm := p.Warmup
-	var total int64
-	for _, s := range p.Shares {
-		total += s
-	}
-	if p.WarmupTime > 0 {
-		if w := int(p.WarmupTime/(time.Duration(total)*quantum)) + 1; w > warm {
-			warm = w
-		}
-	}
-	target := warm + p.Cycles
-	seen := 0
-	var recs []core.CycleRecord
-	_, err := sim.StartALPS(k, sim.AlpsConfig{
-		Quantum: quantum,
-		Cost:    sim.PaperCosts(),
-		OnCycle: func(rec core.CycleRecord) {
-			seen++
-			if seen > warm {
-				recs = append(recs, rec)
-			}
-			if seen >= target {
-				k.Stop()
-			}
-		},
-	}, tasks)
+	r, err := run(k, RunSpec{
+		Shares:     p.Shares,
+		Quantum:    quantum,
+		Cycles:     p.Cycles,
+		Warmup:     p.Warmup,
+		WarmupTime: p.WarmupTime,
+		Cost:       sim.PaperCosts(),
+	}, nil)
 	if err != nil {
 		return 0, err
-	}
-	k.Run(time.Duration(target+20) * 4 * time.Duration(total) * quantum)
-
-	r := RunResult{Spec: RunSpec{Quantum: quantum}}
-	for _, rec := range recs {
-		r.Cycles = append(r.Cycles, CyclePoint{Record: rec})
 	}
 	return r.MeanRMSErrorPct()
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"alps/internal/core"
-	"alps/internal/metrics"
 	"alps/internal/sim"
 )
 
@@ -76,54 +74,17 @@ func Portability(p PortabilityParams) (*PortabilityResult, error) {
 }
 
 func portabilityRun(p PortabilityParams, shares []int64, pol sim.Policy) (errPct, ovhPct float64, err error) {
-	k := sim.NewKernelWithPolicy(1, pol)
-	pids := make([]sim.PID, len(shares))
-	tasks := make([]sim.AlpsTask, len(shares))
-	for i, s := range shares {
-		pids[i] = k.SpawnStopped(fmt.Sprintf("w%d", i), 0, sim.Spin())
-		tasks[i] = sim.AlpsTask{ID: core.TaskID(i), Share: s, Pids: []sim.PID{pids[i]}}
-	}
-	var total int64
-	for _, s := range shares {
-		total += s
-	}
-	warm := p.Warmup
-	if p.WarmupTime > 0 {
-		if w := int(p.WarmupTime/(time.Duration(total)*p.Quantum)) + 1; w > warm {
-			warm = w
-		}
-	}
-	target := warm + p.Cycles
-	seen := 0
-	var rms []float64
-	a, err := sim.StartALPS(k, sim.AlpsConfig{
-		Quantum: p.Quantum,
-		Cost:    sim.PaperCosts(),
-		OnCycle: func(rec core.CycleRecord) {
-			seen++
-			if seen > warm {
-				actual := make([]float64, len(rec.Tasks))
-				ideal := make([]float64, len(rec.Tasks))
-				for i, t := range rec.Tasks {
-					actual[i] = float64(t.Consumed)
-					ideal[i] = float64(t.Share) * float64(p.Quantum)
-				}
-				if v, err := metrics.RMSRelativeError(actual, ideal); err == nil {
-					rms = append(rms, v)
-				}
-			}
-			if seen >= target {
-				k.Stop()
-			}
-		},
-	}, tasks)
+	r, err := run(sim.NewKernelWithPolicy(1, pol), RunSpec{
+		Shares:     shares,
+		Quantum:    p.Quantum,
+		Cycles:     p.Cycles,
+		Warmup:     p.Warmup,
+		WarmupTime: p.WarmupTime,
+		Cost:       sim.PaperCosts(),
+	}, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	k.Run(time.Duration(target+20) * 4 * time.Duration(total) * p.Quantum)
-	mean, err := metrics.Mean(rms)
-	if err != nil {
-		return 0, 0, err
-	}
-	return 100 * mean, 100 * float64(a.CPU()) / float64(k.Now()), nil
+	errPct, err = r.MeanRMSErrorPct()
+	return errPct, r.OverheadPct(), err
 }

@@ -150,13 +150,23 @@ func (r RunResult) ServiceErrors() ([]time.Duration, error) {
 	return out, nil
 }
 
-// Run executes one synthetic-workload experiment.
+// Run executes one synthetic-workload experiment on a uniprocessor.
 func Run(spec RunSpec) (RunResult, error) {
+	return run(sim.NewKernel(), spec, nil)
+}
+
+// run is the one experiment loop: it drives one ALPS instance over k, a
+// machine the caller built, until spec's cycle target or its duration
+// bound. Task i covers members[i] stopped processes (one when members is
+// nil), each running spec.Behaviors[i] if set, else a spinner. The
+// warm-up measured in WarmupTime counts cycles of S·Q/M, since cycles
+// complete about M times faster on M processors.
+func run(k *sim.Kernel, spec RunSpec, members []int) (RunResult, error) {
 	if spec.Cycles <= 0 {
 		return RunResult{}, fmt.Errorf("exp: Cycles must be positive")
 	}
 	if spec.WarmupTime > 0 {
-		w := int(spec.WarmupTime/cycleLength(spec)) + 1
+		w := int(spec.WarmupTime/(cycleLength(spec)/time.Duration(k.NCPU()))) + 1
 		if w > spec.Warmup {
 			spec.Warmup = w
 		}
@@ -164,25 +174,29 @@ func Run(spec RunSpec) (RunResult, error) {
 	if spec.MaxDuration <= 0 {
 		spec.MaxDuration = time.Duration(spec.Cycles+spec.Warmup+10) * 4 * cycleLength(spec)
 	}
-	k := sim.NewKernel()
 
-	pids := make([]sim.PID, len(spec.Shares))
+	var pids []sim.PID
 	tasks := make([]sim.AlpsTask, len(spec.Shares))
 	for i, s := range spec.Shares {
-		var b sim.Behavior
+		b := sim.Spin()
 		if i < len(spec.Behaviors) && spec.Behaviors[i] != nil {
 			b = spec.Behaviors[i]
-		} else {
-			b = sim.Spin()
 		}
-		pids[i] = k.SpawnStopped(fmt.Sprintf("w%d", i), 0, b)
-		tasks[i] = sim.AlpsTask{ID: core.TaskID(i), Share: s, Pids: []sim.PID{pids[i]}}
+		n := 1
+		if members != nil {
+			n = members[i]
+		}
+		tasks[i] = sim.AlpsTask{ID: core.TaskID(i), Share: s}
+		for j := 0; j < n; j++ {
+			pid := k.SpawnStopped(fmt.Sprintf("w%d", i), 0, b)
+			tasks[i].Pids = append(tasks[i].Pids, pid)
+			pids = append(pids, pid)
+		}
 	}
 
 	var res RunResult
 	res.Spec = spec
 	target := spec.Warmup + spec.Cycles
-	var kref *sim.Kernel = k
 	seen := 0
 	cfg := sim.AlpsConfig{
 		Quantum:             spec.Quantum,
@@ -192,10 +206,10 @@ func Run(spec RunSpec) (RunResult, error) {
 		OnCycle: func(rec core.CycleRecord) {
 			seen++
 			if seen > spec.Warmup {
-				res.Cycles = append(res.Cycles, CyclePoint{Wall: kref.Now(), Record: rec})
+				res.Cycles = append(res.Cycles, CyclePoint{Wall: k.Now(), Record: rec})
 			}
 			if seen >= target {
-				kref.Stop()
+				k.Stop()
 			}
 		},
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"alps/internal/core"
 	"alps/internal/metrics"
 	"alps/internal/share"
 	"alps/internal/sim"
@@ -125,62 +124,35 @@ func SMP(p SMPParams) (*SMPResult, error) {
 }
 
 func smpRun(p SMPParams, principals []SMPPrincipal, m int, offset time.Duration) (errPct, medianPct, utilPct, ovhPct float64, err error) {
-	k := sim.NewKernelSMP(m)
-	var pids []sim.PID
-	tasks := make([]sim.AlpsTask, len(principals))
-	var total int64
+	spec := RunSpec{
+		Quantum:    p.Quantum,
+		Cycles:     p.Cycles,
+		Warmup:     p.Warmup,
+		WarmupTime: p.WarmupTime,
+		Offset:     offset,
+		Cost:       sim.PaperCosts(),
+	}
+	members := make([]int, len(principals))
 	for i, pr := range principals {
-		tasks[i] = sim.AlpsTask{ID: core.TaskID(i), Share: pr.Share}
-		for j := 0; j < pr.Members; j++ {
-			pid := k.SpawnStopped(fmt.Sprintf("w%d", i), 0, sim.Spin())
-			tasks[i].Pids = append(tasks[i].Pids, pid)
-			pids = append(pids, pid)
-		}
-		total += pr.Share
+		spec.Shares = append(spec.Shares, pr.Share)
+		members[i] = pr.Members
 	}
-	warm := p.Warmup
-	if p.WarmupTime > 0 {
-		// Cycles complete ~M times faster on M processors.
-		if w := int(p.WarmupTime/(time.Duration(total)*p.Quantum/time.Duration(m))) + 1; w > warm {
-			warm = w
-		}
-	}
-	target := warm + p.Cycles
-	seen := 0
-	var rms []float64
-	a, err := sim.StartALPS(k, sim.AlpsConfig{
-		Quantum:     p.Quantum,
-		Cost:        sim.PaperCosts(),
-		StartOffset: offset,
-		OnCycle: func(rec core.CycleRecord) {
-			seen++
-			if seen > warm {
-				// Per-cycle accuracy vs the proportional split of
-				// what the cycle actually delivered (on SMP the
-				// cycle's CPU total varies with idle capacity).
-				consumed := make([]float64, len(rec.Tasks))
-				weight := make([]float64, len(rec.Tasks))
-				for i, t := range rec.Tasks {
-					consumed[i], weight[i] = float64(t.Consumed), float64(t.Share)
-				}
-				if v, ok := metrics.ShareError(nil, consumed, weight); ok {
-					rms = append(rms, v)
-				}
-			}
-			if seen >= target {
-				k.Stop()
-			}
-		},
-	}, tasks)
+	r, err := run(sim.NewKernelSMP(m), spec, members)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	k.Run(time.Duration(target+20) * 4 * time.Duration(total) * p.Quantum)
-
-	var workCPU time.Duration
-	for _, pid := range pids {
-		if info, ok := k.Info(pid); ok {
-			workCPU += info.CPU
+	// Per-cycle accuracy vs the proportional split of what the cycle
+	// actually delivered (on SMP the cycle's CPU total varies with idle
+	// capacity).
+	var rms []float64
+	for _, c := range r.Cycles {
+		consumed := make([]float64, len(c.Record.Tasks))
+		weight := make([]float64, len(c.Record.Tasks))
+		for i, t := range c.Record.Tasks {
+			consumed[i], weight[i] = float64(t.Consumed), float64(t.Share)
+		}
+		if v, ok := metrics.ShareError(nil, consumed, weight); ok {
+			rms = append(rms, v)
 		}
 	}
 	mean, err := metrics.Mean(rms)
@@ -188,9 +160,8 @@ func smpRun(p SMPParams, principals []SMPPrincipal, m int, offset time.Duration)
 		return 0, 0, 0, 0, err
 	}
 	sort.Float64s(rms)
-	wall := k.Now()
 	return 100 * mean, 100 * rms[len(rms)/2],
-		100 * float64(workCPU) / (float64(m) * float64(wall)),
-		100 * float64(a.CPU()) / float64(wall),
+		100 * float64(r.WorkloadCPU) / (float64(m) * float64(r.Wall)),
+		r.OverheadPct(),
 		nil
 }

@@ -13,11 +13,12 @@ import (
 type errClass int
 
 const (
-	// errTransient: a retry within the same quantum may succeed
-	// (EINTR, EAGAIN, unrecognized errors). Retried with capped
-	// backoff; on exhaustion the operation is skipped for this quantum
-	// — cumulative /proc counters mean no consumption is lost, it is
-	// charged at the next successful read.
+	// errTransient: an immediate retry may succeed (EINTR, EAGAIN,
+	// unrecognized errors). A /proc read is retried at once; on
+	// exhaustion it is skipped for this quantum — cumulative /proc
+	// counters mean no consumption is lost, it is charged at the next
+	// successful read. A signal is never retried: kill(2) has no
+	// transient failure, so any error but ESRCH counts a strike.
 	errTransient errClass = iota
 	// errGone: the process no longer exists (ESRCH, ENOENT from a
 	// vanished /proc entry). Permanent: the PID is dropped immediately.

@@ -2,6 +2,7 @@ package osproc
 
 import (
 	"errors"
+	"syscall"
 	"testing"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 const fq = 20 * time.Millisecond // fault-test quantum
 
 // newFaultRunner builds a Runner over a FaultSys. The runner reads the
-// fake's virtual clock, so overruns and backoffs are fully deterministic.
+// fake's virtual clock, so overruns are fully deterministic.
 func newFaultRunner(t *testing.T, fs *FaultSys, cfg Config, tasks []Task) *Runner {
 	t.Helper()
 	if cfg.Quantum == 0 {
@@ -123,30 +124,6 @@ func TestZombieDropped(t *testing.T) {
 	if h := r.Health(); h.VanishedPIDs != 1 {
 		t.Errorf("VanishedPIDs = %d, want 1", h.VanishedPIDs)
 	}
-}
-
-// TestTransientSignalRetry: EINTR on a signal delivery is retried with
-// backoff within the quantum and succeeds without losing the PID.
-func TestTransientSignalRetry(t *testing.T) {
-	fs := NewFaultSys()
-	fs.AddProc(FaultProc{PID: 10, Start: 1})
-	r := newFaultRunner(t, fs, Config{}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
-	fs.Inject(10, CallCont, FaultEINTR, FaultEINTR) // first resume glitches twice
-	stepQuantum(fs, r)                              // tick 1: resume with retries
-	if fs.IsStopped(10) {
-		t.Error("PID still stopped: transient failures were not retried")
-	}
-	h := r.Health()
-	if h.SignalRetries != 2 {
-		t.Errorf("SignalRetries = %d, want 2", h.SignalRetries)
-	}
-	if h.SignalFailures != 0 {
-		t.Errorf("SignalFailures = %d, want 0", h.SignalFailures)
-	}
-	if fs.Sleeps != 2 {
-		t.Errorf("backoff sleeps = %d, want 2", fs.Sleeps)
-	}
-	r.Release()
 }
 
 // TestTransientReadRetry: an EINTR /proc read race is retried
@@ -418,23 +395,7 @@ func TestStepPanicReleasesWorkload(t *testing.T) {
 	}
 }
 
-// TestReleaseRetriesTransient: Release retries a transiently failing
-// SIGCONT once so a signal race cannot leave a process frozen.
-func TestReleaseRetriesTransient(t *testing.T) {
-	fs := NewFaultSys()
-	fs.AddProc(FaultProc{PID: 10, Start: 1})
-	r := newFaultRunner(t, fs, Config{}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
-	if !fs.IsStopped(10) {
-		t.Fatal("PID not suspended at startup")
-	}
-	fs.Inject(10, CallCont, FaultEINTR)
-	r.Release()
-	if fs.IsStopped(10) {
-		t.Error("transient Cont failure left the process frozen")
-	}
-}
-
-// TestChaosInvariants: seeded random transient faults on every OS call
+// TestChaosInvariants: seeded random transient faults on /proc reads
 // for many quanta. Whatever the interleaving, the loop must not panic,
 // must keep its process table consistent after every Step (no record
 // outlives its membership), and Release must leave nothing frozen.
@@ -461,6 +422,43 @@ func TestChaosInvariants(t *testing.T) {
 	}
 }
 
+// TestFaultSysSignalsNeverEINTR: the fake fails signals only as kill(2)
+// can. Inject refuses EINTR on a per-PID or group signal call, and Chaos
+// faults reads while every signal goes through.
+func TestFaultSysSignalsNeverEINTR(t *testing.T) {
+	for _, tc := range []struct {
+		pid  int
+		call FaultCall
+	}{{10, CallStop}, {10, CallCont}, {-10, CallStop}, {-10, CallCont}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Inject(%d, %v, FaultEINTR) was accepted", tc.pid, tc.call)
+				}
+			}()
+			NewFaultSys().Inject(tc.pid, tc.call, FaultEPERM, FaultEINTR)
+		}()
+	}
+
+	fs := NewFaultSys()
+	fs.AddProc(FaultProc{PID: 10, Start: 1})
+	fs.Chaos(1, 1)
+	if _, err := fs.ReadStat(10); !errors.Is(err, syscall.EINTR) {
+		t.Errorf("chaos read err = %v, want EINTR", err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := fs.Stop(10); err != nil {
+			t.Fatalf("chaos Stop: %v", err)
+		}
+		if err := fs.Cont(10); err != nil {
+			t.Fatalf("chaos Cont: %v", err)
+		}
+		if err := fs.StopGroup(10); err != nil {
+			t.Fatalf("chaos StopGroup: %v", err)
+		}
+	}
+}
+
 // TestHealthStringAndDegraded: the telemetry snapshot renders and
 // classifies itself.
 func TestHealthStringAndDegraded(t *testing.T) {
@@ -477,6 +475,18 @@ func TestHealthStringAndDegraded(t *testing.T) {
 	if s == "" || len(s) < 20 {
 		t.Errorf("String() = %q", s)
 	}
+}
+
+// dueNext counts the tasks due for a read at the next tick.
+func dueNext(s *core.Scheduler) int {
+	snap := s.Snapshot()
+	n := 0
+	for _, ts := range snap.Tasks {
+		if ts.Eligible && ts.Update <= snap.Count+1 {
+			n++
+		}
+	}
+	return n
 }
 
 // TestStepDoneWhenSleepersOutliveS: the only task in S exits between
@@ -502,7 +512,7 @@ func TestStepDoneWhenSleepersOutliveS(t *testing.T) {
 		if stepQuantum(fs, r) || sched.Tick() > 200 {
 			t.Fatal("the sleepers never went dormant with deferred reads")
 		}
-		if sched.NumDormant() == 3 && sched.Cycles() == cycles && len(sched.DueTasks()) == 0 {
+		if sched.NumDormant() == 3 && sched.Cycles() == cycles && dueNext(sched) == 0 {
 			break
 		}
 	}

@@ -3,6 +3,7 @@ package osproc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"syscall"
@@ -29,7 +30,9 @@ const (
 	FaultESRCH FaultKind = iota
 	// FaultEPERM fails the call with syscall.EPERM (unsignalable).
 	FaultEPERM
-	// FaultEINTR fails the call with syscall.EINTR (transient race).
+	// FaultEINTR fails a read with syscall.EINTR (transient race).
+	// kill(2) never returns EINTR for SIGSTOP or SIGCONT, so Inject
+	// refuses it on CallStop and CallCont.
 	FaultEINTR
 	// FaultZombie makes ReadStat report state 'Z' (exited, unreaped).
 	FaultZombie
@@ -115,17 +118,13 @@ type FaultSys struct {
 	// §2.3 rule unless a test asks for more. Advance does not read it.
 	NCPU int
 
-	// Sleeps counts backoff sleeps; their durations advance the clock.
-	Sleeps int
-
 	// sigCalls counts signal syscalls (Stop, Cont, StopGroup, ContGroup
 	// — one each, regardless of group size). The scale benchmark derives
 	// its signal-syscalls-per-flip gauge from it.
 	sigCalls int64
 
-	rng      *rand.Rand
-	chaosP   float64
-	chaosOps int
+	rng    *rand.Rand
+	chaosP float64
 }
 
 // SignalSyscalls returns the number of signal syscalls issued so far:
@@ -203,19 +202,24 @@ func (f *FaultSys) SetState(pid int, state byte) {
 // Inject queues faults for the given pid and call; each matching call
 // consumes one fault in FIFO order, then the call proceeds normally.
 // A negative pid targets the group syscall itself: Inject(-pgid,
-// CallStop, FaultEINTR) makes the next StopGroup(pgid) fail EINTR as a
+// CallStop, FaultEPERM) makes the next StopGroup(pgid) fail EPERM as a
 // whole. Positive-pid ESRCH/EPERM schedules are also consumed by group
 // calls covering that member, modelling partial group delivery (the
-// member exited mid-kill, or is unsignalable).
+// member exited mid-kill, or is unsignalable). Inject panics on
+// FaultEINTR for a signal call, a failure kill(2) never returns.
 func (f *FaultSys) Inject(pid int, call FaultCall, kinds ...FaultKind) {
+	if call != CallRead && slices.Contains(kinds, FaultEINTR) {
+		panic(fmt.Sprintf("faultsys: kill(2) never fails with EINTR (pid %d)", pid))
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	k := faultKey{pid, call}
 	f.faults[k] = append(f.faults[k], kinds...)
 }
 
-// Chaos enables seeded random transient faults: each operation
-// independently fails with EINTR with probability p. Deterministic for a
+// Chaos enables seeded random transient faults: each /proc read
+// independently fails with EINTR with probability p. Signals are left
+// alone, since kill(2) has no transient failure. Deterministic for a
 // given seed and call sequence.
 func (f *FaultSys) Chaos(seed int64, p float64) {
 	f.mu.Lock()
@@ -269,15 +273,6 @@ func (f *FaultSys) CPUs() int {
 	return max(f.NCPU, 1)
 }
 
-// Sleep advances the virtual clock (the fake analogue of a backoff
-// sleep) and counts the call.
-func (f *FaultSys) Sleep(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.Sleeps++
-	f.elapsed += d
-}
-
 // IsStopped reports whether the process is currently SIGSTOPped.
 func (f *FaultSys) IsStopped(pid int) bool {
 	f.mu.Lock()
@@ -319,15 +314,14 @@ func (f *FaultSys) pids() []int {
 }
 
 // pop consumes the next scheduled fault for (pid, call). Chaos mode may
-// substitute a transient fault when no fault is scheduled.
+// substitute a transient fault for a read when no fault is scheduled.
 func (f *FaultSys) pop(pid int, call FaultCall) (FaultKind, bool) {
 	k := faultKey{pid, call}
 	if q := f.faults[k]; len(q) > 0 {
 		f.faults[k] = q[1:]
 		return q[0], true
 	}
-	if f.rng != nil && f.rng.Float64() < f.chaosP {
-		f.chaosOps++
+	if call == CallRead && f.rng != nil && f.rng.Float64() < f.chaosP {
 		return FaultEINTR, true
 	}
 	return 0, false
@@ -465,8 +459,7 @@ func pgidOf(p *FaultProc) int {
 // popMember consumes the head of a member's fault queue during a group
 // call — but only if it is ESRCH or EPERM, the two per-member outcomes a
 // real kill(-pgid) can have (a member exiting mid-sweep, a member with
-// changed credentials). Transient kinds stay queued for direct per-PID
-// calls: the group kill is one syscall and cannot EINTR per member.
+// changed credentials). Other kinds stay queued for direct per-PID calls.
 func (f *FaultSys) popMember(pid int, call FaultCall) (FaultKind, bool) {
 	k := faultKey{pid, call}
 	if q := f.faults[k]; len(q) > 0 && (q[0] == FaultESRCH || q[0] == FaultEPERM) {
@@ -555,8 +548,6 @@ func sigErr(kind FaultKind) error {
 		return syscall.ESRCH
 	case FaultEPERM:
 		return syscall.EPERM
-	case FaultEINTR:
-		return syscall.EINTR
 	}
 	return nil
 }

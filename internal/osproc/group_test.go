@@ -161,34 +161,6 @@ func TestGroupEPERMFallsBackPerPIDStrikesOnce(t *testing.T) {
 	requireNoHandles(t, fs)
 }
 
-// TestGroupTransientRetriesWithinQuantum: an EINTR against the group
-// syscall itself (negative-pid schedule) is retried with backoff inside
-// the same delivery, like its per-PID counterpart.
-func TestGroupTransientRetriesWithinQuantum(t *testing.T) {
-	fs := NewFaultSys()
-	tasks := []Task{addGroup(fs, 1, 1, 900, 3)}
-	r := newFaultRunner(t, fs, Config{}, tasks)
-	fs.Inject(-900, CallCont, FaultEINTR, FaultEINTR)
-	for i := 0; i < 6; i++ {
-		stepQuantum(fs, r)
-	}
-	h := r.Health()
-	if h.SignalRetries < 2 {
-		t.Errorf("SignalRetries = %d, want >= 2 (injected group EINTRs)", h.SignalRetries)
-	}
-	if h.SignalFailures != 0 {
-		t.Errorf("SignalFailures = %d, want 0 (transients recovered in-quantum)", h.SignalFailures)
-	}
-	if st, _ := r.sched.State(1); st == core.Eligible {
-		for pid := 900; pid < 903; pid++ {
-			if fs.IsStopped(pid) {
-				t.Errorf("member %d still stopped after retried group resume", pid)
-			}
-		}
-	}
-	r.Release()
-}
-
 // TestGroupClaimVerification: a claimed PGID that does not hold (one
 // member sits outside the group — the attach-mode/mixed-group case)
 // must demote the task to per-PID delivery at adoption, not stop

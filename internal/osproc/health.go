@@ -21,15 +21,12 @@ type Health struct {
 	// ReusedPIDs counts PIDs dropped because their /proc start time
 	// changed: the kernel recycled the PID for an unrelated process.
 	ReusedPIDs int64
-	// SignalRetries counts transient signal failures retried with
-	// backoff within the quantum.
-	SignalRetries int64
-	// SignalFailures counts signal deliveries that still failed after
-	// retries (EPERM, or retry budget exhausted).
+	// SignalFailures counts signal deliveries that failed with the
+	// process still present (EPERM).
 	SignalFailures int64
 	// UnsignalablePIDs counts PIDs dropped after repeated consecutive
 	// signal or read denials (the graceful-degradation path), or because
-	// the signal that joins a PID to its task failed after retries.
+	// the signal that joins a PID to its task failed.
 	UnsignalablePIDs int64
 	// ReadRetries counts transient /proc read errors that were retried.
 	ReadRetries int64
@@ -67,8 +64,8 @@ type Health struct {
 // String renders the snapshot as a single key=value telemetry line.
 func (h Health) String() string {
 	return fmt.Sprintf(
-		"ticks=%d vanished=%d reused=%d sig_retries=%d sig_failures=%d unsignalable=%d read_retries=%d missed_ticks=%d catchup_ticks=%d refresh_errors=%d reconfigs=%d degrade_level=%d eff_quantum=%v dormant=%d late_last=%v late_max=%v",
-		h.Ticks, h.VanishedPIDs, h.ReusedPIDs, h.SignalRetries, h.SignalFailures,
+		"ticks=%d vanished=%d reused=%d sig_failures=%d unsignalable=%d read_retries=%d missed_ticks=%d catchup_ticks=%d refresh_errors=%d reconfigs=%d degrade_level=%d eff_quantum=%v dormant=%d late_last=%v late_max=%v",
+		h.Ticks, h.VanishedPIDs, h.ReusedPIDs, h.SignalFailures,
 		h.UnsignalablePIDs, h.ReadRetries, h.MissedTicks, h.CatchUpTicks,
 		h.RefreshErrors, h.Reconfigs, h.DegradeLevel, h.EffectiveQuantum,
 		h.DormantTasks, h.LastLateness, h.MaxLateness)
@@ -78,7 +75,7 @@ func (h Health) String() string {
 // cue for an operator (or cmd/alps) to surface the full snapshot.
 func (h Health) Degraded() bool {
 	return h.DegradeLevel > 0 ||
-		h.VanishedPIDs+h.ReusedPIDs+h.SignalRetries+h.SignalFailures+
+		h.VanishedPIDs+h.ReusedPIDs+h.SignalFailures+
 			h.UnsignalablePIDs+h.ReadRetries+h.MissedTicks+h.RefreshErrors > 0
 }
 
@@ -88,8 +85,8 @@ func (h Health) Degraded() bool {
 // the snapshot race-free without a lock on the hot path.
 type healthCounters struct {
 	ticks, vanished, reused            atomic.Int64
-	sigRetries, sigFailures            atomic.Int64
-	unsignalable, readRetries          atomic.Int64
+	sigFailures, unsignalable          atomic.Int64
+	readRetries                        atomic.Int64
 	missedTicks, catchUpTicks          atomic.Int64
 	refreshErrors, reconfigs           atomic.Int64
 	overloadDegrades, overloadRecovers atomic.Int64
@@ -113,7 +110,6 @@ func (c *healthCounters) snapshot() Health {
 		Ticks:            c.ticks.Load(),
 		VanishedPIDs:     c.vanished.Load(),
 		ReusedPIDs:       c.reused.Load(),
-		SignalRetries:    c.sigRetries.Load(),
 		SignalFailures:   c.sigFailures.Load(),
 		UnsignalablePIDs: c.unsignalable.Load(),
 		ReadRetries:      c.readRetries.Load(),

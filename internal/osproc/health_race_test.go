@@ -27,7 +27,6 @@ func TestHealthConcurrentWithStep(t *testing.T) {
 	// A steady diet of transient faults keeps every counter moving.
 	for i := 0; i < 200; i++ {
 		fs.Inject(10, CallRead, FaultEINTR)
-		fs.Inject(20, CallCont, FaultEINTR)
 	}
 
 	stop := make(chan struct{})

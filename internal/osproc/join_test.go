@@ -114,21 +114,19 @@ func TestJoinOutcomesAgree(t *testing.T) {
 }
 
 // TestDepartureNeverLeavesStopped: a PID the runner holds stopped is
-// resumed when it departs, through transient SIGCONT failures, whether
-// it leaves by a refresh (one EINTR) or by Remove (four EINTRs). It is
-// not stopped after the call or after Release, and the departure counts
-// no signal failure.
+// resumed when it departs, whether it leaves by a refresh or by Remove.
+// It is not stopped after the call or after Release, and the departure
+// counts no signal failure.
 func TestDepartureNeverLeavesStopped(t *testing.T) {
 	cases := []struct {
 		name   string
-		eintrs int
 		depart func(r *Runner) error
 	}{
-		{"refresh", 1, func(r *Runner) error {
+		{"refresh", func(r *Runner) error {
 			r.refresh(map[core.TaskID][]int{2: {}})
 			return nil
 		}},
-		{"Remove", 4, func(r *Runner) error {
+		{"Remove", func(r *Runner) error {
 			return r.Reconfigure(Reconfig{Remove: []core.TaskID{2}})
 		}},
 	}
@@ -143,9 +141,6 @@ func TestDepartureNeverLeavesStopped(t *testing.T) {
 			})
 			if !fs.IsStopped(20) {
 				t.Fatal("pid 20 not stopped before the first tick")
-			}
-			for i := 0; i < tc.eintrs; i++ {
-				fs.Inject(20, CallCont, FaultEINTR)
 			}
 			before := r.Health().SignalFailures
 			if err := tc.depart(r); err != nil {

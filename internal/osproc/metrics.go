@@ -15,7 +15,7 @@ import (
 type runnerMetrics struct {
 	cycleLateness *obs.Histogram // how late each step fired past its quantum
 	sampleDur     *obs.Histogram // wall time of one task's progress read
-	signalDur     *obs.Histogram // wall time of one signal delivery (incl. retries)
+	signalDur     *obs.Histogram // wall time of one signal delivery
 }
 
 // registerMetrics wires the runner's health telemetry and latency
@@ -32,11 +32,8 @@ func (r *Runner) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("alps_runner_reused_pids_total",
 		"PIDs dropped because the kernel recycled the number for an unrelated process.",
 		h.reused.Load)
-	reg.CounterFunc("alps_runner_signal_retries_total",
-		"Transient signal failures retried with backoff within the quantum.",
-		h.sigRetries.Load)
 	reg.CounterFunc("alps_runner_signal_failures_total",
-		"Signal deliveries that failed after retries.",
+		"Signal deliveries that failed with the process still present.",
 		h.sigFailures.Load)
 	reg.CounterFunc("alps_runner_unsignalable_pids_total",
 		"PIDs dropped after repeated consecutive signal or read denials.",
@@ -83,6 +80,6 @@ func (r *Runner) registerMetrics(reg *obs.Registry) {
 		sampleDur: reg.Histogram("alps_runner_sample_duration_seconds",
 			"Wall time spent reading one task's progress from /proc.", obs.LatencyBuckets),
 		signalDur: reg.Histogram("alps_runner_signal_duration_seconds",
-			"Wall time of one SIGSTOP/SIGCONT delivery, including retries.", obs.LatencyBuckets),
+			"Wall time of one SIGSTOP/SIGCONT delivery.", obs.LatencyBuckets),
 	}
 }

@@ -81,20 +81,19 @@ type statResult struct {
 	err error
 }
 
-// prefetch performs this quantum's stat reads concurrently, ahead of
-// TickQuantum. The scheduler's DueTasks API predicts exactly the tasks
-// stage 1 will measure, so the pool reads their PIDs' stats into
-// statCache and read() consumes the cache instead of issuing syscalls.
-// Per-PID retry semantics are readStat's own (each worker runs the full
-// retry loop for its PID). No-op when sampling sequentially.
+// prefetch performs this quantum's stat reads concurrently, on the
+// tick's first read. The scheduler's DueBatch is exactly the tasks stage
+// 1 is measuring, so the pool reads their PIDs' stats into statCache and
+// read() consumes the cache instead of issuing syscalls. Per-PID retry
+// semantics are readStat's own (each worker runs the full retry loop for
+// its PID). No-op when sampling sequentially.
 func (r *Runner) prefetch() {
-	r.statCache = nil
 	w := r.workers()
 	if w <= 1 {
 		return
 	}
 	pids := r.prefetchPIDs[:0]
-	for _, id := range r.sched.DueTasks() {
+	for _, id := range r.sched.DueBatch() {
 		pids = append(pids, r.tasks[id].pids...)
 	}
 	r.prefetchPIDs = pids
@@ -124,8 +123,7 @@ func (r *Runner) prefetchAt(i int) {
 }
 
 // cachedStat returns the prefetched stat for pid, falling back to a
-// synchronous readStat when the quantum has no prefetch or the PID was
-// not predicted (e.g. it joined a task after the prefetch).
+// synchronous readStat when the quantum has no prefetch.
 func (r *Runner) cachedStat(pid int) (Stat, error) {
 	if res, ok := r.statCache[pid]; ok {
 		return res.st, res.err

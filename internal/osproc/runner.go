@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"alps/internal/backoff"
 	"alps/internal/core"
 	"alps/internal/obs"
 )
@@ -38,10 +37,9 @@ type Config struct {
 	// (prefetched for the tasks due this quantum) and SIGSTOP/SIGCONT
 	// deliveries. Values ≤ 1 keep the loop fully sequential — the
 	// deterministic default for tests; cmd/alps passes GOMAXPROCS via
-	// -samplers. Per-PID retry/backoff semantics and all bookkeeping
-	// order are identical either way: workers only perform the raw Sys
-	// calls, and results are merged on the loop goroutine in decision
-	// order.
+	// -samplers. Per-PID read retries and all bookkeeping order are
+	// identical either way: workers only perform the raw Sys calls, and
+	// results are merged on the loop goroutine in decision order.
 	Samplers int
 	// DisableIndexing forces the seed control loop: the core scheduler's
 	// reference O(N)-per-quantum path, an eligibility reconciliation
@@ -62,7 +60,7 @@ type Config struct {
 	// Sys overrides the OS surface; nil means the real /proc + kill(2)
 	// implementation. Tests install a fault-injecting fake here. The
 	// runner reads time only through Sys.Now, so over FaultSys the
-	// fake's slow reads and backoff sleeps surface as quantum lateness.
+	// fake's slow reads surface as quantum lateness.
 	Sys Sys
 	// Observer, if non-nil, receives the core algorithm's decision
 	// events (see obs.Event), plus the runner's own signal/sleep phase
@@ -90,9 +88,6 @@ type Config struct {
 // after a setuid exec, timer overruns under load); the constants bound
 // how much of a quantum the loop spends recovering from them.
 const (
-	// maxSignalAttempts bounds transient-failure retries for one signal
-	// delivery within a quantum.
-	maxSignalAttempts = 3
 	// maxReadAttempts bounds immediate retries of a transiently failing
 	// /proc read (read races clear without waiting).
 	maxReadAttempts = 2
@@ -177,14 +172,15 @@ type Runner struct {
 	inSleep bool         // an open sleep phase span awaits the next Step
 	health  healthCounters
 	mx      *runnerMetrics // nil unless Config.Metrics was set
-	retry   backoff.Policy // signal-retry backoff, jitter seeded from start
 
 	// statCache holds the worker pool's prefetched stat reads for the
 	// current quantum (nil when sampling sequentially); read() consumes
 	// it so the Sys calls happen concurrently but every bookkeeping
-	// decision stays on the loop goroutine. statScratch is the retained
+	// decision stays on the loop goroutine. unread marks a tick whose
+	// first read has yet to prefetch. statScratch is the retained
 	// backing map (cleared, not reallocated, each quantum), and
 	// prefetchPIDs/prefetchRes the retained fan-out buffers.
+	unread       bool
 	statCache    map[int]statResult
 	statScratch  map[int]statResult
 	prefetchPIDs []int
@@ -254,9 +250,8 @@ func NewRunner(cfg Config, tasks []Task) (*Runner, error) {
 // Every joiner is then aligned with its task's eligibility and, if the
 // task claims a process group, checked with getpgid; a mismatch demotes
 // the task to per-PID signalling. A joiner that is gone or a zombie is
-// dropped (VanishedPIDs). A join signal that still fails after delivery's
-// retries drops the PID (UnsignalablePIDs) and is returned, so that
-// NewRunner can fail on it.
+// dropped (VanishedPIDs). Any other failed join signal drops the PID
+// (UnsignalablePIDs) and is returned, so that NewRunner can fail on it.
 func (r *Runner) join(id core.TaskID, pid int, start uint64) error {
 	p := r.procs[pid]
 	if p != nil && p.task == id {
@@ -321,8 +316,8 @@ func (r *Runner) baseline(pid int, p *proc, start uint64) bool {
 }
 
 // alignJoiner aligns a joiner with its task's eligibility through the
-// loop's delivery routine, and drops it if that delivery fails for good:
-// as vanished if the process is gone, else as unsignalable, returning the
+// loop's delivery routine, and drops it if that delivery fails: as
+// vanished if the process is gone, else as unsignalable, returning the
 // error. It reports whether the PID is still a member.
 func (r *Runner) alignJoiner(pid int, p *proc) (bool, error) {
 	res, sent := r.align(pid, p)
@@ -369,8 +364,8 @@ func (r *Runner) forget(pid int) {
 
 // leave lets pid go on every other departure: a refresh or SetPIDs
 // departure, Remove, a dead task, a PID dropped after denied reads. It
-// resumes the process if the runner has it stopped, with Release's
-// retries, then forgets it, so no PID is forgotten while it is stopped.
+// resumes the process if the runner has it stopped, then forgets it, so
+// no PID is forgotten while it is stopped.
 func (r *Runner) leave(pid int) {
 	if p := r.procs[pid]; p != nil && p.stopped {
 		r.resume(pid)
@@ -426,14 +421,6 @@ func newRunnerSkeleton(cfg Config) *Runner {
 		start: cfg.Sys.Now(),
 	}
 	r.prefetchOne, r.deliverOne = r.prefetchAt, r.deliverAt
-	base := cfg.Quantum / 64
-	if base <= 0 {
-		base = 100 * time.Microsecond
-	}
-	// The jitter seed is the start instant: distinct for every runner on
-	// a real host, so shards whose substrate fails together never retry
-	// in lockstep, and fixed on a fake, so fault tests replay exactly.
-	r.retry = backoff.New(base, cfg.Quantum/8, uint64(r.start.UnixNano()))
 	r.tracer = obs.Stamp(func() time.Duration {
 		return r.sys.Now().Sub(r.start)
 	}, cfg.Observer)
@@ -589,9 +576,9 @@ func (r *Runner) Step() (done bool) {
 // tickOnce is one algorithm invocation: TickQuantum plus enacting its
 // eligibility transitions.
 func (r *Runner) tickOnce() bool {
-	r.prefetch()
+	r.unread = true
 	dec := r.sched.TickQuantum(r.read)
-	r.statCache = nil
+	r.unread, r.statCache = false, nil
 	r.phase(obs.KindPhaseBegin, obs.PhaseSignal)
 	r.enact(dec)
 	for _, id := range dec.Dead {
@@ -617,10 +604,10 @@ type sigOp struct {
 // enact delivers the quantum's SIGSTOP/SIGCONT batch. A task with a
 // verified process group costs one syscall per eligibility flip
 // regardless of member count; everything else goes per PID. With more
-// than one worker the raw deliveries (including their retry/backoff) run
-// concurrently, but strike accounting, drops, and the process records
-// are updated on the loop goroutine in decision order, so the outcome is
-// identical to the sequential path.
+// than one worker the raw deliveries run concurrently, but strike
+// accounting, drops, and the process records are updated on the loop
+// goroutine in decision order, so the outcome is identical to the
+// sequential path.
 func (r *Runner) enact(dec core.Decision) {
 	ops := r.sigOps[:0]
 	for _, id := range dec.Suspend {
@@ -664,13 +651,14 @@ func (r *Runner) appendOps(ops []sigOp, id core.TaskID, stop bool) []sigOp {
 func (r *Runner) deliverAt(i int) { r.sigResults[i] = r.deliverOp(r.sigOps[i]) }
 
 // deliverOp performs one op's raw SIGSTOP (stop) or SIGCONT delivery —
-// kill(pid), or kill(-pgid) for a group op — with classified recovery:
-// transient errors retry with capped, jittered exponential backoff
-// within the quantum; ESRCH and EPERM are terminal (for a group op,
+// kill(pid), or kill(-pgid) for a group op — once. kill(2) fails only
+// with ESRCH, EPERM or EINVAL, and never transiently for these two
+// signals, so a failure is final for this quantum (for a group op,
 // settleOp then falls back to per-PID delivery to settle individual
-// members). It touches only the Sys surface and atomic health counters,
+// members). It touches only the Sys surface and its latency histogram,
 // so the signal batcher may run many deliveries concurrently on pool
-// workers; all record bookkeeping is deferred to settleOp and applySignal.
+// workers; all record bookkeeping is deferred to settleOp and
+// applySignal.
 func (r *Runner) deliverOp(op sigOp) sigResult {
 	if r.mx != nil {
 		begin := r.sys.Now()
@@ -685,26 +673,10 @@ func (r *Runner) deliverOp(op sigOp) sigResult {
 	case op.stop:
 		send = r.sys.Stop
 	}
-	res := sigResult{pid: op.pid, stop: op.stop}
-	for attempt := 1; ; attempt++ {
-		if res.err = send(op.pid); res.err == nil {
-			res.ok = true
-			return res
-		}
-		class := classify(res.err)
-		if class == errGone {
-			res.gone = true
-			return res
-		}
-		if class == errDenied || attempt >= maxSignalAttempts {
-			return res
-		}
-		r.health.sigRetries.Add(1)
-		// Jittered so a fleet-wide substrate hiccup never produces
-		// lockstep retries across shards; deterministic per
-		// (seed, pid, attempt) so fault tests replay exactly.
-		r.sys.Sleep(r.retry.Delay(uint64(op.pid), attempt))
-	}
+	res := sigResult{pid: op.pid, stop: op.stop, err: send(op.pid)}
+	res.ok = res.err == nil
+	res.gone = !res.ok && classify(res.err) == errGone
+	return res
 }
 
 // settleOp applies one delivery's bookkeeping on the loop goroutine.
@@ -733,8 +705,8 @@ func (r *Runner) settleOp(op sigOp, res sigResult) {
 		return
 	}
 	// The group call failed as a whole: ESRCH (every member already
-	// gone), EPERM (members exist but none signalable), or exhausted
-	// transient retries. Fall back to per-PID delivery so each member's
+	// gone) or EPERM (members exist but none signalable). Fall back to
+	// per-PID delivery so each member's
 	// outcome is settled individually — vanished members are dropped,
 	// refusing members are struck at most once each, and no survivor is
 	// left in the wrong run state.
@@ -846,6 +818,12 @@ func (r *Runner) readStat(pid int) (st Stat, err error) {
 // a multi-threaded worker that uses one CPU keeps the paper's bound.
 // Sleeping, stopped, zombie and unreadable members add nothing.
 func (r *Runner) read(id core.TaskID) (core.Progress, bool) {
+	if r.unread {
+		// The tick's first read, inside the core's sample phase: fetch
+		// the whole due batch at once.
+		r.unread = false
+		r.prefetch()
+	}
 	if r.mx != nil {
 		begin := r.sys.Now()
 		defer func() { r.mx.sampleDur.Observe(r.sys.Now().Sub(begin).Seconds()) }()
@@ -929,8 +907,8 @@ type sigResult struct {
 }
 
 // applySignal settles one delivery's bookkeeping on the loop goroutine:
-// a delivered signal is recorded; ESRCH drops the PID immediately; EPERM
-// (and exhausted retries) count a strike, and a PID that keeps refusing
+// a delivered signal is recorded; ESRCH drops the PID immediately; any
+// other failure counts a strike, and a PID that keeps refusing
 // signals for maxBadPIDStrikes consecutive deliveries is dropped so the
 // remaining workload's guarantees survive. Reports whether the signal
 // was delivered.
@@ -1017,23 +995,10 @@ func (r *Runner) refresh(want map[core.TaskID][]int) {
 	r.needReconcile = true
 }
 
-// releaseAttempts bounds the retries of resume, which Release and leave
-// share. It is the last line of the "never leave the workload frozen"
-// invariant, so it is far more persistent than in-loop signal delivery.
-const releaseAttempts = 8
-
-// resume sends pid SIGCONT, retrying transient failures. ESRCH (the
-// process died while suspended, so it can no longer be frozen) is not an
-// error.
+// resume sends pid SIGCONT for Release and leave. ESRCH (the process
+// died while suspended, so it can no longer be frozen) is not an error.
 func (r *Runner) resume(pid int) {
-	var err error
-	for attempt := 1; attempt <= releaseAttempts; attempt++ {
-		if err = r.sys.Cont(pid); err == nil || classify(err) != errTransient {
-			break
-		}
-		r.sys.Sleep(time.Millisecond)
-	}
-	if err != nil && classify(err) != errGone {
+	if err := r.sys.Cont(pid); err != nil && classify(err) != errGone {
 		r.errf("resume pid %d: %v", pid, err)
 	}
 }
@@ -1041,8 +1006,8 @@ func (r *Runner) resume(pid int) {
 // Release resumes every process the runner has suspended and releases
 // every read handle (a Step after Release reopens them). It is called
 // automatically when Run returns (and when a panic unwinds out of Step);
-// call it directly if using Step. Idempotent: transient failures are
-// retried persistently (see resume). Safe from any goroutine.
+// call it directly if using Step. Idempotent and safe from any
+// goroutine.
 func (r *Runner) Release() {
 	r.loopMu.Lock()
 	defer r.loopMu.Unlock()

@@ -37,13 +37,9 @@ type Sys interface {
 	// it to verify a claimed group before trusting one-syscall group
 	// signalling.
 	Pgid(pid int) (int, error)
-	// Sleep pauses the calling goroutine, used for the capped retry
-	// backoff between signal attempts. Fakes advance a virtual clock
-	// instead so fault tests run in microseconds.
-	Sleep(d time.Duration)
-	// Now is the Runner's only clock: quantum lateness, work accounting,
-	// event timestamps and the retry-jitter seed all read it, so a fake
-	// and the runner can never disagree about the time.
+	// Now is the Runner's only clock: quantum lateness, work accounting
+	// and event timestamps all read it, so a fake and the runner can
+	// never disagree about the time.
 	Now() time.Time
 	// CPUs is how many CPUs the workload can run on at once: the cap on
 	// a task's drain width, which §2.3 postpones its next read by. The
@@ -83,9 +79,6 @@ func (RealSys) ContGroup(pgid int) error { return ContGroup(pgid) }
 
 // Pgid is getpgid(2).
 func (RealSys) Pgid(pid int) (int, error) { return Pgid(pid) }
-
-// Sleep is time.Sleep.
-func (RealSys) Sleep(d time.Duration) { time.Sleep(d) }
 
 // Now is time.Now.
 func (RealSys) Now() time.Time { return time.Now() }

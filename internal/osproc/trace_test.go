@@ -65,6 +65,48 @@ func TestRunnerChromeTraceWellFormed(t *testing.T) {
 	}
 }
 
+// TestPrefetchInsideSamplePhase: with a sampler pool the tick's /proc
+// reads happen inside the core's sample phase, so the layers add up. A
+// slow read of one of two due PIDs lies inside that quantum's sample
+// span in trace.Build's output, and inside its loop work in the auditor.
+func TestPrefetchInsideSamplePhase(t *testing.T) {
+	const slow = fq / 4
+	fs := NewFaultSys()
+	fs.SlowDelay = slow
+	fs.AddProc(FaultProc{PID: 10, Start: 1})
+	fs.AddProc(FaultProc{PID: 20, Start: 1})
+	log := obs.NewEventLog()
+	aud := trace.NewAuditor(trace.AuditorConfig{})
+	r := newFaultRunner(t, fs, Config{Samplers: 2, Observer: obs.Multi(log, aud)}, []Task{
+		{ID: 1, Share: 1, PIDs: []int{10}},
+		{ID: 2, Share: 1, PIDs: []int{20}},
+	})
+	defer r.Release()
+	for dueNext(r.sched) < 2 {
+		if r.sched.Tick() > 50 {
+			t.Fatal("the two tasks never fell due in one quantum")
+		}
+		stepQuantum(fs, r)
+	}
+	fs.Inject(20, CallRead, FaultSlow)
+	stepQuantum(fs, r)
+	tick := r.sched.Tick()
+	stepQuantum(fs, r) // closes the slow quantum's loop-work bucket
+
+	var sample float64
+	for _, ce := range trace.Build(log.Events()) {
+		if ce.Ph == "X" && ce.Name == obs.PhaseSample.String() && ce.Args["tick"] == tick {
+			sample = ce.Dur
+		}
+	}
+	if want := float64(slow.Microseconds()); sample < want {
+		t.Errorf("tick %d: sample span %.0fµs, want at least the %.0fµs slow read", tick, sample, want)
+	}
+	if got := aud.LastLoopWork(); got < slow {
+		t.Errorf("tick %d: loop work %v, want at least the %v slow read", tick, got, slow)
+	}
+}
+
 // TestRunnerDropAnomalyAutoDump is the fault-injection anomaly e2e on the
 // real-OS substrate: a PID that persistently refuses SIGSTOP free-rides
 // until the runner drops it, and the resulting KindDead event auto-dumps

@@ -9,6 +9,7 @@ import (
 	"alps/internal/core"
 	"alps/internal/metrics"
 	"alps/internal/obs"
+	"alps/internal/tshist"
 )
 
 // cycleRec builds a two-task CycleRecord with the given consumption.
@@ -266,25 +267,41 @@ func feedDutyCycle(a *Auditor, k int) {
 }
 
 // TestAuditorEWMAKillsAliasing is the unit-level check on the one
-// smoother: the period-4 duty pattern makes a raw 5-cycle window's RMS
-// oscillate (the Gunther decay-window beat) while the EWMA over the
-// same windows holds steady — its beat ratio at least 5x lower.
+// smoother, read back as a /debug/timeline consumer reads it: the
+// auditor's gauges are sampled into a tshist store every cycle. The
+// period-4 duty pattern makes a raw 5-cycle window's RMS oscillate (the
+// Gunther decay-window beat) while the EWMA over the same windows holds
+// steady — its beat ratio at least 5x lower — and the autocorrelation
+// detector finds the beat at a multiple of the duty period.
 func TestAuditorEWMAKillsAliasing(t *testing.T) {
+	const cycles, tail = 200, 100 // the tail is past window fill and the EWMA's settling
+	reg := obs.NewRegistry()
 	a := NewAuditor(AuditorConfig{Window: 5})
-	var rawVals, ewmaVals []float64
-	for k := 0; k < 200; k++ {
+	a.Register(reg)
+	hist := tshist.New(tshist.Config{Source: reg})
+	epoch := time.Unix(0, 0)
+	for k := 0; k < cycles; k++ {
 		feedDutyCycle(a, k)
-		if k >= 100 { // past window fill and the EWMA's settling
-			rawVals = append(rawVals, a.RMSShareError())
-			ewmaVals = append(ewmaVals, a.RMSShareErrorEWMA())
-		}
+		hist.Sample(epoch.Add(time.Duration(k) * time.Second))
 	}
+	series := func(name string) []float64 {
+		vals := tshist.Values(hist.SeriesPoints(name, ""))
+		if len(vals) < tail {
+			t.Fatalf("%s: %d points retained, want at least %d", name, len(vals), tail)
+		}
+		return vals[len(vals)-tail:]
+	}
+	rawVals := series("alps_audit_rms_share_error")
+	ewmaVals := series("alps_audit_rms_share_error_ewma")
 	if lo, hi := minOf(rawVals), maxOf(rawVals); hi-lo < 0.1 {
 		t.Fatalf("raw window shows no beat: RMS range [%v, %v]", lo, hi)
 	}
 	rb, eb := metrics.BeatRatio(rawVals), metrics.BeatRatio(ewmaVals)
 	if eb > rb/5 {
 		t.Errorf("EWMA beat ratio %v not >=5x below the raw window's %v", eb, rb)
+	}
+	if lag, corr := tshist.DominantPeriod(rawVals, 16); lag == 0 || lag%4 != 0 || corr < 0.5 {
+		t.Errorf("DominantPeriod(raw, 16) = (%d, %.2f), want a multiple of 4 with corr >= 0.5", lag, corr)
 	}
 	if got := a.WindowBeatRatio(); math.Abs(got-metrics.BeatRatio(rawVals[len(rawVals)-beatWindow:])) > 1e-12 {
 		t.Errorf("WindowBeatRatio = %v, want the raw tail's beat ratio", got)

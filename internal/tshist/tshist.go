@@ -5,8 +5,8 @@
 // cycle, an EWMA killing that beat, or a rebalancer's damping reacting
 // to convergence — the closed observability loop this repo's auditors
 // feed. The store is deliberately small: no downsampling, no
-// compression, just the last Capacity points of every registry series,
-// served as JSON or CSV at /debug/timeline (and, federated, at
+// compression, just the last DefaultCapacity points of every registry
+// series, served as JSON or CSV at /debug/timeline (and, federated, at
 // /fleet/timeline).
 package tshist
 
@@ -21,8 +21,8 @@ import (
 	"alps/internal/obs"
 )
 
-// DefaultCapacity is the per-series ring length when Config leaves
-// Capacity zero: at the default 1s cadence, ~8.5 minutes of history.
+// DefaultCapacity is the per-series ring length: at the default 1s
+// cadence, ~8.5 minutes of history.
 const DefaultCapacity = 512
 
 // DefaultEvery is the sampling cadence when Config leaves Every zero.
@@ -32,8 +32,6 @@ const DefaultEvery = time.Second
 type Config struct {
 	// Source is the registry whose counters and gauges are sampled.
 	Source *obs.Registry
-	// Capacity bounds each series ring (DefaultCapacity when 0).
-	Capacity int
 	// Every is the sampling cadence Tick enforces (DefaultEvery when 0).
 	// Sample ignores it — callers with their own grid (a coordinator
 	// tick, a benchmark round) sample explicitly.
@@ -114,9 +112,6 @@ type Store struct {
 // New builds a store. It takes no first sample — history begins with
 // the first Sample or Tick call.
 func New(cfg Config) *Store {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
 	if cfg.Every <= 0 {
 		cfg.Every = DefaultEvery
 	}
@@ -152,7 +147,7 @@ func (s *Store) Sample(now time.Time) {
 		key := seriesKey{sm.Name, sm.Labels}
 		r, ok := s.rings[key]
 		if !ok {
-			r = obs.NewRing[Point](s.cfg.Capacity)
+			r = obs.NewRing[Point](DefaultCapacity)
 			s.rings[key] = r
 			s.order = append(s.order, key)
 		}
@@ -201,7 +196,7 @@ func (s *Store) Snapshot() Timeline {
 	copy(keys, s.order)
 	tl := Timeline{
 		SampledEveryNs: int64(s.cfg.Every),
-		Capacity:       s.cfg.Capacity,
+		Capacity:       DefaultCapacity,
 		Samples:        s.samples,
 	}
 	series := make([]Series, 0, len(keys))

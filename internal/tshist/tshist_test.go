@@ -33,7 +33,7 @@ func goldenStore() *Store {
 
 	now := time.Unix(1700000000, 0).UTC()
 	clock := func() time.Time { return now }
-	s := New(Config{Source: reg, Capacity: 8, Every: time.Second, Now: clock})
+	s := New(Config{Source: reg, Every: time.Second, Now: clock})
 	for i := 0; i < 3; i++ {
 		g.Set(float64(i) * 1.5)
 		c1.Add(int64(i))
@@ -97,7 +97,7 @@ func TestHandler(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &tl); err != nil {
 		t.Fatalf("unmarshal timeline: %v", err)
 	}
-	if tl.Samples != 3 || tl.Capacity != 8 || len(tl.Series) == 0 {
+	if tl.Samples != 3 || tl.Capacity != DefaultCapacity || len(tl.Series) == 0 {
 		t.Fatalf("timeline header wrong: %+v", tl)
 	}
 	for _, sr := range tl.Series {
@@ -118,13 +118,14 @@ func TestHandler(t *testing.T) {
 
 // TestRingEviction walks the ring across its wrap boundary: exactly at
 // capacity nothing is lost, one past it the oldest point is gone, and
-// far past it the window holds exactly the newest Capacity points in
-// order.
+// far past it the window holds exactly the newest DefaultCapacity points
+// in order.
 func TestRingEviction(t *testing.T) {
+	const c = DefaultCapacity
 	reg := obs.NewRegistry()
 	g := reg.Gauge("v", "")
 	now := time.Unix(0, 0)
-	s := New(Config{Source: reg, Capacity: 4, Now: func() time.Time { return now }})
+	s := New(Config{Source: reg, Now: func() time.Time { return now }})
 
 	sampleN := func(n int) {
 		for i := 0; i < n; i++ {
@@ -135,22 +136,22 @@ func TestRingEviction(t *testing.T) {
 	}
 	values := func() []float64 { return Values(s.SeriesPoints("v", "")) }
 
-	sampleN(4) // exactly full: 0..3
-	if got := values(); len(got) != 4 || got[0] != 0 || got[3] != 3 {
+	sampleN(c) // exactly full: 0..c-1
+	if got := values(); len(got) != c || got[0] != 0 || got[c-1] != c-1 {
 		t.Fatalf("at capacity: %v", got)
 	}
-	sampleN(1) // one eviction: 1..4
-	if got := values(); len(got) != 4 || got[0] != 1 || got[3] != 4 {
+	sampleN(1) // one eviction: 1..c
+	if got := values(); len(got) != c || got[0] != 1 || got[c-1] != c {
 		t.Fatalf("one past capacity: %v", got)
 	}
-	sampleN(7) // far past: 8..11
+	sampleN(c + 7) // far past: c+8..2c+7
 	got := values()
-	if len(got) != 4 {
-		t.Fatalf("len = %d, want 4", len(got))
+	if len(got) != c {
+		t.Fatalf("len = %d, want %d", len(got), c)
 	}
 	for i, v := range got {
-		if v != float64(8+i) {
-			t.Fatalf("after wrap: %v, want [8 9 10 11]", got)
+		if v != float64(c+8+i) {
+			t.Fatalf("after wrap: %v, want %d..%d", got, c+8, 2*c+7)
 		}
 	}
 	// Timestamps must stay strictly increasing across the wrap.
@@ -190,7 +191,7 @@ func TestTickCadence(t *testing.T) {
 // counter) — the point is the race detector seeing every pair.
 func TestConcurrentSampleScrape(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Config{Source: reg, Capacity: 16})
+	s := New(Config{Source: reg})
 	h := s.Handler()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
