@@ -1,13 +1,15 @@
 # Standard checks for the ALPS repository. `make check` is the
-# pre-commit gate: gofmt, vet, build, and the full test suite under the
-# race detector (every fault-injection test is deterministic and
-# fake-backed, so -race adds coverage without flakiness).
+# pre-commit gate: gofmt, vet, build, the full test suite under the race
+# detector (every fault-injection test is deterministic and fake-backed,
+# so -race adds coverage without flakiness), and bench-check, so that a
+# change removing a name bench/ still uses fails here, not in the
+# benchmark's build.
 
 GO ?= go
 
 .PHONY: check fmt vet build test race short bench bench-check alloc-gate trace examples chaos chaos-fleet vulncheck loc knobs
 
-check: fmt vet build race
+check: fmt vet build race bench-check
 
 # Fails, listing them, if gofmt would rewrite any Go file.
 fmt:
@@ -50,7 +52,8 @@ bench:
 # The real-process benchmark (bench/, run by bench/run.sh) is a separate
 # module, so the root `go test ./...` never compiles it although it drives
 # obs, trace and tshist directly. Vet (not build: `go build` would drop a
-# bench binary into bench/) and run its short tests.
+# bench binary into bench/) and run its short tests, which spawn no
+# processes.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 

@@ -11,6 +11,7 @@ import (
 
 	"alps"
 	"alps/internal/osproc"
+	"alps/internal/trace"
 )
 
 // newAdminRunner builds a two-task runner over a virtual process table,
@@ -40,7 +41,7 @@ func newAdminRunner(t *testing.T) (*alps.Runner, *osproc.FaultSys) {
 // documents with 400, and non-GET/POST methods with 405.
 func TestAdminConfigBodyLimits(t *testing.T) {
 	r, _ := newAdminRunner(t)
-	h := adminConfigHandler(r, nil)
+	h := adminConfigHandler(r, trace.NewAuditor(trace.AuditorConfig{}))
 
 	oversized := `{"tasks":[` + strings.Repeat(`{"id":0,"share":1},`, maxConfigBytes/18) + `{"id":0,"share":1}]}`
 	cases := []struct {
@@ -102,7 +103,7 @@ func TestHardenedServerDropsStalledClient(t *testing.T) {
 	}
 	r, _ := newAdminRunner(t)
 	mux := http.NewServeMux()
-	mux.Handle("/admin/config", adminConfigHandler(r, nil))
+	mux.Handle("/admin/config", adminConfigHandler(r, trace.NewAuditor(trace.AuditorConfig{})))
 	hs := hardenedServer(mux)
 	hs.ReadHeaderTimeout = 300 * time.Millisecond
 	hs.ReadTimeout = 600 * time.Millisecond

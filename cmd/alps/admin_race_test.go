@@ -12,6 +12,7 @@ import (
 
 	"alps"
 	"alps/internal/osproc"
+	"alps/internal/trace"
 )
 
 // Live reconfiguration has three concurrent writers in production: the
@@ -59,7 +60,7 @@ func TestAdminReconfigureCheckpointRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Release()
-	h := adminConfigHandler(r, nil)
+	h := adminConfigHandler(r, trace.NewAuditor(trace.AuditorConfig{}))
 
 	const writes = 200
 	stop := make(chan struct{})

@@ -151,9 +151,6 @@ func (d configDoc) auditReconfig(aud *trace.Auditor) (apply func(), err error) {
 	if d.AuditWindow == 0 && d.AuditDrift == 0 {
 		return func() {}, nil
 	}
-	if aud == nil {
-		return nil, fmt.Errorf("audit_window/audit_drift given, but no accuracy auditor is running")
-	}
 	if d.AuditWindow < 0 {
 		return nil, fmt.Errorf("audit_window must be positive, got %d", d.AuditWindow)
 	}
@@ -164,8 +161,8 @@ func (d configDoc) auditReconfig(aud *trace.Auditor) (apply func(), err error) {
 }
 
 // applyConfigFile reads, diffs and applies path against r's current
-// state and aud's thresholds (aud may be nil when no observability stack
-// is running). An invalid document or rejected batch changes nothing.
+// state and aud's thresholds. An invalid document or rejected batch
+// changes nothing.
 func applyConfigFile(r *alps.Runner, aud *trace.Auditor, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -220,9 +217,9 @@ func reloadOnSIGHUP(r *alps.Runner, aud *trace.Auditor, path string) func() {
 }
 
 // adminConfigHandler serves /admin/config: GET returns the current
-// configuration as a configDoc (including the auditor's live thresholds
-// when aud is non-nil), POST applies one (400 with the validation error
-// on rejection, so a bad document changes nothing).
+// configuration as a configDoc (including the auditor's live
+// thresholds), POST applies one (400 with the validation error on
+// rejection, so a bad document changes nothing).
 func adminConfigHandler(r *alps.Runner, aud *trace.Auditor) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		switch req.Method {
@@ -270,9 +267,7 @@ func adminConfigHandler(r *alps.Runner, aud *trace.Auditor) http.Handler {
 
 func writeConfigDoc(w http.ResponseWriter, st alps.RunnerState, aud *trace.Auditor) {
 	doc := configDoc{Quantum: st.BaseQuantum.String()}
-	if aud != nil {
-		doc.AuditWindow, doc.AuditDrift = aud.Thresholds()
-	}
+	doc.AuditWindow, doc.AuditDrift = aud.Thresholds()
 	for _, t := range st.Tasks {
 		ct := configTask{ID: int64(t.ID), Share: t.Share}
 		for _, p := range t.PIDs {

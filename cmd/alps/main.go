@@ -164,7 +164,7 @@ type commonOpts struct {
 	auditDrift    *float64
 	timelineEvery *time.Duration
 
-	fs *flag.FlagSet // nil when constructed directly (tests)
+	fs *flag.FlagSet // the parsed set, for maxqSet
 }
 
 func commonFlags(fs *flag.FlagSet) commonOpts {
@@ -194,9 +194,6 @@ func commonFlags(fs *flag.FlagSet) commonOpts {
 // -q it is not an operator decision to honour but a stale default to
 // rescale, so only an explicit value is held against -q in validate().
 func (o commonOpts) maxqSet() bool {
-	if o.fs == nil {
-		return true
-	}
 	set := false
 	o.fs.Visit(func(f *flag.Flag) {
 		if f.Name == "maxq" {
@@ -216,83 +213,54 @@ func (o commonOpts) validate() error {
 	if *o.maxq > 0 && *o.maxq < *o.q && o.maxqSet() {
 		return fmt.Errorf("-maxq %v is below the quantum -q %v; the guard could never stretch", *o.maxq, *o.q)
 	}
-	if o.samplers != nil && *o.samplers < 1 {
+	if *o.samplers < 1 {
 		return fmt.Errorf("-samplers must be at least 1, got %d", *o.samplers)
 	}
-	if o.coordURL != nil && strings.Contains(*o.coordURL, ",") {
+	if strings.Contains(*o.coordURL, ",") {
 		return fmt.Errorf("-coord takes one coordinator URL, got the list %q", *o.coordURL)
 	}
-	if o.coordURL != nil && o.shard != nil && *o.shard != "" && *o.coordURL == "" {
+	if *o.shard != "" && *o.coordURL == "" {
 		return fmt.Errorf("-shard %q given without -coord; a shard name only means something to a coordinator", *o.shard)
 	}
-	if o.capacity != nil {
-		if *o.capacity < 0 {
-			return fmt.Errorf("-capacity must be non-negative, got %v", *o.capacity)
-		}
-		if *o.capacity != 0 && (o.coordURL == nil || *o.coordURL == "") {
-			return fmt.Errorf("-capacity %v given without -coord; capacity only means something to a coordinator", *o.capacity)
-		}
+	if *o.capacity < 0 {
+		return fmt.Errorf("-capacity must be non-negative, got %v", *o.capacity)
 	}
-	if o.auditWindow != nil && *o.auditWindow < 1 {
+	if *o.capacity != 0 && *o.coordURL == "" {
+		return fmt.Errorf("-capacity %v given without -coord; capacity only means something to a coordinator", *o.capacity)
+	}
+	if *o.auditWindow < 1 {
 		return fmt.Errorf("-audit-window must be at least 1 cycle, got %d", *o.auditWindow)
 	}
-	if o.auditDrift != nil && *o.auditDrift <= 0 {
+	if *o.auditDrift <= 0 {
 		return fmt.Errorf("-audit-drift must be positive, got %v", *o.auditDrift)
 	}
-	if o.timelineEvery != nil && *o.timelineEvery < 0 {
+	if *o.timelineEvery < 0 {
 		return fmt.Errorf("-timeline-every must be zero (timeline off) or positive, got %v", *o.timelineEvery)
 	}
 	return nil
 }
 
-// coordOpt reads the -coord/-shard pair, tolerating directly-constructed
-// opts (tests) that never set the pointers.
-func (o commonOpts) coordOpt() (url, shard string) {
-	if o.coordURL != nil {
-		url = *o.coordURL
-	}
-	if o.shard != nil {
-		shard = *o.shard
-	}
-	return url, shard
-}
-
-// capacityOpt reads -capacity, tolerating directly-constructed opts.
-func (o commonOpts) capacityOpt() float64 {
-	if o.capacity == nil {
-		return 0
-	}
-	return *o.capacity
-}
-
-// obsOptions collects the observability tuning for newObsStack,
-// tolerating directly-constructed opts (tests) that never set the
-// pointers: zero values fall through to the trace.Auditor defaults, and
-// a nil timelineEvery disables the retained history.
+// obsOptions collects the observability tuning for newObsStack.
 func (o commonOpts) obsOptions() obsOptions {
-	var op obsOptions
-	if o.httpAddr != nil {
-		op.addr = *o.httpAddr
+	return obsOptions{
+		addr:          *o.httpAddr,
+		auditWindow:   *o.auditWindow,
+		auditDrift:    *o.auditDrift,
+		timelineEvery: *o.timelineEvery,
 	}
-	if o.auditWindow != nil {
-		op.auditWindow = *o.auditWindow
-	}
-	if o.auditDrift != nil {
-		op.auditDrift = *o.auditDrift
-	}
-	if o.timelineEvery != nil {
-		op.timelineEvery = *o.timelineEvery
-	}
-	return op
 }
 
-// samplerCount is the -samplers value, defaulting to GOMAXPROCS when the
-// opts were constructed directly (tests).
-func (o commonOpts) samplerCount() int {
-	if o.samplers == nil {
-		return runtime.GOMAXPROCS(0)
+// runOptions collects the checkpoint, reconfiguration and trace-dump
+// paths and the fleet settings for runUntilSignal.
+func (o commonOpts) runOptions() runOpts {
+	return runOpts{
+		statePath: *o.state,
+		confPath:  *o.conf,
+		traceDir:  *o.traceDir,
+		coordURL:  *o.coordURL,
+		shard:     *o.shard,
+		capacity:  *o.capacity,
 	}
-	return *o.samplers
 }
 
 // config builds the RunnerConfig these flags describe.
@@ -303,7 +271,7 @@ func (o commonOpts) config() alps.RunnerConfig {
 	}
 	return alps.RunnerConfig{
 		Quantum:  *o.q,
-		Samplers: o.samplerCount(),
+		Samplers: *o.samplers,
 		Overload: alps.OverloadConfig{
 			Enable:     maxq > 0,
 			MaxQuantum: maxq,
@@ -326,12 +294,10 @@ type runOpts struct {
 }
 
 func runUntilSignal(cfg alps.RunnerConfig, tasks []alps.RunnerTask, st *obsStack, ro runOpts) (err error) {
-	if st != nil && ro.traceDir != "" {
-		if terr := st.setTraceDir(ro.traceDir); terr != nil {
-			return terr
-		}
-		defer st.close()
+	if terr := st.setTraceDir(ro.traceDir); terr != nil {
+		return terr
 	}
+	defer st.close()
 	// Test hook: panic after N completed cycles, so the end-to-end crash
 	// test can prove that no workload process stays SIGSTOPped when the
 	// controller dies mid-flight (see crash_test.go).
@@ -351,7 +317,7 @@ func runUntilSignal(cfg alps.RunnerConfig, tasks []alps.RunnerTask, st *obsStack
 			}
 		}
 	}
-	if ro.statePath != "" && st != nil {
+	if ro.statePath != "" {
 		w := newCheckpointWriter(ro.statePath, st)
 		cfg.Checkpoint = func(s alps.RunnerState) { w.Offer(s) }
 		// Close flushes the newest state, so an orderly shutdown leaves
@@ -363,12 +329,12 @@ func runUntilSignal(cfg alps.RunnerConfig, tasks []alps.RunnerTask, st *obsStack
 		return err
 	}
 	if ro.confPath != "" {
-		defer reloadOnSIGHUP(r, st.auditor(), ro.confPath)()
+		defer reloadOnSIGHUP(r, st.aud, ro.confPath)()
 		// Initial apply: a missing file is fine (it may be written later
 		// and SIGHUPped in), but an invalid one fails the start — with
 		// the workload resumed by Release on the way out.
 		if _, serr := os.Stat(ro.confPath); serr == nil {
-			if cerr := applyConfigFile(r, st.auditor(), ro.confPath); cerr != nil {
+			if cerr := applyConfigFile(r, st.aud, ro.confPath); cerr != nil {
 				r.Release()
 				return fmt.Errorf("initial -config %s: %w", ro.confPath, cerr)
 			}
@@ -376,7 +342,7 @@ func runUntilSignal(cfg alps.RunnerConfig, tasks []alps.RunnerTask, st *obsStack
 		}
 	}
 	var link *coord.Agent
-	if ro.coordURL != "" && st != nil {
+	if ro.coordURL != "" {
 		agent, stopLink, lerr := startCoordLink(r, st, ro.coordURL, ro.shard, ro.capacity)
 		if lerr != nil {
 			r.Release()
@@ -385,30 +351,28 @@ func runUntilSignal(cfg alps.RunnerConfig, tasks []alps.RunnerTask, st *obsStack
 		link = agent
 		defer stopLink()
 	}
-	if st != nil {
-		st.lateness = func() time.Duration { return r.Health().LastLateness }
-		st.admin = adminConfigHandler(r, st.aud)
-		shutdown, serr := st.serve(func() any {
-			h := r.Health()
-			resp := struct {
-				alps.RunnerHealth
-				Degraded  bool
-				Quantiles latencyQuantiles
-				Coord     *coord.LinkStatus `json:",omitempty"`
-			}{RunnerHealth: h, Degraded: h.Degraded(), Quantiles: st.quantiles()}
-			if link != nil {
-				ls := link.Status()
-				resp.Coord = &ls
-			}
-			return resp
-		})
-		if serr != nil {
-			r.Release()
-			return serr
+	st.lateness = func() time.Duration { return r.Health().LastLateness }
+	st.admin = adminConfigHandler(r, st.aud)
+	shutdown, serr := st.serve(func() any {
+		h := r.Health()
+		resp := struct {
+			alps.RunnerHealth
+			Degraded  bool
+			Quantiles latencyQuantiles
+			Coord     *coord.LinkStatus `json:",omitempty"`
+		}{RunnerHealth: h, Degraded: h.Degraded(), Quantiles: st.quantiles()}
+		if link != nil {
+			ls := link.Status()
+			resp.Coord = &ls
 		}
-		defer shutdown()
-		defer st.dumpOnSIGUSR1()()
+		return resp
+	})
+	if serr != nil {
+		r.Release()
+		return serr
 	}
+	defer shutdown()
+	defer st.dumpOnSIGUSR1()()
 	defer func() {
 		// The Runner resumes the workload on every exit from Run,
 		// including panics unwinding out of its own loop; this converts
@@ -511,8 +475,7 @@ func cmdAttach(args []string) error {
 	cfg := opts.config()
 	st := newObsStack(opts.obsOptions())
 	st.wire(&cfg, cycleLogger(*opts.logCycles))
-	url, shard := opts.coordOpt()
-	return runUntilSignal(cfg, tasks, st, runOpts{statePath: *opts.state, confPath: *opts.conf, traceDir: *opts.traceDir, coordURL: url, shard: shard, capacity: opts.capacityOpt()})
+	return runUntilSignal(cfg, tasks, st, opts.runOptions())
 }
 
 func cmdSpawn(args []string) error {
@@ -603,8 +566,7 @@ func cmdSpawn(args []string) error {
 			return m
 		}
 	}
-	url, shard := opts.coordOpt()
-	return runUntilSignal(cfg, tasks, st, runOpts{confPath: *opts.conf, traceDir: *opts.traceDir, coordURL: url, shard: shard, capacity: opts.capacityOpt()})
+	return runUntilSignal(cfg, tasks, st, opts.runOptions())
 }
 
 func cmdUser(args []string) error {
@@ -682,6 +644,5 @@ func cmdUser(args []string) error {
 	cfg.Refresh = membership
 	st := newObsStack(opts.obsOptions())
 	st.wire(&cfg, cycleLogger(*opts.logCycles))
-	url, shard := opts.coordOpt()
-	return runUntilSignal(cfg, tasks, st, runOpts{statePath: *opts.state, confPath: *opts.conf, traceDir: *opts.traceDir, coordURL: url, shard: shard, capacity: opts.capacityOpt()})
+	return runUntilSignal(cfg, tasks, st, opts.runOptions())
 }

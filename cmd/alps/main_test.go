@@ -54,37 +54,34 @@ func TestParsePidSharesErrors(t *testing.T) {
 }
 
 func TestCommonOptsValidate(t *testing.T) {
-	mk := func(q, maxq time.Duration) commonOpts {
-		return commonOpts{q: &q, maxq: &maxq}
-	}
-	withCoord := func(url string) commonOpts {
-		o := mk(20*time.Millisecond, 40*time.Millisecond)
-		o.coordURL = &url
-		return o
-	}
 	cases := []struct {
 		name string
-		opts commonOpts
+		args []string
 		ok   bool
 	}{
-		{"defaults", mk(20*time.Millisecond, 40*time.Millisecond), true},
-		{"guard off", mk(20*time.Millisecond, 0), true},
-		{"maxq equals q", mk(20*time.Millisecond, 20*time.Millisecond), true},
-		{"zero quantum", mk(0, 40*time.Millisecond), false},
-		{"negative quantum", mk(-time.Millisecond, 40*time.Millisecond), false},
-		{"negative maxq", mk(20*time.Millisecond, -time.Millisecond), false},
-		{"maxq below q", mk(20*time.Millisecond, 10*time.Millisecond), false},
-		{"one coord URL", withCoord("http://coord:7070"), true},
-		{"coord URL list", withCoord("http://c1:7070,http://c2:7070"), false},
-		{"coord trailing comma", withCoord("http://coord:7070,"), false},
+		{"defaults", nil, true},
+		{"guard off", []string{"-maxq", "0"}, true},
+		{"maxq equals q", []string{"-maxq", "20ms"}, true},
+		{"zero quantum", []string{"-q", "0"}, false},
+		{"negative quantum", []string{"-q", "-1ms"}, false},
+		{"negative maxq", []string{"-maxq", "-1ms"}, false},
+		{"maxq below q", []string{"-maxq", "10ms"}, false},
+		{"one coord URL", []string{"-coord", "http://coord:7070"}, true},
+		{"coord URL list", []string{"-coord", "http://c1:7070,http://c2:7070"}, false},
+		{"coord trailing comma", []string{"-coord", "http://coord:7070,"}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.opts.validate()
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			opts := commonFlags(fs)
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			err := opts.validate()
 			if (err == nil) != tc.ok {
 				t.Errorf("validate() = %v, want ok=%t", err, tc.ok)
 			}
-			if err != nil && tc.opts.coordURL != nil && !strings.HasPrefix(err.Error(), "-coord ") {
+			if err != nil && *opts.coordURL != "" && !strings.HasPrefix(err.Error(), "-coord ") {
 				t.Errorf("validate() = %v, want an error naming -coord", err)
 			}
 		})
@@ -373,8 +370,7 @@ func TestTraceDirDroppedDumps(t *testing.T) {
 }
 
 // The flag values must actually reach the stack: obsOptions carries them
-// into newObsStack, and directly-constructed opts (tests, library use)
-// degrade to the auditor defaults instead of dereferencing nil.
+// into newObsStack.
 func TestObsOptionsFromFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	opts := commonFlags(fs)
@@ -387,11 +383,6 @@ func TestObsOptionsFromFlags(t *testing.T) {
 		timelineEvery: 250 * time.Millisecond}
 	if op != want {
 		t.Errorf("obsOptions = %+v, want %+v", op, want)
-	}
-
-	var zero commonOpts
-	if got := zero.obsOptions(); got != (obsOptions{}) {
-		t.Errorf("zero opts obsOptions = %+v, want zero value", got)
 	}
 
 	st := newObsStack(op)

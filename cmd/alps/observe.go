@@ -107,15 +107,6 @@ func newObsStack(opt obsOptions) *obsStack {
 	return st
 }
 
-// auditor is the stack's accuracy auditor, nil-tolerant so config paths
-// that run without an observability stack can still share code.
-func (st *obsStack) auditor() *trace.Auditor {
-	if st == nil {
-		return nil
-	}
-	return st.aud
-}
-
 // setTraceDir routes flight-recorder dumps to Chrome trace files in dir
 // (the -trace-dir flag), on a worker goroutine so triggers never block
 // the control loop. A dump that finds the worker's queue full is
@@ -219,7 +210,7 @@ func (st *obsStack) recordCycle(rec core.CycleRecord) {
 }
 
 // latencyQuantiles is the /healthz quantile block: p50/p99 of the
-// runner's cycle lateness and per-task sample duration, in seconds.
+// runner's cycle lateness and /proc read duration, in seconds.
 type latencyQuantiles struct {
 	CycleLatenessP50  float64
 	CycleLatenessP99  float64
@@ -233,7 +224,7 @@ func (st *obsStack) quantiles() latencyQuantiles {
 	cl := st.reg.Histogram("alps_runner_cycle_lateness_seconds",
 		"Distribution of per-step timer lateness.", obs.LatencyBuckets)
 	sd := st.reg.Histogram("alps_runner_sample_duration_seconds",
-		"Wall time spent reading one task's progress from /proc.", obs.LatencyBuckets)
+		"Wall time of one /proc/<pid>/stat read.", obs.LatencyBuckets)
 	return latencyQuantiles{
 		CycleLatenessP50:  cl.Quantile(0.50),
 		CycleLatenessP99:  cl.Quantile(0.99),

@@ -40,7 +40,7 @@ import (
 //
 //   - reference: the seed loop (DisableIndexing) — O(N) stage-1/stage-3
 //     scans, a full reconcile sweep every quantum, sequential sampling;
-//   - indexed: the O(due) loop — heap-driven due set, changed-subset
+//   - indexed: the O(due) loop — timing-wheel due set, changed-subset
 //     stage 3, amortized reconcile — still sequential, so the in-loop
 //     phase stamps capture all of its work;
 //   - pooled: the indexed loop plus the sampler/signal worker pool

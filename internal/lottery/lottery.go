@@ -21,9 +21,6 @@ var ErrBadTickets = errors.New("lottery: tickets must be positive")
 // ErrExists is returned by Add for a duplicate client ID.
 var ErrExists = errors.New("lottery: client already registered")
 
-// ErrNoClient is returned for operations on an unknown client.
-var ErrNoClient = errors.New("lottery: no such client")
-
 type client struct {
 	id      int64
 	tickets int64
@@ -33,9 +30,8 @@ type client struct {
 type Scheduler struct {
 	rng     *rand.Rand
 	clients []client
-	index   map[int64]int
+	known   map[int64]bool
 	total   int64
-	quanta  int64
 	alloc   map[int64]int64
 }
 
@@ -43,7 +39,7 @@ type Scheduler struct {
 func New(seed int64) *Scheduler {
 	return &Scheduler{
 		rng:   rand.New(rand.NewSource(seed)),
-		index: make(map[int64]int),
+		known: make(map[int64]bool),
 		alloc: make(map[int64]int64),
 	}
 }
@@ -53,35 +49,14 @@ func (s *Scheduler) Add(id, tickets int64) error {
 	if tickets <= 0 {
 		return fmt.Errorf("%w: client %d tickets %d", ErrBadTickets, id, tickets)
 	}
-	if _, ok := s.index[id]; ok {
+	if s.known[id] {
 		return fmt.Errorf("%w: %d", ErrExists, id)
 	}
-	s.index[id] = len(s.clients)
+	s.known[id] = true
 	s.clients = append(s.clients, client{id: id, tickets: tickets})
 	s.total += tickets
 	return nil
 }
-
-// Remove deregisters a client.
-func (s *Scheduler) Remove(id int64) error {
-	i, ok := s.index[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoClient, id)
-	}
-	s.total -= s.clients[i].tickets
-	last := len(s.clients) - 1
-	s.clients[i] = s.clients[last]
-	s.index[s.clients[i].id] = i
-	s.clients = s.clients[:last]
-	delete(s.index, id)
-	return nil
-}
-
-// Len returns the number of clients.
-func (s *Scheduler) Len() int { return len(s.clients) }
-
-// TotalTickets returns the outstanding ticket count.
-func (s *Scheduler) TotalTickets() int64 { return s.total }
 
 // Next draws a ticket and returns the winning client for the next
 // quantum.
@@ -92,7 +67,6 @@ func (s *Scheduler) Next() (int64, error) {
 	draw := s.rng.Int63n(s.total)
 	for _, c := range s.clients {
 		if draw < c.tickets {
-			s.quanta++
 			s.alloc[c.id]++
 			return c.id, nil
 		}
@@ -101,9 +75,6 @@ func (s *Scheduler) Next() (int64, error) {
 	// Unreachable: draws are bounded by the ticket total.
 	panic("lottery: ticket draw out of range")
 }
-
-// Quanta returns the number of scheduling decisions made.
-func (s *Scheduler) Quanta() int64 { return s.quanta }
 
 // Allocated returns how many quanta a client has received.
 func (s *Scheduler) Allocated(id int64) int64 { return s.alloc[id] }

@@ -21,9 +21,6 @@ func TestErrors(t *testing.T) {
 	if err := s.Add(1, 5); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate: %v", err)
 	}
-	if err := s.Remove(9); !errors.Is(err, ErrNoClient) {
-		t.Errorf("remove unknown: %v", err)
-	}
 }
 
 // TestProportionalInExpectation: over many draws the allocation tracks
@@ -83,30 +80,6 @@ func TestDrawsAlwaysValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRemoveExcludes(t *testing.T) {
-	s := New(7)
-	for i := int64(0); i < 3; i++ {
-		if err := s.Add(i, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Remove(1); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 2 || s.TotalTickets() != 2 {
-		t.Fatalf("Len=%d total=%d", s.Len(), s.TotalTickets())
-	}
-	for i := 0; i < 200; i++ {
-		id, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id == 1 {
-			t.Fatal("removed client won a draw")
-		}
 	}
 }
 

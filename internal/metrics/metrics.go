@@ -36,18 +36,6 @@ func RMSRelativeError(actual, ideal []float64) (float64, error) {
 	return math.Sqrt(sum / float64(len(actual))), nil
 }
 
-// RMS returns the root mean square of xs, or 0 for no values.
-func RMS(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sq float64
-	for _, x := range xs {
-		sq += x * x
-	}
-	return math.Sqrt(sq / float64(len(xs)))
-}
-
 // BeatRatio is the steady-state wobble statistic: (max - min) / mean
 // over the samples. 0 for fewer than 2 samples or a non-positive mean.
 // A converged, alias-free estimator holds this near 0; a window beating
@@ -245,9 +233,6 @@ func LinearRegression(xs, ys []float64) (Line, error) {
 	}
 	return l, nil
 }
-
-// Eval returns the line's value at x.
-func (l Line) Eval(x float64) float64 { return l.Slope*x + l.Intercept }
 
 // RelativeError returns |actual-target|/target as a fraction. The paper
 // reports these as percentages in Table 3.

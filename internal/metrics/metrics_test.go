@@ -38,14 +38,15 @@ func TestRMSRelativeErrorErrors(t *testing.T) {
 }
 
 // TestRMSAndBeatRatio pins the two window statistics the auditors share,
-// including the degenerate inputs their gauges read before a window
-// fills: no values, one value, and a non-positive mean.
+// ShareError's RMS and BeatRatio, on the degenerate inputs their gauges
+// read before a window fills: no values, one value, and a non-positive
+// mean.
 func TestRMSAndBeatRatio(t *testing.T) {
-	if v := RMS(nil); v != 0 {
-		t.Errorf("RMS(nil) = %v, want 0", v)
+	if rms, ok := ShareError(nil, nil, nil); rms != 0 || ok {
+		t.Errorf("ShareError of an empty window = (%v, %t), want (0, false)", rms, ok)
 	}
-	if v := RMS([]float64{3, -4}); !close(v, math.Sqrt(12.5), 1e-12) {
-		t.Errorf("RMS(3, -4) = %v, want sqrt(12.5)", v)
+	if rms, ok := ShareError(nil, []float64{5}, []float64{1}); rms != 0 || !ok {
+		t.Errorf("ShareError of one principal = (%v, %t), want (0, true)", rms, ok)
 	}
 	for _, tc := range []struct {
 		xs   []float64
@@ -121,9 +122,6 @@ func TestLinearRegressionExact(t *testing.T) {
 	}
 	if !close(l.Slope, 3, 1e-12) || !close(l.Intercept, 2, 1e-12) || !close(l.R2, 1, 1e-12) {
 		t.Errorf("fit = %+v, want slope 3 intercept 2 R2 1", l)
-	}
-	if got := l.Eval(10); !close(got, 32, 1e-9) {
-		t.Errorf("Eval(10) = %v, want 32", got)
 	}
 }
 
@@ -216,7 +214,7 @@ func TestBreakdownThresholdSatisfiesEquation(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		return close(line.Eval(n), 100/(n+1), 1e-6)
+		return close(line.Slope*n+line.Intercept, 100/(n+1), 1e-6)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -361,8 +359,12 @@ func TestShareErrorsMagnitudeView(t *testing.T) {
 				t.Fatalf("trial %d: errs[%d] = %v, want %v bit for bit", trial, i, got[i], want[i])
 			}
 		}
-		if rms, _ := ShareError(nil, consumed, shares); rms != RMS(want) {
-			t.Fatalf("trial %d: rms %v != RMS of magnitudes %v", trial, rms, RMS(want))
+		var sq float64
+		for _, e := range want {
+			sq += e * e
+		}
+		if rms, _ := ShareError(nil, consumed, shares); rms != math.Sqrt(sq/float64(n)) {
+			t.Fatalf("trial %d: rms %v != RMS of magnitudes %v", trial, rms, math.Sqrt(sq/float64(n)))
 		}
 	}
 }

@@ -81,12 +81,8 @@ func (j *Journal) lastN(n int) []JournalEntry {
 	return entries
 }
 
-// WriteJSON dumps the journal as one JSON object:
+// writeJSON dumps entries as one JSON object:
 // {"total_cycles": N, "entries": [...]} with durations in nanoseconds.
-func (j *Journal) WriteJSON(w io.Writer) error {
-	return j.writeJSON(w, j.Snapshot())
-}
-
 func (j *Journal) writeJSON(w io.Writer, entries []JournalEntry) error {
 	type dump struct {
 		TotalCycles int64          `json:"total_cycles"`

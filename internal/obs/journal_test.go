@@ -54,10 +54,8 @@ func TestJournalPartialFill(t *testing.T) {
 func TestJournalJSON(t *testing.T) {
 	j := NewJournal(4)
 	j.Append(entry(3))
-	var b strings.Builder
-	if err := j.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
+	b := httptest.NewRecorder()
+	j.ServeHTTP(b, httptest.NewRequest("GET", "/debug/journal", nil))
 	var dump struct {
 		TotalCycles int64 `json:"total_cycles"`
 		Entries     []struct {
@@ -68,8 +66,8 @@ func TestJournalJSON(t *testing.T) {
 			} `json:"tasks"`
 		} `json:"entries"`
 	}
-	if err := json.Unmarshal([]byte(b.String()), &dump); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, b.String())
+	if err := json.Unmarshal(b.Body.Bytes(), &dump); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, b.Body.String())
 	}
 	if dump.TotalCycles != 1 || len(dump.Entries) != 1 || dump.Entries[0].Cycle != 3 {
 		t.Errorf("dump = %+v", dump)

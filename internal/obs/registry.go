@@ -141,16 +141,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// SetMax stores v if it exceeds the current value.
-func (g *Gauge) SetMax(v float64) {
-	for {
-		cur := g.bits.Load()
-		if v <= math.Float64frombits(cur) || g.bits.CompareAndSwap(cur, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Add adds d to the gauge.
 func (g *Gauge) Add(d float64) {
 	for {

@@ -69,14 +69,9 @@ func TestLabeledFamilies(t *testing.T) {
 func TestGaugeOps(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("lateness_seconds", "")
-	g.Set(0.5)
-	g.SetMax(0.25)
-	if g.Value() != 0.5 {
-		t.Errorf("SetMax lowered the gauge: %v", g.Value())
-	}
-	g.SetMax(1.5)
+	g.Set(1.5)
 	if g.Value() != 1.5 {
-		t.Errorf("SetMax = %v, want 1.5", g.Value())
+		t.Errorf("Set = %v, want 1.5", g.Value())
 	}
 	g.Add(0.5)
 	if g.Value() != 2 {
@@ -151,7 +146,7 @@ func TestConcurrentScrape(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			c.Inc()
 			h.Observe(0.01)
-			g.SetMax(1)
+			g.Add(1)
 			// A writer may also register new labeled children.
 			r.Counter(`lab_total{k="v"}`, "").Inc()
 		}

@@ -97,24 +97,24 @@ func TestConcurrentSamplingMatchesSequential(t *testing.T) {
 	// FIFO fault schedules make each PID's outcome independent of worker
 	// interleaving.
 	type counters struct {
-		ticks, vanished, reused, sigFailures, unsignalable, readRetries int64
+		ticks, vanished, reused, sigFailures, unsignalable int64
 	}
-	sc := counters{seqH.Ticks, seqH.VanishedPIDs, seqH.ReusedPIDs, seqH.SignalFailures, seqH.UnsignalablePIDs, seqH.ReadRetries}
-	cc := counters{conH.Ticks, conH.VanishedPIDs, conH.ReusedPIDs, conH.SignalFailures, conH.UnsignalablePIDs, conH.ReadRetries}
+	sc := counters{seqH.Ticks, seqH.VanishedPIDs, seqH.ReusedPIDs, seqH.SignalFailures, seqH.UnsignalablePIDs}
+	cc := counters{conH.Ticks, conH.VanishedPIDs, conH.ReusedPIDs, conH.SignalFailures, conH.UnsignalablePIDs}
 	if sc != cc {
 		t.Errorf("health counters differ:\nsequential: %+v\nconcurrent: %+v", sc, cc)
 	}
-	if sc.vanished == 0 || sc.readRetries == 0 || sc.sigFailures == 0 || sc.unsignalable == 0 || sc.reused == 0 {
+	if sc.vanished == 0 || sc.sigFailures == 0 || sc.unsignalable == 0 || sc.reused == 0 {
 		t.Errorf("script exercised too little: %+v", sc)
 	}
 }
 
 // TestConcurrentSamplingChaos hammers the pool with seeded random
-// transient faults on every read; sequential and concurrent runs must
-// still agree (chaos draws are consumed call-by-call under the FaultSys
-// mutex, but per-PID retry behavior keeps outcomes aligned as long as
-// the chaos sequence is the only nondeterminism — so this test fixes the
-// seed and compares final workload state, not event-for-event equality).
+// transient faults on every read. Chaos draws are consumed call by call
+// under the FaultSys mutex, so with workers the draw a PID gets depends
+// on the interleaving; the test therefore fixes the seed and checks each
+// run's invariants and final workload state, not event-for-event
+// equality with the sequential run.
 func TestConcurrentSamplingChaos(t *testing.T) {
 	for _, samplers := range []int{1, 4} {
 		fs := NewFaultSys()

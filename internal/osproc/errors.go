@@ -13,12 +13,13 @@ import (
 type errClass int
 
 const (
-	// errTransient: an immediate retry may succeed (EINTR, EAGAIN,
-	// unrecognized errors). A /proc read is retried at once; on
-	// exhaustion it is skipped for this quantum — cumulative /proc
-	// counters mean no consumption is lost, it is charged at the next
-	// successful read. A signal is never retried: kill(2) has no
-	// transient failure, so any error but ESRCH counts a strike.
+	// errTransient: an error that proves neither that the process is
+	// gone nor that it refuses us (EINTR, EAGAIN, unrecognized errors).
+	// A /proc read that fails so is skipped for this quantum and the PID
+	// is kept — cumulative /proc counters mean no consumption is lost, it
+	// is charged at the next good read. A signal is never retried:
+	// kill(2) has no transient failure, so any error but ESRCH counts a
+	// strike.
 	errTransient errClass = iota
 	// errGone: the process no longer exists (ESRCH, ENOENT from a
 	// vanished /proc entry). Permanent: the PID is dropped immediately.
@@ -32,8 +33,8 @@ const (
 )
 
 // classify maps an error from the Sys surface to its recovery class.
-// Unknown errors are treated as transient: retrying a permanent error is
-// wasted work bounded by the retry cap, while dropping a PID on a
+// Unknown errors are treated as transient: keeping a PID whose error is
+// permanent costs one failed read per quantum, while dropping a PID on a
 // transient error breaks a share guarantee permanently.
 func classify(err error) errClass {
 	var errno syscall.Errno

@@ -2,11 +2,14 @@ package osproc
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"alps/internal/core"
+	"alps/internal/obs"
 )
 
 const fq = 20 * time.Millisecond // fault-test quantum
@@ -126,25 +129,89 @@ func TestZombieDropped(t *testing.T) {
 	}
 }
 
-// TestTransientReadRetry: an EINTR /proc read race is retried
-// immediately; the PID is kept and consumption is charged on the next
-// good read (cumulative counters lose nothing).
+// TestTransientReadRetry: a /proc read that fails with an error the
+// runner cannot classify (EINTR) is not retried within the quantum. The
+// PID is kept, its task is charged nothing that quantum — no consumption
+// and no §2.4 blocked charge — and the next quantum's good read charges
+// all the CPU used since the last good one.
 func TestTransientReadRetry(t *testing.T) {
 	fs := NewFaultSys()
 	fs.AddProc(FaultProc{PID: 10, Start: 1})
-	r := newFaultRunner(t, fs, Config{}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
+	log := obs.NewEventLog()
+	r := newFaultRunner(t, fs, Config{Observer: log}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
 	stepQuantum(fs, r) // eligible
+	stepQuantum(fs, r) // the last good read before the fault
+	lastGood := fs.Proc(10).CPU
 	fs.Inject(10, CallRead, FaultEINTR)
-	for i := 0; i < 5; i++ {
+	stepMeasures := func() []obs.Event { // one quantum's measurements
+		n := len(log.Filter(obs.KindMeasure))
+		stepQuantum(fs, r)
+		return log.Filter(obs.KindMeasure)[n:]
+	}
+	if m := stepMeasures(); len(m) != 1 || m[0].Consumed != 0 || m[0].Blocked {
+		t.Fatalf("quantum of the failed read measured %+v, want one measurement charging nothing", m)
+	}
+	if r.procs[10] == nil {
+		t.Fatal("PID dropped after one failed read")
+	}
+	m := stepMeasures()
+	if want := fs.Proc(10).CPU - lastGood; len(m) != 1 || m[0].Consumed != want {
+		t.Fatalf("next good read measured %+v, want it to charge all %v since the last good read", m, want)
+	}
+	for i := 0; i < 3; i++ {
 		stepQuantum(fs, r)
 	}
-	if r.sched.Len() != 1 {
-		t.Fatal("task lost to a transient read error")
-	}
-	if h := r.Health(); h.ReadRetries == 0 {
-		t.Error("read retry not counted")
-	}
+	requireNoCPULost(t, r, fs, log, 1, 10)
 	r.Release()
+}
+
+// requireNoCPULost checks DESIGN's promise for a transiently unreadable
+// PID, the only member of task id, which had used no CPU when it joined:
+// the PID is kept, every quantum whose read of it failed (FaultEINTR)
+// charged the task nothing — no consumption and no §2.4 blocked charge —
+// and the good reads charged all the CPU the PID used up to the last of
+// them. Each read of pid after the join baseline is one measurement of
+// the task.
+func requireNoCPULost(t *testing.T, r *Runner, fs *FaultSys, log *obs.EventLog, id core.TaskID, pid int) {
+	t.Helper()
+	p := r.procs[pid]
+	if p == nil {
+		t.Fatalf("pid %d was dropped after transient read failures", pid)
+	}
+	read := fmt.Sprintf("read %d", pid)
+	var reads []string
+	for _, line := range fs.Log {
+		if line == read || strings.HasPrefix(line, read+":") {
+			reads = append(reads, line)
+		}
+	}
+	var measures []obs.Event
+	for _, e := range log.Filter(obs.KindMeasure) {
+		if e.Task == int64(id) {
+			measures = append(measures, e)
+		}
+	}
+	if len(reads) != len(measures)+1 {
+		t.Fatalf("%d reads of pid %d for %d measurements of task %d, want the join baseline plus one per measurement",
+			len(reads), pid, len(measures), id)
+	}
+	failed := 0
+	var charged time.Duration
+	for i, e := range measures {
+		charged += e.Consumed
+		if reads[i+1] == read+": EINTR" {
+			failed++
+			if e.Consumed != 0 || e.Blocked {
+				t.Errorf("tick %d: failed read charged %v (blocked %t), want nothing", e.Tick, e.Consumed, e.Blocked)
+			}
+		}
+	}
+	if failed == 0 {
+		t.Errorf("no read of pid %d failed", pid)
+	}
+	if charged != p.cpu {
+		t.Errorf("task %d was charged %v in all, want the %v its PID used up to its last good read", id, charged, p.cpu)
+	}
 }
 
 // TestUnsignalablePIDDropped: a PID that persistently returns EPERM on
@@ -276,7 +343,7 @@ func TestOverrunCompensation(t *testing.T) {
 	fs.AddProc(FaultProc{PID: 10, Start: 1})
 	r := newFaultRunner(t, fs, Config{}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
 	stepQuantum(fs, r)
-	ticksBefore := r.Ticks()
+	ticksBefore := r.Health().Ticks
 	// The ticker stalls: 3 quanta elapse before the next firing.
 	fs.Advance(3 * fq)
 	r.Step()
@@ -287,7 +354,7 @@ func TestOverrunCompensation(t *testing.T) {
 	if h.CatchUpTicks != 2 {
 		t.Errorf("CatchUpTicks = %d, want 2", h.CatchUpTicks)
 	}
-	if got := r.Ticks() - ticksBefore; got != 3 {
+	if got := r.Health().Ticks - ticksBefore; got != 3 {
 		t.Errorf("algorithm invocations during stalled step = %d, want 3", got)
 	}
 	if h.LastLateness != 2*fq {
@@ -344,10 +411,10 @@ func TestCatchUpCap(t *testing.T) {
 	fs.AddProc(FaultProc{PID: 10, Start: 1})
 	r := newFaultRunner(t, fs, Config{}, []Task{{ID: 1, Share: 1, PIDs: []int{10}}})
 	stepQuantum(fs, r)
-	before := r.Ticks()
+	before := r.Health().Ticks
 	fs.Advance(100 * fq)
 	r.Step()
-	if got := r.Ticks() - before; got != 1+maxCatchUpTicks {
+	if got := r.Health().Ticks - before; got != 1+maxCatchUpTicks {
 		t.Errorf("invocations = %d, want %d (capped)", got, 1+maxCatchUpTicks)
 	}
 	if h := r.Health(); h.MissedTicks != 99 {

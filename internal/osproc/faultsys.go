@@ -30,9 +30,11 @@ const (
 	FaultESRCH FaultKind = iota
 	// FaultEPERM fails the call with syscall.EPERM (unsignalable).
 	FaultEPERM
-	// FaultEINTR fails a read with syscall.EINTR (transient race).
-	// kill(2) never returns EINTR for SIGSTOP or SIGCONT, so Inject
-	// refuses it on CallStop and CallCont.
+	// FaultEINTR fails a read with syscall.EINTR: the fake's stand-in
+	// for a read error the runner cannot classify as gone or denied,
+	// which keeps the PID and skips it for one quantum. kill(2) never
+	// returns EINTR for SIGSTOP or SIGCONT, so Inject refuses it on
+	// CallStop and CallCont.
 	FaultEINTR
 	// FaultZombie makes ReadStat report state 'Z' (exited, unreaped).
 	FaultZombie
@@ -73,8 +75,9 @@ type FaultProc struct {
 // /proc read races, zombies, slow reads, PID reuse, and timer overruns —
 // with no real child processes, in microseconds, reproducibly.
 //
-// FaultSys is not safe for concurrent use; fault tests drive the Runner
-// through Step on a single goroutine.
+// Every method locks one mutex, so the runner's sampler and signal pool
+// may call it concurrently; tests drive Step, Advance and the fault
+// schedule from one goroutine.
 type FaultSys struct {
 	// mu makes the fake safe under the runner's sampler/signal worker
 	// pools: every public method locks it, so concurrent Sys calls

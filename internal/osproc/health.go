@@ -28,8 +28,6 @@ type Health struct {
 	// signal or read denials (the graceful-degradation path), or because
 	// the signal that joins a PID to its task failed.
 	UnsignalablePIDs int64
-	// ReadRetries counts transient /proc read errors that were retried.
-	ReadRetries int64
 	// MissedTicks counts whole quanta the timer overran (the loop fired
 	// ≥ 2Q after its predecessor).
 	MissedTicks int64
@@ -64,9 +62,9 @@ type Health struct {
 // String renders the snapshot as a single key=value telemetry line.
 func (h Health) String() string {
 	return fmt.Sprintf(
-		"ticks=%d vanished=%d reused=%d sig_failures=%d unsignalable=%d read_retries=%d missed_ticks=%d catchup_ticks=%d refresh_errors=%d reconfigs=%d degrade_level=%d eff_quantum=%v dormant=%d late_last=%v late_max=%v",
+		"ticks=%d vanished=%d reused=%d sig_failures=%d unsignalable=%d missed_ticks=%d catchup_ticks=%d refresh_errors=%d reconfigs=%d degrade_level=%d eff_quantum=%v dormant=%d late_last=%v late_max=%v",
 		h.Ticks, h.VanishedPIDs, h.ReusedPIDs, h.SignalFailures,
-		h.UnsignalablePIDs, h.ReadRetries, h.MissedTicks, h.CatchUpTicks,
+		h.UnsignalablePIDs, h.MissedTicks, h.CatchUpTicks,
 		h.RefreshErrors, h.Reconfigs, h.DegradeLevel, h.EffectiveQuantum,
 		h.DormantTasks, h.LastLateness, h.MaxLateness)
 }
@@ -76,7 +74,7 @@ func (h Health) String() string {
 func (h Health) Degraded() bool {
 	return h.DegradeLevel > 0 ||
 		h.VanishedPIDs+h.ReusedPIDs+h.SignalFailures+
-			h.UnsignalablePIDs+h.ReadRetries+h.MissedTicks+h.RefreshErrors > 0
+			h.UnsignalablePIDs+h.MissedTicks+h.RefreshErrors > 0
 }
 
 // healthCounters is the Runner's internal, concurrency-safe counter set.
@@ -86,7 +84,6 @@ func (h Health) Degraded() bool {
 type healthCounters struct {
 	ticks, vanished, reused            atomic.Int64
 	sigFailures, unsignalable          atomic.Int64
-	readRetries                        atomic.Int64
 	missedTicks, catchUpTicks          atomic.Int64
 	refreshErrors, reconfigs           atomic.Int64
 	overloadDegrades, overloadRecovers atomic.Int64
@@ -112,7 +109,6 @@ func (c *healthCounters) snapshot() Health {
 		ReusedPIDs:       c.reused.Load(),
 		SignalFailures:   c.sigFailures.Load(),
 		UnsignalablePIDs: c.unsignalable.Load(),
-		ReadRetries:      c.readRetries.Load(),
 		MissedTicks:      c.missedTicks.Load(),
 		CatchUpTicks:     c.catchUpTicks.Load(),
 		RefreshErrors:    c.refreshErrors.Load(),

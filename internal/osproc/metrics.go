@@ -14,7 +14,7 @@ import (
 // without a registry pays a single branch).
 type runnerMetrics struct {
 	cycleLateness *obs.Histogram // how late each step fired past its quantum
-	sampleDur     *obs.Histogram // wall time of one task's progress read
+	sampleDur     *obs.Histogram // wall time of one /proc/<pid>/stat read
 	signalDur     *obs.Histogram // wall time of one signal delivery
 }
 
@@ -38,9 +38,6 @@ func (r *Runner) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("alps_runner_unsignalable_pids_total",
 		"PIDs dropped after repeated consecutive signal or read denials.",
 		h.unsignalable.Load)
-	reg.CounterFunc("alps_runner_read_retries_total",
-		"Transient /proc read errors that were retried.",
-		h.readRetries.Load)
 	reg.CounterFunc("alps_runner_missed_ticks_total",
 		"Whole quanta the timer overran.",
 		h.missedTicks.Load)
@@ -78,7 +75,7 @@ func (r *Runner) registerMetrics(reg *obs.Registry) {
 		cycleLateness: reg.Histogram("alps_runner_cycle_lateness_seconds",
 			"Distribution of per-step timer lateness.", obs.LatencyBuckets),
 		sampleDur: reg.Histogram("alps_runner_sample_duration_seconds",
-			"Wall time spent reading one task's progress from /proc.", obs.LatencyBuckets),
+			"Wall time of one /proc/<pid>/stat read.", obs.LatencyBuckets),
 		signalDur: reg.Histogram("alps_runner_signal_duration_seconds",
 			"Wall time of one SIGSTOP/SIGCONT delivery.", obs.LatencyBuckets),
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"alps/internal/core"
 	"alps/internal/obs"
@@ -24,6 +25,12 @@ func TestRunnerMetricsExposition(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		stepQuantum(fs, r)
 	}
+	reads := 0
+	for _, line := range fs.Log {
+		if strings.HasPrefix(line, "read ") {
+			reads++
+		}
+	}
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -33,12 +40,11 @@ func TestRunnerMetricsExposition(t *testing.T) {
 	h := r.Health()
 	for _, want := range []string{
 		fmt.Sprintf("alps_runner_ticks_total %d", h.Ticks),
-		fmt.Sprintf("alps_runner_read_retries_total %d", h.ReadRetries),
 		"alps_runner_last_lateness_seconds",
 		"alps_runner_max_lateness_seconds",
-		// One task read per tick, except tick 1 which only admits the
-		// task (no measurement before first eligibility).
-		fmt.Sprintf("alps_runner_sample_duration_seconds_count %d", h.Ticks-1),
+		// One observation per /proc read, failed or not: the join
+		// baseline, then one per measured tick.
+		fmt.Sprintf("alps_runner_sample_duration_seconds_count %d", reads),
 		"alps_runner_cycle_lateness_seconds_bucket",
 		"alps_runner_signal_duration_seconds_count",
 	} {
@@ -46,13 +52,42 @@ func TestRunnerMetricsExposition(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if h.ReadRetries == 0 {
-		t.Error("scenario did not exercise read retries")
-	}
+	requireNoCPULost(t, r, fs, log, 1, 10)
 	// The Observer rode along: the core emitted events through the
 	// runner's stamping bridge.
 	if len(log.Filter(obs.KindMeasure)) == 0 {
 		t.Error("observer saw no measurements")
+	}
+}
+
+// TestSampleDurationTimesEveryRead: alps_runner_sample_duration_seconds
+// times each /proc read where it happens, on whichever goroutine runs
+// it. With the sampler pool on, a 5 ms stalled read of one of two due
+// PIDs lands in the histogram's sum.
+func TestSampleDurationTimesEveryRead(t *testing.T) {
+	const slow = 5 * time.Millisecond
+	fs := NewFaultSys()
+	fs.SlowDelay = slow
+	fs.AddProc(FaultProc{PID: 10, Start: 1})
+	fs.AddProc(FaultProc{PID: 20, Start: 1})
+	reg := obs.NewRegistry()
+	r := newFaultRunner(t, fs, Config{Samplers: 2, Metrics: reg}, []Task{
+		{ID: 1, Share: 1, PIDs: []int{10}},
+		{ID: 2, Share: 1, PIDs: []int{20}},
+	})
+	defer r.Release()
+	for dueNext(r.sched) < 2 {
+		if r.sched.Tick() > 50 {
+			t.Fatal("the two tasks never fell due in one quantum")
+		}
+		stepQuantum(fs, r)
+	}
+	sum := reg.Histogram("alps_runner_sample_duration_seconds", "", obs.LatencyBuckets).Sum
+	before := sum()
+	fs.Inject(20, CallRead, FaultSlow)
+	stepQuantum(fs, r)
+	if got := sum() - before; got < slow.Seconds()-1e-9 {
+		t.Errorf("histogram sum rose by %gs over the slow read's quantum, want at least %gs", got, slow.Seconds())
 	}
 }
 

@@ -74,8 +74,7 @@ func (r *Runner) workers() int {
 	return r.cfg.Samplers
 }
 
-// statResult is one prefetched stat read (the outcome of readStat,
-// retries included).
+// statResult is one prefetched stat read (the outcome of readStat).
 type statResult struct {
 	st  Stat
 	err error
@@ -84,9 +83,8 @@ type statResult struct {
 // prefetch performs this quantum's stat reads concurrently, on the
 // tick's first read. The scheduler's DueBatch is exactly the tasks stage
 // 1 is measuring, so the pool reads their PIDs' stats into statCache and
-// read() consumes the cache instead of issuing syscalls. Per-PID retry
-// semantics are readStat's own (each worker runs the full retry loop for
-// its PID). No-op when sampling sequentially.
+// read() consumes the cache instead of issuing syscalls. Each worker
+// times its own reads in readStat. No-op when sampling sequentially.
 func (r *Runner) prefetch() {
 	w := r.workers()
 	if w <= 1 {

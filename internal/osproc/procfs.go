@@ -297,9 +297,6 @@ func ContGroup(pgid int) error { return syscall.Kill(-pgid, syscall.SIGCONT) }
 // Pgid returns the process-group ID of pid (getpgid(2)).
 func Pgid(pid int) (int, error) { return syscall.Getpgid(pid) }
 
-// Alive reports whether the process exists (signal 0 probe).
-func Alive(pid int) bool { return syscall.Kill(pid, 0) == nil }
-
 // PidsOfUser returns the live PIDs owned by uid, by scanning /proc — the
 // Linux analogue of the kvm_getprocs call the paper's §5 ALPS uses to
 // refresh a resource principal's membership once per second.

@@ -99,15 +99,6 @@ func TestReadStatNoSuchPid(t *testing.T) {
 	}
 }
 
-func TestAliveSelf(t *testing.T) {
-	if !Alive(os.Getpid()) {
-		t.Error("self not alive?")
-	}
-	if Alive(1 << 22) {
-		t.Error("absurd pid alive?")
-	}
-}
-
 func TestPidsOfUserIncludesSelf(t *testing.T) {
 	requireProc(t)
 	pids, err := PidsOfUser(uint32(os.Getuid()))

@@ -37,7 +37,7 @@ type Config struct {
 	// (prefetched for the tasks due this quantum) and SIGSTOP/SIGCONT
 	// deliveries. Values ≤ 1 keep the loop fully sequential — the
 	// deterministic default for tests; cmd/alps passes GOMAXPROCS via
-	// -samplers. Per-PID read retries and all bookkeeping order are
+	// -samplers. Per-PID read outcomes and all bookkeeping order are
 	// identical either way: workers only perform the raw Sys calls, and
 	// results are merged on the loop goroutine in decision order.
 	Samplers int
@@ -69,7 +69,7 @@ type Config struct {
 	Observer obs.Observer
 	// Metrics, if non-nil, receives the runner's health telemetry
 	// (exported at scrape time from the same atomics Health reads) and
-	// latency histograms: step lateness, per-task sample duration, and
+	// latency histograms: step lateness, /proc read duration, and
 	// signal-delivery duration.
 	Metrics *obs.Registry
 	// Checkpoint, if non-nil, is called at the end of any Step that
@@ -84,13 +84,10 @@ type Config struct {
 }
 
 // Fault-tolerance knobs. Real systems exhibit every one of these failure
-// modes routinely (PIDs vanishing mid-cycle, /proc read races, EPERM
-// after a setuid exec, timer overruns under load); the constants bound
-// how much of a quantum the loop spends recovering from them.
+// modes routinely (PIDs vanishing mid-cycle, EPERM after a setuid exec,
+// timer overruns under load); the constants bound how much of a quantum
+// the loop spends recovering from them.
 const (
-	// maxReadAttempts bounds immediate retries of a transiently failing
-	// /proc read (read races clear without waiting).
-	maxReadAttempts = 2
 	// maxBadPIDStrikes is the number of consecutive failing quanta
 	// after which a PID that exists but refuses us (EPERM on signals,
 	// unreadable stat) is dropped so the rest of the workload keeps its
@@ -159,7 +156,6 @@ type Runner struct {
 	prefetchOne func(int)
 	deliverOne  func(int)
 
-	ticks    int64
 	lastRef  time.Time
 	lastTick time.Time
 
@@ -456,9 +452,6 @@ func (r *Runner) phase(k obs.Kind, p obs.Phase) {
 // Scheduler exposes the underlying core scheduler for inspection.
 func (r *Runner) Scheduler() *core.Scheduler { return r.sched }
 
-// Ticks returns the number of quanta processed.
-func (r *Runner) Ticks() int64 { return r.ticks }
-
 // Health returns a snapshot of the runner's fault and timing telemetry.
 // Safe to call from any goroutine.
 func (r *Runner) Health() Health { return r.health.snapshot() }
@@ -586,7 +579,6 @@ func (r *Runner) tickOnce() bool {
 	}
 	r.maybeReconcile(dec)
 	r.phase(obs.KindPhaseEnd, obs.PhaseSignal)
-	r.ticks++
 	r.health.ticks.Add(1)
 	return r.sched.Len() == 0
 }
@@ -736,7 +728,7 @@ func (r *Runner) maybeReconcile(dec core.Decision) {
 	const reconcileEvery = 16
 	if r.cfg.DisableIndexing || r.needReconcile ||
 		dec.CycleCompleted || len(dec.Dead) > 0 ||
-		r.ticks%reconcileEvery == 0 {
+		r.health.ticks.Load()%reconcileEvery == 0 {
 		r.reconcile()
 	}
 }
@@ -782,19 +774,18 @@ func (r *Runner) running(pid int, p *proc) bool {
 	return err == nil && st.Start == p.start && st.State != 'T' && st.State != 'Z'
 }
 
-// readStat reads a PID's stat with immediate retries for transient
-// errors (/proc read races clear without waiting).
-func (r *Runner) readStat(pid int) (st Stat, err error) {
-	for attempt := 0; attempt < maxReadAttempts; attempt++ {
-		if st, err = r.sys.ReadStat(pid); err == nil {
-			return st, nil
-		}
-		if classify(err) != errTransient {
-			return Stat{}, err
-		}
-		r.health.readRetries.Add(1)
+// readStat is every /proc read the runner makes, on the loop goroutine
+// or a pool worker, and it times each one. A failed read is not retried:
+// a re-read through the held descriptor returns the same result (ESRCH
+// once the task is gone), and the caller classifies the failure.
+func (r *Runner) readStat(pid int) (Stat, error) {
+	if r.mx == nil {
+		return r.sys.ReadStat(pid)
 	}
-	return Stat{}, err
+	begin := r.sys.Now()
+	st, err := r.sys.ReadStat(pid)
+	r.mx.sampleDur.Observe(r.sys.Now().Sub(begin).Seconds())
+	return st, err
 }
 
 // read is the core.Reader over the Sys surface. Failure handling per
@@ -823,10 +814,6 @@ func (r *Runner) read(id core.TaskID) (core.Progress, bool) {
 		// the whole due batch at once.
 		r.unread = false
 		r.prefetch()
-	}
-	if r.mx != nil {
-		begin := r.sys.Now()
-		defer func() { r.mx.sampleDur.Observe(r.sys.Now().Sub(begin).Seconds()) }()
 	}
 	var consumed time.Duration
 	alive := false

@@ -64,7 +64,7 @@ func TestRunnerStopsAndReleases(t *testing.T) {
 	if st.State == 'T' {
 		t.Error("process left stopped after Run returned")
 	}
-	if r.Ticks() == 0 {
+	if r.Health().Ticks == 0 {
 		t.Error("runner processed no quanta")
 	}
 }

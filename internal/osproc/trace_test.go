@@ -161,7 +161,7 @@ func TestRunnerDropAnomalyAutoDump(t *testing.T) {
 		t.Errorf("dump window covers %d quanta, want the lead-up to the drop", quanta)
 	}
 	var buf bytes.Buffer
-	if err := d.WriteChrome(&buf, "osproc"); err != nil {
+	if err := trace.WriteChrome(&buf, d.Events, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := trace.Validate(buf.Bytes()); err != nil {

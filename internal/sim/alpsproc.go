@@ -183,15 +183,6 @@ func (a *AlpsProc) Stats() (timerEvents, measurements, signals, missedFirings in
 	return a.timerEvents, a.measurements, a.signalsSent, a.missedFirings
 }
 
-// AddTask registers a new task (and its processes) mid-run.
-func (a *AlpsProc) AddTask(t AlpsTask) error {
-	if err := a.sched.Add(t.ID, t.Share); err != nil {
-		return err
-	}
-	a.targets[t.ID] = append([]PID(nil), t.Pids...)
-	return nil
-}
-
 // next is the ALPS process's Behavior: sleep to the next quantum
 // boundary, then run one invocation of the algorithm, paying its CPU cost
 // and applying its decisions.

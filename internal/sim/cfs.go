@@ -113,15 +113,6 @@ func (k *Kernel) cfsMinVruntime() (time.Duration, bool) {
 	return min, ok
 }
 
-func (k *Kernel) allIdle() bool {
-	for i := range k.cpus {
-		if k.cpus[i].p != nil {
-			return false
-		}
-	}
-	return true
-}
-
 // cfsCharge advances a running process's weighted virtual runtime.
 func (k *Kernel) cfsCharge(p *proc, d time.Duration) {
 	p.vruntime += time.Duration(float64(d) * cfsNiceWeightBase / cfsWeight(p.nice))

@@ -11,16 +11,22 @@ import (
 	"alps/internal/trace"
 )
 
-// captureFaultedRun drives a workload with a mid-run process kill under
-// tracing and returns the captured event stream plus the registrations,
-// for the trace-validity and replay-equivalence tests.
+// captureFaultedRun drives a workload whose task 1 process exits mid-run
+// (at 1.5 s) under tracing and returns the captured event stream plus
+// the registrations, for the trace-validity and replay-equivalence tests.
 func captureFaultedRun(t *testing.T) ([]obs.Event, []AlpsTask) {
 	t.Helper()
 	k := NewKernel()
-	tasks := startWorkload(k, []int64{1, 2, 3})
+	var tasks []AlpsTask
+	for i, share := range []int64{1, 2, 3} {
+		b := Spin()
+		if i == 1 {
+			b = spinUntil(1500*time.Millisecond, Action{Exit: true})
+		}
+		tasks = append(tasks, AlpsTask{ID: core.TaskID(i), Share: share, Pids: []PID{k.SpawnStopped("w", 0, b)}})
+	}
 	io := k.SpawnStopped("io", 0, &PeriodicIO{Exec: 2 * time.Millisecond, Wait: 30 * time.Millisecond})
 	tasks = append(tasks, AlpsTask{ID: 3, Share: 2, Pids: []PID{io}})
-	InjectFaults(k, []Fault{{At: 1500 * time.Millisecond, Kill: tasks[1].Pids[0]}})
 
 	log := obs.NewEventLog()
 	if _, err := StartALPS(k, AlpsConfig{
@@ -130,16 +136,19 @@ func TestSimTraceSpansMatchReplay(t *testing.T) {
 	}
 }
 
-// TestSimDriftAnomalyAutoDump is the fault-injection anomaly e2e on the
-// simulator substrate: blocking one of two equal-share processes starves
-// its task, the online auditor's windowed share error crosses the drift
-// threshold, and its OnDrift hook dumps the flight-recorder window — which
-// must contain the offending cycles and render as a valid Chrome trace.
+// TestSimDriftAnomalyAutoDump is the fault anomaly e2e on the simulator
+// substrate: one of two equal-share processes blocks for good at 1 s,
+// which starves its task, the online auditor's windowed share error
+// crosses the drift threshold, and its OnDrift hook dumps the
+// flight-recorder window — which must contain the offending cycles and
+// render as a valid Chrome trace.
 func TestSimDriftAnomalyAutoDump(t *testing.T) {
 	k := NewKernel()
-	tasks := startWorkload(k, []int64{1, 1})
 	blockAt := 1 * time.Second
-	InjectFaults(k, []Fault{{At: blockAt, Block: tasks[1].Pids[0]}})
+	tasks := []AlpsTask{
+		{ID: 0, Share: 1, Pids: []PID{k.SpawnStopped("w", 0, Spin())}},
+		{ID: 1, Share: 1, Pids: []PID{k.SpawnStopped("w", 0, spinUntil(blockAt, Action{Block: true}))}},
+	}
 
 	var dumps []trace.Dump
 	rec := trace.NewRecorder(trace.RecorderConfig{
@@ -179,13 +188,13 @@ func TestSimDriftAnomalyAutoDump(t *testing.T) {
 		}
 	}
 	if pastBlock == 0 {
-		t.Error("dump window contains no events after the injected fault")
+		t.Error("dump window contains no events after the block")
 	}
 	if starvedMeasures == 0 {
 		t.Error("dump window contains no measurements of the starved task")
 	}
 	var buf bytes.Buffer
-	if err := d.WriteChrome(&buf, "sim"); err != nil {
+	if err := trace.WriteChrome(&buf, d.Events, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := trace.Validate(buf.Bytes()); err != nil {

@@ -18,6 +18,19 @@ func startWorkload(k *Kernel, shares []int64) []AlpsTask {
 	return tasks
 }
 
+// spinUntil is a compute-bound behaviour that returns last instead of
+// more CPU the first time it runs at or after virtual time at: a process
+// that exits or blocks mid-run. It computes in 1 ms segments, so last
+// lands within 1 ms of CPU after at.
+func spinUntil(at time.Duration, last Action) Behavior {
+	return BehaviorFunc(func(k *Kernel, pid PID) Action {
+		if left := at - k.Now(); left > 0 {
+			return Action{Run: min(left, time.Millisecond)}
+		}
+		return last
+	})
+}
+
 // TestProportionalSharing checks the headline behaviour: three
 // compute-bound processes with shares 1:2:3 under a 10 ms quantum receive
 // CPU time in close to a 1:2:3 ratio.

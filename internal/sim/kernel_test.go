@@ -239,6 +239,35 @@ func TestWakeProc(t *testing.T) {
 	k.WakeProc(12345)
 }
 
+// TestBlockStoppedWakesIntoSleep: a blocked process that is stopped and
+// continued returns to its indefinite wait, not to the run queue; only
+// WakeProc makes it runnable again.
+func TestBlockStoppedWakesIntoSleep(t *testing.T) {
+	k := NewKernel()
+	runs := 0
+	a := k.Spawn("a", 0, BehaviorFunc(func(k *Kernel, pid PID) Action {
+		runs++
+		return Action{Run: 10 * time.Millisecond, Block: true}
+	}))
+	k.Run(50 * time.Millisecond)
+	k.Signal(a, SIGSTOP)
+	k.Signal(a, SIGCONT)
+	k.Run(100 * time.Millisecond)
+	info, _ := k.Info(a)
+	if info.State != Sleeping {
+		t.Fatalf("SIGCONT while blocked = %v, want sleeping", info.State)
+	}
+	if runs != 1 || info.CPU != 10*time.Millisecond {
+		t.Errorf("blocked process ran again: %d actions, cpu %v", runs, info.CPU)
+	}
+	k.WakeProc(a)
+	k.Run(200 * time.Millisecond)
+	info, _ = k.Info(a)
+	if runs != 2 || info.CPU != 20*time.Millisecond {
+		t.Errorf("after WakeProc: %d actions, cpu %v, want 2 and 20ms", runs, info.CPU)
+	}
+}
+
 func TestEqualPrioritySharing(t *testing.T) {
 	k := NewKernel()
 	a := k.Spawn("a", 0, Spin())

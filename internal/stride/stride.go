@@ -39,9 +39,6 @@ type client struct {
 	tickets int64
 	stride  int64
 	pass    int64
-	// remain preserves the pass/stride fraction across Leave/Join
-	// (dynamic client modification per the tech report §3.4).
-	idx int // heap index
 }
 
 type clientHeap []*client
@@ -53,16 +50,8 @@ func (h clientHeap) Less(i, j int) bool {
 	}
 	return h[i].id < h[j].id // deterministic tie-break
 }
-func (h clientHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *clientHeap) Push(x any) {
-	c := x.(*client)
-	c.idx = len(*h)
-	*h = append(*h, c)
-}
+func (h clientHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *clientHeap) Push(x any)   { *h = append(*h, x.(*client)) }
 func (h *clientHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -109,21 +98,6 @@ func (s *Scheduler) Add(id, tickets int64) error {
 	heap.Push(&s.heap, c)
 	return nil
 }
-
-// Remove deregisters a client.
-func (s *Scheduler) Remove(id int64) error {
-	c, ok := s.clients[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoClient, id)
-	}
-	heap.Remove(&s.heap, c.idx)
-	s.globalTickets -= c.tickets
-	delete(s.clients, id)
-	return nil
-}
-
-// Len returns the number of clients.
-func (s *Scheduler) Len() int { return len(s.clients) }
 
 // Tickets returns a client's ticket count.
 func (s *Scheduler) Tickets(id int64) (int64, error) {

@@ -21,9 +21,6 @@ func TestErrors(t *testing.T) {
 	if err := s.Add(1, 3); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate: %v", err)
 	}
-	if err := s.Remove(9); !errors.Is(err, ErrNoClient) {
-		t.Errorf("remove unknown: %v", err)
-	}
 	if _, err := s.Tickets(9); !errors.Is(err, ErrNoClient) {
 		t.Errorf("tickets unknown: %v", err)
 	}
@@ -127,39 +124,6 @@ func TestDynamicJoin(t *testing.T) {
 	got1 := s.Allocated(1)
 	if got0 < 48 || got0 > 52 || got1 < 48 || got1 > 52 {
 		t.Errorf("post-join split = %d/%d, want ~50/50", got0, got1)
-	}
-}
-
-func TestRemoveRedistributes(t *testing.T) {
-	s := New()
-	for i := int64(0); i < 3; i++ {
-		if err := s.Add(i, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 30; i++ {
-		if _, err := s.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Remove(0); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	before := s.Allocated(0)
-	for i := 0; i < 30; i++ {
-		id, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id == 0 {
-			t.Fatal("removed client still scheduled")
-		}
-	}
-	if s.Allocated(0) != before {
-		t.Error("removed client gained quanta")
 	}
 }
 

@@ -271,8 +271,8 @@ func feedDutyCycle(a *Auditor, k int) {
 // auditor's gauges are sampled into a tshist store every cycle. The
 // period-4 duty pattern makes a raw 5-cycle window's RMS oscillate (the
 // Gunther decay-window beat) while the EWMA over the same windows holds
-// steady — its beat ratio at least 5x lower — and the autocorrelation
-// detector finds the beat at a multiple of the duty period.
+// steady — its beat ratio at least 5x lower — and the auditor's own
+// WindowBeatRatio gauge reports the raw beat.
 func TestAuditorEWMAKillsAliasing(t *testing.T) {
 	const cycles, tail = 200, 100 // the tail is past window fill and the EWMA's settling
 	reg := obs.NewRegistry()
@@ -285,7 +285,10 @@ func TestAuditorEWMAKillsAliasing(t *testing.T) {
 		hist.Sample(epoch.Add(time.Duration(k) * time.Second))
 	}
 	series := func(name string) []float64 {
-		vals := tshist.Values(hist.SeriesPoints(name, ""))
+		var vals []float64
+		for _, p := range hist.SeriesPoints(name, "") {
+			vals = append(vals, p.Value)
+		}
 		if len(vals) < tail {
 			t.Fatalf("%s: %d points retained, want at least %d", name, len(vals), tail)
 		}
@@ -299,9 +302,6 @@ func TestAuditorEWMAKillsAliasing(t *testing.T) {
 	rb, eb := metrics.BeatRatio(rawVals), metrics.BeatRatio(ewmaVals)
 	if eb > rb/5 {
 		t.Errorf("EWMA beat ratio %v not >=5x below the raw window's %v", eb, rb)
-	}
-	if lag, corr := tshist.DominantPeriod(rawVals, 16); lag == 0 || lag%4 != 0 || corr < 0.5 {
-		t.Errorf("DominantPeriod(raw, 16) = (%d, %.2f), want a multiple of 4 with corr >= 0.5", lag, corr)
 	}
 	if got := a.WindowBeatRatio(); math.Abs(got-metrics.BeatRatio(rawVals[len(rawVals)-beatWindow:])) > 1e-12 {
 		t.Errorf("WindowBeatRatio = %v, want the raw tail's beat ratio", got)

@@ -31,15 +31,6 @@ type Dump struct {
 	Events []obs.Event   // the window, oldest first
 }
 
-// WriteChrome serializes the dump window as Chrome trace-event JSON,
-// annotating otherData with the trigger and the emitting substrate.
-func (d Dump) WriteChrome(w io.Writer, substrate string) error {
-	return WriteChrome(w, d.Events, map[string]any{
-		"reason": d.Reason, "at_us": d.At.Microseconds(), "seq": d.Seq,
-		"substrate": substrate,
-	})
-}
-
 // RecorderConfig parameterizes a Recorder. The zero value is usable.
 type RecorderConfig struct {
 	// OnDump receives each triggered window. It runs synchronously on

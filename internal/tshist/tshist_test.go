@@ -134,7 +134,13 @@ func TestRingEviction(t *testing.T) {
 			now = now.Add(time.Second)
 		}
 	}
-	values := func() []float64 { return Values(s.SeriesPoints("v", "")) }
+	values := func() []float64 {
+		var vals []float64
+		for _, p := range s.SeriesPoints("v", "") {
+			vals = append(vals, p.Value)
+		}
+		return vals
+	}
 
 	sampleN(c) // exactly full: 0..c-1
 	if got := values(); len(got) != c || got[0] != 0 || got[c-1] != c-1 {
@@ -254,41 +260,42 @@ func TestConcurrentSampleScrape(t *testing.T) {
 	}
 }
 
-// TestBeatAnalysis pins the FFT-free detector on a synthetic beat: a
-// period-5 sawtooth rides on a constant; DominantPeriod finds lag 5,
-// metrics.BeatRatio reports the wobble, and an EWMA of the same series
-// kills it by far more than the 5x the timeline bench gates.
+// TestBeatAnalysis reads a beat off retained history, as a timeline
+// consumer does: a period-5 sawtooth gauge and its EWMA are sampled into
+// the store, and over the retained tail (past the EWMA's transient)
+// metrics.BeatRatio reports the raw wobble while the EWMA cuts it by far
+// more than 5x.
 func TestBeatAnalysis(t *testing.T) {
-	var raw, smooth []float64
-	ewma, alpha := 0.0, 0.1
+	const tail = 50
+	reg := obs.NewRegistry()
+	raw, smooth := reg.Gauge("raw", ""), reg.Gauge("smooth", "")
+	s := New(Config{Source: reg})
+	var ewma metrics.EWMA
+	epoch := time.Unix(0, 0)
 	for i := 0; i < 100; i++ {
 		v := 1.0 + 0.5*float64(i%5)
-		if i == 0 {
-			ewma = v
-		} else {
-			ewma = alpha*v + (1-alpha)*ewma
+		ewma.Add(v)
+		raw.Set(v)
+		smooth.Set(ewma.Value())
+		s.Sample(epoch.Add(time.Duration(i) * time.Second))
+	}
+	series := func(name string) []float64 {
+		pts := s.SeriesPoints(name, "")
+		if len(pts) < tail {
+			t.Fatalf("%s: %d points retained, want at least %d", name, len(pts), tail)
 		}
-		if i >= 50 { // measure after the EWMA transient settles
-			raw = append(raw, v)
-			smooth = append(smooth, ewma)
+		var vals []float64
+		for _, p := range pts[len(pts)-tail:] {
+			vals = append(vals, p.Value)
 		}
+		return vals
 	}
-	lag, corr := DominantPeriod(raw, 20)
-	if lag != 5 {
-		t.Fatalf("DominantPeriod lag = %d (corr %.2f), want 5", lag, corr)
-	}
-	if corr < 0.9 {
-		t.Fatalf("autocorrelation at the beat = %.2f, want ~1 for a pure periodic signal", corr)
-	}
-	rr, sr := metrics.BeatRatio(raw), metrics.BeatRatio(smooth)
+	rr, sr := metrics.BeatRatio(series("raw")), metrics.BeatRatio(series("smooth"))
 	if rr < 1.0 {
 		t.Fatalf("raw beat ratio %.3f implausibly small", rr)
 	}
 	if sr <= 0 || rr/sr < 5 {
 		t.Fatalf("EWMA reduced the beat ratio %.3f -> %.3f (%.1fx), want >= 5x", rr, sr, rr/sr)
-	}
-	if l, _ := DominantPeriod(make([]float64, 50), 10); l != 0 {
-		t.Fatalf("flat series reported period %d", l)
 	}
 }
 

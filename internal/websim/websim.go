@@ -40,19 +40,25 @@ type SiteConfig struct {
 	Share int64
 }
 
+// The request model's fixed parameters.
+const (
+	// cpuJitter is how far a request's CPU varies, uniformly, either
+	// side of RequestCPU (as a fraction of it).
+	cpuJitter = 0.3
+	// dbWait is the mid-request block simulating the MySQL round trip.
+	dbWait = 20 * time.Millisecond
+	// thinkTime is the mean client think time between response and
+	// next request.
+	thinkTime = time.Second
+)
+
 // Config parameterizes a shared-web-server run.
 type Config struct {
 	Sites []SiteConfig
 	// RequestCPU is the mean CPU time to serve one request, split into
 	// two bursts around the database wait. Actual requests vary
-	// ±CPUJitter uniformly.
+	// ±cpuJitter uniformly.
 	RequestCPU time.Duration
-	CPUJitter  float64
-	// DBWait is the mid-request block simulating the MySQL round trip.
-	DBWait time.Duration
-	// Think is the mean client think time between response and next
-	// request.
-	Think time.Duration
 	// UseALPS enables an ALPS instance scheduling the sites as
 	// resource principals with the configured shares.
 	UseALPS bool
@@ -67,9 +73,6 @@ type Config struct {
 	Measure time.Duration
 	// Seed drives request-size and think-time variation.
 	Seed int64
-	// OnCycle, if non-nil, receives ALPS's per-cycle records (only
-	// meaningful with UseALPS).
-	OnCycle func(core.CycleRecord)
 }
 
 // DefaultConfig returns the paper's §5 setup: three sites with shares
@@ -84,9 +87,6 @@ func DefaultConfig() Config {
 			{Name: "site3", Servers: 50, Clients: 325, Share: 3},
 		},
 		RequestCPU:   10 * time.Millisecond,
-		CPUJitter:    0.3,
-		DBWait:       20 * time.Millisecond,
-		Think:        time.Second,
 		Quantum:      100 * time.Millisecond,
 		RefreshEvery: time.Second,
 		Warmup:       90 * time.Second,
@@ -201,7 +201,6 @@ func Run(cfg Config) (*Result, error) {
 		alps, err = sim.StartALPS(w.k, sim.AlpsConfig{
 			Quantum:      cfg.Quantum,
 			Cost:         sim.PaperCosts(),
-			OnCycle:      cfg.OnCycle,
 			RefreshEvery: cfg.RefreshEvery,
 			Refresh: func(k *sim.Kernel) map[core.TaskID][]sim.PID {
 				// The pool is static here, but the refresh still
@@ -299,17 +298,14 @@ func (w *world) complete(st *site, arrived time.Duration) {
 		st.done++
 		st.latencies = append(st.latencies, w.k.Now()-arrived)
 	}
-	think := w.cfg.Think
-	if think > 0 {
-		think = time.Duration(w.rng.Int63n(int64(2 * think)))
-	}
+	think := time.Duration(w.rng.Int63n(int64(2 * thinkTime)))
 	w.k.At(w.k.Now()+think, func() { w.arrive(st) })
 }
 
 // burst returns one jittered CPU burst (half a request's CPU).
 func (w *world) burst() time.Duration {
 	half := float64(w.cfg.RequestCPU) / 2
-	j := 1 + w.cfg.CPUJitter*(2*w.rng.Float64()-1)
+	j := 1 + cpuJitter*(2*w.rng.Float64()-1)
 	return time.Duration(half * j)
 }
 
@@ -322,7 +318,7 @@ func (s *server) Next(k *sim.Kernel, pid sim.PID) sim.Action {
 		}
 		// First CPU burst, then the database wait.
 		s.stage = 1
-		return sim.Action{Run: s.ws.burst(), Sleep: s.ws.cfg.DBWait}
+		return sim.Action{Run: s.ws.burst(), Sleep: dbWait}
 	case 1:
 		// Second CPU burst; completion bookkeeping runs at its end.
 		s.stage = 2
