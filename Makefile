@@ -31,7 +31,9 @@ race:
 short:
 	$(GO) test -short ./...
 
-# Benchmarks, each writing a JSON report next to the repo root:
+# Benchmarks, each writing a JSON report into $(REPORTS), which git
+# ignores, so a run leaves the tree clean (CI uploads the reports from
+# there; BENCH_obs.json at the root is the committed record):
 #   obs   — observer off vs on (no-op, metrics, flight recorder),
 #           ns/quantum on the bare core and the runner loop, and the
 #           cost of one history sample; fails if that sample costs
@@ -45,9 +47,12 @@ short:
 #           principal flip, and (full runs) if the auditor gauges
 #           show <5x at N=1000 (BENCH_scale.json)
 # QUICK=1 trims iterations for CI.
+REPORTS := .bench_build/reports
+
 bench:
-	$(GO) run ./cmd/alps-bench $(if $(QUICK),-quick) obs
-	$(GO) run ./cmd/alps-bench $(if $(QUICK),-quick) scale
+	mkdir -p $(REPORTS)
+	$(GO) run ./cmd/alps-bench $(if $(QUICK),-quick) -out $(REPORTS) obs
+	$(GO) run ./cmd/alps-bench $(if $(QUICK),-quick) -out $(REPORTS) scale
 
 # The real-process benchmark (bench/, run by bench/run.sh) is a separate
 # module, so the root `go test ./...` never compiles it although it drives

@@ -23,7 +23,7 @@ import (
 
 var (
 	quick = flag.Bool("quick", false, "reduced cycles/trials for a fast run")
-	out   = flag.String("out", "", "directory to write plot-ready .tsv data files into")
+	out   = flag.String("out", "", "directory to write plot-ready .tsv data files and the obs and scale JSON reports into (reports default to the current directory)")
 )
 
 type experiment struct {

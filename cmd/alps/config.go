@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"alps"
@@ -17,8 +15,9 @@ import (
 )
 
 // Live reconfiguration: the same JSON document drives the -config file
-// (applied at startup and on SIGHUP) and the /admin/config endpoint
-// (GET returns the current configuration, POST applies a new one).
+// (applied at startup and on SIGHUP), the /admin/config endpoint (GET
+// returns the current configuration, POST applies a new one) and a
+// fleet shard's coordinator assignments.
 // Translation to a Reconfig batch is diff-based — unchanged entries are
 // skipped — so re-applying a document is idempotent, and the Runner's
 // validate-then-apply semantics make every application all-or-nothing.
@@ -160,23 +159,17 @@ func (d configDoc) auditReconfig(aud *trace.Auditor) (apply func(), err error) {
 	return func() { aud.Reconfigure(d.AuditWindow, d.AuditDrift) }, nil
 }
 
-// applyConfigFile reads, diffs and applies path against r's current
-// state and aud's thresholds. An invalid document or rejected batch
-// changes nothing.
-func applyConfigFile(r *alps.Runner, aud *trace.Auditor, path string) error {
-	raw, err := os.ReadFile(path)
+// apply is the one path every live change takes: the -config file, a
+// POST to /admin/config and a coordinator assignment. It validates both
+// halves of the document — the runner batch diffed against r's current
+// state and the auditor thresholds — before applying either, so a
+// rejected document changes nothing.
+func (d configDoc) apply(r *alps.Runner, aud *trace.Auditor) error {
+	rc, err := d.toReconfig(r.State())
 	if err != nil {
 		return err
 	}
-	doc, err := parseConfigDoc(bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	rc, err := doc.toReconfig(r.State())
-	if err != nil {
-		return err
-	}
-	applyAudit, err := doc.auditReconfig(aud)
+	applyAudit, err := d.auditReconfig(aud)
 	if err != nil {
 		return err
 	}
@@ -189,31 +182,17 @@ func applyConfigFile(r *alps.Runner, aud *trace.Auditor, path string) error {
 	return nil
 }
 
-// reloadOnSIGHUP re-applies the -config file whenever SIGHUP arrives.
-// A rejected reload is logged and the previous configuration stays in
-// force. Returns a stop func.
-func reloadOnSIGHUP(r *alps.Runner, aud *trace.Auditor, path string) func() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGHUP)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-ch:
-				if err := applyConfigFile(r, aud, path); err != nil {
-					errlog.Error("config reload rejected", "path", path, "err", err)
-				} else {
-					errlog.Info("config reloaded", "path", path)
-				}
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		signal.Stop(ch)
-		close(done)
+// applyConfigFile reads the -config document at path and applies it.
+func applyConfigFile(r *alps.Runner, aud *trace.Auditor, path string) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
 	}
+	doc, err := parseConfigDoc(bytes.NewReader(raw))
+	if err != nil {
+		return err
+	}
+	return doc.apply(r, aud)
 }
 
 // adminConfigHandler serves /admin/config: GET returns the current
@@ -240,23 +219,10 @@ func adminConfigHandler(r *alps.Runner, aud *trace.Auditor) http.Handler {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			rc, err := doc.toReconfig(r.State())
-			if err != nil {
+			if err := doc.apply(r, aud); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			applyAudit, err := doc.auditReconfig(aud)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			if !emptyReconfig(rc) {
-				if err := r.Reconfigure(rc); err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-			}
-			applyAudit()
 			writeConfigDoc(w, r.State(), aud)
 		default:
 			w.Header().Set("Allow", "GET, POST")

@@ -4,17 +4,19 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
+	"maps"
 	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
 	"alps"
 	"alps/internal/coord"
+	"alps/internal/core"
 	"alps/internal/obs"
 	"alps/internal/osproc"
 	"alps/internal/tshist"
@@ -27,12 +29,39 @@ import (
 // loss degrades shards to their last-committed static shares instead of
 // stopping them.
 
+// fleetFeed is the shard's consumption feed for the coordinator link:
+// cumulative CPU per principal and the count of completed cycles. It
+// exists only with -coord. The control loop adds every cycle through
+// add, chained into OnCycle; the link's heartbeats read it from their own
+// goroutine.
+type fleetFeed struct {
+	mu       sync.Mutex
+	consumed map[int64]float64
+	cycles   int64
+}
+
+func (f *fleetFeed) add(rec core.CycleRecord) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, t := range rec.Tasks {
+		f.consumed[int64(t.ID)] += t.Consumed.Seconds()
+	}
+	f.cycles++
+}
+
+// snapshot copies the feed for one heartbeat.
+func (f *fleetFeed) snapshot() (map[int64]float64, int64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return maps.Clone(f.consumed), f.cycles
+}
+
 // startCoordLink attaches this shard to a coordinator: registers under
-// a lease, heartbeats the observability stack's consumption gauges, and
-// applies pulled assignments through the same diff-based reconfiguration
-// path as /admin/config. Returns the agent (for /healthz) and a stop
-// func.
-func startCoordLink(r *alps.Runner, st *obsStack, url, shard string, capacity float64) (*coord.Agent, func(), error) {
+// a lease, heartbeats feed's consumption with the auditor's live RMS
+// share error, and applies pulled assignments through configDoc.apply,
+// the path /admin/config takes. Returns the agent (for /healthz) and a
+// stop func.
+func startCoordLink(r *alps.Runner, st *obsStack, feed *fleetFeed, url, shard string, capacity float64) (*coord.Agent, func(), error) {
 	if shard == "" {
 		host, err := os.Hostname()
 		if err != nil || host == "" {
@@ -52,23 +81,23 @@ func startCoordLink(r *alps.Runner, st *obsStack, url, shard string, capacity fl
 			return out
 		},
 		Gauges: func() coord.ShardGauges {
-			g := st.fleetGauges()
-			g.Degraded = r.Health().Degraded()
-			return g
+			consumed, cycles := feed.snapshot()
+			return coord.ShardGauges{
+				Consumed:      consumed,
+				RMSShareError: st.aud.RMSShareError(),
+				Degraded:      r.Health().Degraded(),
+				Cycles:        cycles,
+				TraceDumps:    st.rec.Dumps(),
+			}
 		},
+		// An assignment carries no audit fields, so apply's auditor half
+		// is a no-op here.
 		Apply: func(a coord.Assignment) error {
 			doc := configDoc{Quantum: a.Quantum}
 			for _, ts := range a.Tasks {
 				doc.Tasks = append(doc.Tasks, configTask{ID: ts.ID, Share: ts.Share})
 			}
-			rc, err := doc.toReconfig(r.State())
-			if err != nil {
-				return err
-			}
-			if emptyReconfig(rc) {
-				return nil
-			}
-			return r.Reconfigure(rc)
+			return doc.apply(r, st.aud)
 		},
 		Metrics: st.reg,
 		Logf: func(format string, args ...any) {
@@ -178,22 +207,17 @@ func cmdCoord(args []string) error {
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", *opts.httpAddr)
+	addr, shutdown, err := listen(*opts.httpAddr, mux)
 	if err != nil {
 		return fmt.Errorf("coordinator listener on %s: %w", *opts.httpAddr, err)
 	}
-	hs := hardenedServer(mux)
-	go func() { _ = hs.Serve(ln) }()
-	errlog.Info("coordinator listening", "addr", ln.Addr().String(),
+	defer shutdown()
+	errlog.Info("coordinator listening", "addr", addr.String(),
 		"ttl", *opts.ttl, "rebalance", *opts.rebalance, "weights", len(weights))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	srv.Run(ctx)
-
-	sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	_ = hs.Shutdown(sctx)
 	return nil
 }
 

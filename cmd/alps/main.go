@@ -138,7 +138,9 @@ a fired flight recorder points at that shard's -trace-dir and
 families, and /fleet/timeline their retained history.
 
 SIGUSR1 dumps the cycle journal to stderr. SIGUSR2 dumps a flight-recorder
-trace. SIGHUP reloads -config.
+trace. SIGHUP reloads -config; without -config it stops alps as SIGTERM
+does, and so does a closed stdout or stderr (alps -log | head): the
+workload is resumed either way.
 `)
 }
 
@@ -250,19 +252,6 @@ func (o commonOpts) obsOptions() obsOptions {
 	}
 }
 
-// runOptions collects the checkpoint, reconfiguration and trace-dump
-// paths and the fleet settings for runUntilSignal.
-func (o commonOpts) runOptions() runOpts {
-	return runOpts{
-		statePath: *o.state,
-		confPath:  *o.conf,
-		traceDir:  *o.traceDir,
-		coordURL:  *o.coordURL,
-		shard:     *o.shard,
-		capacity:  *o.capacity,
-	}
-}
-
 // config builds the RunnerConfig these flags describe.
 func (o commonOpts) config() alps.RunnerConfig {
 	maxq := *o.maxq
@@ -282,19 +271,24 @@ func (o commonOpts) config() alps.RunnerConfig {
 	}
 }
 
-// runOpts carries the crash-safety, live-reconfiguration and trace-dump
-// paths into runUntilSignal.
-type runOpts struct {
-	statePath string  // -state: per-cycle checkpoint file; empty disables
-	confPath  string  // -config: SIGHUP reload source; empty disables
-	traceDir  string  // -trace-dir: flight-recorder dump directory; empty discards dumps
-	coordURL  string  // -coord: coordinator URL; empty runs standalone
-	shard     string  // -shard: fleet-unique name; defaulted from hostname-pid
-	capacity  float64 // -capacity: relative capacity weight in lease registration; 0 means 1.0
+// thenOnCycle appends f to cfg's OnCycle chain.
+func thenOnCycle(cfg *alps.RunnerConfig, f func(core.CycleRecord)) {
+	inner := cfg.OnCycle
+	cfg.OnCycle = func(rec core.CycleRecord) {
+		if inner != nil {
+			inner(rec)
+		}
+		f(rec)
+	}
 }
 
-func runUntilSignal(cfg alps.RunnerConfig, tasks []alps.RunnerTask, st *obsStack, ro runOpts) (err error) {
-	if terr := st.setTraceDir(ro.traceDir); terr != nil {
+// runUntilSignal runs tasks under cfg with the observability,
+// checkpoint, reconfiguration and fleet settings of opts until a signal
+// or a closed output stops it.
+func runUntilSignal(cfg alps.RunnerConfig, tasks []alps.RunnerTask, opts commonOpts) (err error) {
+	st := newObsStack(opts.obsOptions())
+	st.wire(&cfg, cycleLogger(*opts.logCycles))
+	if terr := st.setTraceDir(*opts.traceDir); terr != nil {
 		return terr
 	}
 	defer st.close()
@@ -306,44 +300,58 @@ func runUntilSignal(cfg alps.RunnerConfig, tasks []alps.RunnerTask, st *obsStack
 		if perr != nil || after <= 0 {
 			return fmt.Errorf("bad ALPS_PANIC_AFTER_CYCLES %q", n)
 		}
-		inner := cfg.OnCycle
 		cycles := 0
-		cfg.OnCycle = func(rec core.CycleRecord) {
-			if inner != nil {
-				inner(rec)
-			}
+		thenOnCycle(&cfg, func(core.CycleRecord) {
 			if cycles++; cycles >= after {
 				panic(fmt.Sprintf("injected panic after %d cycles", cycles))
 			}
-		}
+		})
 	}
-	if ro.statePath != "" {
-		w := newCheckpointWriter(ro.statePath, st)
+	var feed *fleetFeed
+	if *opts.coordURL != "" {
+		feed = &fleetFeed{consumed: make(map[int64]float64)}
+		thenOnCycle(&cfg, feed.add)
+	}
+	if *opts.state != "" {
+		w := newCheckpointWriter(*opts.state, st)
 		cfg.Checkpoint = func(s alps.RunnerState) { w.Offer(s) }
 		// Close flushes the newest state, so an orderly shutdown leaves
 		// the final cycle durable for the next restart-in-place.
 		defer w.Close()
 	}
-	r, err := buildRunner(cfg, tasks, ro.statePath)
+	// Catch signals before the runner adopts, and so stops, any process:
+	// one that arrives meanwhile waits in sigs for the side loop instead
+	// of exiting with the workload stopped. They stay caught until return,
+	// so the health line written on the way out cannot kill the process
+	// before spawn mode reaps its children. One slot per signal, so a
+	// burst of different signals drops none of them.
+	caught := []os.Signal{os.Interrupt, syscall.SIGTERM, syscall.SIGHUP, syscall.SIGPIPE,
+		syscall.SIGUSR1, syscall.SIGUSR2}
+	sigs := make(chan os.Signal, len(caught))
+	signal.Notify(sigs, caught...)
+	defer signal.Stop(sigs)
+	r, err := buildRunner(cfg, tasks, *opts.state)
 	if err != nil {
 		return err
 	}
-	if ro.confPath != "" {
-		defer reloadOnSIGHUP(r, st.aud, ro.confPath)()
+	confPath := *opts.conf
+	ctx, stopSide := st.startSideLoop(sigs, r, confPath)
+	defer stopSide()
+	if confPath != "" {
 		// Initial apply: a missing file is fine (it may be written later
 		// and SIGHUPped in), but an invalid one fails the start — with
 		// the workload resumed by Release on the way out.
-		if _, serr := os.Stat(ro.confPath); serr == nil {
-			if cerr := applyConfigFile(r, st.aud, ro.confPath); cerr != nil {
+		if _, serr := os.Stat(confPath); serr == nil {
+			if cerr := applyConfigFile(r, st.aud, confPath); cerr != nil {
 				r.Release()
-				return fmt.Errorf("initial -config %s: %w", ro.confPath, cerr)
+				return fmt.Errorf("initial -config %s: %w", confPath, cerr)
 			}
-			errlog.Info("config applied", "path", ro.confPath)
+			errlog.Info("config applied", "path", confPath)
 		}
 	}
 	var link *coord.Agent
-	if ro.coordURL != "" {
-		agent, stopLink, lerr := startCoordLink(r, st, ro.coordURL, ro.shard, ro.capacity)
+	if feed != nil {
+		agent, stopLink, lerr := startCoordLink(r, st, feed, *opts.coordURL, *opts.shard, *opts.capacity)
 		if lerr != nil {
 			r.Release()
 			return lerr
@@ -352,7 +360,6 @@ func runUntilSignal(cfg alps.RunnerConfig, tasks []alps.RunnerTask, st *obsStack
 		defer stopLink()
 	}
 	st.lateness = func() time.Duration { return r.Health().LastLateness }
-	st.admin = adminConfigHandler(r, st.aud)
 	shutdown, serr := st.serve(func() any {
 		h := r.Health()
 		resp := struct {
@@ -366,13 +373,12 @@ func runUntilSignal(cfg alps.RunnerConfig, tasks []alps.RunnerTask, st *obsStack
 			resp.Coord = &ls
 		}
 		return resp
-	})
+	}, adminConfigHandler(r, st.aud))
 	if serr != nil {
 		r.Release()
 		return serr
 	}
 	defer shutdown()
-	defer st.dumpOnSIGUSR1()()
 	defer func() {
 		// The Runner resumes the workload on every exit from Run,
 		// including panics unwinding out of its own loop; this converts
@@ -383,15 +389,70 @@ func runUntilSignal(cfg alps.RunnerConfig, tasks []alps.RunnerTask, st *obsStack
 			r.Release()
 			err = fmt.Errorf("panic: %v", p)
 		}
-		fmt.Fprintln(os.Stderr, "alps: health:", r.Health())
+		fmt.Fprintln(stderr, "alps: health:", r.Health())
 	}()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	err = r.Run(ctx)
 	if err == context.Canceled {
 		return nil
 	}
 	return err
+}
+
+// startSideLoop starts the one goroutine that does a run's work off the
+// control loop, and returns the run's context with a stop func that
+// returns once the goroutine has exited. SIGINT and SIGTERM cancel the
+// context. So do SIGHUP when there is no -config to reload, and a closed
+// stdout or stderr (outputLost): Go's runtime would exit on an uncaught
+// SIGHUP, or on SIGPIPE from fd 1 or 2, without running Release. With
+// -config, SIGHUP re-applies the file. SIGUSR1 writes the journal to
+// stderr, SIGUSR2 triggers the flight recorder, and every
+// healthLogEvery the health line is logged, also while no cycle
+// completes.
+func (st *obsStack) startSideLoop(sigs <-chan os.Signal, r *alps.Runner, confPath string) (context.Context, func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	health := time.NewTicker(healthLogEvery)
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		lost := outputLost
+		for {
+			select {
+			case sig := <-sigs:
+				switch {
+				case sig == syscall.SIGUSR1:
+					_ = st.journal.WriteText(stderr)
+				case sig == syscall.SIGUSR2:
+					if !st.rec.Trigger("manual") {
+						errlog.Info("manual trace dump suppressed (cooldown, or nothing recorded yet)")
+					}
+				case sig == syscall.SIGPIPE:
+					// Any write to a closed pipe or socket raises it, an
+					// HTTP client's hang-up included; lost decides.
+				case sig == syscall.SIGHUP && confPath != "":
+					if err := applyConfigFile(r, st.aud, confPath); err != nil {
+						errlog.Error("config reload rejected", "path", confPath, "err", err)
+					} else {
+						errlog.Info("config reloaded", "path", confPath)
+					}
+				default:
+					cancel()
+				}
+			case <-lost:
+				lost = nil // closed for good; stop selecting it
+				cancel()
+			case <-health.C:
+				st.logHealthLine()
+			case <-done:
+				return
+			}
+		}
+	}()
+	return ctx, func() {
+		health.Stop()
+		close(done)
+		<-exited
+		cancel()
+	}
 }
 
 // cycleLogger returns the -log consumption logger: one structured line
@@ -401,7 +462,7 @@ func cycleLogger(enabled bool) func(core.CycleRecord) {
 	if !enabled {
 		return nil
 	}
-	logger := slog.New(slog.NewTextHandler(os.Stdout, nil))
+	logger := slog.New(slog.NewTextHandler(stdout, nil))
 	return func(rec core.CycleRecord) {
 		var total time.Duration
 		for _, t := range rec.Tasks {
@@ -472,10 +533,7 @@ func cmdAttach(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := opts.config()
-	st := newObsStack(opts.obsOptions())
-	st.wire(&cfg, cycleLogger(*opts.logCycles))
-	return runUntilSignal(cfg, tasks, st, opts.runOptions())
+	return runUntilSignal(opts.config(), tasks, opts)
 }
 
 func cmdSpawn(args []string) error {
@@ -543,8 +601,6 @@ func cmdSpawn(args []string) error {
 		}
 	}()
 	cfg := opts.config()
-	st := newObsStack(opts.obsOptions())
-	st.wire(&cfg, cycleLogger(*opts.logCycles))
 	if *children {
 		// Each spawned command is a resource principal covering its
 		// whole process tree (e.g. a prefork server and its workers),
@@ -566,7 +622,7 @@ func cmdSpawn(args []string) error {
 			return m
 		}
 	}
-	return runUntilSignal(cfg, tasks, st, opts.runOptions())
+	return runUntilSignal(cfg, tasks, opts)
 }
 
 func cmdUser(args []string) error {
@@ -642,7 +698,5 @@ func cmdUser(args []string) error {
 	cfg := opts.config()
 	cfg.RefreshEvery = *refresh
 	cfg.Refresh = membership
-	st := newObsStack(opts.obsOptions())
-	st.wire(&cfg, cycleLogger(*opts.logCycles))
-	return runUntilSignal(cfg, tasks, st, opts.runOptions())
+	return runUntilSignal(cfg, tasks, opts)
 }

@@ -14,6 +14,7 @@ import (
 
 	"alps"
 	"alps/internal/coord"
+	"alps/internal/core"
 	"alps/internal/osproc"
 	"alps/internal/trace"
 	"alps/internal/tshist"
@@ -367,6 +368,44 @@ func TestTraceDirDroppedDumps(t *testing.T) {
 	close(release)
 	st.close()
 	close(writing)
+}
+
+// TestHealthLineOffTheLoop: the side loop logs the health line while the
+// control loop records cycles, so the line reads its cycle from the
+// journal (-1 before the first completes), and under -race it must read
+// only state that is safe across goroutines.
+func TestHealthLineOffTheLoop(t *testing.T) {
+	var buf bytes.Buffer
+	saved := errlog
+	errlog = slog.New(slog.NewTextHandler(&buf, nil))
+	t.Cleanup(func() { errlog = saved })
+
+	st := newObsStack(obsOptions{})
+	cfg := alps.RunnerConfig{Quantum: 20 * time.Millisecond}
+	st.wire(&cfg, nil)
+	st.logHealthLine()
+	if !strings.Contains(buf.String(), " cycle=-1 ") {
+		t.Fatalf("health line before the first cycle:\n%s", buf.String())
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 100; i++ {
+			cfg.OnCycle(core.CycleRecord{Index: i, Tasks: []core.CycleTask{
+				{ID: 0, Share: 1, Consumed: time.Millisecond},
+				{ID: 1, Share: 3, Consumed: 3 * time.Millisecond},
+			}})
+		}
+	}()
+	for i := 0; i < 10; i++ {
+		st.logHealthLine()
+	}
+	<-done
+	buf.Reset()
+	st.logHealthLine()
+	if !strings.Contains(buf.String(), " cycle=99 ") {
+		t.Errorf("health line after 100 cycles:\n%s", buf.String())
+	}
 }
 
 // The flag values must actually reach the stack: obsOptions carries them

@@ -2,18 +2,17 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"sync"
 	"syscall"
 	"time"
 
 	"alps"
-	"alps/internal/coord"
 	"alps/internal/core"
 	"alps/internal/metrics"
 	"alps/internal/obs"
@@ -21,10 +20,31 @@ import (
 	"alps/internal/tshist"
 )
 
+// stdio is stdout or stderr as a run writes them. A write that finds
+// the reader gone (EPIPE: the -log pipe or the stderr pipe closed)
+// closes outputLost, and the side loop stops the run. The SIGPIPE that
+// write raises cannot say so itself: a client hanging up on an HTTP or
+// coordinator socket raises the same signal.
+type stdio struct{ f *os.File }
+
+func (w stdio) Write(p []byte) (int, error) {
+	n, err := w.f.Write(p)
+	if errors.Is(err, syscall.EPIPE) {
+		loseOutput()
+	}
+	return n, err
+}
+
+var (
+	stdout, stderr = stdio{os.Stdout}, stdio{os.Stderr}
+	outputLost     = make(chan struct{})
+	loseOutput     = sync.OnceFunc(func() { close(outputLost) })
+)
+
 // errlog is the structured logger for operational messages (stderr).
 // Cycle lines from -log go to stdout via cycleLogger instead, keeping
 // machine-readable telemetry separable from the consumption stream.
-var errlog = slog.New(slog.NewTextHandler(os.Stderr, nil))
+var errlog = slog.New(slog.NewTextHandler(stderr, nil))
 
 // latenessSpikeQuanta is the flight-recorder lateness trigger: a cycle
 // recorded this many quanta late means the control loop materially lost
@@ -49,17 +69,7 @@ type obsStack struct {
 	addr    string
 	quantum time.Duration // set by wire; scales the lateness trigger
 
-	lastHealthLog time.Time // control-loop goroutine only
-
 	lateness func() time.Duration // reads the runner's health; set by runUntilSignal
-	admin    http.Handler         // /admin/config; set by runUntilSignal
-
-	// Fleet feedback for -coord: cumulative consumption per principal
-	// and completed cycles, read by the coordinator link's heartbeats
-	// from its own goroutine while the control loop appends.
-	fleetMu       sync.Mutex
-	fleetConsumed map[int64]float64
-	fleetCycles   int64
 }
 
 // obsOptions parameterizes an obsStack: the -http listen address, the
@@ -76,10 +86,9 @@ type obsOptions struct {
 
 func newObsStack(opt obsOptions) *obsStack {
 	st := &obsStack{
-		reg:           obs.NewRegistry(),
-		journal:       obs.NewJournal(obs.DefaultJournalSize),
-		addr:          opt.addr,
-		fleetConsumed: make(map[int64]float64),
+		reg:     obs.NewRegistry(),
+		journal: obs.NewJournal(obs.DefaultJournalSize),
+		addr:    opt.addr,
 	}
 	st.rec = trace.NewRecorder(trace.RecorderConfig{
 		OnDump: func(d trace.Dump) {
@@ -182,12 +191,6 @@ func (st *obsStack) recordCycle(rec core.CycleRecord) {
 		shares = append(shares, float64(t.Share))
 	}
 	st.journal.Append(e)
-	st.fleetMu.Lock()
-	for _, t := range rec.Tasks {
-		st.fleetConsumed[int64(t.ID)] += t.Consumed.Seconds()
-	}
-	st.fleetCycles++
-	st.fleetMu.Unlock()
 	// An all-idle cycle has no defined share error; skip it rather than
 	// pollute the histograms.
 	if errs, err := metrics.ShareErrors(consumed, shares); err == nil {
@@ -198,14 +201,10 @@ func (st *obsStack) recordCycle(rec core.CycleRecord) {
 			).Observe(errs[i])
 		}
 	}
-	if st.quantum > 0 && e.Lateness > latenessSpikeQuanta*st.quantum {
+	if e.Lateness > latenessSpikeQuanta*st.quantum {
 		if st.rec.Trigger("lateness_spike") {
 			errlog.Warn("cycle lateness spike", "lateness", e.Lateness, "quantum", st.quantum)
 		}
-	}
-	if now := time.Now(); now.Sub(st.lastHealthLog) >= healthLogEvery {
-		st.lastHealthLog = now
-		st.logHealthLine(rec.Index)
 	}
 }
 
@@ -233,9 +232,15 @@ func (st *obsStack) quantiles() latencyQuantiles {
 	}
 }
 
-// logHealthLine emits the periodic one-line health summary: latency
-// quantiles plus the auditor's live accuracy numbers.
-func (st *obsStack) logHealthLine(cycle int) {
+// logHealthLine emits the periodic one-line health summary: the newest
+// journalled cycle (-1 before the first completes), latency quantiles
+// and the auditor's live accuracy numbers. It runs off the control loop,
+// so it reads the cycle from the journal, never from the core.
+func (st *obsStack) logHealthLine() {
+	cycle := -1
+	if entries := st.journal.Snapshot(); len(entries) > 0 {
+		cycle = entries[len(entries)-1].Cycle
+	}
 	q := st.quantiles()
 	errlog.Info("health",
 		"cycle", cycle,
@@ -247,25 +252,6 @@ func (st *obsStack) logHealthLine(cycle int) {
 		"sampling_reduction", fmt.Sprintf("%.2f", st.aud.SamplingReductionRatio()),
 		"convergence_cycles", st.aud.ConvergenceCycles(),
 	)
-}
-
-// fleetGauges snapshots the heartbeat feedback for the -coord link:
-// cumulative per-principal consumption, the auditor's live RMS share
-// error, and the cycle count as a liveness signal.
-func (st *obsStack) fleetGauges() coord.ShardGauges {
-	st.fleetMu.Lock()
-	consumed := make(map[int64]float64, len(st.fleetConsumed))
-	for id, c := range st.fleetConsumed {
-		consumed[id] = c
-	}
-	cycles := st.fleetCycles
-	st.fleetMu.Unlock()
-	return coord.ShardGauges{
-		Consumed:      consumed,
-		RMSShareError: st.aud.RMSShareError(),
-		Cycles:        cycles,
-		TraceDumps:    st.rec.Dumps(),
-	}
 }
 
 // hardenedServer wraps a handler in an http.Server with the read/write
@@ -282,68 +268,51 @@ func hardenedServer(h http.Handler) *http.Server {
 	}
 }
 
-// serve starts the observability HTTP server (/metrics, /healthz,
-// /debug/journal, /debug/pprof/) when -http was given. The bound address
-// is logged to stderr, so ":0" works for tests. Returns a shutdown func.
-func (st *obsStack) serve(health func() any) (shutdown func(), err error) {
-	if st.addr == "" {
-		return func() {}, nil
-	}
-	ln, err := net.Listen("tcp", st.addr)
+// listen serves h on addr through hardenedServer, for the shard's
+// observability listener and "alps coord" alike. It returns the bound
+// address, so ":0" works for tests, and a shutdown func that gives
+// in-flight requests one second.
+func listen(addr string, h http.Handler) (net.Addr, func(), error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("observability listener on %s: %w", st.addr, err)
+		return nil, nil, err
 	}
-	mux := obs.NewMux(st.reg, health, st.journal)
-	mux.Handle("/debug/trace", st.rec)
-	if st.hist != nil {
-		mux.Handle("/debug/timeline", st.hist.Handler())
-	}
-	if st.admin != nil {
-		mux.Handle("/admin/config", st.admin)
-	}
-	srv := hardenedServer(mux)
+	srv := hardenedServer(h)
 	go func() { _ = srv.Serve(ln) }()
-	// The history sampler only runs while the endpoint that serves it is
-	// up: without -http the timeline would be retained but unreadable.
-	histStop := make(chan struct{})
-	if st.hist != nil {
-		go st.hist.Run(histStop)
-	}
-	errlog.Info("observability listening", "addr", ln.Addr().String())
-	return func() {
-		close(histStop)
+	return ln.Addr(), func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	}, nil
 }
 
-// dumpOnSIGUSR1 dumps the journal to stderr whenever SIGUSR1 arrives,
-// and fires a manual flight-recorder dump whenever SIGUSR2 arrives.
-// Returns a stop func.
-func (st *obsStack) dumpOnSIGUSR1() func() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGUSR1)
-	ch2 := make(chan os.Signal, 1)
-	signal.Notify(ch2, syscall.SIGUSR2)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-ch:
-				_ = st.journal.WriteText(os.Stderr)
-			case <-ch2:
-				if !st.rec.Trigger("manual") {
-					errlog.Info("manual trace dump suppressed (cooldown, or nothing recorded yet)")
-				}
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		signal.Stop(ch)
-		signal.Stop(ch2)
-		close(done)
+// serve starts the observability HTTP server (/metrics, /healthz,
+// /debug/journal, /debug/trace, /debug/timeline, /debug/pprof/ and admin
+// at /admin/config) when -http was given. The bound address is logged to
+// stderr. Returns a shutdown func.
+func (st *obsStack) serve(health func() any, admin http.Handler) (shutdown func(), err error) {
+	if st.addr == "" {
+		return func() {}, nil
 	}
+	mux := obs.NewMux(st.reg, health, st.journal)
+	mux.Handle("/debug/trace", st.rec)
+	if st.hist != nil {
+		mux.Handle("/debug/timeline", st.hist.Handler())
+	}
+	mux.Handle("/admin/config", admin)
+	addr, stopHTTP, err := listen(st.addr, mux)
+	if err != nil {
+		return nil, fmt.Errorf("observability listener on %s: %w", st.addr, err)
+	}
+	// The history sampler only runs while the endpoint that serves it is
+	// up: without -http the timeline would be retained but unreadable.
+	histStop := make(chan struct{})
+	if st.hist != nil {
+		go st.hist.Run(histStop)
+	}
+	errlog.Info("observability listening", "addr", addr.String())
+	return func() {
+		close(histStop)
+		stopHTTP()
+	}, nil
 }

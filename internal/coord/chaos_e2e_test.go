@@ -193,7 +193,7 @@ func newFleet(t *testing.T) *fleet {
 func (f *fleet) startCoordinator() {
 	reg := obs.NewRegistry()
 	// One timeline point per rebalance round.
-	f.hist = tshist.New(tshist.Config{Source: reg, Every: chaosRebalance, Now: f.clk.Now})
+	f.hist = tshist.New(tshist.Config{Source: reg, Every: chaosRebalance})
 	f.srvCfg.Metrics = reg
 	f.srvCfg.History = f.hist
 	f.srvCfg.Logf = f.coordLog

@@ -62,7 +62,7 @@ func TestFleetAnomaliesOnStatusAndTimeline(t *testing.T) {
 	const period = 500 * time.Millisecond
 	clk := coordsim.NewClock()
 	reg := obs.NewRegistry()
-	hist := tshist.New(tshist.Config{Source: reg, Every: period / 5, Now: clk.Now})
+	hist := tshist.New(tshist.Config{Source: reg, Every: period / 5})
 	srv, err := NewServer(ServerConfig{
 		TTL:            time.Second,
 		RebalanceEvery: period,

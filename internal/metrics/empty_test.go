@@ -16,8 +16,6 @@ func TestErrEmptyTable(t *testing.T) {
 	}{
 		{"RMSRelativeError", func() error { _, err := RMSRelativeError(nil, nil); return err }},
 		{"Mean", func() error { _, err := Mean(nil); return err }},
-		{"StdDev/nil", func() error { _, err := StdDev(nil); return err }},
-		{"StdDev/one", func() error { _, err := StdDev([]float64{1}); return err }},
 		{"LinearRegression/nil", func() error { _, err := LinearRegression(nil, nil); return err }},
 		{"LinearRegression/one", func() error { _, err := LinearRegression([]float64{1}, []float64{1}); return err }},
 		{"ServiceError", func() error { _, err := ServiceError(nil, nil); return err }},
@@ -61,14 +59,5 @@ func TestShareErrors(t *testing.T) {
 	}
 	if _, err := ShareErrors([]float64{0, 0}, []float64{1, 1}); err == nil {
 		t.Error("zero total consumption should error")
-	}
-}
-
-func TestStdDevPropagatesMeanError(t *testing.T) {
-	// With the length guard in place Mean cannot fail today; this pins
-	// the contract that if it ever does, StdDev reports it rather than
-	// silently computing with m = 0.
-	if _, err := StdDev([]float64{3, 5}); err != nil {
-		t.Fatalf("StdDev on valid input: %v", err)
 	}
 }

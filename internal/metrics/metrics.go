@@ -74,23 +74,6 @@ func Mean(xs []float64) (float64, error) {
 	return s / float64(len(xs)), nil
 }
 
-// StdDev returns the sample standard deviation of xs (n-1 denominator).
-func StdDev(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1)), nil
-}
-
 // ShareError is the one relative share-error decision (§3.1) behind the
 // node auditor's windowed and per-cycle RMS, the fleet auditor's
 // windowed and per-round RMS, the rebalancer's global RMS and

@@ -92,20 +92,13 @@ func TestRMSBounds(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	m, err := Mean([]float64{1, 2, 3, 4})
 	if err != nil || m != 2.5 {
 		t.Errorf("Mean = %v (%v), want 2.5", m, err)
 	}
 	if _, err := Mean(nil); err == nil {
 		t.Error("Mean(nil) should error")
-	}
-	sd, err := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil || !close(sd, 2.138, 0.001) {
-		t.Errorf("StdDev = %v (%v), want ~2.138", sd, err)
-	}
-	if _, err := StdDev([]float64{1}); err == nil {
-		t.Error("StdDev of one sample should error")
 	}
 }
 

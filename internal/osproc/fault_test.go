@@ -334,6 +334,26 @@ func TestPIDReuseNotCharged(t *testing.T) {
 	requireNoHandles(t, fs)
 }
 
+// TestFaultSysReuseAbsentPID: reusing a PID the table does not hold
+// installs the fresh incarnation. The call runs on its own goroutine so
+// that a deadlock fails the test instead of hanging the package.
+func TestFaultSysReuseAbsentPID(t *testing.T) {
+	fs := NewFaultSys()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fs.Reuse(10, 5)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Reuse of an absent PID did not return")
+	}
+	if st, err := fs.ReadStat(10); err != nil || st.Start != 5 {
+		t.Fatalf("ReadStat(10) = %+v, %v; want Start 5", st, err)
+	}
+}
+
 // TestOverrunCompensation: the loop stalls for several quanta (slow
 // /proc read, controller preempted); the next step detects the overrun,
 // records lateness, and issues capped catch-up invocations instead of

@@ -174,23 +174,12 @@ func (f *FaultSys) Kill(pid int) {
 
 // Reuse replaces a PID with a fresh incarnation: a new start-time stamp
 // and zeroed CPU, running and unsuspended — the kernel recycled the PID
-// for an unrelated process.
+// for an unrelated process, which is not in the old incarnation's
+// process group. An absent PID gains the incarnation.
 func (f *FaultSys) Reuse(pid int, start uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	p, ok := f.procs[pid]
-	if !ok {
-		f.AddProc(FaultProc{PID: pid, Start: start})
-		return
-	}
-	p.Start = start
-	p.CPU = 0
-	p.State = 'R'
-	p.Rate = 1.0
-	p.stopped = false
-	// An unrelated process inheriting the number is not in the old
-	// incarnation's process group.
-	p.PGID = 0
+	f.procs[pid] = &FaultProc{PID: pid, Start: start, State: 'R', Rate: 1.0}
 }
 
 // SetState changes the run state a process reports while not stopped.

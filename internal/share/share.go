@@ -72,56 +72,3 @@ func Total(shares []int64) int64 {
 	}
 	return s
 }
-
-// GCD returns the greatest common divisor of the share vector, or 0 for an
-// empty vector. The paper defines the cycle length assuming shares have
-// been scaled by their GCD; callers may use Scale to apply that reduction.
-func GCD(shares []int64) int64 {
-	var g int64
-	for _, v := range shares {
-		g = gcd2(g, v)
-	}
-	return g
-}
-
-// Scale returns a copy of shares divided by their GCD. It returns the
-// input unchanged (but still copied) when the GCD is 0 or 1.
-func Scale(shares []int64) []int64 {
-	out := make([]int64, len(shares))
-	copy(out, shares)
-	g := GCD(shares)
-	if g <= 1 {
-		return out
-	}
-	for i := range out {
-		out[i] /= g
-	}
-	return out
-}
-
-// Fractions returns each share as a fraction of the total, the target CPU
-// proportion for each process.
-func Fractions(shares []int64) []float64 {
-	tot := Total(shares)
-	out := make([]float64, len(shares))
-	if tot == 0 {
-		return out
-	}
-	for i, v := range shares {
-		out[i] = float64(v) / float64(tot)
-	}
-	return out
-}
-
-func gcd2(a, b int64) int64 {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}

@@ -87,66 +87,3 @@ func TestModelString(t *testing.T) {
 		t.Errorf("unknown model string: %v", Model(7))
 	}
 }
-
-func TestGCDAndScale(t *testing.T) {
-	cases := []struct {
-		in   []int64
-		gcd  int64
-		want []int64
-	}{
-		{[]int64{2, 4, 6}, 2, []int64{1, 2, 3}},
-		{[]int64{5, 5, 5}, 5, []int64{1, 1, 1}},
-		{[]int64{3, 7}, 1, []int64{3, 7}},
-		{[]int64{}, 0, []int64{}},
-		{[]int64{12}, 12, []int64{1}},
-	}
-	for _, c := range cases {
-		if g := GCD(c.in); g != c.gcd {
-			t.Errorf("GCD(%v) = %d, want %d", c.in, g, c.gcd)
-		}
-		if got := Scale(c.in); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("Scale(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-// TestScaleProperties: scaling preserves ratios and yields GCD 1.
-func TestScaleProperties(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		in := make([]int64, len(raw))
-		for i, v := range raw {
-			in[i] = int64(v%50) + 1
-		}
-		out := Scale(in)
-		g := GCD(in)
-		for i := range in {
-			if out[i]*g != in[i] {
-				return false
-			}
-		}
-		return GCD(out) == 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFractions(t *testing.T) {
-	fr := Fractions([]int64{1, 2, 3})
-	want := []float64{1.0 / 6, 2.0 / 6, 3.0 / 6}
-	for i := range want {
-		if diff := fr[i] - want[i]; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("Fractions[%d] = %v, want %v", i, fr[i], want[i])
-		}
-	}
-	if got := Fractions(nil); len(got) != 0 {
-		t.Errorf("Fractions(nil) = %v", got)
-	}
-	zero := Fractions([]int64{})
-	if len(zero) != 0 {
-		t.Errorf("Fractions(empty) = %v", zero)
-	}
-}

@@ -36,8 +36,6 @@ type Config struct {
 	// Sample ignores it — callers with their own grid (a coordinator
 	// tick, a benchmark round) sample explicitly.
 	Every time.Duration
-	// Now overrides time.Now (virtual clocks in tests and coordsim).
-	Now func() time.Time
 }
 
 // Point is one retained sample: wall-clock stamp and value.
@@ -100,7 +98,6 @@ type seriesKey struct{ name, labels string }
 // series), so a concurrent scrape briefly queues rather than tearing.
 type Store struct {
 	cfg Config
-	now func() time.Time
 
 	mu      sync.Mutex
 	rings   map[seriesKey]*obs.Ring[Point]
@@ -115,22 +112,15 @@ func New(cfg Config) *Store {
 	if cfg.Every <= 0 {
 		cfg.Every = DefaultEvery
 	}
-	now := time.Now
-	if cfg.Now != nil {
-		now = cfg.Now
-	}
-	return &Store{cfg: cfg, now: now, rings: make(map[seriesKey]*obs.Ring[Point])}
+	return &Store{cfg: cfg, rings: make(map[seriesKey]*obs.Ring[Point])}
 }
 
 // Sample unconditionally appends one point per registry series, stamped
-// at now (zero: the store's clock). New series appear as the registry
-// grows; series whose metric vanished simply stop growing.
+// at now. New series appear as the registry grows; series whose metric
+// vanished simply stop growing.
 func (s *Store) Sample(now time.Time) {
 	if s.cfg.Source == nil {
 		return
-	}
-	if now.IsZero() {
-		now = s.now()
 	}
 	samples := s.cfg.Source.Snapshot()
 	nano := now.UnixNano()
@@ -160,9 +150,6 @@ func (s *Store) Sample(now time.Time) {
 // so callers on a fast grid — a coordinator ticking every few
 // milliseconds — just call it every pass.
 func (s *Store) Tick(now time.Time) {
-	if now.IsZero() {
-		now = s.now()
-	}
 	s.mu.Lock()
 	if now.Before(s.next) {
 		s.mu.Unlock()

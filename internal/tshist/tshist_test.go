@@ -32,8 +32,7 @@ func goldenStore() *Store {
 	h := reg.Histogram("demo_latency_seconds", "", []float64{0.01, 0.1})
 
 	now := time.Unix(1700000000, 0).UTC()
-	clock := func() time.Time { return now }
-	s := New(Config{Source: reg, Every: time.Second, Now: clock})
+	s := New(Config{Source: reg, Every: time.Second})
 	for i := 0; i < 3; i++ {
 		g.Set(float64(i) * 1.5)
 		c1.Add(int64(i))
@@ -125,7 +124,7 @@ func TestRingEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("v", "")
 	now := time.Unix(0, 0)
-	s := New(Config{Source: reg, Now: func() time.Time { return now }})
+	s := New(Config{Source: reg})
 
 	sampleN := func(n int) {
 		for i := 0; i < n; i++ {
@@ -181,7 +180,7 @@ func TestTickCadence(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Gauge("v", "").Set(1)
 	now := time.Unix(0, 0)
-	s := New(Config{Source: reg, Every: 100 * time.Millisecond, Now: func() time.Time { return now }})
+	s := New(Config{Source: reg, Every: 100 * time.Millisecond})
 	for i := 0; i < 100; i++ { // 1s of 10ms ticks
 		s.Tick(now)
 		now = now.Add(10 * time.Millisecond)
@@ -224,7 +223,7 @@ func TestConcurrentSampleScrape(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					s.Sample(time.Time{})
+					s.Sample(time.Now())
 				}
 			}
 		}()

@@ -32,12 +32,6 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 			t.Errorf("site %d share = %d, want %d", i, s.Share, i+1)
 		}
 	}
-	if cfg.Quantum != 100*time.Millisecond {
-		t.Errorf("quantum = %v, want 100ms (paper §5)", cfg.Quantum)
-	}
-	if cfg.RefreshEvery != time.Second {
-		t.Errorf("refresh = %v, want 1s (paper §5)", cfg.RefreshEvery)
-	}
 }
 
 // TestDeterministicSeeds: same seed → identical results; different seed →

@@ -50,6 +50,11 @@ const (
 	// thinkTime is the mean client think time between response and
 	// next request.
 	thinkTime = time.Second
+	// quantum is the ALPS quantum (the paper uses 100 ms here).
+	quantum = 100 * time.Millisecond
+	// refreshEvery is the principal-membership refresh period (1 s in
+	// the paper).
+	refreshEvery = time.Second
 )
 
 // Config parameterizes a shared-web-server run.
@@ -62,11 +67,6 @@ type Config struct {
 	// UseALPS enables an ALPS instance scheduling the sites as
 	// resource principals with the configured shares.
 	UseALPS bool
-	// Quantum is the ALPS quantum (the paper uses 100 ms here).
-	Quantum time.Duration
-	// RefreshEvery is the principal-membership refresh period (1 s in
-	// the paper).
-	RefreshEvery time.Duration
 	// Warmup and Measure are the discarded and measured portions of
 	// the run.
 	Warmup  time.Duration
@@ -76,8 +76,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's §5 setup: three sites with shares
-// 1:2:3, 50 servers and 325 clients each, and a 100 ms ALPS quantum. The
-// request cost is calibrated so the machine saturates at roughly 100
+// 1:2:3, 50 servers and 325 clients each (the ALPS quantum is the
+// constant quantum, the paper's 100 ms). The request cost is calibrated so the machine saturates at roughly 100
 // requests/second, matching the paper's combined throughput (~99 req/s).
 func DefaultConfig() Config {
 	return Config{
@@ -86,12 +86,10 @@ func DefaultConfig() Config {
 			{Name: "site2", Servers: 50, Clients: 325, Share: 2},
 			{Name: "site3", Servers: 50, Clients: 325, Share: 3},
 		},
-		RequestCPU:   10 * time.Millisecond,
-		Quantum:      100 * time.Millisecond,
-		RefreshEvery: time.Second,
-		Warmup:       90 * time.Second,
-		Measure:      120 * time.Second,
-		Seed:         1,
+		RequestCPU: 10 * time.Millisecond,
+		Warmup:     90 * time.Second,
+		Measure:    120 * time.Second,
+		Seed:       1,
 	}
 }
 
@@ -199,9 +197,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 		var err error
 		alps, err = sim.StartALPS(w.k, sim.AlpsConfig{
-			Quantum:      cfg.Quantum,
+			Quantum:      quantum,
 			Cost:         sim.PaperCosts(),
-			RefreshEvery: cfg.RefreshEvery,
+			RefreshEvery: refreshEvery,
 			Refresh: func(k *sim.Kernel) map[core.TaskID][]sim.PID {
 				// The pool is static here, but the refresh still
 				// runs (and is charged) every period, as in §5.
