@@ -1,15 +1,16 @@
 # Standard checks for the ALPS repository. `make check` is the
 # pre-commit gate: gofmt, vet, build, the full test suite under the race
 # detector (every fault-injection test is deterministic and fake-backed,
-# so -race adds coverage without flakiness), and bench-check, so that a
-# change removing a name bench/ still uses fails here, not in the
-# benchmark's build.
+# so -race adds coverage without flakiness), the tests that build only
+# without it (alloc-gate, golden), and bench-check, so that a change
+# removing a name bench/ still uses fails here, not in the benchmark's
+# build. Every test runs at least once.
 
 GO ?= go
 
-.PHONY: check fmt vet build test race short bench bench-check alloc-gate trace examples chaos chaos-fleet vulncheck loc knobs
+.PHONY: check fmt vet build test race short bench bench-check alloc-gate golden trace examples chaos chaos-fleet vulncheck loc knobs
 
-check: fmt vet build race bench-check
+check: fmt vet build race alloc-gate golden bench-check
 
 # Fails, listing them, if gofmt would rewrite any Go file.
 fmt:
@@ -32,25 +33,23 @@ short:
 	$(GO) test -short ./...
 
 # Benchmarks, each writing a JSON report into $(REPORTS), which git
-# ignores, so a run leaves the tree clean (CI uploads the reports from
-# there; BENCH_obs.json at the root is the committed record):
+# ignores and alps-bench creates, so a run leaves the tree clean (CI
+# uploads the reports from there; BENCH_obs.json at the root is the
+# committed record):
 #   obs   — observer off vs on (no-op, metrics, flight recorder),
 #           ns/quantum on the bare core and the runner loop, and the
 #           cost of one history sample; fails if that sample costs
 #           more than 1% of a 10ms quantum (BENCH_obs.json)
 #   scale — control-loop cost vs fleet size, seed loop vs O(due)
-#           loop, steady-state allocs per quantum, and the
-#           members-per-principal group-signaling axis; fails if
-#           the indexed loop regresses >20% against
-#           BENCH_scale_baseline.json, if steady-state allocs
-#           leave zero, if group signaling exceeds one syscall per
-#           principal flip, and (full runs) if the auditor gauges
-#           show <5x at N=1000 (BENCH_scale.json)
+#           loop; fails if the indexed loop regresses against
+#           BENCH_scale_baseline.json and (full runs) if the auditor
+#           gauges show <5x at N=1000 (BENCH_scale.json). The
+#           zero-allocation and one-syscall-per-flip properties are
+#           tests (alloc-gate; osproc's group signaling test).
 # QUICK=1 trims iterations for CI.
 REPORTS := .bench_build/reports
 
 bench:
-	mkdir -p $(REPORTS)
 	$(GO) run ./cmd/alps-bench $(if $(QUICK),-quick) -out $(REPORTS) obs
 	$(GO) run ./cmd/alps-bench $(if $(QUICK),-quick) -out $(REPORTS) scale
 
@@ -62,13 +61,19 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
-# Fast alloc-regression gate: the in-tree half of the scale benchmark's
-# allocs_per_quantum check. Runs without -race (race instrumentation
+# Alloc-regression gate. Runs without -race (race instrumentation
 # allocates on the hot path) and fails the moment a steady-state quantum
-# of the indexed loop heap-allocates at all, on FaultSys or over real
-# processes sampled through RealSys.
+# of the indexed loop heap-allocates at all, on FaultSys at N = 300 and
+# N = 5000 or over real processes sampled through RealSys.
 alloc-gate:
 	$(GO) test -run 'TestSteadyStateZeroAllocs|TestRealSamplingZeroAllocs' -count=1 ./internal/osproc/
+
+# Golden simulated outputs: every simulated alps-bench experiment, run
+# with -quick, must print its cmd/alps-bench/testdata/quick file byte for
+# byte. Without -race: the simulator is single-threaded, and the race
+# build only makes the runs ten times slower.
+golden:
+	$(GO) test -run 'TestQuickOutputsGolden' -count=1 ./cmd/alps-bench/
 
 # Trace smoke: run the built-in demo scenario through the simulator and
 # emit TRACE_sim.json as Chrome trace-event JSON. alps-sim validates the
@@ -91,7 +96,8 @@ examples:
 # scheduler mid-run, restart from the -state file, require shares to
 # reconverge and no workload process to be left SIGSTOPped; plus the
 # restore-failure sweep and live-reconfig (SIGHUP + /admin/config)
-# e2e tests. Spawns real processes; not part of `short`.
+# e2e tests. Spawns real processes; not part of `short`. For local
+# runs: `race` runs the same tests, so CI runs them there.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestRestoreFailure|TestAdminConfig' -v ./cmd/alps/
 
@@ -102,9 +108,10 @@ chaos:
 # real-process fleet e2e (coordinator and shard as separate processes;
 # the shard must attach, then degrade to static shares when the
 # coordinator dies). The scenario writes the restarted coordinator's
-# /fleet/timeline capture to TIMELINE_fleet.json for the CI artifact.
+# /fleet/timeline capture to TIMELINE_fleet.json (CI sets the same
+# variable on its race step, which runs these tests, for the artifact).
 # Deterministic except the final e2e, which spawns real busy loops; not
-# part of `short`.
+# part of `short`. For local runs.
 chaos-fleet:
 	ALPS_TIMELINE_OUT=$(CURDIR)/TIMELINE_fleet.json $(GO) test -race -run 'TestChaosFleet' -v ./internal/coord/
 	$(GO) test -race -run 'TestFleetEndToEnd' -v ./cmd/alps/

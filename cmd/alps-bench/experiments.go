@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -21,13 +22,10 @@ type tsvWriter interface {
 }
 
 // saveTSV writes a result's data file into the -out directory (no-op when
-// -out is unset).
-func saveTSV(name string, r tsvWriter) error {
+// -out is unset) and notes the path on w.
+func saveTSV(w io.Writer, name string, r tsvWriter) error {
 	if *out == "" {
 		return nil
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		return err
 	}
 	path := filepath.Join(*out, name+".tsv")
 	f, err := os.Create(path)
@@ -38,15 +36,18 @@ func saveTSV(name string, r tsvWriter) error {
 	if err := r.WriteTSV(f); err != nil {
 		return err
 	}
-	fmt.Printf("  [data written to %s]\n", path)
+	fmt.Fprintf(w, "  [data written to %s]\n", path)
 	return f.Close()
 }
 
-// runTable1 measures the paper's Table 1 operations on this host: timer
-// event receipt, per-process CPU-time measurement, and signal send. The
-// simulator charges the paper's FreeBSD/P4 values (9.02 µs, 1.1+17.4n µs,
-// 0.97 µs); this shows what the same operations cost here.
-func runTable1() error {
+// runTable1 measures the paper's Table 1 operations on this host: a
+// 1 ms ticker's event receipt and, through the paths the runner takes,
+// one RealSys.ReadStat of another process (the held /proc/<pid>/stat
+// descriptor and allocation-free parse the runner samples with) and a
+// RealSys SIGSTOP or SIGCONT of that process. The simulator charges the
+// paper's FreeBSD/P4 values (9.02 µs, 1.1+17.4n µs, 0.97 µs); this
+// shows what the same operations cost here.
+func runTable1(w io.Writer) error {
 	iters := 2000
 	if *quick {
 		iters = 200
@@ -71,43 +72,66 @@ func runTable1() error {
 	tk.Stop()
 	timer := (cpuNow() - start) / time.Duration(iters)
 
-	// Measure CPU time of a process: one /proc/<pid>/stat read+parse.
-	self := os.Getpid()
+	// The measured and signalled process: a sleeping child, as most of
+	// a controlled fleet is.
+	child := exec.Command("sleep", "3600")
+	if err := child.Start(); err != nil {
+		return err
+	}
+	defer func() {
+		// A child that died early already failed the read or signal
+		// that met it; there is nothing left to report here.
+		_ = child.Process.Kill()
+		_ = child.Wait()
+	}()
+	pid := child.Process.Pid
+	sys := osproc.RealSys{}
+	defer sys.Forget(pid)
+
+	// Measure CPU time of a process: the first read opens the
+	// descriptor the runner then holds, so it stays out of the timing.
+	if _, err := sys.ReadStat(pid); err != nil {
+		return err
+	}
 	start = cpuNow()
 	for i := 0; i < iters; i++ {
-		if _, err := osproc.ReadStat(self); err != nil {
+		if _, err := sys.ReadStat(pid); err != nil {
 			return err
 		}
 	}
 	measure := (cpuNow() - start) / time.Duration(iters)
 
-	// Signal a process: kill(self, SIGCONT) (harmless when running).
+	// Signal a process: SIGSTOP then SIGCONT, so the child ends as it
+	// began; the cost is per signal.
 	start = cpuNow()
 	for i := 0; i < iters; i++ {
-		if err := syscall.Kill(self, syscall.SIGCONT); err != nil {
+		if err := sys.Stop(pid); err != nil {
+			return err
+		}
+		if err := sys.Cont(pid); err != nil {
 			return err
 		}
 	}
-	sig := (cpuNow() - start) / time.Duration(iters)
+	sig := (cpuNow() - start) / time.Duration(2*iters)
 
-	fmt.Println("Table 1: primary ALPS operation times (this host | paper's FreeBSD 4.8 / P4 2.2GHz)")
-	fmt.Printf("  %-34s %8.2fus | 9.02us\n", "Receive a timer event", us(timer))
-	fmt.Printf("  %-34s %8.2fus | 1.1 + 17.4n us (per-process term)\n", "Measure CPU time of a process", us(measure))
-	fmt.Printf("  %-34s %8.2fus | 0.97us\n", "Signal a process", us(sig))
+	fmt.Fprintln(w, "Table 1: primary ALPS operation times (this host | paper's FreeBSD 4.8 / P4 2.2GHz)")
+	fmt.Fprintf(w, "  %-34s %8.2fus | 9.02us\n", "Receive a timer event", us(timer))
+	fmt.Fprintf(w, "  %-34s %8.2fus | 1.1 + 17.4n us (per-process term)\n", "Measure CPU time of a process", us(measure))
+	fmt.Fprintf(w, "  %-34s %8.2fus | 0.97us\n", "Signal a process", us(sig))
 	return nil
 }
 
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
-func runTable2() error {
-	fmt.Println("Table 2: workload share distributions")
+func runTable2(w io.Writer) error {
+	fmt.Fprintln(w, "Table 2: workload share distributions")
 	for _, m := range share.Models {
 		for _, n := range []int{5, 10, 20} {
 			dist, err := share.Distribution(m, n)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("  %-7s n=%-3d total=%-4d %v\n", m, n, share.Total(dist), compact(dist))
+			fmt.Fprintf(w, "  %-7s n=%-3d total=%-4d %v\n", m, n, share.Total(dist), compact(dist))
 		}
 	}
 	return nil
@@ -129,20 +153,20 @@ func accuracyParams() exp.AccuracyParams {
 	return p
 }
 
-func runFig4() error {
+func runFig4(w io.Writer) error {
 	res, err := exp.Accuracy(accuracyParams())
 	if err != nil {
 		return err
 	}
-	if err := saveTSV("fig4_accuracy", res); err != nil {
+	if err := saveTSV(w, "fig4_accuracy", res); err != nil {
 		return err
 	}
-	fmt.Println("Figure 4: mean RMS relative error (%) vs quantum length")
-	fmt.Printf("  %-10s", "workload")
+	fmt.Fprintln(w, "Figure 4: mean RMS relative error (%) vs quantum length")
+	fmt.Fprintf(w, "  %-10s", "workload")
 	for _, q := range res.Params.Quanta {
-		fmt.Printf(" %7s", q)
+		fmt.Fprintf(w, " %7s", q)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	byWorkload := map[string][]exp.AccuracyPoint{}
 	var order []string
 	for _, pt := range res.Points {
@@ -153,13 +177,13 @@ func runFig4() error {
 		byWorkload[k] = append(byWorkload[k], pt)
 	}
 	for _, k := range order {
-		fmt.Printf("  %-10s", k)
+		fmt.Fprintf(w, "  %-10s", k)
 		for _, pt := range byWorkload[k] {
-			fmt.Printf(" %6.2f%%", pt.MeanRMSErrorPct)
+			fmt.Fprintf(w, " %6.2f%%", pt.MeanRMSErrorPct)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("  (paper: <5% for most workloads; skewed highest, rising with quantum length)")
+	fmt.Fprintln(w, "  (paper: <5% for most workloads; skewed highest, rising with quantum length)")
 	return nil
 }
 
@@ -171,16 +195,16 @@ func overheadParams() exp.OverheadParams {
 	return p
 }
 
-func printOverhead(res *exp.OverheadResult, withBaseline bool) {
-	fmt.Printf("  %-10s", "workload")
+func printOverhead(w io.Writer, res *exp.OverheadResult, withBaseline bool) {
+	fmt.Fprintf(w, "  %-10s", "workload")
 	for _, q := range res.Params.Quanta {
 		if withBaseline {
-			fmt.Printf(" %18s", fmt.Sprintf("%v opt/unopt(x)", q))
+			fmt.Fprintf(w, " %18s", fmt.Sprintf("%v opt/unopt(x)", q))
 		} else {
-			fmt.Printf(" %8s", q)
+			fmt.Fprintf(w, " %8s", q)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	byWorkload := map[string][]exp.OverheadPoint{}
 	var order []string
 	for _, pt := range res.Points {
@@ -191,42 +215,42 @@ func printOverhead(res *exp.OverheadResult, withBaseline bool) {
 		byWorkload[k] = append(byWorkload[k], pt)
 	}
 	for _, k := range order {
-		fmt.Printf("  %-10s", k)
+		fmt.Fprintf(w, "  %-10s", k)
 		for _, pt := range byWorkload[k] {
 			if withBaseline {
-				fmt.Printf("  %5.3f/%5.3f (%3.1fx)", pt.OverheadPct, pt.UnoptimizedPct, pt.ReductionFactor())
+				fmt.Fprintf(w, "  %5.3f/%5.3f (%3.1fx)", pt.OverheadPct, pt.UnoptimizedPct, pt.ReductionFactor())
 			} else {
-				fmt.Printf("  %6.3f%%", pt.OverheadPct)
+				fmt.Fprintf(w, "  %6.3f%%", pt.OverheadPct)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
-func runFig5() error {
+func runFig5(w io.Writer) error {
 	res, err := exp.Overhead(overheadParams())
 	if err != nil {
 		return err
 	}
-	if err := saveTSV("fig5_overhead", res); err != nil {
+	if err := saveTSV(w, "fig5_overhead", res); err != nil {
 		return err
 	}
-	fmt.Println("Figure 5: ALPS overhead (% of CPU) by workload and quantum")
-	printOverhead(res, false)
-	fmt.Println("  (paper: typically under 0.3%, equal-share workloads highest)")
+	fmt.Fprintln(w, "Figure 5: ALPS overhead (% of CPU) by workload and quantum")
+	printOverhead(w, res, false)
+	fmt.Fprintln(w, "  (paper: typically under 0.3%, equal-share workloads highest)")
 	return nil
 }
 
-func runAblation() error {
+func runAblation(w io.Writer) error {
 	res, err := exp.OptimizationAblation(overheadParams())
 	if err != nil {
 		return err
 	}
-	if err := saveTSV("ablation_lazy_sampling", res); err != nil {
+	if err := saveTSV(w, "ablation_lazy_sampling", res); err != nil {
 		return err
 	}
-	fmt.Println("Ablation (§3.2): overhead with/without lazy sampling")
-	printOverhead(res, true)
+	fmt.Fprintln(w, "Ablation (§3.2): overhead with/without lazy sampling")
+	printOverhead(w, res, true)
 	lo, hi := 1e9, 0.0
 	for _, pt := range res.Points {
 		if f := pt.ReductionFactor(); f > 0 {
@@ -238,11 +262,11 @@ func runAblation() error {
 			}
 		}
 	}
-	fmt.Printf("  reduction factor range: %.1fx - %.1fx (paper: 1.8x - 5.9x)\n", lo, hi)
+	fmt.Fprintf(w, "  reduction factor range: %.1fx - %.1fx (paper: 1.8x - 5.9x)\n", lo, hi)
 	return nil
 }
 
-func runFig6() error {
+func runFig6(w io.Writer) error {
 	p := exp.DefaultIOParams()
 	if *quick {
 		p.IOStartCycle, p.TotalCycles = 100, 160
@@ -251,21 +275,21 @@ func runFig6() error {
 	if err != nil {
 		return err
 	}
-	if err := saveTSV("fig6_io_trace", res); err != nil {
+	if err := saveTSV(w, "fig6_io_trace", res); err != nil {
 		return err
 	}
-	fmt.Println("Figure 6: CPU share (%) per cycle; B (2 shares) does I/O after cycle", p.IOStartCycle)
+	fmt.Fprintln(w, "Figure 6: CPU share (%) per cycle; B (2 shares) does I/O after cycle", p.IOStartCycle)
 	step := len(res.Trace) / 40
 	if step < 1 {
 		step = 1
 	}
 	for i := 0; i < len(res.Trace); i += step {
 		c := res.Trace[i]
-		fmt.Printf("  cycle %4d: A=%5.1f%%  B=%5.1f%%  C=%5.1f%%\n", c.Cycle, c.SharePct[0], c.SharePct[1], c.SharePct[2])
+		fmt.Fprintf(w, "  cycle %4d: A=%5.1f%%  B=%5.1f%%  C=%5.1f%%\n", c.Cycle, c.SharePct[0], c.SharePct[1], c.SharePct[2])
 	}
-	fmt.Printf("  steady (pre-I/O) means: %5.1f / %5.1f / %5.1f  (target 16.7/33.3/50.0)\n",
+	fmt.Fprintf(w, "  steady (pre-I/O) means: %5.1f / %5.1f / %5.1f  (target 16.7/33.3/50.0)\n",
 		res.SteadySharePct[0], res.SteadySharePct[1], res.SteadySharePct[2])
-	fmt.Printf("  B-blocked cycle means:  %5.1f / %5.1f / %5.1f  (target 25/0/75)\n",
+	fmt.Fprintf(w, "  B-blocked cycle means:  %5.1f / %5.1f / %5.1f  (target 25/0/75)\n",
 		res.BlockedSharePct[0], res.BlockedSharePct[1], res.BlockedSharePct[2])
 	return nil
 }
@@ -274,23 +298,23 @@ func multiAppParams() exp.MultiAppParams {
 	return exp.DefaultMultiAppParams()
 }
 
-func runFig7() error {
+func runFig7(w io.Writer) error {
 	res, err := exp.MultiApp(multiAppParams())
 	if err != nil {
 		return err
 	}
-	if err := saveTSV("fig7_multiapp_series", res); err != nil {
+	if err := saveTSV(w, "fig7_multiapp_series", res); err != nil {
 		return err
 	}
-	fmt.Println("Figure 7: cumulative CPU (ms) vs wall time for 9 processes under 3 ALPSs")
-	fmt.Println("  (sampled every ~2s; full series available via internal/exp.MultiApp)")
-	fmt.Printf("  %8s", "t(ms)")
+	fmt.Fprintln(w, "Figure 7: cumulative CPU (ms) vs wall time for 9 processes under 3 ALPSs")
+	fmt.Fprintln(w, "  (sampled every ~2s; full series available via internal/exp.MultiApp)")
+	fmt.Fprintf(w, "  %8s", "t(ms)")
 	for s := int64(1); s <= 9; s++ {
-		fmt.Printf(" %7s", fmt.Sprintf("%dsh", s))
+		fmt.Fprintf(w, " %7s", fmt.Sprintf("%dsh", s))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for t := time.Second; t <= res.Params.End; t += 2 * time.Second {
-		fmt.Printf("  %8d", t.Milliseconds())
+		fmt.Fprintf(w, "  %8d", t.Milliseconds())
 		for s := int64(1); s <= 9; s++ {
 			v := time.Duration(0)
 			for _, pt := range res.Series[s] {
@@ -299,34 +323,34 @@ func runFig7() error {
 				}
 				v = pt.CPU
 			}
-			fmt.Printf(" %7d", v.Milliseconds())
+			fmt.Fprintf(w, " %7d", v.Milliseconds())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func runTable3() error {
+func runTable3(w io.Writer) error {
 	res, err := exp.MultiApp(multiAppParams())
 	if err != nil {
 		return err
 	}
-	fmt.Println("Table 3: accuracy of multiple ALPSs (within-group CPU fraction and relative error)")
-	fmt.Printf("  %2s %6s | %*s\n", "S", "target", 3*16, "phase1            phase2            phase3")
+	fmt.Fprintln(w, "Table 3: accuracy of multiple ALPSs (within-group CPU fraction and relative error)")
+	fmt.Fprintf(w, "  %2s %6s | %*s\n", "S", "target", 3*16, "phase1            phase2            phase3")
 	for i := len(res.Rows) - 1; i >= 0; i-- {
 		row := res.Rows[i]
-		fmt.Printf("  %2d %5.1f%% |", row.Share, row.Target)
+		fmt.Fprintf(w, "  %2d %5.1f%% |", row.Share, row.Target)
 		for ph := 0; ph < 3; ph++ {
 			c := row.Phase[ph]
 			if !c.Present {
-				fmt.Printf(" %16s", "-")
+				fmt.Fprintf(w, " %16s", "-")
 			} else {
-				fmt.Printf("  %5.1f%% re=%4.1f%%", c.Pct, c.RelErrPct)
+				fmt.Fprintf(w, "  %5.1f%% re=%4.1f%%", c.Pct, c.RelErrPct)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("  average relative error: %.2f%% (paper: 0.93%%)\n", res.AvgRelErrPct)
+	fmt.Fprintf(w, "  average relative error: %.2f%% (paper: 0.93%%)\n", res.AvgRelErrPct)
 	return nil
 }
 
@@ -352,66 +376,66 @@ func scaleResult() (*exp.ScaleResult, error) {
 	return res, err
 }
 
-func runFig8() error {
+func runFig8(w io.Writer) error {
 	res, err := scaleResult()
 	if err != nil {
 		return err
 	}
-	if err := saveTSV("fig8_fig9_scalability", res); err != nil {
+	if err := saveTSV(w, "fig8_fig9_scalability", res); err != nil {
 		return err
 	}
-	fmt.Println("Figure 8: overhead (%) vs number of processes (equal shares, 5/proc)")
-	printScale(res, func(p exp.ScalePoint) float64 { return p.OverheadPct })
+	fmt.Fprintln(w, "Figure 8: overhead (%) vs number of processes (equal shares, 5/proc)")
+	printScale(w, res, func(p exp.ScalePoint) float64 { return p.OverheadPct })
 	return nil
 }
 
-func runFig9() error {
+func runFig9(w io.Writer) error {
 	res, err := scaleResult()
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 9: mean RMS relative error (%) vs number of processes")
-	printScale(res, func(p exp.ScalePoint) float64 { return p.MeanRMSErrorPct })
+	fmt.Fprintln(w, "Figure 9: mean RMS relative error (%) vs number of processes")
+	printScale(w, res, func(p exp.ScalePoint) float64 { return p.MeanRMSErrorPct })
 	return nil
 }
 
-func printScale(res *exp.ScaleResult, val func(exp.ScalePoint) float64) {
-	fmt.Printf("  %4s", "N")
+func printScale(w io.Writer, res *exp.ScaleResult, val func(exp.ScalePoint) float64) {
+	fmt.Fprintf(w, "  %4s", "N")
 	for _, c := range res.Curves {
-		fmt.Printf(" %9s", c.Quantum)
+		fmt.Fprintf(w, " %9s", c.Quantum)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for i := range res.Curves[0].Points {
-		fmt.Printf("  %4d", res.Curves[0].Points[i].N)
+		fmt.Fprintf(w, "  %4d", res.Curves[0].Points[i].N)
 		for _, c := range res.Curves {
-			fmt.Printf(" %8.3f%%", val(c.Points[i]))
+			fmt.Fprintf(w, " %8.3f%%", val(c.Points[i]))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
-func runThresholds() error {
+func runThresholds(w io.Writer) error {
 	res, err := scaleResult()
 	if err != nil {
 		return err
 	}
-	fmt.Println("Breakdown thresholds (§4.2): U_Q(N) fits and predicted/observed loss of control")
+	fmt.Fprintln(w, "Breakdown thresholds (§4.2): U_Q(N) fits and predicted/observed loss of control")
 	paperFit := map[time.Duration]string{
 		10 * time.Millisecond: "U10(N)=.0639N+.0604, predicted 39, observed 40",
 		20 * time.Millisecond: "U20(N)=.0338N+.0340, predicted 54, observed 60",
 		40 * time.Millisecond: "U40(N)=.0172N+.0160, predicted 75, observed 90",
 	}
 	for _, c := range res.Curves {
-		fmt.Printf("  Q=%-5v U(N)=%.4fN+%.4f (R2=%.3f)  predicted N*=%.0f  observed N*=%d\n",
+		fmt.Fprintf(w, "  Q=%-5v U(N)=%.4fN+%.4f (R2=%.3f)  predicted N*=%.0f  observed N*=%d\n",
 			c.Quantum, c.Fit.Slope, c.Fit.Intercept, c.Fit.R2, c.PredictedThreshold, c.ObservedThreshold)
 		if s, ok := paperFit[c.Quantum]; ok {
-			fmt.Printf("          paper: %s\n", s)
+			fmt.Fprintf(w, "          paper: %s\n", s)
 		}
 	}
 	return nil
 }
 
-func runWeb() error {
+func runWeb(w io.Writer) error {
 	cfg := websim.DefaultConfig()
 	if *quick {
 		cfg.Warmup, cfg.Measure = 40*time.Second, 60*time.Second
@@ -425,18 +449,18 @@ func runWeb() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Shared web server (§5): throughput in requests/second")
-	fmt.Printf("  %-8s %12s %12s %22s\n", "site", "kernel", "ALPS{1,2,3}", "ALPS latency p50/p95")
+	fmt.Fprintln(w, "Shared web server (§5): throughput in requests/second")
+	fmt.Fprintf(w, "  %-8s %12s %12s %22s\n", "site", "kernel", "ALPS{1,2,3}", "ALPS latency p50/p95")
 	for i := range kernel.Sites {
-		fmt.Printf("  %-8s %9.1f/s %9.1f/s %12v/%v\n", kernel.Sites[i].Name,
+		fmt.Fprintf(w, "  %-8s %9.1f/s %9.1f/s %12v/%v\n", kernel.Sites[i].Name,
 			kernel.Sites[i].Throughput, alps.Sites[i].Throughput,
 			alps.Sites[i].LatencyP50.Round(10*time.Millisecond), alps.Sites[i].LatencyP95.Round(10*time.Millisecond))
 	}
-	fmt.Printf("  ALPS overhead: %.3f%%   (paper: kernel {29,30,40}, ALPS {18,35,53})\n", alps.AlpsOverheadPct)
+	fmt.Fprintf(w, "  ALPS overhead: %.3f%%   (paper: kernel {29,30,40}, ALPS {18,35,53})\n", alps.AlpsOverheadPct)
 	return nil
 }
 
-func runAcctGran() error {
+func runAcctGran(w io.Writer) error {
 	p := exp.DefaultAcctGranParams()
 	if *quick {
 		p.Cycles = 40
@@ -445,34 +469,34 @@ func runAcctGran() error {
 	if err != nil {
 		return err
 	}
-	if err := saveTSV("acctgran_ablation", res); err != nil {
+	if err := saveTSV(w, "acctgran_ablation", res); err != nil {
 		return err
 	}
-	fmt.Println("Accounting-granularity ablation: Skewed5 mean RMS error (%)")
-	fmt.Printf("  %-12s", "granularity")
+	fmt.Fprintln(w, "Accounting-granularity ablation: Skewed5 mean RMS error (%)")
+	fmt.Fprintf(w, "  %-12s", "granularity")
 	for _, q := range p.Quanta {
-		fmt.Printf(" %10s", "Q="+q.String())
+		fmt.Fprintf(w, " %10s", "Q="+q.String())
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for gi, g := range p.Granularities {
 		name := g.String()
 		if g == 1 {
 			name = "precise"
 		}
-		fmt.Printf("  %-12s", name)
+		fmt.Fprintf(w, "  %-12s", name)
 		for qi := range p.Quanta {
-			fmt.Printf(" %9.2f%%", res.Points[gi*len(p.Quanta)+qi].MeanRMSErrorPct)
+			fmt.Fprintf(w, " %9.2f%%", res.Points[gi*len(p.Quanta)+qi].MeanRMSErrorPct)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("  (accuracy collapses when the quantum is not a multiple of the accounting")
-	fmt.Println("   granularity: stints mis-read by half a tick leave sub-quantum allowance")
-	fmt.Println("   residues that cost whole extra quanta — hence the runner's tick-multiple")
-	fmt.Println("   quantum requirement and the on-grid Figure 4 sweep)")
+	fmt.Fprintln(w, "  (accuracy collapses when the quantum is not a multiple of the accounting")
+	fmt.Fprintln(w, "   granularity: stints mis-read by half a tick leave sub-quantum allowance")
+	fmt.Fprintln(w, "   residues that cost whole extra quanta — hence the runner's tick-multiple")
+	fmt.Fprintln(w, "   quantum requirement and the on-grid Figure 4 sweep)")
 	return nil
 }
 
-func runSMP() error {
+func runSMP(w io.Writer) error {
 	p := exp.DefaultSMPParams()
 	if *quick {
 		p.Cycles, p.Trials = 40, 1
@@ -481,17 +505,17 @@ func runSMP() error {
 	if err != nil {
 		return err
 	}
-	if err := saveTSV("smp_extension", res); err != nil {
+	if err := saveTSV(w, "smp_extension", res); err != nil {
 		return err
 	}
-	fmt.Printf("SMP extension: %s at Q=%v on multiprocessors\n", p.Workload, p.Quantum)
-	fmt.Printf("  %4s %12s %14s %12s\n", "CPUs", "RMS err", "utilization", "overhead")
+	fmt.Fprintf(w, "SMP extension: %s at Q=%v on multiprocessors\n", p.Workload, p.Quantum)
+	fmt.Fprintf(w, "  %4s %12s %14s %12s\n", "CPUs", "RMS err", "utilization", "overhead")
 	for _, pt := range res.Points {
-		fmt.Printf("  %4d %11.2f%% %13.1f%% %11.3f%%\n", pt.CPUs, pt.MeanRMSErrorPct, pt.UtilizationPct, pt.OverheadPct)
+		fmt.Fprintf(w, "  %4d %11.2f%% %13.1f%% %11.3f%%\n", pt.CPUs, pt.MeanRMSErrorPct, pt.UtilizationPct, pt.OverheadPct)
 	}
-	fmt.Println("  (ALPS controls eligibility, not placement: with more processors the kernel")
-	fmt.Println("   runs several eligible processes at once, and near cycle ends fewer eligible")
-	fmt.Println("   processes remain than processors — costing utilization and accuracy)")
+	fmt.Fprintln(w, "  (ALPS controls eligibility, not placement: with more processors the kernel")
+	fmt.Fprintln(w, "   runs several eligible processes at once, and near cycle ends fewer eligible")
+	fmt.Fprintln(w, "   processes remain than processors — costing utilization and accuracy)")
 
 	pp := exp.DefaultSMPPrincipalsParams()
 	if *quick {
@@ -513,25 +537,25 @@ func runSMP() error {
 			cells[i] = append(cells[i], strings.Join(meds, " / ")+"%")
 		}
 	}
-	fmt.Println("SMP principals: members 8/4/2/1/1 with shares 5/4/3/2/1, median per-cycle RMS error per phase offset")
-	fmt.Printf("  %4s", "CPUs")
+	fmt.Fprintln(w, "SMP principals: members 8/4/2/1/1 with shares 5/4/3/2/1, median per-cycle RMS error per phase offset")
+	fmt.Fprintf(w, "  %4s", "CPUs")
 	for _, q := range quanta {
-		fmt.Printf(" %22s", "Q="+q.String())
+		fmt.Fprintf(w, " %22s", "Q="+q.String())
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for i, m := range pp.CPUs {
-		fmt.Printf("  %4d", m)
+		fmt.Fprintf(w, "  %4d", m)
 		for _, c := range cells[i] {
-			fmt.Printf(" %22s", c)
+			fmt.Fprintf(w, " %22s", c)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("  (a principal with k runnable members drains up to k quanta of CPU per quantum;")
-	fmt.Println("   §2.3 postpones its next read by ⌈allowance/(k·Q)⌉, k capped at the CPUs)")
+	fmt.Fprintln(w, "  (a principal with k runnable members drains up to k quanta of CPU per quantum;")
+	fmt.Fprintln(w, "   §2.3 postpones its next read by ⌈allowance/(k·Q)⌉, k capped at the CPUs)")
 	return nil
 }
 
-func runPortability() error {
+func runPortability(w io.Writer) error {
 	p := exp.DefaultPortabilityParams()
 	if *quick {
 		p.Cycles = 40
@@ -540,24 +564,24 @@ func runPortability() error {
 	if err != nil {
 		return err
 	}
-	if err := saveTSV("portability", res); err != nil {
+	if err := saveTSV(w, "portability", res); err != nil {
 		return err
 	}
-	fmt.Println("Portability extension: identical ALPS on different native kernel policies")
-	fmt.Printf("  %-10s %14s %14s %12s %12s\n", "workload", "BSD err", "CFS err", "BSD ovh", "CFS ovh")
+	fmt.Fprintln(w, "Portability extension: identical ALPS on different native kernel policies")
+	fmt.Fprintf(w, "  %-10s %14s %14s %12s %12s\n", "workload", "BSD err", "CFS err", "BSD ovh", "CFS ovh")
 	for _, r := range res.Rows {
-		fmt.Printf("  %-10s %13.2f%% %13.2f%% %11.3f%% %11.3f%%\n",
+		fmt.Fprintf(w, "  %-10s %13.2f%% %13.2f%% %11.3f%% %11.3f%%\n",
 			r.Workload, r.BSDErrPct, r.CFSErrPct, r.BSDOverheadPct, r.CFSOverheadPct)
 	}
-	fmt.Println("  (portability finding: balanced workloads reach paper-grade accuracy on both")
-	fmt.Println("   kernels unchanged; skewed per-cycle error is higher on CFS because its")
-	fmt.Println("   sleeper-fairness clamp denies the rarely-running ALPS daemon the priority")
-	fmt.Println("   credit decay-usage scheduling gives it, delaying cycle-boundary dispatches")
-	fmt.Println("   by ~sleeper-bonus x co-resumed processes; long-run shares still converge)")
+	fmt.Fprintln(w, "  (portability finding: balanced workloads reach paper-grade accuracy on both")
+	fmt.Fprintln(w, "   kernels unchanged; skewed per-cycle error is higher on CFS because its")
+	fmt.Fprintln(w, "   sleeper-fairness clamp denies the rarely-running ALPS daemon the priority")
+	fmt.Fprintln(w, "   credit decay-usage scheduling gives it, delaying cycle-boundary dispatches")
+	fmt.Fprintln(w, "   by ~sleeper-bonus x co-resumed processes; long-run shares still converge)")
 	return nil
 }
 
-func runServiceLag() error {
+func runServiceLag(w io.Writer) error {
 	p := exp.DefaultServiceLagParams()
 	if *quick {
 		p.Cycles = 60
@@ -566,19 +590,19 @@ func runServiceLag() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Service lag over %d cycles at Q=%v: worst |received - entitled| per workload\n", p.Cycles, p.Quantum)
-	fmt.Printf("  %-10s %12s %10s %12s\n", "workload", "worst lag", "(quanta)", "mean lag")
+	fmt.Fprintf(w, "Service lag over %d cycles at Q=%v: worst |received - entitled| per workload\n", p.Cycles, p.Quantum)
+	fmt.Fprintf(w, "  %-10s %12s %10s %12s\n", "workload", "worst lag", "(quanta)", "mean lag")
 	for _, r := range res.Rows {
-		fmt.Printf("  %-10s %12v %10.2f %12v\n", r.Workload,
+		fmt.Fprintf(w, "  %-10s %12v %10.2f %12v\n", r.Workload,
 			r.WorstLag.Round(100*time.Microsecond), r.WorstLagQuanta, r.MeanLag.Round(100*time.Microsecond))
 	}
-	fmt.Println("  (bounded lag over hundreds of cycles is the quantitative form of §2.2's")
-	fmt.Println("   claim that allocation errors are corrected rather than accumulated;")
-	fmt.Println("   in-kernel stride scheduling bounds the same metric by ~1 quantum)")
+	fmt.Fprintln(w, "  (bounded lag over hundreds of cycles is the quantitative form of §2.2's")
+	fmt.Fprintln(w, "   claim that allocation errors are corrected rather than accumulated;")
+	fmt.Fprintln(w, "   in-kernel stride scheduling bounds the same metric by ~1 quantum)")
 	return nil
 }
 
-func runBaseline() error {
+func runBaseline(w io.Writer) error {
 	p := exp.DefaultBaselineParams()
 	if *quick {
 		p.Cycles = 40
@@ -587,15 +611,15 @@ func runBaseline() error {
 	if err != nil {
 		return err
 	}
-	if err := saveTSV("baseline_comparison", res); err != nil {
+	if err := saveTSV(w, "baseline_comparison", res); err != nil {
 		return err
 	}
-	fmt.Println("Baseline comparison: mean RMS relative error (%) at Q =", p.Quantum)
-	fmt.Printf("  %-10s %8s %8s %8s\n", "workload", "ALPS", "stride", "lottery")
+	fmt.Fprintln(w, "Baseline comparison: mean RMS relative error (%) at Q =", p.Quantum)
+	fmt.Fprintf(w, "  %-10s %8s %8s %8s\n", "workload", "ALPS", "stride", "lottery")
 	for _, r := range res.Rows {
-		fmt.Printf("  %-10s %7.2f%% %7.2f%% %7.2f%%\n", r.Workload, r.AlpsErrPct, r.StrideErrPct, r.LotteryErrPct)
+		fmt.Fprintf(w, "  %-10s %7.2f%% %7.2f%% %7.2f%%\n", r.Workload, r.AlpsErrPct, r.StrideErrPct, r.LotteryErrPct)
 	}
-	fmt.Println("  (stride is deterministic in-kernel proportional share: the accuracy upper bound;")
-	fmt.Println("   ALPS approaches it at user level; lottery shows probabilistic error for contrast)")
+	fmt.Fprintln(w, "  (stride is deterministic in-kernel proportional share: the accuracy upper bound;")
+	fmt.Fprintln(w, "   ALPS approaches it at user level; lottery shows probabilistic error for contrast)")
 	return nil
 }

@@ -5,31 +5,37 @@
 //
 // Usage:
 //
-//	alps-bench [-quick] <experiment>
+//	alps-bench [-quick] [-out DIR] <experiment>
 //
 // Experiments: table1 table2 fig4 fig5 ablation fig6 fig7 table3 fig8
-// fig9 thresholds web baseline all
+// fig9 thresholds web baseline acctgran smp portability servicelag obs
+// scale all
 //
 // -quick trims cycle counts and sweep resolution for a fast smoke run;
 // the default parameters match the paper (200 cycles, 3 trials, full
-// sweeps) and take a few minutes in total.
+// sweeps) and take a few minutes in total. -out names the directory the
+// .tsv data files and the obs and scale reports go to; it is created,
+// parents included, before any experiment runs.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 )
 
 var (
 	quick = flag.Bool("quick", false, "reduced cycles/trials for a fast run")
-	out   = flag.String("out", "", "directory to write plot-ready .tsv data files and the obs and scale JSON reports into (reports default to the current directory)")
+	out   = flag.String("out", "", "directory to write plot-ready .tsv data files and the obs and scale JSON reports into, created if missing (reports default to the current directory)")
 )
 
 type experiment struct {
 	name string
 	desc string
-	run  func() error
+	run  func(io.Writer) error
 }
 
 var experiments = []experiment{
@@ -54,9 +60,12 @@ var experiments = []experiment{
 	{"scale", "control-loop cost vs fleet size, reference vs O(due) loop (writes BENCH_scale.json)", runScale},
 }
 
+// errUnknown reports an experiment name that is neither listed nor "all".
+var errUnknown = errors.New("unknown experiment")
+
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: alps-bench [-quick] <experiment>\n\nexperiments:\n")
+		fmt.Fprintf(os.Stderr, "usage: alps-bench [-quick] [-out DIR] <experiment>\n\nexperiments:\n")
 		for _, e := range experiments {
 			fmt.Fprintf(os.Stderr, "  %-11s %s\n", e.name, e.desc)
 		}
@@ -67,27 +76,43 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	name := flag.Arg(0)
-	if name == "all" {
-		for _, e := range experiments {
-			fmt.Printf("==== %s: %s ====\n", e.name, e.desc)
-			if err := e.run(); err != nil {
-				fmt.Fprintf(os.Stderr, "alps-bench %s: %v\n", e.name, err)
-				os.Exit(1)
-			}
-			fmt.Println()
+	if err := run(flag.Arg(0), os.Stdout); err != nil {
+		if errors.Is(err, errUnknown) {
+			flag.Usage()
+			os.Exit(2)
 		}
-		return
+		fmt.Fprintf(os.Stderr, "alps-bench %v\n", err)
+		os.Exit(1)
 	}
-	for _, e := range experiments {
-		if e.name == name {
-			if err := e.run(); err != nil {
-				fmt.Fprintf(os.Stderr, "alps-bench %s: %v\n", name, err)
-				os.Exit(1)
-			}
-			return
+}
+
+// run runs the named experiment, or every experiment for "all", printing
+// to w. It creates -out before the first experiment starts, so a report
+// can never be lost to a missing directory at the end of a long run.
+func run(name string, w io.Writer) error {
+	sel := experiments
+	if name != "all" {
+		i := slices.IndexFunc(experiments, func(e experiment) bool { return e.name == name })
+		if i < 0 {
+			return errUnknown
+		}
+		sel = experiments[i : i+1]
+	}
+	if *out != "" {
+		if err := os.MkdirAll(*out, 0o755); err != nil {
+			return fmt.Errorf("-out: %w", err)
 		}
 	}
-	flag.Usage()
-	os.Exit(2)
+	for _, e := range sel {
+		if name == "all" {
+			fmt.Fprintf(w, "==== %s: %s ====\n", e.name, e.desc)
+		}
+		if err := e.run(w); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		if name == "all" {
+			fmt.Fprintln(w)
+		}
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -48,7 +49,7 @@ import (
 // The one hard gate is the history sampler's: one tshist.Store.Sample
 // over a production-shaped registry must cost at most 1% of the quantum,
 // so that retained history stays too cheap to matter.
-func runObs() error {
+func runObs(w io.Writer) error {
 	coreIters, runnerIters, samplerIters := 100_000, 20_000, 20_000
 	if *quick {
 		coreIters, runnerIters, samplerIters = 20_000, 4_000, 4_000
@@ -243,23 +244,23 @@ func runObs() error {
 		SamplerWithin1Pct:    samplePct <= 1,
 	}
 
-	fmt.Println("Observability overhead per quantum (CPU time, getrusage, min of", rounds, "rounds)")
+	fmt.Fprintln(w, "Observability overhead per quantum (CPU time, getrusage, min of", rounds, "rounds)")
 	for _, b := range report.Benchmarks {
-		fmt.Printf("  %s loop (%d iters/round):\n", b.Name, b.Iterations)
+		fmt.Fprintf(w, "  %s loop (%d iters/round):\n", b.Name, b.Iterations)
 		for _, v := range b.Variants {
-			fmt.Printf("    %-8s %9.1f ns/tick  %+6.2f%% vs off\n", v.Name, v.NsPerTick, v.OverheadPct)
+			fmt.Fprintf(w, "    %-8s %9.1f ns/tick  %+6.2f%% vs off\n", v.Name, v.NsPerTick, v.OverheadPct)
 		}
 	}
-	fmt.Printf("  quantum-loop overhead, observer disabled:  %.3f%% of Q=%v (budget 5%%)\n", disabledPct, q)
-	fmt.Printf("  quantum-loop overhead, metrics enabled:    %.3f%% of Q=%v\n", enabledPct, q)
-	fmt.Printf("  quantum-loop overhead, flight recorder on: %.3f%% of Q=%v (budget 5%%)\n", recorderPct, q)
+	fmt.Fprintf(w, "  quantum-loop overhead, observer disabled:  %.3f%% of Q=%v (budget 5%%)\n", disabledPct, q)
+	fmt.Fprintf(w, "  quantum-loop overhead, metrics enabled:    %.3f%% of Q=%v\n", enabledPct, q)
+	fmt.Fprintf(w, "  quantum-loop overhead, flight recorder on: %.3f%% of Q=%v (budget 5%%)\n", recorderPct, q)
 	if !report.DisabledWithin5Pct {
-		fmt.Println("  WARNING: disabled quantum-loop overhead exceeds the 5% budget on this host")
+		fmt.Fprintln(w, "  WARNING: disabled quantum-loop overhead exceeds the 5% budget on this host")
 	}
 	if !report.RecorderWithin5Pct {
-		fmt.Println("  WARNING: flight-recorder quantum-loop overhead exceeds the 5% budget on this host")
+		fmt.Fprintln(w, "  WARNING: flight-recorder quantum-loop overhead exceeds the 5% budget on this host")
 	}
-	fmt.Printf("  history sampler: %d series, %.0f ns/sample = %.4f%% of Q=%v (gate <= 1%%)\n",
+	fmt.Fprintf(w, "  history sampler: %d series, %.0f ns/sample = %.4f%% of Q=%v (gate <= 1%%)\n",
 		report.SamplerSeries, sampleNs, samplePct, q)
 
 	dir := *out
@@ -274,7 +275,7 @@ func runObs() error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("  wrote %s\n", path)
+	fmt.Fprintf(w, "  wrote %s\n", path)
 	// The gate fails the run only after the report is on disk, so the
 	// numbers that show the regression are kept.
 	if !report.SamplerWithin1Pct {

@@ -3,12 +3,11 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"alps/internal/exp"
-	"alps/internal/metrics"
 )
 
 // runScale sweeps the real-OS control loop's per-quantum cost over fleet
@@ -20,64 +19,41 @@ import (
 //     headline claim of the O(due) rework (full runs only; -quick stops
 //     at N=500 where the honest ratio is smaller);
 //   - if a committed BENCH_scale_baseline.json exists with comparable
-//     parameters, the current speedup must not regress more than 20%
-//     below it.
-func runScale() error {
+//     parameters, the current speedup must not regress against it
+//     (exp.CompareScaleBaseline).
+func runScale(w io.Writer) error {
 	p := exp.DefaultLoopScaleParams()
 	// The quick sizes are a subset of the full sweep so the baseline
 	// regression gate can compare at a fleet size both runs measured.
 	if *quick {
 		p.Ns = []int{10, 100, 500}
 		p.SpeedupAtN = 500
-		p.GroupPrincipals = 20
-		p.GroupMembers = []int{1, 25}
 	}
 	res, err := exp.LoopScale(p)
 	if err != nil {
 		return err
 	}
-	sim, err := simScaleCurve()
-	if err != nil {
-		return err
-	}
 
-	fmt.Printf("Per-quantum control-loop cost (medians of %d quanta, %d%% of fleet active, single shared CPU)\n",
+	fmt.Fprintf(w, "Per-quantum control-loop cost (medians of %d quanta, %d%% of fleet active, single shared CPU)\n",
 		p.Measure, p.ActivePermille/10)
-	fmt.Printf("  %-6s %12s %12s %12s %9s %9s\n", "N", "reference", "indexed", "pooled", "speedup", "audit")
+	fmt.Fprintf(w, "  %-6s %12s %12s %9s %9s\n", "N", "reference", "indexed", "speedup", "audit")
 	for _, pt := range res.Points {
-		fmt.Printf("  %-6d %10.1fµs %10.1fµs %10.1fµs %8.2fx %8.2fx\n",
-			pt.N, pt.Reference.MedianNs/1e3, pt.Indexed.MedianNs/1e3, pt.Pooled.MedianNs/1e3,
-			pt.Speedup, pt.AuditSpeedup)
+		fmt.Fprintf(w, "  %-6d %10.1fµs %10.1fµs %8.2fx %8.2fx\n",
+			pt.N, pt.Reference.MedianNs/1e3, pt.Indexed.MedianNs/1e3, pt.Speedup, pt.AuditSpeedup)
 	}
-	fmt.Printf("Median-fit: reference %.1f ns/proc (R²=%.3f), indexed %.1f ns/proc (R²=%.3f)\n",
+	fmt.Fprintf(w, "Median-fit: reference %.1f ns/proc (R²=%.3f), indexed %.1f ns/proc (R²=%.3f)\n",
 		res.ReferenceFit.Slope, res.ReferenceFit.R2, res.IndexedFit.Slope, res.IndexedFit.R2)
 	describeBreakdown := func(name string, n float64) {
 		if n > 0 {
-			fmt.Printf("§4.2 breakdown (loop work fills Q=%v): %s at N≈%.0f\n", p.Quantum, name, n)
+			fmt.Fprintf(w, "§4.2 breakdown (loop work fills Q=%v): %s at N≈%.0f\n", p.Quantum, name, n)
 		} else {
-			fmt.Printf("§4.2 breakdown (loop work fills Q=%v): %s never within the sweep\n", p.Quantum, name)
+			fmt.Fprintf(w, "§4.2 breakdown (loop work fills Q=%v): %s never within the sweep\n", p.Quantum, name)
 		}
 	}
 	describeBreakdown("reference", res.ReferenceBreakdownN)
 	describeBreakdown("indexed", res.IndexedBreakdownN)
-	fmt.Printf("Speedup at N=%d: %.2fx wall, %.2fx by auditor loop-work gauge\n",
+	fmt.Fprintf(w, "Speedup at N=%d: %.2fx wall, %.2fx by auditor loop-work gauge\n",
 		p.SpeedupAtN, res.SpeedupAtN, res.AuditSpeedupAtN)
-
-	fmt.Println("Steady-state allocations per quantum (indexed loop, observer off)")
-	fmt.Printf("  %-6s %8s %8s\n", "N", "median", "mean")
-	for _, a := range res.Allocs {
-		fmt.Printf("  %-6d %8.0f %8.2f\n", a.N, a.MedianAllocs, a.MeanAllocs)
-	}
-	fmt.Println("Members-per-principal axis (process-group signaling, one kill(-pgid) per flip)")
-	fmt.Printf("  %-10s %-8s %-6s %12s %8s %9s %10s\n",
-		"principals", "members", "N", "step", "flips", "syscalls", "sys/flip")
-	for _, g := range res.Groups {
-		fmt.Printf("  %-10d %-8d %-6d %10.1fµs %8d %9d %10.3f\n",
-			g.Principals, g.Members, g.N, g.MedianNs/1e3, g.Flips, g.SignalSyscalls, g.SyscallsPerFlip)
-	}
-
-	fmt.Printf("Simulator (1996-kernel model, Q=%v): U(N)=%.4f·N%+.4f, predicted breakdown N≈%.0f, observed N=%d\n",
-		sim.Quantum, sim.Fit.Slope, sim.Fit.Intercept, sim.PredictedThreshold, sim.ObservedThreshold)
 
 	outDir := *out
 	if outDir == "" {
@@ -86,12 +62,7 @@ func runScale() error {
 	outPath := filepath.Join(outDir, "BENCH_scale.json")
 	report := struct {
 		Loop *exp.LoopScaleResult `json:"loop"`
-		// Sim is the §4.2 breakdown of the simulated paper machine at
-		// the same quantum: the algorithm-plus-1996-kernel limit
-		// (N≈40), against which the loop sweep shows what the modern
-		// control loop itself can sustain.
-		Sim simScaleReport `json:"sim"`
-	}{res, sim}
+	}{res}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
@@ -99,86 +70,25 @@ func runScale() error {
 	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", outPath)
+	fmt.Fprintf(w, "wrote %s\n", outPath)
 
-	if err := checkScaleBaseline(res); err != nil {
+	if err := checkScaleBaseline(w, res); err != nil {
 		return err
 	}
 	if !*quick && !res.Indexed5x {
 		return fmt.Errorf("auditor gauges show only %.2fx indexed-vs-reference at N=%d, want >=5x",
 			res.AuditSpeedupAtN, p.SpeedupAtN)
 	}
-	// The zero-allocation and one-syscall-per-flip gates hold in quick
-	// mode too: both are exact properties of the loop, not statistical
-	// claims that need the full sweep to stabilize.
-	if res.SteadyStateAllocs != 0 {
-		return fmt.Errorf("steady-state loop allocates %.0f objects per quantum at N=%d, want 0",
-			res.SteadyStateAllocs, p.Ns[len(p.Ns)-1])
-	}
-	if len(res.Groups) > 0 {
-		last := res.Groups[len(res.Groups)-1]
-		if last.Flips == 0 {
-			return fmt.Errorf("group axis %d×%d recorded no eligibility flips; gauge is vacuous",
-				last.Principals, last.Members)
-		}
-		if last.SyscallsPerFlip > 1 {
-			return fmt.Errorf("group signaling issued %.3f syscalls per flip at %d principals × %d members, want <=1",
-				last.SyscallsPerFlip, last.Principals, last.Members)
-		}
-	}
 	return nil
 }
 
-// simScaleReport is the simulator half of BENCH_scale.json: the fitted
-// overhead line and §4.2 thresholds of the paper-machine model.
-type simScaleReport struct {
-	Quantum            time.Duration `json:"quantum_ns"`
-	Fit                metrics.Line  `json:"overhead_fit"`
-	PredictedThreshold float64       `json:"predicted_breakdown_n"`
-	ObservedThreshold  int           `json:"observed_breakdown_n"`
-}
-
-// simScaleCurve runs the simulator's §4.2 sweep at Q=10ms only (the
-// full three-quantum version is fig8/fig9/thresholds). The simulated
-// machine loses control around N=40 regardless of how fast the control
-// loop's code is — it models the paper's hardware — which is exactly
-// the contrast the loop sweep needs on record.
-func simScaleCurve() (simScaleReport, error) {
-	p := exp.DefaultScaleParams()
-	p.Quanta = []time.Duration{10 * time.Millisecond}
-	p.Ns = []int{5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60}
-	if *quick {
-		p.Cycles = 12
-		p.Ns = []int{10, 20, 30, 40, 50}
-	}
-	res, err := exp.Scalability(p)
-	if err != nil {
-		return simScaleReport{}, err
-	}
-	c := res.Curves[0]
-	return simScaleReport{
-		Quantum:            c.Quantum,
-		Fit:                c.Fit,
-		PredictedThreshold: c.PredictedThreshold,
-		ObservedThreshold:  c.ObservedThreshold,
-	}, nil
-}
-
-// checkScaleBaseline compares the run against the committed
-// BENCH_scale_baseline.json: at the largest fleet size both swept, the
-// indexed-vs-reference speedup must not fall more than 20% below the
-// baseline's. A fallen ratio alone is not condemning — an optimization
-// shared by both loop variants (e.g. removing allocations from the
-// per-PID read path, which the reference loop pays O(N) times per
-// quantum) shrinks the ratio while making both loops faster — so the
-// gate only fails when the indexed loop's own per-Step cost also got
-// slower than the baseline's. Skipped (with a note) when no baseline
-// exists or its parameters differ enough that the numbers are not
-// comparable.
-func checkScaleBaseline(res *exp.LoopScaleResult) error {
+// checkScaleBaseline reads the committed BENCH_scale_baseline.json and
+// prints exp.CompareScaleBaseline's verdict on the run, failing on a
+// regression. It skips, with a note, when no baseline exists.
+func checkScaleBaseline(w io.Writer, res *exp.LoopScaleResult) error {
 	data, err := os.ReadFile("BENCH_scale_baseline.json")
 	if os.IsNotExist(err) {
-		fmt.Println("no BENCH_scale_baseline.json; skipping regression gate")
+		fmt.Fprintln(w, "no BENCH_scale_baseline.json; skipping regression gate")
 		return nil
 	}
 	if err != nil {
@@ -191,42 +101,22 @@ func checkScaleBaseline(res *exp.LoopScaleResult) error {
 		return fmt.Errorf("BENCH_scale_baseline.json: %w", err)
 	}
 	if baseReport.Loop == nil {
-		fmt.Println("BENCH_scale_baseline.json has no loop sweep; skipping regression gate")
+		fmt.Fprintln(w, "BENCH_scale_baseline.json has no loop sweep; skipping regression gate")
 		return nil
 	}
-	base := *baseReport.Loop
-	if base.Params.Measure != res.Params.Measure || base.Params.ActivePermille != res.Params.ActivePermille {
-		fmt.Println("baseline parameters differ from this run; skipping regression gate")
+	c := exp.CompareScaleBaseline(res, baseReport.Loop)
+	if c.Verdict == exp.ScaleSkip {
+		fmt.Fprintf(w, "%s; skipping regression gate\n", c.Why)
 		return nil
 	}
-	basePts := make(map[int]exp.LoopScalePoint, len(base.Points))
-	for _, pt := range base.Points {
-		basePts[pt.N] = pt
-	}
-	bestN := 0
-	for _, pt := range res.Points {
-		if b, ok := basePts[pt.N]; ok && pt.N > bestN && b.Speedup > 0 && pt.Speedup > 0 {
-			bestN = pt.N
-		}
-	}
-	if bestN == 0 {
-		fmt.Println("no comparable fleet size in baseline; skipping regression gate")
-		return nil
-	}
-	cur, old := exp.LoopScalePoint{}, basePts[bestN]
-	for _, pt := range res.Points {
-		if pt.N == bestN {
-			cur = pt
-		}
-	}
-	fmt.Printf("regression gate at N=%d: speedup %.2fx vs baseline %.2fx (indexed %.1fµs vs %.1fµs)\n",
-		bestN, cur.Speedup, old.Speedup, cur.Indexed.MedianNs/1e3, old.Indexed.MedianNs/1e3)
-	if cur.Speedup < 0.8*old.Speedup && cur.Indexed.MedianNs > 1.2*old.Indexed.MedianNs {
+	fmt.Fprintf(w, "regression gate at N=%d: speedup %.2fx vs baseline %.2fx (indexed %.1fµs vs %.1fµs)\n",
+		c.N, c.Cur.Speedup, c.Base.Speedup, c.Cur.Indexed.MedianNs/1e3, c.Base.Indexed.MedianNs/1e3)
+	switch c.Verdict {
+	case exp.ScaleFail:
 		return fmt.Errorf("optimized loop regressed: speedup %.2fx at N=%d is >20%% below baseline %.2fx and the indexed loop itself slowed %.1fµs -> %.1fµs",
-			cur.Speedup, bestN, old.Speedup, old.Indexed.MedianNs/1e3, cur.Indexed.MedianNs/1e3)
-	}
-	if cur.Speedup < 0.8*old.Speedup {
-		fmt.Printf("note: speedup ratio fell but the indexed loop is no slower; reference-side improvement, not a regression\n")
+			c.Cur.Speedup, c.N, c.Base.Speedup, c.Base.Indexed.MedianNs/1e3, c.Cur.Indexed.MedianNs/1e3)
+	case exp.ScaleNote:
+		fmt.Fprintln(w, "note: speedup ratio fell but the indexed loop is within 1.2x of the baseline's; reference-side improvement, not a regression")
 	}
 	return nil
 }

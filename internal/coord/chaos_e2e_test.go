@@ -375,8 +375,8 @@ func (f *fleet) assertFleetStatus() {
 // assertTimeline checks that the restarted coordinator's Tick drove its
 // retained history on the virtual clock: the fleet share-error gauges
 // are in its timeline. When ALPS_TIMELINE_OUT names a file (make
-// chaos-fleet sets it), the whole /fleet/timeline document is written
-// there as the run artifact.
+// chaos-fleet and CI's race step set it), the whole /fleet/timeline
+// document is written there as the run artifact.
 func (f *fleet) assertTimeline() {
 	t := f.t
 	t.Helper()

@@ -3,13 +3,11 @@ package exp
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"time"
 
 	"alps/internal/core"
 	"alps/internal/metrics"
-	"alps/internal/obs"
 	"alps/internal/osproc"
 	"alps/internal/trace"
 )
@@ -35,18 +33,14 @@ import (
 // inside §2.3's final-allowance window (postponement ⌈allowance/Q⌉ = 1
 // at trickle consumption rates), and both loops would be due-bound.
 //
-// Three loop variants run the identical workload (the equivalence
-// property test guarantees identical decision streams):
+// Two loop variants run the identical workload (the equivalence
+// property test guarantees identical decision streams), both sampling
+// sequentially, so the in-loop phase stamps capture all of their work:
 //
 //   - reference: the seed loop (DisableIndexing) — O(N) stage-1/stage-3
-//     scans, a full reconcile sweep every quantum, sequential sampling;
+//     scans, a full reconcile sweep every quantum;
 //   - indexed: the O(due) loop — timing-wheel due set, changed-subset
-//     stage 3, amortized reconcile — still sequential, so the in-loop
-//     phase stamps capture all of its work;
-//   - pooled: the indexed loop plus the sampler/signal worker pool
-//     (Samplers > 1). On FaultSys every call serializes on one mutex, so
-//     this shows the pool's dispatch overhead floor, not its payoff;
-//     the payoff needs real /proc reads.
+//     stage 3, amortized reconcile.
 //
 // Each run also carries a trace.Auditor: its §4.2 loop-work gauges,
 // reconstructed purely from the stamped phase events, must agree with
@@ -67,34 +61,20 @@ type LoopScaleParams struct {
 	// ActivePermille is how many processes per thousand are busy loops;
 	// the rest sleep (default 50 = 5%).
 	ActivePermille int
-	// Samplers is the worker-pool width of the pooled variant.
-	Samplers int
 	// SpeedupAtN is the fleet size the indexed-vs-reference speedup is
 	// reported at (the ≥5× gate). Must be in Ns.
 	SpeedupAtN int
-	// GroupPrincipals and GroupMembers drive the members-per-principal
-	// axis: GroupPrincipals principals, each owning one whole process
-	// group of m members, for every m in GroupMembers. The point records
-	// signal syscalls per eligibility flip — with group signaling one
-	// flip is one kill(-pgid) no matter how many members the principal
-	// has — and the per-Step cost, which must track the principal count,
-	// not the process count.
-	GroupPrincipals int
-	GroupMembers    []int
 }
 
 // DefaultLoopScaleParams sweeps N = 10..5000.
 func DefaultLoopScaleParams() LoopScaleParams {
 	return LoopScaleParams{
-		Ns:              []int{10, 50, 100, 250, 500, 1000, 2000, 5000},
-		Quantum:         10 * time.Millisecond,
-		Warmup:          50,
-		Measure:         300,
-		ActivePermille:  50,
-		Samplers:        runtime.GOMAXPROCS(0),
-		SpeedupAtN:      1000,
-		GroupPrincipals: 50,
-		GroupMembers:    []int{1, 10, 50, 100},
+		Ns:             []int{10, 50, 100, 250, 500, 1000, 2000, 5000},
+		Quantum:        10 * time.Millisecond,
+		Warmup:         50,
+		Measure:        300,
+		ActivePermille: 50,
+		SpeedupAtN:     1000,
 	}
 }
 
@@ -116,43 +96,11 @@ type LoopVariantPoint struct {
 	SamplingReduction float64 `json:"sampling_reduction"`
 }
 
-// LoopAllocPoint records steady-state allocator pressure at one fleet
-// size: the per-Step heap-allocation count (runtime Mallocs delta) of
-// the indexed loop with observability off, which the zero-allocation
-// rework holds at exactly zero. The median is the gated number — the
-// runtime's own background work (GC bookkeeping, timer wheel) can land
-// a stray allocation inside any single Step, and the median discards
-// those without hiding a loop that genuinely allocates every quantum.
-type LoopAllocPoint struct {
-	N            int     `json:"n"`
-	MedianAllocs float64 `json:"median_allocs_per_quantum"`
-	MeanAllocs   float64 `json:"mean_allocs_per_quantum"`
-}
-
-// LoopGroupPoint is one point on the members-per-principal axis.
-type LoopGroupPoint struct {
-	Principals int `json:"principals"`
-	Members    int `json:"members_per_principal"`
-	// N is the total process count (Principals × Members).
-	N int `json:"n"`
-	// MedianNs is the median wall time per Step. Holding Principals
-	// fixed while Members grows, this shows whether quantum cost scales
-	// with processes or with principals.
-	MedianNs float64 `json:"median_ns"`
-	// Flips counts principal eligibility transitions over the measured
-	// window; SignalSyscalls counts kill(2)-equivalent calls the runner
-	// issued for them. With process-group signaling the ratio is ≤1.
-	Flips           int64   `json:"flips"`
-	SignalSyscalls  int64   `json:"signal_syscalls"`
-	SyscallsPerFlip float64 `json:"syscalls_per_flip"`
-}
-
 // LoopScalePoint is one N's measurements across the variants.
 type LoopScalePoint struct {
 	N         int              `json:"n"`
 	Reference LoopVariantPoint `json:"reference"`
 	Indexed   LoopVariantPoint `json:"indexed"`
-	Pooled    LoopVariantPoint `json:"pooled"`
 	// Speedup is reference/indexed median wall time per Step.
 	Speedup float64 `json:"speedup"`
 	// AuditSpeedup is the same ratio computed from the auditor's median
@@ -178,15 +126,6 @@ type LoopScaleResult struct {
 	SpeedupAtN      float64 `json:"speedup_at_n"`
 	AuditSpeedupAtN float64 `json:"audit_speedup_at_n"`
 	Indexed5x       bool    `json:"indexed_5x_at_n"`
-	// Allocs is the steady-state allocs-per-quantum gauge at each N;
-	// SteadyStateAllocs is the gated number — the median at the largest
-	// fleet size (0 after the zero-allocation rework).
-	Allocs            []LoopAllocPoint `json:"allocs"`
-	SteadyStateAllocs float64          `json:"steady_state_allocs_per_quantum"`
-	// Groups is the members-per-principal axis; SyscallsPerFlipAtScale
-	// is the gated ratio at its largest point (≤1 with group signaling).
-	Groups                 []LoopGroupPoint `json:"groups"`
-	SyscallsPerFlipAtScale float64          `json:"syscalls_per_flip_at_scale"`
 }
 
 // wallClockSys is a FaultSys whose clock is the wall clock: phase events
@@ -197,7 +136,7 @@ type wallClockSys struct{ *osproc.FaultSys }
 func (wallClockSys) Now() time.Time { return time.Now() }
 
 // loopScaleRun times one variant at one N.
-func loopScaleRun(p LoopScaleParams, n, samplers int, disableIndexing bool) (LoopVariantPoint, error) {
+func loopScaleRun(p LoopScaleParams, n int, disableIndexing bool) (LoopVariantPoint, error) {
 	fs := osproc.NewFaultSys()
 	fs.Quiet = true
 	fs.SharedCPU = true
@@ -221,7 +160,6 @@ func loopScaleRun(p LoopScaleParams, n, samplers int, disableIndexing bool) (Loo
 		Sys:             wallClockSys{fs},
 		Observer:        aud,
 		OnCycle:         aud.OnCycle,
-		Samplers:        samplers,
 		DisableIndexing: disableIndexing,
 	}, tasks)
 	if err != nil {
@@ -255,129 +193,16 @@ func loopScaleRun(p LoopScaleParams, n, samplers int, disableIndexing bool) (Loo
 	}, nil
 }
 
-// loopAllocRun measures steady-state heap allocations per Step at one
-// N. The run is the gate's configuration, not the timing sweep's: the
-// indexed loop, sequential sampling, no observer — the zero-allocation
-// contract covers the scheduler and runner hot path, not whatever an
-// attached observer does with the events.
-func loopAllocRun(p LoopScaleParams, n int) (LoopAllocPoint, error) {
-	fs := osproc.NewFaultSys()
-	fs.Quiet = true
-	fs.SharedCPU = true
-	tasks := make([]osproc.Task, n)
-	period := 1000
-	if p.ActivePermille > 0 {
-		period = 1000 / p.ActivePermille
-	}
-	for i := range tasks {
-		pid := 1000 + i
-		state := byte('S')
-		if p.ActivePermille > 0 && i%period == 0 {
-			state = 'R'
-		}
-		fs.AddProc(osproc.FaultProc{PID: pid, Start: uint64(pid), State: state})
-		tasks[i] = osproc.Task{ID: core.TaskID(i + 1), Share: int64(i%8) + 1, PIDs: []int{pid}}
-	}
-	r, err := osproc.NewRunner(osproc.Config{Quantum: p.Quantum, Sys: fs}, tasks)
-	if err != nil {
-		return LoopAllocPoint{}, fmt.Errorf("alloc N=%d: %w", n, err)
-	}
-	defer r.Release()
-
-	for i := 0; i < p.Warmup; i++ {
-		fs.Advance(p.Quantum)
-		r.Step()
-	}
-	var before, after runtime.MemStats
-	samples := make([]float64, 0, p.Measure)
-	for i := 0; i < p.Measure; i++ {
-		fs.Advance(p.Quantum) // outside the window: Advance is the workload stand-in
-		runtime.ReadMemStats(&before)
-		r.Step()
-		runtime.ReadMemStats(&after)
-		samples = append(samples, float64(after.Mallocs-before.Mallocs))
-	}
-	sort.Float64s(samples)
-	mean, err := metrics.Mean(samples)
-	if err != nil {
-		return LoopAllocPoint{}, err
-	}
-	return LoopAllocPoint{N: n, MedianAllocs: samples[len(samples)/2], MeanAllocs: mean}, nil
-}
-
-// loopGroupRun measures one members-per-principal point: `principals`
-// tasks, each owning a whole process group of `members` processes, all
-// busy. Eligibility flips are counted from the observer's transition
-// events and signal syscalls from FaultSys's counter, both over the
-// measured window only.
-func loopGroupRun(p LoopScaleParams, principals, members int) (LoopGroupPoint, error) {
-	fs := osproc.NewFaultSys()
-	fs.Quiet = true
-	fs.SharedCPU = true
-	tasks := make([]osproc.Task, principals)
-	for i := range tasks {
-		leader := 1000 + i*members
-		pids := make([]int, members)
-		for j := 0; j < members; j++ {
-			pid := leader + j
-			fs.AddProc(osproc.FaultProc{PID: pid, PGID: leader, Start: uint64(pid), State: 'R'})
-			pids[j] = pid
-		}
-		tasks[i] = osproc.Task{ID: core.TaskID(i + 1), Share: int64(i%8) + 1, PIDs: pids, PGID: leader}
-	}
-	var flips int64
-	counter := obs.ObserverFunc(func(e obs.Event) {
-		if e.Kind == obs.KindTransition {
-			flips++
-		}
-	})
-	r, err := osproc.NewRunner(osproc.Config{Quantum: p.Quantum, Sys: fs, Observer: counter}, tasks)
-	if err != nil {
-		return LoopGroupPoint{}, fmt.Errorf("group %d×%d: %w", principals, members, err)
-	}
-	defer r.Release()
-
-	for i := 0; i < p.Warmup; i++ {
-		fs.Advance(p.Quantum)
-		r.Step()
-	}
-	flips = 0
-	baseCalls := fs.SignalSyscalls()
-	samples := make([]float64, 0, p.Measure)
-	for i := 0; i < p.Measure; i++ {
-		fs.Advance(p.Quantum)
-		t0 := time.Now()
-		r.Step()
-		samples = append(samples, float64(time.Since(t0).Nanoseconds()))
-	}
-	sort.Float64s(samples)
-	pt := LoopGroupPoint{
-		Principals:     principals,
-		Members:        members,
-		N:              principals * members,
-		MedianNs:       samples[len(samples)/2],
-		Flips:          flips,
-		SignalSyscalls: fs.SignalSyscalls() - baseCalls,
-	}
-	if pt.Flips > 0 {
-		pt.SyscallsPerFlip = float64(pt.SignalSyscalls) / float64(pt.Flips)
-	}
-	return pt, nil
-}
-
 // LoopScale runs the control-loop scaling sweep.
 func LoopScale(p LoopScaleParams) (*LoopScaleResult, error) {
 	res := &LoopScaleResult{Params: p}
 	for _, n := range p.Ns {
 		pt := LoopScalePoint{N: n}
 		var err error
-		if pt.Reference, err = loopScaleRun(p, n, 0, true); err != nil {
+		if pt.Reference, err = loopScaleRun(p, n, true); err != nil {
 			return nil, err
 		}
-		if pt.Indexed, err = loopScaleRun(p, n, 0, false); err != nil {
-			return nil, err
-		}
-		if pt.Pooled, err = loopScaleRun(p, n, p.Samplers, false); err != nil {
+		if pt.Indexed, err = loopScaleRun(p, n, false); err != nil {
 			return nil, err
 		}
 		if pt.Indexed.MedianNs > 0 {
@@ -391,24 +216,6 @@ func LoopScale(p LoopScaleParams) (*LoopScaleResult, error) {
 			res.SpeedupAtN = pt.Speedup
 			res.AuditSpeedupAtN = pt.AuditSpeedup
 			res.Indexed5x = pt.AuditSpeedup >= 5
-		}
-	}
-	for _, n := range p.Ns {
-		apt, err := loopAllocRun(p, n)
-		if err != nil {
-			return nil, err
-		}
-		res.Allocs = append(res.Allocs, apt)
-		res.SteadyStateAllocs = apt.MedianAllocs // Ns is ascending; last wins
-	}
-	if p.GroupPrincipals > 0 {
-		for _, m := range p.GroupMembers {
-			gpt, err := loopGroupRun(p, p.GroupPrincipals, m)
-			if err != nil {
-				return nil, err
-			}
-			res.Groups = append(res.Groups, gpt)
-			res.SyscallsPerFlipAtScale = gpt.SyscallsPerFlip // GroupMembers is ascending; last wins
 		}
 	}
 	res.ReferenceFit = loopFit(res.Points, func(pt LoopScalePoint) float64 { return pt.Reference.MedianNs })
@@ -442,4 +249,70 @@ func loopBreakdown(fit metrics.Line, q time.Duration) float64 {
 		return 0
 	}
 	return n
+}
+
+// ScaleVerdict is the outcome of CompareScaleBaseline.
+type ScaleVerdict int
+
+const (
+	// ScaleSkip: the sweeps are not comparable (Why says how).
+	ScaleSkip ScaleVerdict = iota
+	// ScalePass: the speedup is at least 0.8× the baseline's.
+	ScalePass
+	// ScaleNote: the speedup fell below 0.8× the baseline's, but the
+	// indexed loop is at most 1.2× slower than the baseline's — a
+	// reference-side improvement, not a regression.
+	ScaleNote
+	// ScaleFail: the speedup fell below 0.8× the baseline's and the
+	// indexed loop is more than 1.2× slower than the baseline's.
+	ScaleFail
+)
+
+// ScaleComparison is a sweep held against a baseline sweep at one
+// fleet size.
+type ScaleComparison struct {
+	Verdict ScaleVerdict
+	// Why says why the sweeps are not comparable (ScaleSkip only).
+	Why string
+	// N is the fleet size compared; Cur and Base are the two sweeps'
+	// points there.
+	N         int
+	Cur, Base LoopScalePoint
+}
+
+// CompareScaleBaseline is the scale benchmark's regression gate: at the
+// largest fleet size both sweeps measured with a positive speedup, the
+// indexed-vs-reference speedup must not fall more than 20% below the
+// baseline's. A fallen ratio alone is not condemning — an optimization
+// shared by both loop variants (e.g. removing allocations from the
+// per-PID read path, which the reference loop pays O(N) times per
+// quantum) shrinks the ratio while making both loops faster — so the
+// gate fails only when the indexed loop's own per-Step cost also got
+// more than 20% slower than the baseline's. Sweeps that time a
+// different window or fleet mix are not comparable.
+func CompareScaleBaseline(cur, base *LoopScaleResult) ScaleComparison {
+	if base.Params.Measure != cur.Params.Measure || base.Params.ActivePermille != cur.Params.ActivePermille {
+		return ScaleComparison{Why: "baseline parameters differ from this run"}
+	}
+	basePts := make(map[int]LoopScalePoint, len(base.Points))
+	for _, pt := range base.Points {
+		basePts[pt.N] = pt
+	}
+	var c ScaleComparison
+	for _, pt := range cur.Points {
+		if b, ok := basePts[pt.N]; ok && pt.N > c.N && b.Speedup > 0 && pt.Speedup > 0 {
+			c.N, c.Cur, c.Base = pt.N, pt, b
+		}
+	}
+	switch {
+	case c.N == 0:
+		c.Why = "no comparable fleet size in baseline"
+	case c.Cur.Speedup >= 0.8*c.Base.Speedup:
+		c.Verdict = ScalePass
+	case c.Cur.Indexed.MedianNs > 1.2*c.Base.Indexed.MedianNs:
+		c.Verdict = ScaleFail
+	default:
+		c.Verdict = ScaleNote
+	}
+	return c
 }

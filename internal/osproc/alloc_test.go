@@ -29,25 +29,10 @@ func (w *watchSys) ReadStat(pid int) (Stat, error) {
 	return w.FaultSys.ReadStat(pid)
 }
 
-// TestSteadyStateZeroAllocs is the in-tree half of the alloc-regression
-// gate (`alps-bench scale` measures the same thing over the full
-// sweep): after warmup, one quantum of the indexed loop — scheduler
-// tick, FaultSys reads, signal delivery, reconcile — must perform zero
-// heap allocations when no observer is attached. The median over the
-// window is asserted, not the max: the runtime itself (GC bookkeeping,
-// map growth amortization) may land a stray allocation inside any
-// single Step, and the median discards those without hiding a loop
-// that allocates every quantum. The sleepers go dormant and, never
-// having woken, are read once per nominal cycle: the quanta that carry
-// those watch reads are few, and their median is asserted on its own
-// over at least ten of them, once the due index has grown to hold a
-// watch batch in each slot.
-func TestSteadyStateZeroAllocs(t *testing.T) {
-	fs := NewFaultSys()
-	fs.Quiet = true
-	fs.SharedCPU = true
-	ws := &watchSys{FaultSys: fs}
-	const n = 300
+// sleeperFleet installs n processes on fs, each twentieth a busy loop
+// and the rest asleep, and returns one task per process with shares
+// 1..8 in turn.
+func sleeperFleet(fs *FaultSys, n int) []Task {
 	tasks := make([]Task, n)
 	for i := range tasks {
 		pid := 1000 + i
@@ -58,8 +43,31 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		fs.AddProc(FaultProc{PID: pid, Start: uint64(pid), State: state})
 		tasks[i] = Task{ID: core.TaskID(i + 1), Share: int64(i%8) + 1, PIDs: []int{pid}}
 	}
+	return tasks
+}
+
+// TestSteadyStateZeroAllocs is the alloc-regression gate: after warmup,
+// one quantum of the indexed loop — scheduler tick, FaultSys reads,
+// signal delivery, reconcile — must perform zero heap allocations when
+// no observer is attached. The median over the window is asserted, not
+// the max: the runtime itself (GC bookkeeping, map growth amortization)
+// may land a stray allocation inside any single Step, and the median
+// discards those without hiding a loop that allocates every quantum.
+// The sleepers go dormant and, never having woken, are read once per
+// nominal cycle: the quanta that carry those watch reads are few, and
+// their median is asserted on its own over at least ten of them, once
+// the due index has grown to hold a watch batch in each slot. A second
+// fleet of 5000 processes is measured as a scaling sweep would measure
+// it: the median over 300 quanta after only 50 warm-up quanta, when no
+// sleeper is dormant yet.
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	fs := NewFaultSys()
+	fs.Quiet = true
+	fs.SharedCPU = true
+	ws := &watchSys{FaultSys: fs}
+	const n = 300
 	q := 10 * time.Millisecond
-	r, err := NewRunner(Config{Quantum: q, Sys: ws}, tasks)
+	r, err := NewRunner(Config{Quantum: q, Sys: ws}, sleeperFleet(fs, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,5 +119,30 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	if med, p90 := median(watch); med != 0 {
 		t.Errorf("quanta with dormant watch reads allocate: median %.0f allocs/Step (p90 %.0f) over %d quanta, want 0",
 			med, p90, len(watch))
+	}
+
+	big := NewFaultSys()
+	big.Quiet = true
+	big.SharedCPU = true
+	rb, err := NewRunner(Config{Quantum: q, Sys: big}, sleeperFleet(big, 5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Release()
+	for i := 0; i < 50; i++ {
+		big.Advance(q)
+		rb.Step()
+	}
+	samples = samples[:0]
+	for i := 0; i < 300; i++ {
+		big.Advance(q)
+		runtime.ReadMemStats(&before)
+		rb.Step()
+		runtime.ReadMemStats(&after)
+		samples = append(samples, float64(after.Mallocs-before.Mallocs))
+	}
+	if med, p90 := median(samples); med != 0 {
+		t.Errorf("N=5000: steady-state quantum allocates: median %.0f allocs/Step (p90 %.0f) over 300 steps, want 0",
+			med, p90)
 	}
 }

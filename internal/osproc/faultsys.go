@@ -122,8 +122,8 @@ type FaultSys struct {
 	NCPU int
 
 	// sigCalls counts signal syscalls (Stop, Cont, StopGroup, ContGroup
-	// — one each, regardless of group size). The scale benchmark derives
-	// its signal-syscalls-per-flip gauge from it.
+	// — one each, regardless of group size). The group-signaling test
+	// asserts one per eligibility flip from it.
 	sigCalls int64
 
 	rng    *rand.Rand
@@ -328,8 +328,8 @@ func (f *FaultSys) logf(format string, args ...any) {
 
 // Hot-path call sites guard logf with !f.Quiet themselves: the variadic
 // args are boxed into an interface slice at the call site, before logf's
-// own Quiet check can skip them, and the scale benchmark's
-// zero-allocation gate covers those paths.
+// own Quiet check can skip them, and the zero-allocation test
+// (TestSteadyStateZeroAllocs) covers those paths.
 
 // ReadStat implements Sys over the fault table.
 func (f *FaultSys) ReadStat(pid int) (Stat, error) {

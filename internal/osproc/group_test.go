@@ -1,6 +1,7 @@
 package osproc
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -40,43 +41,60 @@ func sigLogLines(fs *FaultSys, from int) (perPID, group int) {
 	return perPID, group
 }
 
-// TestGroupSignalingOneSyscallPerFlip is the bench gate's unit-level
-// twin: once the workload is adopted, every eligibility flip of a
-// group-owning principal is exactly one signal syscall, independent of
-// member count, and no per-PID stop/cont ever appears on the fast path.
+// TestGroupSignalingOneSyscallPerFlip: once the workload is adopted,
+// every eligibility flip of a group-owning principal is exactly one
+// signal syscall, independent of member count, and no per-PID stop/cont
+// ever appears on the fast path. It holds for three principals of 20
+// members and for a fleet of 50 principals of 100 members each.
 func TestGroupSignalingOneSyscallPerFlip(t *testing.T) {
-	fs := NewFaultSys()
-	fs.SharedCPU = true
-	log := obs.NewEventLog()
-	tasks := []Task{
-		addGroup(fs, 1, 1, 1000, 20),
-		addGroup(fs, 2, 2, 2000, 20),
-		addGroup(fs, 3, 5, 3000, 20),
+	fleet := func(n int) []int64 {
+		shares := make([]int64, n)
+		for i := range shares {
+			shares[i] = int64(i%8) + 1
+		}
+		return shares
 	}
-	r := newFaultRunner(t, fs, Config{Observer: log}, tasks)
-	base := fs.SignalSyscalls()
-	logMark := len(fs.Log)
-	for i := 0; i < 80; i++ {
-		stepQuantum(fs, r)
-	}
-	flips := len(core.TransitionsOf(log.Events()))
-	delta := fs.SignalSyscalls() - base
-	if flips == 0 {
-		t.Fatal("workload never flipped eligibility; test exercises nothing")
-	}
-	if delta != int64(flips) {
-		t.Errorf("signal syscalls = %d for %d eligibility flips, want exactly 1 per flip", delta, flips)
-	}
-	perPID, group := sigLogLines(fs, logMark)
-	if perPID != 0 {
-		t.Errorf("%d per-PID signals on the steady-state path, want 0 (group kills only)", perPID)
-	}
-	if group == 0 {
-		t.Error("no group kills logged despite verified process groups")
-	}
-	r.Release()
-	if got := fs.StoppedPIDs(); len(got) != 0 {
-		t.Errorf("PIDs left frozen after release: %v", got)
+	for _, tc := range []struct {
+		shares  []int64
+		members int
+	}{
+		{[]int64{1, 2, 5}, 20},
+		{fleet(50), 100},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", len(tc.shares), tc.members), func(t *testing.T) {
+			fs := NewFaultSys()
+			fs.SharedCPU = true
+			log := obs.NewEventLog()
+			tasks := make([]Task, len(tc.shares))
+			for i, share := range tc.shares {
+				tasks[i] = addGroup(fs, core.TaskID(i+1), share, 1000*(i+1), tc.members)
+			}
+			r := newFaultRunner(t, fs, Config{Observer: log}, tasks)
+			base := fs.SignalSyscalls()
+			logMark := len(fs.Log)
+			for i := 0; i < 80; i++ {
+				stepQuantum(fs, r)
+			}
+			flips := len(core.TransitionsOf(log.Events()))
+			delta := fs.SignalSyscalls() - base
+			if flips == 0 {
+				t.Fatal("workload never flipped eligibility; test exercises nothing")
+			}
+			if delta != int64(flips) {
+				t.Errorf("signal syscalls = %d for %d eligibility flips, want exactly 1 per flip", delta, flips)
+			}
+			perPID, group := sigLogLines(fs, logMark)
+			if perPID != 0 {
+				t.Errorf("%d per-PID signals on the steady-state path, want 0 (group kills only)", perPID)
+			}
+			if group == 0 {
+				t.Error("no group kills logged despite verified process groups")
+			}
+			r.Release()
+			if got := fs.StoppedPIDs(); len(got) != 0 {
+				t.Errorf("PIDs left frozen after release: %v", got)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"alps/internal/core"
@@ -292,29 +292,56 @@ type sigOrder struct {
 	sig Sig
 }
 
-// applyRefresh installs new task memberships and returns stop orders for
-// processes that joined a currently ineligible task.
+// applyRefresh installs new task memberships the way the runner's join
+// and leave do, and returns the signals the change needs. A departing
+// member of an ineligible task, which ALPS holds stopped, is resumed
+// and its reading dropped. A joiner is read when it is adopted, so only
+// what it runs afterwards is charged, and is aligned with its task:
+// stopped if the task is ineligible, resumed if the task is eligible
+// and the joiner is stopped. Departures go first, so a process that
+// moves between tasks ends aligned with its new one.
 func (a *AlpsProc) applyRefresh(m map[core.TaskID][]PID) []sigOrder {
-	var orders []sigOrder
 	ids := make([]core.TaskID, 0, len(m))
 	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		pids := m[id]
-		old := make(map[PID]bool, len(a.targets[id]))
-		for _, p := range a.targets[id] {
-			old[p] = true
+		if _, err := a.sched.State(id); err == nil {
+			ids = append(ids, id)
 		}
-		st, err := a.sched.State(id)
-		known := err == nil
-		for _, p := range pids {
-			if !old[p] && known && st == core.Ineligible {
+	}
+	slices.Sort(ids)
+	ineligible := func(id core.TaskID) bool {
+		st, _ := a.sched.State(id)
+		return st == core.Ineligible
+	}
+	var orders []sigOrder
+	for _, id := range ids {
+		for _, p := range a.targets[id] {
+			if slices.Contains(m[id], p) {
+				continue
+			}
+			if ineligible(id) {
+				orders = append(orders, sigOrder{p, SIGCONT})
+			}
+			delete(a.lastCPU, p)
+		}
+	}
+	for _, id := range ids {
+		for _, p := range m[id] {
+			if slices.Contains(a.targets[id], p) {
+				continue
+			}
+			info, ok := a.k.Info(p)
+			if !ok {
+				continue
+			}
+			a.lastCPU[p] = info.CPUTicked
+			switch {
+			case ineligible(id):
 				orders = append(orders, sigOrder{p, SIGSTOP})
+			case info.State == Stopped:
+				orders = append(orders, sigOrder{p, SIGCONT})
 			}
 		}
-		a.targets[id] = append([]PID(nil), pids...)
+		a.targets[id] = append([]PID(nil), m[id]...)
 	}
 	return orders
 }

@@ -184,6 +184,98 @@ func TestRefreshAddsMembers(t *testing.T) {
 	}
 }
 
+// TestRefreshReleasesDepartingMember: a member dropped from its
+// principal while ALPS holds it stopped is resumed on its way out, as
+// the runner's leave resumes it, so no process is left SIGSTOPped.
+func TestRefreshReleasesDepartingMember(t *testing.T) {
+	k := NewKernel()
+	kept := k.SpawnStopped("u1", 0, Spin())
+	dropped := k.SpawnStopped("u2", 0, Spin())
+	other := k.SpawnStopped("v1", 0, Spin())
+	droppedAt := time.Duration(-1)
+	_, err := StartALPS(k, AlpsConfig{
+		Quantum:      10 * time.Millisecond,
+		Cost:         PaperCosts(),
+		RefreshEvery: 10 * time.Millisecond,
+		Refresh: func(k *Kernel) map[core.TaskID][]PID {
+			if info, _ := k.Info(dropped); droppedAt < 0 && k.Now() >= 100*time.Millisecond && info.State == Stopped {
+				droppedAt = k.Now()
+			}
+			if droppedAt >= 0 {
+				return map[core.TaskID][]PID{1: {kept}}
+			}
+			return map[core.TaskID][]PID{1: {kept, dropped}}
+		},
+	}, []AlpsTask{
+		{ID: 1, Share: 1, Pids: []PID{kept, dropped}},
+		{ID: 2, Share: 1, Pids: []PID{other}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Run(20 * time.Second)
+	if droppedAt < 0 {
+		t.Fatal("the member was never stopped at a refresh after 100 ms; test exercises nothing")
+	}
+	if info, ok := k.Info(dropped); !ok || info.State == Stopped {
+		t.Errorf("member dropped at %v while stopped is %v at 20 s, want resumed", droppedAt, info.State)
+	}
+}
+
+// TestRefreshChargesJoinerFromAdoption: a process that ran uncontrolled
+// for three seconds and then joins principal 1 is read when it is
+// adopted, as the runner's join reads it, so only what it runs
+// afterwards is charged. Its second of past CPU, charged, would hold
+// principal 1 ineligible for about a second after the join.
+func TestRefreshChargesJoinerFromAdoption(t *testing.T) {
+	k := NewKernel()
+	first := k.SpawnStopped("u1", 0, Spin())
+	other := k.SpawnStopped("v1", 0, Spin())
+	joiner := k.Spawn("u2", 0, Spin())
+	joinedAt := time.Duration(-1)
+	_, err := StartALPS(k, AlpsConfig{
+		Quantum:      10 * time.Millisecond,
+		Cost:         PaperCosts(),
+		RefreshEvery: time.Second,
+		Refresh: func(k *Kernel) map[core.TaskID][]PID {
+			if k.Now() < 3*time.Second {
+				return map[core.TaskID][]PID{1: {first}}
+			}
+			if joinedAt < 0 {
+				joinedAt = k.Now()
+			}
+			return map[core.TaskID][]PID{1: {first, joiner}}
+		},
+	}, []AlpsTask{
+		{ID: 1, Share: 1, Pids: []PID{first}},
+		{ID: 2, Share: 1, Pids: []PID{other}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := func() time.Duration {
+		a, _ := k.Info(first)
+		b, _ := k.Info(joiner)
+		return a.CPU + b.CPU
+	}
+	var before, after, past time.Duration
+	k.At(3100*time.Millisecond, func() {
+		before = cpu()
+		info, _ := k.Info(joiner)
+		past = info.CPU
+	})
+	k.At(4*time.Second, func() { after = cpu() })
+	k.Run(5 * time.Second)
+	if joinedAt < 0 || joinedAt > 3100*time.Millisecond {
+		t.Fatalf("joined at %v, want between 3 s and 3.1 s", joinedAt)
+	}
+	// Principal 1 holds half the shares: about 450 ms of the 900 ms.
+	if got := after - before; got < 300*time.Millisecond {
+		t.Errorf("principal 1 ran %v in the 900 ms after its member joined with %v of CPU behind it, want about 450 ms",
+			got, past)
+	}
+}
+
 // TestDeadWorkloadRemoved: when every process of a task exits, the task
 // is dropped and ALPS keeps scheduling the rest.
 func TestDeadWorkloadRemoved(t *testing.T) {
